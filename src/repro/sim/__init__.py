@@ -23,7 +23,6 @@ from repro.sim.clock_distribution import ClockSchedule
 from repro.sim.clocked import ClockedArraySimulator, ClockedRunResult, TimingViolation
 from repro.sim.compiled import (
     CompiledClockedKernel,
-    CompiledMaxPlus,
     CompiledRecurrence,
     compile_clocked,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "ClockedRunResult",
     "TimingViolation",
     "CompiledClockedKernel",
-    "CompiledMaxPlus",
     "CompiledRecurrence",
     "compile_clocked",
     "SelfTimedResult",

@@ -1,20 +1,28 @@
 """Array-compiled simulation kernels.
 
-The scalar simulators (:mod:`repro.sim.clocked`, the tandem recurrence of
-:mod:`repro.sim.dataflow`, the hybrid max-plus loops) interpret the object
-graph one (cell, tick) at a time — O(cells x ticks) Python dispatch.  The
-analyses that matter at paper scale (A5 violation sets on 4096-cell
-meshes, Monte-Carlo sweeps, the scaling benches) repeat those runs over a
-*fixed structure*, so this module splits them into
+The scalar simulators (:mod:`repro.sim.clocked` and the per-cell tandem
+recurrence of :mod:`repro.sim.dataflow`) interpret the object graph one
+(cell, tick) at a time — O(cells x ticks) Python dispatch.  The analyses
+that matter at paper scale (A5 violation sets on 4096-cell meshes,
+Monte-Carlo sweeps, the scaling benches) repeat those runs over a *fixed
+structure*, so this module splits them into
 
 * a one-time **compile** step that lowers a program + schedule + wire
   model into dense numpy index arrays (sender/receiver ids per directed
   edge, per-edge data-path lag, per-cell clock offsets, captured
   predecessor orders), and
-* **vectorized execute** steps that evaluate all latch generations, the
-  full :class:`~repro.sim.clocked.TimingViolation` set, the self-timed
-  wavefront recurrence, or the hybrid neighbor barrier in O(edges x
-  ticks) array operations.
+* **vectorized execute** steps that evaluate all latch generations and
+  the full :class:`~repro.sim.clocked.TimingViolation` set in O(edges x
+  ticks) array operations, or step the self-timed max-plus recurrence a
+  wave at a time.
+
+The self-timed side has exactly one evaluator: :class:`RecurrenceStepper`
+over a :class:`CompiledRecurrence` (forward edges with a per-edge wire,
+credit edges lagged ``depth - 1`` waves).  The program recurrence of
+:mod:`repro.sim.dataflow`, the steady-state detector of
+:mod:`repro.sta.flow` and the hybrid controller barrier of
+:mod:`repro.sim.hybrid_sim` (per-edge wire = handshake cost, plus one
+leading zero-cost wave) all lower onto it.
 
 Every kernel is an *exact* replacement, not an approximation: the same
 float64 operations in the same order as the scalar reference, so payloads,
@@ -41,7 +49,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Sequence,
     Tuple,
 )
 
@@ -856,344 +863,137 @@ class CompiledTimingKernel:
 
 
 # ----------------------------------------------------------------------
-# self-timed tandem recurrence
+# self-timed max-plus recurrence
 # ----------------------------------------------------------------------
+def _runs(ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(offsets, ids)`` of the runs of equal consecutive ids — the
+    ``np.maximum.reduceat`` layout of an edge list grouped by that id."""
+    head = np.ones(len(ids), dtype=bool)
+    head[1:] = ids[1:] != ids[:-1]
+    offsets = np.flatnonzero(head)
+    return offsets, ids[offsets]
+
+
 class CompiledRecurrence:
-    """The tandem recurrence evaluated wavefront-by-wavefront with grouped
-    array maxima — unbounded, or bounded by a finite channel capacity.
+    """The self-timed max-plus recurrence of a COMM graph, compiled once to
+    the dependence arrays :func:`repro.sta.flow.flow_graph` emits:
 
-    Compiles the COMM graph once (edges grouped by receiver for
-    ``np.maximum.reduceat``, and by *sender* for the capacity back-edges);
-    each wave is then a handful of array ops.  ``max`` is associative and
-    the add order per element matches the scalar loop, so the makespan
-    equals :meth:`~repro.sim.dataflow.SelfTimedProgramSimulator.
-    recurrence_makespan_scalar` exactly, in both regimes.
+    ``start[c][k] = max(finish[c][k-1], max_p finish[p][k-1] + wire[p, c],
+    max_s start[s][k-d+1])`` and ``finish[c][k] = start[c][k] +
+    service(c, k)``
 
-    With ``capacity=k`` the classic marked-graph formulation joins the
-    forward recurrence: ``start[c][w] >= start[succ][w-k+1]`` for every
-    successor once ``w >= k`` (the consumer must have drained generation
-    ``w-k`` before the producer may start wave ``w``).  For ``k >= 2``
-    that reads a start row from a sliding window of earlier waves; ``k=1``
-    couples starts *within* a wave, solved by max-relaxation to a
-    fixpoint (exact: the iteration only ever takes maxima of already-
-    present floats, so it converges to the same closure the scalar
-    reverse-topological sweep computes).
+    — forward edges ``p -> c`` with a per-edge wire, and credit edges from
+    each consumer ``s`` back to its producer that lag ``d - 1`` waves on a
+    depth-``d`` channel.  The channels are kept in COMM edge order
+    (grouped by sender: the credit layout, and the order of per-edge wires
+    and depths) and grouped by receiver for the forward maxima.
+
+    :class:`RecurrenceStepper` is the one evaluator and :meth:`makespan` a
+    stepper run.  ``max`` is order-free and every add is the scalar
+    oracle's (:func:`repro.sim.dataflow.recurrence_scalar`), so both agree
+    bit for bit in every capacity regime.
     """
 
     def __init__(self, comm: CommGraph) -> None:
         self.comm_version = comm.version
+        self._comm = comm
         self._cells = comm.nodes()
-        self._acyclic = comm.is_acyclic()
         index = {c: i for i, c in enumerate(self._cells)}
-        src: List[int] = []
-        group_starts: List[int] = []
-        group_cells: List[int] = []
-        succ: List[int] = []
-        succ_group_starts: List[int] = []
-        succ_group_cells: List[int] = []
-        for c in self._cells:
-            preds = comm.predecessors(c)
-            if preds:
-                group_starts.append(len(src))
-                group_cells.append(index[c])
-                src.extend(index[p] for p in preds)
-            successors = comm.successors(c)
-            if successors:
-                succ_group_starts.append(len(succ))
-                succ_group_cells.append(index[c])
-                succ.extend(index[s] for s in successors)
-        self._src = np.asarray(src, dtype=np.int64)
-        self._group_starts = np.asarray(group_starts, dtype=np.int64)
-        self._group_cells = np.asarray(group_cells, dtype=np.int64)
-        self._succ = np.asarray(succ, dtype=np.int64)
-        self._succ_group_starts = np.asarray(succ_group_starts, dtype=np.int64)
-        self._succ_group_cells = np.asarray(succ_group_cells, dtype=np.int64)
-
-    def _service_matrix(
-        self, service: Any, n_waves: int
-    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-        """(constant column, full matrix) — one of the two is set."""
-        n = len(self._cells)
-        col = self._service_column(service)
-        if col is not None:
-            return col, None
-        svc = np.empty((n, n_waves), dtype=np.float64)
-        for i, c in enumerate(self._cells):
-            row = svc[i]
-            for k in range(n_waves):
-                row[k] = service(c, k)
-        return None, svc
-
-    def _service_column(self, service: Any) -> Optional[np.ndarray]:
-        """Wave-invariant per-cell service column, or ``None`` when the
-        callable varies by wave (``constant_duration`` /
-        ``cell_durations`` attributes — see :func:`repro.sim.dataflow.
-        constant_service` and :func:`~repro.sim.dataflow.per_cell_service`)."""
-        constant = getattr(service, "constant_duration", None)
-        if constant is not None:
-            return np.full(len(self._cells), float(constant))
-        durations = getattr(service, "cell_durations", None)
-        if durations is not None:
-            return np.asarray(
-                [float(durations[c]) for c in self._cells], dtype=np.float64
-            )
-        return None
-
-    def _capacity_groups(
-        self, cap_map: Mapping[EdgeKey, int]
-    ) -> Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per-depth sender-grouped back-edge arrays for a heterogeneous
-        capacity map: ``{depth: (succ, group_starts, group_cells)}`` in the
-        same ``reduceat`` layout as the uniform arrays.  Validates keys
-        (must be COMM edges) and values (ints ``>= 1``)."""
-        cells = self._cells
-        per_d: Dict[int, Tuple[List[int], List[int], List[int]]] = {}
-        matched = 0
-        n_groups = len(self._succ_group_cells)
-        for g in range(n_groups):
-            lo = int(self._succ_group_starts[g])
-            hi = (
-                int(self._succ_group_starts[g + 1])
-                if g + 1 < n_groups
-                else len(self._succ)
-            )
-            sender_idx = int(self._succ_group_cells[g])
-            sender = cells[sender_idx]
-            for p in range(lo, hi):
-                consumer_idx = int(self._succ[p])
-                d_raw = cap_map.get((sender, cells[consumer_idx]))
-                if d_raw is None:
-                    continue
-                d = int(d_raw)
-                if d < 1:
-                    raise ValueError(
-                        f"per-edge channel capacity must be >= 1, got {d} "
-                        f"for edge ({sender!r}, {cells[consumer_idx]!r})"
-                    )
-                matched += 1
-                succ_l, starts_l, targets_l = per_d.setdefault(
-                    d, ([], [], [])
-                )
-                if not targets_l or targets_l[-1] != sender_idx:
-                    starts_l.append(len(succ_l))
-                    targets_l.append(sender_idx)
-                succ_l.append(consumer_idx)
-        if matched != len(cap_map):
-            edge_set = {
-                (cells[int(self._succ_group_cells[g])], cells[int(s)])
-                for g in range(n_groups)
-                for s in self._succ[
-                    int(self._succ_group_starts[g]) : (
-                        int(self._succ_group_starts[g + 1])
-                        if g + 1 < n_groups
-                        else len(self._succ)
-                    )
-                ]
-            }
-            unknown = [e for e in cap_map if e not in edge_set]
-            raise ValueError(f"capacity for unknown COMM edge {unknown[0]!r}")
-        return {
-            d: (
-                np.asarray(succ_l, dtype=np.int64),
-                np.asarray(starts_l, dtype=np.int64),
-                np.asarray(targets_l, dtype=np.int64),
-            )
-            for d, (succ_l, starts_l, targets_l) in per_d.items()
-        }
+        self._edges = comm.edges()
+        self._esrc = np.asarray([index[u] for u, _ in self._edges], dtype=np.int64)
+        self._edst = np.asarray([index[v] for _, v in self._edges], dtype=np.int64)
+        self._by_dst = np.argsort(self._edst, kind="stable")
+        self._fwd_src = self._esrc[self._by_dst]
+        self._fwd_starts, self._fwd_cells = _runs(self._edst[self._by_dst])
 
     def stepper(
         self,
         service: Any,
-        wire_delay: float,
+        wire_delay: Any,
         capacity: Any = None,
     ) -> "RecurrenceStepper":
-        """A wave-at-a-time evaluator over this compiled structure — the
-        open-horizon form of :meth:`makespan` (same float operations per
-        wave), exposing the full finish vector after each wave.  Accepts
-        every capacity regime: ``None``, a uniform int, or a per-edge
-        ``{(src, dst): depth}`` map."""
+        """A wave-at-a-time evaluator over this compiled structure (see
+        :class:`RecurrenceStepper` for the accepted specs)."""
         return RecurrenceStepper(self, service, wire_delay, capacity=capacity)
 
     def makespan(
         self,
         service: Any,
-        wire_delay: float,
+        wire_delay: Any,
         n_waves: int,
         capacity: Any = None,
     ) -> float:
-        cells = self._cells
-        if isinstance(capacity, Mapping):
-            # Heterogeneous depths take the stepper path (identical maxima
-            # per wave; the scalar oracle's per-edge branch is the
-            # reference both must equal).
-            if not cells:
-                return 0.0
-            return self.stepper(service, wire_delay, capacity=capacity).run(
-                n_waves
-            )
-        if capacity is not None:
-            capacity = int(capacity)
-            if capacity < 1:
-                raise ValueError("channel capacity must be >= 1 (or None)")
-            if capacity == 1 and not self._acyclic:
-                from repro.sim.dataflow import ChannelDeadlockError
-
-                raise ChannelDeadlockError(
-                    "channel_capacity=1 on a cyclic COMM graph is a "
-                    "zero-token marked-graph cycle (deadlock); use "
-                    "capacity >= 2"
-                )
-        if not cells:
-            return 0.0
-        const_col, svc = self._service_matrix(service, n_waves)
-        finish = np.zeros(len(cells), dtype=np.float64)
-        src, starts, targets = self._src, self._group_starts, self._group_cells
-        succ = self._succ
-        succ_starts = self._succ_group_starts
-        succ_targets = self._succ_group_cells
-        history: deque = deque()  # start rows, oldest first (k >= 2 only)
-        for k in range(n_waves):
-            if k > 0 and len(src):
-                arrivals = finish[src] + wire_delay
-                grouped = np.maximum.reduceat(arrivals, starts)
-                start = finish.copy()
-                start[targets] = np.maximum(start[targets], grouped)
-            else:
-                start = finish
-            if capacity is not None and k >= capacity and len(succ):
-                if start is finish:
-                    start = finish.copy()
-                if capacity == 1:
-                    # Same-wave coupling: relax start[c] >= start[succ]
-                    # until unchanged.  Each pass only takes maxima of
-                    # floats already in the vector, so the fixpoint is
-                    # float-exact against the reverse-topological sweep.
-                    while True:
-                        grouped = np.maximum.reduceat(start[succ], succ_starts)
-                        updated = np.maximum(start[succ_targets], grouped)
-                        if np.array_equal(updated, start[succ_targets]):
-                            break
-                        start[succ_targets] = updated
-                else:
-                    oldest = history[0]  # start row of wave k - capacity + 1
-                    grouped = np.maximum.reduceat(oldest[succ], succ_starts)
-                    start[succ_targets] = np.maximum(
-                        start[succ_targets], grouped
-                    )
-            if capacity is not None and capacity >= 2:
-                # ``start`` is never mutated after this wave (the next
-                # wave copies before writing), so the window can keep a
-                # reference instead of a copy.
-                history.append(start)
-                if len(history) > capacity - 1:
-                    history.popleft()
-            col = const_col if const_col is not None else svc[:, k]
-            finish = start + col
-        return float(finish.max())
-
-
-def _pairs_acyclic(n_cells: int, src: np.ndarray, dst: np.ndarray) -> bool:
-    """Kahn's check over an explicit edge list on dense int cells."""
-    indegree = np.zeros(n_cells, dtype=np.int64)
-    np.add.at(indegree, dst, 1)
-    succs: List[List[int]] = [[] for _ in range(n_cells)]
-    for u, v in zip(src.tolist(), dst.tolist()):
-        succs[u].append(v)
-    queue = [i for i in range(n_cells) if indegree[i] == 0]
-    seen = 0
-    i = 0
-    while i < len(queue):
-        u = queue[i]
-        i += 1
-        seen += 1
-        for v in succs[u]:
-            indegree[v] -= 1
-            if indegree[v] == 0:
-                queue.append(v)
-    return seen == n_cells
+        """Makespan after ``n_waves`` waves: one :class:`RecurrenceStepper`
+        run."""
+        return self.stepper(service, wire_delay, capacity).run(n_waves)
 
 
 class RecurrenceStepper:
-    """Wave-at-a-time evaluation of the compiled tandem recurrence.
+    """Wave-at-a-time evaluation of a :class:`CompiledRecurrence` — the one
+    vectorized wave loop.
 
-    :meth:`CompiledRecurrence.makespan` runs a fixed horizon and returns
-    one float; analyses that *watch* the trajectory — steady-state
-    detection in :mod:`repro.sta.flow`, transient bound checks — need the
-    finish vector after every wave, over an open horizon.  Each
-    :meth:`step` performs the same grouped-maxima float operations as the
-    corresponding ``makespan`` wave, so ``max`` of the stepper's final
-    vector equals ``makespan`` bit for bit in every capacity regime
-    (``None`` / uniform int / per-edge map — the map regime is grouped by
-    distinct depth, each depth reading its own lagged start row).
+    ``service`` is any spec :func:`~repro.sim.dataflow.service_rows`
+    resolves; ``wire_delay`` is one delay for every channel or a
+    ``{(src, dst): delay}`` map over the COMM edges; ``capacity`` is
+    ``None``, a uniform depth, or a per-edge map
+    (:func:`~repro.sim.dataflow.channel_depths`).  Channels of one depth
+    form one credit group; depth-1 channels couple starts within a wave
+    and are relaxed to a fixpoint, which is exact (it only ever takes
+    maxima of floats already present) and is refused up front when they
+    close a cycle.  A COMM graph that gained a node or edge after the
+    compile is refused with ``ValueError``.
 
-    The returned finish vectors are freshly allocated per wave and never
-    mutated afterwards; callers may keep references.
+    :attr:`start` and :attr:`finish` are the last wave's rows, indexed
+    like ``CompiledRecurrence._cells``; both are freshly allocated per
+    wave and never mutated afterwards, so callers may keep references.
     """
 
     def __init__(
         self,
         compiled: CompiledRecurrence,
         service: Any,
-        wire_delay: float,
+        wire_delay: Any,
         capacity: Any = None,
     ) -> None:
-        if wire_delay < 0:
-            raise ValueError("wire delay must be non-negative")
-        self._c = compiled
-        self._service = service
-        self._wire_delay = wire_delay
-        n = len(compiled._cells)
-        # Capacity regime -> per-depth grouped back-edge arrays.  A
-        # uniform int reuses the full sender-grouped arrays; a map gets
-        # per-depth subsets in the same layout.
-        cap1: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        deep: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
-        if isinstance(capacity, Mapping):
-            groups = compiled._capacity_groups(capacity)
-            for d in sorted(groups):
-                succ_d, starts_d, targets_d = groups[d]
-                if d == 1:
-                    counts = np.diff(np.append(starts_d, len(succ_d)))
-                    src_1 = np.repeat(targets_d, counts)
-                    if not _pairs_acyclic(n, src_1, succ_d):
-                        from repro.sim.dataflow import ChannelDeadlockError
+        # Imported here so that ``import repro`` does not load the event
+        # simulator module.
+        from repro.sim.dataflow import (
+            channel_depths,
+            service_rows,
+            zero_token_order,
+        )
 
-                        raise ChannelDeadlockError(
-                            "capacity-1 channels form a directed COMM "
-                            "cycle: a zero-token marked-graph cycle "
-                            "(deadlock); raise some capacity on the "
-                            "cycle to >= 2"
-                        )
-                    cap1 = (succ_d, starts_d, targets_d)
-                else:
-                    deep.append((d, succ_d, starts_d, targets_d))
-        elif capacity is not None:
-            capacity = int(capacity)
-            if capacity < 1:
-                raise ValueError("channel capacity must be >= 1 (or None)")
-            full = (
-                compiled._succ,
-                compiled._succ_group_starts,
-                compiled._succ_group_cells,
+        c = compiled
+        if c.comm_version != c._comm.version:
+            # The capacity spec is read against the live graph's edges.
+            raise ValueError(
+                "the COMM graph changed since this recurrence was compiled"
             )
-            if capacity == 1:
-                if not compiled._acyclic:
-                    from repro.sim.dataflow import ChannelDeadlockError
-
-                    raise ChannelDeadlockError(
-                        "channel_capacity=1 on a cyclic COMM graph is a "
-                        "zero-token marked-graph cycle (deadlock); use "
-                        "capacity >= 2"
-                    )
-                cap1 = full
-            elif len(compiled._succ):
-                deep.append((capacity, *full))
-        self._cap1 = cap1
-        self._deep = deep
-        self._window_len = max((d - 1 for d, *_ in deep), default=0)
-        self._window: deque = deque(maxlen=self._window_len or None)
-        self._col = compiled._service_column(service)
-        self._finish = np.zeros(n, dtype=np.float64)
+        if isinstance(wire_delay, Mapping):
+            wires = [float(wire_delay[e]) for e in c._edges]
+            wire_delay = np.asarray(wires, dtype=np.float64)[c._by_dst]
+        else:
+            wires = [wire_delay]
+        if min(wires, default=0.0) < 0:
+            raise ValueError("wire delay must be non-negative")
+        depths = channel_depths(c._comm, capacity)
+        deepest = int(depths.max(initial=0))
+        # One credit group per channel depth, deepest first, so the
+        # same-wave depth-1 relaxation runs last, over every other term of
+        # the wave.
+        self._credits: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+        for d in np.unique(depths[depths > 0])[::-1].tolist():
+            sel = np.flatnonzero(depths == d)
+            src, succ = c._esrc[sel], c._edst[sel]
+            offsets, senders = _runs(src)
+            if d == 1:
+                zero_token_order(c._cells, src, succ)
+            self._credits.append((d, succ, offsets, senders))
+        self._window: deque = deque(maxlen=max(deepest - 1, 0))
+        self._c = c
+        self._wire = wire_delay
+        self._rows = service_rows(c._cells, service)
+        self._start = self._finish = np.zeros(len(c._cells), dtype=np.float64)
         self._k = 0
 
     @property
@@ -1202,9 +1002,15 @@ class RecurrenceStepper:
         return self._k
 
     @property
+    def start(self) -> np.ndarray:
+        """Start row of the last completed wave (zeros before the first
+        :meth:`step`)."""
+        return self._start
+
+    @property
     def finish(self) -> np.ndarray:
-        """Finish vector after the last completed wave (zeros before the
-        first :meth:`step`), indexed like ``CompiledRecurrence._cells``."""
+        """Finish row after the last completed wave (zeros before the
+        first :meth:`step`)."""
         return self._finish
 
     def step(self) -> np.ndarray:
@@ -1212,99 +1018,39 @@ class RecurrenceStepper:
         c = self._c
         k = self._k
         finish = self._finish
-        if k > 0 and len(c._src):
-            arrivals = finish[c._src] + self._wire_delay
-            grouped = np.maximum.reduceat(arrivals, c._group_starts)
+        if k > 0 and len(c._fwd_src):
+            arrivals = finish[c._fwd_src] + self._wire
+            grouped = np.maximum.reduceat(arrivals, c._fwd_starts)
             start = finish.copy()
-            start[c._group_cells] = np.maximum(
-                start[c._group_cells], grouped
-            )
+            start[c._fwd_cells] = np.maximum(start[c._fwd_cells], grouped)
         else:
             start = finish
-        for d, succ_d, starts_d, targets_d in self._deep:
-            if k >= d:
-                if start is finish:
-                    start = finish.copy()
-                row = self._window[-(d - 1)]  # start row of wave k - d + 1
-                grouped = np.maximum.reduceat(row[succ_d], starts_d)
-                start[targets_d] = np.maximum(start[targets_d], grouped)
-        if self._cap1 is not None and k >= 1:
-            succ1, starts1, targets1 = self._cap1
+        for d, succ, offsets, senders in self._credits:
+            if k < d:
+                continue
             if start is finish:
                 start = finish.copy()
-            # Same-wave coupling: relax to the exact fixpoint, as in
-            # CompiledRecurrence.makespan.
-            while True:
-                grouped = np.maximum.reduceat(start[succ1], starts1)
-                updated = np.maximum(start[targets1], grouped)
-                if np.array_equal(updated, start[targets1]):
-                    break
-                start[targets1] = updated
-        if self._window_len:
-            self._window.append(start)
-        if self._col is not None:
-            col = self._col
-        else:
-            col = np.asarray(
-                [self._service(cell, k) for cell in c._cells],
-                dtype=np.float64,
-            )
-        self._finish = start + col
+            if d > 1:
+                row = self._window[-(d - 1)]  # start row of wave k - d + 1
+                grouped = np.maximum.reduceat(row[succ], offsets)
+                start[senders] = np.maximum(start[senders], grouped)
+            else:
+                while True:
+                    grouped = np.maximum.reduceat(start[succ], offsets)
+                    updated = np.maximum(start[senders], grouped)
+                    if np.array_equal(updated, start[senders]):
+                        break
+                    start[senders] = updated
+        self._window.append(start)
+        self._start = start
+        self._finish = start + self._rows(k)
         self._k = k + 1
         return self._finish
 
     def run(self, n_waves: int) -> float:
-        """Makespan after ``n_waves`` further waves (the scalar the fixed-
-        horizon kernel reports)."""
+        """Makespan after ``n_waves`` further waves."""
         if n_waves < 1:
             raise ValueError("need at least one wave")
         for _ in range(n_waves):
             self.step()
         return float(self._finish.max()) if len(self._finish) else 0.0
-
-
-# ----------------------------------------------------------------------
-# hybrid neighbor-barrier (max-plus) step
-# ----------------------------------------------------------------------
-class CompiledMaxPlus:
-    """One compiled step of the hybrid handshake recurrence
-    ``start[e] = max(finish[e], max_nbr finish[nbr] + hs(e, nbr))``.
-
-    Used by :func:`repro.sim.hybrid_sim.simulate_hybrid` and
-    :func:`repro.sim.hybrid_exec.execute_program_hybrid`; ``max`` over
-    neighbors is order-free, so the vector step equals the scalar dict
-    loop exactly.
-    """
-
-    def __init__(
-        self,
-        eids: Sequence[Hashable],
-        neighbors_of: Mapping[Hashable, Any],
-        handshake: Mapping[Tuple[Hashable, Hashable], float],
-    ) -> None:
-        index = {e: i for i, e in enumerate(eids)}
-        nbr: List[int] = []
-        cost: List[float] = []
-        group_starts: List[int] = []
-        group_cells: List[int] = []
-        for e in eids:
-            partners = neighbors_of[e]
-            if partners:
-                group_starts.append(len(nbr))
-                group_cells.append(index[e])
-                for p in partners:
-                    nbr.append(index[p])
-                    cost.append(handshake[(e, p)])
-        self._nbr = np.asarray(nbr, dtype=np.int64)
-        self._cost = np.asarray(cost, dtype=np.float64)
-        self._group_starts = np.asarray(group_starts, dtype=np.int64)
-        self._group_cells = np.asarray(group_cells, dtype=np.int64)
-
-    def starts(self, finish: np.ndarray) -> np.ndarray:
-        start = finish.copy()
-        if len(self._nbr):
-            ready = finish[self._nbr] + self._cost
-            grouped = np.maximum.reduceat(ready, self._group_starts)
-            tgt = self._group_cells
-            start[tgt] = np.maximum(start[tgt], grouped)
-        return start

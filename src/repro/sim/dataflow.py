@@ -44,27 +44,37 @@ regimes selected by ``channel_capacity``:
   :class:`ChannelDeadlockError` instead of hanging.
 
 The checker verifies the engine-driven makespan against the recurrence
-computed directly (compiled and scalar) in both regimes.
+computed directly (compiled and scalar) in both regimes.  The helpers
+every evaluator of that recurrence shares live here too: the capacity
+normalizer (:func:`channel_depths`), the service resolver
+(:func:`service_rows`), the zero-token cycle check
+(:func:`zero_token_order`) and the scalar oracle
+(:func:`recurrence_scalar`).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
     Dict,
     Hashable,
+    Iterator,
     List,
     Mapping,
     Optional,
+    Sequence,
     Tuple,
     Union,
 )
 
+import numpy as np
+
 from repro.arrays.cells import PE
 from repro.arrays.systolic import SystolicProgram
+from repro.graphs.comm import CommGraph
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.sim.engine import Simulator
@@ -90,8 +100,20 @@ class ChannelDeadlockError(RuntimeError):
     ``start[c][w] >= start[succ][w]`` has dependency distance zero, so a
     COMM cycle becomes a zero-token cycle: each cell on it waits for the
     next to fire the *same* wave first.  Raised eagerly (at construction /
-    kernel entry) instead of letting the event engine stall mid-run.
+    kernel entry) instead of letting the event engine stall mid-run, and
+    only ever by :func:`zero_token_order`.
+
+    ``cycle`` is the witness: the COMM edges of one such cycle in cycle
+    order — exactly what :func:`repro.sta.flow.detect_deadlock` returns.
     """
+
+    def __init__(self, cycle: List[EdgeKey]) -> None:
+        super().__init__(
+            f"capacity-1 channels form a directed COMM cycle {cycle!r}: a "
+            "zero-token marked-graph cycle (deadlock); raise some capacity "
+            "on the cycle to >= 2"
+        )
+        self.cycle = cycle
 
 
 def constant_service(duration: float) -> ServiceTime:
@@ -152,48 +174,192 @@ def hashed_service(
     return sample
 
 
-def _reverse_topological(
-    comm: Any, edges: Optional[List[Tuple[CellId, CellId]]] = None
-) -> List[CellId]:
-    """Cells in reverse topological order (consumers before producers) —
-    the evaluation order the same-wave capacity-1 credit term needs.
-    With ``edges`` the order is taken over that COMM-edge *subset* (the
-    capacity-1 channels of a per-edge assignment); ``None`` means every
-    edge.  Raises :class:`ChannelDeadlockError` when the (sub)graph is
-    cyclic — a zero-token marked-graph cycle."""
-    cells = comm.nodes()
-    if edges is None:
-        indegree: Dict[CellId, int] = {
-            c: len(comm.predecessors(c)) for c in cells
-        }
-        succs: Dict[CellId, List[CellId]] = {
-            c: list(comm.successors(c)) for c in cells
-        }
+def service_rows(
+    cells: Sequence[CellId], service: Any
+) -> Callable[[int], np.ndarray]:
+    """The one service-spec resolver: ``rows(k)`` is wave ``k``'s per-cell
+    service vector, in ``cells`` order.
+
+    A number, a ``{cell: duration}`` map, or a callable carrying
+    ``constant_duration`` / ``cell_durations`` (:func:`constant_service`,
+    :func:`per_cell_service`) is wave-invariant: it resolves once to a
+    column that every row returns.  Any other ``(cell, wave) -> duration``
+    callable is called once per cell for each requested row, in cell
+    order, and never while resolving — a service that draws from an RNG
+    keeps its stream.  Negative durations raise ``ValueError``.
+    """
+    if isinstance(service, (int, float)):
+        column = np.full(len(cells), float(service))
+    elif isinstance(service, Mapping):
+        column = np.asarray([float(service[c]) for c in cells], dtype=np.float64)
+    elif getattr(service, "constant_duration", None) is not None:
+        column = np.full(len(cells), float(service.constant_duration))
+    elif getattr(service, "cell_durations", None) is not None:
+        durations = service.cell_durations
+        column = np.asarray([float(durations[c]) for c in cells], dtype=np.float64)
     else:
-        indegree = {c: 0 for c in cells}
-        succs = {c: [] for c in cells}
-        for u, v in edges:
-            indegree[v] += 1
-            succs[u].append(v)
-    queue: List[CellId] = [c for c in cells if indegree[c] == 0]
-    order: List[CellId] = []
-    i = 0
-    while i < len(queue):
-        c = queue[i]
-        i += 1
-        order.append(c)
-        for s in succs[c]:
-            indegree[s] -= 1
-            if indegree[s] == 0:
-                queue.append(s)
-    if len(order) != len(cells):
-        raise ChannelDeadlockError(
-            "capacity-1 channels form a directed COMM cycle: a zero-token "
-            "marked-graph cycle (deadlock); raise some capacity on the "
-            "cycle to >= 2"
-        )
-    order.reverse()
+
+        def row(k: int) -> np.ndarray:
+            values = [service(c, k) for c in cells]
+            if min(values, default=0.0) < 0:
+                raise ValueError(f"negative service time in wave {k}")
+            return np.asarray(values, dtype=np.float64)
+
+        return row
+    if (column < 0).any():
+        raise ValueError("service times must be non-negative")
+    return lambda k: column
+
+
+def channel_depths(comm: CommGraph, capacity: CapacitySpec) -> np.ndarray:
+    """The one capacity normalizer: each COMM channel's depth, in
+    ``comm.edges()`` order, with 0 for an unbounded channel.
+
+    ``None`` is all zeros and a uniform int is that depth everywhere; a
+    per-edge map must name COMM edges with depths ``>= 1`` (absent edges
+    stay unbounded).  Invalid specs raise ``ValueError``.
+    """
+    if capacity is None:
+        return np.zeros(comm.edge_count, dtype=np.int64)
+    if not isinstance(capacity, Mapping):
+        depth = int(capacity)
+        if depth < 1:
+            raise ValueError("channel capacity must be >= 1 (or None)")
+        return np.full(comm.edge_count, depth, dtype=np.int64)
+    index = comm.edge_index()
+    depths = np.zeros(len(index), dtype=np.int64)
+    for edge, raw in capacity.items():
+        row = index.get(edge)
+        if row is None:
+            raise ValueError(f"capacity for unknown COMM edge {edge!r}")
+        depth = int(raw)
+        if depth < 1:
+            raise ValueError(
+                f"per-edge channel capacity must be >= 1, got {depth} for "
+                f"edge {edge!r}"
+            )
+        depths[row] = depth
+    return depths
+
+
+def zero_token_order(cells: Sequence[CellId], src: Any, dst: Any) -> List[int]:
+    """Consumers-first order of the dense cells over the zero-token
+    channels ``src[i] -> dst[i]`` (producer to consumer, ids into
+    ``cells``): every consumer before its producers, the order the
+    same-wave credit term resolves in.
+
+    When those channels close a cycle the marked graph is dead: raises
+    :class:`ChannelDeadlockError` carrying the first cycle the depth-first
+    search closes (roots in ascending id, out-edges in input order) — the
+    one place the error is raised.
+    """
+    succ: List[List[int]] = [[] for _ in cells]
+    for u, v in zip(
+        np.asarray(src, dtype=np.int64).tolist(),
+        np.asarray(dst, dtype=np.int64).tolist(),
+    ):
+        succ[u].append(v)
+    color = [0] * len(cells)  # 1 = on the search path, 2 = finished
+    order: List[int] = []
+    for root in range(len(cells)):
+        if color[root]:
+            continue
+        stack: List[Tuple[int, int]] = [(root, 0)]
+        path: List[int] = []
+        while stack:
+            node, child = stack.pop()
+            if child == 0:
+                color[node] = 1
+                path.append(node)
+            out = succ[node]
+            for j in range(child, len(out)):
+                nxt = out[j]
+                if color[nxt] == 1:
+                    cycle = path[path.index(nxt):]
+                    raise ChannelDeadlockError(
+                        [
+                            (cells[a], cells[b])
+                            for a, b in zip(cycle, cycle[1:] + cycle[:1])
+                        ]
+                    )
+                if color[nxt] == 0:
+                    stack.append((node, j + 1))
+                    stack.append((nxt, 0))
+                    break
+            else:
+                color[node] = 2
+                path.pop()
+                order.append(node)
     return order
+
+
+def channel_order(comm: CommGraph, depths: np.ndarray) -> List[int]:
+    """:func:`zero_token_order` over the depth-1 channels of
+    :func:`channel_depths` output (dense ids into ``comm.nodes()``)."""
+    ones = np.flatnonzero(depths == 1).tolist()
+    if not ones:
+        return list(range(comm.node_count))
+    cells = comm.nodes()
+    index = {c: i for i, c in enumerate(cells)}
+    edges = comm.edges()
+    return zero_token_order(
+        cells,
+        [index[edges[i][0]] for i in ones],
+        [index[edges[i][1]] for i in ones],
+    )
+
+
+def recurrence_scalar(
+    comm: CommGraph,
+    service: ServiceTime,
+    wire_delay: float,
+    capacity: CapacitySpec,
+) -> Iterator[Dict[CellId, float]]:
+    """The tandem recurrence evaluated per (cell, wave) in plain Python —
+    the scalar oracle of :class:`~repro.sim.compiled.RecurrenceStepper`.
+    Yields each wave's ``{cell: finish}`` map, without end.
+
+    Every channel is one case of the same credit term: depth ``d`` reads
+    the consumer's start row ``d - 1`` waves back, so depth 1 couples
+    starts within a wave and cells resolve consumers-first.  Only bounded
+    channels are scanned, so an unbounded run is the bare forward
+    recurrence.  A negative service duration raises ``ValueError``, as
+    in :func:`service_rows`.
+    """
+    if wire_delay < 0:
+        raise ValueError("wire delay must be non-negative")
+    cells = comm.nodes()
+    depths = channel_depths(comm, capacity)
+    order = [cells[i] for i in channel_order(comm, depths)]
+    preds = {c: list(comm.predecessors(c)) for c in cells}
+    # (consumer, lag) per producer: the credit reads lags[lag][consumer].
+    credits: Dict[CellId, List[Tuple[CellId, int]]] = {c: [] for c in cells}
+    edges = comm.edges()
+    for i in np.flatnonzero(depths).tolist():
+        u, v = edges[i]
+        credits[u].append((v, int(depths[i]) - 1))
+    window: deque = deque(maxlen=max(int(depths.max(initial=0)) - 1, 0))
+    finish = {c: 0.0 for c in cells}
+    k = 0
+    while True:
+        starts: Dict[CellId, float] = {}
+        lags = [starts, *reversed(window)]  # lags[j]: start row of wave k - j
+        for c in order:
+            start = finish[c]
+            if k > 0:
+                for p in preds[c]:
+                    start = max(start, finish[p] + wire_delay)
+            for s, lag in credits[c]:
+                if k > lag:
+                    start = max(start, lags[lag][s])
+            starts[c] = start
+        window.append(starts)
+        durations = [service(c, k) for c in cells]
+        if min(durations, default=0.0) < 0:
+            raise ValueError(f"negative service time in wave {k}")
+        finish = {c: starts[c] + d for c, d in zip(cells, durations)}
+        yield finish
+        k += 1
 
 
 @dataclass
@@ -278,39 +444,18 @@ class SelfTimedProgramSimulator:
         self._wire_delay = wire_delay
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._metrics = metrics
+        if channel_capacity is not None:
+            # Validates the spec and refuses a zero-token cycle up front.
+            depths = channel_depths(self._comm, channel_capacity)
+            channel_order(self._comm, depths)
         self._capacity_map: Optional[Dict[EdgeKey, int]] = None
         if isinstance(channel_capacity, Mapping):
-            edge_set = set(self._comm.edges())
-            cap_map: Dict[EdgeKey, int] = {}
-            for edge, cap in channel_capacity.items():
-                if edge not in edge_set:
-                    raise ValueError(
-                        f"capacity for unknown COMM edge {edge!r}"
-                    )
-                cap = int(cap)
-                if cap < 1:
-                    raise ValueError(
-                        f"per-edge channel capacity must be >= 1, got "
-                        f"{cap} for edge {edge!r}"
-                    )
-                cap_map[edge] = cap
-            cap1 = [e for e, cap in cap_map.items() if cap == 1]
-            if cap1:
-                # Eager deadlock detection, same contract as the uniform
-                # case: a cyclic capacity-1 subgraph can never fire.
-                _reverse_topological(self._comm, cap1)
-            self._capacity_map = cap_map
+            self._capacity_map = {
+                edge: int(cap) for edge, cap in channel_capacity.items()
+            }
             channel_capacity = None
         elif channel_capacity is not None:
             channel_capacity = int(channel_capacity)
-            if channel_capacity < 1:
-                raise ValueError("channel capacity must be >= 1 (or None)")
-            if channel_capacity == 1 and not self._comm.is_acyclic():
-                raise ChannelDeadlockError(
-                    "channel_capacity=1 on a cyclic COMM graph is a "
-                    "zero-token marked-graph cycle (deadlock); use "
-                    "capacity >= 2"
-                )
         self._channel_capacity: Optional[int] = channel_capacity
         self._compiled: Any = None  # lazy CompiledRecurrence
 
@@ -318,6 +463,13 @@ class SelfTimedProgramSimulator:
     def channel_capacity(self) -> CapacitySpec:
         if self._capacity_map is not None:
             return dict(self._capacity_map)
+        return self._channel_capacity
+
+    @property
+    def _capacity(self) -> CapacitySpec:
+        """The capacity spec the recurrences evaluate (not copied)."""
+        if self._capacity_map is not None:
+            return self._capacity_map
         return self._channel_capacity
 
     def run(self, waves: Optional[int] = None) -> DataflowRunResult:
@@ -569,16 +721,11 @@ class SelfTimedProgramSimulator:
         is the reference it must equal exactly.
         """
         n_waves = waves if waves is not None else self._program.cycles
-        capacity: CapacitySpec = (
-            self._capacity_map
-            if self._capacity_map is not None
-            else self._channel_capacity
-        )
         return self.compiled_recurrence().makespan(
             self._service,
             self._wire_delay,
             n_waves,
-            capacity=capacity,
+            capacity=self._capacity,
         )
 
     def critical_path(self, waves: Optional[int] = None):
@@ -613,85 +760,14 @@ class SelfTimedProgramSimulator:
     def recurrence_makespan_scalar(self, waves: Optional[int] = None) -> float:
         """Reference (per-cell Python loop) evaluation of the tandem
         recurrence — the oracle for :meth:`recurrence_makespan` — honouring
-        ``channel_capacity`` exactly like the event engine."""
+        ``channel_capacity`` exactly like the event engine (see
+        :func:`recurrence_scalar`)."""
         n_waves = waves if waves is not None else self._program.cycles
-        cells = self._comm.nodes()
-        cap = self._channel_capacity
-        finish: Dict[CellId, float] = {c: 0.0 for c in cells}
-        if cap is None and self._capacity_map is None:
-            for k in range(n_waves):
-                new_finish: Dict[CellId, float] = {}
-                for c in cells:
-                    start = finish[c]
-                    if k > 0:
-                        for p in self._comm.predecessors(c):
-                            start = max(start, finish[p] + self._wire_delay)
-                    new_finish[c] = start + self._service(c, k)
-                # Wave k's start depends on wave k-1 finishes only, so the
-                # whole wave updates atomically.
-                finish = new_finish
-            return max(finish.values(), default=0.0)
-
-        preds = {c: list(self._comm.predecessors(c)) for c in cells}
-        succs = {c: list(self._comm.successors(c)) for c in cells}
-        cap_map = self._capacity_map
-        if cap_map is not None:
-            # Heterogeneous depths: capacity-1 edges couple starts within a
-            # wave (evaluate consumers-first over that subgraph); deeper
-            # edges read start rows from a sliding window whose depth is
-            # the largest finite capacity minus one.
-            cap1 = [e for e, d in cap_map.items() if d == 1]
-            order = _reverse_topological(self._comm, cap1) if cap1 else cells
-            max_cap = max(cap_map.values(), default=1)
-            window: deque = deque()
-            for k in range(n_waves):
-                starts: Dict[CellId, float] = {}
-                for c in order:
-                    start = finish[c]
-                    if k > 0:
-                        for p in preds[c]:
-                            start = max(start, finish[p] + self._wire_delay)
-                    for s in succs[c]:
-                        d = cap_map.get((c, s))
-                        if d is None or k < d:
-                            continue
-                        if d == 1:
-                            start = max(start, starts[s])
-                        else:
-                            # window[-1] is wave k-1, so wave k-d+1 sits at
-                            # index -(d-1); valid because k >= d.
-                            start = max(start, window[-(d - 1)][s])
-                    starts[c] = start
-                finish = {c: starts[c] + self._service(c, k) for c in cells}
-                if max_cap >= 2:
-                    window.append(starts)
-                    if len(window) > max_cap - 1:
-                        window.popleft()
-            return max(finish.values(), default=0.0)
-        # Capacity 1 couples starts *within* a wave (distance k-1 = 0), so
-        # cells evaluate consumers-first; capacity >= 2 only reads start
-        # rows from earlier waves, kept in a sliding window of depth k-1.
-        order = _reverse_topological(self._comm) if cap == 1 else cells
-        history: deque = deque()
-        for k in range(n_waves):
-            starts: Dict[CellId, float] = {}
-            for c in order:
-                start = finish[c]
-                if k > 0:
-                    for p in preds[c]:
-                        start = max(start, finish[p] + self._wire_delay)
-                if k >= cap:
-                    if cap == 1:
-                        for s in succs[c]:
-                            start = max(start, starts[s])
-                    else:
-                        oldest = history[0]  # wave k - cap + 1
-                        for s in succs[c]:
-                            start = max(start, oldest[s])
-                starts[c] = start
-            finish = {c: starts[c] + self._service(c, k) for c in cells}
-            if cap >= 2:
-                history.append(starts)
-                if len(history) > cap - 1:
-                    history.popleft()
+        if n_waves < 1:
+            raise ValueError("need at least one wave")
+        waves_iter = recurrence_scalar(
+            self._comm, self._service, self._wire_delay, self._capacity
+        )
+        for _ in range(n_waves):
+            finish = next(waves_iter)
         return max(finish.values(), default=0.0)

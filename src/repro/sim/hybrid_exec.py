@@ -20,15 +20,13 @@ start time.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Tuple
-
-import numpy as np
 
 from repro.arrays.ideal import LockstepExecutor
 from repro.arrays.systolic import SystolicProgram
 from repro.core.hybrid import HybridScheme, build_hybrid
+from repro.sim.hybrid_sim import controller_recurrence
 
 CellId = Hashable
 ElementId = Tuple[int, int]
@@ -82,44 +80,13 @@ def execute_program_hybrid(
         raise ValueError("delta >= 0, m > 0, jitter >= 0 required")
     n_steps = steps if steps > 0 else program.cycles
     scheme = build_hybrid(program.array, element_size=element_size)
-    rng = random.Random(seed)
-
+    stepper, _, _ = controller_recurrence(scheme, delta, m, jitter, seed)
     eids = list(scheme.elements.keys())
-    base_cost: Dict[ElementId, float] = {
-        e: 2.0 * m * scheme.local_trees[e].longest_root_to_leaf() + delta
-        for e in eids
-    }
-    handshake: Dict[Tuple[ElementId, ElementId], float] = {}
-    for a, b in scheme.element_graph.communicating_pairs():
-        d = m * scheme.controllers[a].manhattan(scheme.controllers[b])
-        handshake[(a, b)] = d
-        handshake[(b, a)] = d
-
-    # Compiled max-plus barrier step (repro.sim.compiled) — same values as
-    # the per-element dict loop: neighbor max is order-free, and the adds
-    # keep the scalar association start + (base + jitter).
-    from repro.sim.compiled import CompiledMaxPlus
-
-    kernel = CompiledMaxPlus(
-        eids, {e: scheme.element_graph.neighbors(e) for e in eids}, handshake
-    )
-    base = np.asarray([base_cost[e] for e in eids], dtype=np.float64)
-
-    finish = np.zeros(len(eids), dtype=np.float64)
     start_times: List[Dict[ElementId, float]] = []
     finish_times: List[Dict[ElementId, float]] = []
     for _step in range(n_steps):
-        start = kernel.starts(finish)
-        if jitter > 0:
-            # One uniform draw per element in eids order — the scalar
-            # loop's exact RNG consumption sequence.
-            cost = base + np.asarray(
-                [rng.uniform(0.0, jitter * delta) for _ in eids]
-            )
-        else:
-            cost = base
-        finish = start + cost
-        start_times.append(dict(zip(eids, start.tolist())))
+        finish = stepper.step()
+        start_times.append(dict(zip(eids, stepper.start.tolist())))
         finish_times.append(dict(zip(eids, finish.tolist())))
 
     # Functional execution: the barrier makes hybrid semantics lockstep.

@@ -16,6 +16,11 @@ is a max-plus linear system whose asymptotic cycle time is bounded by
 *constant as the array grows*, which is the Section VI claim the
 ``bench_fig8_hybrid`` benchmark demonstrates against the equipotential
 global clock's linear growth.
+
+It is the self-timed tandem recurrence over the element graph, with the
+handshake cost as each edge's wire and the local cost as each element's
+service, so :func:`controller_recurrence` lowers it onto the shared
+:class:`~repro.sim.compiled.RecurrenceStepper`.
 """
 
 from __future__ import annotations
@@ -24,13 +29,13 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
 from repro.core.hybrid import HybridScheme
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
+from repro.sim.compiled import CompiledRecurrence, RecurrenceStepper
 
 ElementId = Tuple[int, int]
+ElementPair = Tuple[ElementId, ElementId]
 
 
 @dataclass(frozen=True)
@@ -46,6 +51,53 @@ class HybridRunResult:
     @property
     def within_analytic_bound(self) -> bool:
         return self.cycle_time <= self.analytic_cycle_time + 1e-9
+
+
+def controller_recurrence(
+    scheme: HybridScheme,
+    delta: float,
+    m: float = 1.0,
+    jitter: float = 0.0,
+    seed: int = 0,
+) -> Tuple[RecurrenceStepper, Dict[ElementId, float], Dict[ElementPair, float]]:
+    """Lower the controller network to the self-timed recurrence.
+
+    Elements are the cells (in ``scheme.elements`` order), handshake
+    neighbours the forward edges with the handshake cost as their wire,
+    and an element's local cost — clock down, compute, clock gathering
+    up, plus an optional uniform ``jitter`` draw — its service.  Step 0
+    already waits on the neighbour handshakes from t = 0, which the
+    recurrence's wave 0 does not; the returned stepper has therefore run
+    one leading zero-cost wave, and each further :meth:`step` is one
+    global step.  The jitter draws come from one RNG stream, one per
+    element per step in element order.
+
+    Returns ``(stepper, base_cost, handshake)``.
+    """
+    rng = random.Random(seed)
+    eids = list(scheme.elements.keys())
+    base_cost: Dict[ElementId, float] = {
+        e: 2.0 * m * scheme.local_trees[e].longest_root_to_leaf() + delta for e in eids
+    }
+    handshake: Dict[ElementPair, float] = {}
+    for a, b in scheme.element_graph.communicating_pairs():
+        d = m * scheme.controllers[a].manhattan(scheme.controllers[b])
+        handshake[(a, b)] = d
+        handshake[(b, a)] = d
+    spread = jitter * delta
+    # ``rng.uniform(0.0, spread)`` is defined as ``0.0 + spread *
+    # rng.random()``, which is exactly ``spread * rng.random()``: the same
+    # draw without the per-element Python wrapper.
+    draw = rng.random
+
+    def local_cost(e: ElementId, k: int) -> float:
+        if not k:
+            return 0.0  # the leading wave
+        return base_cost[e] + spread * draw() if jitter else base_cost[e]
+
+    stepper = CompiledRecurrence(scheme.element_graph).stepper(local_cost, handshake)
+    stepper.step()
+    return stepper, base_cost, handshake
 
 
 def simulate_hybrid(
@@ -77,47 +129,18 @@ def simulate_hybrid(
         raise ValueError("need at least two steps to measure a cycle")
     if delta < 0 or m <= 0 or jitter < 0:
         raise ValueError("delta >= 0, m > 0, jitter >= 0 required")
-    rng = random.Random(seed)
-
-    eids = list(scheme.elements.keys())
-    # Per-element fixed local cost: clock down + compute + clock gathering up.
-    base_cost: Dict[ElementId, float] = {
-        e: 2.0 * m * scheme.local_trees[e].longest_root_to_leaf() + delta for e in eids
-    }
-    handshake: Dict[Tuple[ElementId, ElementId], float] = {}
-    for a, b in scheme.element_graph.communicating_pairs():
-        d = m * scheme.controllers[a].manhattan(scheme.controllers[b])
-        handshake[(a, b)] = d
-        handshake[(b, a)] = d
-
+    stepper, base_cost, handshake = controller_recurrence(
+        scheme, delta, m, jitter, seed
+    )
     tracer = tracer if tracer is not None else NULL_TRACER
     skew_hist = (
         metrics.histogram("hybrid.step_skew") if metrics is not None else None
     )
-
-    # The neighbor barrier is a max-plus step — compiled to grouped array
-    # maxima (identical values: max is order-free, the adds keep the
-    # scalar association start + (base + jitter)).
-    from repro.sim.compiled import CompiledMaxPlus
-
-    kernel = CompiledMaxPlus(
-        eids, {e: scheme.element_graph.neighbors(e) for e in eids}, handshake
-    )
-    base = np.asarray([base_cost[e] for e in eids], dtype=np.float64)
-
-    finish = np.zeros(len(eids), dtype=np.float64)
+    eids = list(scheme.elements.keys())
     finish_times = []
     for step in range(steps):
-        start = kernel.starts(finish)
-        if jitter > 0:
-            # One uniform draw per element in eids order — the exact RNG
-            # consumption sequence of the scalar loop.
-            cost = base + np.asarray(
-                [rng.uniform(0.0, jitter * delta) for _ in eids]
-            )
-        else:
-            cost = base
-        finish = start + cost
+        finish = stepper.step()
+        start = stepper.start
         finish_times.append(float(finish.max()))
         if tracer.enabled:
             starts_list = start.tolist()

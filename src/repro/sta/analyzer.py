@@ -24,14 +24,13 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
+from repro.sim.dataflow import channel_depths, service_rows
 from repro.sta.design import Design
 from repro.sta.drc import RuleResult, run_drc
 from repro.sta.flow import (
     CapacitySpec,
     FlowAnalysis,
     ServiceSpec,
-    _capacity_items,
-    _service_vector,
     analyze_flow,
 )
 from repro.sta.report import STAReport, build_report
@@ -189,11 +188,11 @@ class STAAnalyzer:
         self._fresh()
         comm = self.design.array.comm
         cells = comm.nodes()
-        services = _service_vector(cells, service)
+        services = service_rows(cells, service)(0)
         key: Tuple[Any, ...] = (
             services.tobytes(),
             float(wire_delay),
-            tuple(_capacity_items(comm, capacity)),
+            channel_depths(comm, capacity).tobytes(),
         )
         hit = key in self._flow
         if not hit:

@@ -72,12 +72,12 @@ import numpy as np
 from repro.geometry.point import Point
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
+from repro.sim.dataflow import service_rows
 from repro.sta.design import Design, EdgeKey
 from repro.sta.drc import run_drc
 from repro.sta.flow import (
     FlowAnalysis,
     ServiceSpec,
-    _service_vector,
     detect_deadlock,
     flow_graph,
     mcm_howard,
@@ -553,7 +553,7 @@ class ECOSession:
         self._check_external()
         comm = self._design.array.comm
         cells = comm.nodes()
-        services = _service_vector(cells, service)
+        services = service_rows(cells, service)(0)
         key = (services.tobytes(), float(wire_delay))
         entry = self._flow_cache.get(key)
         if entry is None:

@@ -14,9 +14,10 @@ gives closed-form answers the event engine can only observe:
   extraction feeding the :mod:`repro.obs.critpath` blame format).
 * **Deadlock** is a token-free cycle: under a capacity assignment the
   capacity-1 channels carry zero tokens, so :func:`detect_deadlock`
-  reduces to a cycle search in that COMM subgraph — provably the same
-  condition the simulator's eager
-  :class:`~repro.sim.dataflow.ChannelDeadlockError` checks.
+  reduces to a cycle search in that COMM subgraph — the very search
+  (:func:`repro.sim.dataflow.zero_token_order`) behind every
+  :class:`~repro.sim.dataflow.ChannelDeadlockError`, whose ``cycle`` is
+  the same witness.
 * **Minimal buffer sizing** (:func:`minimal_buffer_sizing`) relaxes
   critical cycles: start every channel at depth 1, repeatedly raise the
   capacities on the current critical cycle until the MCM meets the
@@ -61,10 +62,10 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
-    Any,
     Callable,
     Dict,
     Hashable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -79,13 +80,21 @@ import numpy as np
 from repro.graphs.comm import CommGraph
 from repro.graphs.csr import csr_from_comm
 from repro.obs.critpath import CriticalPath, PathStep
-from repro.sim.compiled import CompiledRecurrence, RecurrenceStepper
-from repro.sim.dataflow import ChannelDeadlockError
+from repro.sim.compiled import CompiledRecurrence
+from repro.sim.dataflow import (
+    CapacitySpec,
+    ChannelDeadlockError,
+    channel_depths,
+    channel_order,
+    per_cell_service,
+    recurrence_scalar,
+    service_rows,
+    zero_token_order,
+)
 
 CellId = Hashable
 EdgeKey = Tuple[CellId, CellId]
 ServiceSpec = Union[float, Mapping[CellId, float], Callable[[CellId, int], float]]
-CapacitySpec = Optional[Union[int, Mapping[EdgeKey, int]]]
 
 #: Policy-improvement threshold for Howard iteration.  Sits between
 #: float rounding noise (~1e-16 relative) and the smallest true
@@ -226,71 +235,6 @@ class FlowGraph:
         return [self.edge(i) for i in range(self.n_edges)]
 
 
-def _service_vector(
-    cells: Sequence[CellId], service: ServiceSpec
-) -> np.ndarray:
-    """Resolve a service spec to the dense per-cell vector.  Callables
-    are probed at wave 0 (static analysis needs wave-invariance; the
-    ``constant_duration`` / ``cell_durations`` fast-path attributes of
-    :mod:`repro.sim.dataflow` are honoured directly)."""
-    if isinstance(service, (int, float)):
-        value = float(service)
-        if value < 0:
-            raise ValueError("service time must be non-negative")
-        return np.full(len(cells), value, dtype=np.float64)
-    if isinstance(service, Mapping):
-        out = np.asarray(
-            [float(service[c]) for c in cells], dtype=np.float64
-        )
-    else:
-        constant = getattr(service, "constant_duration", None)
-        if constant is not None:
-            return np.full(len(cells), float(constant), dtype=np.float64)
-        durations = getattr(service, "cell_durations", None)
-        if durations is not None:
-            out = np.asarray(
-                [float(durations[c]) for c in cells], dtype=np.float64
-            )
-        else:
-            out = np.asarray(
-                [float(service(c, 0)) for c in cells], dtype=np.float64
-            )
-    if (out < 0).any():
-        raise ValueError("service times must be non-negative")
-    return out
-
-
-def _capacity_items(
-    comm: CommGraph, capacity: CapacitySpec
-) -> List[Tuple[EdgeKey, int]]:
-    """Normalized ``(edge, depth)`` list (validated) for a spec."""
-    if capacity is None:
-        return []
-    edges = comm.edges()
-    if isinstance(capacity, Mapping):
-        edge_set = set(edges)
-        items: List[Tuple[EdgeKey, int]] = []
-        for edge in edges:  # deterministic COMM order
-            d_raw = capacity.get(edge)
-            if d_raw is None:
-                continue
-            d = int(d_raw)
-            if d < 1:
-                raise ValueError(
-                    f"per-edge channel capacity must be >= 1, got {d} "
-                    f"for edge {edge!r}"
-                )
-            items.append((edge, d))
-        unknown = [e for e in capacity if e not in edge_set]
-        if unknown:
-            raise ValueError(f"capacity for unknown COMM edge {unknown[0]!r}")
-        return items
-    d = int(capacity)
-    if d < 1:
-        raise ValueError("channel capacity must be >= 1 (or None)")
-    return [(edge, d) for edge in edges]
-
-
 def flow_graph(
     comm: CommGraph,
     service: ServiceSpec,
@@ -310,21 +254,20 @@ def flow_graph(
     csr = csr_from_comm(comm)
     cells = csr.nodes if csr.nodes is not None else list(range(csr.n_cells))
     index = {c: i for i, c in enumerate(cells)}
-    services = _service_vector(cells, service)
+    # Static analysis reads services as wave-invariant: the wave-0 row.
+    services = service_rows(cells, service)(0)
     n = len(cells)
     ids = np.arange(n, dtype=np.int64)
     # Self edges, then forward edges (CSR predecessor order), then
     # credit back edges (COMM edge order) — all as array blocks.
     fwd_dst = np.repeat(ids, np.diff(csr.indptr))
     fwd_src = csr.indices.astype(np.int64)
-    cap_items = _capacity_items(comm, capacity)
-    cr_src = np.asarray(
-        [index[v] for (u, v), _ in cap_items], dtype=np.int64
-    )
-    cr_dst = np.asarray(
-        [index[u] for (u, v), _ in cap_items], dtype=np.int64
-    )
-    cr_tok = np.asarray([d - 1 for _, d in cap_items], dtype=np.int64)
+    depths = channel_depths(comm, capacity)
+    bounded = np.flatnonzero(depths).tolist()
+    edges = comm.edges() if bounded else []
+    cr_src = np.asarray([index[edges[i][1]] for i in bounded], dtype=np.int64)
+    cr_dst = np.asarray([index[edges[i][0]] for i in bounded], dtype=np.int64)
+    cr_tok = depths[bounded] - 1
     n_fwd = len(fwd_src)
     n_cr = len(cr_src)
     esrc = np.concatenate([ids, fwd_src, cr_src])
@@ -376,48 +319,15 @@ def detect_deadlock(
     """A token-free cycle under ``capacity``, or ``None`` when live.
 
     Returns the COMM edges of one directed cycle through capacity-1
-    channels (in cycle order) — exactly the condition under which the
-    simulator raises :class:`~repro.sim.dataflow.ChannelDeadlockError`
-    eagerly (the ``flow-deadlock`` oracle asserts the equivalence).
+    channels (in cycle order) — the witness every
+    :class:`~repro.sim.dataflow.ChannelDeadlockError` for this graph and
+    capacity carries, found by the same search (the ``flow-deadlock``
+    oracle asserts the equivalence with the simulator).
     """
-    cap1 = [edge for edge, d in _capacity_items(comm, capacity) if d == 1]
-    if not cap1:
-        return None
-    succs: Dict[CellId, List[CellId]] = {}
-    for u, v in cap1:
-        succs.setdefault(u, []).append(v)
-    # Iterative DFS with colors; the first back edge closes a cycle.
-    color: Dict[CellId, int] = {}  # 1 = on stack, 2 = done
-    for root in succs:
-        if color.get(root):
-            continue
-        stack: List[Tuple[CellId, int]] = [(root, 0)]
-        path: List[CellId] = []
-        while stack:
-            node, child = stack.pop()
-            if child == 0:
-                color[node] = 1
-                path.append(node)
-            out = succs.get(node, ())
-            advanced = False
-            for j in range(child, len(out)):
-                nxt = out[j]
-                state = color.get(nxt, 0)
-                if state == 1:
-                    start = path.index(nxt)
-                    nodes = path[start:]
-                    return [
-                        (nodes[i], nodes[(i + 1) % len(nodes)])
-                        for i in range(len(nodes))
-                    ]
-                if state == 0:
-                    stack.append((node, j + 1))
-                    stack.append((nxt, 0))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                path.pop()
+    try:
+        channel_order(comm, channel_depths(comm, capacity))
+    except ChannelDeadlockError as err:
+        return err.cycle
     return None
 
 
@@ -451,7 +361,8 @@ def _normalize(fg: FlowGraph) -> _Normalized:
     leaves every cycle mean unchanged while giving the solvers a graph
     with ``tokens >= 1`` everywhere.  Raises
     :class:`~repro.sim.dataflow.ChannelDeadlockError` when the zero
-    subgraph has a cycle (a token-free cycle: deadlock).
+    subgraph has a cycle (a token-free cycle: deadlock), with the
+    :func:`detect_deadlock` witness on a :func:`flow_graph`.
     """
     n = fg.n_cells
     zero_mask = fg.etokens == 0
@@ -467,33 +378,15 @@ def _normalize(fg: FlowGraph) -> _Normalized:
     zero_ids = np.nonzero(zero_mask)[0]
     pos_ids = np.nonzero(~zero_mask)[0]
     zsucc: Dict[int, List[int]] = {}
-    indeg = [0] * n
     for i in zero_ids.tolist():
         zsucc.setdefault(int(fg.esrc[i]), []).append(i)
-        indeg[int(fg.edst[i])] += 1
-    # Kahn over the zero subgraph: topological order + cycle check.
-    queue = [u for u in range(n) if indeg[u] == 0]
-    topo: List[int] = []
-    i = 0
-    while i < len(queue):
-        u = queue[i]
-        i += 1
-        topo.append(u)
-        for e in zsucc.get(u, ()):
-            d = int(fg.edst[e])
-            indeg[d] -= 1
-            if indeg[d] == 0:
-                queue.append(d)
-    if len(topo) != n:
-        raise ChannelDeadlockError(
-            "token-free cycle in the flow graph (capacity-1 channels on "
-            "a COMM cycle): the marked graph is dead; raise a capacity "
-            "on the cycle to >= 2"
-        )
-    # Longest zero-path expansion, processed in reverse topological
-    # order so every successor's table exists before its predecessors'.
+    # Zero-token edges run consumer -> producer; walked as channels
+    # (producer -> consumer) a cycle is refused with the deadlock witness,
+    # and the consumers-first order, reversed, builds every zero-
+    # successor's longest-path table before its predecessors' tables.
+    order = zero_token_order(fg.cells, fg.edst[zero_ids], fg.esrc[zero_ids])
     best: Dict[int, Dict[int, Tuple[float, Tuple[int, ...]]]] = {}
-    for u in reversed(topo):
+    for u in reversed(order):
         if u not in zsucc:
             continue
         table: Dict[int, Tuple[float, Tuple[int, ...]]] = {}
@@ -1068,34 +961,74 @@ def simulate_steady_state(
     the per-``P`` finish increments must be bit-identical across a window
     of ``P + depth`` consecutive waves (``depth`` = the recurrence's
     state memory: the deepest capacity window plus one), which by
-    max-plus shift-invariance pins the regime exactly.
+    max-plus shift-invariance pins the regime exactly.  A ``compiled``
+    recurrence passed in must be compiled from ``comm`` as it is now.
     """
+    services = _invariant_services(comm, service)
+    if compiled is None:
+        compiled = CompiledRecurrence(comm)
+    stepper = compiled.stepper(services, wire_delay, capacity)
+    rows = (stepper.step() for _ in range(max_waves))
+    return _steady_state(comm, capacity, rows, max_waves, max_period)
+
+
+def simulate_steady_state_scalar(
+    comm: CommGraph,
+    service: ServiceSpec,
+    wire_delay: float = 0.0,
+    capacity: CapacitySpec = None,
+    max_waves: int = 100_000,
+    max_period: int = 64,
+) -> SteadyState:
+    """Scalar oracle for :func:`simulate_steady_state`: the per-(cell,
+    wave) dict recurrence (:func:`repro.sim.dataflow.recurrence_scalar`,
+    also the oracle of ``recurrence_makespan``) under the same
+    periodicity test.  This is also the ``mcm_howard`` bench row's
+    simulate-to-convergence baseline — the reference path a user without
+    the static analyzer would run.
+    """
+    services = _invariant_services(comm, service)
+    cells = comm.nodes()
+    waves = recurrence_scalar(
+        comm, per_cell_service(services), wire_delay, capacity
+    )
+    rows = (np.asarray([finish[c] for c in cells]) for finish in waves)
+    return _steady_state(comm, capacity, rows, max_waves, max_period)
+
+
+def _invariant_services(
+    comm: CommGraph, service: ServiceSpec
+) -> Dict[CellId, float]:
+    """The per-cell service map both steady-state paths run on (the
+    wave-0 row: a periodic regime needs wave-invariant services)."""
     cells = comm.nodes()
     if not cells:
         raise ValueError("empty COMM graph")
-    if compiled is None:
-        compiled = CompiledRecurrence(comm)
-    services = _service_vector(cells, service)
-    from repro.sim.dataflow import per_cell_service
+    return dict(zip(cells, service_rows(cells, service)(0).tolist()))
 
-    svc = per_cell_service({c: float(services[i]) for i, c in enumerate(cells)})
-    stepper = compiled.stepper(svc, wire_delay, capacity=capacity)
-    depths = [d for _, d in _capacity_items(comm, capacity)]
-    depth = max(depths, default=1) + 1
+
+def _steady_state(
+    comm: CommGraph,
+    capacity: CapacitySpec,
+    finishes: Iterator[np.ndarray],
+    max_waves: int,
+    max_period: int,
+) -> SteadyState:
+    """Watch a finish-row trajectory until :func:`_find_period` pins its
+    periodic regime; raises ``RuntimeError`` after ``max_waves``."""
+    depth = int(channel_depths(comm, capacity).max(initial=1)) + 1
     history: deque = deque(maxlen=2 * max_period + depth + 1)
     makespans: List[float] = []
-    for t in range(max_waves):
-        finish = stepper.step()
+    for t, finish in zip(range(max_waves), finishes):
         history.append(finish)
         makespans.append(float(finish.max()))
         period = _find_period(history, makespans, max_period, depth)
         if period is not None:
             delta = history[-1] - history[-1 - period]
             increment = float(delta.max())
-            cycle_time = increment / period
             tail_rows = [history[-(period - j)] for j in range(period)]
             return SteadyState(
-                cycle_time=cycle_time,
+                cycle_time=increment / period,
                 period=period,
                 increment=increment,
                 waves_run=t + 1,
@@ -1141,140 +1074,6 @@ def _find_period(
             if not np.array_equal(
                 history[-1 - back] - history[-1 - back - period], ref
             ):
-                ok = False
-                break
-        if ok:
-            return period
-    return None
-
-
-def simulate_steady_state_scalar(
-    comm: CommGraph,
-    service: ServiceSpec,
-    wire_delay: float = 0.0,
-    capacity: CapacitySpec = None,
-    max_waves: int = 100_000,
-    max_period: int = 64,
-) -> SteadyState:
-    """Scalar oracle for :func:`simulate_steady_state`: per-(cell, wave)
-    dict evaluation of the same recurrence (forward maxima from the
-    previous wave, lagged start rows for deep channels, a consumers-first
-    sweep for capacity-1 coupling) with the identical periodicity test.
-    This is also the ``mcm_howard`` bench row's simulate-to-convergence
-    baseline — the reference path a user without the static analyzer
-    would run.
-    """
-    cells = comm.nodes()
-    if not cells:
-        raise ValueError("empty COMM graph")
-    services = _service_vector(cells, service)
-    svc = {c: float(services[i]) for i, c in enumerate(cells)}
-    cap_items = _capacity_items(comm, capacity)
-    cap: Dict[EdgeKey, int] = dict(cap_items)
-    max_depth = max(cap.values(), default=1)
-    depth = max_depth + 1
-    # Consumers before producers along capacity-1 edges (the scalar
-    # resolution of the same-wave coupling; raises on a zero-token cycle).
-    cap1 = [e for e, d in cap.items() if d == 1]
-    order = list(cells)
-    if cap1:
-        succs_1: Dict[Hashable, List[Hashable]] = {c: [] for c in cells}
-        indeg = {c: 0 for c in cells}
-        for u, v in cap1:
-            succs_1[v].append(u)  # consumer -> producer
-            indeg[u] += 1
-        ready = [c for c in cells if indeg[c] == 0]
-        order = []
-        while ready:
-            c = ready.pop()
-            order.append(c)
-            for u in succs_1[c]:
-                indeg[u] -= 1
-                if indeg[u] == 0:
-                    ready.append(u)
-        if len(order) != len(cells):
-            raise ChannelDeadlockError(
-                "capacity-1 channels form a directed COMM cycle: a "
-                "zero-token marked-graph cycle (deadlock); raise some "
-                "capacity on the cycle to >= 2"
-            )
-    preds = {c: comm.predecessors(c) for c in cells}
-    succs = {c: comm.successors(c) for c in cells}
-    finish = {c: 0.0 for c in cells}
-    start_window: deque = deque(maxlen=max(max_depth - 1, 0) or None)
-    history: deque = deque(maxlen=2 * max_period + depth + 1)
-    makespans: List[float] = []
-    for t in range(max_waves):
-        starts: Dict[Hashable, float] = {}
-        for c in order:
-            st = finish[c]
-            if t > 0:
-                for p in preds[c]:
-                    arrival = finish[p] + wire_delay
-                    if arrival > st:
-                        st = arrival
-            for s in succs[c]:
-                d = cap.get((c, s))
-                if d is None or t < d:
-                    continue
-                bound = starts[s] if d == 1 else start_window[-(d - 1)][s]
-                if bound > st:
-                    st = bound
-            starts[c] = st
-        if start_window.maxlen:
-            start_window.append(starts)
-        finish = {c: starts[c] + svc[c] for c in cells}
-        row = [finish[c] for c in cells]
-        history.append(row)
-        makespans.append(max(row))
-        period = _find_period_scalar(history, makespans, max_period, depth)
-        if period is not None:
-            last = history[-1]
-            prev = history[-1 - period]
-            delta = [a - b for a, b in zip(last, prev)]
-            increment = max(delta)
-            tail_rows = [history[-(period - j)] for j in range(period)]
-            return SteadyState(
-                cycle_time=increment / period,
-                period=period,
-                increment=increment,
-                waves_run=t + 1,
-                makespans=np.asarray(makespans, dtype=np.float64),
-                tail=np.asarray(tail_rows, dtype=np.float64),
-                delta=np.asarray(delta, dtype=np.float64),
-            )
-    raise RuntimeError(
-        f"no periodic regime within {max_waves} waves (max_period="
-        f"{max_period})"
-    )
-
-
-def _find_period_scalar(
-    history: deque, makespans: List[float], max_period: int, depth: int
-) -> Optional[int]:
-    """:func:`_find_period` over plain float lists (no numpy) — the
-    scalar path's own periodicity test, same screens, same window."""
-    have = len(history)
-    t = len(makespans) - 1
-    for period in range(1, max_period + 1):
-        window = period + depth
-        if have < window + period:
-            break
-        target = makespans[t] - makespans[t - period]
-        ok = True
-        for back in range(1, window):
-            if makespans[t - back] - makespans[t - back - period] != target:
-                ok = False
-                break
-        if not ok:
-            continue
-        ref = [
-            a - b for a, b in zip(history[-1], history[-1 - period])
-        ]
-        for back in range(1, window):
-            cur = history[-1 - back]
-            old = history[-1 - back - period]
-            if any(a - b != r for a, b, r in zip(cur, old, ref)):
                 ok = False
                 break
         if ok:

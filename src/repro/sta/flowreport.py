@@ -24,13 +24,11 @@ from repro import __version__
 from repro.graphs.comm import CommGraph
 from repro.obs.schema import validate_flow_report
 from repro.sim.compiled import CompiledRecurrence
-from repro.sim.dataflow import per_cell_service
+from repro.sim.dataflow import channel_depths, service_rows
 from repro.sta.flow import (
     CapacitySpec,
     FlowAnalysis,
     ServiceSpec,
-    _capacity_items,
-    _service_vector,
     analyze_flow,
     mcm_karp,
     minimal_buffer_sizing,
@@ -45,8 +43,7 @@ def _capacity_label(comm: CommGraph, capacity: CapacitySpec) -> str:
         return "unbounded"
     if isinstance(capacity, int):
         return f"uniform:{capacity}"
-    items = _capacity_items(comm, capacity)
-    return f"per-edge:{len(items)}"
+    return f"per-edge:{int((channel_depths(comm, capacity) > 0).sum())}"
 
 
 def _mcm_block(analysis: FlowAnalysis) -> Optional[Dict[str, Any]]:
@@ -110,6 +107,7 @@ def build_flow_report(
             diffs.append(abs(howard - karp))
         simulated: Optional[float] = None
         if simulate:
+            compiled = CompiledRecurrence(comm)
             steady = simulate_steady_state(
                 comm,
                 service,
@@ -117,15 +115,12 @@ def build_flow_report(
                 capacity,
                 max_waves=max_waves,
                 max_period=max_period,
+                compiled=compiled,
             )
             simulated = steady.cycle_time
             diffs.append(abs(howard - simulated))
             c_lo, c_hi = steady.bounds()
-            services = _service_vector(cells, service)
-            svc = per_cell_service(
-                {c: float(s) for c, s in zip(cells, services.tolist())}
-            )
-            compiled = CompiledRecurrence(comm)
+            svc = dict(zip(cells, service_rows(cells, service)(0).tolist()))
             horizons = (steady.waves_run + 7, 2 * steady.waves_run + 3)
             max_err = 0.0
             for horizon in horizons:

@@ -27,11 +27,14 @@ from repro.arrays.systolic import (
 from repro.sim.clock_distribution import ClockSchedule
 from repro.sim.clocked import ClockedArraySimulator
 from repro.sim.dataflow import (
+    ChannelDeadlockError,
     SelfTimedProgramSimulator,
     constant_service,
     hashed_service,
+    per_cell_service,
 )
 from repro.sim.faults import JitteredSchedule
+from repro.sta.flow import detect_deadlock
 
 
 # ----------------------------------------------------------------------
@@ -109,16 +112,32 @@ def test_compiled_clocked_equals_scalar(case):
 @settings(max_examples=40, deadline=None)
 def test_compiled_recurrence_equals_scalar(program, data):
     rng = random.Random(data.draw(st.integers(0, 2**30)))
+    comm = program.array.comm
     service = rng.choice(
         [
             None,
             constant_service(rng.uniform(0.25, 3.0)),
             hashed_service(0.5, 2.5, 0.4, seed=rng.randint(0, 2**20)),
+            per_cell_service({c: rng.uniform(0.25, 3.0) for c in comm.nodes()}),
         ]
     )
-    sim = SelfTimedProgramSimulator(
-        program, service=service, wire_delay=rng.uniform(0.0, 2.0)
+    capacity = rng.choice(
+        [
+            None,
+            rng.randint(1, 4),
+            {e: rng.choice((1, 2, 3, 4)) for e in comm.edges()},
+        ]
     )
+    try:
+        sim = SelfTimedProgramSimulator(
+            program,
+            service=service,
+            wire_delay=rng.uniform(0.0, 2.0),
+            channel_capacity=capacity,
+        )
+    except ChannelDeadlockError as err:
+        assert err.cycle == detect_deadlock(comm, capacity)
+        return
     waves = rng.choice([None, rng.randint(1, 9)])
     assert sim.recurrence_makespan(waves) == (
         sim.recurrence_makespan_scalar(waves)

@@ -67,3 +67,22 @@ class TestHybridSimulation:
             simulate_hybrid(scheme, steps=10, delta=-1.0)
         with pytest.raises(ValueError):
             simulate_hybrid(scheme, steps=10, delta=1.0, m=0)
+
+
+# Golden timings, pinned bit for bit: they hold the handshake recurrence's
+# floats and the jitter RNG stream (one draw per element per step, in
+# element order) fixed.
+GOLDEN_RUNS = [
+    # (mesh side, element size, jitter, seed, completion_time, cycle_time)
+    (6, 2.0, 0.0, 0, "520.0", "13.0"),
+    (8, 4.0, 0.3, 5, "2368.943565633211", "59.21735933280028"),
+    (12, 3.0, 0.5, 7, "1296.1500502319682", "32.38954745891816"),
+]
+
+
+@pytest.mark.parametrize("side,size,jitter,seed,completion,cycle", GOLDEN_RUNS)
+def test_timing_matches_recorded_golden(side, size, jitter, seed, completion, cycle):
+    scheme = build_hybrid(mesh(side, side), element_size=size)
+    result = simulate_hybrid(scheme, steps=40, delta=1.0, jitter=jitter, seed=seed)
+    assert repr(result.completion_time) == completion
+    assert repr(result.cycle_time) == cycle

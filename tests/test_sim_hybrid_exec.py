@@ -1,5 +1,7 @@
 """Tests for executing real programs under hybrid synchronization."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -83,3 +85,27 @@ class TestTiming:
         program = build_odd_even_sorter([1.0, 2.0])
         with pytest.raises(ValueError):
             execute_program_hybrid(program, delta=-1)
+
+
+def _timing_digest(execution):
+    digest = hashlib.sha256()
+    for table in (execution.start_times, execution.finish_times):
+        for row in table:
+            digest.update(repr(sorted(row.items())).encode())
+    return digest.hexdigest()
+
+
+def test_jittered_matmul_timing_matches_recorded_golden():
+    """Every start/finish entry of a jittered run, pinned bit for bit by
+    digest."""
+    a = [[float(i * 4 + j) / 8 for j in range(4)] for i in range(4)]
+    b = [[float(i - j) / 4 for j in range(4)] for i in range(4)]
+    execution = execute_program_hybrid(
+        build_mesh_matmul(a, b), element_size=2.0, jitter=0.4, seed=3
+    )
+    assert execution.steps == 14
+    assert repr(execution.makespan) == "186.29118956816492"
+    assert repr(execution.cycle_time) == "13.31877552974271"
+    assert _timing_digest(execution) == (
+        "1f668a136722619671b5ae5f3db40d4def408de3941ffaa5538cbf5ba365065f"
+    )
