@@ -14,7 +14,7 @@ enforces the PR's acceptance bar:
 * ``max_skew_bound_cold`` (index build + pair translation included) is
   >= 1x at every benchmarked size — cold-start must never lose to the
   scalar path, and the vectorized ``lca_cold_build`` never loses to the
-  Euler-tour construction;
+  per-pair parent walk;
 * the ECO rows (``eco_repad``/``eco_resize``) and ``tile_stitch`` agree
   *exactly* with their from-scratch oracles (diff == 0.0 means every
   slack array is bit-identical), and a single-edge repad at >= 4096
@@ -147,7 +147,7 @@ def test_perf_suite_speedup_and_equivalence():
         if r.kernel == "lca_cold_build":
             assert r.speedup >= 1.0, (
                 f"lca_cold_build at {r.size} cells: {r.speedup:.2f}x — "
-                f"vectorized build lost to the Euler-tour construction"
+                f"vectorized build lost to the per-pair parent walk"
             )
 
     checked = 0

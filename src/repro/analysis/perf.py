@@ -4,7 +4,7 @@ Times the scalar reference paths against the batched/parallel kernels
 they were replaced by:
 
 * ``max_skew_bound`` / ``max_skew_lower_bound`` — per-pair LCA walks vs
-  the Euler-tour O(1)-LCA batch kernel (warm, i.e. index built and pair
+  the binary-lifting LCA batch kernel (warm, i.e. index built and pair
   translation memoized: the steady state every sweep and repeated bound
   runs in);
 * the same bound evaluated *cold* on a fresh tree (index build + pair
@@ -59,7 +59,7 @@ from repro.core.models import (
     max_skew_lower_bound,
     max_skew_lower_bound_scalar,
 )
-from repro.clocktree.lca import EulerTourIndex, LiftingLCAIndex
+from repro.clocktree.lca import LiftingLCAIndex
 from repro.graphs.csr import csr_from_comm, grid_csr
 from repro.obs.schema import validate_benchmark_result
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
@@ -253,22 +253,21 @@ def bench_skew_kernels(
         )
     )
 
-    # Cold LCA index construction: the Python-loop Euler tour + sparse
-    # table vs the vectorized binary-lifting build over the tree's dense
-    # store.  Both builds end with the same batch metric query; inputs
-    # (children map, root-distance dict) are prepared outside the timing.
-    children = tree.children_map()
-    rd = {node: tree.root_distance(node) for node in tree.nodes()}
-    root = tree.nodes()[0]
+    # Cold LCA index construction: the per-pair parent-pointer walk (the
+    # scalar LCA oracle) vs the vectorized binary-lifting build over the
+    # tree's dense store followed by one batch metric query.
     store = tree.dense_store
 
-    def euler_build():
-        return EulerTourIndex(root, children, rd).path_metrics(pairs)
+    def walk_metrics():
+        return (
+            np.array([tree.path_difference(a, b) for a, b in pairs]),
+            np.array([tree.path_length(a, b) for a, b in pairs]),
+        )
 
     def lifting_build():
         return LiftingLCAIndex(store).path_metrics(pairs)
 
-    ed, es = euler_build()
+    ed, es = walk_metrics()
     ld, ls = lifting_build()
     lca_diff = float(
         max(
@@ -280,7 +279,7 @@ def bench_skew_kernels(
         _with_mem(
             KernelTiming(
                 "lca_cold_build", n, len(pairs),
-                _best_time(euler_build, repeats),
+                _best_time(walk_metrics, repeats),
                 _best_time(lifting_build, repeats),
                 lca_diff,
             ),

@@ -379,14 +379,31 @@ def _eco_reports(design, script_path: str, args: argparse.Namespace):
     nodes = {str(n): n for n in design.tree.nodes()}
 
     def cell(label):
-        if label not in cells:
+        if not isinstance(label, str) or label not in cells:
             raise ValueError(f"unknown cell {label!r} in ECO script")
         return cells[label]
 
     def node(label):
-        if label not in nodes:
+        if not isinstance(label, str) or label not in nodes:
             raise ValueError(f"unknown clock-tree node {label!r} in ECO script")
         return nodes[label]
+
+    def field(obj, key, number=False):
+        """``obj[key]`` (as a float for ``number``), or a ValueError naming
+        the current step (``step_no`` and ``op`` of the replay loop below)
+        and the missing or malformed field."""
+        if not isinstance(obj, dict) or key not in obj:
+            raise ValueError(f"step {step_no} ({op}): missing field {key!r}")
+        value = obj[key]
+        if number and (isinstance(value, bool) or not isinstance(value, (int, float))):
+            raise ValueError(f"step {step_no} ({op}): field {key!r} is not a number: {value!r}")
+        return float(value) if number else value
+
+    def edge(step):
+        pair = field(step, "edge")
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValueError(f"step {step_no} ({op}): field 'edge' is not a pair: {pair!r}")
+        return cell(pair[0]), cell(pair[1])
 
     session = ECOSession(
         design, tracer=args.tracer, metrics=args.metrics_registry
@@ -394,27 +411,33 @@ def _eco_reports(design, script_path: str, args: argparse.Namespace):
     reports = [session.report()]
     print(render_report(reports[0], verbose=args.verbose))
     for step_no, step in enumerate(script):
+        if not isinstance(step, dict):
+            raise ValueError(f"step {step_no}: not an edit object: {step!r}")
         op = step.get("op")
         if op == "repad_edge":
-            u, v = step["edge"]
-            session.repad_edge((cell(u), cell(v)), float(step["pad"]))
+            session.repad_edge(edge(step), field(step, "pad", number=True))
         elif op == "retarget_wire":
-            u, v = step["edge"]
-            session.retarget_wire((cell(u), cell(v)), float(step["length"]))
+            session.retarget_wire(edge(step), field(step, "length", number=True))
         elif op == "resize_buffer":
-            session.resize_buffer(node(step["node"]), float(step["length"]))
+            session.resize_buffer(
+                node(field(step, "node")), field(step, "length", number=True)
+            )
         elif op == "graft_subtree":
             additions = []
-            for g in step["nodes"]:
-                parent = nodes.get(str(g["parent"]), g["parent"])
+            grafts = field(step, "nodes")
+            if not isinstance(grafts, list):
+                raise ValueError(f"step {step_no} ({op}): field 'nodes' is not a list")
+            for g in grafts:
+                parent, name = field(g, "parent"), field(g, "node")
                 additions.append(
-                    (parent, g["node"],
-                     Point(float(g["x"]), float(g["y"])), float(g["length"]))
+                    (nodes.get(str(parent), parent), name,
+                     Point(field(g, "x", number=True), field(g, "y", number=True)),
+                     field(g, "length", number=True))
                 )
-                nodes[str(g["node"])] = g["node"]
+                nodes[str(name)] = name
             session.graft_subtree(additions)
         elif op == "set_period":
-            session.set_period(float(step["period"]))
+            session.set_period(field(step, "period", number=True))
         else:
             raise ValueError(f"unknown ECO op {op!r} (step {step_no})")
         report = session.report()

@@ -1,27 +1,20 @@
-"""Batched LCA indexes for the path-metric kernels.
+"""Batched LCA index for the path-metric kernels.
 
 The scalar :meth:`ClockTree.lca` walks parent pointers and costs
 O(depth) dict lookups per query; every skew bound quantifies over all
 communicating pairs, so figure benchmarks pay O(pairs x depth) in pure
-Python.  Two index structures trade a one-off build for vectorized
-queries over numpy arrays of pairs:
-
-* :class:`LiftingLCAIndex` — **the default**: binary lifting over the
-  :class:`DenseTreeStore` that :class:`~repro.clocktree.tree.ClockTree`
-  maintains incrementally during ``add_child``.  The index *shares* the
-  store (no O(n) snapshot at build time) and re-synchronizes lazily:
-  appending nodes extends the lifting table by a few vectorized gathers
-  over just the new suffix, and in-place root-distance updates
-  (``ClockTree.set_edge_length``) are visible immediately because the
-  distances are read straight from the store.  A cold build is
-  ``ceil(log2(max_depth + 1))`` O(n) numpy gathers; queries cost
-  O(log depth) gathers per pair batch.
-* :class:`EulerTourIndex` — the original Euler-tour + sparse-table
-  structure with O(1) range-minimum queries.  Its constructor runs a
-  Python DFS, which made cold-start slower than the scalar path on
-  small trees; it is kept as a frozen-snapshot reference implementation
-  (the property tests cross-check the two, and the ``lca_cold_build``
-  perf row prices its build against the lifting build).
+Python.  :class:`LiftingLCAIndex` trades a one-off build for vectorized
+queries over numpy arrays of pairs: binary lifting over the
+:class:`DenseTreeStore` that :class:`~repro.clocktree.tree.ClockTree`
+maintains incrementally during ``add_child``.  The index *shares* the
+store (no O(n) snapshot at build time) and re-synchronizes lazily:
+appending nodes extends the lifting table by a few vectorized gathers
+over just the new suffix, and in-place root-distance updates
+(``ClockTree.set_edge_length``) are visible immediately because the
+distances are read straight from the store.  A cold build is
+``ceil(log2(max_depth + 1))`` O(n) numpy gathers; queries cost
+O(log depth) gathers per pair batch.  The scalar parent walk stays the
+oracle the index is tested against.
 
 Beyond LCA queries the lifting index answers the subtree-membership
 questions the ECO engine needs (:meth:`~LiftingLCAIndex.in_subtree_ids`,
@@ -383,150 +376,3 @@ class LiftingLCAIndex:
         self._size = size
         self._tout = tin + size - 1
         self._interval_n = n
-
-
-class EulerTourIndex:
-    """O(1)-LCA index over a snapshot of a rooted tree.
-
-    Parameters mirror the internal maps of :class:`ClockTree`: a root, a
-    children mapping, and per-node root distances.  The constructor runs
-    one iterative DFS (O(n)) plus the sparse-table build (O(n log n))
-    and never touches the tree again.
-    """
-
-    def __init__(
-        self,
-        root: NodeId,
-        children: Dict[NodeId, List[NodeId]],
-        root_distance: Dict[NodeId, float],
-    ) -> None:
-        n = len(children)
-        self._id: Dict[NodeId, int] = {}
-        self._nodes: List[NodeId] = []
-        euler: List[int] = []  # dense node id at each tour position
-        first: List[int] = [0] * n  # first tour position of each dense id
-        tour_depth: List[int] = []
-        depth_of: List[int] = [0] * n
-        dist_of: List[float] = [0.0] * n
-
-        # Iterative Euler tour: push (node, depth, child cursor); a node is
-        # appended to the tour on first visit and again after each child.
-        stack: List[Tuple[NodeId, int, int]] = [(root, 0, 0)]
-        while stack:
-            node, depth, cursor = stack.pop()
-            if cursor == 0:
-                nid = len(self._nodes)
-                self._id[node] = nid
-                self._nodes.append(node)
-                first[nid] = len(euler)
-                depth_of[nid] = depth
-                dist_of[nid] = root_distance[node]
-                euler.append(nid)
-                tour_depth.append(depth)
-            else:
-                euler.append(self._id[node])
-                tour_depth.append(depth)
-            kids = children[node]
-            if cursor < len(kids):
-                stack.append((node, depth, cursor + 1))
-                stack.append((kids[cursor], depth + 1, 0))
-
-        self._euler = np.asarray(euler, dtype=np.int64)
-        self._first = np.asarray(first, dtype=np.int64)
-        self._depth = np.asarray(depth_of, dtype=np.int64)
-        self._root_distance = np.asarray(dist_of, dtype=np.float64)
-
-        # Sparse table: table[k][i] = tour position of the minimum depth in
-        # euler[i : i + 2**k].  Ties resolve to the leftmost position; any
-        # minimum in the window names the same LCA node.
-        m = len(euler)
-        levels = max(1, int(np.log2(m)) + 1) if m else 1
-        td = np.asarray(tour_depth, dtype=np.int64)
-        table = [np.arange(m, dtype=np.int64)]
-        k = 1
-        while (1 << k) <= m:
-            prev = table[k - 1]
-            half = 1 << (k - 1)
-            left = prev[: m - (1 << k) + 1]
-            right = prev[half : half + m - (1 << k) + 1]
-            table.append(np.where(td[left] <= td[right], left, right))
-            k += 1
-        self._table = table
-        self._tour_depth = td
-        del levels
-
-    # ------------------------------------------------------------------
-    # node numbering
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def node_id(self, node: NodeId) -> int:
-        """Dense integer id of ``node`` (DFS discovery order)."""
-        return self._id[node]
-
-    def node_ids(self, nodes: Sequence[NodeId]) -> np.ndarray:
-        """Vector of dense ids for a sequence of nodes."""
-        return _gather_ids(self._id, nodes)
-
-    def node(self, nid: int) -> NodeId:
-        """The node with dense id ``nid``."""
-        return self._nodes[nid]
-
-    @property
-    def root_distance(self) -> np.ndarray:
-        """Root distances indexed by dense id (read-only view)."""
-        view = self._root_distance.view()
-        view.flags.writeable = False
-        return view
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    def lca_ids(self, a_ids: np.ndarray, b_ids: np.ndarray) -> np.ndarray:
-        """Dense ids of the LCAs of element-wise pairs ``(a_ids, b_ids)``."""
-        lo = self._first[a_ids]
-        hi = self._first[b_ids]
-        left = np.minimum(lo, hi)
-        right = np.maximum(lo, hi)
-        span = right - left + 1
-        k = np.frexp(span.astype(np.float64))[1] - 1  # floor(log2(span))
-        # Two overlapping power-of-two windows cover [left, right].
-        pos_l = np.empty(len(left), dtype=np.int64)
-        pos_r = np.empty(len(left), dtype=np.int64)
-        for level in np.unique(k):
-            mask = k == level
-            tab = self._table[int(level)]
-            pos_l[mask] = tab[left[mask]]
-            pos_r[mask] = tab[right[mask] - (1 << int(level)) + 1]
-        depth = self._tour_depth
-        best = np.where(depth[pos_l] <= depth[pos_r], pos_l, pos_r)
-        return self._euler[best]
-
-    def path_metrics_ids(
-        self, a_ids: np.ndarray, b_ids: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(d, s)`` arrays for element-wise pairs given as dense ids.
-
-        ``d`` is the difference-model metric ``|rd(a) - rd(b)|``; ``s`` is
-        the summation-model metric ``rd(a) + rd(b) - 2 rd(lca)``, computed
-        with exactly the arithmetic of the scalar path so batch and scalar
-        results agree bit-for-bit.
-        """
-        rd = self._root_distance
-        ra, rb = rd[a_ids], rd[b_ids]
-        d = np.abs(ra - rb)
-        s = ra + rb - 2.0 * rd[self.lca_ids(a_ids, b_ids)]
-        return d, s
-
-    def path_metrics(
-        self, pairs: Sequence[Tuple[NodeId, NodeId]]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(d, s)`` arrays for a sequence of node pairs."""
-        if pairs:
-            a_nodes, b_nodes = zip(*pairs)
-        else:
-            a_nodes, b_nodes = (), ()
-        a_ids = _gather_ids(self._id, a_nodes)
-        b_ids = _gather_ids(self._id, b_nodes)
-        return self.path_metrics_ids(a_ids, b_ids)

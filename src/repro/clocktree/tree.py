@@ -29,6 +29,7 @@ Trees are mutable in two ways, both versioned (see :attr:`version`):
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -108,8 +109,8 @@ class ClockTree:
             )
         if length is None:
             length = self._position[parent].manhattan(position)
-        if length < 0:
-            raise ValueError("edge length must be non-negative")
+        if not 0 <= length < math.inf:
+            raise ValueError("edge length must be non-negative and finite")
         self._position[node] = position
         self._parent[node] = parent
         self._children[node] = []
@@ -144,8 +145,8 @@ class ClockTree:
             raise ValueError("the root has no parent edge")
         if child not in self._position:
             raise KeyError(f"node {child!r} is not in the tree")
-        if length < 0:
-            raise ValueError("edge length must be non-negative")
+        if not 0 <= length < math.inf:
+            raise ValueError("edge length must be non-negative and finite")
         delta = float(length) - self._edge_length[child]
         if delta == 0.0:
             return

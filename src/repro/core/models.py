@@ -21,6 +21,7 @@ Then the models are:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Optional, Sequence, Tuple
 
@@ -181,8 +182,8 @@ class PhysicalModel(SkewModel):
     eps: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.m <= 0:
-            raise ValueError("m must be positive")
+        if not 0 < self.m < math.inf:
+            raise ValueError("m must be positive and finite")
         if not 0 <= self.eps <= self.m:
             raise ValueError("eps must satisfy 0 <= eps <= m")
 

@@ -14,6 +14,7 @@ Two regimes matter in the paper:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -39,8 +40,8 @@ class LinearWireModel(WireDelayModel):
     m: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.m <= 0:
-            raise ValueError("per-unit delay m must be positive")
+        if not 0 < self.m < math.inf:
+            raise ValueError("per-unit delay m must be positive and finite")
 
     def delay(self, length: float) -> float:
         self._check(length)

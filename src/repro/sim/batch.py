@@ -20,22 +20,21 @@ pipeline bubble) is a masked-out entry, never a sentinel value.  FIR-style
 ``(x, y)`` packet tuples get a dedicated stream type.
 
 Anything the stream algebra cannot express — a PE class without a
-handler, a cyclic COMM graph, a script mixing packet and scalar entries —
-raises :class:`BatchUnsupported`; the caller falls back to the exact
-event-order replay, so batch execution is a pure optimization, never a
-semantics change.
+handler, a script mixing packet and scalar entries — raises
+:class:`BatchUnsupported`; the caller falls back to the exact event-order
+replay, so batch execution is a pure optimization, never a semantics
+change.  The caller also replays cyclic COMM graphs, which have no
+topological order to evaluate cells in.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.arrays.cells import PE, RecordingSink, ScriptedSource
 from repro.arrays.systolic import FirCell, MatMulCell, MatVecCell
-from repro.graphs.comm import CommGraph
 
 CellId = Hashable
 
@@ -250,26 +249,6 @@ def supports(pes: Mapping[CellId, PE], cells: List[CellId]) -> bool:
     """True when every cell's PE has a stream handler (exact type match —
     a subclass may override ``fire`` arbitrarily)."""
     return all(type(pes[c]) in HANDLERS for c in cells)
-
-
-def topological_order(comm: CommGraph) -> List[CellId]:
-    """Kahn's algorithm; raises :class:`BatchUnsupported` on a cycle
-    (cyclic programs — e.g. the bidirectional sorter — need per-tick
-    interleaving and take the replay path)."""
-    cells = comm.nodes()
-    indeg = {c: len(comm.predecessors(c)) for c in cells}
-    queue = deque(c for c in cells if indeg[c] == 0)
-    order: List[CellId] = []
-    while queue:
-        cell = queue.popleft()
-        order.append(cell)
-        for nxt in comm.successors(cell):
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                queue.append(nxt)
-    if len(order) != len(cells):
-        raise BatchUnsupported("COMM graph is cyclic")
-    return order
 
 
 def execute_streams(

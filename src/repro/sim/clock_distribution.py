@@ -11,6 +11,7 @@ spread) and distribution time (period floor) are the two separate issues.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Hashable, Iterable, Mapping, Tuple
 
 from repro.clocktree.buffered import BufferedClockTree
@@ -22,10 +23,10 @@ class ClockSchedule:
     """Absolute arrival time of every clock tick at every clocked cell."""
 
     def __init__(self, arrivals: Mapping[CellId, float], period: float) -> None:
-        if period <= 0:
-            raise ValueError("clock period must be positive")
-        if any(t < 0 for t in arrivals.values()):
-            raise ValueError("arrival offsets must be non-negative")
+        if not 0 < period < math.inf:
+            raise ValueError("clock period must be positive and finite")
+        if any(not 0 <= t < math.inf for t in arrivals.values()):
+            raise ValueError("arrival offsets must be non-negative and finite")
         self._arrivals: Dict[CellId, float] = dict(arrivals)
         self.period = period
 

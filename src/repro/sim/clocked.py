@@ -172,7 +172,7 @@ class ClockedArraySimulator:
     def run_compiled(self, ticks: Optional[int] = None) -> ClockedRunResult:
         """Run the array-compiled kernel explicitly, with this simulator's
         tracer attached: the kernel emits per-phase spans (tick-matrix,
-        latch-scan, violations, execute) instead of per-event ticks.  The
+        latch-scan, execute) instead of per-event ticks.  The
         result is byte-identical to :meth:`run` either way."""
         return self.compiled().run(ticks, tracer=self._tracer)
 

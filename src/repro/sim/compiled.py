@@ -16,6 +16,16 @@ structure*, so this module splits them into
   ticks) array operations, or step the self-timed max-plus recurrence a
   wave at a time.
 
+The clocked side has exactly one latch scan: both
+:class:`CompiledClockedKernel` (a program under any schedule) and
+:class:`CompiledTimingKernel` (bare arrays at million-cell scale)
+subclass :class:`_LatchKernel`, which evaluates the A5 latch decision
+over edge blocks, keeps only the violating entries, orders them with
+one lexsort, and builds the violation list.  The kernels differ only in
+where sender tick times come from (the affine closed form, or a
+``tick_time`` table for jittered schedules) and in how a violation
+names its edge (cell ids, or ints).
+
 The self-timed side has exactly one evaluator: :class:`RecurrenceStepper`
 over a :class:`CompiledRecurrence` (forward edges with a per-edge wire,
 credit edges lagged ``depth - 1`` waves).  The program recurrence of
@@ -27,14 +37,15 @@ leading zero-cost wave) all lower onto it.
 Every kernel is an *exact* replacement, not an approximation: the same
 float64 operations in the same order as the scalar reference, so payloads,
 makespans, and violation lists are byte-identical.  The scalar paths stay
-in the tree as the oracle (``run_scalar``, ``recurrence_makespan_scalar``)
-and the differential/property suites assert the agreement.
+in the tree as the oracle (``run_scalar``, ``timing_scalar``,
+``recurrence_makespan_scalar``) and the differential/property suites
+assert the agreement.
 
-Functional payload execution of a *clean* clocked run additionally
-delegates to the stream evaluator in :mod:`repro.sim.batch` (lockstep
-semantics factor per cell); dirty runs and programs outside the stream
-algebra replay events in exact scalar order using the precomputed latch
-matrix.
+Functional payload execution of a *clean* clocked run of an acyclic
+program additionally delegates to the stream evaluator in
+:mod:`repro.sim.batch` (lockstep semantics factor per cell); dirty runs,
+cyclic programs and PEs outside the stream algebra replay events in
+exact scalar order using the latch matrix.
 """
 
 from __future__ import annotations
@@ -48,7 +59,9 @@ from typing import (
     Hashable,
     List,
     Mapping,
+    NamedTuple,
     Optional,
+    Sequence,
     Tuple,
 )
 
@@ -57,6 +70,7 @@ import numpy as np
 from repro.arrays.systolic import SystolicProgram
 from repro.graphs.comm import CommGraph
 from repro.graphs.csr import CSRAdjacency
+from repro.obs.spans import SpanTracer
 from repro.sim import batch
 from repro.sim.clock_distribution import ClockSchedule
 from repro.sim.clocked import (
@@ -88,6 +102,29 @@ class TimingResult:
         return not self.violations
 
 
+class _Clock(NamedTuple):
+    """Tick times for one scan of ``ticks`` ticks.
+
+    With ``table is None`` the clock is affine: tick ``k`` of cell ``c``
+    is at ``offsets[c] + k * period``, the scalar arithmetic.  Otherwise
+    ``table[c, k]`` is ``tick_time(c, k)`` for every tick any latch can
+    reach (at least ``ticks`` columns).  ``makespan`` is the latest tick
+    time, floored at zero like the scalar running maximum."""
+
+    ticks: int
+    offsets: np.ndarray
+    period: float
+    table: Optional[np.ndarray]
+    makespan: float
+
+    def time(self, cells: np.ndarray, ks: np.ndarray) -> np.ndarray:
+        """Times of ticks ``ks`` at ``cells`` (broadcast together); only
+        entries with ``ks >= 0`` are meaningful."""
+        if self.table is None:
+            return self.offsets[cells] + ks * self.period
+        return self.table[cells, np.maximum(ks, 0)]
+
+
 def _order_violation_entries(
     slot: np.ndarray,
     dst: np.ndarray,
@@ -101,14 +138,124 @@ def _order_violation_entries(
     The scalar event loop visits events sorted by (time, tick, cell
     insertion index) and, within an event, predecessors in captured slot
     order.  Since (time, tick, cell) uniquely identifies an event, a
-    direct lexsort on (t, k, dst, slot) reproduces the rank-based
-    ordering of the monolithic path without materializing a global event
-    rank — which is what lets violation extraction stream per edge
-    block."""
+    lexsort of the violating entries alone on (t, k, dst, slot)
+    reproduces that order without ranking every (cell, tick) event —
+    which is what lets violation extraction stream per edge block."""
     return np.lexsort((slot[e_idx], dst[e_idx], k_idx, t_vals))
 
 
-class CompiledClockedKernel:
+class _LatchKernel:
+    """The A5 latch scan shared by both clocked kernels.
+
+    Subclasses store directed edges grouped by receiver: ``_src`` and
+    ``_dst`` are dense cell ids, ``_slot`` is the edge's position in its
+    receiver's predecessor list, and ``_lag`` is its data-path lag.
+    ``_offsets`` and ``_period`` give each cell's affine clock, and
+    violations name their edges through the cell sequence ``_labels``.
+    A subclass whose tick times need a table overrides :meth:`_clock`.
+    """
+
+    _src: np.ndarray
+    _dst: np.ndarray
+    _slot: np.ndarray
+    _lag: np.ndarray
+    _offsets: np.ndarray
+    _period: float
+    _labels: Sequence[Any]
+
+    def _clock(self, n_ticks: int) -> _Clock:
+        """The affine clock of ``n_ticks`` ticks."""
+        if n_ticks < 1:
+            raise ValueError("need at least one tick")
+        # max over {offsets[c] + k * period} is attained at the argmax of
+        # each term and computed by the same float64 add, so the closed
+        # form equals the scalar running maximum bit for bit.
+        makespan = (
+            max(0.0, float(self._offsets.max() + (n_ticks - 1) * self._period))
+            if len(self._offsets)
+            else 0.0
+        )
+        return _Clock(n_ticks, self._offsets, self._period, None, makespan)
+
+    def _latch(
+        self, lo: int, hi: int, clock: _Clock
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(t_latch, g)`` for directed edges ``[lo, hi)``: per (edge,
+        receiver tick), the latch time and the latched sender generation.
+        This is the vectorized ``_latched_sender_tick`` — identical floor
+        estimate, identical downward scan with the same tolerance — and
+        each entry depends only on its own edge, so any edge blocking
+        yields the same generations."""
+        src = self._src[lo:hi, None]
+        lag = self._lag[lo:hi, None]
+        t_latch = clock.time(self._dst[lo:hi, None], np.arange(clock.ticks))
+        estimate = np.floor((t_latch - self._offsets[src] - lag) / self._period)
+        g = estimate.astype(np.int64) + 3  # covers ~1.5 periods of jitter
+        thresh = t_latch + _LATCH_TOL
+        while True:
+            late = (g >= 0) & (clock.time(src, g) + lag > thresh)
+            if not late.any():
+                return t_latch, g
+            g -= late
+
+    def _scan(
+        self, clock: _Clock, edge_block: Optional[int]
+    ) -> Tuple[TimingResult, Optional[np.ndarray]]:
+        """The violation list in exact scalar order, plus the makespan.
+
+        The latch scan streams over blocks of ``edge_block`` directed
+        edges (one block of every edge for ``None``) and keeps only the
+        violating entries, so peak memory is O(block x ticks).  When one
+        block held every edge, its latch matrix comes back too (else
+        ``None``)."""
+        if edge_block is not None and edge_block < 1:
+            raise ValueError("edge_block must be positive")
+        n_edges = len(self._src)
+        block = edge_block if edge_block is not None else max(n_edges, 1)
+        expected = np.arange(clock.ticks, dtype=np.int64) - 1
+        g = np.empty((0, clock.ticks), dtype=np.int64)
+        parts: List[Tuple[np.ndarray, ...]] = []
+        for lo in range(0, n_edges, block):
+            t_latch, g = self._latch(lo, min(lo + block, n_edges), clock)
+            mask = g != expected[None, :]
+            # Tick 0 expects -1; a latch of -1 (or below) is not a
+            # violation there (both sides pre-first-tick), matching the
+            # scalar guard.
+            mask[:, 0] &= g[:, 0] >= 0
+            if mask.any():
+                e_off, k_off = np.nonzero(mask)
+                parts.append(
+                    (e_off + lo, k_off, t_latch[e_off, k_off], g[e_off, k_off])
+                )
+        violations: List[TimingViolation] = []
+        if parts:
+            e_idx, k_idx, t_vals, g_vals = (np.concatenate(p) for p in zip(*parts))
+            perm = _order_violation_entries(
+                self._slot, self._dst, e_idx, k_idx, t_vals
+            )
+            e_idx = e_idx[perm]
+            labels = self._labels
+            violations = [
+                TimingViolation(
+                    edge=(labels[u], labels[v]),
+                    receiver_tick=k,
+                    expected_sender_tick=k - 1,
+                    actual_sender_tick=gen,
+                )
+                for u, v, k, gen in zip(
+                    self._src[e_idx].tolist(),
+                    self._dst[e_idx].tolist(),
+                    k_idx[perm].tolist(),
+                    g_vals[perm].tolist(),
+                )
+            ]
+        timing = TimingResult(
+            violations=violations, makespan=clock.makespan, ticks=clock.ticks
+        )
+        return timing, (g if block >= n_edges else None)
+
+
+class CompiledClockedKernel(_LatchKernel):
     """A :class:`~repro.sim.clocked.ClockedArraySimulator` lowered to
     arrays: compile once, run many times.
 
@@ -130,6 +277,7 @@ class CompiledClockedKernel:
         self.comm_version = comm.version
         cells = comm.nodes()
         self._cells: List[CellId] = cells
+        self._labels = cells
         index = {c: i for i, c in enumerate(cells)}
         # Captured once: the scalar path iterates a fresh set copy per
         # event, which is order-stable within a process, so one snapshot
@@ -162,310 +310,82 @@ class CompiledClockedKernel:
         )
         self._period = schedule.period
         # A plain ClockSchedule is affine (offset + k * period); subclasses
-        # such as JitteredSchedule override tick_time and take the generic
-        # tabulated path.
+        # such as JitteredSchedule override tick_time and take the tick
+        # table.
         self._affine = type(schedule) is ClockSchedule
-        # Stream-execution plan for clean runs (None = not yet probed;
-        # False = unsupported, always replay).
+        # Producers-first cell order for stream-executing clean runs (None
+        # = not yet probed; False = outside the stream algebra, replay).
         self._stream_order: Any = None
 
     # ------------------------------------------------------------------
     # timing analysis
     # ------------------------------------------------------------------
     def _tick_matrix(self, n_ticks: int) -> np.ndarray:
-        """``T[c, k]`` = absolute time of tick ``k`` at cell ``c``, with
-        exactly the scalar arithmetic (``offset + k * period`` per
-        element for affine schedules; ``tick_time`` calls otherwise)."""
-        n_cells = len(self._cells)
-        if self._affine:
-            ks = np.arange(n_ticks, dtype=np.float64) * self._period
-            return self._offsets[:, None] + ks[None, :]
+        """``T[c, k] = tick_time(c, k)``: the schedule's own tick times,
+        for schedules without the affine closed form."""
         tick_time = self._schedule.tick_time
-        T = np.empty((n_cells, n_ticks), dtype=np.float64)
+        T = np.empty((len(self._cells), n_ticks), dtype=np.float64)
         for i, c in enumerate(self._cells):
             row = T[i]
             for k in range(n_ticks):
                 row[k] = tick_time(c, k)
         return T
 
-    def latch_matrix(
-        self, n_ticks: int, T: Optional[np.ndarray] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(T, g)``: the tick-time matrix and, per (edge, receiver tick),
-        the latched sender generation — the vectorized
-        ``_latched_sender_tick`` (identical floor estimate, identical
-        downward scan with the same tolerance).  Pass a precomputed ``T``
-        (from :meth:`_tick_matrix`) to skip rebuilding it."""
-        if T is None:
-            T = self._tick_matrix(n_ticks)
-        if not len(self._src):
-            return T, np.empty((0, n_ticks), dtype=np.int64)
-        t_latch = T[self._dst]                      # (E, K)
-        off_u = self._offsets[self._src][:, None]
-        lag = self._lag[:, None]
-        estimate = np.floor((t_latch - off_u - lag) / self._period)
-        g = estimate.astype(np.int64) + 3           # covers ~1.5 periods of jitter
-        thresh = t_latch + _LATCH_TOL
+    def _clock(self, n_ticks: int) -> _Clock:
+        """The affine clock, or for a schedule that overrides
+        ``tick_time`` a tick table wide enough for every latch."""
+        clock = super()._clock(n_ticks)
         if self._affine:
-            while True:
-                late = (g >= 0) & (off_u + g * self._period + lag > thresh)
-                if not late.any():
-                    break
-                g -= late
-        else:
-            k_max = max(int(g.max(initial=0)), n_ticks - 1)
-            Tall = self._tick_matrix(k_max + 1)
-            src_col = self._src[:, None]
-            while True:
-                jj = np.maximum(g, 0)
-                late = (g >= 0) & (Tall[src_col, jj] + lag > thresh)
-                if not late.any():
-                    break
-                g -= late
-        return T, g
-
-    def _latch_block(
-        self,
-        lo: int,
-        hi: int,
-        n_ticks: int,
-        ks_time: Optional[np.ndarray] = None,
-        T: Optional[np.ndarray] = None,
-        Tall: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`latch_matrix` restricted to directed edges ``[lo, hi)``
-        — identical arithmetic on a slice, so streamed evaluation is
-        bit-identical to the monolithic matrix while touching only
-        O(block x ticks) memory.
-
-        Affine schedules pass ``ks_time`` (``arange(K) * period``); the
-        per-entry latch time ``offsets[dst] + ks_time[k]`` is then the
-        same float64 add that built ``T`` monolithically.  Non-affine
-        schedules pass the full ``T`` plus an oversized ``Tall`` covering
-        every reachable generation (the caller bounds it once)."""
-        dst = self._dst[lo:hi]
-        src = self._src[lo:hi]
-        lag = self._lag[lo:hi][:, None]
-        off_u = self._offsets[src][:, None]
-        if self._affine:
-            assert ks_time is not None
-            t_latch = self._offsets[dst][:, None] + ks_time[None, :]
-        else:
-            assert T is not None
-            t_latch = T[dst]
-        estimate = np.floor((t_latch - off_u - lag) / self._period)
-        g = estimate.astype(np.int64) + 3
-        thresh = t_latch + _LATCH_TOL
-        if self._affine:
-            while True:
-                late = (g >= 0) & (off_u + g * self._period + lag > thresh)
-                if not late.any():
-                    break
-                g -= late
-        else:
-            assert Tall is not None
-            src_col = src[:, None]
-            while True:
-                jj = np.maximum(g, 0)
-                late = (g >= 0) & (Tall[src_col, jj] + lag > thresh)
-                if not late.any():
-                    break
-                g -= late
-        return t_latch, g
-
-    def _violation_entries(
-        self,
-        n_ticks: int,
-        edge_block: int,
-        ks_time: Optional[np.ndarray] = None,
-        T: Optional[np.ndarray] = None,
-        Tall: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Stream the latch scan per edge block, keeping only violating
-        (edge, tick, latch time, generation) entries — the full
-        ``(E, K)`` matrices never exist at once."""
-        expected = np.arange(n_ticks, dtype=np.int64) - 1
-        es: List[np.ndarray] = []
-        kss: List[np.ndarray] = []
-        ts: List[np.ndarray] = []
-        gs: List[np.ndarray] = []
-        n_edges = len(self._src)
-        for lo in range(0, n_edges, edge_block):
-            hi = min(lo + edge_block, n_edges)
-            t_latch, g = self._latch_block(
-                lo, hi, n_ticks, ks_time=ks_time, T=T, Tall=Tall
-            )
-            mask = g != expected[None, :]
-            mask[:, 0] &= g[:, 0] >= 0
-            if mask.any():
-                e_off, k_idx = np.nonzero(mask)
-                es.append(e_off + lo)
-                kss.append(k_idx)
-                ts.append(t_latch[e_off, k_idx])
-                gs.append(g[e_off, k_idx])
-        if not es:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, np.empty(0, dtype=np.float64), empty
-        return (
-            np.concatenate(es),
-            np.concatenate(kss),
-            np.concatenate(ts),
-            np.concatenate(gs),
-        )
-
-    def _materialize_violations(
-        self,
-        e_idx: np.ndarray,
-        k_idx: np.ndarray,
-        g_vals: np.ndarray,
-        perm: np.ndarray,
-    ) -> List[TimingViolation]:
-        cells = self._cells
-        src, dst = self._src, self._dst
-        out: List[TimingViolation] = []
-        for j in perm:
-            e = int(e_idx[j])
-            k = int(k_idx[j])
-            out.append(
-                TimingViolation(
-                    edge=(cells[src[e]], cells[dst[e]]),
-                    receiver_tick=k,
-                    expected_sender_tick=k - 1,
-                    actual_sender_tick=int(g_vals[j]),
-                )
-            )
-        return out
+            return clock
+        T = self._tick_matrix(n_ticks)
+        makespan = max(0.0, float(T.max())) if T.size else 0.0
+        if len(self._src):
+            # The scan starts every entry at its floor estimate + 3 and
+            # only moves down; the estimate is monotone in the latch time
+            # (same float64 operations as ``_latch``), so each edge
+            # reaches furthest at its receiver's latest tick.  Table
+            # entries at equal (cell, k) are identical whatever the width.
+            latest = T.max(axis=1)[self._dst]
+            reach = np.floor(
+                (latest - self._offsets[self._src] - self._lag) / self._period
+            ).max()
+            T = self._tick_matrix(max(int(reach) + 3, n_ticks - 1) + 1)
+        return clock._replace(table=T, makespan=makespan)
 
     def timing(
         self, ticks: Optional[int] = None, edge_block: Optional[int] = None
     ) -> TimingResult:
         """Violations + makespan without payload execution.
 
-        With ``edge_block=None`` this is the monolithic
-        :meth:`latch_matrix` / :meth:`violations` pair.  With an
-        ``edge_block``, the latch scan streams over edge blocks of that
+        ``edge_block`` streams the latch scan over edge blocks of that
         size: peak memory is O(block x ticks) instead of O(edges x
         ticks), and the result — violation list contents, order, and
-        makespan — is bit-identical (the property suite drives this
-        across random block sizes).
+        makespan — is bit-identical for every block size (the property
+        suite drives this across random block sizes).
         """
         n_ticks = ticks if ticks is not None else self._program.cycles
-        if n_ticks < 1:
-            raise ValueError("need at least one tick")
-        if edge_block is not None and edge_block < 1:
-            raise ValueError("edge_block must be positive")
-        if edge_block is None:
-            T, g = self.latch_matrix(n_ticks)
-            makespan = max(0.0, float(T.max())) if T.size else 0.0
-            return TimingResult(
-                violations=self.violations(T, g, n_ticks),
-                makespan=makespan,
-                ticks=n_ticks,
-            )
-        ks_time: Optional[np.ndarray] = None
-        T = None
-        Tall = None
-        if self._affine:
-            ks_time = np.arange(n_ticks, dtype=np.float64) * self._period
-            # max over {offsets[c] + ks[k]} is attained at the argmax of
-            # each term and computed by the same float64 add, so the
-            # closed form equals float(T.max()) bit for bit.
-            makespan = (
-                max(0.0, float(self._offsets.max() + ks_time[-1]))
-                if len(self._cells)
-                else 0.0
-            )
-        else:
-            T = self._tick_matrix(n_ticks)
-            makespan = max(0.0, float(T.max())) if T.size else 0.0
-            if len(self._src):
-                # One generation bound for every block: the initial floor
-                # estimate is maximized by the latest latch and the
-                # smallest (sender offset + lag).  Tall entries at equal
-                # (cell, k) are identical whatever the matrix size.
-                head = (self._offsets[self._src] + self._lag).min()
-                bound = int(np.floor((T.max() - head) / self._period)) + 3
-                Tall = self._tick_matrix(max(bound, n_ticks - 1) + 1)
-        e_idx, k_idx, t_vals, g_vals = self._violation_entries(
-            n_ticks, edge_block, ks_time=ks_time, T=T, Tall=Tall
-        )
-        perm = _order_violation_entries(
-            self._slot, self._dst, e_idx, k_idx, t_vals
-        )
-        return TimingResult(
-            violations=self._materialize_violations(e_idx, k_idx, g_vals, perm),
-            makespan=makespan,
-            ticks=n_ticks,
-        )
-
-    def _event_order(self, T: np.ndarray, n_ticks: int) -> np.ndarray:
-        """Flat (cell * K + tick) event indices sorted exactly like the
-        scalar event list: by time, then tick, then cell position."""
-        n_cells = len(self._cells)
-        k_flat = np.tile(np.arange(n_ticks, dtype=np.int64), n_cells)
-        i_flat = np.repeat(np.arange(n_cells, dtype=np.int64), n_ticks)
-        return np.lexsort((i_flat, k_flat, T.ravel()))
-
-    def violations(
-        self, T: np.ndarray, g: np.ndarray, n_ticks: int
-    ) -> List[TimingViolation]:
-        """The violation list in exact scalar order: event order (time,
-        tick, cell) outermost, captured predecessor order within a cell."""
-        if not g.size:
-            return []
-        ks = np.arange(n_ticks, dtype=np.int64)
-        expected = ks - 1
-        mask = g != expected[None, :]
-        # Tick 0 expects -1; a latch of -1 (or below) is not a violation
-        # there (both sides pre-first-tick), matching the scalar guard.
-        mask[:, 0] &= g[:, 0] >= 0
-        if not mask.any():
-            return []
-        order = self._event_order(T, n_ticks)
-        rank = np.empty(order.shape, dtype=np.int64)
-        rank[order] = np.arange(len(order), dtype=np.int64)
-        e_idx, k_idx = np.nonzero(mask)
-        event_rank = rank[self._dst[e_idx] * n_ticks + k_idx]
-        perm = np.lexsort((self._slot[e_idx], event_rank))
-        cells = self._cells
-        src, dst = self._src, self._dst
-        out: List[TimingViolation] = []
-        for j in perm:
-            e = e_idx[j]
-            k = int(k_idx[j])
-            out.append(
-                TimingViolation(
-                    edge=(cells[src[e]], cells[dst[e]]),
-                    receiver_tick=k,
-                    expected_sender_tick=k - 1,
-                    actual_sender_tick=int(g[e, k]),
-                )
-            )
-        return out
+        return self._scan(self._clock(n_ticks), edge_block)[0]
 
     # ------------------------------------------------------------------
     # functional execution
     # ------------------------------------------------------------------
-    def _try_stream_order(self) -> Any:
-        if self._stream_order is None:
-            pes = self._program.pes
-            try:
-                if not batch.supports(pes, self._cells):
-                    raise batch.BatchUnsupported("unhandled PE class")
-                self._stream_order = batch.topological_order(
-                    self._program.array.comm
-                )
-            except batch.BatchUnsupported:
-                self._stream_order = False
-        return self._stream_order
-
-    def _replay(self, T: np.ndarray, g: np.ndarray, n_ticks: int) -> Any:
-        """Event-order functional replay using the precomputed latch
-        matrix — exact scalar semantics for dirty runs and programs the
-        stream evaluator cannot express."""
+    def _replay(self, clock: _Clock, g: np.ndarray) -> Any:
+        """Event-order functional replay using the latch matrix — exact
+        scalar semantics for dirty runs and programs the stream evaluator
+        cannot express."""
+        n_ticks = clock.ticks
+        n_cells = len(self._cells)
+        T = clock.time(np.arange(n_cells)[:, None], np.arange(n_ticks))
+        # The scalar event order: by time, then tick, then cell position.
+        order = np.lexsort(
+            (
+                np.repeat(np.arange(n_cells, dtype=np.int64), n_ticks),
+                np.tile(np.arange(n_ticks, dtype=np.int64), n_cells),
+                T.ravel(),
+            )
+        )
         pes = self._program.pes
         cells = self._cells
-        order = self._event_order(T, n_ticks)
         cell_seq = (order // n_ticks).tolist()
         tick_seq = (order % n_ticks).tolist()
         g_rows = g.tolist()
@@ -490,23 +410,41 @@ class CompiledClockedKernel:
                 history[e][k] = outputs.get(v) if outputs else None
         return self._program.read_result(_ExecutorFacade(pes))
 
-    def _finish_streamed(self, pes: Mapping[CellId, Any], n_ticks: int) -> Any:
-        """Functional half of a streamed run: stream-execute when clean
-        runs allow it, otherwise fall back to the monolithic latch matrix
-        for the exact event replay (dirty runs need the full ``g``)."""
-        order = self._try_stream_order()
-        if order is not False:
+    def _execute(
+        self, clock: _Clock, timing: TimingResult, g: Optional[np.ndarray]
+    ) -> Any:
+        """The functional half of :meth:`run`: stream-execute a clean run
+        of an acyclic program the stream algebra covers, replay anything
+        else."""
+        pes = self._program.pes
+        if timing.clean and self._stream_order is None:
+            # Imported here so that ``import repro`` does not load the
+            # event simulator module.
+            from repro.sim.dataflow import ChannelDeadlockError, zero_token_order
+
+            self._stream_order = False
+            if batch.supports(pes, self._cells):
+                try:
+                    # Consumers first over the COMM edges; a cycle (the
+                    # bidirectional sorter) needs per-tick interleaving.
+                    order = zero_token_order(self._cells, self._src, self._dst)
+                    self._stream_order = [self._cells[i] for i in order[::-1]]
+                except ChannelDeadlockError:
+                    pass
+        if timing.clean and self._stream_order is not False:
             try:
                 batch.execute_streams(
-                    pes, order, self._preds, self._succs, n_ticks
+                    pes, self._stream_order, self._preds, self._succs, clock.ticks
                 )
                 return self._program.read_result(_ExecutorFacade(pes))
             except batch.BatchUnsupported:
                 self._stream_order = False
                 for pe in pes.values():
                     pe.reset()  # discard any partial stream state
-        T, g = self.latch_matrix(n_ticks)
-        return self._replay(T, g, n_ticks)
+        # A dirty blocked run never held the whole latch matrix.
+        if g is None:
+            g = self._latch(0, len(self._src), clock)[1]
+        return self._replay(clock, g)
 
     def run(
         self,
@@ -518,112 +456,36 @@ class CompiledClockedKernel:
         same result payload, same violation list (contents *and* order),
         same makespan.
 
-        An enabled ``tracer`` adds per-phase spans (tick-matrix, latch
-        scan, violation extraction, execute) around the same arithmetic;
-        the default path allocates nothing and is untouched.
-
-        ``edge_block`` streams the timing analysis per edge block (see
-        :meth:`timing`): same results, O(block x ticks) peak memory.
-        Dirty runs still build the full latch matrix for the replay.
+        One path: build the clock, scan the latches (streamed per
+        ``edge_block`` edges, see :meth:`timing`), then stream-execute a
+        clean acyclic run or replay it in scalar event order.  A dirty
+        blocked run rescans every edge at once for the replay.  An
+        enabled ``tracer`` records one span per phase under
+        ``compiled.run``; without one the spans are no-ops.
         """
         n_ticks = ticks if ticks is not None else self._program.cycles
-        if n_ticks < 1:
-            raise ValueError("need at least one tick")
-        spans = None
-        if tracer is not None and tracer.enabled:
-            from repro.obs.spans import SpanTracer
-
-            spans = tracer if isinstance(tracer, SpanTracer) else SpanTracer(tracer)
-        pes = self._program.pes
-        for pe in pes.values():
+        spans = tracer if isinstance(tracer, SpanTracer) else SpanTracer(tracer)
+        for pe in self._program.pes.values():
             pe.reset()
-        if edge_block is not None:
-            if spans is None:
-                timing = self.timing(n_ticks, edge_block=edge_block)
-                if timing.clean:
-                    result = self._finish_streamed(pes, n_ticks)
-                else:
-                    T, g = self.latch_matrix(n_ticks)
-                    result = self._replay(T, g, n_ticks)
-            else:
-                with spans.span(
-                    "compiled.run",
-                    ticks=n_ticks,
-                    cells=len(self._cells),
-                    edge_block=edge_block,
-                ):
-                    with spans.span("compiled.timing_stream") as h:
-                        timing = self.timing(n_ticks, edge_block=edge_block)
-                        h.annotate(count=len(timing.violations))
-                    with spans.span("compiled.execute"):
-                        if timing.clean:
-                            result = self._finish_streamed(pes, n_ticks)
-                        else:
-                            T, g = self.latch_matrix(n_ticks)
-                            result = self._replay(T, g, n_ticks)
-            return ClockedRunResult(
-                result=result,
-                violations=timing.violations,
-                ticks=n_ticks,
-                makespan=timing.makespan,
-            )
-        if spans is None:
-            T, g = self.latch_matrix(n_ticks)
-            violations = self.violations(T, g, n_ticks)
-        else:
-            with spans.span("compiled.run", ticks=n_ticks, cells=len(self._cells)):
-                with spans.span("compiled.tick_matrix"):
-                    T = self._tick_matrix(n_ticks)
-                with spans.span("compiled.latch_scan"):
-                    T, g = self.latch_matrix(n_ticks, T=T)
-                with spans.span("compiled.violations") as h:
-                    violations = self.violations(T, g, n_ticks)
-                    h.annotate(count=len(violations))
-                with spans.span("compiled.execute"):
-                    result0, makespan0 = self._execute(pes, T, g, n_ticks, violations)
-            return ClockedRunResult(
-                result=result0,
-                violations=violations,
-                ticks=n_ticks,
-                makespan=makespan0,
-            )
-        result, makespan = self._execute(pes, T, g, n_ticks, violations)
+        with spans.span(
+            "compiled.run",
+            ticks=n_ticks,
+            cells=len(self._cells),
+            edge_block=edge_block,
+        ):
+            with spans.span("compiled.tick_matrix"):
+                clock = self._clock(n_ticks)
+            with spans.span("compiled.latch_scan") as h:
+                timing, g = self._scan(clock, edge_block)
+                h.annotate(count=len(timing.violations))
+            with spans.span("compiled.execute"):
+                result = self._execute(clock, timing, g)
         return ClockedRunResult(
             result=result,
-            violations=violations,
+            violations=timing.violations,
             ticks=n_ticks,
-            makespan=makespan,
+            makespan=timing.makespan,
         )
-
-    def _execute(
-        self,
-        pes: Mapping[CellId, Any],
-        T: np.ndarray,
-        g: np.ndarray,
-        n_ticks: int,
-        violations: List[TimingViolation],
-    ) -> Tuple[Any, float]:
-        """The functional half of :meth:`run`: stream-execute clean runs,
-        replay dirty ones; returns ``(result, makespan)``."""
-        makespan = max(0.0, float(T.max())) if T.size else 0.0
-        result: Any = None
-        ran = False
-        if not violations:
-            order = self._try_stream_order()
-            if order is not False:
-                try:
-                    batch.execute_streams(
-                        pes, order, self._preds, self._succs, n_ticks
-                    )
-                    result = self._program.read_result(_ExecutorFacade(pes))
-                    ran = True
-                except batch.BatchUnsupported:
-                    self._stream_order = False
-                    for pe in pes.values():
-                        pe.reset()  # discard any partial stream state
-        if not ran:
-            result = self._replay(T, g, n_ticks)
-        return result, makespan
 
 
 def compile_clocked(simulator: Any) -> CompiledClockedKernel:
@@ -635,7 +497,7 @@ def compile_clocked(simulator: Any) -> CompiledClockedKernel:
 # ----------------------------------------------------------------------
 # array-only timing kernel (million-cell scale)
 # ----------------------------------------------------------------------
-class CompiledTimingKernel:
+class CompiledTimingKernel(_LatchKernel):
     """Pure timing analysis straight from arrays — the large-N kernel.
 
     :class:`CompiledClockedKernel` is lowered from a full
@@ -648,10 +510,10 @@ class CompiledTimingKernel:
     data-path lag.  Cells are the dense ints ``0..n-1``; reported
     violation edges are ``(src, dst)`` int pairs.
 
-    The latch arithmetic is exactly the scalar simulator's
-    (``_latched_sender_tick``: floor estimate, +3 guard, downward scan
-    with the 1e-12 tolerance), evaluated monolithically or streamed per
-    edge block (:meth:`timing`); :meth:`timing_scalar` is the per-event
+    :meth:`timing` is the latch scan both clocked kernels share (the
+    scalar simulator's ``_latched_sender_tick``: floor estimate, +3
+    guard, downward scan with the 1e-12 tolerance), in one block or
+    streamed per edge block; :meth:`timing_scalar` is the per-event
     Python oracle the differential suites compare against at
     co-runnable sizes.  :meth:`arrays` / :meth:`from_arrays` round-trip
     the kernel through raw numpy buffers so
@@ -696,6 +558,7 @@ class CompiledTimingKernel:
         self._lag = np.ascontiguousarray(lag_arr)
         self._offsets = offsets_arr
         self._period = float(period)
+        self._labels = range(n)
 
     @property
     def n_cells(self) -> int:
@@ -705,88 +568,15 @@ class CompiledTimingKernel:
     def n_edges(self) -> int:
         return len(self._src)
 
-    def latch_block(
-        self, lo: int, hi: int, n_ticks: int, ks_time: Optional[np.ndarray] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(t_latch, g)`` for directed edges ``[lo, hi)`` — the affine
-        latch scan of :meth:`CompiledClockedKernel.latch_matrix` on a
-        slice, identical float64 operations."""
-        if ks_time is None:
-            ks_time = np.arange(n_ticks, dtype=np.float64) * self._period
-        dst = self._dst[lo:hi]
-        src = self._src[lo:hi]
-        lag = self._lag[lo:hi][:, None]
-        off_u = self._offsets[src][:, None]
-        t_latch = self._offsets[dst][:, None] + ks_time[None, :]
-        estimate = np.floor((t_latch - off_u - lag) / self._period)
-        g = estimate.astype(np.int64) + 3
-        thresh = t_latch + _LATCH_TOL
-        while True:
-            late = (g >= 0) & (off_u + g * self._period + lag > thresh)
-            if not late.any():
-                break
-            g -= late
-        return t_latch, g
-
     def timing(
         self, n_ticks: int, edge_block: Optional[int] = None
     ) -> TimingResult:
         """The full violation set (exact scalar order) and makespan.
 
         ``edge_block`` bounds peak memory at O(block x ticks); any block
-        size — including the default single monolithic block — yields a
+        size — including the default single block — yields a
         bit-identical result."""
-        if n_ticks < 1:
-            raise ValueError("need at least one tick")
-        if edge_block is not None and edge_block < 1:
-            raise ValueError("edge_block must be positive")
-        n_edges = len(self._src)
-        block = edge_block if edge_block is not None else max(n_edges, 1)
-        ks_time = np.arange(n_ticks, dtype=np.float64) * self._period
-        makespan = (
-            max(0.0, float(self._offsets.max() + ks_time[-1]))
-            if len(self._offsets)
-            else 0.0
-        )
-        expected = np.arange(n_ticks, dtype=np.int64) - 1
-        es: List[np.ndarray] = []
-        kss: List[np.ndarray] = []
-        ts: List[np.ndarray] = []
-        gs: List[np.ndarray] = []
-        for lo in range(0, n_edges, block):
-            hi = min(lo + block, n_edges)
-            t_latch, g = self.latch_block(lo, hi, n_ticks, ks_time)
-            mask = g != expected[None, :]
-            mask[:, 0] &= g[:, 0] >= 0
-            if mask.any():
-                e_off, k_idx = np.nonzero(mask)
-                es.append(e_off + lo)
-                kss.append(k_idx)
-                ts.append(t_latch[e_off, k_idx])
-                gs.append(g[e_off, k_idx])
-        if not es:
-            return TimingResult(violations=[], makespan=makespan, ticks=n_ticks)
-        e_idx = np.concatenate(es)
-        k_idx_all = np.concatenate(kss)
-        t_vals = np.concatenate(ts)
-        g_vals = np.concatenate(gs)
-        perm = _order_violation_entries(
-            self._slot, self._dst, e_idx, k_idx_all, t_vals
-        )
-        src, dst = self._src, self._dst
-        out: List[TimingViolation] = []
-        for j in perm:
-            e = int(e_idx[j])
-            k = int(k_idx_all[j])
-            out.append(
-                TimingViolation(
-                    edge=(int(src[e]), int(dst[e])),
-                    receiver_tick=k,
-                    expected_sender_tick=k - 1,
-                    actual_sender_tick=int(g_vals[j]),
-                )
-            )
-        return TimingResult(violations=out, makespan=makespan, ticks=n_ticks)
+        return self._scan(self._clock(n_ticks), edge_block)[0]
 
     def timing_scalar(self, n_ticks: int) -> TimingResult:
         """Per-event Python reference: the scalar simulator's event loop

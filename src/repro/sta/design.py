@@ -20,6 +20,7 @@ soundness gate.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Tuple
@@ -75,14 +76,18 @@ class Design:
     wire_overrides: Dict[EdgeKey, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.delta < 0:
-            raise ValueError("delta must be non-negative")
+        if not 0 <= self.delta < math.inf:
+            raise ValueError("delta must be non-negative and finite")
         for edge, pad in self.edge_padding.items():
-            if pad < 0:
-                raise ValueError(f"negative padding on edge {edge!r}")
+            if not 0 <= pad < math.inf:
+                raise ValueError(
+                    f"padding on edge {edge!r} must be non-negative and finite"
+                )
         for edge, length in self.wire_overrides.items():
-            if length < 0:
-                raise ValueError(f"negative wire override on edge {edge!r}")
+            if not 0 <= length < math.inf:
+                raise ValueError(
+                    f"wire override on edge {edge!r} must be non-negative and finite"
+                )
         missing = [
             c for c in self.array.comm.nodes() if c not in self.schedule.cells()
         ]

@@ -64,6 +64,7 @@ every step; the full pass stays in the tree as the oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -293,8 +294,8 @@ class ECOSession:
     def repad_edge(self, edge: EdgeKey, pad: float) -> EcoEdit:
         """Set the hold-fix padding of one directed COMM edge."""
         self._check_external()
-        if pad < 0:
-            raise ValueError("padding must be non-negative")
+        if not 0 <= pad < math.inf:
+            raise ValueError("padding must be non-negative and finite")
         i = self._row.get(edge)
         if i is None:
             raise KeyError(f"edge {edge!r} is not a COMM edge")
@@ -310,8 +311,8 @@ class ECOSession:
         """Reroute one directed COMM edge's data wire to a new length
         (its endpoints stay put; the layout distance is overridden)."""
         self._check_external()
-        if length < 0:
-            raise ValueError("wire length must be non-negative")
+        if not 0 <= length < math.inf:
+            raise ValueError("wire length must be non-negative and finite")
         i = self._row.get(edge)
         if i is None:
             raise KeyError(f"edge {edge!r} is not a COMM edge")

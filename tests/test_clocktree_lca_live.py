@@ -3,8 +3,8 @@ in-place edge retunes.
 
 The index shares the tree's :class:`DenseTreeStore` and extends its
 binary-lifting table lazily — ``add_child`` and ``set_edge_length`` must
-never force a rebuild, and every query must agree with the snapshot
-:class:`EulerTourIndex` oracle over the same tree.
+never force a rebuild, and every query must agree bit for bit with the
+scalar per-pair parent walk (``path_difference`` / ``path_length``).
 """
 
 import random
@@ -12,7 +12,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.clocktree.lca import EulerTourIndex, LiftingLCAIndex
+from repro.clocktree.lca import LiftingLCAIndex
 from repro.clocktree.tree import ClockTree
 from repro.geometry.point import Point
 
@@ -35,11 +35,11 @@ def random_tree(seed, n=60):
     return tree, nodes
 
 
-def euler_oracle(tree):
-    return EulerTourIndex(
-        tree.nodes()[0],
-        tree.children_map(),
-        {node: tree.root_distance(node) for node in tree.nodes()},
+def walk_oracle(tree, pairs):
+    """``(d, s)`` from the scalar LCA walk, one pair at a time."""
+    return (
+        np.array([tree.path_difference(a, b) for a, b in pairs]),
+        np.array([tree.path_length(a, b) for a, b in pairs]),
     )
 
 
@@ -47,13 +47,13 @@ def sample_pairs(rng, nodes, k=40):
     return [(rng.choice(nodes), rng.choice(nodes)) for _ in range(k)]
 
 
-def test_path_metrics_agree_with_euler_oracle():
+def test_path_metrics_agree_with_walk_oracle():
     tree, nodes = random_tree(1)
     rng = random.Random(11)
     pairs = sample_pairs(rng, nodes)
     live = tree.lca_index()
     d1, s1 = live.path_metrics(pairs)
-    d2, s2 = euler_oracle(tree).path_metrics(pairs)
+    d2, s2 = walk_oracle(tree, pairs)
     assert d1.tobytes() == d2.tobytes()
     assert s1.tobytes() == s2.tobytes()
 
@@ -75,7 +75,7 @@ def test_index_extends_incrementally_across_growth():
         assert tree.lca_index() is live
         pairs = sample_pairs(rng, nodes)
         d1, s1 = live.path_metrics(pairs)
-        d2, s2 = euler_oracle(tree).path_metrics(pairs)
+        d2, s2 = walk_oracle(tree, pairs)
         assert d1.tobytes() == d2.tobytes()
         assert s1.tobytes() == s2.tobytes()
 
@@ -134,7 +134,7 @@ def test_set_edge_length_shifts_subtree_and_metrics():
     rng = random.Random(9)
     pairs = sample_pairs(rng, nodes)
     d1, s1 = tree.lca_index().path_metrics(pairs)
-    d2, s2 = euler_oracle(tree).path_metrics(pairs)
+    d2, s2 = walk_oracle(tree, pairs)
     assert d1.tobytes() == d2.tobytes()
     assert s1.tobytes() == s2.tobytes()
 
@@ -169,12 +169,12 @@ def test_from_arrays_builder_matches_store_backed_index():
 
 def test_cold_build_is_vectorized_equivalent():
     """The perf row's correctness half: a fresh LiftingLCAIndex over the
-    dense store answers exactly like the Euler-tour snapshot."""
+    dense store answers exactly like the scalar parent walk."""
     tree, nodes = random_tree(14, n=200)
     rng = random.Random(15)
     pairs = sample_pairs(rng, nodes, k=120)
     fresh = LiftingLCAIndex(tree.dense_store)
     d1, s1 = fresh.path_metrics(pairs)
-    d2, s2 = euler_oracle(tree).path_metrics(pairs)
+    d2, s2 = walk_oracle(tree, pairs)
     assert d1.tobytes() == d2.tobytes()
     assert s1.tobytes() == s2.tobytes()

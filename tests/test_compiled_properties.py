@@ -93,19 +93,33 @@ def clocked_cases(draw):
     return program, schedule, delta, padding
 
 
-@given(clocked_cases())
+@given(clocked_cases(), st.data())
 @settings(max_examples=60, deadline=None)
-def test_compiled_clocked_equals_scalar(case):
+def test_compiled_clocked_equals_scalar(case, data):
+    """``run()`` and the kernel's streamed ``run``/``timing`` at a random
+    edge block (unblocked, one edge, or up to past the edge count) all
+    equal the scalar oracle — on jittered schedules too, which exercises
+    the streamed scan's tick-table bound."""
     program, schedule, delta, padding = case
     sim = ClockedArraySimulator(
         program, schedule, delta=delta, edge_padding=padding
     )
-    compiled = sim.run()
+    n_edges = len(program.array.comm.edges())
+    block = data.draw(
+        st.one_of(st.none(), st.just(1), st.integers(1, n_edges + 3)),
+        label="edge_block",
+    )
+    kernel = sim.compiled()
     scalar = sim.run_scalar()
-    assert repr(compiled.result) == repr(scalar.result)
-    assert compiled.violations == scalar.violations
-    assert compiled.ticks == scalar.ticks
-    assert compiled.makespan == scalar.makespan
+    for compiled in (sim.run(), kernel.run(edge_block=block)):
+        assert repr(compiled.result) == repr(scalar.result)
+        assert compiled.violations == scalar.violations
+        assert compiled.ticks == scalar.ticks
+        assert compiled.makespan == scalar.makespan
+    timing = kernel.timing(edge_block=block)
+    assert timing.violations == scalar.violations
+    assert timing.ticks == scalar.ticks
+    assert timing.makespan == scalar.makespan
 
 
 @given(random_programs(), st.data())

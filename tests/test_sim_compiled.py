@@ -138,6 +138,31 @@ def test_instrumented_run_uses_scalar_path():
     assert tracer.events  # the scalar path emitted per-event spans
 
 
+def test_compiled_spans_same_for_blocked_and_unblocked_runs():
+    from repro.obs.spans import assemble_spans
+    from repro.obs.trace import RecordingTracer
+
+    name, program = _programs(include_matmul=False)[0]
+    buffered, cells, plan = _setup(program)
+    tight = ClockSchedule.from_buffered_tree(
+        buffered, 0.5 * plan.min_safe_period + 1e-6, cells
+    )
+    kernel = ClockedArraySimulator(program, tight, delta=1.0).compiled()
+    trees = []
+    for block in (None, 1):
+        tracer = RecordingTracer()
+        run = kernel.run(tracer=tracer, edge_block=block)
+        assert not run.clean  # the replay path runs under the execute span
+        trees.append(
+            [(s.name, [c.name for c in s.children])
+             for s in assemble_spans(tracer.events)]
+        )
+    assert trees[0] == trees[1] == [
+        ("compiled.run",
+         ["compiled.tick_matrix", "compiled.latch_scan", "compiled.execute"]),
+    ]
+
+
 def test_recurrence_compiled_matches_scalar():
     for name, program in _programs():
         for service in (

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 from repro.obs.schema import validate_sta_report
 
@@ -137,3 +139,39 @@ def test_sta_eco_rejects_unknown_op(tmp_path, capsys):
     code = run_cli(["sta", "--workload", "fir", "--size", "4", "--eco", script])
     assert code == 2
     assert "unknown ECO op" in capsys.readouterr().err
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "flags, script",
+    [
+        (["--period", "nan"], None),
+        (["--period", "inf"], None),
+        (["--delta", "nan"], None),
+        (["--delta", "inf"], None),
+        (["--m", "inf"], None),
+        ([], lambda edge: [{"op": "set_period", "period": NAN}]),
+        ([], lambda edge: [{"op": "set_period", "period": INF}]),
+        ([], lambda edge: [{"op": "retarget_wire", "edge": edge, "length": INF}]),
+        ([], lambda edge: [42]),
+    ],
+    ids=[
+        "period-nan", "period-inf", "delta-nan", "delta-inf", "m-inf",
+        "eco-period-nan", "eco-period-inf", "eco-wire-inf", "eco-step-int",
+    ],
+)
+def test_sta_rejects_non_finite_and_malformed_input(tmp_path, capsys, flags, script):
+    """Non-finite numbers and malformed ECO steps exit 2 with an error
+    line, never a clean verdict and never a traceback.  ``script`` builds
+    the ECO steps from the design's first COMM edge."""
+    from repro.sta.design import design_for_workload
+
+    argv = ["sta", "--workload", "fir", "--size", "5", *flags]
+    if script is not None:
+        u, v = design_for_workload("fir", size=5).edges()[0]
+        steps = script([str(u), str(v)])
+        argv += ["--eco", write_eco_script(tmp_path / "eco.json", steps)]
+    assert run_cli(argv) == 2
+    assert "error:" in capsys.readouterr().err

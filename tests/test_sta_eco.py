@@ -8,10 +8,15 @@ current worst edge), the external-mutation guard, and the per-step
 report's ``eco`` audit block.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.delay.wire import LinearWireModel
+from repro.geometry.point import Point
 from repro.obs.schema import validate_sta_report
+from repro.sim.clock_distribution import ClockSchedule
 from repro.sta.design import design_for_workload, random_design
 from repro.sta.eco import ECOSession
 from repro.sta.slack import analyze_slack, minimum_feasible_period
@@ -217,3 +222,31 @@ def test_random_design_session_stays_exact_through_mixed_edits():
     session.set_period(session.design.period * 1.2)
     assert_bit_identical(session)
     assert len(session.edits) == 4
+
+
+def _open_tree_node(design):
+    return next(n for n in design.tree.nodes() if len(design.tree.children(n)) < 2)
+
+
+NON_FINITE_BOUNDARIES = {
+    "schedule-offset": lambda d, x: ClockSchedule({"a": x}, 1.0),
+    "tree-add-child": lambda d, x: d.tree.add_child(
+        _open_tree_node(d), "spare:0", Point(0.0, 0.0), x
+    ),
+    "tree-set-edge-length": lambda d, x: d.tree.set_edge_length(d.tree.nodes()[-1], x),
+    "design-padding": lambda d, x: dataclasses.replace(d, edge_padding={d.edges()[0]: x}),
+    "design-wire-override": lambda d, x: dataclasses.replace(
+        d, wire_overrides={d.edges()[0]: x}
+    ),
+    "eco-repad": lambda d, x: ECOSession(d).repad_edge(d.edges()[0], x),
+    "wire-model-m": lambda d, x: LinearWireModel(m=x),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("site", sorted(NON_FINITE_BOUNDARIES))
+def test_non_finite_values_rejected_at_the_boundary(site, value):
+    """A NaN passes every ``x < 0`` test; each boundary must refuse it
+    (and infinity) instead of letting it reach a verdict."""
+    with pytest.raises(ValueError, match="finite"):
+        NON_FINITE_BOUNDARIES[site](make_design(), value)
