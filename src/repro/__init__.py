@@ -26,105 +26,43 @@ Quick taste::
     # sigma is a constant -- Theorem 3: 1D arrays clock at any size.
 """
 
-from repro.arrays import (
-    LockstepExecutor,
-    ProcessorArray,
-    build_fir_array,
-    build_matvec_array,
-    build_mesh_matmul,
-    build_odd_even_sorter,
-    complete_binary_tree,
-    hex_array,
-    linear_array,
-    mesh,
-    ring,
-    torus,
-)
-from repro.clocktree import (
-    BufferedClockTree,
-    ClockTree,
-    comb_linear_array,
-    comm_tree_clock,
-    dissection_tree_for_linear,
-    folded_linear_array,
-    htree_for_array,
-    kdtree_clock,
-    serpentine_clock,
-    spine_clock,
-    star_clock,
-)
-from repro.core import (
-    ClockParameters,
-    DifferenceModel,
-    HybridScheme,
-    LowerBoundCertificate,
-    PhysicalModel,
-    SummationModel,
-    build_hybrid,
-    build_scheme,
-    clock_period,
-    equipotential_tau,
-    lower_bound_value,
-    max_skew_bound,
-    pipelined_tau,
-    prove_skew_lower_bound,
-)
-from repro.sim import (
-    ClockSchedule,
-    ClockedArraySimulator,
-    InverterString,
-    paper_calibrated_model,
-    simulate_hybrid,
-    simulate_selftimed_line,
-    worst_case_path_probability,
-)
+from typing import Any, List
+
+from repro._lazy import exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ProcessorArray",
-    "LockstepExecutor",
-    "linear_array",
-    "ring",
-    "mesh",
-    "torus",
-    "hex_array",
-    "complete_binary_tree",
-    "build_fir_array",
-    "build_matvec_array",
-    "build_mesh_matmul",
-    "build_odd_even_sorter",
-    "ClockTree",
-    "BufferedClockTree",
-    "htree_for_array",
-    "dissection_tree_for_linear",
-    "spine_clock",
-    "folded_linear_array",
-    "comb_linear_array",
-    "serpentine_clock",
-    "kdtree_clock",
-    "star_clock",
-    "comm_tree_clock",
-    "DifferenceModel",
-    "SummationModel",
-    "PhysicalModel",
-    "max_skew_bound",
-    "ClockParameters",
-    "clock_period",
-    "equipotential_tau",
-    "pipelined_tau",
-    "build_scheme",
-    "prove_skew_lower_bound",
-    "lower_bound_value",
-    "LowerBoundCertificate",
-    "HybridScheme",
-    "build_hybrid",
-    "ClockSchedule",
-    "ClockedArraySimulator",
-    "InverterString",
-    "paper_calibrated_model",
-    "simulate_hybrid",
-    "simulate_selftimed_line",
-    "worst_case_path_probability",
-    "__version__",
-]
+__all__, _load = exports(__name__, {
+    "arrays.ideal": ("LockstepExecutor",),
+    "arrays.model": ("ProcessorArray",),
+    "arrays.systolic": (
+        "build_fir_array", "build_matvec_array", "build_mesh_matmul", "build_odd_even_sorter",
+    ),
+    "arrays.topologies": (
+        "complete_binary_tree", "hex_array", "linear_array", "mesh", "ring", "torus",
+    ),
+    "clocktree.buffered": ("BufferedClockTree",),
+    "clocktree.tree": ("ClockTree",),
+    "clocktree.spine": ("comb_linear_array", "folded_linear_array", "spine_clock"),
+    "clocktree.builders": ("comm_tree_clock", "kdtree_clock", "serpentine_clock", "star_clock"),
+    "clocktree.htree": ("dissection_tree_for_linear", "htree_for_array"),
+    "core.parameters": ("ClockParameters", "clock_period", "equipotential_tau", "pipelined_tau"),
+    "core.models": ("DifferenceModel", "PhysicalModel", "SummationModel", "max_skew_bound"),
+    "core.hybrid": ("HybridScheme", "build_hybrid"),
+    "core.lower_bound": ("LowerBoundCertificate", "lower_bound_value", "prove_skew_lower_bound"),
+    "core.schemes": ("build_scheme",),
+    "sim.clock_distribution": ("ClockSchedule",),
+    "sim.clocked": ("ClockedArraySimulator",),
+    "sim.inverter": ("InverterString", "paper_calibrated_model"),
+    "sim.hybrid_sim": ("simulate_hybrid",),
+    "sim.selftimed": ("simulate_selftimed_line", "worst_case_path_probability"),
+})
+__all__.append("__version__")
+
+
+def __getattr__(name: str) -> Any:
+    return _load(name)
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))

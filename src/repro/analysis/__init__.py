@@ -7,38 +7,22 @@ benchmarks turn measured sweeps into claims via :mod:`repro.analysis.scaling`
 :mod:`repro.analysis.montecarlo`.
 """
 
-from repro.analysis.scaling import GrowthFit, classify_growth, fit_growth
-from repro.analysis.skew import SchemeEvaluation, compare_schemes, evaluate_scheme
-from repro.analysis.montecarlo import (
-    CompiledTrialContext,
-    MonteCarloSummary,
-    run_trials,
-    summarize,
-)
-from repro.analysis.crossover import Crossover, find_crossover, winning_factor
-from repro.analysis.perf import (
-    KernelTiming,
-    run_perf_suite,
-    speedup_by_kernel,
-    write_bench_results,
-)
+from typing import Any, List
 
-__all__ = [
-    "GrowthFit",
-    "classify_growth",
-    "fit_growth",
-    "SchemeEvaluation",
-    "evaluate_scheme",
-    "compare_schemes",
-    "CompiledTrialContext",
-    "MonteCarloSummary",
-    "run_trials",
-    "summarize",
-    "Crossover",
-    "find_crossover",
-    "winning_factor",
-    "KernelTiming",
-    "run_perf_suite",
-    "speedup_by_kernel",
-    "write_bench_results",
-]
+from repro._lazy import exports
+
+__all__, _load = exports(__name__, {
+    "scaling": ("GrowthFit", "classify_growth", "fit_growth"),
+    "skew": ("SchemeEvaluation", "compare_schemes", "evaluate_scheme"),
+    "montecarlo": ("CompiledTrialContext", "MonteCarloSummary", "run_trials", "summarize"),
+    "crossover": ("Crossover", "find_crossover", "winning_factor"),
+    "perf": ("KernelTiming", "run_perf_suite", "speedup_by_kernel", "write_bench_results"),
+})
+
+
+def __getattr__(name: str) -> Any:
+    return _load(name)
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))

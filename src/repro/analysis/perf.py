@@ -41,6 +41,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
+from repro import __version__
 from repro.analysis.montecarlo import (
     CompiledTrialContext,
     run_trials,
@@ -64,10 +65,22 @@ from repro.graphs.csr import csr_from_comm, grid_csr
 from repro.obs.schema import validate_benchmark_result
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.sim.compiled import CompiledTimingKernel
-
-# repro.sta imports are deferred into the bench functions below:
-# repro/__init__ imports this package before __version__ exists, and
-# repro.sta.report reads repro.__version__ at import time.
+from repro.sta.eco import ECOSession
+from repro.sta.flow import (
+    flow_graph,
+    mcm_howard,
+    mcm_karp,
+    minimal_buffer_sizing,
+    simulate_steady_state_scalar,
+)
+from repro.sta.slack import analyze_slack, minimum_feasible_period
+from repro.sta.tiles import (
+    TileSpec,
+    compose_design,
+    flat_summary,
+    stitched_analysis,
+    tile_cache_clear,
+)
 
 BENCH_HEADERS = [
     "kernel",
@@ -294,9 +307,6 @@ def _eco_bench_design(side: int):
     """A ``side x side`` single-tile composition (serpentine clock chain)
     clocked at 1.1x its exact minimum feasible period — the what-if
     workload both ECO rows edit."""
-    from repro.sta.slack import minimum_feasible_period
-    from repro.sta.tiles import TileSpec, compose_design
-
     spec = TileSpec(rows=side, cols=side)
     design = compose_design(spec, 1, 1, period=1.0)
     period = 1.1 * minimum_feasible_period(design, "exact")
@@ -317,9 +327,6 @@ def bench_eco(
     — ``max_abs_diff`` is 0.0 only when every slack array is
     bit-identical and the summary floats agree exactly.
     """
-    from repro.sta.eco import ECOSession
-    from repro.sta.slack import analyze_slack, minimum_feasible_period
-
     baseline_design = _eco_bench_design(side)
     session = ECOSession(_eco_bench_design(side))
     edges = baseline_design.edges()
@@ -425,14 +432,6 @@ def bench_tiles(
     """Tiled-composition row: a ``side x side`` array as a grid of 8x8
     tiles, flat analysis vs warm-cache stitching.  ``None`` when ``side``
     doesn't decompose into a power-of-two grid of 8x8 tiles."""
-    from repro.sta.tiles import (
-        TileSpec,
-        compose_design,
-        flat_summary,
-        stitched_analysis,
-        tile_cache_clear,
-    )
-
     grid = side // 8
     if grid * 8 != side or grid & (grid - 1):
         return None
@@ -491,14 +490,6 @@ def bench_flow(
     (optimized), on a reduced mesh; exact agreement required on both the
     achieved cycle time and the returned capacity map.
     """
-    from repro.sta.flow import (
-        flow_graph,
-        mcm_howard,
-        mcm_karp,
-        minimal_buffer_sizing,
-        simulate_steady_state_scalar,
-    )
-
     comm = _flow_mesh_comm(side)
     cells = comm.nodes()
     service = {c: 1.0 + ((i * 31) % 8) / 8 for i, c in enumerate(cells)}
@@ -1089,8 +1080,6 @@ def write_bench_results(
     anything touches disk; a malformed artifact raises instead of
     poisoning the perf trajectory.
     """
-    from repro import __version__  # deferred: repro/__init__ imports this package
-
     meta: dict = {"emitted_at": time.time(), "repro_version": __version__}
     if wall_s is not None:
         meta["timing"] = {"wall_s": wall_s}

@@ -7,57 +7,27 @@ small processing-element framework, a lockstep reference executor, and the
 classical systolic workloads used by the examples and benchmarks.
 """
 
-from repro.arrays.model import ProcessorArray
-from repro.arrays.topologies import (
-    complete_binary_tree,
-    hex_array,
-    linear_array,
-    mesh,
-    ring,
-    torus,
-)
-from repro.arrays.cells import (
-    PE,
-    ConstantCell,
-    DelayCell,
-    RecordingSink,
-    ScriptedSource,
-)
-from repro.arrays.ideal import LockstepExecutor
-from repro.arrays.networks import butterfly, cube_connected_cycles, shuffle_exchange
-from repro.arrays.priority_queue import build_priority_queue, reference_priority_queue
-from repro.arrays.systolic import (
-    FirCell,
-    MatVecCell,
-    build_fir_array,
-    build_matvec_array,
-    build_odd_even_sorter,
-    build_mesh_matmul,
-)
+from typing import Any, List
 
-__all__ = [
-    "ProcessorArray",
-    "complete_binary_tree",
-    "hex_array",
-    "linear_array",
-    "mesh",
-    "ring",
-    "torus",
-    "PE",
-    "ConstantCell",
-    "DelayCell",
-    "RecordingSink",
-    "ScriptedSource",
-    "LockstepExecutor",
-    "FirCell",
-    "MatVecCell",
-    "build_fir_array",
-    "build_matvec_array",
-    "build_odd_even_sorter",
-    "build_mesh_matmul",
-    "butterfly",
-    "cube_connected_cycles",
-    "shuffle_exchange",
-    "build_priority_queue",
-    "reference_priority_queue",
-]
+from repro._lazy import exports
+
+__all__, _load = exports(__name__, {
+    "model": ("ProcessorArray",),
+    "topologies": ("complete_binary_tree", "hex_array", "linear_array", "mesh", "ring", "torus"),
+    "cells": ("PE", "ConstantCell", "DelayCell", "RecordingSink", "ScriptedSource"),
+    "ideal": ("LockstepExecutor",),
+    "networks": ("butterfly", "cube_connected_cycles", "shuffle_exchange"),
+    "priority_queue": ("build_priority_queue", "reference_priority_queue"),
+    "systolic": (
+        "FirCell", "MatVecCell", "build_fir_array", "build_matvec_array", "build_odd_even_sorter",
+        "build_mesh_matmul",
+    ),
+})
+
+
+def __getattr__(name: str) -> Any:
+    return _load(name)
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -20,6 +20,10 @@ collected counters/gauges/histograms plus wall-clock phase timings after
 the command (``--metrics-json`` / ``--metrics-prom`` export the registry
 as a schema-valid snapshot or Prometheus text).  Without those flags,
 output is byte-identical to the uninstrumented CLI.
+
+Each command imports the modules it uses when it runs, so ``--help``
+loads no numpy and ``sta`` loads no Monte-Carlo code.  The ``--metrics``
+phase of a command therefore includes its imports in a fresh process.
 """
 
 from __future__ import annotations
@@ -28,34 +32,14 @@ import argparse
 import contextlib
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from repro.analysis.scaling import classify_growth
-from repro.analysis.skew import compare_schemes, evaluate_scheme
-from repro.arrays.model import ProcessorArray
-from repro.arrays.topologies import hex_array, linear_array, mesh, ring, torus
-from repro.clocktree.builders import kdtree_clock, serpentine_clock
-from repro.clocktree.htree import htree_for_array
-from repro.core.hybrid import build_hybrid
-from repro.core.lower_bound import lower_bound_value, prove_skew_lower_bound
-from repro.core.models import DifferenceModel, PhysicalModel, SkewModel, SummationModel
-from repro.core.parameters import equipotential_tau
-from repro.core.schemes import available_schemes
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import Profiler
-from repro.obs.replay import summarize_trace
-from repro.obs.trace import NULL_TRACER, JsonlTracer, load_trace
-from repro.sim.hybrid_sim import simulate_hybrid
-from repro.sim.inverter import InverterString, paper_calibrated_model
-from repro.tables import render_table
+if TYPE_CHECKING:
+    from repro.arrays.model import ProcessorArray
+    from repro.core.models import SkewModel
 
-TOPOLOGIES: Dict[str, Callable[[int], ProcessorArray]] = {
-    "linear": linear_array,
-    "ring": ring,
-    "mesh": lambda n: mesh(n, n),
-    "torus": lambda n: torus(n, n),
-    "hex": lambda n: hex_array(n, n),
-}
+#: The ``--topology`` choices; :func:`_topology` builds one.
+TOPOLOGIES = ("linear", "ring", "mesh", "torus", "hex")
 
 SCHEMES_BY_TOPOLOGY: Dict[str, List[str]] = {
     "linear": ["spine", "dissection-1d", "kdtree", "star"],
@@ -66,7 +50,20 @@ SCHEMES_BY_TOPOLOGY: Dict[str, List[str]] = {
 }
 
 
+def _topology(name: str, n: int) -> ProcessorArray:
+    """The ``--topology`` array of size ``n`` (``n x n`` in two dimensions)."""
+    from repro.arrays.topologies import hex_array, linear_array, mesh, ring, torus
+
+    if name == "linear":
+        return linear_array(n)
+    if name == "ring":
+        return ring(n)
+    return {"mesh": mesh, "torus": torus, "hex": hex_array}[name](n, n)
+
+
 def _model(name: str, m: float, eps: float) -> SkewModel:
+    from repro.core.models import DifferenceModel, PhysicalModel, SummationModel
+
     if name == "difference":
         return DifferenceModel(m=m)
     if name == "summation":
@@ -76,19 +73,19 @@ def _model(name: str, m: float, eps: float) -> SkewModel:
     raise ValueError(f"unknown model {name!r}")
 
 
-def _render_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
-    return render_table(headers, rows)
-
-
 def _print_table(headers: Sequence[str], rows: Sequence[Sequence]) -> None:
-    print(_render_table(headers, rows))
+    from repro.tables import render_table
+
+    print(render_table(headers, rows))
 
 
 # ----------------------------------------------------------------------
 # commands
 # ----------------------------------------------------------------------
 def cmd_report(args: argparse.Namespace) -> int:
-    array = TOPOLOGIES[args.topology](args.size)
+    from repro.analysis.skew import evaluate_scheme
+
+    array = _topology(args.topology, args.size)
     model = _model(args.model, args.m, args.eps)
     ev = evaluate_scheme(array, args.scheme, model, m=args.m, eps=args.eps)
     print(f"{args.scheme} on {array.name} under the {args.model} model:")
@@ -111,7 +108,9 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    array = TOPOLOGIES[args.topology](args.size)
+    from repro.analysis.skew import compare_schemes
+
+    array = _topology(args.topology, args.size)
     model = _model(args.model, args.m, args.eps)
     schemes = SCHEMES_BY_TOPOLOGY[args.topology]
     evs = compare_schemes(array, schemes, model, m=args.m, eps=args.eps)
@@ -124,6 +123,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.analysis.scaling import classify_growth
+    from repro.analysis.skew import evaluate_scheme
+
     sizes = [int(s) for s in args.sizes.split(",")]
     model = _model(args.model, args.m, args.eps)
     tracer = args.tracer
@@ -131,7 +133,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     sigmas = []
     for i, n in enumerate(sizes):
         with _maybe_profiled(args, f"n={n}"):
-            array = TOPOLOGIES[args.topology](n)
+            array = _topology(args.topology, n)
             ev = evaluate_scheme(array, args.scheme, model, m=args.m, eps=args.eps)
         if tracer.enabled:
             tracer.event(
@@ -149,6 +151,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_lower_bound(args: argparse.Namespace) -> int:
+    from repro.arrays.topologies import mesh
+    from repro.clocktree.builders import kdtree_clock, serpentine_clock
+    from repro.clocktree.htree import htree_for_array
+    from repro.core.lower_bound import lower_bound_value, prove_skew_lower_bound
+
     array = mesh(args.size, args.size)
     builders = [
         ("htree", htree_for_array),
@@ -170,6 +177,8 @@ def cmd_lower_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_inverter(args: argparse.Namespace) -> int:
+    from repro.sim.inverter import InverterString, paper_calibrated_model
+
     print(f"inverter string, n={args.stages}, {args.chips} chips:")
     tracer = args.tracer
     metrics = args.metrics_registry
@@ -195,6 +204,12 @@ def cmd_inverter(args: argparse.Namespace) -> int:
 
 
 def cmd_hybrid(args: argparse.Namespace) -> int:
+    from repro.arrays.topologies import mesh
+    from repro.clocktree.builders import serpentine_clock
+    from repro.core.hybrid import build_hybrid
+    from repro.core.parameters import equipotential_tau
+    from repro.sim.hybrid_sim import simulate_hybrid
+
     array = mesh(args.size, args.size)
     scheme = build_hybrid(array, element_size=args.element)
     result = simulate_hybrid(
@@ -274,7 +289,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_advise(args: argparse.Namespace) -> int:
     from repro.core.advisor import recommend
 
-    array = TOPOLOGIES[args.topology](args.size)
+    array = _topology(args.topology, args.size)
     model = _model(args.model, args.m, args.eps)
     rec = recommend(array, model, delta=args.delta)
     print(f"recommendation for {array.name} under the {args.model} model:")
@@ -295,6 +310,8 @@ def cmd_advise(args: argparse.Namespace) -> int:
 
 
 def cmd_schemes(args: argparse.Namespace) -> int:
+    from repro.core.schemes import available_schemes
+
     _print_table(
         ["scheme", "description"],
         [(s.name, s.description) for s in available_schemes()],
@@ -459,8 +476,8 @@ def cmd_sta(args: argparse.Namespace) -> int:
     import json
 
     from repro.obs.schema import validate_sta_report
-    from repro.sta import STAAnalyzer, design_for_workload
-    from repro.sta.design import WORKLOADS
+    from repro.sta.analyzer import STAAnalyzer
+    from repro.sta.design import WORKLOADS, design_for_workload
     from repro.sta.report import render_report
 
     if args.eco is not None and args.workload == "all":
@@ -571,8 +588,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
     Exit 0 only if every design is live and every agreement is exact."""
     import json
 
-    from repro.sta import design_for_workload
-    from repro.sta.design import WORKLOADS
+    from repro.sta.design import WORKLOADS, design_for_workload
     from repro.sta.flowreport import render_flow_report
 
     workloads = list(WORKLOADS) if args.workload == "all" else [args.workload]
@@ -609,6 +625,9 @@ def cmd_flow(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     """Replay a JSONL trace: counts, skew histogram, violation timeline."""
+    from repro.obs.replay import summarize_trace
+    from repro.obs.trace import load_trace
+
     events = load_trace(args.file)
     if getattr(args, "critical_path", False):
         return _print_critical_path(args.file, events)
@@ -691,6 +710,7 @@ def cmd_dashboard(args: argparse.Namespace) -> int:
         render_dashboard_text,
         write_dashboard_html,
     )
+    from repro.obs.trace import load_trace
 
     events = load_trace(args.file)
     dash = build_dashboard(events)
@@ -709,6 +729,10 @@ def _attach_observability(args: argparse.Namespace) -> None:
     """Resolve the ``--trace`` / ``--metrics`` flags into live objects on
     the namespace.  Defaults are the no-op instruments, so commands can
     use ``args.tracer`` unconditionally."""
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.profile import Profiler
+    from repro.obs.trace import NULL_TRACER, JsonlTracer
+
     trace_path = getattr(args, "trace", None)
     args.tracer = JsonlTracer(trace_path) if trace_path else NULL_TRACER
     want_metrics = bool(

@@ -10,45 +10,24 @@ builders (serpentine, k-d, star) used as comparison points in the
 lower-bound experiments.
 """
 
-from repro.clocktree.tree import ClockTree
-from repro.clocktree.htree import (
-    dissection_tree_for_linear,
-    htree,
-    htree_for_array,
-    htree_for_grid,
-)
-from repro.clocktree.spine import (
-    comb_linear_array,
-    folded_linear_array,
-    spine_clock,
-    tapped_trunk,
-)
-from repro.clocktree.buffered import BufferedClockTree
-from repro.clocktree.builders import (
-    comm_tree_clock,
-    kdtree_clock,
-    serpentine_clock,
-    star_clock,
-)
-from repro.clocktree.optimize import greedy_clock_tree, max_pair_path_length
-from repro.clocktree.tuning import tune_to_equidistant
+from typing import Any, List
 
-__all__ = [
-    "ClockTree",
-    "htree",
-    "htree_for_grid",
-    "htree_for_array",
-    "dissection_tree_for_linear",
-    "spine_clock",
-    "tapped_trunk",
-    "folded_linear_array",
-    "comb_linear_array",
-    "BufferedClockTree",
-    "serpentine_clock",
-    "kdtree_clock",
-    "star_clock",
-    "comm_tree_clock",
-    "greedy_clock_tree",
-    "max_pair_path_length",
-    "tune_to_equidistant",
-]
+from repro._lazy import exports
+
+__all__, _load = exports(__name__, {
+    "tree": ("ClockTree",),
+    "htree": ("dissection_tree_for_linear", "htree", "htree_for_array", "htree_for_grid"),
+    "spine": ("comb_linear_array", "folded_linear_array", "spine_clock", "tapped_trunk"),
+    "buffered": ("BufferedClockTree",),
+    "builders": ("comm_tree_clock", "kdtree_clock", "serpentine_clock", "star_clock"),
+    "optimize": ("greedy_clock_tree", "max_pair_path_length"),
+    "tuning": ("tune_to_equidistant",),
+})
+
+
+def __getattr__(name: str) -> Any:
+    return _load(name)
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))

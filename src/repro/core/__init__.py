@@ -14,83 +14,37 @@ This package is the paper's contribution proper, built on the substrates:
 * :mod:`repro.core.hybrid` — the Section VI hybrid synchronization scheme.
 """
 
-from repro.core.models import (
-    DifferenceModel,
-    PhysicalModel,
-    SkewModel,
-    SummationModel,
-    max_skew_bound,
-)
-from repro.core.parameters import (
-    ClockParameters,
-    clock_period,
-    equipotential_tau,
-    pipelined_tau,
-    scheme_parameters,
-)
-from repro.core.schemes import ClockingScheme, available_schemes, build_scheme, register_scheme
-from repro.core.theorems import (
-    SweepRecord,
-    fig3a_counterexample_sweep,
-    theorem2_sweep,
-    theorem3_sweep,
-    theorem6_bound,
-    theorem6_sweep,
-)
-from repro.core.lower_bound import (
-    LowerBoundCertificate,
-    lower_bound_value,
-    prove_skew_lower_bound,
-)
-from repro.core.hybrid import HybridScheme, build_hybrid, partition_into_elements
-from repro.core.padding import ClockingPlan, compute_hold_padding, plan_safe_clocking
-from repro.core.disciplines import (
-    DisciplineReport,
-    PulseModeDiscipline,
-    SinglePhaseDiscipline,
-    TwoPhaseDiscipline,
-)
-from repro.core.assumptions import AssumptionCheck, audit, failures
-from repro.core.advisor import Recommendation, classify_structure, recommend
+from typing import Any, List
 
-__all__ = [
-    "SkewModel",
-    "DifferenceModel",
-    "SummationModel",
-    "PhysicalModel",
-    "max_skew_bound",
-    "ClockParameters",
-    "clock_period",
-    "equipotential_tau",
-    "pipelined_tau",
-    "scheme_parameters",
-    "ClockingScheme",
-    "available_schemes",
-    "build_scheme",
-    "register_scheme",
-    "SweepRecord",
-    "theorem2_sweep",
-    "theorem3_sweep",
-    "fig3a_counterexample_sweep",
-    "theorem6_bound",
-    "theorem6_sweep",
-    "LowerBoundCertificate",
-    "prove_skew_lower_bound",
-    "lower_bound_value",
-    "HybridScheme",
-    "build_hybrid",
-    "partition_into_elements",
-    "ClockingPlan",
-    "compute_hold_padding",
-    "plan_safe_clocking",
-    "DisciplineReport",
-    "SinglePhaseDiscipline",
-    "TwoPhaseDiscipline",
-    "PulseModeDiscipline",
-    "AssumptionCheck",
-    "audit",
-    "failures",
-    "Recommendation",
-    "classify_structure",
-    "recommend",
-]
+from repro._lazy import exports
+
+__all__, _load = exports(__name__, {
+    "models": (
+        "DifferenceModel", "PhysicalModel", "SkewModel", "SummationModel", "max_skew_bound",
+    ),
+    "parameters": (
+        "ClockParameters", "clock_period", "equipotential_tau", "pipelined_tau",
+        "scheme_parameters",
+    ),
+    "schemes": ("ClockingScheme", "available_schemes", "build_scheme", "register_scheme"),
+    "theorems": (
+        "SweepRecord", "fig3a_counterexample_sweep", "theorem2_sweep", "theorem3_sweep",
+        "theorem6_bound", "theorem6_sweep",
+    ),
+    "lower_bound": ("LowerBoundCertificate", "lower_bound_value", "prove_skew_lower_bound"),
+    "hybrid": ("HybridScheme", "build_hybrid", "partition_into_elements"),
+    "padding": ("ClockingPlan", "compute_hold_padding", "plan_safe_clocking"),
+    "disciplines": (
+        "DisciplineReport", "PulseModeDiscipline", "SinglePhaseDiscipline", "TwoPhaseDiscipline",
+    ),
+    "assumptions": ("AssumptionCheck", "audit", "failures"),
+    "advisor": ("Recommendation", "classify_structure", "recommend"),
+})
+
+
+def __getattr__(name: str) -> Any:
+    return _load(name)
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -9,25 +9,23 @@ rising/falling-edge asymmetry (Section VII), and random variation processes
 used to break the time-invariance assumption A8 in experiments.
 """
 
-from repro.delay.wire import ElmoreWireModel, LinearWireModel, WireDelayModel
-from repro.delay.buffer import Buffer, InverterPairModel
-from repro.delay.variation import (
-    BoundedUniformVariation,
-    GaussianVariation,
-    NoVariation,
-    SpatialGradientVariation,
-    VariationProcess,
-)
+from typing import Any, List
 
-__all__ = [
-    "WireDelayModel",
-    "LinearWireModel",
-    "ElmoreWireModel",
-    "Buffer",
-    "InverterPairModel",
-    "VariationProcess",
-    "NoVariation",
-    "BoundedUniformVariation",
-    "GaussianVariation",
-    "SpatialGradientVariation",
-]
+from repro._lazy import exports
+
+__all__, _load = exports(__name__, {
+    "wire": ("ElmoreWireModel", "LinearWireModel", "WireDelayModel"),
+    "buffer": ("Buffer", "InverterPairModel"),
+    "variation": (
+        "BoundedUniformVariation", "GaussianVariation", "NoVariation", "SpatialGradientVariation",
+        "VariationProcess",
+    ),
+})
+
+
+def __getattr__(name: str) -> Any:
+    return _load(name)
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))

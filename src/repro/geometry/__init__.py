@@ -5,37 +5,24 @@ unit-area cells (A2) and unit-width wires (A3), Manhattan wire routing, and
 the rectangular-to-square grid embedding used by Theorem 2.
 """
 
-from repro.geometry.point import (
-    ORIGIN,
-    BoundingBox,
-    Point,
-    circle_area,
-    circle_circumference,
-    points_within,
-    polyline_length,
-)
-from repro.geometry.layout import Layout, Wire
-from repro.geometry.routing import (
-    l_route,
-    manhattan_route_length,
-    snake_order,
-    spiral_order,
-)
-from repro.geometry.embedding import embed_rectangle_in_square
+from typing import Any, List
 
-__all__ = [
-    "ORIGIN",
-    "BoundingBox",
-    "Point",
-    "Layout",
-    "Wire",
-    "circle_area",
-    "circle_circumference",
-    "points_within",
-    "polyline_length",
-    "l_route",
-    "manhattan_route_length",
-    "snake_order",
-    "spiral_order",
-    "embed_rectangle_in_square",
-]
+from repro._lazy import exports
+
+__all__, _load = exports(__name__, {
+    "point": (
+        "ORIGIN", "BoundingBox", "Point", "circle_area", "circle_circumference", "points_within",
+        "polyline_length",
+    ),
+    "layout": ("Layout", "Wire"),
+    "routing": ("l_route", "manhattan_route_length", "snake_order", "spiral_order"),
+    "embedding": ("embed_rectangle_in_square",),
+})
+
+
+def __getattr__(name: str) -> Any:
+    return _load(name)
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -23,109 +23,39 @@ snapshots, and :mod:`repro.obs.schema` validates every JSON artifact the
 layer emits.
 """
 
-from repro.obs.trace import (
-    NULL_TRACER,
-    JsonlTracer,
-    NullTracer,
-    RecordingTracer,
-    TraceEvent,
-    Tracer,
-    load_trace,
-    read_trace,
-)
-from repro.obs.metrics import (
-    DEFAULT_TIME_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.profile import PhaseStat, Profiler, profiled
-from repro.obs.replay import TraceSummary, summarize_trace
-from repro.obs.spans import (
-    Span,
-    SpanContext,
-    SpanTracer,
-    assemble_spans,
-    iter_spans,
-    span_index,
-)
-from repro.obs.critpath import (
-    CriticalPath,
-    PathStep,
-    clocked_critical_path,
-    critical_path_from_trace,
-    selftimed_critical_path,
-)
-from repro.obs.dashboard import (
-    Dashboard,
-    build_dashboard,
-    render_dashboard,
-    render_dashboard_html,
-    render_dashboard_text,
-)
-from repro.obs.export import (
-    metrics_snapshot,
-    render_prometheus,
-    snapshot_delta,
-)
-from repro.obs.schema import (
-    BENCHMARK_RESULT_SCHEMA,
-    METRICS_SNAPSHOT_SCHEMA,
-    SPAN_EVENT_SCHEMA,
-    TRACE_EVENT_SCHEMA,
-    validate,
-    validate_benchmark_result,
-    validate_metrics_snapshot,
-    validate_span_event,
-    validate_trace_event,
-)
+from typing import Any, List
 
-__all__ = [
-    "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
-    "RecordingTracer",
-    "JsonlTracer",
-    "TraceEvent",
-    "read_trace",
-    "load_trace",
-    "Span",
-    "SpanContext",
-    "SpanTracer",
-    "assemble_spans",
-    "iter_spans",
-    "span_index",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "DEFAULT_TIME_BUCKETS",
-    "Profiler",
-    "PhaseStat",
-    "profiled",
-    "TraceSummary",
-    "summarize_trace",
-    "CriticalPath",
-    "PathStep",
-    "clocked_critical_path",
-    "critical_path_from_trace",
-    "selftimed_critical_path",
-    "Dashboard",
-    "build_dashboard",
-    "render_dashboard",
-    "render_dashboard_html",
-    "render_dashboard_text",
-    "metrics_snapshot",
-    "render_prometheus",
-    "snapshot_delta",
-    "validate",
-    "validate_trace_event",
-    "validate_span_event",
-    "validate_metrics_snapshot",
-    "validate_benchmark_result",
-    "TRACE_EVENT_SCHEMA",
-    "SPAN_EVENT_SCHEMA",
-    "METRICS_SNAPSHOT_SCHEMA",
-    "BENCHMARK_RESULT_SCHEMA",
-]
+from repro._lazy import exports
+
+__all__, _load = exports(__name__, {
+    "trace": (
+        "NULL_TRACER", "JsonlTracer", "NullTracer", "RecordingTracer", "TraceEvent", "Tracer",
+        "load_trace", "read_trace",
+    ),
+    "metrics": ("DEFAULT_TIME_BUCKETS", "Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    "profile": ("PhaseStat", "Profiler", "profiled"),
+    "replay": ("TraceSummary", "summarize_trace"),
+    "spans": ("Span", "SpanContext", "SpanTracer", "assemble_spans", "iter_spans", "span_index"),
+    "critpath": (
+        "CriticalPath", "PathStep", "clocked_critical_path", "critical_path_from_trace",
+        "selftimed_critical_path",
+    ),
+    "dashboard": (
+        "Dashboard", "build_dashboard", "render_dashboard", "render_dashboard_html",
+        "render_dashboard_text",
+    ),
+    "export": ("metrics_snapshot", "render_prometheus", "snapshot_delta"),
+    "schema": (
+        "BENCHMARK_RESULT_SCHEMA", "METRICS_SNAPSHOT_SCHEMA", "SPAN_EVENT_SCHEMA",
+        "TRACE_EVENT_SCHEMA", "validate", "validate_benchmark_result", "validate_metrics_snapshot",
+        "validate_span_event", "validate_trace_event",
+    ),
+})
+
+
+def __getattr__(name: str) -> Any:
+    return _load(name)
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -21,6 +21,7 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, List, Optional
 
+from repro import __version__
 from repro.obs.metrics import Histogram, LabelPairs, MetricsRegistry
 from repro.obs.schema import validate_metrics_snapshot
 
@@ -37,8 +38,6 @@ def metrics_snapshot(
     registry: MetricsRegistry, emitted_at: Optional[float] = None
 ) -> Dict[str, Any]:
     """A schema-valid JSON snapshot of everything registered."""
-    from repro import __version__  # deferred: repro/__init__ imports obs
-
     snapshot = registry.to_dict()
     snapshot["meta"] = {
         "emitted_at": float(emitted_at) if emitted_at is not None else time.time(),

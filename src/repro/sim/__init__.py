@@ -17,76 +17,35 @@ Where :mod:`repro.core` reasons with bounds, this package *runs* systems:
   experiment (equipotential vs pipelined clocking).
 """
 
-from repro.sim.events import EventQueue
-from repro.sim.engine import Simulator
-from repro.sim.clock_distribution import ClockSchedule
-from repro.sim.clocked import ClockedArraySimulator, ClockedRunResult, TimingViolation
-from repro.sim.compiled import (
-    CompiledClockedKernel,
-    CompiledRecurrence,
-    compile_clocked,
-)
-from repro.sim.selftimed import (
-    SelfTimedResult,
-    simulate_selftimed_line,
-    simulate_selftimed_wavefront,
-    worst_case_path_probability,
-)
-from repro.sim.handshake import (
-    HandshakeResult,
-    run_handshake_pipeline,
-    run_handshake_wavefront,
-)
-from repro.sim.hybrid_exec import HybridExecution, execute_program_hybrid
-from repro.sim.two_phase import (
-    min_two_phase_period,
-    phase_separation,
-    two_phase_simulator,
-)
-from repro.sim.hybrid_sim import HybridRunResult, simulate_hybrid
-from repro.sim.inverter import (
-    InverterString,
-    InverterStringResult,
-    fixed_yield_cycle_time,
-    paper_calibrated_model,
-)
-from repro.sim.faults import (
-    JitteredSchedule,
-    ViolationSummary,
-    slow_subtree,
-    summarize_violations,
-)
+from typing import Any, List
 
-__all__ = [
-    "EventQueue",
-    "Simulator",
-    "ClockSchedule",
-    "ClockedArraySimulator",
-    "ClockedRunResult",
-    "TimingViolation",
-    "CompiledClockedKernel",
-    "CompiledRecurrence",
-    "compile_clocked",
-    "SelfTimedResult",
-    "simulate_selftimed_line",
-    "worst_case_path_probability",
-    "HybridRunResult",
-    "simulate_hybrid",
-    "InverterString",
-    "InverterStringResult",
-    "paper_calibrated_model",
-    "fixed_yield_cycle_time",
-    "JitteredSchedule",
-    "ViolationSummary",
-    "slow_subtree",
-    "summarize_violations",
-    "simulate_selftimed_wavefront",
-    "HandshakeResult",
-    "run_handshake_pipeline",
-    "run_handshake_wavefront",
-    "HybridExecution",
-    "execute_program_hybrid",
-    "two_phase_simulator",
-    "min_two_phase_period",
-    "phase_separation",
-]
+from repro._lazy import exports
+
+__all__, _load = exports(__name__, {
+    "events": ("EventQueue",),
+    "engine": ("Simulator",),
+    "clock_distribution": ("ClockSchedule",),
+    "clocked": ("ClockedArraySimulator", "ClockedRunResult", "TimingViolation"),
+    "compiled": ("CompiledClockedKernel", "CompiledRecurrence", "compile_clocked"),
+    "selftimed": (
+        "SelfTimedResult", "simulate_selftimed_line", "simulate_selftimed_wavefront",
+        "worst_case_path_probability",
+    ),
+    "handshake": ("HandshakeResult", "run_handshake_pipeline", "run_handshake_wavefront"),
+    "hybrid_exec": ("HybridExecution", "execute_program_hybrid"),
+    "two_phase": ("min_two_phase_period", "phase_separation", "two_phase_simulator"),
+    "hybrid_sim": ("HybridRunResult", "simulate_hybrid"),
+    "inverter": (
+        "InverterString", "InverterStringResult", "fixed_yield_cycle_time",
+        "paper_calibrated_model",
+    ),
+    "faults": ("JitteredSchedule", "ViolationSummary", "slow_subtree", "summarize_violations"),
+})
+
+
+def __getattr__(name: str) -> Any:
+    return _load(name)
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))

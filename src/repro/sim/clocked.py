@@ -91,8 +91,8 @@ class ClockedArraySimulator:
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        if delta < 0:
-            raise ValueError("delta must be non-negative")
+        if not 0 <= delta < math.inf:
+            raise ValueError("delta must be non-negative and finite")
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._metrics = metrics
         self._program = program
@@ -110,8 +110,10 @@ class ClockedArraySimulator:
         layout = program.array.layout
         for u, v in self._comm.edges():
             pad = padding.get((u, v), 0.0)
-            if pad < 0:
-                raise ValueError(f"negative padding on edge {(u, v)!r}")
+            if not 0 <= pad < math.inf:
+                raise ValueError(
+                    f"padding on edge {(u, v)!r} must be non-negative and finite"
+                )
             self._edge_delay[(u, v)] = (
                 self._wire_model.delay(layout.distance(u, v)) + pad
             )

@@ -20,6 +20,7 @@ prescribes the hybrid scheme.  This module supplies the breakage:
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, Iterable, List, Mapping, Tuple
@@ -52,8 +53,8 @@ class JitteredSchedule(ClockSchedule):
     """
 
     def __init__(self, base: ClockSchedule, amplitude: float, seed: int = 0) -> None:
-        if amplitude < 0:
-            raise ValueError("amplitude must be non-negative")
+        if not 0 <= amplitude < math.inf:
+            raise ValueError("amplitude must be non-negative and finite")
         if amplitude >= base.period / 2:
             raise ValueError("amplitude must stay below half the period")
         super().__init__({c: base.offset(c) for c in base.cells()}, base.period)

@@ -35,92 +35,33 @@ runs violation-free, and every simulator-observed violation edge has
 non-positive static slack.
 """
 
-from repro.sta.analyzer import STAAnalyzer, analyze
-from repro.sta.design import (
-    Design,
-    WORKLOADS,
-    design_for_workload,
-    random_design,
-)
-from repro.sta.drc import RuleResult, drc_counts, drc_failures, run_drc
-from repro.sta.eco import ECOSession, EcoEdit
-from repro.sta.flow import (
-    FlowAnalysis,
-    FlowCycle,
-    FlowEdge,
-    FlowGraph,
-    SizingResult,
-    SteadyState,
-    analyze_flow,
-    detect_deadlock,
-    flow_graph,
-    mcm_howard,
-    mcm_karp,
-    minimal_buffer_sizing,
-    simulate_steady_state,
-    simulate_steady_state_scalar,
-)
-from repro.sta.flowreport import build_flow_report, render_flow_report
-from repro.sta.report import STAReport, build_report, render_report
-from repro.sta.slack import (
-    EdgeSlack,
-    SlackAnalysis,
-    analyze_slack,
-    edge_lags,
-    minimum_feasible_period,
-    minimum_feasible_period_closed_form,
-    pad_for_races,
-)
-from repro.sta.tiles import (
-    ArraySummary,
-    TileSpec,
-    compose_design,
-    flat_summary,
-    stitched_analysis,
-)
+from typing import Any, List
 
-__all__ = [
-    "ArraySummary",
-    "Design",
-    "ECOSession",
-    "EcoEdit",
-    "EdgeSlack",
-    "FlowAnalysis",
-    "FlowCycle",
-    "FlowEdge",
-    "FlowGraph",
-    "RuleResult",
-    "STAAnalyzer",
-    "STAReport",
-    "SizingResult",
-    "SlackAnalysis",
-    "SteadyState",
-    "TileSpec",
-    "WORKLOADS",
-    "analyze",
-    "analyze_flow",
-    "analyze_slack",
-    "build_flow_report",
-    "build_report",
-    "compose_design",
-    "design_for_workload",
-    "detect_deadlock",
-    "drc_counts",
-    "drc_failures",
-    "edge_lags",
-    "flat_summary",
-    "flow_graph",
-    "mcm_howard",
-    "mcm_karp",
-    "minimal_buffer_sizing",
-    "minimum_feasible_period",
-    "minimum_feasible_period_closed_form",
-    "pad_for_races",
-    "random_design",
-    "render_flow_report",
-    "render_report",
-    "simulate_steady_state",
-    "simulate_steady_state_scalar",
-    "run_drc",
-    "stitched_analysis",
-]
+from repro._lazy import exports
+
+__all__, _load = exports(__name__, {
+    "analyzer": ("STAAnalyzer", "analyze"),
+    "design": ("Design", "WORKLOADS", "design_for_workload", "random_design"),
+    "drc": ("RuleResult", "drc_counts", "drc_failures", "run_drc"),
+    "eco": ("ECOSession", "EcoEdit"),
+    "flow": (
+        "FlowAnalysis", "FlowCycle", "FlowEdge", "FlowGraph", "SizingResult", "SteadyState",
+        "analyze_flow", "detect_deadlock", "flow_graph", "mcm_howard", "mcm_karp",
+        "minimal_buffer_sizing", "simulate_steady_state", "simulate_steady_state_scalar",
+    ),
+    "flowreport": ("build_flow_report", "render_flow_report"),
+    "report": ("STAReport", "build_report", "render_report"),
+    "slack": (
+        "EdgeSlack", "SlackAnalysis", "analyze_slack", "edge_lags", "minimum_feasible_period",
+        "minimum_feasible_period_closed_form", "pad_for_races",
+    ),
+    "tiles": ("ArraySummary", "TileSpec", "compose_design", "flat_summary", "stitched_analysis"),
+})
+
+
+def __getattr__(name: str) -> Any:
+    return _load(name)
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -14,14 +14,20 @@ pipeline interval with ``O(sqrt(N))`` through-delay.
   machine that runs on the pipelined structure.
 """
 
-from repro.treemachine.layout import htree_tree_layout, level_edge_lengths
-from repro.treemachine.pipeline import PipelinedTree, pipeline_tree
-from repro.treemachine.machine import SearchTreeMachine
+from typing import Any, List
 
-__all__ = [
-    "htree_tree_layout",
-    "level_edge_lengths",
-    "PipelinedTree",
-    "pipeline_tree",
-    "SearchTreeMachine",
-]
+from repro._lazy import exports
+
+__all__, _load = exports(__name__, {
+    "layout": ("htree_tree_layout", "level_edge_lengths"),
+    "pipeline": ("PipelinedTree", "pipeline_tree"),
+    "machine": ("SearchTreeMachine",),
+})
+
+
+def __getattr__(name: str) -> Any:
+    return _load(name)
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))

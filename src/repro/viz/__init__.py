@@ -6,13 +6,19 @@ folded and comb layouts (Figs. 4-6), the hybrid element grid (Fig. 8) — can
 be regenerated as SVG for inspection.
 """
 
-from repro.viz.ascii_art import render_array, render_clock_tree, render_layout
-from repro.viz.svg import figure_to_svg, save_svg
+from typing import Any, List
 
-__all__ = [
-    "render_layout",
-    "render_array",
-    "render_clock_tree",
-    "figure_to_svg",
-    "save_svg",
-]
+from repro._lazy import exports
+
+__all__, _load = exports(__name__, {
+    "ascii_art": ("render_array", "render_clock_tree", "render_layout"),
+    "svg": ("figure_to_svg", "save_svg"),
+})
+
+
+def __getattr__(name: str) -> Any:
+    return _load(name)
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -17,6 +17,8 @@ from repro.delay.wire import LinearWireModel
 from repro.geometry.point import Point
 from repro.obs.schema import validate_sta_report
 from repro.sim.clock_distribution import ClockSchedule
+from repro.sim.clocked import ClockedArraySimulator
+from repro.sim.faults import JitteredSchedule
 from repro.sta.design import design_for_workload, random_design
 from repro.sta.eco import ECOSession
 from repro.sta.slack import analyze_slack, minimum_feasible_period
@@ -240,6 +242,11 @@ NON_FINITE_BOUNDARIES = {
     ),
     "eco-repad": lambda d, x: ECOSession(d).repad_edge(d.edges()[0], x),
     "wire-model-m": lambda d, x: LinearWireModel(m=x),
+    "simulator-delta": lambda d, x: ClockedArraySimulator(d.program, d.schedule, delta=x),
+    "simulator-padding": lambda d, x: ClockedArraySimulator(
+        d.program, d.schedule, edge_padding={d.edges()[0]: x}
+    ),
+    "jitter-amplitude": lambda d, x: JitteredSchedule(d.schedule, x),
 }
 
 
