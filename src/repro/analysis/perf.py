@@ -1094,7 +1094,7 @@ def write_bench_results(
     if errors:
         raise ValueError(f"BENCH payload failed schema validation: {errors}")
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
+        json.dump(payload, fh, indent=1, allow_nan=False)
         fh.write("\n")
     return payload
 

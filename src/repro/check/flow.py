@@ -5,7 +5,8 @@ Three checks hold :mod:`repro.sta.flow` to the event-driven truth:
 * ``differential-mcm`` — on dyadic-rational designs the Karp formula
   value, the Howard critical-cycle ratio, and the simulator's measured
   long-run rate are the same rational, so they must be the same float —
-  zero diff, at every tested topology, size, and capacity regime.  The
+  zero diff, at every tested topology, size, and capacity regime — and
+  the exact certificate of the Howard answer must verify.  The
   transient side rides along: the closed-form
   :meth:`~repro.sta.flow.SteadyState.makespan_at` must be bit-equal to
   the iterated compiled recurrence at extrapolated horizons.
@@ -33,6 +34,7 @@ from repro.sim.dataflow import (
 )
 from repro.sta.flow import (
     analyze_flow,
+    certify_mcm,
     detect_deadlock,
     flow_graph,
     mcm_howard,
@@ -87,10 +89,11 @@ def _topologies(ctx: CheckContext) -> List[Tuple[str, CommGraph]]:
 @REGISTRY.register(
     "differential-mcm",
     "differential",
-    "the static maximum cycle mean (Karp oracle and Howard kernel) equals "
-    "the simulator's measured long-run cycle time bit-for-bit on dyadic "
-    "designs, and the closed-form steady-state makespan extrapolation "
-    "matches the iterated recurrence exactly",
+    "the static maximum cycle mean (Karp oracle and Howard kernel, whose "
+    "exact certificate verifies) equals the simulator's measured long-run "
+    "cycle time bit-for-bit on dyadic designs, and the closed-form "
+    "steady-state makespan extrapolation matches the iterated recurrence "
+    "exactly",
 )
 def check_differential_mcm(ctx: CheckContext) -> Dict[str, Any]:
     from repro.sim.compiled import CompiledRecurrence
@@ -114,6 +117,9 @@ def check_differential_mcm(ctx: CheckContext) -> Dict[str, Any]:
                     f"{name}/cap={cap}: Howard and Karp disagree",
                     topology=name, capacity=cap,
                     howard=howard.cycle_time, karp=karp)
+            cert = certify_mcm(fg, howard)
+            require(cert.verified, f"{name}/cap={cap}: certificate failed",
+                    topology=name, capacity=cap, failed=cert.failed)
             steady = simulate_steady_state(comm, service, 0.5, cap)
             require(howard.cycle_time == steady.cycle_time,
                     f"{name}/cap={cap}: static MCM != simulated rate",

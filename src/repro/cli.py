@@ -355,7 +355,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         return 2
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
+            json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
         print(f"\nwrote {args.json} (schema-validated)")
     counts = report["counts"]
@@ -523,7 +523,7 @@ def cmd_sta(args: argparse.Namespace) -> int:
         return 2
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
         print(f"\nwrote {args.json} (schema-validated, {len(payload)} reports)")
     if args.flow:
@@ -542,7 +542,7 @@ def cmd_sta(args: argparse.Namespace) -> int:
             )
             print(f"flow[{workload}]: {summary}")
         with open(args.flow, "w", encoding="utf-8") as fh:
-            json.dump(flow_payload, fh, indent=2, sort_keys=True)
+            json.dump(flow_payload, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
         print(
             f"wrote {args.flow} (schema-validated, "
@@ -605,7 +605,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
         payload.append(report)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
         print(
             f"\nwrote {args.json} (schema-validated, "

@@ -165,7 +165,7 @@ def write_metrics_json(registry: MetricsRegistry, path: str) -> Dict[str, Any]:
 
     snapshot = metrics_snapshot(registry)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(snapshot, fh, indent=2, sort_keys=True)
+        json.dump(snapshot, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return snapshot
 

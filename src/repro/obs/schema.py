@@ -11,18 +11,21 @@ perf-trajectory tooling of later PRs:
 The validator speaks a deliberately tiny dialect of JSON Schema —
 ``type`` (string or list of strings), ``properties`` + ``required`` for
 objects, ``items`` for arrays — enough to pin the shapes down without a
-dependency.
+dependency.  A ``"number"`` must be finite, as strict JSON has no NaN
+or infinity.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List
 
 _TYPE_CHECKS = {
     "object": lambda v: isinstance(v, dict),
     "array": lambda v: isinstance(v, list),
     "string": lambda v: isinstance(v, str),
-    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "number": lambda v: (isinstance(v, int) and not isinstance(v, bool))
+    or (isinstance(v, float) and math.isfinite(v)),
     "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "boolean": lambda v: isinstance(v, bool),
     "null": lambda v: v is None,
@@ -40,9 +43,8 @@ def validate(obj: Any, schema: Dict[str, Any], path: str = "$") -> List[str]:
             if t not in _TYPE_CHECKS:
                 raise ValueError(f"unsupported schema type {t!r}")
         if not any(_TYPE_CHECKS[t](obj) for t in allowed):
-            errors.append(
-                f"{path}: expected {'/'.join(allowed)}, got {type(obj).__name__}"
-            )
+            got = repr(obj) if isinstance(obj, float) else type(obj).__name__
+            errors.append(f"{path}: expected {'/'.join(allowed)}, got {got}")
             return errors
     if isinstance(obj, dict):
         for key in schema.get("required", []):
@@ -323,6 +325,13 @@ def validate_trace_event(obj: Any) -> List[str]:
     return validate(obj, TRACE_EVENT_SCHEMA)
 
 
+#: The payload keys each span-event kind needs (the schema types them).
+_SPAN_KEYS = {
+    "start": ("parent", "name", "worker", "wall_t0", "attrs"),
+    "end": ("wall_s", "status", "attrs"),
+}
+
+
 def validate_span_event(obj: Any) -> List[str]:
     """Schema check for one span start/end event, including the per-kind
     payload the mini-schema cannot express: starts need ``parent``,
@@ -333,41 +342,14 @@ def validate_span_event(obj: Any) -> List[str]:
         return errors
     if obj["cat"] != "span":
         errors.append(f"$.cat: expected 'span', got {obj['cat']!r}")
-    kind = obj["kind"]
-    data = obj["data"]
-    if kind == "start":
-        for key, types in (
-            ("parent", (str, type(None))),
-            ("name", (str,)),
-            ("worker", (str,)),
-            ("wall_t0", (int, float)),
-            ("attrs", (dict,)),
-        ):
-            if key not in data:
-                errors.append(f"$.data: missing required key {key!r}")
-            elif not isinstance(data[key], types) or isinstance(data[key], bool):
-                errors.append(
-                    f"$.data.{key}: wrong type {type(data[key]).__name__}"
-                )
-    elif kind == "end":
-        for key, types in (
-            ("wall_s", (int, float)),
-            ("status", (str,)),
-            ("attrs", (dict,)),
-        ):
-            if key not in data:
-                errors.append(f"$.data: missing required key {key!r}")
-            elif not isinstance(data[key], types) or isinstance(data[key], bool):
-                errors.append(
-                    f"$.data.{key}: wrong type {type(data[key]).__name__}"
-                )
-        if isinstance(data.get("status"), str) and data["status"] not in (
-            "ok",
-            "error",
-        ):
-            errors.append(f"$.data.status: unknown status {data['status']!r}")
-    else:
+    kind, data = obj["kind"], obj["data"]
+    if kind not in _SPAN_KEYS:
         errors.append(f"$.kind: expected 'start' or 'end', got {kind!r}")
+    for key in _SPAN_KEYS.get(kind, ()):
+        if key not in data:
+            errors.append(f"$.data: missing required key {key!r}")
+    if kind == "end" and data.get("status", "ok") not in ("ok", "error"):
+        errors.append(f"$.data.status: unknown status {data['status']!r}")
     return errors
 
 
@@ -517,9 +499,9 @@ def validate_violation_summary(obj: Any) -> List[str]:
 #: Shape of the report ``python -m repro flow --json FILE`` (and
 #: ``python -m repro sta --flow FILE``) writes: the static max-plus
 #: analysis of a self-timed array — deadlock verdict, maximum cycle
-#: mean with its critical-cycle blame rows, the agreement block against
-#: the scalar oracle and the simulator, transient bounds, and (when a
-#: target was given) the minimal buffer sizing.
+#: mean with its critical-cycle blame rows, the agreement block (the
+#: exact certificate of the MCM and the simulator cross-check), transient
+#: bounds, and (when a target was given) the minimal buffer sizing.
 FLOW_REPORT_SCHEMA: Dict[str, Any] = {
     "type": "object",
     "required": [
@@ -573,11 +555,20 @@ FLOW_REPORT_SCHEMA: Dict[str, Any] = {
         "agreement": {
             "type": ["object", "null"],
             "required": [
-                "karp_cycle_time", "simulated_cycle_time", "max_abs_diff",
+                "certificate", "simulated_cycle_time", "max_abs_diff",
                 "exact",
             ],
             "properties": {
-                "karp_cycle_time": {"type": ["number", "null"]},
+                "certificate": {
+                    "type": "object",
+                    "required": ["verified", "failed", "exact_mean", "edges_checked"],
+                    "properties": {
+                        "verified": {"type": "boolean"},
+                        "failed": {"type": ["string", "null"]},
+                        "exact_mean": {"type": ["string", "null"]},
+                        "edges_checked": {"type": "integer"},
+                    },
+                },
                 "simulated_cycle_time": {"type": ["number", "null"]},
                 "max_abs_diff": {"type": "number"},
                 "exact": {"type": "boolean"},
@@ -631,8 +622,10 @@ def validate_flow_report(obj: Any) -> List[str]:
     """Schema check plus the cross-field invariants of a flow report:
     a deadlocked design has no MCM/agreement/transient blocks (and vice
     versa), the deadlock cycle is non-empty exactly when dead, blame
-    shares lie in [0, 1], agreement ``exact`` means a zero diff, and a
-    sizing block (when present) meets its own target."""
+    shares lie in [0, 1], agreement ``exact`` means a verified
+    certificate and a zero diff, a certificate names a failed condition
+    exactly when it does not verify, and a sizing block (when present)
+    meets its own target."""
     errors = validate(obj, FLOW_REPORT_SCHEMA)
     if errors:
         return errors
@@ -665,6 +658,11 @@ def validate_flow_report(obj: Any) -> List[str]:
                 f"$.agreement.exact: true with max_abs_diff "
                 f"{agreement['max_abs_diff']}"
             )
+        cert = agreement["certificate"]
+        if cert["verified"] == (cert["failed"] is not None):
+            errors.append("$.agreement.certificate: verified iff no failed condition")
+        if agreement["exact"] and not cert["verified"]:
+            errors.append("$.agreement.exact: true with an unverified certificate")
     sizing = obj["sizing"]
     if sizing is not None and sizing["cycle_time"] > sizing["target"]:
         errors.append(

@@ -187,7 +187,7 @@ class JsonlTracer(Tracer):
     def record(self, event: TraceEvent) -> None:
         if self._fh is None:
             raise ValueError(f"tracer for {self.path!r} is closed")
-        self._fh.write(json.dumps(event.to_json_obj()) + "\n")
+        self._fh.write(json.dumps(event.to_json_obj(), allow_nan=False) + "\n")
         self.events_written += 1
 
     def close(self) -> None:

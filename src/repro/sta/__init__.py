@@ -17,10 +17,10 @@ executable as a linter:
   per-edit dirty-set derivation, bit-identical to a full re-analysis at
   every step;
 * :mod:`repro.sta.flow` — simulation-free *self-timed* analysis: maximum
-  cycle mean (Karp oracle + vectorized Howard kernel) with critical-cycle
-  blame, static deadlock detection, minimal buffer sizing, and transient
-  makespan bounds, all held to bit-exact agreement with the event-driven
-  simulator;
+  cycle mean (vectorized Howard kernel with an exact certificate, Karp
+  oracle) with critical-cycle blame, static deadlock detection, minimal
+  buffer sizing, and transient makespan bounds, all held to bit-exact
+  agreement with the event-driven simulator;
 * :mod:`repro.sta.flowreport` — the schema-pinned flow report
   (``python -m repro flow``);
 * :mod:`repro.sta.tiles` — tiled composition by abutment: pre-characterize
@@ -45,9 +45,10 @@ __all__, _load = exports(__name__, {
     "drc": ("RuleResult", "drc_counts", "drc_failures", "run_drc"),
     "eco": ("ECOSession", "EcoEdit"),
     "flow": (
-        "FlowAnalysis", "FlowCycle", "FlowEdge", "FlowGraph", "SizingResult", "SteadyState",
-        "analyze_flow", "detect_deadlock", "flow_graph", "mcm_howard", "mcm_karp",
-        "minimal_buffer_sizing", "simulate_steady_state", "simulate_steady_state_scalar",
+        "Certificate", "FlowAnalysis", "FlowCycle", "FlowEdge", "FlowGraph", "SizingResult",
+        "SteadyState", "analyze_flow", "certify_mcm", "detect_deadlock", "flow_graph",
+        "mcm_howard", "mcm_karp", "minimal_buffer_sizing", "simulate_steady_state",
+        "simulate_steady_state_scalar",
     ),
     "flowreport": ("build_flow_report", "render_flow_report"),
     "report": ("STAReport", "build_report", "render_report"),

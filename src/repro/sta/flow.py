@@ -9,9 +9,11 @@ gives closed-form answers the event engine can only observe:
 * **Steady-state cycle time** is the maximum cycle mean (MCM) of the
   graph: ``lambda = max over cycles (sum of weights / sum of tokens)``.
   Computed two ways — :func:`mcm_karp` (the scalar oracle: Karp's
-  theorem on the token-expanded graph, per SCC) and :func:`mcm_howard`
+  theorem on the token-expanded graph) and :func:`mcm_howard`
   (the fast kernel: vectorized policy iteration, with critical-cycle
   extraction feeding the :mod:`repro.obs.critpath` blame format).
+  :func:`certify_mcm` checks a Howard answer exactly in O(V + E) from
+  its converged state, which is what a flow report runs.
 * **Deadlock** is a token-free cycle: under a capacity assignment the
   capacity-1 channels carry zero tokens, so :func:`detect_deadlock`
   reduces to a cycle search in that COMM subgraph — the very search
@@ -53,7 +55,10 @@ exact float, so Karp's formula value, Howard's critical-cycle ratio,
 and the simulator's measured long-run rate are all correctly-rounded
 divisions of exact operands of the same rational — equal bit for bit.
 The ``differential-mcm`` oracle and the property suite hold this at
-zero diff.
+zero diff.  The certificate needs no such grid: it reads each float as
+the dyadic rational it is, so a verified certificate proves the
+reported cycle time is the exact MCM of the contracted graph, rounded
+to nearest, for any finite weights.
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ from typing import (
     Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -108,6 +114,7 @@ _HOWARD_EPS = 1e-9
 _HOWARD_MAX_ITERS = 10_000
 
 __all__ = [
+    "Certificate",
     "FlowAnalysis",
     "FlowEdge",
     "FlowGraph",
@@ -115,6 +122,7 @@ __all__ = [
     "SizingResult",
     "SteadyState",
     "analyze_flow",
+    "certify_mcm",
     "detect_deadlock",
     "flow_graph",
     "mcm_howard",
@@ -249,8 +257,8 @@ def flow_graph(
     credit edges are *included* — deadlock detection and contraction
     happen in the solvers.
     """
-    if wire_delay < 0:
-        raise ValueError("wire delay must be non-negative")
+    if not 0 <= wire_delay < math.inf:
+        raise ValueError("wire delay must be non-negative and finite")
     csr = csr_from_comm(comm)
     cells = csr.nodes if csr.nodes is not None else list(range(csr.n_cells))
     index = {c: i for i, c in enumerate(cells)}
@@ -440,12 +448,14 @@ class FlowCycle:
     the steady-state cycle time.
 
     ``edges`` are the original :class:`FlowEdge` links in cycle order
-    (zero-token chains re-expanded); ``path`` renders them in the
+    (zero-token chains re-expanded), and ``edge_ids`` their indices in
+    the graph; ``path`` renders them in the
     :mod:`repro.obs.critpath` blame format — one lap of the cycle, whose
     telescoped endpoint is ``weight`` (so blame shares sum to 1).
     ``cycle_time`` is ``weight / tokens`` with ``weight`` accumulated in
     step order — the exact rational, correctly rounded, under dyadic
-    delays.
+    delays.  ``state`` is the converged Howard state that
+    :func:`certify_mcm` checks.
     """
 
     cycle_time: float
@@ -455,6 +465,10 @@ class FlowCycle:
     path: CriticalPath
     iterations: int = 0
     policy: Optional[np.ndarray] = field(default=None, repr=False)
+    edge_ids: Tuple[int, ...] = ()
+    state: Optional["_HowardState"] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def throughput(self) -> float:
@@ -463,16 +477,20 @@ class FlowCycle:
 
 def _finish_cycle(
     fg: FlowGraph,
-    chain_edges: List[FlowEdge],
-    iterations: int = 0,
-    policy: Optional[np.ndarray] = None,
+    ids: List[int],
+    iterations: int,
+    policy: np.ndarray,
+    state: "_HowardState",
 ) -> FlowCycle:
-    """Flatten a contracted cycle into the canonical :class:`FlowCycle`:
-    rotate to start at the smallest dense id (deterministic), build the
-    blame steps, and accumulate weight in step order."""
-    if chain_edges:
-        anchor = min(range(len(chain_edges)), key=lambda i: chain_edges[i].src)
-        chain_edges = chain_edges[anchor:] + chain_edges[:anchor]
+    """Flatten a contracted cycle (original edge ids, in cycle order) into
+    the canonical :class:`FlowCycle`: rotate to start at the smallest
+    dense id (deterministic), build the blame steps, and accumulate
+    weight in step order."""
+    if ids:
+        srcs = fg.esrc[ids].tolist()
+        anchor = srcs.index(min(srcs))
+        ids = ids[anchor:] + ids[:anchor]
+    chain_edges = [fg.edge(i) for i in ids]
     cells = fg.cells
     steps: List[PathStep] = []
     t = 0.0
@@ -515,6 +533,8 @@ def _finish_cycle(
         path=path,
         iterations=iterations,
         policy=policy,
+        edge_ids=tuple(ids),
+        state=state,
     )
 
 
@@ -548,110 +568,38 @@ def _expand_tokens(
     return next_node, out
 
 
-def _sccs(n: int, edges: List[Tuple[int, int, float]]) -> List[List[int]]:
-    """Strongly connected components (iterative Tarjan)."""
-    succ: Dict[int, List[int]] = {}
-    for u, v, _ in edges:
-        succ.setdefault(u, []).append(v)
-    index_of: Dict[int, int] = {}
-    low: Dict[int, int] = {}
-    on_stack: Set[int] = set()
-    comp_stack: List[int] = []
-    sccs: List[List[int]] = []
-    counter = 0
-    for root in range(n):
-        if root in index_of:
-            continue
-        work: List[Tuple[int, int]] = [(root, 0)]
-        while work:
-            node, child = work.pop()
-            if child == 0:
-                index_of[node] = low[node] = counter
-                counter += 1
-                comp_stack.append(node)
-                on_stack.add(node)
-            recurse = False
-            out = succ.get(node, ())
-            for j in range(child, len(out)):
-                nxt = out[j]
-                if nxt not in index_of:
-                    work.append((node, j + 1))
-                    work.append((nxt, 0))
-                    recurse = True
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index_of[nxt])
-            if recurse:
-                continue
-            if low[node] == index_of[node]:
-                comp: List[int] = []
-                while True:
-                    w = comp_stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                sccs.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    return sccs
-
-
 def mcm_karp(fg: FlowGraph) -> Optional[float]:
     """Maximum cycle mean by Karp's theorem — the scalar oracle for
     :func:`mcm_howard`.
 
-    Per strongly connected component of the token-expanded graph:
-    ``lambda = max_v min_{0 <= k < n} (D_n(v) - D_k(v)) / (n - k)``
-    with ``D_0 === 0`` (multi-source form).  O(V * E) per component —
-    the reference implementation, run at oracle sizes.  Returns ``None``
-    when the graph has no cycle; raises
+    Multi-source form on the token-expanded graph, so no SCC split:
+    ``lambda = max_v min_{0 <= k < n} (D_n(v) - D_k(v)) / (n - k)`` with
+    ``D_0 === 0`` (a virtual source reaching every node at weight 0).
+    O(V * E) — the reference implementation, run at oracle sizes.
+    Returns ``None`` when the graph has no cycle; raises
     :class:`~repro.sim.dataflow.ChannelDeadlockError` on a token-free
     cycle.
     """
     norm = _normalize(fg)
     if not len(norm.src):
         return None
-    n_exp, edges = _expand_tokens(norm)
+    m, edges = _expand_tokens(norm)
+    neg_inf = -math.inf
+    D = [[0.0] * m]
+    for _ in range(m):
+        prev, row = D[-1], [neg_inf] * m
+        for u, v, w in edges:
+            if prev[u] > neg_inf and prev[u] + w > row[v]:
+                row[v] = prev[u] + w
+        D.append(row)
     best: Optional[float] = None
-    for comp in _sccs(n_exp, edges):
-        comp_set = set(comp)
-        local = {node: i for i, node in enumerate(comp)}
-        inner = [
-            (local[u], local[v], w)
-            for u, v, w in edges
-            if u in comp_set and v in comp_set
-        ]
-        if not inner:
+    for v in range(m):
+        if D[m][v] == neg_inf:
             continue
-        m = len(comp)
-        neg_inf = -math.inf
-        D = [[neg_inf] * m for _ in range(m + 1)]
-        for i in range(m):
-            D[0][i] = 0.0
-        for k in range(1, m + 1):
-            row = D[k]
-            prev = D[k - 1]
-            for u, v, w in inner:
-                if prev[u] > neg_inf:
-                    cand = prev[u] + w
-                    if cand > row[v]:
-                        row[v] = cand
-        lam = neg_inf
-        last = D[m]
-        for v in range(m):
-            if last[v] == neg_inf:
-                continue
-            worst = math.inf
-            for k in range(m):
-                if D[k][v] > neg_inf:
-                    ratio = (last[v] - D[k][v]) / (m - k)
-                    if ratio < worst:
-                        worst = ratio
-            if worst > lam:
-                lam = worst
-        if lam > neg_inf and (best is None or lam > best):
+        lam = min(
+            (D[m][v] - D[k][v]) / (m - k) for k in range(m) if D[k][v] > neg_inf
+        )
+        if best is None or lam > best:
             best = lam
     return best
 
@@ -695,7 +643,9 @@ def mcm_howard(
     node set (``FlowCycle.policy``: chosen predecessor per node, -1 for
     none) — the ECO path uses this after capacity edits.  The scalar
     oracle is :func:`mcm_karp`; the two agree bit-for-bit under dyadic
-    delays (``differential-mcm``).
+    delays (``differential-mcm``).  The converged state rides along on
+    ``FlowCycle.state`` so :func:`certify_mcm` can check the answer
+    exactly without solving again.
     """
     norm = _normalize(fg)
     if not len(norm.src):
@@ -882,17 +832,136 @@ def mcm_howard(
     # The best policy cycle is the critical cycle; flatten it back to
     # original edges (cycle order: follow the policy backwards, so the
     # edge list walks constrainer -> constrained).
-    chain: List[FlowEdge] = []
+    chain: List[int] = []
     for u in reversed(best_cycle):
-        e = int(policy[u])
-        chain.extend(
-            fg.edge(orig) for orig in norm.chain(int(e_ids[e]))
-        )
+        chain.extend(norm.chain(int(e_ids[policy[u]])))
     pred_choice = np.full(norm.n, -1, dtype=np.int64)
     pred_choice[core_nodes] = esrc_orig[policy]
-    return _finish_cycle(
-        fg, chain, iterations=iterations, policy=pred_choice
-    )
+    state = _HowardState(fg, csrc, cdst, ew, et, policy, core_nodes)
+    return _finish_cycle(fg, chain, iterations, pred_choice, state)
+
+
+# ----------------------------------------------------------------------
+# the certificate: Howard's answer checked exactly, not solved again
+# ----------------------------------------------------------------------
+class _HowardState(NamedTuple):
+    """Howard's converged state on the cyclic core of ``graph``'s
+    contraction, in compact ids: in-edges sorted by destination (tokens
+    as floats), each node's chosen in-edge, and each node's dense id."""
+
+    graph: FlowGraph
+    src: np.ndarray
+    dst: np.ndarray
+    weight: np.ndarray
+    tokens: np.ndarray
+    policy: np.ndarray
+    nodes: np.ndarray
+
+
+class Certificate(NamedTuple):
+    """What :func:`certify_mcm` proved: ``failed`` names the first failing
+    condition (``None`` when verified), ``mean`` is the critical cycle's
+    exact mean as a reduced ``(num, den)``, ``edges`` the edges checked."""
+
+    failed: Optional[str]
+    mean: Optional[Tuple[int, int]] = None
+    edges: int = 0
+
+    @property
+    def verified(self) -> bool:
+        return self.failed is None
+
+
+def certify_mcm(fg: FlowGraph, cycle: FlowCycle) -> Certificate:
+    """Prove exactly, in O(V + E), that ``cycle.cycle_time`` is the
+    maximum cycle mean of ``fg`` rounded to nearest.
+
+    Each finite float is ``k / 2**j``, so one power-of-two scale ``q``
+    makes every weight an integer (int64 where every product provably
+    fits, Python ints elsewhere).  *Lower bound:* ``cycle.edge_ids`` is a
+    closed walk of graph edges whose exact mean rounds to
+    ``cycle.cycle_time``.  *Upper bound:* Howard's final policy, evaluated
+    exactly, gives each core node the reduced mean ``a/b`` of the policy
+    cycle it drains into and a potential ``P = q*b*pi``.  No ``a/b``
+    exceeds the walk's mean, and on every contracted core edge ``u -> v``
+    either the classes match and ``P_v >= P_u + b*w - a*t``, or
+    ``a_u/b_u < a_v/b_v``.  A class mean cannot rise all the way round a
+    cycle, so each cycle stays in one class, whose inequalities sum to
+    bound its mean.  Nodes outside the core lie on no cycle.
+    """
+    st, walk = cycle.state, np.asarray(cycle.edge_ids, dtype=np.int64)
+    if st is None or st.graph is not fg or not len(walk):
+        return Certificate("lower-bound: no critical cycle of this graph to check")
+    weights = np.concatenate([fg.eweight[walk], st.weight])
+    if not np.isfinite(weights).all():
+        return Certificate("lower-bound: a weight is not finite")
+    q = max(x.as_integer_ratio()[1] for x in set(weights.tolist()))
+    if q < 2**62 and q * float(np.abs(weights).max()) < 2.0**62:
+        w = (weights * q).astype(np.int64)  # exact: q is a power of two
+    else:
+        ratios = map(float.as_integer_ratio, weights.tolist())
+        w = np.asarray([n * (q // d) for n, d in ratios], dtype=object)
+    num, den = sum(w[: len(walk)].tolist()), int(fg.etokens[walk].sum())
+    if den < 1 or not np.array_equal(fg.edst[walk], fg.esrc[np.roll(walk, -1)]):
+        return Certificate("lower-bound: not a closed walk with tokens")
+    g = math.gcd(num, q * den)
+    mean = (num // g, q * den // g)
+    if cycle.cycle_time != num / (q * den):  # int / int rounds correctly
+        return Certificate(
+            f"lower-bound: exact mean {mean[0]}/{mean[1]} does not round to "
+            f"cycle_time {cycle.cycle_time!r}", mean,
+        )
+    w, t = w[len(walk):], st.tokens.astype(np.int64)
+    classes = _policy_classes(st.src[st.policy].tolist(), w[st.policy], t[st.policy])
+    ma, mb, mp = (max(map(abs, c)) for c in classes)
+    mw = max(abs(int(w.min())), abs(int(w.max())))
+    fits = ma * (int(t.max()) + mb + den) + mb * (abs(num) + mw) + 2 * mp < 2**63
+    a, b, p = (np.asarray(c, dtype=np.int64 if fits else object) for c in classes)
+    u, v = st.src, st.dst
+    high = np.flatnonzero(a * den > num * b)
+    if len(high):
+        cell = fg.cells[st.nodes[high[0]]]
+        return Certificate(
+            f"upper-bound: {cell!r} drains into a policy cycle of higher mean",
+            mean,
+        )
+    broken = np.flatnonzero(np.where(
+        (a[u] == a[v]) & (b[u] == b[v]),
+        p[v] - p[u] - b[v] * w + a[v] * t < 0,
+        a[u] * b[v] >= a[v] * b[u],
+    ))
+    if len(broken):
+        x, y = (fg.cells[st.nodes[end[broken[0]]]] for end in (u, v))
+        return Certificate(f"upper-bound: edge {x!r} -> {y!r} breaks its inequality", mean)
+    return Certificate(None, mean, len(u))
+
+
+def _policy_classes(
+    pred: List[int], w: np.ndarray, t: np.ndarray
+) -> Tuple[List[int], List[int], List[int]]:
+    """A policy (``pred``, with chosen in-edge weights ``w`` and tokens
+    ``t`` per node) evaluated in integers: each node's reduced policy
+    cycle mean ``a/b`` and the potential that makes its edge tight."""
+    we, te, n = w.tolist(), t.tolist(), len(pred)
+    a, b, p, color = [0] * n, [1] * n, [0] * n, [0] * n
+    for v0 in range(n):
+        walk: List[int] = []
+        v = v0
+        while not color[v]:
+            color[v] = 1
+            walk.append(v)
+            v = pred[v]
+        if color[v] == 1:  # the walk closed a new policy cycle at v
+            cyc = walk[walk.index(v):]
+            num, den = sum(we[x] for x in cyc), sum(te[x] for x in cyc)
+            g = math.gcd(num, den)
+            a[v], b[v], color[v] = num // g, den // g, 2
+        for x in reversed(walk):
+            if color[x] == 1:
+                y = pred[x]
+                a[x], b[x], color[x] = a[y], b[y], 2
+                p[x] = p[y] + b[x] * we[x] - a[x] * te[x]
+    return a, b, p
 
 
 # ----------------------------------------------------------------------

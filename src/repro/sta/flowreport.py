@@ -1,24 +1,25 @@
 """The schema-pinned flow report: one JSON document per flow query.
 
 :func:`build_flow_report` runs the full static stack — deadlock verdict,
-Howard MCM with critical-cycle blame, the Karp oracle, optionally the
-dynamic steady-state cross-check and the buffer-sizing optimizer — and
-packs the result in the :data:`repro.obs.schema.FLOW_REPORT_SCHEMA`
+Howard MCM with critical-cycle blame, its exact certificate, optionally
+the dynamic steady-state cross-check and the buffer-sizing optimizer —
+and packs the result in the :data:`repro.obs.schema.FLOW_REPORT_SCHEMA`
 shape, self-validating before returning (an invalid report is a bug,
 never an artifact).  ``python -m repro flow`` / ``python -m repro sta
 --flow`` emit and render these.
 
 The ``agreement`` block is the report's teeth: on live designs it
-records the Howard-vs-Karp and static-vs-simulated cycle times and the
-worst absolute difference, with ``exact`` true only at a bitwise zero —
-the same contract the ``differential-mcm`` oracle enforces in
-:mod:`repro.check`.
+records the certificate of the Howard answer
+(:func:`~repro.sta.flow.certify_mcm`, which names the failing condition
+when it does not verify) and the static-vs-simulated difference, with
+``exact`` true only when the certificate verifies and the simulator,
+when it ran, lands on the same float.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro import __version__
 from repro.graphs.comm import CommGraph
@@ -30,10 +31,14 @@ from repro.sta.flow import (
     FlowAnalysis,
     ServiceSpec,
     analyze_flow,
-    mcm_karp,
+    certify_mcm,
     minimal_buffer_sizing,
     simulate_steady_state,
 )
+
+# Unused here: perfbench's traced run wraps this lookup name until it
+# wraps names at their defining modules (ROADMAP item 5, PR A).
+from repro.sta.flow import mcm_karp  # noqa: F401
 
 __all__ = ["build_flow_report", "render_flow_report"]
 
@@ -101,10 +106,7 @@ def build_flow_report(
     transient: Optional[Dict[str, Any]] = None
     if not analysis.dead and analysis.cycle is not None:
         howard = analysis.cycle.cycle_time
-        karp = mcm_karp(analysis.graph)
-        diffs: List[float] = []
-        if karp is not None:
-            diffs.append(abs(howard - karp))
+        cert = certify_mcm(analysis.graph, analysis.cycle)
         simulated: Optional[float] = None
         if simulate:
             compiled = CompiledRecurrence(comm)
@@ -118,7 +120,6 @@ def build_flow_report(
                 compiled=compiled,
             )
             simulated = steady.cycle_time
-            diffs.append(abs(howard - simulated))
             c_lo, c_hi = steady.bounds()
             svc = dict(zip(cells, service_rows(cells, service)(0).tolist()))
             horizons = (steady.waves_run + 7, 2 * steady.waves_run + 3)
@@ -137,12 +138,14 @@ def build_flow_report(
                 "makespan_checks": len(horizons),
                 "makespan_max_err": max_err,
             }
-        max_abs_diff = max(diffs, default=0.0)
+        max_abs_diff = 0.0 if simulated is None else abs(howard - simulated)
+        mean = None if cert.mean is None else "%d/%d" % cert.mean
         agreement = {
-            "karp_cycle_time": karp,
+            "certificate": {"verified": cert.verified, "failed": cert.failed,
+                            "exact_mean": mean, "edges_checked": cert.edges},
             "simulated_cycle_time": simulated,
             "max_abs_diff": max_abs_diff,
-            "exact": max_abs_diff == 0.0,
+            "exact": cert.verified and max_abs_diff == 0.0,
         }
     sizing: Optional[Dict[str, Any]] = None
     if sizing_target is not None:
@@ -221,9 +224,11 @@ def render_flow_report(report: Dict[str, Any]) -> str:
     if agreement is not None:
         sim = agreement["simulated_cycle_time"]
         sim_txt = f"{sim:g}" if sim is not None else "skipped"
+        cert = agreement["certificate"]
+        cert_txt = (f"certified={cert['exact_mean']}" if cert["verified"]
+                    else f"certificate FAILED ({cert['failed']})")
         lines.append(
-            f"  agreement: karp={agreement['karp_cycle_time']:g} "
-            f"simulated={sim_txt} max_abs_diff="
+            f"  agreement: {cert_txt} simulated={sim_txt} max_abs_diff="
             f"{agreement['max_abs_diff']:g} "
             f"{'EXACT' if agreement['exact'] else 'APPROX'}"
         )

@@ -1,10 +1,12 @@
 """Property tests (hypothesis): the static flow analysis vs the machine.
 
-Three contracts over randomized designs and capacity assignments:
+Four contracts over randomized designs and capacity assignments:
 
 * the maximum cycle mean equals the simulator's measured long-run cycle
   time *bit-for-bit* — dyadic-rational services make every path sum an
   exact float, so static and dynamic land on the same number;
+* the exact certificate of every Howard answer verifies, and its exact
+  mean rounds to Karp's value bit for bit;
 * ``minimal_buffer_sizing`` is irreducible: decrementing any returned
   depth deadlocks the array or pushes the cycle time above the target;
 * ``detect_deadlock`` agrees with the simulator's eager
@@ -13,7 +15,7 @@ Three contracts over randomized designs and capacity assignments:
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.sim.dataflow import (
@@ -23,6 +25,7 @@ from repro.sim.dataflow import (
 )
 from repro.sta.design import random_design
 from repro.sta.flow import (
+    certify_mcm,
     detect_deadlock,
     flow_graph,
     mcm_howard,
@@ -52,6 +55,25 @@ def test_mcm_equals_simulated_rate_bit_for_bit(seed, cap):
     assert cycle.cycle_time == mcm_karp(fg)
     steady = simulate_steady_state(comm, service, 0.5, cap)
     assert cycle.cycle_time == steady.cycle_time
+
+
+@given(seed=seeds, cap=st.sampled_from([None, 1, 2, 3, "map"]))
+@settings(max_examples=30, deadline=None)
+def test_certificate_verifies_and_equals_karp(seed, cap):
+    design = random_design(seed)
+    comm = design.array.comm
+    service = _dyadic_services(comm, seed)
+    if cap == "map":
+        rng = random.Random(f"flow-prop-cap|{seed}")
+        cap = {e: rng.randint(1, 4) for e in comm.edges()}
+    assume(detect_deadlock(comm, cap) is None)
+    fg = flow_graph(comm, service, 0.5, cap)
+    cycle = mcm_howard(fg)
+    assert cycle is not None
+    cert = certify_mcm(fg, cycle)
+    assert cert.verified, cert.failed
+    num, den = cert.mean
+    assert num / den == cycle.cycle_time == mcm_karp(fg)
 
 
 @given(seed=seeds, slack_eighths=st.integers(min_value=0, max_value=4))
