@@ -12,13 +12,13 @@ The validator speaks a deliberately tiny dialect of JSON Schema —
 ``type`` (string or list of strings), ``properties`` + ``required`` for
 objects, ``items`` for arrays — enough to pin the shapes down without a
 dependency.  A ``"number"`` must be finite, as strict JSON has no NaN
-or infinity.
+or infinity.  Schemas run compiled into nested closures (:func:`validate`).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 _TYPE_CHECKS = {
     "object": lambda v: isinstance(v, dict),
@@ -32,30 +32,84 @@ _TYPE_CHECKS = {
 }
 
 
-def validate(obj: Any, schema: Dict[str, Any], path: str = "$") -> List[str]:
-    """Validate ``obj`` against the mini-schema; returns error strings
-    (empty list means valid)."""
-    errors: List[str] = []
+#: A compiled node: its type predicate, its types as errors spell them, and
+#: ``walk(obj, path, errors)``.  A *leaf* (a type and nothing else) has no
+#: walk: its parent runs the predicate and builds a path only for an error.
+_Node = Tuple[Callable[[Any], bool], str, Optional[Callable[[Any, str, List[str]], None]]]
+
+
+def _any(obj: Any) -> bool:
+    return True
+
+
+def _type_error(path: str, expected: str, obj: Any) -> str:
+    got = repr(obj) if isinstance(obj, float) else type(obj).__name__
+    return f"{path}: expected {expected}, got {got}"
+
+
+def _compile(schema: Dict[str, Any]) -> _Node:
+    """Compile one mini-schema node, and its children, into closures."""
+    test, expected = _any, ""
     types = schema.get("type")
     if types is not None:
         allowed = [types] if isinstance(types, str) else list(types)
         for t in allowed:
             if t not in _TYPE_CHECKS:
                 raise ValueError(f"unsupported schema type {t!r}")
-        if not any(_TYPE_CHECKS[t](obj) for t in allowed):
-            got = repr(obj) if isinstance(obj, float) else type(obj).__name__
-            errors.append(f"{path}: expected {'/'.join(allowed)}, got {got}")
-            return errors
-    if isinstance(obj, dict):
-        for key in schema.get("required", []):
-            if key not in obj:
-                errors.append(f"{path}: missing required key {key!r}")
-        for key, subschema in schema.get("properties", {}).items():
-            if key in obj:
-                errors.extend(validate(obj[key], subschema, f"{path}.{key}"))
-    if isinstance(obj, list) and "items" in schema:
-        for i, item in enumerate(obj):
-            errors.extend(validate(item, schema["items"], f"{path}[{i}]"))
+        checks = [_TYPE_CHECKS[t] for t in allowed]
+        test = checks[0] if len(checks) == 1 else lambda v: any(c(v) for c in checks)
+        expected = "/".join(allowed)
+    required = tuple(schema.get("required", []))
+    required_set = frozenset(required)
+    properties = [(k, _compile(sub)) for k, sub in schema.get("properties", {}).items()]
+    items = _compile(schema["items"]) if "items" in schema else None
+    if not required and not properties and items is None:
+        return test, expected, None
+
+    def walk(obj: Any, path: str, errors: List[str]) -> None:
+        if not test(obj):
+            errors.append(_type_error(path, expected, obj))
+            return
+        if isinstance(obj, dict):
+            if not obj.keys() >= required_set:
+                for key in required:
+                    if key not in obj:
+                        errors.append(f"{path}: missing required key {key!r}")
+            for key, (sub_test, sub_expected, sub_walk) in properties:
+                if key in obj:
+                    value = obj[key]
+                    if sub_walk is not None:
+                        sub_walk(value, f"{path}.{key}", errors)
+                    elif not sub_test(value):
+                        errors.append(_type_error(f"{path}.{key}", sub_expected, value))
+        if items is not None and isinstance(obj, list):
+            item_test, item_expected, item_walk = items
+            for i, item in enumerate(obj):
+                if item_walk is not None:
+                    item_walk(item, f"{path}[{i}]", errors)
+                elif not item_test(item):
+                    errors.append(_type_error(f"{path}[{i}]", item_expected, item))
+
+    return test, expected, walk
+
+
+def validate(obj: Any, schema: Dict[str, Any], path: str = "$") -> List[str]:
+    """Validate ``obj`` against the mini-schema; returns error strings
+    (empty list means valid).  The schema runs compiled: a ``*_SCHEMA``
+    constant once, on first use, and any other dict on every call, so a
+    mutated one never meets a stale compile.  An unknown type raises
+    ``ValueError``."""
+    node = _compiled.get(id(schema))
+    if node is None:
+        node = _compile(schema)
+        if id(schema) in _compiled:
+            _compiled[id(schema)] = node
+    test, expected, walk = node
+    errors: List[str] = []
+    if walk is not None:
+        walk(obj, path, errors)
+    elif not test(obj):
+        errors.append(_type_error(path, expected, obj))
     return errors
 
 
@@ -684,3 +738,10 @@ def validate_benchmark_result(obj: Any) -> List[str]:
                     f"$.rows[{i}]: has {len(row)} cells, expected {width}"
                 )
     return errors
+
+
+#: One compile slot per ``*_SCHEMA`` constant, filled on its first use.  An
+#: ``id`` stays unique here because the module keeps its constants alive.
+_compiled: Dict[int, Optional[_Node]] = {
+    id(v): None for k, v in list(globals().items()) if k.endswith("_SCHEMA")
+}

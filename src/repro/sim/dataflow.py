@@ -186,7 +186,8 @@ def service_rows(
     column that every row returns.  Any other ``(cell, wave) -> duration``
     callable is called once per cell for each requested row, in cell
     order, and never while resolving — a service that draws from an RNG
-    keeps its stream.  Negative durations raise ``ValueError``.
+    keeps its stream.  A negative or non-finite duration raises
+    ``ValueError`` naming it, when the column or the row is resolved.
     """
     if isinstance(service, (int, float)):
         column = np.full(len(cells), float(service))
@@ -200,15 +201,22 @@ def service_rows(
     else:
 
         def row(k: int) -> np.ndarray:
-            values = [service(c, k) for c in cells]
-            if min(values, default=0.0) < 0:
-                raise ValueError(f"negative service time in wave {k}")
-            return np.asarray(values, dtype=np.float64)
+            values = np.asarray([service(c, k) for c in cells], dtype=np.float64)
+            return _checked_services(values, f" in wave {k}")
 
         return row
-    if (column < 0).any():
-        raise ValueError("service times must be non-negative")
+    _checked_services(column, "")
     return lambda k: column
+
+
+def _checked_services(values: np.ndarray, where: str) -> np.ndarray:
+    """``values``, if all are finite and non-negative (NaN fails both)."""
+    bad = ~((values >= 0.0) & (values < np.inf))
+    if bad.any():
+        value = float(values[bad][0])
+        kind = "negative" if np.isfinite(value) else "non-finite"
+        raise ValueError(f"{kind} service time {value!r}{where}")
+    return values
 
 
 def channel_depths(comm: CommGraph, capacity: CapacitySpec) -> np.ndarray:

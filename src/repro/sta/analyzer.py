@@ -36,19 +36,14 @@ from repro.sta.flow import (
 from repro.sta.report import STAReport, build_report
 from repro.sta.slack import (
     SlackAnalysis,
+    _feasible_period,
+    _mode_needs,
     analyze_slack,
-    minimum_feasible_period,
 )
+# Unused here: a perfbench wrap site until ROADMAP item 5, PR A.
+from repro.sta.slack import minimum_feasible_period  # noqa: F401
 
-_Fingerprint = Tuple[
-    int,
-    int,
-    int,
-    float,
-    float,
-    Tuple[Tuple[Any, float], ...],
-    Tuple[Tuple[Any, float], ...],
-]
+_Fingerprint = Tuple[Any, ...]
 
 
 class STAAnalyzer:
@@ -78,23 +73,20 @@ class STAAnalyzer:
         tree, buffered realization), so in-place edits — an ECO session
         repadding an edge, a script poking ``design.delta``, a
         ``set_edge_length`` retune — can never be served a stale report.
+        The maps are item tuples in insertion order: equal tuples mean
+        equal maps, and a map rebuilt in another order costs one extra
+        recompute, never a stale answer.
         """
         d = self.design
         buffered_version = d.buffered.version if d.buffered is not None else -1
-        padding = tuple(
-            sorted(d.edge_padding.items(), key=lambda kv: repr(kv[0]))
-        )
-        overrides = tuple(
-            sorted(d.wire_overrides.items(), key=lambda kv: repr(kv[0]))
-        )
         return (
             d.array.comm.version,
             d.tree.version,
             buffered_version,
             d.period,
             d.delta,
-            padding,
-            overrides,
+            tuple(d.edge_padding.items()),
+            tuple(d.wire_overrides.items()),
         )
 
     def _fresh(self) -> bool:
@@ -140,9 +132,13 @@ class STAAnalyzer:
         return self._drc
 
     def minimum_feasible_period(self, mode: str = "exact") -> float:
+        """:func:`~repro.sta.slack.minimum_feasible_period`, read off the
+        cached slack vectors (a read that counts no slack cache hit)."""
         self._fresh()
         if mode not in self._feasible:
-            self._feasible[mode] = minimum_feasible_period(self.design, mode)
+            a = self._slack if self._slack is not None else self.slack()
+            needs = _mode_needs(mode, a.lag, a.offset_lead, a.sigma_ub)
+            self._feasible[mode] = _feasible_period(needs)
         return self._feasible[mode]
 
     def empirical(self) -> Optional[Dict[str, Any]]:

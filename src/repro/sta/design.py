@@ -218,6 +218,7 @@ def design_for_workload(
 ) -> Design:
     """Build a complete design: workload, clock tree, buffered realization,
     schedule, and (by default) race padding plus a feasible period.
+    ``size`` must be at least 1.
 
     With ``period=None`` the clock runs at the *bound-mode* minimum feasible
     period times ``1 + period_margin`` — clean by construction, which is the
@@ -226,8 +227,10 @@ def design_for_workload(
     infeasible operating points.
     """
     # Imported here: repro.sta.slack imports this module for type sharing.
-    from repro.sta.slack import minimum_feasible_period, pad_for_races
+    from repro.sta import slack
 
+    if size < 1:
+        raise ValueError(f"design size must be at least 1, got {size}")
     rng = random.Random(f"sta-design|{workload}|{size}|{seed}")
     program = _workload(workload, size, rng)
     tree = build_scheme(scheme, program.array)
@@ -253,17 +256,24 @@ def design_for_workload(
         name=f"{workload}-{size}-{scheme}",
         s_budget=s_budget,
     )
-    if pad_races:
-        design.edge_padding = pad_for_races(design)
-    if period is None:
-        # The bound-mode period covers the model's worst case; the concrete
-        # buffered arrivals can drift past the abstract bound, so take the
-        # exact-mode requirement as a floor too — clean in both modes.
-        period = (1.0 + period_margin) * max(
-            minimum_feasible_period(design, mode="bound"),
-            minimum_feasible_period(design, mode="exact"),
-            1e-9,
-        )
+    if pad_races or period is None:
+        # One pass over the unpadded design: padding moves only the lags,
+        # so this is bit-equal to pad_for_races then minimum_feasible_period.
+        vectors = slack._edge_vectors(design)
+        _, lag, lead, sigma_ub, _ = vectors
+        if pad_races:
+            design.edge_padding = slack._race_padding(design, vectors)
+            lag = slack.edge_lags(design)
+        if period is None:
+            # The bound-mode period covers the model's worst case; the
+            # concrete buffered arrivals can drift past the abstract bound,
+            # so take the exact-mode requirement as a floor too — clean in
+            # both modes.
+            period = (1.0 + period_margin) * max(
+                slack._feasible_period(slack._mode_needs("bound", lag, lead, sigma_ub)),
+                slack._feasible_period(slack._mode_needs("exact", lag, lead, sigma_ub)),
+                1e-9,
+            )
     return design.with_period(period)
 
 

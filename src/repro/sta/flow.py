@@ -1189,16 +1189,17 @@ def minimal_buffer_sizing(
 
     Monotonicity (removing a token never lowers any cycle mean) makes
     the greedy sound and the single reduction pass sufficient for
-    irreducibility.  Raises ``ValueError`` when the target is infeasible
-    — below the capacity-independent MCM of the unbounded graph (its
-    cycles carry no credit edges to relax).
+    irreducibility.  Raises ``ValueError`` on a target that is not
+    positive and finite, or infeasible — below the capacity-independent
+    MCM of the unbounded graph (its cycles carry no credit edges to
+    relax).
 
     ``mcm`` is injectable so the perf bench can run the identical
     algorithm over :func:`mcm_howard` (optimized) and :func:`mcm_karp`
     (baseline oracle) and assert exact agreement.
     """
-    if target <= 0:
-        raise ValueError("target cycle time must be positive")
+    if not 0 < target < math.inf:
+        raise ValueError(f"target cycle time must be positive and finite, got {target!r}")
     calls = 0
 
     def solve(fg: FlowGraph) -> Tuple[float, Optional[FlowCycle]]:

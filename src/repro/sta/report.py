@@ -18,25 +18,16 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+import numpy as np
+
 from repro import __version__
 from repro.sta.design import Design
 from repro.sta.drc import RuleResult, STATUS_FAIL, STATUS_WARN, drc_counts
-from repro.sta.slack import (
-    FLAG_RACE,
-    FLAG_RACE_FLOOR,
-    FLAG_RACE_POSSIBLE,
-    FLAG_STALE,
-    FLAG_STALE_POSSIBLE,
-    SlackAnalysis,
-)
+from repro.sta.slack import SlackAnalysis, row_flags
 from repro.tables import render_table
 
 VERDICT_CLEAN = "clean"
 VERDICT_VIOLATIONS = "violations"
-
-
-def _cell_str(cell: Any) -> str:
-    return str(cell)
 
 
 @dataclass
@@ -87,22 +78,28 @@ def build_report(
     min_feasible_bound: float,
     empirical: Optional[Dict[str, Any]] = None,
 ) -> STAReport:
-    """Assemble the report from the analysis pieces (pure; no I/O)."""
-    rows = analysis.rows()
+    """Assemble the report from the analysis pieces (pure; no I/O).
+
+    Counts come from the analysis masks, and the edge rows from its
+    columns as lists, zipped once."""
+    masks = analysis.flag_masks()
+    stale, stale_possible, race, race_possible, race_floor = (
+        int(np.count_nonzero(m)) for m in masks
+    )
+    drc = drc_counts(drc_results)
     counts = {
-        "edges": len(rows),
-        "stale": sum(1 for r in rows if FLAG_STALE in r.flags),
-        "race": sum(1 for r in rows if FLAG_RACE in r.flags),
-        "stale_possible": sum(1 for r in rows if FLAG_STALE_POSSIBLE in r.flags),
-        "race_possible": sum(1 for r in rows if FLAG_RACE_POSSIBLE in r.flags),
-        "race_floor": sum(1 for r in rows if FLAG_RACE_FLOOR in r.flags),
-        "drc_fail": drc_counts(drc_results)[STATUS_FAIL],
-        "drc_warn": drc_counts(drc_results)[STATUS_WARN],
+        "edges": len(analysis.edges),
+        "stale": stale,
+        "race": race,
+        "stale_possible": stale_possible,
+        "race_possible": race_possible,
+        "race_floor": race_floor,
+        "drc_fail": drc[STATUS_FAIL],
+        "drc_warn": drc[STATUS_WARN],
     }
-    timing_clean = counts["stale"] == 0 and counts["race"] == 0
     verdict = (
         VERDICT_CLEAN
-        if timing_clean and counts["drc_fail"] == 0
+        if stale == 0 and race == 0 and counts["drc_fail"] == 0
         else VERDICT_VIOLATIONS
     )
     robust = (
@@ -124,18 +121,21 @@ def build_report(
         },
         edges=[
             {
-                "edge": [_cell_str(r.edge[0]), _cell_str(r.edge[1])],
-                "lag": r.lag,
-                "sigma_ub": r.sigma_ub,
-                "sigma_lb": r.sigma_lb,
-                "offset_lead": r.offset_lead,
-                "setup_slack": r.setup_slack,
-                "hold_slack": r.hold_slack,
-                "setup_slack_bound": r.setup_slack_bound,
-                "hold_slack_bound": r.hold_slack_bound,
-                "flags": list(r.flags),
+                "edge": [str(u), str(v)],
+                "lag": lag,
+                "sigma_ub": sigma_ub,
+                "sigma_lb": sigma_lb,
+                "offset_lead": lead,
+                "setup_slack": setup,
+                "hold_slack": hold,
+                "setup_slack_bound": setup_bound,
+                "hold_slack_bound": hold_bound,
+                "flags": list(flags),
             }
-            for r in rows
+            for (u, v), flags, lag, sigma_ub, sigma_lb, lead, setup, hold,
+            setup_bound, hold_bound in zip(
+                analysis.edges, row_flags(masks), *analysis.columns()
+            )
         ],
         drc=[
             {

@@ -59,6 +59,10 @@ FLAG_RACE = "race"                      # exact hold slack non-positive
 FLAG_RACE_POSSIBLE = "race-possible"    # bound hold slack non-positive
 FLAG_RACE_FLOOR = "race-floor"          # A11 floor alone defeats the lag
 
+#: The flags in row order; bit ``i`` of a row's flag code is ``FLAGS[i]``.
+FLAGS = (FLAG_STALE, FLAG_STALE_POSSIBLE, FLAG_RACE, FLAG_RACE_POSSIBLE, FLAG_RACE_FLOOR)
+_FLAG_SETS = [tuple(f for i, f in enumerate(FLAGS) if code >> i & 1) for code in range(32)]
+
 
 @dataclass(frozen=True)
 class EdgeSlack:
@@ -148,38 +152,38 @@ class SlackAnalysis:
         i = self.edges.index(edge)
         return float(self.setup_exact[i]), float(self.hold_exact[i])
 
+    def flag_masks(self) -> Tuple[np.ndarray, ...]:
+        """The flag policy: one mask per flag, in :data:`FLAGS` order.  An
+        exact flag replaces its bound-mode ``-possible`` twin."""
+        stale, race = self.stale_mask, self.race_mask
+        return (
+            stale,
+            (self.setup_bound < -SIM_TOL) & ~stale,
+            race,
+            (self.hold_bound <= SIM_TOL) & ~race,
+            self.race_floor_mask,
+        )
+
+    def columns(self) -> List[List[float]]:
+        """The float vectors as lists, in :class:`EdgeSlack` field order."""
+        return [a.tolist() for a in (
+            self.lag, self.sigma_ub, self.sigma_lb, self.offset_lead,
+            self.setup_exact, self.hold_exact, self.setup_bound, self.hold_bound,
+        )]
+
     def rows(self) -> List[EdgeSlack]:
-        out: List[EdgeSlack] = []
-        stale = self.stale_mask
-        race = self.race_mask
-        floor = self.race_floor_mask
-        for i, edge in enumerate(self.edges):
-            flags: List[str] = []
-            if stale[i]:
-                flags.append(FLAG_STALE)
-            elif self.setup_bound[i] < -SIM_TOL:
-                flags.append(FLAG_STALE_POSSIBLE)
-            if race[i]:
-                flags.append(FLAG_RACE)
-            elif self.hold_bound[i] <= SIM_TOL:
-                flags.append(FLAG_RACE_POSSIBLE)
-            if floor[i]:
-                flags.append(FLAG_RACE_FLOOR)
-            out.append(
-                EdgeSlack(
-                    edge=edge,
-                    lag=float(self.lag[i]),
-                    sigma_ub=float(self.sigma_ub[i]),
-                    sigma_lb=float(self.sigma_lb[i]),
-                    offset_lead=float(self.offset_lead[i]),
-                    setup_slack=float(self.setup_exact[i]),
-                    hold_slack=float(self.hold_exact[i]),
-                    setup_slack_bound=float(self.setup_bound[i]),
-                    hold_slack_bound=float(self.hold_bound[i]),
-                    flags=tuple(flags),
-                )
+        return [
+            EdgeSlack(edge, *values, flags=flags)
+            for edge, flags, *values in zip(
+                self.edges, row_flags(self.flag_masks()), *self.columns()
             )
-        return out
+        ]
+
+
+def row_flags(masks: Tuple[np.ndarray, ...]) -> List[Tuple[str, ...]]:
+    """Each edge's flags from its :meth:`SlackAnalysis.flag_masks`."""
+    code = np.sum([mask.astype(np.int64) << bit for bit, mask in enumerate(masks)], axis=0)
+    return [_FLAG_SETS[c] for c in code.tolist()]
 
 
 def edge_lags(design: Design) -> np.ndarray:
@@ -190,9 +194,10 @@ def edge_lags(design: Design) -> np.ndarray:
     )
 
 
-def _edge_vectors(
-    design: Design,
-) -> Tuple[List[EdgeKey], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+_EdgeVectors = Tuple[List[EdgeKey], np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _edge_vectors(design: Design) -> _EdgeVectors:
     """(edges, lag, offset_lead, sigma_ub, sigma_lb) for a design — the
     shared precomputation of every analysis entry point."""
     edges = design.edges()
@@ -237,9 +242,8 @@ def analyze_slack(design: Design) -> SlackAnalysis:
     )
 
 
-def _period_needs(design: Design, mode: str) -> np.ndarray:
+def _mode_needs(mode: str, lag: np.ndarray, lead: np.ndarray, sigma_ub: np.ndarray) -> np.ndarray:
     """Per-edge minimum period requirement in the given mode."""
-    edges, lag, lead, sigma_ub, _ = _edge_vectors(design)
     if mode == "exact":
         return lead + lag
     if mode == "bound":
@@ -249,8 +253,7 @@ def _period_needs(design: Design, mode: str) -> np.ndarray:
 
 def minimum_feasible_period_closed_form(design: Design, mode: str = "exact") -> float:
     """Algebraic oracle: the largest per-edge period requirement."""
-    needs = _period_needs(design, mode)
-    return float(needs.max(initial=0.0))
+    return float(_mode_needs(mode, *_edge_vectors(design)[1:4]).max(initial=0.0))
 
 
 def _bisect_period(
@@ -307,7 +310,11 @@ def minimum_feasible_period(
     but not closed-form, and the property tests pin the two to within
     ``tol`` on the affine case.
     """
-    needs = _period_needs(design, mode)
+    return _feasible_period(_mode_needs(mode, *_edge_vectors(design)[1:4]), tol, max_iterations)
+
+
+def _feasible_period(needs: np.ndarray, tol: float = 1e-9, max_iterations: int = 200) -> float:
+    """:func:`minimum_feasible_period` of a per-edge needs vector."""
     if len(needs) == 0:
         return 0.0
     return _bisect_period(float(needs.max()), tol=tol, max_iterations=max_iterations)
@@ -326,7 +333,14 @@ def pad_for_races(
     hurts hold safety; it raises the setup requirement, which the feasible
     period then covers (compute the period *after* padding).
     """
-    edges, lag, lead, sigma_ub, _ = _edge_vectors(design)
+    return _race_padding(design, _edge_vectors(design), margin)
+
+
+def _race_padding(
+    design: Design, vectors: _EdgeVectors, margin: float = 1e-6
+) -> Dict[EdgeKey, float]:
+    """:func:`pad_for_races` from the design's :func:`_edge_vectors`."""
+    edges, lag, lead, sigma_ub, _ = vectors
     base = lag - np.fromiter(
         (design.edge_padding.get(e, 0.0) for e in edges),
         dtype=np.float64,

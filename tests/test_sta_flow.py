@@ -404,6 +404,35 @@ class TestSteadyStateDetectorDefect:
 
 
 # ----------------------------------------------------------------------
+# known defect: Howard's policy can cycle between two equal-mean cycles
+# ----------------------------------------------------------------------
+class TestHowardPolicyCyclingDefect:
+    """Each sweep anchors a policy cycle's potentials at the node where the
+    walk first enters it.  When the tree feeding a kept cycle changes,
+    the entry node moves, every potential the cycle feeds shifts, and
+    the phase-2 improvements can flip back and forth forever.  Buffer
+    sizing on matmul-3 with a long wire hits it; so does ``repro flow
+    --workload matmul --size 3 --wire 8 --target 4``, which exits 1 with
+    a traceback.  A fix must keep ``certify_mcm``'s anchors equal to
+    Howard's (ROADMAP item 2)."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=RuntimeError,
+        reason="Howard re-anchors a kept cycle and its policy cycles "
+        "(ROADMAP item 2)",
+    )
+    def test_sizing_converges_with_a_long_wire(self):
+        import random
+
+        comm = design_for_workload("matmul", size=3).array.comm
+        rng = random.Random("0|flow|matmul")  # the CLI's services, seed 0
+        service = {c: 1.0 + rng.randrange(8) / 8 for c in comm.nodes()}
+        sizing = minimal_buffer_sizing(comm, service, 8.0, 4.0)
+        assert sizing.cycle_time <= 4.0
+
+
+# ----------------------------------------------------------------------
 # buffer sizing
 # ----------------------------------------------------------------------
 class TestSizing:
