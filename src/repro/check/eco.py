@@ -1,6 +1,6 @@
 """ECO and tile-composition oracles: incremental must equal full, exactly.
 
-Two differential checks guard the PR-9 fast paths:
+Three differential checks guard the incremental fast paths:
 
 * ``differential-eco`` replays randomized edit scripts (repads, wire
   retargets, buffer resizes, subtree grafts, re-clockings) through an
@@ -10,6 +10,15 @@ Two differential checks guard the PR-9 fast paths:
   byte-for-byte, the running worst slacks, and the warm-started minimum
   feasible period in both modes.  Scripts deliberately include edits that
   *relax* the current worst edge, exercising the lazy argmin rescan.
+
+* ``differential-eco-flow`` replays randomized channel-capacity scripts
+  (depths 1-4 with token-free cycles that deadlock, widenings on and off
+  the critical cycle, narrowings, and a few slack edits in between) and,
+  after every edit, holds :meth:`~repro.sta.eco.ECOSession.flow` equal
+  to the cold answers: its graph array for array and byte for byte to
+  :func:`~repro.sta.flow.flow_graph`, its witness to
+  :func:`~repro.sta.flow.detect_deadlock`, and its cycle time to
+  :func:`~repro.sta.flow.analyze_flow`.
 
 * ``differential-tiles`` composes R x C abutted-tile arrays and holds
   :func:`~repro.sta.tiles.stitched_analysis` (prototype-tile cache +
@@ -27,6 +36,7 @@ from repro.check.registry import REGISTRY, CheckContext, require
 from repro.geometry.point import Point
 from repro.sta.design import random_design
 from repro.sta.eco import ECOSession
+from repro.sta.flow import FlowAnalysis, analyze_flow, detect_deadlock, flow_graph
 from repro.sta.slack import analyze_slack, minimum_feasible_period
 from repro.sta.tiles import (
     TileSpec,
@@ -188,6 +198,142 @@ def check_differential_eco(ctx: CheckContext) -> Dict[str, Any]:
         "dirty_rows": total_dirty,
         "reuse_fraction": 1.0 - total_dirty / total_rows if total_rows else 1.0,
     }
+
+
+_GRAPH_ARRAYS = (
+    "services",
+    "esrc",
+    "edst",
+    "eweight",
+    "etokens",
+    "ekind",
+    "ewire",
+    "eservice",
+)
+
+
+def capacity_edit(
+    rng: random.Random, session: ECOSession, flow: FlowAnalysis
+) -> str:
+    """Draw one channel-capacity edit, apply it, and name its kind.
+
+    ``flow`` is the session's current :class:`~repro.sta.flow.
+    FlowAnalysis`: a widening may target its critical cycle or avoid it.
+    On a cyclic COMM graph, ``close`` drops both directions of one
+    channel pair to depth 1, a token-free cycle (deadlock).
+    """
+    comm = session.design.array.comm
+    edges = comm.edges()
+    caps = session.channel_capacities
+    # Sorted: a set iterates in hash order; the draws below must not.
+    critical = sorted(flow.critical_comm_edges(), key=edges.index)
+    finite = [e for e in edges if e in caps]
+    kinds = ["random", "random", "narrow", "widen-off", "widen-on", "close"]
+    kind = rng.choice(kinds)
+    if kind == "widen-on" and critical:
+        edge = rng.choice(critical)
+        session.set_channel_capacity(edge, caps[edge] + 1)
+    elif kind == "widen-off" and len(finite) > len(critical):
+        edge = rng.choice([e for e in finite if e not in critical])
+        session.set_channel_capacity(edge, caps[edge] + rng.randint(1, 2))
+    elif kind == "narrow" and any(caps[e] > 1 for e in finite):
+        edge = rng.choice([e for e in finite if caps[e] > 1])
+        session.set_channel_capacity(edge, rng.randint(1, caps[edge] - 1))
+    elif kind == "close" and any(comm.has_edge(v, u) for u, v in edges):
+        u, v = rng.choice([e for e in edges if comm.has_edge(e[1], e[0])])
+        session.set_channel_capacity((u, v), 1)
+        session.set_channel_capacity((v, u), 1)
+    else:
+        kind = "random"
+        session.set_channel_capacity(rng.choice(edges), rng.randint(1, 4))
+    return kind
+
+
+def assert_flow_matches_cold(
+    session: ECOSession, service: Dict[Any, float], wire: float,
+    context: Dict[str, Any],
+) -> FlowAnalysis:
+    """The session's flow answer equals the cold one after an edit:
+    graph arrays byte for byte, deadlock witness, cycle time."""
+    comm = session.design.array.comm
+    caps = session.channel_capacities or None
+    warm = session.flow(service, wire)
+    cold_graph = flow_graph(comm, service, wire, caps)
+    require(
+        warm.graph.cells == cold_graph.cells,
+        "ECO flow graph cell order diverged from a cold flow_graph",
+        **context,
+    )
+    for name in _GRAPH_ARRAYS:
+        ours = getattr(warm.graph, name)
+        theirs = getattr(cold_graph, name)
+        require(
+            ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(),
+            f"ECO flow graph array {name!r} is not byte-identical to a "
+            "cold flow_graph",
+            array=name,
+            **context,
+        )
+    cold_dead = detect_deadlock(comm, caps)
+    require(
+        warm.deadlock == cold_dead,
+        "ECO deadlock witness diverged from a cold detect_deadlock",
+        incremental=repr(warm.deadlock),
+        cold=repr(cold_dead),
+        **context,
+    )
+    cold = analyze_flow(comm, service, wire, caps)
+    require(
+        warm.cycle_time == cold.cycle_time,
+        "ECO cycle time diverged from a cold analyze_flow",
+        incremental=warm.cycle_time,
+        cold=cold.cycle_time,
+        **context,
+    )
+    return warm
+
+
+@REGISTRY.register(
+    "differential-eco-flow",
+    "differential",
+    "ECO channel-capacity edits keep the session's flow graph, deadlock "
+    "witness and cycle time identical to a cold analysis after every "
+    "edit of randomized scripts",
+)
+def check_differential_eco_flow(ctx: CheckContext) -> Dict[str, Any]:
+    n_designs = 8 if ctx.full else 4
+    n_edits = 60 if ctx.full else 30
+    rng = ctx.rng("differential-eco-flow")
+    kinds: Dict[str, int] = {}
+    dead = 0
+    for k in range(n_designs):
+        design = random_design(seed=rng.randrange(2**31))
+        # The first design has COMM cycles, so depth-1 edits can deadlock.
+        while k == 0 and design.array.comm.is_acyclic():
+            design = random_design(seed=rng.randrange(2**31))
+        session = ECOSession(design)
+        cells = design.array.comm.nodes()
+        service = {c: 1.0 + rng.randrange(8) / 8 for c in cells}
+        wire = rng.choice((0.0, 0.25, 0.5))
+        for edge in design.edges():  # some channels stay unbounded
+            if rng.random() < 0.6:
+                session.set_channel_capacity(edge, rng.randint(1, 3))
+        flow = session.flow(service, wire)
+        graft_serial = [0]
+        for step in range(n_edits):
+            if rng.random() < 0.15:
+                kind = random_edit(rng, session, graft_serial)["op"]
+            else:
+                kind = capacity_edit(rng, session, flow)
+            kinds[kind] = kinds.get(kind, 0) + 1
+            flow = assert_flow_matches_cold(
+                session, service, wire,
+                {"design_index": k, "step": step, "edit": kind},
+            )
+            dead += flow.dead
+    require(dead > 0, "no capacity script reached a deadlock", kinds=kinds)
+    return {"designs": n_designs, "edits": sum(kinds.values()),
+            "deadlocked": dead, "kinds": kinds}
 
 
 @REGISTRY.register(

@@ -490,8 +490,15 @@ class SelfTimedProgramSimulator:
 
         sim = Simulator(tracer=self._tracer, metrics=self._metrics)
         cells = self._comm.nodes()
+        # Neighbours in dense-id order: the COMM graph's sets iterate in
+        # hash order, which moves with PYTHONHASHSEED for string cell ids
+        # and would reorder same-time events (and the traced critical path).
+        dense = {c: i for i, c in enumerate(cells)}.__getitem__
         preds: Dict[CellId, Tuple[CellId, ...]] = {
-            c: tuple(self._comm.predecessors(c)) for c in cells
+            c: tuple(sorted(self._comm.predecessors(c), key=dense)) for c in cells
+        }
+        succs: Dict[CellId, Tuple[CellId, ...]] = {
+            c: tuple(sorted(self._comm.successors(c), key=dense)) for c in cells
         }
         # Per-cell progress: next wave to fire, busy-until flag, and the
         # arrived-but-unconsumed tokens per generation.
@@ -507,19 +514,17 @@ class SelfTimedProgramSimulator:
         )
 
         # Backpressure state — only materialized for finite capacities so
-        # the unbounded path stays byte-identical (same events, same order,
-        # same floats) to the historical simulator.
+        # the unbounded path stays byte-identical (same events, same
+        # floats) to the historical simulator.
         capacity = self._channel_capacity
         cap_map = self._capacity_map
         bounded = capacity is not None or cap_map is not None
-        succs: Dict[CellId, Tuple[CellId, ...]] = {}
         outstanding: Dict[Tuple[CellId, CellId], int] = {}
         stall_time: Optional[Dict[CellId, float]] = None
         blocked_since: Dict[CellId, float] = {}
         max_occupancy = 0
         stall_hist = occupancy_hist = None
         if bounded:
-            succs = {c: tuple(self._comm.successors(c)) for c in cells}
             outstanding = {(u, v): 0 for u, v in self._comm.edges()}
             stall_time = {c: 0.0 for c in cells}
             if self._metrics is not None:
@@ -638,7 +643,7 @@ class SelfTimedProgramSimulator:
                 nonlocal max_occupancy
                 busy[cell] = False
                 finish_times[cell] = sim.now
-                for dst in self._comm.successors(cell):
+                for dst in succs[cell]:
                     value = outputs.get(dst) if outputs else None
                     if bounded:
                         count = outstanding[(cell, dst)] + 1

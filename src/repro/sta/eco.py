@@ -22,7 +22,8 @@ edit               dirty set
 :meth:`~ECOSession.set_channel_capacity` extends the same discipline to
 the self-timed side: FIFO depths never enter a clocked lag, so no slack
 row moves, and the session's flow memos (:meth:`~ECOSession.flow`) are
-updated in place — a widened channel off the cached critical cycle keeps
+updated in place from one lowering of the COMM graph and a per-channel
+depth vector — a widened channel off the cached critical cycle keeps
 the cached MCM solve outright (widening only lowers the means of cycles
 *through* the edited edge), anything else re-solves warm-started from
 the cached Howard policy.  Either way the answer is bit-identical to a
@@ -60,12 +61,13 @@ design — not within-epsilon, identical floats.  The ingredients:
 The ``differential-eco`` check (and the hypothesis property suite)
 replays randomized edit scripts asserting incremental == full after
 every step; the full pass stays in the tree as the oracle.
+``differential-eco-flow`` does the same for capacity edits against a
+cold flow analysis.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -78,11 +80,18 @@ from repro.sta.design import Design, EdgeKey
 from repro.sta.drc import run_drc
 from repro.sta.flow import (
     FlowAnalysis,
+    FlowGraph,
     ServiceSpec,
-    detect_deadlock,
-    flow_graph,
+    _assemble,
+    _deadlock,
+    _lower,
+    _Lowered,
     mcm_howard,
 )
+
+# perfbench wraps the flow layer where this module looks names up; the
+# session no longer calls these two (ROADMAP item 5 PR A).
+from repro.sta.flow import detect_deadlock, flow_graph  # noqa: F401
 from repro.sta.report import STAReport, build_report
 from repro.sta.slack import (
     SIM_TOL,
@@ -98,15 +107,45 @@ NodeId = Hashable
 GraftNode = Tuple[NodeId, NodeId, Point, float]
 
 
-@dataclass(frozen=True)
 class EcoEdit:
-    """The audit record of one applied edit."""
+    """The audit record of one applied edit: what the edit names (an
+    edge, a node, a period, a graft count, or an edge and a depth), with
+    ``target`` formatted only when read."""
 
-    op: str
-    target: str
-    dirty_rows: int
-    semantic_dirty_rows: int
-    edges: int
+    __slots__ = ("op", "_subject", "dirty_rows", "semantic_dirty_rows", "edges")
+
+    def __init__(
+        self, op: str, subject: Any, dirty: int, semantic: int, edges: int
+    ) -> None:
+        self.op, self._subject, self.edges = op, subject, edges
+        self.dirty_rows, self.semantic_dirty_rows = dirty, semantic
+
+    def _fields(self) -> Tuple[Any, ...]:
+        return (self.op, self.target, self.dirty_rows, self.semantic_dirty_rows,
+                self.edges)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, EcoEdit) and self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return f"EcoEdit{self._fields()!r}"
+
+    @property
+    def target(self) -> str:
+        """What the edit changed, as the audit log and reports name it."""
+        subject, op = self._subject, self.op
+        if op in ("repad_edge", "retarget_wire"):
+            return _edge_str(subject)
+        if op == "set_channel_capacity":
+            return f"{_edge_str(subject[0])} depth={subject[1]}"
+        if op == "graft_subtree":
+            return f"{subject} nodes"
+        if op == "set_period":
+            return f"{subject:g}"
+        return str(subject)
 
     @property
     def reuse_fraction(self) -> float:
@@ -212,17 +251,26 @@ class ECOSession:
         self._a_ids, self._b_ids = tree.pair_ids(self._edges)
         self._comm_version = design.array.comm.version
         self._tree_version = tree.version
-        self._edits: List[EcoEdit] = []
+        # The audit log keeps every edit as four entries (op, subject, dirty
+        # and semantic rows), not an object; EcoEdits are built on read.
+        self._log: List[Any] = []
+        self._n_edges = len(edges)  # one int shared by every EcoEdit
         self._counts_cache: Optional[Dict[str, int]] = None
         # Self-timed channel capacities (session state, not on the
         # design: the clocked discipline has no FIFOs).  Missing edge =
-        # unbounded.  The flow memos are keyed by (service vector bytes,
-        # wire delay); capacity lives here and edits update the entries
-        # in place — reusing the cached critical cycle when the edit
-        # provably cannot move it.
+        # unbounded, and ``_depths`` holds the same map in COMM edge
+        # order (0 = unbounded).  The COMM graph is lowered at the first
+        # flow query; out-of-band COMM edits are refused, so the lowering
+        # cannot go stale.  The flow memos are keyed by (service vector
+        # bytes, wire delay) and hold that vector; capacity edits patch
+        # one depth and reassemble each entry's graph from arrays,
+        # reusing the cached critical cycle when the edit provably
+        # cannot move it.
         self._capacity: Dict[EdgeKey, int] = {}
+        self._depths = np.zeros(len(edges), dtype=np.int64)
+        self._lowered: Optional[_Lowered] = None
         self._flow_cache: Dict[
-            Tuple[bytes, float], Tuple[Dict[Any, float], FlowAnalysis]
+            Tuple[bytes, float], Tuple[np.ndarray, FlowAnalysis]
         ] = {}
 
     # ------------------------------------------------------------------
@@ -236,7 +284,8 @@ class ECOSession:
 
     @property
     def edits(self) -> List[EcoEdit]:
-        return list(self._edits)
+        log = self._log
+        return [EcoEdit(*log[i:i + 4], self._n_edges) for i in range(0, len(log), 4)]
 
     def _check_external(self) -> None:
         if self._design.array.comm.version != self._comm_version:
@@ -259,30 +308,24 @@ class ECOSession:
         self._hold_bound[i] = self._lag[i] - self._sigma_ub[i]
 
     def _record(
-        self, op: str, target: str, rows: np.ndarray, semantic_rows: int
+        self, op: str, subject: Any, rows: np.ndarray, semantic_rows: int
     ) -> EcoEdit:
         self._max_need_exact.note_dirty(rows)
         self._min_need_exact.note_dirty(rows)
         self._max_need_bound.note_dirty(rows)
         self._counts_cache = None
-        edit = EcoEdit(
-            op=op,
-            target=target,
-            dirty_rows=int(len(rows)),
-            semantic_dirty_rows=semantic_rows,
-            edges=len(self._edges),
-        )
-        self._edits.append(edit)
+        edit = EcoEdit(op, subject, len(rows), semantic_rows, self._n_edges)
+        self._log += (op, subject, edit.dirty_rows, semantic_rows)
         if self._metrics is not None:
             self._metrics.counter("eco.edits").inc()
             self._metrics.histogram("eco.dirty_rows").observe(float(len(rows)))
         if self._tracer.enabled:
             self._tracer.event(
-                float(len(self._edits)),
+                float(len(self._log) // 4),
                 "eco",
                 "edit",
                 op=op,
-                target=target,
+                target=edit.target,
                 dirty_rows=int(len(rows)),
                 reuse_fraction=edit.reuse_fraction,
             )
@@ -305,7 +348,7 @@ class ECOSession:
             self._design.edge_padding.pop(edge, None)
         self._refresh_lag_row(i, edge)
         rows = np.array([i], dtype=np.int64)
-        return self._record("repad_edge", _edge_str(edge), rows, 1)
+        return self._record("repad_edge", edge, rows, 1)
 
     def retarget_wire(self, edge: EdgeKey, length: float) -> EcoEdit:
         """Reroute one directed COMM edge's data wire to a new length
@@ -319,7 +362,7 @@ class ECOSession:
         self._design.wire_overrides[edge] = float(length)
         self._refresh_lag_row(i, edge)
         rows = np.array([i], dtype=np.int64)
-        return self._record("retarget_wire", _edge_str(edge), rows, 1)
+        return self._record("retarget_wire", edge, rows, 1)
 
     def resize_buffer(self, node: NodeId, length: float) -> EcoEdit:
         """Retune the clock-tree edge above ``node`` (a resized buffer
@@ -351,7 +394,7 @@ class ECOSession:
             )
             self._need_bound[rows] = self._sigma_ub[rows] + self._lag[rows]
             self._hold_bound[rows] = self._lag[rows] - self._sigma_ub[rows]
-        return self._record("resize_buffer", str(node), rows, semantic)
+        return self._record("resize_buffer", node, rows, semantic)
 
     def graft_subtree(self, additions: Sequence[GraftNode]) -> EcoEdit:
         """Grow the clock tree by a batch of new nodes.
@@ -367,9 +410,7 @@ class ECOSession:
             tree.add_child(parent, node, position, length)
         self._tree_version = tree.version
         rows = np.empty(0, dtype=np.int64)
-        return self._record(
-            "graft_subtree", f"{len(additions)} nodes", rows, 0
-        )
+        return self._record("graft_subtree", len(additions), rows, 0)
 
     def set_period(self, period: float) -> EcoEdit:
         """Re-clock the design at a new period (offsets kept).
@@ -382,14 +423,17 @@ class ECOSession:
             raise ValueError("period must be positive")
         self._design = self._design.with_period(float(period))
         rows = np.empty(0, dtype=np.int64)
-        return self._record("set_period", f"{float(period):g}", rows, 0)
+        return self._record("set_period", float(period), rows, 0)
 
     def set_channel_capacity(self, edge: EdgeKey, depth: int) -> EcoEdit:
         """Set the finite FIFO depth of one directed COMM channel.
 
         Clocked slack rows are untouched (capacity is a self-timed
         quantity that never enters a lag), so the edit dirties zero
-        rows; the incrementality lives in the flow memos.  A *widening*
+        rows; the incrementality lives in the flow memos.  The edit
+        writes one entry of the session's depth vector and reassembles
+        each memo's graph from arrays, with no walk of the COMM graph.
+        A *widening*
         (finite depth raised) of a channel off a cached critical cycle
         keeps that cached solve: extra slots only add tokens to — i.e.
         lower the means of — cycles through the edited edge, so the
@@ -401,18 +445,16 @@ class ECOSession:
         self._check_external()
         if depth < 1:
             raise ValueError("channel capacity must be >= 1")
-        if edge not in self._row:
+        i = self._row.get(edge)
+        if i is None:
             raise KeyError(f"edge {edge!r} is not a COMM edge")
         old = self._capacity.get(edge)
-        self._capacity[edge] = int(depth)
+        self._capacity[edge] = self._depths[i] = int(depth)
         widening = old is not None and depth >= old
-        comm = self._design.array.comm
-        cap = dict(self._capacity)
         reused = 0
         recomputed = 0
-        for key, (svc_map, analysis) in list(self._flow_cache.items()):
-            wire = key[1]
-            fg = flow_graph(comm, svc_map, wire, cap)
+        for key, (services, analysis) in self._flow_cache.items():
+            fg = _assemble(self._lowering(), services, key[1], self._depths)
             keep = (
                 widening
                 and analysis.cycle is not None
@@ -424,18 +466,14 @@ class ECOSession:
                 )
                 reused += 1
             else:
-                dead = detect_deadlock(comm, cap)
                 warm = (
                     analysis.cycle.policy
                     if analysis.cycle is not None
                     else None
                 )
-                cycle = (
-                    mcm_howard(fg, warm_start=warm) if dead is None else None
-                )
-                fresh = FlowAnalysis(graph=fg, deadlock=dead, cycle=cycle)
+                fresh = self._solve(fg, warm)
                 recomputed += 1
-            self._flow_cache[key] = (svc_map, fresh)
+            self._flow_cache[key] = (services, fresh)
         if self._metrics is not None:
             if reused:
                 self._metrics.counter("eco.flow_reuse").inc(reused)
@@ -443,11 +481,22 @@ class ECOSession:
                 self._metrics.counter("eco.flow_recompute").inc(recomputed)
         rows = np.empty(0, dtype=np.int64)
         return self._record(
-            "set_channel_capacity",
-            f"{_edge_str(edge)} depth={int(depth)}",
-            rows,
-            recomputed,
+            "set_channel_capacity", (edge, int(depth)), rows, recomputed
         )
+
+    def _lowering(self) -> _Lowered:
+        if self._lowered is None:
+            self._lowered = _lower(self._design.array.comm)
+        return self._lowered
+
+    def _solve(
+        self, fg: FlowGraph, warm: Optional[np.ndarray] = None
+    ) -> FlowAnalysis:
+        """Deadlock search, then (when live) Howard, under the session's
+        depth vector."""
+        dead = _deadlock(self._lowering(), self._depths)
+        cycle = mcm_howard(fg, warm_start=warm) if dead is None else None
+        return FlowAnalysis(graph=fg, deadlock=dead, cycle=cycle)
 
     def apply(self, op: str, **params: Any) -> EcoEdit:
         """Dispatch one edit by name — the edit-script entry point."""
@@ -548,24 +597,16 @@ class ECOSession:
         Memoized per (service vector, wire delay); capacity edits keep
         the memo live — see :meth:`set_channel_capacity`.  Every answer
         is bit-identical to a cold :func:`~repro.sta.flow.analyze_flow`
-        over the current capacity map (the ``differential-eco`` suite
-        replays edit scripts asserting exactly that).
+        over the current capacity map (the ``differential-eco-flow``
+        check replays capacity scripts asserting exactly that).
         """
         self._check_external()
-        comm = self._design.array.comm
-        cells = comm.nodes()
-        services = service_rows(cells, service)(0)
+        services = service_rows(self._design.array.comm.nodes(), service)(0)
         key = (services.tobytes(), float(wire_delay))
         entry = self._flow_cache.get(key)
         if entry is None:
-            svc_map = {
-                c: float(s) for c, s in zip(cells, services.tolist())
-            }
-            cap = dict(self._capacity) if self._capacity else None
-            fg = flow_graph(comm, svc_map, wire_delay, cap)
-            dead = detect_deadlock(comm, cap)
-            cycle = mcm_howard(fg) if dead is None else None
-            entry = (svc_map, FlowAnalysis(graph=fg, deadlock=dead, cycle=cycle))
+            fg = _assemble(self._lowering(), services, wire_delay, self._depths)
+            entry = (services, self._solve(fg))
             self._flow_cache[key] = entry
         return entry[1]
 
@@ -608,7 +649,7 @@ class ECOSession:
         out["min_feasible_period_bound"] = self.minimum_feasible_period("bound")
         out["timing_clean"] = self.timing_clean()
         out["robust_clean"] = self.robust_clean()
-        out["edits_applied"] = len(self._edits)
+        out["edits_applied"] = len(self._log) // 4
         return out
 
     def report(self) -> STAReport:
@@ -637,8 +678,8 @@ class ECOSession:
             self.minimum_feasible_period("bound"),
             empirical=empirical,
         )
-        if self._edits:
-            report.eco = self._edits[-1].to_dict()
+        if self._log:
+            report.eco = EcoEdit(*self._log[-4:], self._n_edges).to_dict()
         return report
 
 

@@ -84,14 +84,12 @@ from typing import (
 import numpy as np
 
 from repro.graphs.comm import CommGraph
-from repro.graphs.csr import csr_from_comm
 from repro.obs.critpath import CriticalPath, PathStep
 from repro.sim.compiled import CompiledRecurrence
 from repro.sim.dataflow import (
     CapacitySpec,
     ChannelDeadlockError,
     channel_depths,
-    channel_order,
     per_cell_service,
     recurrence_scalar,
     service_rows,
@@ -243,6 +241,61 @@ class FlowGraph:
         return [self.edge(i) for i in range(self.n_edges)]
 
 
+class _Lowered(NamedTuple):
+    """A COMM graph in dense ids, lowered once: the forward edges in
+    canonical CSR predecessor order (by receiver, then sender) and each
+    channel's endpoints in ``comm.edges()`` order, the row order of a
+    :func:`~repro.sim.dataflow.channel_depths` vector."""
+
+    cells: List[CellId]
+    fwd_src: np.ndarray
+    fwd_dst: np.ndarray
+    chan_src: np.ndarray
+    chan_dst: np.ndarray
+
+
+def _lower(comm: CommGraph) -> _Lowered:
+    cells = comm.nodes()
+    index = {c: i for i, c in enumerate(cells)}
+    edges = comm.edge_index()  # comm.edges() order, cached on the graph
+    src = np.array([index[u] for u, _ in edges], dtype=np.int64)
+    dst = np.array([index[v] for _, v in edges], dtype=np.int64)
+    order = np.lexsort((src, dst))
+    return _Lowered(cells, src[order], dst[order], src, dst)
+
+
+def _assemble(
+    low: _Lowered, services: np.ndarray, wire_delay: float, depths: np.ndarray
+) -> FlowGraph:
+    """The flow graph of a lowered COMM graph under a dense service
+    vector, a wire delay and a channel-depth vector (0 = unbounded):
+    array operations only, no walk of the COMM graph."""
+    if not 0 <= wire_delay < math.inf:
+        raise ValueError("wire delay must be non-negative and finite")
+    services = services.copy()
+    ids = np.arange(len(low.cells), dtype=np.int64)
+    # Self edges, then forward edges (CSR predecessor order), then
+    # credit back edges (COMM edge order) — all as array blocks.
+    bounded = np.flatnonzero(depths)
+    fwd_src, fwd_dst = low.fwd_src, low.fwd_dst
+    cr_src, cr_dst = low.chan_dst[bounded], low.chan_src[bounded]
+    blocks = [len(ids), len(fwd_src), len(cr_src)]
+    esrc = np.concatenate([ids, fwd_src, cr_src])
+    edst = np.concatenate([ids, fwd_dst, cr_dst])
+    eweight = np.concatenate([
+        services, wire_delay + services[fwd_dst], services[cr_dst] - services[cr_src]
+    ])
+    etokens = np.concatenate(
+        [np.ones(blocks[0] + blocks[1], dtype=np.int64), depths[bounded] - 1]
+    )
+    ekind = np.repeat(np.array([0, 1, 2], dtype=np.int8), blocks)
+    ewire = np.repeat(np.array([0.0, wire_delay, 0.0], dtype=np.float64), blocks)
+    return FlowGraph(
+        list(low.cells), services, esrc, edst, eweight, etokens, ekind, ewire,
+        services[edst],
+    )
+
+
 def flow_graph(
     comm: CommGraph,
     service: ServiceSpec,
@@ -257,65 +310,10 @@ def flow_graph(
     credit edges are *included* — deadlock detection and contraction
     happen in the solvers.
     """
-    if not 0 <= wire_delay < math.inf:
-        raise ValueError("wire delay must be non-negative and finite")
-    csr = csr_from_comm(comm)
-    cells = csr.nodes if csr.nodes is not None else list(range(csr.n_cells))
-    index = {c: i for i, c in enumerate(cells)}
+    low = _lower(comm)
     # Static analysis reads services as wave-invariant: the wave-0 row.
-    services = service_rows(cells, service)(0)
-    n = len(cells)
-    ids = np.arange(n, dtype=np.int64)
-    # Self edges, then forward edges (CSR predecessor order), then
-    # credit back edges (COMM edge order) — all as array blocks.
-    fwd_dst = np.repeat(ids, np.diff(csr.indptr))
-    fwd_src = csr.indices.astype(np.int64)
-    depths = channel_depths(comm, capacity)
-    bounded = np.flatnonzero(depths).tolist()
-    edges = comm.edges() if bounded else []
-    cr_src = np.asarray([index[edges[i][1]] for i in bounded], dtype=np.int64)
-    cr_dst = np.asarray([index[edges[i][0]] for i in bounded], dtype=np.int64)
-    cr_tok = depths[bounded] - 1
-    n_fwd = len(fwd_src)
-    n_cr = len(cr_src)
-    esrc = np.concatenate([ids, fwd_src, cr_src])
-    edst = np.concatenate([ids, fwd_dst, cr_dst])
-    eservice = services[edst]
-    eweight = np.concatenate(
-        [
-            services,
-            wire_delay + services[fwd_dst],
-            services[cr_dst] - services[cr_src],
-        ]
-    )
-    etokens = np.concatenate(
-        [np.ones(n + n_fwd, dtype=np.int64), cr_tok]
-    )
-    ekind = np.concatenate(
-        [
-            np.zeros(n, dtype=np.int8),
-            np.ones(n_fwd, dtype=np.int8),
-            np.full(n_cr, 2, dtype=np.int8),
-        ]
-    )
-    ewire = np.concatenate(
-        [
-            np.zeros(n, dtype=np.float64),
-            np.full(n_fwd, wire_delay, dtype=np.float64),
-            np.zeros(n_cr, dtype=np.float64),
-        ]
-    )
-    return FlowGraph(
-        cells=list(cells),
-        services=services,
-        esrc=esrc,
-        edst=edst,
-        eweight=eweight,
-        etokens=etokens,
-        ekind=ekind,
-        ewire=ewire,
-        eservice=eservice,
-    )
+    services = service_rows(low.cells, service)(0)
+    return _assemble(low, services, wire_delay, channel_depths(comm, capacity))
 
 
 # ----------------------------------------------------------------------
@@ -332,8 +330,17 @@ def detect_deadlock(
     capacity carries, found by the same search (the ``flow-deadlock``
     oracle asserts the equivalence with the simulator).
     """
+    depths = channel_depths(comm, capacity)
+    return _deadlock(_lower(comm), depths) if (depths == 1).any() else None
+
+
+def _deadlock(low: _Lowered, depths: np.ndarray) -> Optional[List[EdgeKey]]:
+    """:func:`detect_deadlock` on a lowered graph and a depth vector."""
+    ones = depths == 1
+    if not ones.any():
+        return None
     try:
-        channel_order(comm, channel_depths(comm, capacity))
+        zero_token_order(low.cells, low.chan_src[ones], low.chan_dst[ones])
     except ChannelDeadlockError as err:
         return err.cycle
     return None
@@ -1200,48 +1207,55 @@ def minimal_buffer_sizing(
     """
     if not 0 < target < math.inf:
         raise ValueError(f"target cycle time must be positive and finite, got {target!r}")
+    low = _lower(comm)
+    services = service_rows(low.cells, service)(0)
+    row = comm.edge_index()
+    # One depth per COMM channel (comm.edges() order), edited in place.
+    depths = np.zeros(len(row), dtype=np.int64)
     calls = 0
 
-    def solve(fg: FlowGraph) -> Tuple[float, Optional[FlowCycle]]:
+    def solve() -> Tuple[float, Optional[FlowCycle]]:
         nonlocal calls
         calls += 1
-        result = mcm(fg)
+        result = mcm(_assemble(low, services, wire_delay, depths))
         if result is None:
             return 0.0, None
         if isinstance(result, FlowCycle):
             return result.cycle_time, result
         return float(result), None  # scalar oracle (mcm_karp)
 
-    floor_lam, _ = solve(flow_graph(comm, service, wire_delay, None))
+    floor_lam, _ = solve()
     if floor_lam > target:
         raise ValueError(
             f"target cycle time {target} is infeasible: the unbounded "
             f"dependence graph already cycles at {floor_lam} (its "
             "critical cycle has no channel to deepen)"
         )
-    caps: Dict[EdgeKey, int] = {e: 1 for e in comm.edges()}
+    depths[:] = 1
     while True:
-        dead = detect_deadlock(comm, caps)
+        dead = _deadlock(low, depths)
         if dead is None:
             break
-        caps[dead[0]] += 1  # one token per token-free cycle
+        depths[row[dead[0]]] += 1  # one token per token-free cycle
     while True:
-        lam, cycle = solve(flow_graph(comm, service, wire_delay, caps))
+        lam, cycle = solve()
         if lam <= target:
             break
         if cycle is None:
             # Scalar-oracle mode carries no cycle: fall back to the
             # cycle extractor for the relaxation step (the lambda used
             # for the <= test stays the injected solver's).
-            cycle = mcm_howard(flow_graph(comm, service, wire_delay, caps))
+            cycle = mcm_howard(_assemble(low, services, wire_delay, depths))
         assert cycle is not None
         bumped = False
         for e in cycle.edges:
             if e.kind != "credit":
                 continue
-            edge = _credit_comm_edge(e, comm)
-            if caps[edge] < max_capacity:
-                caps[edge] += 1
+            # Credit s -> c models COMM c -> s (the producer waits on
+            # its consumer).
+            i = row[(low.cells[e.dst], low.cells[e.src])]
+            if depths[i] < max_capacity:
+                depths[i] += 1
                 bumped = True
         if not bumped:
             raise ValueError(
@@ -1251,27 +1265,23 @@ def minimal_buffer_sizing(
             )
     # Reduction pass: only deepened channels are candidates (depth-1
     # channels have no legal decrement), so this is O(deepened) solves.
-    for edge in comm.edges():
-        while caps[edge] > 1:
-            caps[edge] -= 1
-            if detect_deadlock(comm, caps) is not None:
-                caps[edge] += 1
+    for i in range(len(depths)):
+        while depths[i] > 1:
+            depths[i] -= 1
+            if _deadlock(low, depths) is not None:
+                depths[i] += 1
                 break
-            lam_try, _ = solve(flow_graph(comm, service, wire_delay, caps))
+            lam_try, _ = solve()
             if lam_try > target:
-                caps[edge] += 1
+                depths[i] += 1
                 break
-    lam, _ = solve(flow_graph(comm, service, wire_delay, caps))
+    lam, _ = solve()
     return SizingResult(
-        capacities=caps, cycle_time=lam, target=target, mcm_calls=calls
+        capacities=dict(zip(comm.edges(), depths.tolist())),
+        cycle_time=lam,
+        target=target,
+        mcm_calls=calls,
     )
-
-
-def _credit_comm_edge(e: FlowEdge, comm: CommGraph) -> EdgeKey:
-    """The COMM edge a credit flow edge models: credit ``s -> c`` comes
-    from COMM ``c -> s`` (the producer waits on its consumer)."""
-    cells = comm.nodes()
-    return (cells[e.dst], cells[e.src])
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,10 @@ schedules from both sides.
 """
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -264,3 +268,41 @@ class TestMeshWorkload:
             assert run.makespan <= prev
             assert run.makespan >= reference.makespan
             prev = run.makespan
+
+
+_HASH_WITNESS = textwrap.dedent("""
+    from repro.arrays.systolic import build_matvec_array
+    from repro.obs.trace import RecordingTracer
+    from repro.sim.dataflow import SelfTimedProgramSimulator, hashed_service
+    program = build_matvec_array([[1, 2, 3], [4, 5, 6], [7, 8, 9]], [1, -1, 2])
+    tracer = RecordingTracer()
+    SelfTimedProgramSimulator(
+        program, hashed_service(1.0, 3.0, 0.25, seed=1), wire_delay=0.25,
+        tracer=tracer, channel_capacity=2,
+    ).run()
+    for event in tracer.by_kind("dataflow", "fire"):
+        print(repr(event.cell), event.data["wave"], event.data["cause"], event.t)
+""")
+
+
+class TestHashSeedIndependentOrder:
+    """Matvec's cell ids include strings (``'ysrc'``, ``('a', i)``), whose
+    set order moves with ``PYTHONHASHSEED``; same-time events must queue
+    in dense-id order instead, so a trace is the same in every process."""
+
+    def test_fire_sequence_is_the_same_under_every_hash_seed(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        runs = []
+        for seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [src, env.get("PYTHONPATH")])
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", _HASH_WITNESS],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            runs.append(proc.stdout)
+        assert runs[0].count("\n") > 9
+        assert runs[0] == runs[1] == runs[2]
