@@ -26,12 +26,13 @@ Lifecycle and caveats
 The *creator* owns the segment: ``close()`` (or the context manager)
 unlinks it.  Attached mappings in workers are dropped when the worker
 exits; the attach cache deliberately keeps segments mapped for the
-process lifetime so repeated trials stay zero-cost.  POSIX start method
-``fork`` (the Linux default) is assumed: forked children share the
-parent's resource tracker, so create/attach registrations deduplicate
-and the creator's single ``unlink`` retires the name.  Under ``spawn``
-each child runs its own tracker, which would unlink the segment when the
-first worker exits — do not use this module with spawn-based pools.
+process lifetime so repeated trials stay zero-cost.  The start method
+must be ``fork``: forked children share the parent's resource tracker, so
+create/attach registrations deduplicate and the creator's single
+``unlink`` retires the name.  Under ``spawn`` or ``forkserver`` each child
+runs its own tracker, which would unlink the segment when the first
+worker exits, so :class:`SharedArena` refuses to build under any other
+start method with ``RuntimeError``.
 
 If live views still reference the mapping when the creator closes (e.g.
 a kernel built in the creating process), the mapping itself is left to
@@ -41,6 +42,7 @@ nothing leaks system-wide.
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
 from dataclasses import dataclass
 from multiprocessing import shared_memory
@@ -116,11 +118,22 @@ class ArenaHandle:
 
 
 class SharedArena:
-    """One shared-memory block holding a named set of numpy arrays."""
+    """One shared-memory block holding a named set of numpy arrays.
+
+    Only under the ``fork`` start method (see the module docstring);
+    any other raises ``RuntimeError``.
+    """
 
     def __init__(
         self, arrays: Mapping[str, np.ndarray], name: Optional[str] = None
     ) -> None:
+        method = multiprocessing.get_start_method()
+        if method != "fork":
+            raise RuntimeError(
+                f"SharedArena needs the 'fork' start method, not {method!r}: "
+                "each worker would run its own resource tracker and unlink "
+                "the segment when it exits"
+            )
         specs = []
         prepared = []
         offset = 0

@@ -9,17 +9,19 @@ module reconstructs the chain behind it, three ways:
 * :func:`clocked_critical_path` — from the schedule itself (the clocked
   makespan is the latest (cell, tick) firing instant, so the chain is
   that cell's clock history);
-* :func:`selftimed_critical_path` — by re-running the tandem recurrence
+* :func:`selftimed_critical_path` — from the start and finish rows of
+  the tandem recurrence
   ``start[c][k] = max(finish[c][k-1], max_pred finish[p][k-1] + wire)``
-  with argmax bookkeeping and backtracking from the latest finisher;
+  as :class:`~repro.sim.compiled.RecurrenceStepper` computes them,
+  backtracking from the latest finisher (ties go to the lowest dense id);
 * :func:`critical_path_from_trace` — from a recorded JSONL trace, using
   the causal ``dataflow/fire`` annotations (``cause``/``src``) or the
   clocked ``tick/fire`` stream.
 
-Exactness is the contract, not an aspiration: every extractor performs
-the *same float operations* as the engine it explains (ties broken the
-way ``max`` breaks them, no re-summation — the makespan is read off the
-final step, never re-accumulated), so :attr:`CriticalPath.exact` is a
+Exactness is the contract, not an aspiration: every extractor reads
+the engine's own floats or performs the *same float operations* as the
+engine it explains (no re-summation — the makespan is read off the final
+step, never re-accumulated), so :attr:`CriticalPath.exact` is a
 bit-for-bit comparison and the property suite holds it at zero diff
 over randomized designs on both the scalar and compiled engines.
 """
@@ -197,75 +199,49 @@ def selftimed_critical_path(
     n_waves: int,
     reported: Optional[float] = None,
 ) -> CriticalPath:
-    """The chain behind a self-timed makespan, by replaying the tandem
-    recurrence with argmax bookkeeping.
+    """The chain behind an unbounded self-timed makespan, read off the
+    start and finish rows of :class:`~repro.sim.compiled.RecurrenceStepper`.
 
-    Performs the identical float operations, in the identical order, as
-    :meth:`~repro.sim.dataflow.SelfTimedProgramSimulator.
-    recurrence_makespan_scalar` — including ``max`` keeping its first
-    argument on ties (updates only on strict ``>``), so the recovered
-    chain's endpoint *is* the reported makespan, bit for bit.
+    The walk starts at the first cell (in ``comm.nodes()`` order) that
+    reaches the largest final finish.  At each wave a start equal to the
+    cell's own previous finish keeps the cell; otherwise the binding
+    input is the predecessor with the lowest dense id whose ``finish +
+    wire`` equals the start.  The endpoint is the stepper's own float, so
+    it *is* the reported makespan, bit for bit.
     """
     if n_waves < 1:
         raise ValueError("need at least one wave")
-    cells: List[CellId] = list(comm.nodes())
-    preds: Dict[CellId, List[CellId]] = {
-        c: list(comm.predecessors(c)) for c in cells
-    }
-    finish: Dict[CellId, float] = {c: 0.0 for c in cells}
-    starts: List[Dict[CellId, float]] = []
-    finishes: List[Dict[CellId, float]] = []
-    # choice[k][c]: None = own previous wave (or t=0 at wave 0), else the
-    # predecessor whose arrival was binding.
-    choices: List[Dict[CellId, Optional[CellId]]] = []
-    for k in range(n_waves):
-        new_finish: Dict[CellId, float] = {}
-        start_row: Dict[CellId, float] = {}
-        choice_row: Dict[CellId, Optional[CellId]] = {}
-        for c in cells:
-            start = finish[c]
-            chosen: Optional[CellId] = None
-            if k > 0:
-                for p in preds[c]:
-                    arrival = finish[p] + wire_delay
-                    if arrival > start:  # max(start, arrival): tie keeps start
-                        start = arrival
-                        chosen = p
-            start_row[c] = start
-            choice_row[c] = chosen
-            new_finish[c] = start + service(c, k)
-        starts.append(start_row)
-        finishes.append(new_finish)
-        choices.append(choice_row)
-        finish = new_finish
+    from repro.sim.compiled import CompiledRecurrence
+
+    cells: List[CellId] = comm.nodes()
     if not cells:
         return CriticalPath("selftimed", [], 0.0, reported)
-    # max(finish.values()) keeps the first achiever in cell order.
-    terminal = cells[0]
-    for c in cells[1:]:
-        if finish[c] > finish[terminal]:
-            terminal = c
-    makespan = finish[terminal]
+    stepper = CompiledRecurrence(comm).stepper(service, wire_delay)
+    starts: List[List[float]] = []
+    finishes: List[List[float]] = []
+    for _ in range(n_waves):
+        finishes.append(stepper.step().tolist())
+        starts.append(stepper.start.tolist())
+    dense = {cell: i for i, cell in enumerate(cells)}
+    makespan = max(finishes[-1])
+    c = finishes[-1].index(makespan)
     steps: List[PathStep] = []
-    c, k = terminal, n_waves - 1
-    while k >= 0:
-        steps.append(
-            PathStep("compute", c, starts[k][c], finishes[k][c], index=k)
+    for k in range(n_waves - 1, -1, -1):
+        start = starts[k][c]
+        steps.append(PathStep("compute", cells[c], start, finishes[k][c], index=k))
+        if k == 0 or start == finishes[k - 1][c]:
+            continue
+        p = min(
+            dense[q]
+            for q in comm.predecessors(cells[c])
+            if finishes[k - 1][dense[q]] + wire_delay == start
         )
-        chosen = choices[k][c]
-        if chosen is not None:
-            steps.append(
-                PathStep(
-                    "wire",
-                    c,
-                    finishes[k - 1][chosen],
-                    starts[k][c],
-                    src=chosen,
-                    index=k,
-                )
+        steps.append(
+            PathStep(
+                "wire", cells[c], finishes[k - 1][p], start, src=cells[p], index=k
             )
-            c = chosen
-        k -= 1
+        )
+        c = p
     steps.reverse()
     return CriticalPath("selftimed", steps, makespan, reported)
 

@@ -30,9 +30,12 @@ The self-timed side has exactly one evaluator: :class:`RecurrenceStepper`
 over a :class:`CompiledRecurrence` (forward edges with a per-edge wire,
 credit edges lagged ``depth - 1`` waves).  The program recurrence of
 :mod:`repro.sim.dataflow`, the steady-state detector of
-:mod:`repro.sta.flow` and the hybrid controller barrier of
+:mod:`repro.sta.flow`, the hybrid controller barrier of
 :mod:`repro.sim.hybrid_sim` (per-edge wire = handshake cost, plus one
-leading zero-cost wave) all lower onto it.
+leading zero-cost wave), the Section VII line and wavefront of
+:mod:`repro.sim.selftimed` (each cell skewed by its distance from the
+input) and the self-timed critical path of :mod:`repro.obs.critpath`
+all lower onto it.
 
 Every kernel is an *exact* replacement, not an approximation: the same
 float64 operations in the same order as the scalar reference, so payloads,
@@ -723,15 +726,16 @@ class RecurrenceStepper:
     vectorized wave loop.
 
     ``service`` is any spec :func:`~repro.sim.dataflow.service_rows`
-    resolves; ``wire_delay`` is one delay for every channel or a
-    ``{(src, dst): delay}`` map over the COMM edges; ``capacity`` is
-    ``None``, a uniform depth, or a per-edge map
+    resolves; ``wire_delay`` is one finite, non-negative delay for every
+    channel or a ``{(src, dst): delay}`` map over the COMM edges;
+    ``capacity`` is ``None``, a uniform depth, or a per-edge map
     (:func:`~repro.sim.dataflow.channel_depths`).  Channels of one depth
-    form one credit group; depth-1 channels couple starts within a wave
-    and are relaxed to a fixpoint, which is exact (it only ever takes
-    maxima of floats already present) and is refused up front when they
-    close a cycle.  A COMM graph that gained a node or edge after the
-    compile is refused with ``ValueError``.
+    ``d >= 2`` form one credit group.  Depth-1 channels couple starts
+    within a wave and settle in one consumers-first sweep, the scalar
+    oracle's rule, in the order :func:`~repro.sim.dataflow.zero_token_order`
+    computes (which refuses them up front when they close a cycle).  A
+    COMM graph that gained a node or edge after the compile is refused
+    with ``ValueError``.
 
     :attr:`start` and :attr:`finish` are the last wave's rows, indexed
     like ``CompiledRecurrence._cells``; both are freshly allocated per
@@ -764,21 +768,26 @@ class RecurrenceStepper:
             wire_delay = np.asarray(wires, dtype=np.float64)[c._by_dst]
         else:
             wires = [wire_delay]
-        if min(wires, default=0.0) < 0:
-            raise ValueError("wire delay must be non-negative")
+        if not all(0 <= w < math.inf for w in wires):
+            raise ValueError("wire delay must be non-negative and finite")
         depths = channel_depths(c._comm, capacity)
         deepest = int(depths.max(initial=0))
-        # One credit group per channel depth, deepest first, so the
-        # same-wave depth-1 relaxation runs last, over every other term of
-        # the wave.
+        # One credit group per channel depth >= 2; they read earlier
+        # waves' start rows, so they apply before the depth-1 sweep.
         self._credits: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
-        for d in np.unique(depths[depths > 0])[::-1].tolist():
+        for d in np.unique(depths[depths > 1]).tolist():
             sel = np.flatnonzero(depths == d)
-            src, succ = c._esrc[sel], c._edst[sel]
-            offsets, senders = _runs(src)
-            if d == 1:
-                zero_token_order(c._cells, src, succ)
-            self._credits.append((d, succ, offsets, senders))
+            offsets, senders = _runs(c._esrc[sel])
+            self._credits.append((d, c._edst[sel], offsets, senders))
+        # The depth-1 channels as (producer, consumer) pairs, producers in
+        # consumers-first order: each consumer's start is final before any
+        # of its producers reads it.
+        ones = np.flatnonzero(depths == 1)
+        self._sweep = list(zip(c._esrc[ones].tolist(), c._edst[ones].tolist()))
+        if self._sweep:
+            order = zero_token_order(c._cells, c._esrc[ones], c._edst[ones])
+            rank = dict(zip(order, range(len(order))))
+            self._sweep.sort(key=lambda e: rank[e[0]])
         self._window: deque = deque(maxlen=max(deepest - 1, 0))
         self._c = c
         self._wire = wire_delay
@@ -820,17 +829,15 @@ class RecurrenceStepper:
                 continue
             if start is finish:
                 start = finish.copy()
-            if d > 1:
-                row = self._window[-(d - 1)]  # start row of wave k - d + 1
-                grouped = np.maximum.reduceat(row[succ], offsets)
-                start[senders] = np.maximum(start[senders], grouped)
-            else:
-                while True:
-                    grouped = np.maximum.reduceat(start[succ], offsets)
-                    updated = np.maximum(start[senders], grouped)
-                    if np.array_equal(updated, start[senders]):
-                        break
-                    start[senders] = updated
+            row = self._window[-(d - 1)]  # start row of wave k - d + 1
+            grouped = np.maximum.reduceat(row[succ], offsets)
+            start[senders] = np.maximum(start[senders], grouped)
+        if k > 0 and self._sweep:
+            starts = start.tolist()
+            for p, s in self._sweep:
+                if starts[s] > starts[p]:
+                    starts[p] = starts[s]
+            start = np.asarray(starts, dtype=np.float64)
         self._window.append(start)
         self._start = start
         self._finish = start + self._rows(k)

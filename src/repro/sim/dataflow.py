@@ -54,6 +54,7 @@ normalizer (:func:`channel_depths`), the service resolver
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import (
@@ -121,10 +122,10 @@ def constant_service(duration: float) -> ServiceTime:
 
     The returned callable carries a ``constant_duration`` attribute so the
     compiled recurrence kernel (:mod:`repro.sim.compiled`) can skip
-    tabulating a full (cell, wave) service matrix.
+    tabulating a full (cell, wave) service matrix.  A negative or
+    non-finite duration raises ``ValueError``, as in :func:`service_rows`.
     """
-    if duration < 0:
-        raise ValueError("service time must be non-negative")
+    _checked_service(duration, "")
 
     def service(cell: CellId, wave: int) -> float:
         return duration
@@ -141,12 +142,12 @@ def per_cell_service(durations: Mapping[CellId, float]) -> ServiceTime:
     service times are wave-invariant, and per-cell constants are exactly
     that regime.  The returned callable carries a ``cell_durations``
     attribute so the compiled recurrence kernel can build its per-cell
-    service column without tabulating a full (cell, wave) matrix.
+    service column without tabulating a full (cell, wave) matrix.  A
+    negative or non-finite duration raises ``ValueError`` naming its cell.
     """
     table = {cell: float(d) for cell, d in durations.items()}
     for cell, duration in table.items():
-        if duration < 0:
-            raise ValueError(f"negative service time for {cell!r}")
+        _checked_service(duration, f" for {cell!r}")
 
     def service(cell: CellId, wave: int) -> float:
         return table[cell]
@@ -183,12 +184,19 @@ def service_rows(
     A number, a ``{cell: duration}`` map, or a callable carrying
     ``constant_duration`` / ``cell_durations`` (:func:`constant_service`,
     :func:`per_cell_service`) is wave-invariant: it resolves once to a
-    column that every row returns.  Any other ``(cell, wave) -> duration``
-    callable is called once per cell for each requested row, in cell
-    order, and never while resolving — a service that draws from an RNG
-    keeps its stream.  A negative or non-finite duration raises
-    ``ValueError`` naming it, when the column or the row is resolved.
+    column that every row returns.  A 2-D ``(waves, cells)`` array is a
+    service table: row ``k`` is wave ``k``, checked once when resolved.
+    Any other ``(cell, wave) -> duration`` callable is called once per
+    cell for each requested row, in cell order, and never while resolving
+    — a service that draws from an RNG keeps its stream.  A negative or
+    non-finite duration raises ``ValueError`` naming it, when the column,
+    the table or the row is resolved.
     """
+    if isinstance(service, np.ndarray) and service.ndim == 2:
+        if service.shape[1] != len(cells):
+            raise ValueError(f"service table has {service.shape[1]} columns for {len(cells)} cells")
+        table = _checked_services(np.asarray(service, dtype=np.float64), "")
+        return lambda k: table[k]
     if isinstance(service, (int, float)):
         column = np.full(len(cells), float(service))
     elif isinstance(service, Mapping):
@@ -217,6 +225,12 @@ def _checked_services(values: np.ndarray, where: str) -> np.ndarray:
         kind = "negative" if np.isfinite(value) else "non-finite"
         raise ValueError(f"{kind} service time {value!r}{where}")
     return values
+
+
+def _checked_service(value: float, where: str) -> None:
+    """:func:`_checked_services` for one duration."""
+    if not 0.0 <= value < math.inf:
+        _checked_services(np.array([value], dtype=np.float64), where)
 
 
 def channel_depths(comm: CommGraph, capacity: CapacitySpec) -> np.ndarray:
@@ -331,11 +345,11 @@ def recurrence_scalar(
     the consumer's start row ``d - 1`` waves back, so depth 1 couples
     starts within a wave and cells resolve consumers-first.  Only bounded
     channels are scanned, so an unbounded run is the bare forward
-    recurrence.  A negative service duration raises ``ValueError``, as
-    in :func:`service_rows`.
+    recurrence.  A negative or non-finite wire delay or service duration
+    raises ``ValueError``, as in :func:`service_rows`.
     """
-    if wire_delay < 0:
-        raise ValueError("wire delay must be non-negative")
+    if not 0 <= wire_delay < math.inf:
+        raise ValueError("wire delay must be non-negative and finite")
     cells = comm.nodes()
     depths = channel_depths(comm, capacity)
     order = [cells[i] for i in channel_order(comm, depths)]
@@ -363,8 +377,7 @@ def recurrence_scalar(
             starts[c] = start
         window.append(starts)
         durations = [service(c, k) for c in cells]
-        if min(durations, default=0.0) < 0:
-            raise ValueError(f"negative service time in wave {k}")
+        _checked_services(np.asarray(durations, dtype=np.float64), f" in wave {k}")
         finish = {c: starts[c] + d for c, d in zip(cells, durations)}
         yield finish
         k += 1
@@ -444,8 +457,8 @@ class SelfTimedProgramSimulator:
         metrics: Optional[MetricsRegistry] = None,
         channel_capacity: CapacitySpec = None,
     ) -> None:
-        if wire_delay < 0:
-            raise ValueError("wire delay must be non-negative")
+        if not 0 <= wire_delay < math.inf:
+            raise ValueError("wire delay must be non-negative and finite")
         self._program = program
         self._comm = program.array.comm
         self._service = service if service is not None else constant_service(1.0)
@@ -606,8 +619,8 @@ class SelfTimedProgramSimulator:
             fire_inputs = {src_c: inputs.get(src_c) for src_c in preds[cell]}
             outputs = pes[cell].fire(fire_inputs)
             duration = self._service(cell, k)
-            if duration < 0:
-                raise ValueError(f"negative service time for {cell!r} wave {k}")
+            if not 0.0 <= duration < math.inf:
+                _checked_service(duration, f" for {cell!r} wave {k}")
             if service_hist is not None:
                 service_hist.observe(duration)
             if tracer.enabled:
@@ -743,12 +756,12 @@ class SelfTimedProgramSimulator:
 
     def critical_path(self, waves: Optional[int] = None):
         """The dependency chain behind this program's self-timed makespan
-        (see :func:`repro.obs.critpath.selftimed_critical_path`): the same
-        tandem recurrence, replayed with argmax bookkeeping, so the
-        chain's endpoint equals :meth:`recurrence_makespan` — and the
-        engine-driven :meth:`run` makespan — bit for bit.
+        (see :func:`repro.obs.critpath.selftimed_critical_path`): read off
+        the recurrence stepper's rows, so the chain's endpoint equals
+        :meth:`recurrence_makespan` — and the engine-driven :meth:`run`
+        makespan — bit for bit.
 
-        The replay models the unbounded recurrence; for bounded runs use
+        The chain follows the unbounded recurrence; for bounded runs use
         trace-driven extraction (:func:`repro.obs.critpath.
         critical_path_from_trace`), whose ``credit`` cause annotations
         carry the capacity back-edges.

@@ -42,14 +42,16 @@ class Simulator:
         self.metrics = metrics
 
     def schedule(self, delay: float, action: Action) -> None:
-        """Schedule ``action`` at ``now + delay`` (delay >= 0)."""
-        if delay < 0:
-            raise ValueError("cannot schedule into the past")
+        """Schedule ``action`` at ``now + delay`` (delay >= 0; NaN is
+        refused)."""
+        if not delay >= 0:
+            raise ValueError(f"cannot schedule after a delay of {delay!r}")
         self._queue.push(self.now + delay, action)
 
     def schedule_at(self, time: float, action: Action) -> None:
-        """Schedule ``action`` at an absolute time >= now."""
-        if time < self.now:
+        """Schedule ``action`` at an absolute time >= now (NaN is
+        refused)."""
+        if not time >= self.now:
             raise ValueError(f"cannot schedule at {time} < now ({self.now})")
         self._queue.push(time, action)
 

@@ -13,15 +13,23 @@ self-timed arrays run at worst-case speed anyway.
 pipeline with random per-(cell, wave) service times via the standard
 tandem-queue recurrence (a longest-path computation, equivalent to the
 event-driven simulation but deterministic and fast), and reports measured
-throughput against the worst-case and best-case rates.
+throughput against the worst-case and best-case rates;
+:func:`simulate_selftimed_wavefront` does the same for a mesh.  Both run
+on the one max-plus evaluator,
+:class:`~repro.sim.compiled.RecurrenceStepper`, with each cell skewed by
+its distance from the input (:func:`_skewed_rows`).
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
+import numpy as np
+
+from repro.graphs.comm import CommGraph
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 
@@ -102,12 +110,15 @@ def simulate_selftimed_line(
     the previous output.  Without buffering slack, one slow cell stalls its
     whole neighborhood — the mechanism behind the paper's claim that large
     self-timed arrays run at worst-case speed.  ``blocking=False`` gives the
-    infinite-FIFO idealization for comparison.
+    infinite-FIFO idealization for comparison.  On the recurrence stepper
+    the line is a chain whose channels have capacity 1 when ``blocking``
+    and are unbounded otherwise (see :func:`_skewed_rows`).
 
     Throughput is measured over the second half of the run (past the fill
     transient).  ``worst_time`` (default: the largest sampled service time)
     defines which waves "hit a worst-case cell" for the ``1 - p^k``
-    comparison.
+    comparison.  A negative or non-finite wire delay, service sample or
+    ``worst_time`` raises ``ValueError``.
 
     With a ``metrics`` registry, every (cell, wave) sample lands in the
     ``selftimed.service_time`` histogram and every backpressure wait (the
@@ -121,84 +132,22 @@ def simulate_selftimed_line(
     """
     if n_cells < 1 or waves < 2:
         raise ValueError("need at least one cell and two waves")
-    if wire_delay < 0:
-        raise ValueError("wire delay must be non-negative")
-    tracer = tracer if tracer is not None else NULL_TRACER
-    rng = random.Random(seed)
-
-    finish_prev_wave = [0.0] * n_cells  # finish[i][w-1]
-    start_prev_wave = [0.0] * n_cells   # start[i][w-1]
-    samples_max = 0.0
-    samples_min = float("inf")
-    wave_finish: List[float] = []
-    wave_hits: List[bool] = []
-
-    threshold = worst_time
-    all_samples: List[List[float]] = []
-    for w in range(waves):
-        row = [sampler(rng) for _ in range(n_cells)]
-        all_samples.append(row)
-        samples_max = max(samples_max, max(row))
-        samples_min = min(samples_min, min(row))
-    if threshold is None:
-        threshold = samples_max
-
-    service_hist = stall_hist = None
+    if worst_time is not None and not math.isfinite(worst_time):
+        raise ValueError(f"worst_time must be finite, got {worst_time!r}")
+    samples = _draw(sampler, seed, waves, n_cells)
+    chain = CommGraph([(i, i + 1) for i in range(n_cells - 1)], range(n_cells))
+    start, finish = _skewed_rows(
+        chain, np.arange(n_cells), samples, wire_delay, 1 if blocking else None
+    )
     if metrics is not None:
-        service_hist = metrics.histogram("selftimed.service_time")
-        stall_hist = metrics.histogram("selftimed.stall_time")
-
-    for w in range(waves):
-        upstream_finish = 0.0
-        hit = False
-        starts = [0.0] * n_cells
-        for i in range(n_cells):
-            service = all_samples[w][i]
-            if service >= threshold - 1e-12:
-                hit = True
-            start = max(
-                finish_prev_wave[i],
-                upstream_finish + (wire_delay if i > 0 else 0.0),
-            )
-            data_ready = start
-            if blocking and i + 1 < n_cells:
-                start = max(start, start_prev_wave[i + 1])
-            if service_hist is not None:
-                service_hist.observe(service)
-                stall_hist.observe(start - data_ready)
-            starts[i] = start
-            finish = start + service
-            finish_prev_wave[i] = finish
-            upstream_finish = finish
-        start_prev_wave = starts
-        wave_finish.append(finish_prev_wave[-1])
-        wave_hits.append(hit)
-        if tracer.enabled:
-            tracer.event(
-                finish_prev_wave[-1], "selftimed", "wave",
-                wave=w, hit_worst_case=hit,
-            )
-
-    half = waves // 2
-    steady = wave_finish[half:]
-    if len(steady) >= 2:
-        mean_cycle = (steady[-1] - steady[0]) / (len(steady) - 1)
-    else:
-        mean_cycle = wave_finish[-1] / waves
-    if tracer.enabled:
-        tracer.event(
-            wave_finish[-1], "selftimed", "run",
-            cells=n_cells, waves=waves, makespan=wave_finish[-1],
-            blocking=blocking,
-        )
-    return SelfTimedResult(
-        n_cells=n_cells,
-        waves=waves,
-        completion_time=wave_finish[-1],
-        mean_cycle_time=mean_cycle,
-        worst_case_cycle=samples_max + wire_delay,
-        best_case_cycle=samples_min + wire_delay,
-        waves_hitting_worst_case=sum(wave_hits),
+        # Backpressure wait: start past the later of the cell's own
+        # previous finish and its input's arrival (0 for the first cell).
+        arrival = np.zeros_like(finish)
+        arrival[:, 1:] = finish[:, :-1] + wire_delay
+        _observe(metrics, samples, start - np.maximum(_previous(finish), arrival))
+    return _result(
+        samples, samples, finish[:, -1], wire_delay, worst_time, tracer,
+        blocking=blocking,
     )
 
 
@@ -221,73 +170,114 @@ def simulate_selftimed_wavefront(
 
         t[r][c][w] = max(t[r-1][c][w], t[r][c-1][w], t[r][c][w-1]) + s
 
-    The critical path to the far corner has ``rows + cols - 1`` cells, so
-    the worst-case-hit probability is ``1 - p^(rows+cols-1)`` per wave —
-    larger than the 1D case at equal cell count, reinforcing the paper's
-    point that self-timing helps 2D arrays even less.
+    — a one-way mesh with wire 0 on the recurrence stepper (see
+    :func:`_skewed_rows`).  The critical path to the far corner has
+    ``rows + cols - 1`` cells, so the worst-case-hit probability is
+    ``1 - p^(rows+cols-1)`` per wave — larger than the 1D case at equal
+    cell count, reinforcing the paper's point that self-timing helps 2D
+    arrays even less.  A negative or non-finite service sample or
+    ``worst_time`` raises ``ValueError``.
     """
     if rows < 1 or cols < 1 or waves < 2:
         raise ValueError("need a non-empty mesh and at least two waves")
-    tracer = tracer if tracer is not None else NULL_TRACER
-    rng = random.Random(seed)
-
-    finish_prev = [[0.0] * cols for _ in range(rows)]
-    samples_max = 0.0
-    samples_min = float("inf")
-    wave_finish: List[float] = []
-    wave_hits: List[bool] = []
-    threshold = worst_time
-
-    all_samples: List[List[List[float]]] = []
-    for _w in range(waves):
-        grid = [[sampler(rng) for _ in range(cols)] for _ in range(rows)]
-        all_samples.append(grid)
-        flat = [s for row in grid for s in row]
-        samples_max = max(samples_max, max(flat))
-        samples_min = min(samples_min, min(flat))
-    if threshold is None:
-        threshold = samples_max
-
+    if worst_time is not None and not math.isfinite(worst_time):
+        raise ValueError(f"worst_time must be finite, got {worst_time!r}")
+    n = rows * cols  # cell (r, c) is r * cols + c
+    samples = _draw(sampler, seed, waves, n)
+    south = [(i, i + cols) for i in range(n - cols)]
+    east = [(i, i + 1) for i in range(n) if (i + 1) % cols]
+    lag = (np.arange(rows)[:, None] + np.arange(cols)).ravel()
+    start, finish = _skewed_rows(CommGraph(south + east, range(n)), lag, samples, 0.0, None)
+    if metrics is not None:
+        # Join wait: idle time between finishing wave w-1 and the
+        # north/west inputs for wave w arriving.
+        _observe(metrics, samples, start - _previous(finish))
     # Worst-case hits are judged along one designated monotone path (first
     # row, then last column): length rows + cols - 1 cells, so the measured
     # fraction should track 1 - p^(rows+cols-1).
-    path_cells = {(0, c) for c in range(cols)} | {
-        (r, cols - 1) for r in range(1, rows)
-    }
-    service_hist = stall_hist = None
-    if metrics is not None:
-        service_hist = metrics.histogram("selftimed.service_time")
-        stall_hist = metrics.histogram("selftimed.stall_time")
-    for w in range(waves):
-        finish = [[0.0] * cols for _ in range(rows)]
-        hit = False
-        for r in range(rows):
-            for c in range(cols):
-                service = all_samples[w][r][c]
-                if (r, c) in path_cells and service >= threshold - 1e-12:
-                    hit = True
-                start = finish_prev[r][c]
-                if r > 0:
-                    start = max(start, finish[r - 1][c])
-                if c > 0:
-                    start = max(start, finish[r][c - 1])
-                if service_hist is not None:
-                    service_hist.observe(service)
-                    # Join wait: idle time between finishing wave w-1 and
-                    # the north/west inputs for wave w arriving.
-                    stall_hist.observe(start - finish_prev[r][c])
-                finish[r][c] = start + service
-        finish_prev = finish
-        wave_finish.append(finish[rows - 1][cols - 1])
-        wave_hits.append(hit)
-        if tracer.enabled:
-            tracer.event(
-                wave_finish[-1], "selftimed", "wave",
-                wave=w, hit_worst_case=hit,
-            )
+    path = [*range(cols), *range(2 * cols - 1, n, cols)]
+    return _result(
+        samples, samples[:, path], finish[:, -1], 0.0, worst_time, tracer
+    )
 
-    half = waves // 2
-    steady = wave_finish[half:]
+
+def _draw(sampler: Sampler, seed: int, waves: int, cells: int) -> np.ndarray:
+    """The ``(waves, cells)`` service samples, drawn wave by wave in cell
+    order from one seeded stream."""
+    rng = random.Random(seed)
+    return np.array(
+        [[sampler(rng) for _ in range(cells)] for _ in range(waves)],
+        dtype=np.float64,
+    )
+
+
+def _skewed_rows(
+    comm: CommGraph,
+    lag: np.ndarray,
+    samples: np.ndarray,
+    wire_delay: float,
+    capacity: Optional[int],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``(waves, cells)`` start and finish rows of a Section VII
+    recurrence, evaluated on :class:`~repro.sim.compiled.RecurrenceStepper`.
+
+    The paper's recurrences read same-wave inputs (``finish[i-1][w]``);
+    the stepper's forward term reads the previous wave.  So cell ``c``
+    fires its wave ``w`` at stepper wave ``w + lag[c]`` (its distance from
+    the input): every same-wave input becomes the forward term, and the
+    blocking line's ``start[i+1][w-1]`` a same-wave depth-1 credit.
+    Outside its real waves a cell fires with service 0.  A leading firing
+    carries only sums of wires and float addition is monotone, so it never
+    beats the real arrival it meets, and no real firing reads a trailing
+    one: every real time is the float the paper's recurrence gives.
+    """
+    from repro.sim.compiled import CompiledRecurrence
+
+    waves, cells = samples.shape
+    real = (np.arange(waves)[:, None] + lag, np.arange(cells))
+    table = np.zeros((waves + int(lag.max()), cells))
+    table[real] = samples
+    stepper = CompiledRecurrence(comm).stepper(table, wire_delay, capacity)
+    start, finish = np.empty_like(table), np.empty_like(table)
+    for k in range(len(table)):
+        finish[k] = stepper.step()
+        start[k] = stepper.start
+    return start[real], finish[real]
+
+
+def _previous(finish: np.ndarray) -> np.ndarray:
+    """Each cell's finish of the wave before (0 before wave 0)."""
+    return np.vstack((np.zeros_like(finish[:1]), finish[:-1]))
+
+
+def _observe(metrics: MetricsRegistry, samples: np.ndarray, stalls: np.ndarray) -> None:
+    """Both histograms, in (wave, cell) order."""
+    metrics.histogram("selftimed.service_time").observe_many(samples.ravel().tolist())
+    metrics.histogram("selftimed.stall_time").observe_many(stalls.ravel().tolist())
+
+
+def _result(
+    samples: np.ndarray,
+    judged: np.ndarray,
+    last_finish: np.ndarray,
+    wire_delay: float,
+    worst_time: Optional[float],
+    tracer: Optional[Tracer],
+    **run: Any,
+) -> SelfTimedResult:
+    """The run summary (and its trace events) from the output cell's
+    per-wave finishes; a wave hits the worst case when any of its
+    ``judged`` samples does."""
+    waves, cells = samples.shape
+    samples_max, samples_min = float(samples.max()), float(samples.min())
+    threshold = samples_max if worst_time is None else worst_time
+    hits: List[bool] = (judged >= threshold - 1e-12).any(axis=1).tolist()
+    wave_finish: List[float] = last_finish.tolist()
+    tracer = tracer if tracer is not None else NULL_TRACER
+    if tracer.enabled:
+        for w, (t, hit) in enumerate(zip(wave_finish, hits)):
+            tracer.event(t, "selftimed", "wave", wave=w, hit_worst_case=hit)
+    steady = wave_finish[waves // 2:]
     if len(steady) >= 2:
         mean_cycle = (steady[-1] - steady[0]) / (len(steady) - 1)
     else:
@@ -295,14 +285,14 @@ def simulate_selftimed_wavefront(
     if tracer.enabled:
         tracer.event(
             wave_finish[-1], "selftimed", "run",
-            cells=rows * cols, waves=waves, makespan=wave_finish[-1],
+            cells=cells, waves=waves, makespan=wave_finish[-1], **run,
         )
     return SelfTimedResult(
-        n_cells=rows * cols,
+        n_cells=cells,
         waves=waves,
         completion_time=wave_finish[-1],
         mean_cycle_time=mean_cycle,
-        worst_case_cycle=samples_max,
-        best_case_cycle=samples_min,
-        waves_hitting_worst_case=sum(wave_hits),
+        worst_case_cycle=samples_max + wire_delay,
+        best_case_cycle=samples_min + wire_delay,
+        waves_hitting_worst_case=sum(hits),
     )

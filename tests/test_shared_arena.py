@@ -6,6 +6,7 @@ process-pool Monte-Carlo run over arena trials is bit-identical to the
 serial path.
 """
 
+import multiprocessing
 import pickle
 
 import numpy as np
@@ -88,6 +89,19 @@ class TestSharedArena:
     def test_empty_arena_allowed(self):
         with SharedArena({}) as arena:
             assert arena.arrays() == {}
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_refuses_a_start_method_other_than_fork(self, method, monkeypatch):
+        # Each spawned worker would run its own resource tracker and unlink
+        # the segment when it exits.
+        monkeypatch.setattr(multiprocessing, "get_start_method", lambda: method)
+        with pytest.raises(RuntimeError, match=f"not {method!r}"):
+            SharedArena(_source_arrays())
+
+    def test_builds_under_fork(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_start_method", lambda: "fork")
+        with SharedArena(_source_arrays()) as arena:
+            assert set(arena.arrays()) == {"a", "b", "c"}
 
 
 class TestSharedMemoryTrial:

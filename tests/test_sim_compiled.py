@@ -13,22 +13,29 @@ import pytest
 
 from repro.analysis.montecarlo import CompiledTrialContext, run_trials
 from repro.arrays.systolic import (
+    SystolicProgram,
     build_fir_array,
     build_matvec_array,
     build_mesh_matmul,
     build_odd_even_sorter,
 )
+from repro.arrays.topologies import linear_array, mesh
 from repro.clocktree.buffered import BufferedClockTree
 from repro.clocktree.builders import serpentine_clock
 from repro.core.padding import plan_safe_clocking
 from repro.delay.variation import BoundedUniformVariation
 from repro.sim.clock_distribution import ClockSchedule
 from repro.sim.clocked import ClockedArraySimulator
-from repro.sim.compiled import CompiledClockedKernel, compile_clocked
+from repro.sim.compiled import (
+    CompiledClockedKernel,
+    CompiledRecurrence,
+    compile_clocked,
+)
 from repro.sim.dataflow import (
     SelfTimedProgramSimulator,
     constant_service,
     hashed_service,
+    recurrence_scalar,
 )
 from repro.sim.faults import JitteredSchedule
 
@@ -163,20 +170,40 @@ def test_compiled_spans_same_for_blocked_and_unblocked_runs():
     ]
 
 
+def _one_way(array):
+    """A bare program over ``array``: the recurrence with no payload."""
+    return SystolicProgram(array, {}, 8, lambda executor: None)
+
+
 def test_recurrence_compiled_matches_scalar():
-    for name, program in _programs():
+    # Beside the unbounded programs, two long same-wave credit chains: at
+    # capacity 1 every channel is a depth-1 credit, which the stepper
+    # settles in one consumers-first sweep per wave.
+    cases = [(program, None) for _, program in _programs()] + [
+        (_one_way(linear_array(512, bidirectional=False)), 1),
+        (_one_way(mesh(32, 32, bidirectional=False)), 1),
+    ]
+    for program, capacity in cases:
+        comm = program.array.comm
         for service in (
             None,  # default constant 1.0
             constant_service(2.5),
             hashed_service(1.0, 4.0, 0.3, seed=3),
         ):
             sim = SelfTimedProgramSimulator(
-                program, service=service, wire_delay=0.5
+                program, service=service, wire_delay=0.5,
+                channel_capacity=capacity,
             )
             for waves in (None, 1, 2, 7):
                 assert sim.recurrence_makespan(waves) == (
                     sim.recurrence_makespan_scalar(waves)
                 )
+            # Every wave's finish row, not only its maximum.
+            service = service or constant_service(1.0)
+            stepper = CompiledRecurrence(comm).stepper(service, 0.5, capacity)
+            scalar = recurrence_scalar(comm, service, 0.5, capacity)
+            for _ in range(7):
+                assert stepper.step().tolist() == list(next(scalar).values())
 
 
 def test_recurrence_matches_engine_run():

@@ -285,24 +285,51 @@ _HASH_WITNESS = textwrap.dedent("""
 """)
 
 
+# The self-timed critical path of the same program: on equal arrivals
+# the binding predecessor is the lowest dense id, not the first in set
+# order.
+_CRITPATH_WITNESS = textwrap.dedent("""
+    from repro.arrays.systolic import build_matvec_array
+    from repro.sim.dataflow import SelfTimedProgramSimulator, hashed_service
+    program = build_matvec_array([[1, 2, 3], [4, 5, 6], [7, 8, 9]], [1, -1, 2])
+    cp = SelfTimedProgramSimulator(
+        program, service=hashed_service(1.0, 3.0, 0.25, seed=1),
+        wire_delay=0.25,
+    ).critical_path()
+    for step in cp.steps:
+        print(step.kind, repr(step.cell), repr(step.src), step.index)
+""")
+
+
+def _under_hash_seeds(script):
+    """``script``'s stdout under ``PYTHONHASHSEED`` 1, 2 and 3."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    runs = []
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs.append(proc.stdout)
+    return runs
+
+
 class TestHashSeedIndependentOrder:
     """Matvec's cell ids include strings (``'ysrc'``, ``('a', i)``), whose
     set order moves with ``PYTHONHASHSEED``; same-time events must queue
     in dense-id order instead, so a trace is the same in every process."""
 
     def test_fire_sequence_is_the_same_under_every_hash_seed(self):
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        runs = []
-        for seed in ("1", "2", "3"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
-            env["PYTHONPATH"] = os.pathsep.join(
-                filter(None, [src, env.get("PYTHONPATH")])
-            )
-            proc = subprocess.run(
-                [sys.executable, "-c", _HASH_WITNESS],
-                capture_output=True, text=True, env=env, timeout=120,
-            )
-            assert proc.returncode == 0, proc.stderr
-            runs.append(proc.stdout)
+        runs = _under_hash_seeds(_HASH_WITNESS)
         assert runs[0].count("\n") > 9
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_selftimed_critical_path_is_the_same_under_every_hash_seed(self):
+        runs = _under_hash_seeds(_CRITPATH_WITNESS)
+        assert runs[0].count("wire") > 2
         assert runs[0] == runs[1] == runs[2]

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.selftimed import (
     simulate_selftimed_line,
+    simulate_selftimed_wavefront,
     two_point_sampler,
     worst_case_path_probability,
 )
@@ -114,3 +116,100 @@ class TestSimulation:
             simulate_selftimed_line(4, 1, lambda rng: 1.0)
         with pytest.raises(ValueError):
             simulate_selftimed_line(4, 10, lambda rng: 1.0, wire_delay=-1)
+
+
+def _uniform(rng):
+    return rng.uniform(0.5, 1.5)
+
+
+# name -> (simulator, positional args, keyword args).
+_GOLDEN_RUNS = {
+    "line_n1": ("line", (1, 10, _uniform), dict(seed=1)),
+    "line_16x40_blocking_w025": (
+        "line", (16, 40, two_point_sampler(1.0, 2.0, 0.2)),
+        dict(wire_delay=0.25, seed=3, blocking=True)),
+    "line_16x40_unbounded_w0": (
+        "line", (16, 40, _uniform), dict(wire_delay=0.0, seed=4, blocking=False)),
+    "line_64x100_blocking_w13": (
+        "line", (64, 100, two_point_sampler(1.0, 2.0, 0.1)),
+        dict(wire_delay=1 / 3, seed=7, worst_time=2.0, blocking=True)),
+    "line_e3_512": (
+        "line", (512, 300, two_point_sampler(1.0, 2.0, 0.05)),
+        dict(seed=11, worst_time=2.0, blocking=True)),
+    "wavefront_1x6": (
+        "wavefront", (1, 6, 40, two_point_sampler(1.0, 2.0, 0.2)), dict(seed=5)),
+    "wavefront_6x1": ("wavefront", (6, 1, 40, _uniform), dict(seed=6)),
+    "wavefront_5x7": (
+        "wavefront", (5, 7, 40, two_point_sampler(1.0, 2.0, 0.2)),
+        dict(seed=8, worst_time=2.0)),
+}
+
+# name -> (repr of the result, (count, sum) of selftimed.service_time,
+# (count, sum) of selftimed.stall_time), recorded from the per-(cell,
+# wave) loops these simulators ran before they moved onto the
+# recurrence stepper.
+_GOLDENS = {
+    "line_n1": (
+        "SelfTimedResult(n_cells=1, waves=10, completion_time=9.508091164800865, "
+        "mean_cycle_time=0.890630846788629, worst_case_cycle=1.3474337369372327, "
+        "best_case_cycle=0.5283474765220063, waves_hitting_worst_case=1)",
+        (10, 9.508091164800865), (10, 0.0),
+    ),
+    "line_16x40_blocking_w025": (
+        "SelfTimedResult(n_cells=16, waves=40, completion_time=105.25, "
+        "mean_cycle_time=2.0, worst_case_cycle=2.25, best_case_cycle=1.25, "
+        "waves_hitting_worst_case=38)",
+        (640, 769.0), (640, 148.25),
+    ),
+    "line_16x40_unbounded_w0": (
+        "SelfTimedResult(n_cells=16, waves=40, completion_time=65.32322291835516, "
+        "mean_cycle_time=1.1234543294964763, worst_case_cycle=1.4976365270880905, "
+        "best_case_cycle=0.5009014462790823, waves_hitting_worst_case=1)",
+        (640, 646.79828375777), (640, 0.0),
+    ),
+    "line_64x100_blocking_w13": (
+        "SelfTimedResult(n_cells=64, waves=100, completion_time=295.0000000000001, "
+        "mean_cycle_time=2.047619047619045, worst_case_cycle=2.3333333333333335, "
+        "best_case_cycle=1.3333333333333333, waves_hitting_worst_case=100)",
+        (6400, 7022.0), (6400, 1178.000000000003),
+    ),
+    "line_e3_512": (
+        "SelfTimedResult(n_cells=512, waves=300, completion_time=1044.0, "
+        "mean_cycle_time=1.516778523489933, worst_case_cycle=2.0, "
+        "best_case_cycle=1.0, waves_hitting_worst_case=300)",
+        (153600, 161310.0), (153600, 14615.0),
+    ),
+    "wavefront_1x6": (
+        "SelfTimedResult(n_cells=6, waves=40, completion_time=61.0, "
+        "mean_cycle_time=1.263157894736842, worst_case_cycle=2.0, "
+        "best_case_cycle=1.0, waves_hitting_worst_case=28)",
+        (240, 289.0), (240, 39.0),
+    ),
+    "wavefront_6x1": (
+        "SelfTimedResult(n_cells=6, waves=40, completion_time=52.33568193662149, "
+        "mean_cycle_time=1.2130815896171605, worst_case_cycle=1.4998785964307024, "
+        "best_case_cycle=0.500451714885071, waves_hitting_worst_case=1)",
+        (240, 240.63268040833293), (240, 35.661896299694334),
+    ),
+    "wavefront_5x7": (
+        "SelfTimedResult(n_cells=35, waves=40, completion_time=73.0, "
+        "mean_cycle_time=1.4736842105263157, worst_case_cycle=2.0, "
+        "best_case_cycle=1.0, waves_hitting_worst_case=36)",
+        (1400, 1672.0), (1400, 511.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDENS))
+def test_results_and_histograms_match_the_recorded_goldens(name):
+    kind, args, kwargs = _GOLDEN_RUNS[name]
+    simulate = (
+        simulate_selftimed_line if kind == "line" else simulate_selftimed_wavefront
+    )
+    metrics = MetricsRegistry()
+    result = simulate(*args, metrics=metrics, **kwargs)
+    service = metrics.histogram("selftimed.service_time")
+    stall = metrics.histogram("selftimed.stall_time")
+    assert (
+        repr(result), (service.total, service.sum), (stall.total, stall.sum)
+    ) == _GOLDENS[name]
