@@ -2,12 +2,14 @@
 
 Three checks hold :mod:`repro.sta.flow` to the event-driven truth:
 
-* ``differential-mcm`` — on dyadic-rational designs the Karp formula
-  value, the Howard critical-cycle ratio, and the simulator's measured
-  long-run rate are the same rational, so they must be the same float —
-  zero diff, at every tested topology, size, and capacity regime — and
-  the exact certificate of the Howard answer must verify.  The
-  transient side rides along: the closed-form
+* ``differential-mcm`` — the Karp formula value and the Howard
+  critical-cycle ratio are both the exact maximum cycle mean correctly
+  rounded, so they must be the same float and the exact certificate of
+  the Howard answer must verify, at every tested topology, size, and
+  capacity regime, on dyadic designs and on services off the dyadic
+  grid alike.  On dyadic designs the simulator's measured long-run rate
+  is the same rational summed exactly in float, so it must match too —
+  zero diff.  The transient side rides along: the closed-form
   :meth:`~repro.sta.flow.SteadyState.makespan_at` must be bit-equal to
   the iterated compiled recurrence at extrapolated horizons.
 * ``flow-deadlock`` — :func:`~repro.sta.flow.detect_deadlock` must
@@ -33,6 +35,8 @@ from repro.sim.dataflow import (
     constant_service,
 )
 from repro.sta.flow import (
+    FlowCycle,
+    FlowGraph,
     analyze_flow,
     certify_mcm,
     detect_deadlock,
@@ -86,14 +90,33 @@ def _topologies(ctx: CheckContext) -> List[Tuple[str, CommGraph]]:
     return topos
 
 
+def _static_mcm(fg: FlowGraph, name: str, cap: Any, draw: str) -> FlowCycle:
+    """Howard's answer, required to equal Karp's bit for bit and to
+    carry a verified exact certificate."""
+    where = dict(topology=name, capacity=cap, services=draw)
+    howard = mcm_howard(fg)
+    karp = mcm_karp(fg)
+    require(howard is not None and karp is not None,
+            f"{name}/cap={cap}/{draw}: no cycle found on a cyclic flow graph",
+            **where)
+    assert howard is not None and karp is not None
+    require(howard.cycle_time == karp,
+            f"{name}/cap={cap}/{draw}: Howard and Karp disagree",
+            howard=howard.cycle_time, karp=karp, **where)
+    cert = certify_mcm(fg, howard)
+    require(cert.verified, f"{name}/cap={cap}/{draw}: certificate failed",
+            failed=cert.failed, **where)
+    return howard
+
+
 @REGISTRY.register(
     "differential-mcm",
     "differential",
     "the static maximum cycle mean (Karp oracle and Howard kernel, whose "
-    "exact certificate verifies) equals the simulator's measured long-run "
-    "cycle time bit-for-bit on dyadic designs, and the closed-form "
-    "steady-state makespan extrapolation matches the iterated recurrence "
-    "exactly",
+    "exact certificate verifies) is the same float on dyadic and off-grid "
+    "services alike, equals the simulator's measured long-run cycle time "
+    "bit-for-bit on dyadic designs, and the closed-form steady-state "
+    "makespan extrapolation matches the iterated recurrence exactly",
 )
 def check_differential_mcm(ctx: CheckContext) -> Dict[str, Any]:
     from repro.sim.compiled import CompiledRecurrence
@@ -103,23 +126,16 @@ def check_differential_mcm(ctx: CheckContext) -> Dict[str, Any]:
     for name, comm in _topologies(ctx):
         cells = comm.nodes()
         service = _dyadic_services(ctx, f"mcm|{name}", cells)
+        rng = ctx.rng(f"mcm-off-grid|{name}")
+        off_grid = {c: 0.5 + rng.random() for c in cells}
         cyclic = not comm.is_acyclic()
         for cap in (None, 2, 4) if cyclic else (None, 1, 2):
-            fg = flow_graph(comm, service, 0.5, cap)
-            howard = mcm_howard(fg)
-            karp = mcm_karp(fg)
-            require(howard is not None and karp is not None,
-                    f"{name}/cap={cap}: no cycle found on a cyclic "
-                    f"flow graph",
-                    topology=name, capacity=cap)
-            assert howard is not None and karp is not None
-            require(howard.cycle_time == karp,
-                    f"{name}/cap={cap}: Howard and Karp disagree",
-                    topology=name, capacity=cap,
-                    howard=howard.cycle_time, karp=karp)
-            cert = certify_mcm(fg, howard)
-            require(cert.verified, f"{name}/cap={cap}: certificate failed",
-                    topology=name, capacity=cap, failed=cert.failed)
+            off = _static_mcm(
+                flow_graph(comm, off_grid, 0.3, cap), name, cap, "off-grid"
+            )
+            howard = _static_mcm(
+                flow_graph(comm, service, 0.5, cap), name, cap, "dyadic"
+            )
             steady = simulate_steady_state(comm, service, 0.5, cap)
             require(howard.cycle_time == steady.cycle_time,
                     f"{name}/cap={cap}: static MCM != simulated rate",
@@ -146,6 +162,7 @@ def check_differential_mcm(ctx: CheckContext) -> Dict[str, Any]:
                         predicted=predicted, iterated=iterated)
             rows.append({"topology": name, "capacity": cap,
                          "cycle_time": howard.cycle_time,
+                         "off_grid_cycle_time": off.cycle_time,
                          "period": steady.period,
                          "iterations": howard.iterations})
     return {"cases": rows}

@@ -46,19 +46,19 @@ capacity ``d``)
 ==========================  ======================  ==============
 
 (The credit row is ``start[c][k] >= start[s][k-d+1]`` rewritten over
-finishes; its weight can be negative and its token count zero — zero-
-token edges are contracted over their DAG before the cycle-mean solvers
-run.)
+finishes; its weight can be negative and its token count zero.  The
+cycle-mean solvers run on the graph as it is, zero-token edges
+included: once no cycle is token-free, every cycle carries a token.)
 
-Exactness contract: with dyadic-rational delays every path sum is an
-exact float, so Karp's formula value, Howard's critical-cycle ratio,
-and the simulator's measured long-run rate are all correctly-rounded
-divisions of exact operands of the same rational — equal bit for bit.
-The ``differential-mcm`` oracle and the property suite hold this at
-zero diff.  The certificate needs no such grid: it reads each float as
-the dyadic rational it is, so a verified certificate proves the
-reported cycle time is the exact MCM of the contracted graph, rounded
-to nearest, for any finite weights.
+Exactness contract: every finite float is a dyadic rational, so one
+power-of-two scale per graph makes every weight an integer.  Karp,
+Howard and the certificate sum in those integers and divide once, so
+for any finite weights each returns the exact MCM correctly rounded,
+and a verified certificate proves it.  The simulator's measured
+long-run rate sums in float, so it equals them bit for bit only under
+dyadic-rational delays, where every path sum is an exact float; the
+``differential-mcm`` oracle and the property suite hold both at zero
+diff.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cmp_to_key
 from typing import (
     Callable,
     Dict,
@@ -99,13 +100,6 @@ from repro.sim.dataflow import (
 CellId = Hashable
 EdgeKey = Tuple[CellId, CellId]
 ServiceSpec = Union[float, Mapping[CellId, float], Callable[[CellId, int], float]]
-
-#: Policy-improvement threshold for Howard iteration.  Sits between
-#: float rounding noise (~1e-16 relative) and the smallest true
-#: rational improvement at test scales (>= ~1e-6 for dyadic delays with
-#: token counts below ~64), so convergence is exact in the dyadic
-#: regime and robust otherwise.
-_HOWARD_EPS = 1e-9
 
 #: Iteration cap for Howard policy iteration — generously above the
 #: handful of sweeps real graphs need; hitting it raises.
@@ -307,8 +301,8 @@ def flow_graph(
     Edge order is deterministic: per-cell self edges first (dense
     order), then forward edges in canonical CSR predecessor order, then
     credit back edges in COMM edge order.  Zero-token (capacity-1)
-    credit edges are *included* — deadlock detection and contraction
-    happen in the solvers.
+    credit edges are *included*: the solvers run on them directly, after
+    their own deadlock check.
     """
     low = _lower(comm)
     # Static analysis reads services as wave-invariant: the wave-0 row.
@@ -347,103 +341,38 @@ def _deadlock(low: _Lowered, depths: np.ndarray) -> Optional[List[EdgeKey]]:
 
 
 # ----------------------------------------------------------------------
-# zero-token contraction
+# exact integer weights
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _Normalized:
-    """Contracted edge arrays (every edge carries >= 1 token) plus the
-    underlying original-edge-index chain per contracted edge.
-    ``chains is None`` means the contraction was the identity (no
-    zero-token edges): contracted edge ``i`` is original edge ``i``."""
+def _zero_token_order(fg: FlowGraph) -> List[int]:
+    """Sources-first order of the dense cells over the zero-token edges.
 
-    n: int
-    src: np.ndarray
-    dst: np.ndarray
-    weight: np.ndarray
-    tokens: np.ndarray
-    chains: Optional[List[Tuple[int, ...]]]
-
-    def chain(self, i: int) -> Tuple[int, ...]:
-        return (i,) if self.chains is None else self.chains[i]
-
-
-def _normalize(fg: FlowGraph) -> _Normalized:
-    """Contract zero-token edges over their (acyclic) subgraph.
-
-    Every positive-token edge ``u -> v`` spawns ``u -> v'`` for each
-    ``v'`` zero-reachable from ``v``, weighted by the max-weight zero
-    path (DAG longest path) — the classic marked-graph reduction that
-    leaves every cycle mean unchanged while giving the solvers a graph
-    with ``tokens >= 1`` everywhere.  Raises
-    :class:`~repro.sim.dataflow.ChannelDeadlockError` when the zero
-    subgraph has a cycle (a token-free cycle: deadlock), with the
-    :func:`detect_deadlock` witness on a :func:`flow_graph`.
+    Zero-token edges run consumer -> producer; walked as channels
+    (producer -> consumer) a cycle among them is token-free, and
+    :func:`~repro.sim.dataflow.zero_token_order` refuses it with the
+    :func:`detect_deadlock` witness (on a :func:`flow_graph`).
     """
-    n = fg.n_cells
-    zero_mask = fg.etokens == 0
-    if not zero_mask.any():
-        return _Normalized(
-            n=n,
-            src=fg.esrc,
-            dst=fg.edst,
-            weight=fg.eweight,
-            tokens=fg.etokens,
-            chains=None,
-        )
-    zero_ids = np.nonzero(zero_mask)[0]
-    pos_ids = np.nonzero(~zero_mask)[0]
-    zsucc: Dict[int, List[int]] = {}
-    for i in zero_ids.tolist():
-        zsucc.setdefault(int(fg.esrc[i]), []).append(i)
-    # Zero-token edges run consumer -> producer; walked as channels
-    # (producer -> consumer) a cycle is refused with the deadlock witness,
-    # and the consumers-first order, reversed, builds every zero-
-    # successor's longest-path table before its predecessors' tables.
-    order = zero_token_order(fg.cells, fg.edst[zero_ids], fg.esrc[zero_ids])
-    best: Dict[int, Dict[int, Tuple[float, Tuple[int, ...]]]] = {}
-    for u in reversed(order):
-        if u not in zsucc:
-            continue
-        table: Dict[int, Tuple[float, Tuple[int, ...]]] = {}
-        for e in zsucc[u]:
-            d = int(fg.edst[e])
-            w = float(fg.eweight[e])
-            if d not in table or w > table[d][0]:
-                table[d] = (w, (e,))
-            for v2, (w2, p2) in best.get(d, {}).items():
-                total = w + w2
-                if v2 not in table or total > table[v2][0]:
-                    table[v2] = (total, (e,) + p2)
-        best[u] = table
-    src_l: List[int] = []
-    dst_l: List[int] = []
-    w_l: List[float] = []
-    t_l: List[int] = []
-    chains: List[Tuple[int, ...]] = []
-    for e in pos_ids.tolist():
-        u = int(fg.esrc[e])
-        d = int(fg.edst[e])
-        w = float(fg.eweight[e])
-        t = int(fg.etokens[e])
-        src_l.append(u)
-        dst_l.append(d)
-        w_l.append(w)
-        t_l.append(t)
-        chains.append((e,))
-        for v2, (w2, p2) in best.get(d, {}).items():
-            src_l.append(u)
-            dst_l.append(v2)
-            w_l.append(w + w2)
-            t_l.append(t)
-            chains.append((e,) + p2)
-    return _Normalized(
-        n=n,
-        src=np.asarray(src_l, dtype=np.int64),
-        dst=np.asarray(dst_l, dtype=np.int64),
-        weight=np.asarray(w_l, dtype=np.float64),
-        tokens=np.asarray(t_l, dtype=np.int64),
-        chains=chains,
-    )
+    zero = np.flatnonzero(fg.etokens == 0)
+    if not len(zero):
+        return list(range(fg.n_cells))
+    return zero_token_order(fg.cells, fg.edst[zero], fg.esrc[zero])
+
+
+def _scale(weight: np.ndarray, n: int, tokens: int) -> Tuple[int, np.ndarray]:
+    """One power-of-two ``q`` that makes every weight an integer (each
+    finite float is ``k / 2**j``: ``q`` is the largest ``2**j``), and the
+    weights times ``q``.  int64 when ``8 * n**2 * tokens * max|w * q| <
+    2**63``, which bounds every cycle sum, cross product of two cycle
+    means and potential over ``n`` nodes with at most ``tokens`` tokens
+    per edge; Python ints otherwise.  Refuses a weight that is not
+    finite."""
+    if not np.isfinite(weight).all():
+        raise ValueError("flow graph weights must be finite")
+    q = max((x.as_integer_ratio()[1] for x in np.unique(weight).tolist()), default=1)
+    span = 8 * n * n * max(tokens, 1) * float(np.abs(weight).max(initial=0.0))
+    if q.bit_length() < 63 and span * q < 2.0**63:
+        return q, (weight * q).astype(np.int64)  # exact: q is a power of two
+    ratios = map(float.as_integer_ratio, weight.tolist())
+    return q, np.asarray([k * (q // d) for k, d in ratios], dtype=object)
 
 
 # ----------------------------------------------------------------------
@@ -454,15 +383,14 @@ class FlowCycle:
     """A critical cycle: the dependence loop whose weight/token ratio is
     the steady-state cycle time.
 
-    ``edges`` are the original :class:`FlowEdge` links in cycle order
-    (zero-token chains re-expanded), and ``edge_ids`` their indices in
-    the graph; ``path`` renders them in the
-    :mod:`repro.obs.critpath` blame format — one lap of the cycle, whose
-    telescoped endpoint is ``weight`` (so blame shares sum to 1).
-    ``cycle_time`` is ``weight / tokens`` with ``weight`` accumulated in
-    step order — the exact rational, correctly rounded, under dyadic
-    delays.  ``state`` is the converged Howard state that
-    :func:`certify_mcm` checks.
+    ``edges`` are the graph's :class:`FlowEdge` links in cycle order,
+    and ``edge_ids`` their indices in the graph; ``path`` renders them
+    in the :mod:`repro.obs.critpath` blame format — one lap of the
+    cycle, whose telescoped endpoint is ``weight`` (so blame shares sum
+    to 1).  ``cycle_time`` is the cycle's exact mean, correctly rounded;
+    ``weight`` is accumulated in float in step order, so ``cycle_time ==
+    weight / tokens`` under dyadic delays.  ``state`` is the converged
+    Howard state that :func:`certify_mcm` checks.
     """
 
     cycle_time: float
@@ -485,18 +413,18 @@ class FlowCycle:
 def _finish_cycle(
     fg: FlowGraph,
     ids: List[int],
+    cycle_time: float,
     iterations: int,
     policy: np.ndarray,
     state: "_HowardState",
 ) -> FlowCycle:
-    """Flatten a contracted cycle (original edge ids, in cycle order) into
-    the canonical :class:`FlowCycle`: rotate to start at the smallest
-    dense id (deterministic), build the blame steps, and accumulate
-    weight in step order."""
-    if ids:
-        srcs = fg.esrc[ids].tolist()
-        anchor = srcs.index(min(srcs))
-        ids = ids[anchor:] + ids[:anchor]
+    """Build the canonical :class:`FlowCycle` from a cycle's edge ids in
+    cycle order: rotate to start at the smallest dense id
+    (deterministic), build the blame steps, and accumulate weight in
+    step order."""
+    srcs = fg.esrc[ids].tolist()
+    anchor = srcs.index(min(srcs))
+    ids = ids[anchor:] + ids[:anchor]
     chain_edges = [fg.edge(i) for i in ids]
     cells = fg.cells
     steps: List[PathStep] = []
@@ -531,7 +459,6 @@ def _finish_cycle(
     path = CriticalPath(
         engine="flow", steps=steps, makespan=weight, reported=weight
     )
-    cycle_time = weight / tokens if tokens else math.inf
     return FlowCycle(
         cycle_time=cycle_time,
         weight=weight,
@@ -548,63 +475,66 @@ def _finish_cycle(
 # ----------------------------------------------------------------------
 # Karp's algorithm (the scalar oracle)
 # ----------------------------------------------------------------------
-def _expand_tokens(
-    norm: _Normalized,
-) -> Tuple[int, List[Tuple[int, int, float]]]:
-    """Unit-token expansion: a ``t``-token edge becomes a chain of ``t``
-    edges through ``t - 1`` fresh nodes, weight on the first link — the
-    graph Karp's theorem applies to directly."""
-    n = norm.n
-    out: List[Tuple[int, int, float]] = []
-    next_node = n
-    for i in range(len(norm.src)):
-        u = int(norm.src[i])
-        v = int(norm.dst[i])
-        w = float(norm.weight[i])
-        t = int(norm.tokens[i])
-        if t == 1:
-            out.append((u, v, w))
-            continue
-        prev = u
-        for j in range(t - 1):
-            aux = next_node
-            next_node += 1
-            out.append((prev, aux, w if j == 0 else 0.0))
-            prev = aux
-        out.append((prev, v, 0.0))
-    return next_node, out
-
-
 def mcm_karp(fg: FlowGraph) -> Optional[float]:
     """Maximum cycle mean by Karp's theorem — the scalar oracle for
     :func:`mcm_howard`.
 
-    Multi-source form on the token-expanded graph, so no SCC split:
-    ``lambda = max_v min_{0 <= k < n} (D_n(v) - D_k(v)) / (n - k)`` with
-    ``D_0 === 0`` (a virtual source reaching every node at weight 0).
-    O(V * E) — the reference implementation, run at oracle sizes.
-    Returns ``None`` when the graph has no cycle; raises
+    Multi-source form, so no SCC split:
+    ``lambda = max_v min_{0 <= k < m} (D_m(v) - D_k(v)) / (m - k)`` with
+    ``D_0 === 0`` (a virtual source reaching every node at weight 0),
+    where ``D_k(v)`` is the heaviest walk into ``v`` carrying exactly
+    ``k`` tokens.  Walks are summed in integers (:func:`_scale`) on the
+    token-expanded graph — a ``t``-token edge becomes ``t`` one-token
+    steps through ``t - 1`` fresh nodes, weight on the first — and each
+    layer takes one step, then relaxes the zero-token edges in their
+    sources-first order.  Each ratio is one correctly rounded division,
+    and rounding is monotone, so the result is the exact MCM correctly
+    rounded.  O(V * E) — the reference implementation, run at oracle
+    sizes.  Returns ``None`` when the graph has no cycle; raises
     :class:`~repro.sim.dataflow.ChannelDeadlockError` on a token-free
     cycle.
     """
-    norm = _normalize(fg)
-    if not len(norm.src):
+    order = _zero_token_order(fg)
+    if not fg.n_edges:
         return None
-    m, edges = _expand_tokens(norm)
-    neg_inf = -math.inf
-    D = [[0.0] * m]
+    n = fg.n_cells
+    q, weight = _scale(fg.eweight, n, int(fg.etokens.max()))
+    steps: List[Tuple[int, int, int]] = []
+    zero: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    m = n
+    for u, v, w, t in zip(
+        fg.esrc.tolist(), fg.edst.tolist(), weight.tolist(), fg.etokens.tolist()
+    ):
+        if not t:
+            zero[u].append((v, w))
+            continue
+        for _ in range(t - 1):
+            steps.append((u, m, w))
+            u, w, m = m, 0, m + 1
+        steps.append((u, v, w))
+    order = [u for u in order if zero[u]]
+    D: List[List[Optional[int]]] = [[0] * m]
     for _ in range(m):
-        prev, row = D[-1], [neg_inf] * m
-        for u, v, w in edges:
-            if prev[u] > neg_inf and prev[u] + w > row[v]:
-                row[v] = prev[u] + w
+        prev, row = D[-1], [None] * m
+        for u, v, w in steps:
+            x = prev[u]
+            if x is not None and (row[v] is None or x + w > row[v]):
+                row[v] = x + w
+        for u in order:
+            x = row[u]
+            if x is not None:
+                for v, w in zero[u]:
+                    if row[v] is None or x + w > row[v]:
+                        row[v] = x + w
         D.append(row)
     best: Optional[float] = None
     for v in range(m):
-        if D[m][v] == neg_inf:
+        top = D[m][v]
+        if top is None:
             continue
         lam = min(
-            (D[m][v] - D[k][v]) / (m - k) for k in range(m) if D[k][v] > neg_inf
+            (top - D[k][v]) / (q * (m - k))
+            for k in range(m) if D[k][v] is not None
         )
         if best is None or lam > best:
             best = lam
@@ -632,195 +562,132 @@ def _cyclic_core(
         alive &= ~drop
 
 
+#: Orders reduced means ``(a, b)``, ``b > 0``, exactly: by cross product.
+_BY_MEAN = cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1])
+
+
 def mcm_howard(
     fg: FlowGraph, warm_start: Optional[np.ndarray] = None
 ) -> Optional[FlowCycle]:
-    """Maximum cycle mean by Howard policy iteration, vectorized —
-    the production kernel, with critical-cycle extraction.
+    """Maximum cycle mean by Howard policy iteration, exact and
+    vectorized — the production kernel, with critical-cycle extraction.
 
     The policy picks one *incoming* edge per node (the recurrence's
-    binding constraint points from constrainer to constrained); each
-    round evaluates the policy's functional graph exactly (cycle means
-    and potentials, O(V) Python) and then improves every node at once
-    with two ``np.maximum.reduceat`` phases (cycle-mean first, then
-    potential).  Converges in a handful of sweeps; the final policy
-    cycle *is* the critical cycle.
+    binding constraint points from constrainer to constrained).  Each
+    sweep evaluates the policy's functional graph exactly
+    (:func:`_policy_classes`, in the integers of :func:`_scale`) and
+    ranks its distinct class means, then improves every node at once
+    with two ``np.maximum.reduceat`` phases: an in-edge from a class of
+    higher mean, else a same-mean in-edge with the largest strictly
+    positive gain.  The graph is the flow graph itself,
+    zero-token edges included (a token-free cycle is refused first, so
+    every policy cycle carries a token).  Canonical anchors make the
+    potentials a function of the policy, so every change is a strict
+    improvement and the sweeps cannot cycle; the loop stops when none is
+    left, which is exactly the upper bound :func:`certify_mcm` checks.
+    The first policy cycle of the top class is the critical cycle.
 
     ``warm_start`` seeds the policy from a previous solve on the same
     node set (``FlowCycle.policy``: chosen predecessor per node, -1 for
     none) — the ECO path uses this after capacity edits.  The scalar
-    oracle is :func:`mcm_karp`; the two agree bit-for-bit under dyadic
-    delays (``differential-mcm``).  The converged state rides along on
+    oracle is :func:`mcm_karp`; both return the exact MCM correctly
+    rounded (``differential-mcm``).  The converged state rides along on
     ``FlowCycle.state`` so :func:`certify_mcm` can check the answer
     exactly without solving again.
     """
-    norm = _normalize(fg)
-    if not len(norm.src):
-        return None
-    alive = _cyclic_core(norm.n, norm.src, norm.dst)
-    keep = alive[norm.src] & alive[norm.dst]
+    _zero_token_order(fg)  # refuses a token-free cycle
+    alive = _cyclic_core(fg.n_cells, fg.esrc, fg.edst)
+    keep = alive[fg.esrc] & alive[fg.edst]
     if not keep.any():
         return None
-    e_ids = np.nonzero(keep)[0]
-    esrc = norm.src[e_ids]
-    edst = norm.dst[e_ids]
-    ew = norm.weight[e_ids]
-    et = norm.tokens[e_ids].astype(np.float64)
-    core_nodes = np.nonzero(alive)[0]
+    core_nodes = np.flatnonzero(alive)
     n_core = len(core_nodes)
-    compact = np.full(norm.n, -1, dtype=np.int64)
+    compact = np.full(fg.n_cells, -1, dtype=np.int64)
     compact[core_nodes] = np.arange(n_core, dtype=np.int64)
-    csrc = compact[esrc]
-    cdst = compact[edst]
     # In-edge CSR: edges sorted by destination (stable, so ties keep
     # build order — deterministic policies).
-    order = np.argsort(cdst, kind="stable")
-    csrc = csrc[order]
-    cdst = cdst[order]
-    ew = ew[order]
-    et = et[order]
-    e_ids = e_ids[order]
-    esrc_orig = core_nodes[csrc]  # original dense ids per sorted edge
-    counts = np.bincount(cdst, minlength=n_core)
-    indptr = np.zeros(n_core + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    starts = indptr[:-1]
+    e_ids = np.flatnonzero(keep)
+    e_ids = e_ids[np.argsort(compact[fg.edst[e_ids]], kind="stable")]
+    src = compact[fg.esrc[e_ids]]
+    dst = compact[fg.edst[e_ids]]
+    t = fg.etokens[e_ids]
+    q, w = _scale(fg.eweight, n_core, int(t.max()))
+    w = w[e_ids]
+    esrc_orig = core_nodes[src]  # original dense ids per sorted edge
+    counts = np.bincount(dst, minlength=n_core)
+    starts = np.zeros(n_core, dtype=np.int64)
+    np.cumsum(counts[:-1], out=starts[1:])
     # Every core node has >= 1 in-edge by construction of the core.
     # Initial policy: the node's self edge where it has one — every
     # policy cycle is then a self loop, so the first evaluation already
-    # surfaces max(service) as a candidate lambda and the broadcast
+    # surfaces max(service) as a candidate mean and the broadcast
     # below spreads it in one sweep (a constant number of sweeps on
     # meshes, instead of O(diameter) from an arbitrary start).
+    big = len(src)
+    edge_arange = np.arange(big, dtype=np.int64)
     self_edge = np.minimum.reduceat(
-        np.where(
-            csrc == cdst,
-            np.arange(len(csrc), dtype=np.int64),
-            len(csrc),
-        ),
-        starts,
+        np.where(src == dst, edge_arange, big), starts
     )
-    policy = np.where(self_edge < len(csrc), self_edge, starts)
-    if warm_start is not None:
-        for v in range(n_core):
-            want = warm_start[core_nodes[v]]
-            if want < 0:
-                continue
-            for e in range(int(indptr[v]), int(indptr[v + 1])):
-                if esrc_orig[e] == want:
-                    policy[v] = e
-                    break
-    lam = np.zeros(n_core, dtype=np.float64)
-    h = np.zeros(n_core, dtype=np.float64)
-    edge_arange = np.arange(len(csrc), dtype=np.int64)
-    big = len(csrc)
-    # Plain-list mirrors for the Python-side walk and broadcast below:
-    # per-element numpy indexing boxes a scalar per access, which at
-    # mesh scale costs more than the whole vectorized phase.
-    csrc_l = csrc.tolist()
-    cdst_l = cdst.tolist()
-    ew_l = ew.tolist()
-    et_l = et.tolist()
-    # Out-adjacency (edge indices per source node) for the broadcast.
-    out_edges: List[List[int]] = [[] for _ in range(n_core)]
-    for e, u in enumerate(csrc_l):
-        out_edges[u].append(e)
-    best_cycle: List[int] = []
-    best_lam = -math.inf
-    iterations = 0
-    for iterations in range(1, _HOWARD_MAX_ITERS + 1):
-        # --- evaluate the policy's functional graph (walk v -> chosen
-        # predecessor), exactly, in Python O(V) over plain lists.
-        pol = policy.tolist()
-        color = [0] * n_core  # 1 = on walk, 2 = done
-        lam_l = [0.0] * n_core
-        h_l = [0.0] * n_core
-        best_cycle = []
-        best_lam = -math.inf
-        for v0 in range(n_core):
-            if color[v0]:
-                continue
-            walk: List[int] = []
-            v = v0
-            while color[v] == 0:
-                color[v] = 1
-                walk.append(v)
-                v = csrc_l[pol[v]]
-            if color[v] == 1:
-                # New cycle: the walk tail from v onwards.
-                at = walk.index(v)
-                cyc = walk[at:]
-                W = 0.0
-                T = 0.0
-                for u in cyc:
-                    e = pol[u]
-                    W += ew_l[e]
-                    T += et_l[e]
-                lam_c = W / T
-                if lam_c > best_lam:
-                    best_lam = lam_c
-                    best_cycle = list(cyc)
-                # Potentials around the cycle: anchor the entry node,
-                # then h[u] = h[pred] + w - lam * t walking backwards.
-                h_l[v] = 0.0
-                lam_l[v] = lam_c
-                for u in reversed(cyc[1:]):
-                    e = pol[u]
-                    pred = csrc_l[e]
-                    h_l[u] = h_l[pred] + (ew_l[e] - lam_c * et_l[e])
-                    lam_l[u] = lam_c
-                for u in cyc:
-                    color[u] = 2
-                tail = walk[:at]
-            else:
-                tail = walk
-            # Tree part: value each stacked node off its predecessor.
-            for u in reversed(tail):
-                e = pol[u]
-                pred = csrc_l[e]
-                lam_u = lam_l[pred]
-                lam_l[u] = lam_u
-                h_l[u] = h_l[pred] + (ew_l[e] - lam_u * et_l[e])
-                color[u] = 2
-        lam = np.asarray(lam_l, dtype=np.float64)
-        h = np.asarray(h_l, dtype=np.float64)
-        # --- vectorized improvement.
-        lam_src = lam[csrc]
-        glam = np.maximum.reduceat(lam_src, starts)
-        glam_e = np.repeat(glam, counts)
-        # Phase 1: a predecessor on a faster cycle.
-        imp1 = glam > lam + _HOWARD_EPS
-        attain1 = lam_src >= glam_e  # == up to float identity
-        cand1 = np.minimum.reduceat(
-            np.where(attain1, edge_arange, big), starts
+    policy = np.where(self_edge < big, self_edge, starts)
+    if warm_start is not None:  # each node's first in-edge from its old pick
+        want = np.asarray(warm_start)[core_nodes][dst]
+        warm = np.minimum.reduceat(
+            np.where(esrc_orig == want, edge_arange, big), starts
         )
-        # Phase 2: same cycle mean, better potential.
-        val = h[csrc] + (ew - lam[cdst] * et)
-        val_masked = np.where(lam_src >= glam_e, val, -math.inf)
-        gval = np.maximum.reduceat(val_masked, starts)
-        imp2 = (~imp1) & (gval > h + _HOWARD_EPS)
-        attain2 = val_masked >= np.repeat(gval, counts)
+        policy = np.where(warm < big, warm, policy)
+    # Out-adjacency (edge indices by source node) for the broadcast.
+    dst_l = dst.tolist()
+    out_edges = np.argsort(src, kind="stable").tolist()
+    out_ptr = [0] + np.cumsum(np.bincount(src, minlength=n_core)).tolist()
+    for iterations in range(1, _HOWARD_MAX_ITERS + 1):
+        pred = src[policy].tolist()
+        cls, p, a, b, anchors = _policy_classes(
+            pred, w[policy].tolist(), t[policy].tolist()
+        )
+        means = sorted(set(zip(a, b)), key=_BY_MEAN)
+        rank_of = {m: r for r, m in enumerate(means)}
+        class_rank = [rank_of[m] for m in zip(a, b)]
+        top = len(means) - 1
+        node_cls = np.asarray(cls)
+        rank = np.asarray(class_rank)[node_cls]
+        # Phase 1: a predecessor in a class of higher mean.
+        rank_src = rank[src]
+        grank = np.maximum.reduceat(rank_src, starts)
+        imp1 = grank > rank
+        cand1 = np.minimum.reduceat(
+            np.where(rank_src == grank[dst], edge_arange, big), starts
+        )
+        # Phase 2: same mean, the largest strictly positive gain.
+        pn = np.asarray(p, dtype=w.dtype)
+        an, bn = (np.asarray(c, dtype=w.dtype)[node_cls] for c in (a, b))
+        gain = np.where(
+            rank_src == rank[dst],
+            pn[src] + bn[dst] * w - an[dst] * t - pn[dst],
+            0,
+        )
+        gbest = np.maximum.reduceat(gain, starts)
+        imp2 = ~imp1 & (gbest > 0)
         cand2 = np.minimum.reduceat(
-            np.where(attain2, edge_arange, big), starts
+            np.where(gain == gbest[dst], edge_arange, big), starts
         )
         new_policy = policy.copy()
         new_policy[imp1] = cand1[imp1]
         new_policy[imp2] = cand2[imp2]
-        # Lambda broadcast: the per-node improvement above adopts a
+        # Mean broadcast: the per-node improvement above adopts a
         # faster cycle one hop per sweep — O(diameter) sweeps on a mesh.
-        # Instead, grow an in-tree from the current best cycle's region
-        # in one BFS, repointing every slower node it can reach; each
-        # repointed node's lambda jumps straight to best_lam (a strict
-        # lexicographic improvement, so Howard's convergence argument is
-        # untouched and sweep count stops scaling with diameter).
-        floor = best_lam - _HOWARD_EPS
-        seen = [x >= floor for x in lam_l]
+        # Instead, grow an in-tree from the top class in one search,
+        # repointing every slower node it can reach; each repointed
+        # node's mean jumps straight to the top (a strict improvement,
+        # so Howard's convergence argument is untouched and sweep count
+        # stops scaling with diameter).
+        seen = (rank == top).tolist()
         if not all(seen):
             frontier = [v for v, ok in enumerate(seen) if ok]
             repoint: List[Tuple[int, int]] = []
             while frontier:
                 u = frontier.pop()
-                for e in out_edges[u]:
-                    v = cdst_l[e]
+                for e in out_edges[out_ptr[u]:out_ptr[u + 1]]:
+                    v = dst_l[e]
                     if not seen[v]:
                         seen[v] = True
                         repoint.append((v, e))
@@ -836,25 +703,85 @@ def mcm_howard(
             f"Howard policy iteration failed to converge within "
             f"{_HOWARD_MAX_ITERS} sweeps"
         )
-    # The best policy cycle is the critical cycle; flatten it back to
-    # original edges (cycle order: follow the policy backwards, so the
-    # edge list walks constrainer -> constrained).
-    chain: List[int] = []
-    for u in reversed(best_cycle):
-        chain.extend(norm.chain(int(e_ids[policy[u]])))
-    pred_choice = np.full(norm.n, -1, dtype=np.int64)
+    # The first top-class policy cycle is the critical cycle; walk it
+    # from its anchor and list its edges backwards, so the chain runs
+    # constrainer -> constrained.
+    best = class_rank.index(top)
+    cyc = [anchors[best]]
+    while pred[cyc[-1]] != cyc[0]:
+        cyc.append(pred[cyc[-1]])
+    chain = e_ids[policy[cyc[::-1]]].tolist()
+    pred_choice = np.full(fg.n_cells, -1, dtype=np.int64)
     pred_choice[core_nodes] = esrc_orig[policy]
-    state = _HowardState(fg, csrc, cdst, ew, et, policy, core_nodes)
-    return _finish_cycle(fg, chain, iterations, pred_choice, state)
+    state = _HowardState(fg, src, dst, w, t, policy, core_nodes, q)
+    cycle_time = a[best] / (q * b[best])  # int / int rounds correctly
+    return _finish_cycle(fg, chain, cycle_time, iterations, pred_choice, state)
+
+
+def _policy_classes(
+    pred: List[int], w: List[int], t: List[int]
+) -> Tuple[List[int], List[int], List[int], List[int], List[int]]:
+    """A policy evaluated exactly: ``pred`` is each node's chosen
+    predecessor, ``w`` and ``t`` that in-edge's integer weight and
+    tokens.
+
+    Returns ``(cls, p, a, b, anchors)``: each node's class — the policy
+    cycle it drains into, numbered in discovery order (walks start at
+    ascending ids) — and potential, and each class's reduced mean
+    ``a/b`` and anchor.  The anchor is the cycle's smallest id, at
+    potential 0; every other node sits at ``p[pred] + b*w - a*t``, so its
+    chosen edge is tight and the potentials depend on the policy alone.
+    """
+    n = len(pred)
+    cls, p = [-1] * n, [0] * n  # cls -2: on the current walk
+    a: List[int] = []
+    b: List[int] = []
+    anchors: List[int] = []
+    for v0 in range(n):
+        if cls[v0] >= 0:
+            continue
+        if pred[v0] == v0:  # a self-loop: a one-node class
+            g = math.gcd(w[v0], t[v0])
+            cls[v0] = len(a)
+            a.append(w[v0] // g)
+            b.append(t[v0] // g)
+            anchors.append(v0)
+            continue
+        walk: List[int] = []
+        v = v0
+        while cls[v] == -1:
+            cls[v] = -2
+            walk.append(v)
+            v = pred[v]
+        if cls[v] == -2:  # the walk closed a new policy cycle at v
+            at = walk.index(v)
+            cyc = walk[at:]
+            r = cyc.index(min(cyc))
+            cyc = cyc[r:] + cyc[:r]  # anchor first, then predecessors
+            num, den = sum(w[x] for x in cyc), sum(t[x] for x in cyc)
+            g = math.gcd(num, den)
+            k = len(a)
+            a.append(num // g)
+            b.append(den // g)
+            anchors.append(cyc[0])
+            cls[cyc[0]] = k
+            walk[at:] = cyc[1:]  # reversed: round the cycle, then the tree
+        for x in reversed(walk):
+            y = pred[x]
+            k = cls[x] = cls[y]
+            p[x] = p[y] + b[k] * w[x] - a[k] * t[x]
+    return cls, p, a, b, anchors
 
 
 # ----------------------------------------------------------------------
 # the certificate: Howard's answer checked exactly, not solved again
 # ----------------------------------------------------------------------
 class _HowardState(NamedTuple):
-    """Howard's converged state on the cyclic core of ``graph``'s
-    contraction, in compact ids: in-edges sorted by destination (tokens
-    as floats), each node's chosen in-edge, and each node's dense id."""
+    """Howard's converged state on the cyclic core of ``graph``, in
+    compact ids: in-edges sorted by destination with their weights times
+    ``q`` as integers (int64, or Python ints where :func:`_scale` cannot
+    bound them) and their tokens, each node's chosen in-edge, and each
+    node's dense id."""
 
     graph: FlowGraph
     src: np.ndarray
@@ -863,6 +790,7 @@ class _HowardState(NamedTuple):
     tokens: np.ndarray
     policy: np.ndarray
     nodes: np.ndarray
+    q: int
 
 
 class Certificate(NamedTuple):
@@ -883,34 +811,30 @@ def certify_mcm(fg: FlowGraph, cycle: FlowCycle) -> Certificate:
     """Prove exactly, in O(V + E), that ``cycle.cycle_time`` is the
     maximum cycle mean of ``fg`` rounded to nearest.
 
-    Each finite float is ``k / 2**j``, so one power-of-two scale ``q``
-    makes every weight an integer (int64 where every product provably
-    fits, Python ints elsewhere).  *Lower bound:* ``cycle.edge_ids`` is a
-    closed walk of graph edges whose exact mean rounds to
-    ``cycle.cycle_time``.  *Upper bound:* Howard's final policy, evaluated
-    exactly, gives each core node the reduced mean ``a/b`` of the policy
-    cycle it drains into and a potential ``P = q*b*pi``.  No ``a/b``
-    exceeds the walk's mean, and on every contracted core edge ``u -> v``
-    either the classes match and ``P_v >= P_u + b*w - a*t``, or
-    ``a_u/b_u < a_v/b_v``.  A class mean cannot rise all the way round a
-    cycle, so each cycle stays in one class, whose inequalities sum to
-    bound its mean.  Nodes outside the core lie on no cycle.
+    Every weight is an integer over Howard's power-of-two scale ``q``.
+    *Lower bound:* ``cycle.edge_ids`` is a closed walk of graph edges
+    with tokens whose exact mean rounds to ``cycle.cycle_time``.  *Upper
+    bound:* Howard's final policy, evaluated exactly
+    (:func:`_policy_classes`), gives each core node the reduced mean
+    ``a/b`` of the policy cycle it drains into and a potential ``P =
+    q*b*pi``.  No ``a/b`` exceeds the walk's mean, and on every core edge
+    ``u -> v`` either the means match and ``P_v >= P_u + b*w - a*t``, or
+    ``a_u/b_u < a_v/b_v``.  A mean cannot rise all the way round a
+    cycle, so each cycle stays at one mean, whose inequalities sum to
+    bound the cycle's (it carries a token: Howard refused token-free
+    cycles).  Nodes outside the core lie on no cycle.
     """
     st, walk = cycle.state, np.asarray(cycle.edge_ids, dtype=np.int64)
     if st is None or st.graph is not fg or not len(walk):
         return Certificate("lower-bound: no critical cycle of this graph to check")
-    weights = np.concatenate([fg.eweight[walk], st.weight])
-    if not np.isfinite(weights).all():
+    if not np.isfinite(fg.eweight[walk]).all():
         return Certificate("lower-bound: a weight is not finite")
-    q = max(x.as_integer_ratio()[1] for x in set(weights.tolist()))
-    if q < 2**62 and q * float(np.abs(weights).max()) < 2.0**62:
-        w = (weights * q).astype(np.int64)  # exact: q is a power of two
-    else:
-        ratios = map(float.as_integer_ratio, weights.tolist())
-        w = np.asarray([n * (q // d) for n, d in ratios], dtype=object)
-    num, den = sum(w[: len(walk)].tolist()), int(fg.etokens[walk].sum())
+    den = int(fg.etokens[walk].sum())
     if den < 1 or not np.array_equal(fg.edst[walk], fg.esrc[np.roll(walk, -1)]):
         return Certificate("lower-bound: not a closed walk with tokens")
+    q = st.q  # every weight of the graph is a multiple of 1/q
+    ratios = map(float.as_integer_ratio, fg.eweight[walk].tolist())
+    num = sum(k * (q // d) for k, d in ratios)
     g = math.gcd(num, q * den)
     mean = (num // g, q * den // g)
     if cycle.cycle_time != num / (q * den):  # int / int rounds correctly
@@ -918,20 +842,20 @@ def certify_mcm(fg: FlowGraph, cycle: FlowCycle) -> Certificate:
             f"lower-bound: exact mean {mean[0]}/{mean[1]} does not round to "
             f"cycle_time {cycle.cycle_time!r}", mean,
         )
-    w, t = w[len(walk):], st.tokens.astype(np.int64)
-    classes = _policy_classes(st.src[st.policy].tolist(), w[st.policy], t[st.policy])
-    ma, mb, mp = (max(map(abs, c)) for c in classes)
-    mw = max(abs(int(w.min())), abs(int(w.max())))
-    fits = ma * (int(t.max()) + mb + den) + mb * (abs(num) + mw) + 2 * mp < 2**63
-    a, b, p = (np.asarray(c, dtype=np.int64 if fits else object) for c in classes)
-    u, v = st.src, st.dst
-    high = np.flatnonzero(a * den > num * b)
-    if len(high):
-        cell = fg.cells[st.nodes[high[0]]]
+    w, t, u, v = st.weight, st.tokens, st.src, st.dst
+    cls, p, a, b, _ = _policy_classes(
+        u[st.policy].tolist(), w[st.policy].tolist(), t[st.policy].tolist()
+    )
+    high = [ak * den > num * bk for ak, bk in zip(a, b)]
+    if any(high):
+        cell = fg.cells[st.nodes[[high[k] for k in cls].index(True)]]
         return Certificate(
             f"upper-bound: {cell!r} drains into a policy cycle of higher mean",
             mean,
         )
+    node_cls = np.asarray(cls)
+    a, b = (np.asarray(c, dtype=w.dtype)[node_cls] for c in (a, b))
+    p = np.asarray(p, dtype=w.dtype)
     broken = np.flatnonzero(np.where(
         (a[u] == a[v]) & (b[u] == b[v]),
         p[v] - p[u] - b[v] * w + a[v] * t < 0,
@@ -941,34 +865,6 @@ def certify_mcm(fg: FlowGraph, cycle: FlowCycle) -> Certificate:
         x, y = (fg.cells[st.nodes[end[broken[0]]]] for end in (u, v))
         return Certificate(f"upper-bound: edge {x!r} -> {y!r} breaks its inequality", mean)
     return Certificate(None, mean, len(u))
-
-
-def _policy_classes(
-    pred: List[int], w: np.ndarray, t: np.ndarray
-) -> Tuple[List[int], List[int], List[int]]:
-    """A policy (``pred``, with chosen in-edge weights ``w`` and tokens
-    ``t`` per node) evaluated in integers: each node's reduced policy
-    cycle mean ``a/b`` and the potential that makes its edge tight."""
-    we, te, n = w.tolist(), t.tolist(), len(pred)
-    a, b, p, color = [0] * n, [1] * n, [0] * n, [0] * n
-    for v0 in range(n):
-        walk: List[int] = []
-        v = v0
-        while not color[v]:
-            color[v] = 1
-            walk.append(v)
-            v = pred[v]
-        if color[v] == 1:  # the walk closed a new policy cycle at v
-            cyc = walk[walk.index(v):]
-            num, den = sum(we[x] for x in cyc), sum(te[x] for x in cyc)
-            g = math.gcd(num, den)
-            a[v], b[v], color[v] = num // g, den // g, 2
-        for x in reversed(walk):
-            if color[x] == 1:
-                y = pred[x]
-                a[x], b[x], color[x] = a[y], b[y], 2
-                p[x] = p[y] + b[x] * we[x] - a[x] * te[x]
-    return a, b, p
 
 
 # ----------------------------------------------------------------------

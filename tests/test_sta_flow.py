@@ -11,6 +11,7 @@ measured ``steady_cycle_time`` against their marked-graph MCM models.
 
 import json
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from repro.sim.compiled import CompiledRecurrence
 from repro.sim.dataflow import per_cell_service
 from repro.sim.handshake import run_credit_pipeline, run_handshake_pipeline
 from repro.sta.analyzer import STAAnalyzer
-from repro.sta.design import design_for_workload
+from repro.sta.design import design_for_workload, random_design
 from repro.sta.eco import ECOSession
 from repro.sta.flow import (
     FlowEdge,
@@ -181,6 +182,32 @@ def _exact_mcm(fg):
     )
 
 
+def _max_simple_cycle_mean(fg):
+    """Every simple cycle of the graph enumerated, its mean in Fractions:
+    the MCM is attained on a simple cycle, whatever the token counts."""
+    out = {}
+    for i, (u, v) in enumerate(zip(fg.esrc.tolist(), fg.edst.tolist())):
+        out.setdefault(u, []).append((v, i))
+    weight = [Fraction(x) for x in fg.eweight.tolist()]
+    tokens = fg.etokens.tolist()
+    means = []
+
+    def extend(start, u, on, w, t):
+        # Cycles through ``start`` that visit only larger ids: each
+        # simple cycle is found once, from its smallest node.
+        for v, i in out.get(u, ()):
+            if v == start:
+                means.append((w + weight[i]) / (t + tokens[i]))
+            elif v > start and v not in on:
+                on.add(v)
+                extend(start, v, on, w + weight[i], t + tokens[i])
+                on.remove(v)
+
+    for start in range(fg.n_cells):
+        extend(start, start, {start}, Fraction(0), 0)
+    return max(means)
+
+
 class TestCertificate:
     @staticmethod
     def _solved_mesh():
@@ -234,7 +261,7 @@ class TestCertificate:
         cert = certify_mcm(fg, stale)
         assert cert.failed.startswith("upper-bound: edge")
 
-    def test_non_dyadic_mesh_certifies_where_float_karp_is_off(self):
+    def test_non_dyadic_mesh_certifies_and_karp_is_exact(self):
         comm = _mesh(6)
         service = {c: 0.1 * (1 + n % 7) for n, c in enumerate(comm.nodes())}
         report = build_flow_report(comm, service, 0.3, 2, simulate=False)
@@ -247,8 +274,38 @@ class TestCertificate:
         )
         fg = flow_graph(comm, service, 0.3, 2)
         assert _exact_mcm(fg) == exact
-        # Karp's float formula rounds its way below the exact answer.
-        assert mcm_karp(fg) < float(exact)
+        # Karp sums in integers and divides once: the exact mean, rounded.
+        assert mcm_karp(fg) == float(exact)
+
+    def test_non_dyadic_random_designs_match_cycle_enumeration(self):
+        graphs = 0
+        for seed in range(20):
+            comm = random_design(seed).array.comm
+            if comm.node_count > 16:
+                continue
+            rng = random.Random(seed)
+            service = {c: rng.random() for c in comm.nodes()}
+            for wire in (0.1, 0.3, 0.7, 1.3):
+                for cap in (None, 1, 2, 3):
+                    if detect_deadlock(comm, cap) is not None:
+                        continue
+                    fg = flow_graph(comm, service, wire, cap)
+                    exact = float(_max_simple_cycle_mean(fg))
+                    cycle = mcm_howard(fg)
+                    cert = certify_mcm(fg, cycle)
+                    case = (seed, wire, cap)
+                    assert cert.verified, (case, cert.failed)
+                    assert cycle.cycle_time == exact, case
+                    assert mcm_karp(fg) == exact, case
+                    graphs += 1
+        assert graphs == 284
+
+    def test_capacity_one_certificate_checks_each_graph_edge_once(self):
+        comm = design_for_workload("matmul", size=16).array.comm
+        fg = flow_graph(comm, 1.25, 0.5, 1)
+        cert = certify_mcm(fg, mcm_howard(fg))
+        assert cert.verified, cert.failed
+        assert cert.edges <= fg.n_edges
 
     def test_certificate_survives_python_int_arithmetic(self):
         # One service on a 2**-61 grid next to services near 2 puts the
@@ -404,27 +461,18 @@ class TestSteadyStateDetectorDefect:
 
 
 # ----------------------------------------------------------------------
-# known defect: Howard's policy can cycle between two equal-mean cycles
+# regression: Howard's policy must not cycle between equal-mean cycles
 # ----------------------------------------------------------------------
 class TestHowardPolicyCyclingDefect:
-    """Each sweep anchors a policy cycle's potentials at the node where the
-    walk first enters it.  When the tree feeding a kept cycle changes,
-    the entry node moves, every potential the cycle feeds shifts, and
-    the phase-2 improvements can flip back and forth forever.  Buffer
-    sizing on matmul-3 with a long wire hits it; so does ``repro flow
-    --workload matmul --size 3 --wire 8 --target 4``, which exits 1 with
-    a traceback.  A fix must keep ``certify_mcm``'s anchors equal to
-    Howard's (ROADMAP item 2)."""
+    """A policy cycle's potentials anchored where the evaluation walk
+    enters it shift whenever the tree feeding the cycle changes, and
+    phase 2 then flips nodes back and forth until the sweep cap raises.
+    Buffer sizing on matmul-3 with a long wire (``repro flow --workload
+    matmul --size 3 --wire 8 --target 4``) hits that.  Anchored at its
+    smallest node, as ``certify_mcm`` anchors it, a cycle's potentials
+    depend on the policy alone, so every sweep strictly improves it."""
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=RuntimeError,
-        reason="Howard re-anchors a kept cycle and its policy cycles "
-        "(ROADMAP item 2)",
-    )
     def test_sizing_converges_with_a_long_wire(self):
-        import random
-
         comm = design_for_workload("matmul", size=3).array.comm
         rng = random.Random("0|flow|matmul")  # the CLI's services, seed 0
         service = {c: 1.0 + rng.randrange(8) / 8 for c in comm.nodes()}
@@ -678,6 +726,17 @@ class TestFlowReport:
         assert validate_flow_report(reports[0]) == []
         assert reports[0]["agreement"]["exact"]
         assert reports[0]["agreement"]["certificate"]["verified"]
+
+    def test_cli_flow_certifies_a_non_dyadic_capacity_one_fir(self, tmp_path):
+        out = tmp_path / "flow.json"
+        code = cli_main(["flow", "--workload", "fir", "--size", "4",
+                         "--wire", "0.7", "--capacity", "1", "--static-only",
+                         "--json", str(out)])
+        assert code == 0
+        (report,) = json.loads(out.read_text())
+        cert = report["agreement"]["certificate"]
+        assert cert["verified"], cert["failed"]
+        assert cert["exact_mean"] == "11596769040479027/4503599627370496"
 
     def test_cli_sta_flow_flag_writes_valid_artifact(self, tmp_path):
         out = tmp_path / "sta_flow.json"
