@@ -13,12 +13,15 @@ Three differential checks guard the incremental fast paths:
 
 * ``differential-eco-flow`` replays randomized channel-capacity scripts
   (depths 1-4 with token-free cycles that deadlock, widenings on and off
-  the critical cycle, narrowings, and a few slack edits in between) and,
-  after every edit, holds :meth:`~repro.sta.eco.ECOSession.flow` equal
-  to the cold answers: its graph array for array and byte for byte to
+  the critical cycle, narrowings, edits of the cached solve's policy
+  edges, and a few slack edits in between; every other design off the
+  dyadic grid) and, after every edit, holds
+  :meth:`~repro.sta.eco.ECOSession.flow` equal to the cold answers: its
+  graph array for array and byte for byte to
   :func:`~repro.sta.flow.flow_graph`, its witness to
   :func:`~repro.sta.flow.detect_deadlock`, and its cycle time to
-  :func:`~repro.sta.flow.analyze_flow`.
+  :func:`~repro.sta.flow.analyze_flow`; a live answer's
+  :func:`~repro.sta.flow.certify_mcm` must verify on its own graph.
 
 * ``differential-tiles`` composes R x C abutted-tile arrays and holds
   :func:`~repro.sta.tiles.stitched_analysis` (prototype-tile cache +
@@ -36,7 +39,13 @@ from repro.check.registry import REGISTRY, CheckContext, require
 from repro.geometry.point import Point
 from repro.sta.design import random_design
 from repro.sta.eco import ECOSession
-from repro.sta.flow import FlowAnalysis, analyze_flow, detect_deadlock, flow_graph
+from repro.sta.flow import (
+    FlowAnalysis,
+    analyze_flow,
+    certify_mcm,
+    detect_deadlock,
+    flow_graph,
+)
 from repro.sta.slack import analyze_slack, minimum_feasible_period
 from repro.sta.tiles import (
     TileSpec,
@@ -218,9 +227,12 @@ def capacity_edit(
     """Draw one channel-capacity edit, apply it, and name its kind.
 
     ``flow`` is the session's current :class:`~repro.sta.flow.
-    FlowAnalysis`: a widening may target its critical cycle or avoid it.
-    On a cyclic COMM graph, ``close`` drops both directions of one
-    channel pair to depth 1, a token-free cycle (deadlock).
+    FlowAnalysis`: a widening may target its critical cycle or avoid it,
+    and ``policy-*`` edits hit a channel whose credit edge is a policy
+    edge of the cached solve off the critical cycle, which the session
+    must re-solve.  On a cyclic COMM graph, ``close`` drops both
+    directions of one channel pair to depth 1, a token-free cycle
+    (deadlock).
     """
     comm = session.design.array.comm
     edges = comm.edges()
@@ -228,11 +240,26 @@ def capacity_edit(
     # Sorted: a set iterates in hash order; the draws below must not.
     critical = sorted(flow.critical_comm_edges(), key=edges.index)
     finite = [e for e in edges if e in caps]
-    kinds = ["random", "random", "narrow", "widen-off", "widen-on", "close"]
+    policy: List[Any] = []
+    st = flow.cycle.state if flow.cycle is not None else None
+    if st is not None:
+        fg, ids = flow.graph, st.edge_ids[st.policy]
+        for e in ids[fg.ekind[ids] == 2].tolist():
+            channel = (fg.cells[fg.edst[e]], fg.cells[fg.esrc[e]])
+            if channel not in critical:
+                policy.append(channel)
+    kinds = ["random", "random", "narrow", "widen-off", "widen-on", "close",
+             "policy-narrow", "policy-widen"]
     kind = rng.choice(kinds)
     if kind == "widen-on" and critical:
         edge = rng.choice(critical)
         session.set_channel_capacity(edge, caps[edge] + 1)
+    elif kind == "policy-widen" and policy:
+        edge = rng.choice(policy)
+        session.set_channel_capacity(edge, caps[edge] + rng.randint(1, 2))
+    elif kind == "policy-narrow" and any(caps[e] > 1 for e in policy):
+        edge = rng.choice([e for e in policy if caps[e] > 1])
+        session.set_channel_capacity(edge, rng.randint(1, caps[edge] - 1))
     elif kind == "widen-off" and len(finite) > len(critical):
         edge = rng.choice([e for e in finite if e not in critical])
         session.set_channel_capacity(edge, caps[edge] + rng.randint(1, 2))
@@ -254,10 +281,19 @@ def assert_flow_matches_cold(
     context: Dict[str, Any],
 ) -> FlowAnalysis:
     """The session's flow answer equals the cold one after an edit:
-    graph arrays byte for byte, deadlock witness, cycle time."""
+    graph arrays byte for byte, deadlock witness, cycle time; and a live
+    answer's certificate verifies on its own graph."""
     comm = session.design.array.comm
     caps = session.channel_capacities or None
     warm = session.flow(service, wire)
+    if warm.cycle is not None:
+        cert = certify_mcm(warm.graph, warm.cycle)
+        require(
+            cert.verified,
+            "ECO flow answer fails its certificate on its own graph",
+            failed=cert.failed,
+            **context,
+        )
     cold_graph = flow_graph(comm, service, wire, caps)
     require(
         warm.graph.cells == cold_graph.cells,
@@ -297,15 +333,15 @@ def assert_flow_matches_cold(
     "differential-eco-flow",
     "differential",
     "ECO channel-capacity edits keep the session's flow graph, deadlock "
-    "witness and cycle time identical to a cold analysis after every "
-    "edit of randomized scripts",
+    "witness and cycle time identical to a cold analysis, with a verified "
+    "certificate, after every edit of randomized scripts",
 )
 def check_differential_eco_flow(ctx: CheckContext) -> Dict[str, Any]:
     n_designs = 8 if ctx.full else 4
     n_edits = 60 if ctx.full else 30
     rng = ctx.rng("differential-eco-flow")
     kinds: Dict[str, int] = {}
-    dead = 0
+    dead = resolved = python_ints = 0
     for k in range(n_designs):
         design = random_design(seed=rng.randrange(2**31))
         # The first design has COMM cycles, so depth-1 edits can deadlock.
@@ -313,8 +349,12 @@ def check_differential_eco_flow(ctx: CheckContext) -> Dict[str, Any]:
             design = random_design(seed=rng.randrange(2**31))
         session = ECOSession(design)
         cells = design.array.comm.nodes()
-        service = {c: 1.0 + rng.randrange(8) / 8 for c in cells}
-        wire = rng.choice((0.0, 0.25, 0.5))
+        if k % 2:  # off the dyadic grid: Howard sums Python ints
+            service = {c: 0.5 + rng.random() for c in cells}
+            wire = 0.3
+        else:
+            service = {c: 1.0 + rng.randrange(8) / 8 for c in cells}
+            wire = rng.choice((0.0, 0.25, 0.5))
         for edge in design.edges():  # some channels stay unbounded
             if rng.random() < 0.6:
                 session.set_channel_capacity(edge, rng.randint(1, 3))
@@ -331,9 +371,14 @@ def check_differential_eco_flow(ctx: CheckContext) -> Dict[str, Any]:
                 {"design_index": k, "step": step, "edit": kind},
             )
             dead += flow.dead
+            state = flow.cycle.state if flow.cycle is not None else None
+            python_ints += state is not None and state.weight.dtype == object
+        resolved += sum(e.semantic_dirty_rows for e in session.edits
+                        if e.op == "set_channel_capacity")
     require(dead > 0, "no capacity script reached a deadlock", kinds=kinds)
     return {"designs": n_designs, "edits": sum(kinds.values()),
-            "deadlocked": dead, "kinds": kinds}
+            "deadlocked": dead, "python_int_answers": python_ints,
+            "re_solved": resolved, "kinds": kinds}
 
 
 @REGISTRY.register(

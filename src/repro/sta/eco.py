@@ -16,18 +16,23 @@ edit               dirty set
 ``graft_subtree``  no existing rows (new nodes carry no COMM edges);
                    the LCA index extends itself incrementally
 ``set_period``     no rows at all (the period is outside the stored
-                   ``need`` vectors; verdict masks are re-derived lazily)
+                   ``need`` vectors; verdict masks are re-derived lazily),
+                   but O(cells): ``Design.with_period`` rebuilds and
+                   re-validates the schedule and the design
 =================  ====================================================
 
 :meth:`~ECOSession.set_channel_capacity` extends the same discipline to
 the self-timed side: FIFO depths never enter a clocked lag, so no slack
 row moves, and the session's flow memos (:meth:`~ECOSession.flow`) are
 updated in place from one lowering of the COMM graph and a per-channel
-depth vector — a widened channel off the cached critical cycle keeps
-the cached MCM solve outright (widening only lowers the means of cycles
-*through* the edited edge), anything else re-solves warm-started from
-the cached Howard policy.  Either way the answer is bit-identical to a
-cold :func:`~repro.sta.flow.analyze_flow`.
+depth vector.  A new depth for a bounded channel patches one token count
+and keeps the cached MCM solve whenever Howard's converged integer
+potentials prove, in O(1), that the cycle time cannot move
+(:func:`~repro.sta.flow._keep_cycle`); anything else re-solves
+warm-started from the cached Howard policy.  Either way the graph,
+deadlock witness and cycle time equal a cold
+:func:`~repro.sta.flow.analyze_flow`, and the answer's certificate
+verifies on its own graph.
 
 The session maintains the per-edge *need* vectors (``need_exact =
 lead + lag``, the exact-mode hold slack and period requirement;
@@ -80,12 +85,14 @@ from repro.sta.design import Design, EdgeKey
 from repro.sta.drc import run_drc
 from repro.sta.flow import (
     FlowAnalysis,
-    FlowGraph,
+    FlowCycle,
     ServiceSpec,
     _assemble,
     _deadlock,
+    _keep_cycle,
     _lower,
     _Lowered,
+    _retoken,
     mcm_howard,
 )
 
@@ -262,10 +269,8 @@ class ECOSession:
         # order (0 = unbounded).  The COMM graph is lowered at the first
         # flow query; out-of-band COMM edits are refused, so the lowering
         # cannot go stale.  The flow memos are keyed by (service vector
-        # bytes, wire delay) and hold that vector; capacity edits patch
-        # one depth and reassemble each entry's graph from arrays,
-        # reusing the cached critical cycle when the edit provably
-        # cannot move it.
+        # bytes, wire delay) and hold that vector; capacity edits update
+        # them in place (see ``set_channel_capacity``).
         self._capacity: Dict[EdgeKey, int] = {}
         self._depths = np.zeros(len(edges), dtype=np.int64)
         self._lowered: Optional[_Lowered] = None
@@ -415,8 +420,10 @@ class ECOSession:
     def set_period(self, period: float) -> EcoEdit:
         """Re-clock the design at a new period (offsets kept).
 
-        O(1): the stored vectors are period-free ``need`` forms; only the
-        verdict masks depend on the period and they are re-derived lazily.
+        No slack row moves: the stored vectors are period-free ``need``
+        forms, and the verdict masks are re-derived lazily.  The edit is
+        still O(cells): :meth:`~repro.sta.design.Design.with_period`
+        rebuilds the schedule and re-validates the new design.
         """
         self._check_external()
         if period <= 0:
@@ -428,19 +435,17 @@ class ECOSession:
     def set_channel_capacity(self, edge: EdgeKey, depth: int) -> EcoEdit:
         """Set the finite FIFO depth of one directed COMM channel.
 
-        Clocked slack rows are untouched (capacity is a self-timed
-        quantity that never enters a lag), so the edit dirties zero
-        rows; the incrementality lives in the flow memos.  The edit
-        writes one entry of the session's depth vector and reassembles
-        each memo's graph from arrays, with no walk of the COMM graph.
-        A *widening*
-        (finite depth raised) of a channel off a cached critical cycle
-        keeps that cached solve: extra slots only add tokens to — i.e.
-        lower the means of — cycles through the edited edge, so the
-        argmax cycle and its ratio are unchanged, exactly, and deadlock
-        cannot appear.  Any other edit (first finite depth, a narrowing,
-        a touched critical cycle, or a previously dead graph) re-solves
-        the entry, warm-starting Howard from the cached policy.
+        Clocked slack rows are untouched (capacity never enters a lag), so
+        the edit dirties zero rows; the incrementality lives in the flow
+        memos.  A first finite depth adds a credit edge, so each memo's
+        graph is reassembled from arrays and re-solved.  A new depth for a
+        bounded channel changes one token count: each memo's graph is
+        patched in that entry, and its cached solve is kept when the exact
+        reduced-cost test of :func:`~repro.sta.flow._keep_cycle` proves
+        the cycle time cannot move (after the deadlock search, at depth
+        1).  Re-solves warm-start Howard from the cached policy, and
+        ``semantic_dirty_rows`` counts the memos re-solved.  The same
+        depth again changes nothing.
         """
         self._check_external()
         if depth < 1:
@@ -449,37 +454,32 @@ class ECOSession:
         if i is None:
             raise KeyError(f"edge {edge!r} is not a COMM edge")
         old = self._capacity.get(edge)
+        rows = np.empty(0, dtype=np.int64)
+        if depth == old:  # the same depth again: nothing moves
+            return self._record("set_channel_capacity", (edge, int(depth)), rows, 0)
         self._capacity[edge] = self._depths[i] = int(depth)
-        widening = old is not None and depth >= old
-        reused = 0
         recomputed = 0
         for key, (services, analysis) in self._flow_cache.items():
-            fg = _assemble(self._lowering(), services, key[1], self._depths)
-            keep = (
-                widening
-                and analysis.cycle is not None
-                and edge not in analysis.critical_comm_edges()
-            )
-            if keep:
-                fresh = FlowAnalysis(
-                    graph=fg, deadlock=None, cycle=analysis.cycle
-                )
-                reused += 1
+            low = self._lowering()
+            dead = _deadlock(low, self._depths) if depth == 1 or analysis.dead else None
+            cycle: Optional[FlowCycle] = None
+            if old is None:  # a new credit edge
+                fg = _assemble(low, services, key[1], self._depths)
             else:
-                warm = (
-                    analysis.cycle.policy
-                    if analysis.cycle is not None
-                    else None
-                )
-                fresh = self._solve(fg, warm)
+                fg, credit = _retoken(low, analysis.graph, self._depths, i)
+                if dead is None and analysis.cycle is not None:
+                    cycle = _keep_cycle(analysis.cycle, fg, credit)
+            if cycle is None:
                 recomputed += 1
-            self._flow_cache[key] = (services, fresh)
+                warm = analysis.cycle.policy if analysis.cycle is not None else None
+                cycle = mcm_howard(fg, warm_start=warm) if dead is None else None
+            self._flow_cache[key] = (services, FlowAnalysis(fg, dead, cycle))
+        reused = len(self._flow_cache) - recomputed
         if self._metrics is not None:
             if reused:
                 self._metrics.counter("eco.flow_reuse").inc(reused)
             if recomputed:
                 self._metrics.counter("eco.flow_recompute").inc(recomputed)
-        rows = np.empty(0, dtype=np.int64)
         return self._record(
             "set_channel_capacity", (edge, int(depth)), rows, recomputed
         )
@@ -488,15 +488,6 @@ class ECOSession:
         if self._lowered is None:
             self._lowered = _lower(self._design.array.comm)
         return self._lowered
-
-    def _solve(
-        self, fg: FlowGraph, warm: Optional[np.ndarray] = None
-    ) -> FlowAnalysis:
-        """Deadlock search, then (when live) Howard, under the session's
-        depth vector."""
-        dead = _deadlock(self._lowering(), self._depths)
-        cycle = mcm_howard(fg, warm_start=warm) if dead is None else None
-        return FlowAnalysis(graph=fg, deadlock=dead, cycle=cycle)
 
     def apply(self, op: str, **params: Any) -> EcoEdit:
         """Dispatch one edit by name — the edit-script entry point."""
@@ -595,19 +586,23 @@ class ECOSession:
         """Static flow analysis under the session's channel capacities.
 
         Memoized per (service vector, wire delay); capacity edits keep
-        the memo live — see :meth:`set_channel_capacity`.  Every answer
-        is bit-identical to a cold :func:`~repro.sta.flow.analyze_flow`
-        over the current capacity map (the ``differential-eco-flow``
-        check replays capacity scripts asserting exactly that).
+        the memo live — see :meth:`set_channel_capacity`.  Every answer's
+        graph, deadlock witness and cycle time equal a cold
+        :func:`~repro.sta.flow.analyze_flow` over the current capacity
+        map, and ``certify_mcm(answer.graph, answer.cycle)`` verifies (the
+        ``differential-eco-flow`` check replays capacity scripts asserting
+        exactly that).
         """
         self._check_external()
         services = service_rows(self._design.array.comm.nodes(), service)(0)
         key = (services.tobytes(), float(wire_delay))
         entry = self._flow_cache.get(key)
         if entry is None:
-            fg = _assemble(self._lowering(), services, wire_delay, self._depths)
-            entry = (services, self._solve(fg))
-            self._flow_cache[key] = entry
+            low = self._lowering()
+            fg = _assemble(low, services, wire_delay, self._depths)
+            dead = _deadlock(low, self._depths)
+            cycle = mcm_howard(fg) if dead is None else None
+            entry = self._flow_cache[key] = (services, FlowAnalysis(fg, dead, cycle))
         return entry[1]
 
     def analysis(self) -> SlackAnalysis:

@@ -65,7 +65,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cmp_to_key
 from typing import (
     Callable,
@@ -290,6 +290,24 @@ def _assemble(
     )
 
 
+def _retoken(
+    low: _Lowered, fg: FlowGraph, depths: np.ndarray, channel: int
+) -> Tuple[FlowGraph, int]:
+    """``fg`` after an already bounded ``channel`` took its new depth in
+    ``depths``, and the id of the channel's credit edge.  The graph is
+    the one :func:`_assemble` builds under ``depths``: ``etokens`` is
+    copied with that edge patched, and every other array is shared with
+    ``fg``, so all of them are made read-only."""
+    edge = len(low.cells) + len(low.fwd_src) + int(np.count_nonzero(depths[:channel]))
+    etokens = fg.etokens.copy()
+    etokens[edge] = depths[channel] - 1
+    patched = replace(fg, etokens=etokens)
+    for arr in (fg.services, fg.esrc, fg.edst, fg.eweight, etokens, fg.ekind,
+                fg.ewire, fg.eservice):
+        arr.flags.writeable = False
+    return patched, edge
+
+
 def flow_graph(
     comm: CommGraph,
     service: ServiceSpec,
@@ -390,7 +408,12 @@ class FlowCycle:
     to 1).  ``cycle_time`` is the cycle's exact mean, correctly rounded;
     ``weight`` is accumulated in float in step order, so ``cycle_time ==
     weight / tokens`` under dyadic delays.  ``state`` is the converged
-    Howard state that :func:`certify_mcm` checks.
+    Howard state that :func:`certify_mcm` checks.  It belongs to one
+    graph: an ECO edit that keeps the cycle (:func:`_keep_cycle`) carries
+    it over re-pointed at the edited graph, so ``certify_mcm(graph,
+    cycle)`` verifies every session answer; the kept state then differs
+    from a cold solve's, and so may ``policy``, ``iterations`` and the
+    critical cycle chosen among equal means.
     """
 
     cycle_time: float
@@ -713,7 +736,7 @@ def mcm_howard(
     chain = e_ids[policy[cyc[::-1]]].tolist()
     pred_choice = np.full(fg.n_cells, -1, dtype=np.int64)
     pred_choice[core_nodes] = esrc_orig[policy]
-    state = _HowardState(fg, src, dst, w, t, policy, core_nodes, q)
+    state = _HowardState(fg, src, dst, w, t, policy, core_nodes, q, e_ids, pn, an, bn)
     cycle_time = a[best] / (q * b[best])  # int / int rounds correctly
     return _finish_cycle(fg, chain, cycle_time, iterations, pred_choice, state)
 
@@ -780,8 +803,11 @@ class _HowardState(NamedTuple):
     """Howard's converged state on the cyclic core of ``graph``, in
     compact ids: in-edges sorted by destination with their weights times
     ``q`` as integers (int64, or Python ints where :func:`_scale` cannot
-    bound them) and their tokens, each node's chosen in-edge, and each
-    node's dense id."""
+    bound them), their tokens and their ids in ``graph``, each node's
+    chosen in-edge and dense id, and the final policy's evaluation by
+    :func:`_policy_classes` — each node's potential ``p`` and its class's
+    reduced mean ``a/b``, in the weights' dtype — which
+    :func:`_keep_cycle` reads."""
 
     graph: FlowGraph
     src: np.ndarray
@@ -791,6 +817,10 @@ class _HowardState(NamedTuple):
     policy: np.ndarray
     nodes: np.ndarray
     q: int
+    edge_ids: np.ndarray
+    p: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
 
 
 class Certificate(NamedTuple):
@@ -865,6 +895,49 @@ def certify_mcm(fg: FlowGraph, cycle: FlowCycle) -> Certificate:
         x, y = (fg.cells[st.nodes[end[broken[0]]]] for end in (u, v))
         return Certificate(f"upper-bound: edge {x!r} -> {y!r} breaks its inequality", mean)
     return Certificate(None, mean, len(u))
+
+
+def _keep_cycle(cycle: FlowCycle, fg: FlowGraph, edge: int) -> Optional[FlowCycle]:
+    """``cycle`` carried over to ``fg``, a graph that differs from the
+    one ``cycle`` was solved on only in the tokens of graph edge
+    ``edge``, when the edit provably leaves the MCM where it is; ``None``
+    when the graph must be solved again.
+
+    Exact and O(1) from the converged state: the edge is not a policy
+    edge (the policy, its classes, potentials and critical cycle stay
+    as they are), and under its new token count ``t`` it still meets the
+    inequality :func:`certify_mcm` checks — ``P_v - P_u - b*w + a*t >= 0``
+    in the integers, or a class mean that strictly rises from ``u`` to
+    ``v``.  Then every inequality of the certificate still holds, so the
+    critical cycle's mean is still the MCM.  The caller must first rule
+    out a token-free cycle when ``t`` is 0.  A token count that would
+    break :func:`_scale`'s int64 bound solves again.  The kept cycle's
+    state points at ``fg``, so ``certify_mcm(fg, kept)`` verifies it.
+    """
+    st = cycle.state
+    if st is None:
+        return None
+    at = np.flatnonzero(st.edge_ids == edge)
+    if not len(at):  # not a core edge (never on a flow_graph): solve
+        return None
+    k = int(at[0])
+    u, v = int(st.src[k]), int(st.dst[k])
+    if st.policy[v] == k:  # critical-cycle edges are policy edges too
+        return None
+    t = int(fg.etokens[edge])
+    if t > st.tokens[k] and st.weight.dtype != object:
+        top = max(t, int(st.tokens.max())) * int(np.abs(st.weight).max())
+        if 8 * len(st.nodes) ** 2 * top >= 2**63:
+            return None
+    au, bu, av, bv = int(st.a[u]), int(st.b[u]), int(st.a[v]), int(st.b[v])
+    if (au, bu) == (av, bv):
+        if int(st.p[v]) - int(st.p[u]) - bv * int(st.weight[k]) + av * t < 0:
+            return None
+    elif au * bv >= av * bu:
+        return None
+    tokens = st.tokens.copy()
+    tokens[k] = t
+    return replace(cycle, state=st._replace(graph=fg, tokens=tokens))
 
 
 # ----------------------------------------------------------------------

@@ -625,6 +625,48 @@ class TestAnalyzerFlow:
 # ----------------------------------------------------------------------
 # ECO incremental capacity edits
 # ----------------------------------------------------------------------
+def _credit_roles(flow):
+    """Each bounded channel's role in the session's cached solve: its
+    credit edge is on the critical cycle, another policy edge, or free."""
+    fg, cycle = flow.graph, flow.cycle
+    st = cycle.state
+    policy = set(st.edge_ids[st.policy].tolist())
+    roles = {}
+    for e in np.flatnonzero(fg.ekind == 2).tolist():
+        channel = (fg.cells[fg.edst[e]], fg.cells[fg.esrc[e]])
+        roles[channel] = ("critical" if e in cycle.edge_ids
+                          else "policy" if e in policy else "free")
+    return roles
+
+
+def _carried_certificate(flow, fg):
+    """The certificate of ``flow``'s solve carried unchanged to ``fg``,
+    the same edges with new token counts."""
+    st = flow.cycle.state
+    carried = st._replace(graph=fg, tokens=fg.etokens[st.edge_ids])
+    return certify_mcm(fg, replace(flow.cycle, state=carried))
+
+
+def _matmul4_session(depth):
+    session = ECOSession(design_for_workload("matmul", size=4, seed=3))
+    comm = session.design.array.comm
+    for edge in comm.edges():
+        session.set_channel_capacity(edge, depth)
+    service = {c: 1.0 + (i * 5 % 8) / 8 for i, c in enumerate(comm.nodes())}
+    return session, service, session.flow(service, 0.5)
+
+
+def _assert_certified_and_cold(session, service, wire):
+    flow = session.flow(service, wire)
+    cert = certify_mcm(flow.graph, flow.cycle)
+    assert cert.verified, cert.failed
+    cold = analyze_flow(session.design.array.comm, service, wire,
+                        session.channel_capacities)
+    assert flow.deadlock == cold.deadlock
+    assert flow.cycle_time == cold.cycle_time
+    return flow
+
+
 class TestEcoFlow:
     def test_widening_off_critical_edge_reuses_cached_cycle(self):
         session = ECOSession(design_for_workload("fir", size=5))
@@ -637,10 +679,12 @@ class TestEcoFlow:
                      if e not in before.critical_comm_edges())
         edit = session.set_channel_capacity(spare, 3)
         assert edit.op == "set_channel_capacity"
-        after = session.flow(service=1.25, wire_delay=0.5)
-        assert after.cycle is before.cycle  # identity: no re-solve
+        assert edit.semantic_dirty_rows == 0  # no re-solve
+        after = _assert_certified_and_cold(session, 1.25, 0.5)
+        assert after.cycle.edge_ids == before.cycle.edge_ids
+        assert np.array_equal(after.cycle.policy, before.cycle.policy)
 
-    def test_narrowing_recomputes_and_matches_cold_solve(self):
+    def test_narrowing_matches_cold_solve(self):
         session = ECOSession(design_for_workload("fir", size=5))
         comm = session.design.array.comm
         for edge in comm.edges():
@@ -648,10 +692,78 @@ class TestEcoFlow:
         session.flow(service=1.25, wire_delay=0.5)
         edge = comm.edges()[0]
         session.set_channel_capacity(edge, 2)
-        warm = session.flow(service=1.25, wire_delay=0.5)
-        cold = analyze_flow(comm, 1.25, 0.5, session.channel_capacities)
-        assert warm.dead == cold.dead
-        assert warm.cycle_time == cold.cycle_time
+        _assert_certified_and_cold(session, 1.25, 0.5)
+
+    def test_narrowing_off_critical_cycle_keeps_the_solve(self):
+        session, service, before = _matmul4_session(3)
+        channel = next(c for c, role in _credit_roles(before).items()
+                       if role == "free")
+        edit = session.set_channel_capacity(channel, 2)
+        assert edit.semantic_dirty_rows == 0
+        after = _assert_certified_and_cold(session, service, 0.5)
+        assert after.cycle.edge_ids == before.cycle.edge_ids
+        assert after.cycle.state.graph is after.graph
+
+    def test_narrowing_that_breaks_its_reduced_cost_re_solves(self):
+        # The reduced-cost test is what refuses this keep: the channel is
+        # off the critical cycle and not a policy edge, but at depth 1 its
+        # credit edge breaks the cached solve's certificate.
+        session, service, before = _matmul4_session(3)
+        comm = session.design.array.comm
+        for channel, role in _credit_roles(before).items():
+            caps = session.channel_capacities
+            caps[channel] = 1
+            fg = flow_graph(comm, service, 0.5, caps)
+            if role == "free" and not _carried_certificate(before, fg).verified:
+                break
+        else:
+            pytest.fail("no free channel breaks its reduced cost at depth 1")
+        assert detect_deadlock(comm, caps) is None
+        edit = session.set_channel_capacity(channel, 1)
+        assert edit.semantic_dirty_rows == 1
+        _assert_certified_and_cold(session, service, 0.5)
+
+    def test_policy_edge_widening_re_solves_and_certifies(self):
+        session, service, before = _matmul4_session(3)
+        channel = next(c for c, role in _credit_roles(before).items()
+                       if role == "policy")
+        edit = session.set_channel_capacity(channel, 4)
+        assert edit.semantic_dirty_rows == 1
+        _assert_certified_and_cold(session, service, 0.5)
+
+    def test_same_depth_edit_touches_nothing(self):
+        session, service, before = _matmul4_session(2)
+        channel = session.design.array.comm.edges()[0]
+        edit = session.set_channel_capacity(channel, 2)
+        assert edit.semantic_dirty_rows == 0
+        assert session.flow(service, 0.5) is before
+
+    def test_widening_past_the_int64_bound_re_solves(self):
+        # 2**60 slots: the kept int64 state could overflow in the
+        # certificate, so the session solves again in Python ints.
+        session, service, before = _matmul4_session(3)
+        channel = next(c for c, role in _credit_roles(before).items()
+                       if role == "free")
+        edit = session.set_channel_capacity(channel, 2**60)
+        assert edit.semantic_dirty_rows == 1
+        after = _assert_certified_and_cold(session, service, 0.5)
+        assert after.cycle.state.weight.dtype == object
+
+    def test_kept_widening_certifies_on_the_edited_graph(self):
+        # Regression: a kept widening used to carry the Howard state of
+        # the graph before the edit, which certify_mcm refuses ("no
+        # critical cycle of this graph to check").
+        session = ECOSession(design_for_workload("matmul", size=8, seed=3))
+        comm = session.design.array.comm
+        for edge in comm.edges():
+            session.set_channel_capacity(edge, 2)
+        rng = random.Random(3)
+        service = {c: 1.0 + rng.randrange(8) / 8 for c in comm.nodes()}
+        before = session.flow(service, 0.5)
+        spare = next(e for e in comm.edges()
+                     if e not in before.critical_comm_edges())
+        session.set_channel_capacity(spare, 3)
+        _assert_certified_and_cold(session, service, 0.5)
 
     def test_capacity_edit_validation(self):
         session = ECOSession(design_for_workload("fir", size=4))
