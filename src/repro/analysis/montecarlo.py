@@ -11,21 +11,24 @@ per-trial values are reassembled in seed order before summarizing, so
 the parallel path produces *bit-identical* summaries to the serial one
 — parallelism is purely a wall-clock optimization, never a semantic
 change, and the determinism test pins that down.
+
+There is one loop, :func:`run_trials_traced`; :func:`run_trials` is its
+summary.  Its phases and trials are spans
+(:class:`~repro.obs.spans.SpanTracer`) that open whether or not a tracer
+is on, and are no-ops when it is off.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import pickle
 import statistics
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.profile import Profiler
 from repro.obs.spans import SpanTracer
 from repro.obs.trace import NULL_TRACER, RecordingTracer, TraceEvent, Tracer
 
@@ -128,27 +131,12 @@ def _seed_chunks(base_seed: int, n_trials: int, workers: int) -> List[Tuple[int,
     ]
 
 
-def _run_chunk(trial: Trial, first_seed: int, count: int) -> List[Tuple[float, float]]:
-    """Run ``count`` consecutive seeds; returns (value, wall_s) per trial.
-
-    Module-level so the chunk (not the pool plumbing) is what a process
-    backend has to pickle.
-    """
-    out: List[Tuple[float, float]] = []
-    for seed in range(first_seed, first_seed + count):
-        t0 = time.perf_counter()
-        value = trial(seed)
-        out.append((value, time.perf_counter() - t0))
-    return out
-
-
 def run_trials(
     trial: Trial,
     n_trials: int,
     base_seed: int = 0,
     z: float = 1.96,
     tracer: Optional[Tracer] = None,
-    profiler: Optional[Profiler] = None,
     workers: Optional[int] = None,
     executor: str = "thread",
 ) -> MonteCarloSummary:
@@ -162,73 +150,20 @@ def run_trials(
     ``executor`` picks the pool: ``"thread"`` (default — works with any
     callable, pays the GIL for pure-Python trials but wins when trials
     release it) or ``"process"`` (true multi-core, requires ``trial`` to
-    be picklable, i.e. a module-level function).
+    be picklable, i.e. a module-level function).  Any other name is
+    refused before a trial runs, serial or not.
 
-    With a ``tracer``, each trial emits a ``montecarlo/trial`` progress
-    event (``t`` is the trial index; the payload carries the seed, the
-    trial value, and its wall-clock cost) followed by a final
-    ``montecarlo/summary``; parallel runs emit the same events in the
-    same seed order once all chunks land.  A ``profiler`` accumulates
-    the whole loop under a ``montecarlo`` phase.  Both default to off.
+    With a ``tracer``, the run records the span tree of
+    :func:`run_trials_traced`, one ``montecarlo/trial`` progress event
+    per trial in seed order (``t`` is the trial index; the payload
+    carries the seed, the trial value, and its wall-clock cost), and a
+    final ``montecarlo/summary``.  This is :func:`run_trials_traced`
+    without its telemetry: one loop serves both.
     """
-    if n_trials < 2:
-        raise ValueError("need at least two trials")
-    if workers is not None and workers < 1:
-        raise ValueError("workers must be a positive integer")
-    tracer = tracer if tracer is not None else NULL_TRACER
-    parallel = workers is not None and workers > 1
-    values: List[float] = []
-    with (profiler.profiled("montecarlo") if profiler is not None
-          else contextlib.nullcontext()):
-        if parallel:
-            if executor == "thread":
-                pool_cls = ThreadPoolExecutor
-            elif executor == "process":
-                pool_cls = ProcessPoolExecutor
-            else:
-                raise ValueError(f"unknown executor {executor!r}")
-            chunks = _seed_chunks(base_seed, n_trials, workers)
-            with pool_cls(max_workers=workers) as pool:
-                timed = [
-                    item
-                    for chunk_result in pool.map(
-                        _run_chunk,
-                        [trial] * len(chunks),
-                        [first for first, _ in chunks],
-                        [count for _, count in chunks],
-                    )
-                    for item in chunk_result
-                ]
-            values = [value for value, _ in timed]
-            if tracer.enabled:
-                for i, (value, wall_s) in enumerate(timed):
-                    tracer.event(
-                        float(i), "montecarlo", "trial",
-                        seed=base_seed + i, value=value, wall_s=wall_s,
-                        completed=i + 1, total=n_trials,
-                    )
-        else:
-            for i in range(n_trials):
-                if tracer.enabled:
-                    t0 = time.perf_counter()
-                    value = trial(base_seed + i)
-                    tracer.event(
-                        float(i), "montecarlo", "trial",
-                        seed=base_seed + i, value=value,
-                        wall_s=time.perf_counter() - t0,
-                        completed=i + 1, total=n_trials,
-                    )
-                else:
-                    value = trial(base_seed + i)
-                values.append(value)
-    summary = summarize(values, z=z)
-    if tracer.enabled:
-        tracer.event(
-            float(n_trials), "montecarlo", "summary",
-            trials=n_trials, mean=summary.mean, stdev=summary.stdev,
-            ci_low=summary.ci_low, ci_high=summary.ci_high,
-        )
-    return summary
+    return run_trials_traced(
+        trial, n_trials, base_seed=base_seed, z=z, tracer=tracer,
+        workers=workers, executor=executor,
+    )[0]
 
 
 # ----------------------------------------------------------------------
@@ -305,52 +240,42 @@ def _run_chunk_spanned(
     worker: str,
     parent_id: Optional[str],
 ) -> Dict[str, Any]:
-    """The worker half of :func:`run_trials_traced`: run a chunk, span
-    every trial, and return the spans as JSON objects (a tracer cannot
-    cross a process-pool boundary, but its serialized events can).
+    """The worker half of :func:`run_trials_traced`: run ``count``
+    consecutive seeds, time and span every trial, and return the spans
+    as JSON objects (a tracer cannot cross a process-pool boundary, but
+    its serialized events can).  Module-level so the chunk, not the pool
+    plumbing, is what a process backend has to pickle.
 
     ``parent_id`` is the coordinator's map-phase span id — the
     context-propagation handle that grafts this worker's spans onto the
     coordinator's tree when the streams merge.  ``None`` means tracing
-    is off and only timings are collected.
+    is off: the spans are no-ops and only timings are collected.
     """
-    recorder: Optional[RecordingTracer] = None
-    spans: Optional[SpanTracer] = None
-    if parent_id is not None:
-        recorder = RecordingTracer()
-        spans = SpanTracer(recorder, worker=worker, parent_id=parent_id)
-    wall_t0 = time.time()
+    recorder = RecordingTracer()
+    spans = SpanTracer(
+        recorder if parent_id is not None else NULL_TRACER,
+        worker=worker, parent_id=parent_id,
+    )
     t_chunk = time.perf_counter()
     timed: List[Tuple[float, float]] = []
-    ctx = (
-        spans.span("montecarlo.chunk", first_seed=first_seed, count=count)
-        if spans is not None
-        else contextlib.nullcontext()
-    )
-    with ctx:
+    with spans.span("montecarlo.chunk", first_seed=first_seed, count=count):
         for seed in range(first_seed, first_seed + count):
-            if spans is not None:
-                with spans.span("montecarlo.trial", seed=seed) as h:
-                    t0 = time.perf_counter()
-                    value = trial(seed)
-                    wall = time.perf_counter() - t0
-                    h.annotate(value=value)
-            else:
+            with spans.span("montecarlo.trial", seed=seed) as h:
                 t0 = time.perf_counter()
                 value = trial(seed)
-                wall = time.perf_counter() - t0
-            timed.append((value, wall))
+                timed.append((value, time.perf_counter() - t0))
+                h.annotate(value=value)
     return {
         "timed": timed,
         "worker": worker,
-        "wall_t0": wall_t0,
         "wall_s": time.perf_counter() - t_chunk,
-        "events": (
-            [e.to_json_obj() for e in recorder.events]
-            if recorder is not None
-            else []
-        ),
+        "events": [e.to_json_obj() for e in recorder.events],
     }
+
+
+_POOLS: Dict[str, Callable[..., Executor]] = {
+    "thread": ThreadPoolExecutor, "process": ProcessPoolExecutor,
+}
 
 
 def run_trials_traced(
@@ -359,26 +284,27 @@ def run_trials_traced(
     base_seed: int = 0,
     z: float = 1.96,
     tracer: Optional[Tracer] = None,
-    profiler: Optional[Profiler] = None,
     workers: Optional[int] = None,
     executor: str = "thread",
 ) -> Tuple[MonteCarloSummary, MonteCarloTelemetry]:
-    """:func:`run_trials` with phase-resolved telemetry and causal spans.
+    """:func:`run_trials` with its phase-resolved telemetry.
 
-    Identical seed partitioning and seed-order reassembly, so the
-    returned summary is bit-identical to :func:`run_trials`.  On top,
-    the run is decomposed into pickle / map / reduce phases; with an
-    enabled ``tracer`` the whole run is one span tree —
-    ``montecarlo.run_trials`` at the root, one ``montecarlo.chunk`` per
-    worker (propagated across the pool boundary via
-    :class:`~repro.obs.spans.SpanContext`-style parent ids), one
-    ``montecarlo.trial`` per seed — plus the PR-1 ``montecarlo/trial``
-    and ``montecarlo/summary`` progress events, unchanged.
+    The one Monte-Carlo loop.  The run is decomposed into pickle / map /
+    reduce phases; with an enabled ``tracer`` the whole run is one span
+    tree — ``montecarlo.run_trials`` at the root, one
+    ``montecarlo.chunk`` per worker (propagated across the pool boundary
+    via :class:`~repro.obs.spans.SpanContext`-style parent ids), one
+    ``montecarlo.trial`` per seed carrying its ``value`` — plus the
+    ``montecarlo/trial`` and ``montecarlo/summary`` progress events,
+    recorded in seed order once every chunk has landed.  A serial run is
+    one chunk on worker ``w0``.
     """
     if n_trials < 2:
         raise ValueError("need at least two trials")
     if workers is not None and workers < 1:
         raise ValueError("workers must be a positive integer")
+    if executor not in _POOLS:
+        raise ValueError(f"unknown executor {executor!r}")
     tracer = tracer if tracer is not None else NULL_TRACER
     spans = SpanTracer(tracer)
     parallel = workers is not None and workers > 1
@@ -387,80 +313,64 @@ def run_trials_traced(
         executor=executor if parallel else "serial", workers=n_workers
     )
     run_t0 = time.perf_counter()
-    with (profiler.profiled("montecarlo") if profiler is not None
-          else contextlib.nullcontext()):
-        with spans.span(
-            "montecarlo.run_trials",
-            trials=n_trials, workers=n_workers,
-            executor=telemetry.executor,
-        ):
-            pickle_s = 0.0
-            if parallel and executor == "process":
-                with spans.span("montecarlo.pickle") as h:
-                    t0 = time.perf_counter()
-                    payload = pickle.dumps(trial)
-                    pickle_s = time.perf_counter() - t0
-                    h.annotate(bytes=len(payload))
-            chunks = _seed_chunks(base_seed, n_trials, n_workers)
-            with spans.span("montecarlo.map") as map_handle:
-                parent_id = map_handle.span_id if spans.enabled else None
-                if parallel:
-                    if executor == "thread":
-                        pool_cls = ThreadPoolExecutor
-                    elif executor == "process":
-                        pool_cls = ProcessPoolExecutor
-                    else:
-                        raise ValueError(f"unknown executor {executor!r}")
-                    with pool_cls(max_workers=n_workers) as pool:
-                        results = list(
-                            pool.map(
-                                _run_chunk_spanned,
-                                [trial] * len(chunks),
-                                [first for first, _ in chunks],
-                                [count for _, count in chunks],
-                                [f"w{i}" for i in range(len(chunks))],
-                                [parent_id] * len(chunks),
-                            )
-                        )
-                else:
-                    results = [
-                        _run_chunk_spanned(
-                            trial, chunks[0][0], chunks[0][1], "w0", parent_id
-                        )
-                    ]
-            # Merge the workers' span streams into the coordinator's
-            # trace; assemble_spans is arrival-order independent, so
-            # interleaving per chunk is fine.
-            if tracer.enabled:
-                for result in results:
-                    for obj in result["events"]:
-                        tracer.record(TraceEvent.from_json_obj(obj))
-            telemetry.pickle_once_s = pickle_s
-            for (first, count), result in zip(chunks, results):
-                walls = [wall for _, wall in result["timed"]]
-                compile_s, run_s = _split_chunk_phases(walls)
-                telemetry.chunks.append(
-                    ChunkTelemetry(
-                        worker=result["worker"],
-                        first_seed=first,
-                        trials=count,
-                        pickle_s=0.0,
-                        compile_s=compile_s,
-                        run_s=run_s,
-                        wall_s=result["wall_s"],
-                    )
+    with spans.span(
+        "montecarlo.run_trials",
+        trials=n_trials, workers=n_workers,
+        executor=telemetry.executor,
+    ):
+        if parallel and executor == "process":
+            with spans.span("montecarlo.pickle") as h:
+                t0 = time.perf_counter()
+                payload = pickle.dumps(trial)
+                telemetry.pickle_once_s = time.perf_counter() - t0
+                h.annotate(bytes=len(payload))
+        chunks = _seed_chunks(base_seed, n_trials, n_workers)
+        with spans.span("montecarlo.map") as map_handle:
+            parent_id = map_handle.span_id if spans.enabled else None
+            columns = (
+                [trial] * len(chunks),
+                [first for first, _ in chunks],
+                [count for _, count in chunks],
+                [f"w{i}" for i in range(len(chunks))],
+                [parent_id] * len(chunks),
+            )
+            if parallel:
+                with _POOLS[executor](max_workers=n_workers) as pool:
+                    results = list(pool.map(_run_chunk_spanned, *columns))
+            else:
+                results = list(map(_run_chunk_spanned, *columns))
+        # Merge the workers' span streams into the coordinator's
+        # trace; assemble_spans is arrival-order independent, so
+        # interleaving per chunk is fine.
+        if tracer.enabled:
+            for result in results:
+                for obj in result["events"]:
+                    tracer.record(TraceEvent.from_json_obj(obj))
+        for (first, count), result in zip(chunks, results):
+            walls = [wall for _, wall in result["timed"]]
+            compile_s, run_s = _split_chunk_phases(walls)
+            telemetry.chunks.append(
+                ChunkTelemetry(
+                    worker=result["worker"],
+                    first_seed=first,
+                    trials=count,
+                    pickle_s=0.0,
+                    compile_s=compile_s,
+                    run_s=run_s,
+                    wall_s=result["wall_s"],
                 )
-            with spans.span("montecarlo.reduce"):
-                timed = [item for r in results for item in r["timed"]]
-                values = [value for value, _ in timed]
-                if tracer.enabled:
-                    for i, (value, wall_s) in enumerate(timed):
-                        tracer.event(
-                            float(i), "montecarlo", "trial",
-                            seed=base_seed + i, value=value, wall_s=wall_s,
-                            completed=i + 1, total=n_trials,
-                        )
-                summary = summarize(values, z=z)
+            )
+        with spans.span("montecarlo.reduce"):
+            timed = [item for r in results for item in r["timed"]]
+            values = [value for value, _ in timed]
+            if tracer.enabled:
+                for i, (value, wall_s) in enumerate(timed):
+                    tracer.event(
+                        float(i), "montecarlo", "trial",
+                        seed=base_seed + i, value=value, wall_s=wall_s,
+                        completed=i + 1, total=n_trials,
+                    )
+            summary = summarize(values, z=z)
     telemetry.wall_s = time.perf_counter() - run_t0
     if tracer.enabled:
         tracer.event(

@@ -773,11 +773,8 @@ def bench_montecarlo_cached(
     uncached_s = time.perf_counter() - t0
     _MC_CONTEXT.get()  # pre-warm: the compile belongs to no single trial
     t0 = time.perf_counter()
-    cached = run_trials(_mc_cached_trial, trials, base_seed=0)
+    cached, telemetry = run_trials_traced(_mc_cached_trial, trials, base_seed=0)
     cached_s = time.perf_counter() - t0
-    # Phase split from the instrumented runner (summary bit-identical to
-    # run_trials, so reusing its result for the diff check is sound).
-    _, telemetry = run_trials_traced(_mc_cached_trial, trials, base_seed=0)
     diff = max(
         abs(uncached.mean - cached.mean),
         abs(uncached.stdev - cached.stdev),
@@ -848,18 +845,15 @@ def bench_montecarlo(
     arena = SharedTrialArena(_sampler_structure().arrays())
     try:
         trial = arena.trial(_sampler_build, _sampler_run)
+        # The timed run also yields its phase decomposition (one-time
+        # pickle + per-chunk compile/run seconds): the columns that
+        # localize a pool regression to its phase instead of leaving one
+        # opaque wall-clock number.
         t0 = time.perf_counter()
-        parallel = run_trials(
+        parallel, telemetry = run_trials_traced(
             trial, trials, base_seed=0, workers=workers, executor=executor
         )
         parallel_s = time.perf_counter() - t0
-        # Phase decomposition of the pooled run (one-time pickle +
-        # per-chunk compile/run seconds): the columns that localize a
-        # pool regression to its phase instead of leaving one opaque
-        # wall-clock number.
-        _, telemetry = run_trials_traced(
-            trial, trials, base_seed=0, workers=workers, executor=executor
-        )
         peak = (
             peak_mem_bytes(
                 lambda: run_trials(

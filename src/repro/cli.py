@@ -29,7 +29,6 @@ phase of a command therefore includes its imports in a fresh process.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 import time
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
@@ -132,7 +131,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
     sigmas = []
     for i, n in enumerate(sizes):
-        with _maybe_profiled(args, f"n={n}"):
+        with args.phases.span(f"n={n}"):
             array = _topology(args.topology, n)
             ev = evaluate_scheme(array, args.scheme, model, m=args.m, eps=args.eps)
         if tracer.enabled:
@@ -184,7 +183,7 @@ def cmd_inverter(args: argparse.Namespace) -> int:
     metrics = args.metrics_registry
     rows = []
     for seed in range(args.chips):
-        with _maybe_profiled(args, f"chip={seed}"):
+        with args.phases.span(f"chip={seed}"):
             r = InverterString(args.stages, paper_calibrated_model(seed)).result()
         if tracer.enabled:
             tracer.event(
@@ -728,10 +727,10 @@ def cmd_dashboard(args: argparse.Namespace) -> int:
 def _attach_observability(args: argparse.Namespace) -> None:
     """Resolve the ``--trace`` / ``--metrics`` flags into live objects on
     the namespace.  Defaults are the no-op instruments, so commands can
-    use ``args.tracer`` unconditionally."""
+    use ``args.tracer`` and ``args.phases`` unconditionally."""
     from repro.obs.metrics import MetricsRegistry
-    from repro.obs.profile import Profiler
-    from repro.obs.trace import NULL_TRACER, JsonlTracer
+    from repro.obs.spans import SpanTracer
+    from repro.obs.trace import NULL_TRACER, JsonlTracer, RecordingTracer
 
     trace_path = getattr(args, "trace", None)
     args.tracer = JsonlTracer(trace_path) if trace_path else NULL_TRACER
@@ -741,14 +740,9 @@ def _attach_observability(args: argparse.Namespace) -> None:
         or getattr(args, "metrics_prom", None)
     )
     args.metrics_registry = MetricsRegistry() if want_metrics else None
-    args.profiler = Profiler() if want_metrics else None
-
-
-def _maybe_profiled(args: argparse.Namespace, name: str):
-    profiler = getattr(args, "profiler", None)
-    if profiler is None:
-        return contextlib.nullcontext()
-    return profiler.profiled(name)
+    # The phases table times spans on a recorder of its own, so a
+    # --trace file gains no events.
+    args.phases = SpanTracer(RecordingTracer() if want_metrics else NULL_TRACER)
 
 
 def _print_observability(args: argparse.Namespace) -> None:
@@ -765,11 +759,13 @@ def _print_observability(args: argparse.Namespace) -> None:
             _print_table(["name", "type", "summary"], rows)
         else:
             print("  (no instruments touched by this command)")
-        prof_rows = args.profiler.render_rows()
-        if prof_rows:
+        from repro.obs.spans import assemble_spans, phase_rows
+
+        phases = phase_rows(assemble_spans(args.phases.tracer.events))
+        if phases:
             print()
             print("phases:")
-            _print_table(["phase", "calls", "total s", "mean s"], prof_rows)
+            _print_table(["phase", "calls", "total s", "mean s"], phases)
     json_path = getattr(args, "metrics_json", None)
     prom_path = getattr(args, "metrics_prom", None)
     if json_path or prom_path:
@@ -1020,7 +1016,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.tracer.enabled:
             args.tracer.event(0.0, "cli", "command", command=args.command)
-        with _maybe_profiled(args, args.command):
+        with args.phases.span(args.command):
             code = args.func(args)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

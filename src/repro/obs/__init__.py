@@ -1,4 +1,4 @@
-"""Observability: tracing, spans, metrics, and profiling for the simulators.
+"""Observability: tracing, spans, and metrics for the simulators.
 
 Independent instruments, all zero-overhead when left at their defaults
 (every instrumented surface takes ``tracer=None`` / ``metrics=None`` and
@@ -8,11 +8,11 @@ default runs stay byte-identical):
   (:class:`NullTracer`, :class:`RecordingTracer`, :class:`JsonlTracer`);
 * :mod:`repro.obs.spans` — hierarchical causal spans layered on the
   event stream (:class:`SpanTracer`, :func:`assemble_spans`), with a
-  picklable :class:`SpanContext` that survives process-pool boundaries;
+  picklable :class:`SpanContext` that survives process-pool boundaries.
+  Spans are the one wall-clock timer: :func:`phase_rows` aggregates
+  them into the CLI's ``--metrics`` phases table;
 * :mod:`repro.obs.metrics` — counters, gauges, fixed-bucket histograms
-  behind a :class:`MetricsRegistry` (labelled series supported);
-* :mod:`repro.obs.profile` — nested wall-clock phase timers
-  (:class:`Profiler` / :func:`profiled`).
+  behind a :class:`MetricsRegistry` (labelled series supported).
 
 Plus the consumers: :mod:`repro.obs.replay` summarises a recorded trace
 (the ``python -m repro trace`` command), :mod:`repro.obs.critpath`
@@ -33,9 +33,11 @@ __all__, _load = exports(__name__, {
         "load_trace", "read_trace",
     ),
     "metrics": ("DEFAULT_TIME_BUCKETS", "Counter", "Gauge", "Histogram", "MetricsRegistry"),
-    "profile": ("PhaseStat", "Profiler", "profiled"),
     "replay": ("TraceSummary", "summarize_trace"),
-    "spans": ("Span", "SpanContext", "SpanTracer", "assemble_spans", "iter_spans", "span_index"),
+    "spans": (
+        "Span", "SpanContext", "SpanTracer", "assemble_spans", "iter_spans", "phase_rows",
+        "span_index",
+    ),
     "critpath": (
         "CriticalPath", "PathStep", "clocked_critical_path", "critical_path_from_trace",
         "selftimed_critical_path",

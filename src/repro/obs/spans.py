@@ -43,6 +43,7 @@ __all__ = [
     "SpanTracer",
     "assemble_spans",
     "iter_spans",
+    "phase_rows",
     "span_index",
 ]
 
@@ -312,3 +313,23 @@ def iter_spans(roots: Iterable[Span]) -> Iterator[Span]:
 def span_index(roots: Iterable[Span]) -> Dict[str, Span]:
     """Flat ``id -> span`` lookup over a forest."""
     return {s.span_id: s for s in iter_spans(roots)}
+
+
+def phase_rows(roots: Iterable[Span]) -> List[Tuple[str, int, float, float]]:
+    """``(phase, calls, total s, mean s)`` rows for the CLI's ``--metrics``
+    phases table: spans keyed by their slash-joined name path
+    (``"sweep/n=4"``), repeated spans on one path summed, rows sorted by
+    path so parents come before their children.  An open span counts as
+    a call of 0 s."""
+    totals: Dict[str, Tuple[int, float]] = {}
+
+    def visit(span: Span, path: str) -> None:
+        calls, total_s = totals.get(path, (0, 0.0))
+        totals[path] = (calls + 1, total_s + (span.wall_s or 0.0))
+        for child in span.children:
+            visit(child, f"{path}/{child.name}")
+
+    for root in roots:
+        visit(root, root.name)
+    return [(path, calls, total_s, total_s / calls)
+            for path, (calls, total_s) in sorted(totals.items())]

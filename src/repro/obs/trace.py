@@ -29,8 +29,6 @@ the event engine, the hybrid network, Monte-Carlo loops) shares it:
 from __future__ import annotations
 
 import json
-import time as _time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
 
@@ -107,19 +105,6 @@ class Tracer:
 
     def record(self, event: TraceEvent) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
-
-    @contextmanager
-    def span(self, cat: str, kind: str, cell: Any = None, t: float = 0.0, **data: Any):
-        """Measure a wall-clock span; one event is recorded on exit with
-        the elapsed seconds in ``data["wall_s"]``."""
-        if not self.enabled:
-            yield self
-            return
-        t0 = _time.perf_counter()
-        try:
-            yield self
-        finally:
-            self.event(t, cat, kind, cell=cell, wall_s=_time.perf_counter() - t0, **data)
 
     def close(self) -> None:
         """Release any underlying resources (a no-op for most tracers)."""

@@ -23,6 +23,7 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.spans import SpanTracer
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.sim.dataflow import channel_depths, service_rows
 from repro.sta.design import Design
@@ -106,15 +107,9 @@ class STAAnalyzer:
         hit = self._fresh() and self._slack is not None
         if self._slack is None:
             t0 = time.perf_counter()
-            if self._tracer.enabled:
-                from repro.obs.spans import SpanTracer
-
-                spans = SpanTracer(self._tracer)
-                with spans.span("sta.slack", design=self.design.name) as h:
-                    self._slack = analyze_slack(self.design)
-                    h.annotate(edges=len(self._slack.edges))
-            else:
+            with SpanTracer(self._tracer).span("sta.slack", design=self.design.name) as h:
                 self._slack = analyze_slack(self.design)
+                h.annotate(edges=len(self._slack.edges))
             self._observe(time.perf_counter() - t0, self._slack)
         if hit:
             if self._metrics is not None:

@@ -144,6 +144,36 @@ class TestObservabilityFlags:
         assert "hybrid.step_skew" in out
         assert "phases:" in out
 
+    @staticmethod
+    def _phase_rows(out):
+        """``(phase, calls, total s, mean s)`` rows of the ``phases:`` table."""
+        lines = out.split("phases:\n", 1)[1].splitlines()
+        assert lines[0].split() == ["phase", "calls", "total", "s", "mean", "s"]
+        rows = []
+        for line in lines[1:]:
+            if not line.strip():
+                break
+            phase, calls, total, mean = line.split()
+            rows.append((phase, int(calls), float(total), float(mean)))
+        return rows
+
+    @pytest.mark.parametrize("argv, phases", [
+        (["sweep", "--sizes", "4,8,16"],
+         ["sweep", "sweep/n=16", "sweep/n=4", "sweep/n=8"]),
+        (["inverter", "--stages", "64", "--chips", "2"],
+         ["inverter", "inverter/chip=0", "inverter/chip=1"]),
+    ])
+    def test_phases_table_rows(self, capsys, argv, phases):
+        code, out, _ = run_cli(capsys, *argv, "--metrics")
+        assert code == 0
+        rows = self._phase_rows(out)
+        assert [(phase, calls) for phase, calls, _, _ in rows] == [
+            (phase, 1) for phase in phases
+        ]
+        for _, calls, total, mean in rows:
+            assert total >= 0.0
+            assert mean == pytest.approx(total / calls, rel=1e-3)
+
     def test_trace_flag_writes_jsonl(self, capsys, tmp_path):
         path = str(tmp_path / "run.jsonl")
         code, out, _ = run_cli(capsys, "hybrid", "--size", "8", "--trace", path)

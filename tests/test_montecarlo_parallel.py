@@ -90,8 +90,14 @@ class TestValidationAndSummarize:
             run_trials(_trial, 4, workers=-2)
 
     def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError):
-            run_trials(_trial, 4, workers=2, executor="fiber")
+        # Refused up front, serial runs included, before any trial runs.
+        def never(seed):
+            raise AssertionError("a trial ran")
+
+        for workers in (None, 1, 2):
+            for run in (run_trials, run_trials_traced):
+                with pytest.raises(ValueError, match="unknown executor"):
+                    run(never, 4, workers=workers, executor="fiber")
 
     def test_run_trials_delegates_to_summarize(self):
         values = [_trial(s) for s in range(7, 19)]
@@ -141,6 +147,27 @@ class TestTracedRuns:
         trials = [s for s in root.walk() if s.name == "montecarlo.trial"]
         assert len(trials) == 12
         assert all(s.wall_s is not None for s in root.walk())  # no open spans
+
+    @pytest.mark.parametrize("workers, executor, chunks", [
+        (None, "thread", 1), (3, "thread", 3), (2, "process", 2),
+    ])
+    def test_run_trials_records_the_span_tree(self, workers, executor, chunks):
+        tracer = RecordingTracer()
+        run_trials(
+            _trial, 9, base_seed=2, workers=workers, executor=executor,
+            tracer=tracer,
+        )
+        (root,) = assemble_spans(tracer.events)
+        assert root.name == "montecarlo.run_trials"
+        spans = list(root.walk())
+        assert len([s for s in spans if s.name == "montecarlo.chunk"]) == chunks
+        trials = [s for s in spans if s.name == "montecarlo.trial"]
+        assert sorted(s.attrs["seed"] for s in trials) == list(range(2, 11))
+        values = {
+            e.data["seed"]: e.data["value"]
+            for e in tracer.events if e.kind == "trial"
+        }
+        assert all(s.attrs["value"] == values[s.attrs["seed"]] for s in trials)
 
     def test_trial_events_stay_in_seed_order(self):
         tracer = RecordingTracer()

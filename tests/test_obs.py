@@ -1,12 +1,11 @@
-"""Unit tests for the observability layer: tracing, metrics, profiling,
-and the mini JSON-schema validator."""
+"""Unit tests for the observability layer: tracing, metrics, and the
+mini JSON-schema validator."""
 
 import json
 
 import pytest
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.profile import Profiler, profiled
 from repro.obs.schema import (
     BENCHMARK_RESULT_SCHEMA,
     validate,
@@ -43,24 +42,12 @@ class TestRecordingTracer:
         assert len(tracer.by_kind("violation", "race")) == 1
         assert tracer.counts() == {("tick", "fire"): 3, ("violation", "race"): 1}
 
-    def test_span_records_wall_time(self):
-        tracer = RecordingTracer()
-        with tracer.span("phase", "work", t=7.0, label="x"):
-            pass
-        (event,) = tracer.events
-        assert event.cat == "phase" and event.kind == "work"
-        assert event.t == 7.0
-        assert event.data["label"] == "x"
-        assert event.data["wall_s"] >= 0.0
-
 
 class TestNullTracer:
     def test_disabled_and_silent(self):
         tracer = NullTracer()
         assert not tracer.enabled
         tracer.event(1.0, "tick", "fire")  # must not raise or record
-        with tracer.span("a", "b"):
-            pass
 
     def test_shared_instance(self):
         assert isinstance(NULL_TRACER, NullTracer)
@@ -176,47 +163,6 @@ class TestMetricsRegistry:
         reg.counter("n").inc()
         rows = reg.render_rows()
         assert rows == [("n", "counter", "1")]
-
-
-class TestProfiler:
-    def test_nesting_builds_paths(self):
-        prof = Profiler()
-        with prof.profiled("outer"):
-            with prof.profiled("inner"):
-                pass
-            with prof.profiled("inner"):
-                pass
-        paths = [s.path for s in prof.report()]
-        assert paths == ["outer", "outer/inner"]
-        assert prof.report()[1].calls == 2
-        # The parent's time includes its children's.
-        assert prof.total_s("outer") >= prof.total_s("outer/inner")
-
-    def test_stack_unwinds_on_error(self):
-        prof = Profiler()
-        with pytest.raises(RuntimeError):
-            with prof.profiled("phase"):
-                raise RuntimeError("boom")
-        assert prof.current_path == ""
-        assert prof.report()[0].calls == 1
-
-    def test_rejects_slash_in_name(self):
-        prof = Profiler()
-        with pytest.raises(ValueError):
-            with prof.profiled("a/b"):
-                pass
-
-    def test_module_level_profiled_none_is_noop(self):
-        with profiled("anything", None) as p:
-            assert p is None
-
-    def test_to_dict(self):
-        prof = Profiler()
-        with prof.profiled("x"):
-            pass
-        d = prof.to_dict()
-        assert d["x"]["calls"] == 1
-        assert d["x"]["total_s"] >= 0.0
 
 
 class TestSchemaValidator:

@@ -16,7 +16,6 @@ from repro.clocktree.spine import spine_clock
 from repro.core.hybrid import build_hybrid
 from repro.delay.variation import NoVariation
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import Profiler
 from repro.obs.replay import summarize_trace
 from repro.obs.trace import JsonlTracer, RecordingTracer, load_trace
 from repro.sim.clock_distribution import ClockSchedule
@@ -199,11 +198,7 @@ class TestHandshakeMetrics:
 class TestMonteCarloProgress:
     def test_trial_events_and_summary(self):
         tracer = RecordingTracer()
-        profiler = Profiler()
-        summary = run_trials(
-            lambda seed: float(seed), 5, base_seed=10,
-            tracer=tracer, profiler=profiler,
-        )
+        summary = run_trials(lambda seed: float(seed), 5, base_seed=10, tracer=tracer)
         trials = tracer.by_kind("montecarlo", "trial")
         assert len(trials) == 5
         assert [e.data["seed"] for e in trials] == [10, 11, 12, 13, 14]
@@ -211,7 +206,6 @@ class TestMonteCarloProgress:
         assert all(e.data["wall_s"] >= 0.0 for e in trials)
         (final,) = tracer.by_kind("montecarlo", "summary")
         assert final.data["mean"] == pytest.approx(summary.mean)
-        assert profiler.report()[0].path == "montecarlo"
 
     def test_untraced_unchanged(self):
         a = run_trials(lambda seed: float(seed % 3), 6)

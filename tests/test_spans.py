@@ -10,6 +10,7 @@ from repro.obs.spans import (
     SpanTracer,
     assemble_spans,
     iter_spans,
+    phase_rows,
     span_index,
 )
 from repro.obs.trace import NULL_TRACER, RecordingTracer, TraceEvent
@@ -169,3 +170,53 @@ class TestAssembleSpans:
         index = span_index(roots)
         assert set(index) == {"main:0", "main:1"}
         assert index["main:1"].name == "child"
+
+
+class TestPhaseRows:
+    def test_nesting_builds_paths(self):
+        tracer = RecordingTracer()
+        spans = SpanTracer(tracer)
+        for _ in range(2):
+            with spans.span("outer"):
+                with spans.span("inner"):
+                    pass
+                with spans.span("inner"):
+                    pass
+        with spans.span("outer"):
+            with spans.span("inner"):
+                pass
+        rows = phase_rows(assemble_spans(tracer.events))
+        assert [(path, calls) for path, calls, _, _ in rows] == [
+            ("outer", 3), ("outer/inner", 5),
+        ]
+        totals = {path: total for path, _, total, _ in rows}
+        # A parent's time includes its children's.
+        assert totals["outer"] >= totals["outer/inner"]
+        assert all(mean == total / calls for _, calls, total, mean in rows)
+
+    def test_stack_unwinds_on_error(self):
+        tracer = RecordingTracer()
+        spans = SpanTracer(tracer)
+        for _ in range(2):
+            with spans.span("outer"):
+                with pytest.raises(RuntimeError):
+                    with spans.span("doomed"):
+                        raise RuntimeError("boom")
+                assert spans.current_id is not None
+        assert spans.current_id is None
+        # The span after a failure opens at the root again.
+        with spans.span("after"):
+            pass
+        rows = phase_rows(assemble_spans(tracer.events))
+        assert [(path, calls) for path, calls, _, _ in rows] == [
+            ("after", 1), ("outer", 2), ("outer/doomed", 2),
+        ]
+        totals = {path: total for path, _, total, _ in rows}
+        assert totals["outer"] >= totals["outer/doomed"]
+        assert all(mean == total / calls for _, calls, total, mean in rows)
+
+    def test_open_span_counts_zero_seconds(self):
+        tracer = RecordingTracer()
+        with SpanTracer(tracer).span("crashed"):
+            events = list(tracer.events)
+        assert phase_rows(assemble_spans(events)) == [("crashed", 1, 0.0, 0.0)]
