@@ -14,7 +14,7 @@ change, and the determinism test pins that down.
 
 There is one loop, :func:`run_trials_traced`; :func:`run_trials` is its
 summary.  Its phases and trials are spans
-(:class:`~repro.obs.spans.SpanTracer`) that open whether or not a tracer
+(:meth:`~repro.obs.trace.Tracer.span`) that open whether or not a tracer
 is on, and are no-ops when it is off.
 """
 
@@ -29,7 +29,6 @@ from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.spans import SpanTracer
 from repro.obs.trace import NULL_TRACER, RecordingTracer, TraceEvent, Tracer
 
 Trial = Callable[[int], float]
@@ -248,19 +247,17 @@ def _run_chunk_spanned(
 
     ``parent_id`` is the coordinator's map-phase span id — the
     context-propagation handle that grafts this worker's spans onto the
-    coordinator's tree when the streams merge.  ``None`` means tracing
-    is off: the spans are no-ops and only timings are collected.
+    coordinator's tree when the streams merge (and scopes their ids
+    under it).  ``None`` means tracing is off: the spans are no-ops and
+    only timings are collected.
     """
-    recorder = RecordingTracer()
-    spans = SpanTracer(
-        recorder if parent_id is not None else NULL_TRACER,
-        worker=worker, parent_id=parent_id,
-    )
+    recorder = RecordingTracer(worker, parent_id)
+    tracer = recorder if parent_id is not None else NULL_TRACER
     t_chunk = time.perf_counter()
     timed: List[Tuple[float, float]] = []
-    with spans.span("montecarlo.chunk", first_seed=first_seed, count=count):
+    with tracer.span("montecarlo.chunk", first_seed=first_seed, count=count):
         for seed in range(first_seed, first_seed + count):
-            with spans.span("montecarlo.trial", seed=seed) as h:
+            with tracer.span("montecarlo.trial", seed=seed) as h:
                 t0 = time.perf_counter()
                 value = trial(seed)
                 timed.append((value, time.perf_counter() - t0))
@@ -293,7 +290,8 @@ def run_trials_traced(
     reduce phases; with an enabled ``tracer`` the whole run is one span
     tree — ``montecarlo.run_trials`` at the root, one
     ``montecarlo.chunk`` per worker (propagated across the pool boundary
-    via :class:`~repro.obs.spans.SpanContext`-style parent ids), one
+    by the map span's id, which each worker's tracer takes as its
+    ``parent_id``), one
     ``montecarlo.trial`` per seed carrying its ``value`` — plus the
     ``montecarlo/trial`` and ``montecarlo/summary`` progress events,
     recorded in seed order once every chunk has landed.  A serial run is
@@ -306,27 +304,26 @@ def run_trials_traced(
     if executor not in _POOLS:
         raise ValueError(f"unknown executor {executor!r}")
     tracer = tracer if tracer is not None else NULL_TRACER
-    spans = SpanTracer(tracer)
     parallel = workers is not None and workers > 1
     n_workers = workers if parallel else 1
     telemetry = MonteCarloTelemetry(
         executor=executor if parallel else "serial", workers=n_workers
     )
     run_t0 = time.perf_counter()
-    with spans.span(
+    with tracer.span(
         "montecarlo.run_trials",
         trials=n_trials, workers=n_workers,
         executor=telemetry.executor,
     ):
         if parallel and executor == "process":
-            with spans.span("montecarlo.pickle") as h:
+            with tracer.span("montecarlo.pickle") as h:
                 t0 = time.perf_counter()
                 payload = pickle.dumps(trial)
                 telemetry.pickle_once_s = time.perf_counter() - t0
                 h.annotate(bytes=len(payload))
         chunks = _seed_chunks(base_seed, n_trials, n_workers)
-        with spans.span("montecarlo.map") as map_handle:
-            parent_id = map_handle.span_id if spans.enabled else None
+        with tracer.span("montecarlo.map") as map_handle:
+            parent_id = map_handle.span_id if tracer.enabled else None
             columns = (
                 [trial] * len(chunks),
                 [first for first, _ in chunks],
@@ -360,7 +357,7 @@ def run_trials_traced(
                     wall_s=result["wall_s"],
                 )
             )
-        with spans.span("montecarlo.reduce"):
+        with tracer.span("montecarlo.reduce"):
             timed = [item for r in results for item in r["timed"]]
             values = [value for value, _ in timed]
             if tracer.enabled:

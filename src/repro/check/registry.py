@@ -31,7 +31,7 @@ import time as _time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 
 SUITES = ("quick", "full")
@@ -63,7 +63,7 @@ class CheckContext:
     seed: int = 0
     suite: str = "quick"
     tracer: Tracer = NULL_TRACER
-    metrics: Optional[MetricsRegistry] = None
+    metrics: MetricsRegistry = NULL_METRICS
 
     @property
     def full(self) -> bool:
@@ -165,7 +165,7 @@ class CheckRegistry:
             seed=seed,
             suite=suite,
             tracer=tracer if tracer is not None else NULL_TRACER,
-            metrics=metrics,
+            metrics=metrics if metrics is not None else NULL_METRICS,
         )
         selected = self.checks(suite)
         if names is not None:
@@ -174,11 +174,8 @@ class CheckRegistry:
             if unknown:
                 raise KeyError(f"unknown checks: {sorted(unknown)}")
             selected = [c for c in selected if c.name in wanted]
-        from repro.obs.spans import SpanTracer
-
-        spans = SpanTracer(ctx.tracer)
         results: List[CheckResult] = []
-        with spans.span(
+        with ctx.tracer.span(
             "check.suite", suite=suite, seed=seed, checks=len(selected)
         ) as suite_handle:
             failures = 0
@@ -192,7 +189,7 @@ class CheckRegistry:
                 details: Dict[str, Any] = {}
                 error: Optional[str] = None
                 passed = True
-                with spans.span(
+                with ctx.tracer.span(
                     f"check.{check.name}", t=float(i), check_kind=check.kind
                 ) as check_handle:
                     try:
@@ -214,11 +211,10 @@ class CheckRegistry:
                         name=check.name, check_kind=check.kind,
                         duration_s=duration, error=error,
                     )
-                if ctx.metrics is not None:
-                    ctx.metrics.counter("check.runs").inc()
-                    if not passed:
-                        ctx.metrics.counter("check.failures").inc()
-                    ctx.metrics.histogram("check.duration_s").observe(duration)
+                ctx.metrics.counter("check.runs").inc()
+                if not passed:
+                    ctx.metrics.counter("check.failures").inc()
+                ctx.metrics.histogram("check.duration_s").observe(duration)
                 results.append(
                     CheckResult(
                         name=check.name,

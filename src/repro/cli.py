@@ -193,8 +193,7 @@ def cmd_inverter(args: argparse.Namespace) -> int:
                 pipelined_cycle=r.pipelined_cycle,
                 speedup=r.speedup,
             )
-        if metrics is not None:
-            metrics.gauge("inverter.speedup").set(r.speedup)
+        metrics.gauge("inverter.speedup").set(r.speedup)
         rows.append(
             (seed, r.equipotential_cycle * 1e6, r.pipelined_cycle * 1e9, r.speedup)
         )
@@ -271,15 +270,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 else f"{r.peak_mem_bytes / 1e6:.1f}MB"
             )
     _print_table(headers, rows)
-    if args.metrics_registry is not None:
-        for r in results:
+    for r in results:
+        args.metrics_registry.gauge(
+            "bench.speedup", labels={"kernel": r.kernel}
+        ).set(r.speedup)
+        if r.peak_mem_bytes is not None:
             args.metrics_registry.gauge(
-                "bench.speedup", labels={"kernel": r.kernel}
-            ).set(r.speedup)
-            if r.peak_mem_bytes is not None:
-                args.metrics_registry.gauge(
-                    "bench.peak_mem_bytes", labels={"kernel": r.kernel}
-                ).set(float(r.peak_mem_bytes))
+                "bench.peak_mem_bytes", labels={"kernel": r.kernel}
+            ).set(float(r.peak_mem_bytes))
     write_bench_results(results, args.out, wall_s=wall_s)
     print(f"\nwrote {args.out} ({len(results)} rows, schema-validated)")
     return 0
@@ -728,8 +726,7 @@ def _attach_observability(args: argparse.Namespace) -> None:
     """Resolve the ``--trace`` / ``--metrics`` flags into live objects on
     the namespace.  Defaults are the no-op instruments, so commands can
     use ``args.tracer`` and ``args.phases`` unconditionally."""
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.spans import SpanTracer
+    from repro.obs.metrics import NULL_METRICS, MetricsRegistry
     from repro.obs.trace import NULL_TRACER, JsonlTracer, RecordingTracer
 
     trace_path = getattr(args, "trace", None)
@@ -739,17 +736,17 @@ def _attach_observability(args: argparse.Namespace) -> None:
         or getattr(args, "metrics_json", None)
         or getattr(args, "metrics_prom", None)
     )
-    args.metrics_registry = MetricsRegistry() if want_metrics else None
+    args.metrics_registry = MetricsRegistry() if want_metrics else NULL_METRICS
     # The phases table times spans on a recorder of its own, so a
     # --trace file gains no events.
-    args.phases = SpanTracer(RecordingTracer() if want_metrics else NULL_TRACER)
+    args.phases = RecordingTracer() if want_metrics else NULL_TRACER
 
 
 def _print_observability(args: argparse.Namespace) -> None:
     """After a ``--metrics`` run: the collected registry and phase table,
     plus any requested exports (JSON snapshot / Prometheus text)."""
     metrics = args.metrics_registry
-    if metrics is None:
+    if not metrics.enabled:
         return
     if getattr(args, "metrics", False):
         rows = metrics.render_rows()
@@ -761,7 +758,7 @@ def _print_observability(args: argparse.Namespace) -> None:
             print("  (no instruments touched by this command)")
         from repro.obs.spans import assemble_spans, phase_rows
 
-        phases = phase_rows(assemble_spans(args.phases.tracer.events))
+        phases = phase_rows(assemble_spans(args.phases.events))
         if phases:
             print()
             print("phases:")

@@ -1,26 +1,28 @@
 """Observability: tracing, spans, and metrics for the simulators.
 
-Independent instruments, all zero-overhead when left at their defaults
-(every instrumented surface takes ``tracer=None`` / ``metrics=None`` and
-default runs stay byte-identical):
+Two instruments, each with a null object that instrumented code uses
+when left at its default (every instrumented surface takes
+``tracer=None`` / ``metrics=None``, turns them into :data:`NULL_TRACER`
+/ :data:`NULL_METRICS` once, and default runs stay byte-identical):
 
 * :mod:`repro.obs.trace` — structured event recording
-  (:class:`NullTracer`, :class:`RecordingTracer`, :class:`JsonlTracer`);
-* :mod:`repro.obs.spans` — hierarchical causal spans layered on the
-  event stream (:class:`SpanTracer`, :func:`assemble_spans`), with a
-  picklable :class:`SpanContext` that survives process-pool boundaries.
-  Spans are the one wall-clock timer: :func:`phase_rows` aggregates
-  them into the CLI's ``--metrics`` phases table;
+  (:class:`NullTracer`, :class:`RecordingTracer`, :class:`JsonlTracer`)
+  and hierarchical causal spans on the same stream (``tracer.span(...)``;
+  a worker's ``RecordingTracer(worker, parent_id)`` grafts its spans
+  onto the coordinator's tree across a process-pool boundary).  Spans
+  are the one wall-clock timer;
 * :mod:`repro.obs.metrics` — counters, gauges, fixed-bucket histograms
   behind a :class:`MetricsRegistry` (labelled series supported).
 
-Plus the consumers: :mod:`repro.obs.replay` summarises a recorded trace
-(the ``python -m repro trace`` command), :mod:`repro.obs.critpath`
-reconstructs the causal chain behind a reported makespan,
-:mod:`repro.obs.dashboard` renders a trace as a terminal/HTML report,
-:mod:`repro.obs.export` exposes metrics as Prometheus text or JSON
-snapshots, and :mod:`repro.obs.schema` validates every JSON artifact the
-layer emits.
+Plus the consumers: :mod:`repro.obs.spans` reassembles span events into
+a forest (:func:`assemble_spans`) and :func:`phase_rows` aggregates it
+into the CLI's ``--metrics`` phases table, :mod:`repro.obs.replay`
+summarises a recorded trace (the ``python -m repro trace`` command),
+:mod:`repro.obs.critpath` reconstructs the causal chain behind a
+reported makespan, :mod:`repro.obs.dashboard` renders a trace as a
+terminal/HTML report, :mod:`repro.obs.export` exposes metrics as
+Prometheus text or JSON snapshots, and :mod:`repro.obs.schema`
+validates every JSON artifact the layer emits.
 """
 
 from typing import Any, List
@@ -32,12 +34,11 @@ __all__, _load = exports(__name__, {
         "NULL_TRACER", "JsonlTracer", "NullTracer", "RecordingTracer", "TraceEvent", "Tracer",
         "load_trace", "read_trace",
     ),
-    "metrics": ("DEFAULT_TIME_BUCKETS", "Counter", "Gauge", "Histogram", "MetricsRegistry"),
-    "replay": ("TraceSummary", "summarize_trace"),
-    "spans": (
-        "Span", "SpanContext", "SpanTracer", "assemble_spans", "iter_spans", "phase_rows",
-        "span_index",
+    "metrics": (
+        "DEFAULT_TIME_BUCKETS", "NULL_METRICS", "Counter", "Gauge", "Histogram", "MetricsRegistry",
     ),
+    "replay": ("TraceSummary", "summarize_trace"),
+    "spans": ("Span", "assemble_spans", "iter_spans", "phase_rows", "span_index"),
     "critpath": (
         "CriticalPath", "PathStep", "clocked_critical_path", "critical_path_from_trace",
         "selftimed_critical_path",

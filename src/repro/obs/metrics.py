@@ -1,8 +1,12 @@
 """Counters, gauges, and fixed-bucket histograms for simulator runs.
 
-A :class:`MetricsRegistry` is the single handle instrumented code takes
-(``metrics=None`` everywhere by default — the ``None`` check is the
-zero-overhead switch).  Registered instruments:
+A :class:`MetricsRegistry` is the single handle instrumented code takes.
+Every surface defaults to ``metrics=None`` and turns it into
+:data:`NULL_METRICS` once, so instrumented code calls its instruments
+unconditionally: the null registry hands out one shared instrument
+whose calls do nothing.  Observations that cost work of their own (a
+per-tick histogram, a stall array) test ``metrics.enabled`` first.
+Registered instruments:
 
 * :class:`Counter` — monotone event counts (events dispatched, runaway
   guards tripped, violations seen);
@@ -17,7 +21,7 @@ zero-overhead switch).  Registered instruments:
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 #: Sorted ``(key, value)`` label pairs, as carried by every instrument.
 LabelPairs = Tuple[Tuple[str, str], ...]
@@ -148,6 +152,8 @@ class MetricsRegistry:
     keep their bare name, so PR-1 snapshot consumers are unaffected.
     """
 
+    enabled: bool = True
+
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
@@ -189,9 +195,6 @@ class MetricsRegistry:
 
     def histograms(self) -> Dict[str, Histogram]:
         return dict(self._histograms)
-
-    def __bool__(self) -> bool:
-        return bool(self._counters or self._gauges or self._histograms)
 
     def to_dict(self) -> Dict[str, Dict]:
         """A JSON-serialisable snapshot of everything registered."""
@@ -239,3 +242,34 @@ class MetricsRegistry:
                 (name, "histogram", f"n={h.total} mean={h.mean:.4g}")
             )
         return rows
+
+
+class _NullInstrument:
+    """The one instrument :data:`NULL_METRICS` hands out: every call is
+    a no-op."""
+
+    __slots__ = ()
+
+    def _ignore(self, *args: Any) -> None:
+        pass
+
+    inc = set = observe = observe_many = _ignore
+
+
+_NULL_INSTRUMENT = _NullInstrument()
+
+
+class _NullMetrics(MetricsRegistry):
+    """Records nothing: ``enabled`` is False, it registers no series, and
+    every instrument it hands out is the shared no-op."""
+
+    enabled = False
+
+    def counter(self, *args: Any, **kwargs: Any) -> Any:
+        return _NULL_INSTRUMENT
+
+    gauge = histogram = counter
+
+
+#: Shared no-op registry; instrumented code defaults to this instance.
+NULL_METRICS: MetricsRegistry = _NullMetrics()

@@ -1,11 +1,12 @@
-"""Hierarchical spans layered on the flat :class:`TraceEvent` stream.
+"""Reassembling spans from the flat :class:`TraceEvent` stream.
 
-PR 1 gave the repo a flat, append-only JSONL trace; this module adds
-*causality* on top of it without changing the wire format.  A span is a
-named interval with a parent, so a recorded trace can be reassembled into
-a forest: ``run_trials`` > per-worker chunk > per-trial, or ``check.suite``
-> one span per oracle.  Each span is encoded as exactly two ordinary
-trace events that any PR-1 consumer can already read (and skip):
+Spans add *causality* to the flat JSONL trace without changing its
+wire format.  A span is a named interval with a parent, so a recorded
+trace can be reassembled into a forest: ``run_trials`` > per-worker
+chunk > per-trial, or ``check.suite`` > one span per oracle.  Every
+tracer emits them (:meth:`repro.obs.trace.Tracer.span`), each as two
+ordinary trace events that any consumer of the flat stream can read
+(and skip):
 
 * ``("span", "start")`` with ``data = {id, parent, name, worker, wall_t0,
   attrs}`` — ``t`` is the simulated/logical start time;
@@ -13,34 +14,23 @@ trace events that any PR-1 consumer can already read (and skip):
   ``t`` is the logical end time (defaults to the start time for spans
   that measure wall clock only).
 
-Span ids are ``"{worker}:{n}"`` with a per-tracer counter, so streams
-from independent workers never collide and :func:`assemble_spans` can
-merge them into one forest regardless of arrival order — the property
-the multi-worker ``run_trials`` trace relies on.  A
-:class:`SpanContext` is a frozen, picklable handle that carries the
-current span id across a process-pool boundary; the worker side builds
-its own :class:`SpanTracer` from it and every span it emits parents
-correctly into the coordinator's tree.
-
-Everything here follows the PR-1 opt-in discipline: a ``SpanTracer``
-wrapping :data:`~repro.obs.trace.NULL_TRACER` is ``enabled == False``
-and its ``span()`` context manager is a no-op that allocates nothing.
+Span ids are ``"{worker}:{n}"`` from one counter per tracer; a worker's
+tracer, built with its coordinator span as ``parent_id``, prefixes them
+with ``"{parent_id}/"``.  So streams from independent workers never
+collide, and :func:`assemble_spans` merges them into one forest
+regardless of arrival order — the property the multi-worker
+``run_trials`` trace relies on.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
-from repro.obs.trace import NULL_TRACER, TraceEvent, Tracer
+from repro.obs.trace import TraceEvent
 
 __all__ = [
     "Span",
-    "SpanContext",
-    "SpanHandle",
-    "SpanTracer",
     "assemble_spans",
     "iter_spans",
     "phase_rows",
@@ -48,153 +38,6 @@ __all__ = [
 ]
 
 
-# ----------------------------------------------------------------------
-# emission
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SpanContext:
-    """A picklable capture of "where we are" in a span tree.
-
-    Ship one of these to a worker process, rebuild a tracer with
-    ``SpanTracer(local_tracer, worker="w3", parent_id=ctx.parent_id)``,
-    and the worker's spans graft onto the coordinator's tree when the
-    two event streams are merged.
-    """
-
-    parent_id: Optional[str]
-    worker: str
-
-
-class SpanHandle:
-    """What ``SpanTracer.span(...)`` yields: the live span's identity plus
-    an escape hatch to attach attributes discovered mid-span."""
-
-    __slots__ = ("span_id", "_attrs", "_end_t")
-
-    def __init__(self, span_id: str) -> None:
-        self.span_id = span_id
-        self._attrs: Dict[str, Any] = {}
-        self._end_t: Optional[float] = None
-
-    def annotate(self, **attrs: Any) -> None:
-        """Attach attributes to the span's *end* event (e.g. a result
-        computed inside the span)."""
-        self._attrs.update(attrs)
-
-    def set_end_t(self, t: float) -> None:
-        """Record a logical (simulated-time) end distinct from the start."""
-        self._end_t = float(t)
-
-
-class _NullSpanHandle:
-    """Shared no-op handle yielded when tracing is disabled."""
-
-    __slots__ = ()
-    span_id = ""
-
-    def annotate(self, **attrs: Any) -> None:
-        pass
-
-    def set_end_t(self, t: float) -> None:
-        pass
-
-
-_NULL_HANDLE = _NullSpanHandle()
-
-
-class SpanTracer:
-    """Emit hierarchical spans through any PR-1 :class:`Tracer`.
-
-    Purely additive: the underlying tracer still accepts ordinary
-    ``event()`` calls, and the span machinery only runs when the tracer
-    is enabled.  Nesting is tracked with an explicit stack, so
-    ``current_id`` always names the innermost open span and
-    ``context()`` can be captured at any depth.
-    """
-
-    __slots__ = ("tracer", "worker", "_root_parent", "_stack", "_next")
-
-    def __init__(
-        self,
-        tracer: Optional[Tracer] = None,
-        worker: str = "main",
-        parent_id: Optional[str] = None,
-    ) -> None:
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.worker = worker
-        self._root_parent = parent_id
-        self._stack: List[str] = []
-        self._next = 0
-
-    @property
-    def enabled(self) -> bool:
-        return self.tracer.enabled
-
-    @property
-    def current_id(self) -> Optional[str]:
-        """The innermost open span id (or the inherited parent, if none)."""
-        return self._stack[-1] if self._stack else self._root_parent
-
-    def context(self) -> SpanContext:
-        """Freeze the current position for propagation (picklable)."""
-        return SpanContext(parent_id=self.current_id, worker=self.worker)
-
-    @contextmanager
-    def span(
-        self,
-        name: str,
-        t: float = 0.0,
-        cell: Optional[Hashable] = None,
-        **attrs: Any,
-    ) -> Iterator["SpanHandle | _NullSpanHandle"]:
-        """Open a span; emits the start event now and the end event on
-        exit (status ``"error"`` if the body raised).  No-op when the
-        underlying tracer is disabled."""
-        if not self.tracer.enabled:
-            yield _NULL_HANDLE
-            return
-        span_id = f"{self.worker}:{self._next}"
-        self._next += 1
-        self.tracer.event(
-            t,
-            "span",
-            "start",
-            cell=cell,
-            id=span_id,
-            parent=self.current_id,
-            name=name,
-            worker=self.worker,
-            wall_t0=time.time(),
-            attrs=dict(attrs),
-        )
-        self._stack.append(span_id)
-        handle = SpanHandle(span_id)
-        wall_start = time.perf_counter()
-        status = "ok"
-        try:
-            yield handle
-        except BaseException:
-            status = "error"
-            raise
-        finally:
-            wall_s = time.perf_counter() - wall_start
-            self._stack.pop()
-            end_t = handle._end_t if handle._end_t is not None else t
-            self.tracer.event(
-                end_t,
-                "span",
-                "end",
-                cell=cell,
-                id=span_id,
-                wall_s=wall_s,
-                status=status,
-                attrs=dict(handle._attrs),
-            )
-
-
-# ----------------------------------------------------------------------
-# reassembly
-# ----------------------------------------------------------------------
 @dataclass
 class Span:
     """One reassembled span: identity, interval, and children."""
@@ -226,8 +69,8 @@ class Span:
 
 
 def _seq(span_id: str) -> Tuple[str, int]:
-    """Sort key component: split ``"worker:7"`` into its worker and
-    counter so ordering is numeric, not lexicographic."""
+    """Sort key component: split ``"w0:7"`` (or ``"main:2/w0:7"``) into
+    its prefix and counter so ordering is numeric, not lexicographic."""
     worker, _, n = span_id.rpartition(":")
     try:
         return (worker, int(n))

@@ -11,6 +11,10 @@ cell, payload) — from instrumented code.  Three implementations:
 * :class:`JsonlTracer` — streams one JSON object per line to a file,
   which ``python -m repro trace`` replays and summarises.
 
+Every tracer also emits *spans* (:meth:`Tracer.span`): named, nested
+intervals encoded as two ordinary events each, which
+:func:`repro.obs.spans.assemble_spans` reassembles into a forest.
+
 The event schema is deliberately flat so every producer (clocked arrays,
 the event engine, the hybrid network, Monte-Carlo loops) shares it:
 
@@ -29,8 +33,10 @@ the event engine, the hybrid network, Monte-Carlo loops) shares it:
 from __future__ import annotations
 
 import json
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, ContextManager, Dict, Iterator, List, Optional
 
 
 @dataclass(frozen=True)
@@ -83,15 +89,66 @@ def _dejsonable(value: Any):
     return value
 
 
+class SpanHandle:
+    """What ``Tracer.span(...)`` yields: the live span's identity plus
+    an escape hatch to attach attributes discovered mid-span."""
+
+    __slots__ = ("span_id", "_attrs", "_end_t")
+
+    def __init__(self, span_id: str) -> None:
+        self.span_id = span_id
+        self._attrs: Dict[str, Any] = {}
+        self._end_t: Optional[float] = None
+
+    def annotate(self, **attrs: Any) -> None:
+        """Attach attributes to the span's *end* event (e.g. a result
+        computed inside the span)."""
+        self._attrs.update(attrs)
+
+    def set_end_t(self, t: float) -> None:
+        """Record a logical (simulated-time) end distinct from the start."""
+        self._end_t = float(t)
+
+
+class _NullSpan(SpanHandle):
+    """A disabled tracer's span: one shared object that is both the
+    context manager and the no-op handle it yields."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def _ignore(self, *args: Any, **kwargs: Any) -> None:
+        pass
+
+    __exit__ = annotate = set_end_t = _ignore
+
+
+_NULL_SPAN = _NullSpan("")
+
+
 class Tracer:
-    """Base tracer: records events; subclasses choose the sink.
+    """Base tracer: records events and spans; subclasses choose the sink.
 
     ``enabled`` is the zero-overhead switch — instrumented hot loops guard
     on it before building payloads, so a :class:`NullTracer` costs one
     attribute read per loop, nothing more.
+
+    The tracer owns its spans: the open-span stack and one id counter,
+    so no two spans of a tracer share an id (``"{worker}:{n}"``).  A
+    worker's tracer built with ``parent_id`` roots its spans under that
+    coordinator span and prefixes its ids with ``"{parent_id}/"``.
     """
 
     enabled: bool = True
+
+    def __init__(self, worker: str = "main", parent_id: Optional[str] = None) -> None:
+        self.worker = worker
+        self.parent_id = parent_id
+        self._id_prefix = f"{worker}:" if parent_id is None else f"{parent_id}/{worker}:"
+        self._stack: List[str] = []
+        self._next = 0
 
     def event(
         self,
@@ -106,6 +163,58 @@ class Tracer:
     def record(self, event: TraceEvent) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def span(
+        self, name: str, t: float = 0.0, cell: Any = None, **attrs: Any
+    ) -> ContextManager[SpanHandle]:
+        """Open a span: the start event is emitted on entry and the end
+        event on exit (status ``"error"`` if the body raised).  A disabled
+        tracer returns one shared no-op span and allocates nothing."""
+        if not self.enabled:
+            return _NULL_SPAN
+        return self._span(name, t, cell, attrs)
+
+    @contextmanager
+    def _span(
+        self, name: str, t: float, cell: Any, attrs: Dict[str, Any]
+    ) -> Iterator[SpanHandle]:
+        span_id = f"{self._id_prefix}{self._next}"
+        self._next += 1
+        self.event(
+            t,
+            "span",
+            "start",
+            cell=cell,
+            id=span_id,
+            parent=self._stack[-1] if self._stack else self.parent_id,
+            name=name,
+            worker=self.worker,
+            wall_t0=time.time(),
+            attrs=attrs,
+        )
+        self._stack.append(span_id)
+        handle = SpanHandle(span_id)
+        wall_start = time.perf_counter()
+        status = "ok"
+        try:
+            yield handle
+        except BaseException:
+            status = "error"
+            raise
+        finally:
+            wall_s = time.perf_counter() - wall_start
+            self._stack.pop()
+            end_t = handle._end_t if handle._end_t is not None else t
+            self.event(
+                end_t,
+                "span",
+                "end",
+                cell=cell,
+                id=span_id,
+                wall_s=wall_s,
+                status=status,
+                attrs=dict(handle._attrs),
+            )
+
     def close(self) -> None:
         """Release any underlying resources (a no-op for most tracers)."""
 
@@ -118,7 +227,8 @@ class Tracer:
 
 class NullTracer(Tracer):
     """Discards everything; ``enabled`` is False so callers skip payload
-    construction.  The default tracer on every instrumented surface."""
+    construction and :meth:`span` returns the shared no-op span.  The
+    default tracer on every instrumented surface."""
 
     enabled = False
 
@@ -136,7 +246,8 @@ NULL_TRACER = NullTracer()
 class RecordingTracer(Tracer):
     """Keeps every event in memory — for tests and in-process analysis."""
 
-    def __init__(self) -> None:
+    def __init__(self, worker: str = "main", parent_id: Optional[str] = None) -> None:
+        super().__init__(worker, parent_id)
         self.events: List[TraceEvent] = []
 
     def record(self, event: TraceEvent) -> None:
@@ -165,6 +276,7 @@ class JsonlTracer(Tracer):
     """
 
     def __init__(self, path: str) -> None:
+        super().__init__()
         self.path = path
         self._fh = open(path, "w")
         self.events_written = 0

@@ -30,7 +30,7 @@ from repro.arrays.cells import PE
 from repro.arrays.systolic import SystolicProgram
 from repro.delay.wire import LinearWireModel, WireDelayModel
 from repro.graphs.comm import CommGraph
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.sim.clock_distribution import ClockSchedule
 
@@ -94,7 +94,7 @@ class ClockedArraySimulator:
         if not 0 <= delta < math.inf:
             raise ValueError("delta must be non-negative and finite")
         self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._metrics = metrics
+        self._metrics = metrics if metrics is not None else NULL_METRICS
         self._program = program
         self._comm: CommGraph = program.array.comm
         self._schedule = schedule
@@ -167,7 +167,7 @@ class ClockedArraySimulator:
         suites enforce this); tracing or metrics keep the scalar path so
         per-event instrumentation stays exact.
         """
-        if not self._tracer.enabled and self._metrics is None:
+        if not self._tracer.enabled and not self._metrics.enabled:
             return self.compiled().run(ticks)
         return self.run_scalar(ticks)
 
@@ -214,9 +214,7 @@ class ClockedArraySimulator:
         makespan = 0.0
         tracer = self._tracer
         metrics = self._metrics
-        violation_counter = (
-            metrics.counter("clocked.violations") if metrics is not None else None
-        )
+        violation_counter = metrics.counter("clocked.violations")
 
         for t_fire, k, _i, cell in events:
             makespan = max(makespan, t_fire)
@@ -246,8 +244,7 @@ class ClockedArraySimulator:
                             expected_sender_tick=expected,
                             actual_sender_tick=latched,
                         )
-                    if violation_counter is not None:
-                        violation_counter.inc()
+                    violation_counter.inc()
                 inputs[src] = history[edge].get(latched) if latched >= 0 else None
             outputs = pes[cell].fire(inputs)
             for dst in self._comm.successors(cell):
@@ -265,7 +262,7 @@ class ClockedArraySimulator:
                 makespan=makespan,
                 cells=len(cells),
             )
-        if metrics is not None:
+        if metrics.enabled:
             per_tick = metrics.histogram("clocked.violations_per_tick")
             by_tick: Dict[int, int] = {}
             for v in violations:

@@ -73,7 +73,7 @@ import numpy as np
 from repro.arrays.systolic import SystolicProgram
 from repro.graphs.comm import CommGraph
 from repro.graphs.csr import CSRAdjacency
-from repro.obs.spans import SpanTracer
+from repro.obs.trace import NULL_TRACER, Tracer
 from repro.sim import batch
 from repro.sim.clock_distribution import ClockSchedule
 from repro.sim.clocked import (
@@ -452,7 +452,7 @@ class CompiledClockedKernel(_LatchKernel):
     def run(
         self,
         ticks: Optional[int] = None,
-        tracer: Optional[Any] = None,
+        tracer: Optional[Tracer] = None,
         edge_block: Optional[int] = None,
     ) -> ClockedRunResult:
         """Byte-identical to the scalar ``ClockedArraySimulator.run``:
@@ -467,21 +467,21 @@ class CompiledClockedKernel(_LatchKernel):
         ``compiled.run``; without one the spans are no-ops.
         """
         n_ticks = ticks if ticks is not None else self._program.cycles
-        spans = tracer if isinstance(tracer, SpanTracer) else SpanTracer(tracer)
+        tracer = tracer if tracer is not None else NULL_TRACER
         for pe in self._program.pes.values():
             pe.reset()
-        with spans.span(
+        with tracer.span(
             "compiled.run",
             ticks=n_ticks,
             cells=len(self._cells),
             edge_block=edge_block,
         ):
-            with spans.span("compiled.tick_matrix"):
+            with tracer.span("compiled.tick_matrix"):
                 clock = self._clock(n_ticks)
-            with spans.span("compiled.latch_scan") as h:
+            with tracer.span("compiled.latch_scan") as h:
                 timing, g = self._scan(clock, edge_block)
                 h.annotate(count=len(timing.violations))
-            with spans.span("compiled.execute"):
+            with tracer.span("compiled.execute"):
                 result = self._execute(clock, timing, g)
         return ClockedRunResult(
             result=result,

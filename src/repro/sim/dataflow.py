@@ -76,7 +76,7 @@ import numpy as np
 from repro.arrays.cells import PE
 from repro.arrays.systolic import SystolicProgram
 from repro.graphs.comm import CommGraph
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.sim.engine import Simulator
 
@@ -464,7 +464,7 @@ class SelfTimedProgramSimulator:
         self._service = service if service is not None else constant_service(1.0)
         self._wire_delay = wire_delay
         self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._metrics = metrics
+        self._metrics = metrics if metrics is not None else NULL_METRICS
         if channel_capacity is not None:
             # Validates the spec and refuses a zero-token cycle up front.
             depths = channel_depths(self._comm, channel_capacity)
@@ -520,11 +520,7 @@ class SelfTimedProgramSimulator:
         inbox: Dict[CellId, Dict[int, Dict[CellId, Any]]] = {c: {} for c in cells}
         finish_times: Dict[CellId, float] = {c: 0.0 for c in cells}
         tracer = self._tracer
-        service_hist = (
-            self._metrics.histogram("dataflow.service_time")
-            if self._metrics is not None
-            else None
-        )
+        service_hist = self._metrics.histogram("dataflow.service_time")
 
         # Backpressure state — only materialized for finite capacities so
         # the unbounded path stays byte-identical (same events, same
@@ -536,15 +532,14 @@ class SelfTimedProgramSimulator:
         stall_time: Optional[Dict[CellId, float]] = None
         blocked_since: Dict[CellId, float] = {}
         max_occupancy = 0
-        stall_hist = occupancy_hist = None
         if bounded:
             outstanding = {(u, v): 0 for u, v in self._comm.edges()}
             stall_time = {c: 0.0 for c in cells}
-            if self._metrics is not None:
-                stall_hist = self._metrics.histogram("dataflow.stall_time")
-                occupancy_hist = self._metrics.histogram(
-                    "dataflow.channel_occupancy"
-                )
+        # Only a bounded run stalls or fills channels, so only it
+        # registers these two histograms.
+        backpressure = self._metrics if bounded else NULL_METRICS
+        stall_hist = backpressure.histogram("dataflow.stall_time")
+        occupancy_hist = backpressure.histogram("dataflow.channel_occupancy")
 
         def ready(cell: CellId) -> bool:
             k = next_wave[cell]
@@ -605,8 +600,7 @@ class SelfTimedProgramSimulator:
                 if t_blocked is not None:
                     stalled = sim.now - t_blocked
                     stall_time[cell] += stalled
-                    if stall_hist is not None:
-                        stall_hist.observe(stalled)
+                    stall_hist.observe(stalled)
             inputs: Dict[CellId, Any] = (
                 inbox[cell].pop(k - 1, {}) if k > 0 else {}
             )
@@ -621,8 +615,7 @@ class SelfTimedProgramSimulator:
             duration = self._service(cell, k)
             if not 0.0 <= duration < math.inf:
                 _checked_service(duration, f" for {cell!r} wave {k}")
-            if service_hist is not None:
-                service_hist.observe(duration)
+            service_hist.observe(duration)
             if tracer.enabled:
                 # ``finish`` is the same float expression the engine uses
                 # to schedule ``done`` (now + delay), so the recorded
@@ -673,8 +666,7 @@ class SelfTimedProgramSimulator:
                             )
                         if count > max_occupancy:
                             max_occupancy = count
-                        if occupancy_hist is not None:
-                            occupancy_hist.observe(float(count))
+                        occupancy_hist.observe(float(count))
                     sim.schedule(
                         self._wire_delay,
                         (lambda d=dst, v=value: deliver(d, v)),
@@ -701,12 +693,9 @@ class SelfTimedProgramSimulator:
                 waves=n_waves, cells=len(cells), makespan=makespan,
                 channel_capacity=self.channel_capacity,
             )
-        if self._metrics is not None:
-            self._metrics.gauge("dataflow.makespan").set(makespan)
-            if makespan > 0:
-                self._metrics.gauge("dataflow.throughput").set(
-                    n_waves / makespan
-                )
+        self._metrics.gauge("dataflow.makespan").set(makespan)
+        if makespan > 0:
+            self._metrics.gauge("dataflow.throughput").set(n_waves / makespan)
         return DataflowRunResult(
             result=result,
             waves=n_waves,

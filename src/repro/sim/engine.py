@@ -20,7 +20,7 @@ import math
 import time as _time
 from typing import Callable, Optional
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.sim.events import EventQueue
 
@@ -39,7 +39,7 @@ class Simulator:
         self.now = 0.0
         self.events_processed = 0
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics
+        self.metrics = metrics if metrics is not None else NULL_METRICS
 
     def schedule(self, delay: float, action: Action) -> None:
         """Schedule ``action`` at ``now + delay`` (delay >= 0; NaN is
@@ -66,7 +66,7 @@ class Simulator:
         processed = 0
         tracer = self.tracer
         metrics = self.metrics
-        if tracer is NULL_TRACER and metrics is None:
+        if tracer is NULL_TRACER and metrics is NULL_METRICS:
             # Uninstrumented fast path: no span bookkeeping, no per-event
             # wall-clock reads, no try/finally per dispatch.  The dataflow
             # and handshake simulators schedule one closure per token, so
@@ -93,9 +93,11 @@ class Simulator:
             finally:
                 self.events_processed += processed
             return processed
-        if metrics is not None:
-            event_counter = metrics.counter("engine.events")
-            depth_gauge = metrics.gauge("engine.queue_depth")
+        # Read once per run: with metrics off, the loop below skips the
+        # per-event counter and gauge calls entirely.
+        counting = metrics.enabled
+        event_counter = metrics.counter("engine.events")
+        depth_gauge = metrics.gauge("engine.queue_depth")
         run_t0 = _time.perf_counter()
         try:
             while self._queue:
@@ -114,8 +116,7 @@ class Simulator:
                             limit=max_events,
                             pending=len(self._queue),
                         )
-                    if metrics is not None:
-                        metrics.counter("engine.runaway_guards").inc()
+                    metrics.counter("engine.runaway_guards").inc()
                     break
                 time, action = self._queue.pop()
                 self.now = time
@@ -139,7 +140,7 @@ class Simulator:
                         if failed:
                             data["error"] = True
                         tracer.event(time, "engine", "dispatch", **data)
-                    if metrics is not None:
+                    if counting:
                         event_counter.inc()
                         depth_gauge.set(len(self._queue))
                         if failed:

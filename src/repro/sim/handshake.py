@@ -41,7 +41,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Tuple
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.sim.engine import Simulator
 
@@ -98,7 +98,7 @@ class _Stage:
         compute: Callable[[], float],
         sim: Simulator,
         wire: float,
-        metrics: Optional[MetricsRegistry] = None,
+        metrics: MetricsRegistry = NULL_METRICS,
     ) -> None:
         self.index = index
         self.compute = compute
@@ -127,16 +127,14 @@ class _Stage:
         self._latch(data)
 
     def _observe_stall(self, stall: float) -> None:
-        if self.metrics is not None:
-            self.metrics.histogram("handshake.stall_time").observe(stall)
+        self.metrics.histogram("handshake.stall_time").observe(stall)
 
     def _latch(self, data: Any) -> None:
         self.computing = True
         if self.upstream is not None:
             self.sim.schedule(self.wire, self.upstream.on_ack)
         duration = self.compute()
-        if self.metrics is not None:
-            self.metrics.histogram("handshake.service_time").observe(duration)
+        self.metrics.histogram("handshake.service_time").observe(duration)
         self.sim.schedule(duration, lambda: self._compute_done(data))
 
     def _compute_done(self, data: Any) -> None:
@@ -274,7 +272,7 @@ class _JoinStage:
         compute: Callable[[], float],
         sim: Simulator,
         wire: float,
-        metrics: Optional[MetricsRegistry] = None,
+        metrics: MetricsRegistry = NULL_METRICS,
     ) -> None:
         self.key = key
         self.compute = compute
@@ -311,14 +309,13 @@ class _JoinStage:
         for ack in self.upstream_acks:
             self.sim.schedule(self.wire, ack)
         duration = self.compute()
-        if self.metrics is not None:
-            # Join stall: from the first port's request to all ports ready
-            # and the stage free — the wait one slow neighbor inflicts.
-            if self.first_req_time is not None:
-                self.metrics.histogram("handshake.stall_time").observe(
-                    self.sim.now - self.first_req_time
-                )
-            self.metrics.histogram("handshake.service_time").observe(duration)
+        # Join stall: from the first port's request to all ports ready
+        # and the stage free — the wait one slow neighbor inflicts.
+        if self.first_req_time is not None:
+            self.metrics.histogram("handshake.stall_time").observe(
+                self.sim.now - self.first_req_time
+            )
+        self.metrics.histogram("handshake.service_time").observe(duration)
         self.first_req_time = None
         self.sim.schedule(duration, lambda: self._compute_done(inputs))
 
@@ -367,7 +364,7 @@ class _CreditStage:
         depth: int,
         sim: Simulator,
         wire: float,
-        metrics: Optional[MetricsRegistry] = None,
+        metrics: MetricsRegistry = NULL_METRICS,
     ) -> None:
         self.index = index
         self.compute = compute
@@ -403,8 +400,7 @@ class _CreditStage:
             self.sim.schedule(self.wire, self.upstream.on_credit)
         self.computing = True
         duration = self.compute()
-        if self.metrics is not None:
-            self.metrics.histogram("handshake.service_time").observe(duration)
+        self.metrics.histogram("handshake.service_time").observe(duration)
         self.sim.schedule(duration, lambda: self._compute_done(data))
 
     def _compute_done(self, data: Any) -> None:
@@ -414,8 +410,7 @@ class _CreditStage:
     def _try_send(self, data: Any) -> None:
         if self.credits > 0:
             self.credits -= 1
-            if self.metrics is not None:
-                self.metrics.histogram("handshake.stall_time").observe(0.0)
+            self.metrics.histogram("handshake.stall_time").observe(0.0)
             if self.downstream is not None:
                 self.sim.schedule(
                     self.wire, lambda: self.downstream.on_token(data)
@@ -431,10 +426,9 @@ class _CreditStage:
         if self.output_held is not None:
             (data,) = self.output_held
             self.output_held = None
-            if self.metrics is not None:
-                self.metrics.histogram("handshake.stall_time").observe(
-                    self.sim.now - self.held_since
-                )
+            self.metrics.histogram("handshake.stall_time").observe(
+                self.sim.now - self.held_since
+            )
             self.credits -= 1
             if self.downstream is not None:
                 self.sim.schedule(
@@ -521,7 +515,7 @@ def run_credit_pipeline(
     source = _CreditSource(list(range(items)), sim, wire_delay)
     stages = [
         _CreditStage(
-            i, lambda: compute_sampler(rng), credits, sim, wire_delay, metrics
+            i, lambda: compute_sampler(rng), credits, sim, wire_delay, sim.metrics
         )
         for i in range(n_stages)
     ]
@@ -580,7 +574,7 @@ def run_handshake_wavefront(
     for r in range(rows):
         for c in range(cols):
             cells[(r, c)] = _JoinStage(
-                (r, c), lambda: compute_sampler(rng), sim, wire_delay, metrics
+                (r, c), lambda: compute_sampler(rng), sim, wire_delay, sim.metrics
             )
     # Corner sink records completions and acks immediately.
     arrivals: List[Tuple[float, Any]] = []
@@ -673,7 +667,7 @@ def run_handshake_pipeline(
     stage_cls = _BufferedStage if buffered else _Stage
     source = _Source(list(range(items)), sim, wire_delay)
     stages = [
-        stage_cls(i, lambda: compute_sampler(rng), sim, wire_delay, metrics)
+        stage_cls(i, lambda: compute_sampler(rng), sim, wire_delay, sim.metrics)
         for i in range(n_stages)
     ]
     sink = _Sink(sim, wire_delay)

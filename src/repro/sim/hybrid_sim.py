@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.core.hybrid import HybridScheme
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.sim.compiled import CompiledRecurrence, RecurrenceStepper
 
@@ -133,9 +133,8 @@ def simulate_hybrid(
         scheme, delta, m, jitter, seed
     )
     tracer = tracer if tracer is not None else NULL_TRACER
-    skew_hist = (
-        metrics.histogram("hybrid.step_skew") if metrics is not None else None
-    )
+    metrics = metrics if metrics is not None else NULL_METRICS
+    skew_hist = metrics.histogram("hybrid.step_skew")
     eids = list(scheme.elements.keys())
     finish_times = []
     for step in range(steps):
@@ -155,7 +154,7 @@ def simulate_hybrid(
                 finish_times[-1], "hybrid", "step_summary",
                 step=step, start_spread=spread, makespan=finish_times[-1],
             )
-        if skew_hist is not None:
+        if metrics.enabled:
             skew_hist.observe(float(start.max()) - float(start.min()))
 
     half = steps // 2
@@ -175,9 +174,8 @@ def simulate_hybrid(
             elements=len(eids), steps=steps,
             cycle_time=cycle, analytic_cycle_time=analytic,
         )
-    if metrics is not None:
-        metrics.gauge("hybrid.cycle_time").set(cycle)
-        metrics.counter("hybrid.steps").inc(steps)
+    metrics.gauge("hybrid.cycle_time").set(cycle)
+    metrics.counter("hybrid.steps").inc(steps)
     return HybridRunResult(
         elements=len(eids),
         steps=steps,

@@ -30,7 +30,7 @@ from typing import Any, Callable, List, Optional, Tuple
 import numpy as np
 
 from repro.graphs.comm import CommGraph
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 
 Sampler = Callable[[random.Random], float]
@@ -139,7 +139,8 @@ def simulate_selftimed_line(
     start, finish = _skewed_rows(
         chain, np.arange(n_cells), samples, wire_delay, 1 if blocking else None
     )
-    if metrics is not None:
+    metrics = metrics if metrics is not None else NULL_METRICS
+    if metrics.enabled:
         # Backpressure wait: start past the later of the cell's own
         # previous finish and its input's arrival (0 for the first cell).
         arrival = np.zeros_like(finish)
@@ -188,7 +189,8 @@ def simulate_selftimed_wavefront(
     east = [(i, i + 1) for i in range(n) if (i + 1) % cols]
     lag = (np.arange(rows)[:, None] + np.arange(cols)).ravel()
     start, finish = _skewed_rows(CommGraph(south + east, range(n)), lag, samples, 0.0, None)
-    if metrics is not None:
+    metrics = metrics if metrics is not None else NULL_METRICS
+    if metrics.enabled:
         # Join wait: idle time between finishing wave w-1 and the
         # north/west inputs for wave w arriving.
         _observe(metrics, samples, start - _previous(finish))

@@ -22,8 +22,7 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import SpanTracer
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.sim.dataflow import channel_depths, service_rows
 from repro.sta.design import Design
@@ -58,7 +57,7 @@ class STAAnalyzer:
     ) -> None:
         self.design = design
         self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._metrics = metrics
+        self._metrics = metrics if metrics is not None else NULL_METRICS
         self._fingerprint: Optional[_Fingerprint] = None
         self._slack: Optional[SlackAnalysis] = None
         self._drc: Optional[List[RuleResult]] = None
@@ -107,13 +106,12 @@ class STAAnalyzer:
         hit = self._fresh() and self._slack is not None
         if self._slack is None:
             t0 = time.perf_counter()
-            with SpanTracer(self._tracer).span("sta.slack", design=self.design.name) as h:
+            with self._tracer.span("sta.slack", design=self.design.name) as h:
                 self._slack = analyze_slack(self.design)
                 h.annotate(edges=len(self._slack.edges))
             self._observe(time.perf_counter() - t0, self._slack)
         if hit:
-            if self._metrics is not None:
-                self._metrics.counter("sta.cache_hits").inc()
+            self._metrics.counter("sta.cache_hits").inc()
             if self._tracer.enabled:
                 self._tracer.event(
                     0.0, "sta", "cache_hit", design=self.design.name
@@ -191,11 +189,8 @@ class STAAnalyzer:
             analysis = analyze_flow(comm, service, wire_delay, capacity)
             self._flow[key] = analysis
             duration = time.perf_counter() - t0
-            if self._metrics is not None:
-                self._metrics.counter("sta.flow_runs").inc()
-                self._metrics.histogram("sta.flow_duration_s").observe(
-                    duration
-                )
+            self._metrics.counter("sta.flow_runs").inc()
+            self._metrics.histogram("sta.flow_duration_s").observe(duration)
             if self._tracer.enabled:
                 self._tracer.event(
                     0.0,
@@ -208,8 +203,7 @@ class STAAnalyzer:
                     duration_s=duration,
                 )
         else:
-            if self._metrics is not None:
-                self._metrics.counter("sta.flow_cache_hits").inc()
+            self._metrics.counter("sta.flow_cache_hits").inc()
             if self._tracer.enabled:
                 self._tracer.event(
                     0.0, "sta", "flow_cache_hit", design=self.design.name
@@ -228,9 +222,8 @@ class STAAnalyzer:
         )
 
     def _observe(self, duration: float, analysis: SlackAnalysis) -> None:
-        if self._metrics is not None:
-            self._metrics.counter("sta.runs").inc()
-            self._metrics.histogram("sta.duration_s").observe(duration)
+        self._metrics.counter("sta.runs").inc()
+        self._metrics.histogram("sta.duration_s").observe(duration)
         if self._tracer.enabled:
             self._tracer.event(
                 0.0,

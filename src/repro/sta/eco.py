@@ -78,7 +78,7 @@ from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.geometry.point import Point
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.sim.dataflow import service_rows
 from repro.sta.design import Design, EdgeKey
@@ -237,7 +237,7 @@ class ECOSession:
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._metrics = metrics
+        self._metrics = metrics if metrics is not None else NULL_METRICS
         self._design = design
         edges, lag, lead, sigma_ub, sigma_lb = _edge_vectors(design)
         self._edges: List[EdgeKey] = edges
@@ -321,9 +321,8 @@ class ECOSession:
         self._counts_cache = None
         edit = EcoEdit(op, subject, len(rows), semantic_rows, self._n_edges)
         self._log += (op, subject, edit.dirty_rows, semantic_rows)
-        if self._metrics is not None:
-            self._metrics.counter("eco.edits").inc()
-            self._metrics.histogram("eco.dirty_rows").observe(float(len(rows)))
+        self._metrics.counter("eco.edits").inc()
+        self._metrics.histogram("eco.dirty_rows").observe(float(len(rows)))
         if self._tracer.enabled:
             self._tracer.event(
                 float(len(self._log) // 4),
@@ -475,11 +474,10 @@ class ECOSession:
                 cycle = mcm_howard(fg, warm_start=warm) if dead is None else None
             self._flow_cache[key] = (services, FlowAnalysis(fg, dead, cycle))
         reused = len(self._flow_cache) - recomputed
-        if self._metrics is not None:
-            if reused:
-                self._metrics.counter("eco.flow_reuse").inc(reused)
-            if recomputed:
-                self._metrics.counter("eco.flow_recompute").inc(recomputed)
+        if reused:
+            self._metrics.counter("eco.flow_reuse").inc(reused)
+        if recomputed:
+            self._metrics.counter("eco.flow_recompute").inc(recomputed)
         return self._record(
             "set_channel_capacity", (edge, int(depth)), rows, recomputed
         )

@@ -322,6 +322,25 @@ class TestDashboardCommand:
         assert code == 2
         assert "error" in err
 
+    def test_every_sta_slack_span_is_counted(self, capsys, tmp_path):
+        # One slack span per workload design, each with its own id: a
+        # repeated id would fold the four spans into one.
+        path = str(tmp_path / "sta.jsonl")
+        code, _out, _ = run_cli(capsys, "sta", "--size", "4", "--trace", path)
+        assert code == 0
+        from repro.obs.trace import load_trace
+
+        starts = [
+            e for e in load_trace(path)
+            if (e.cat, e.kind) == ("span", "start") and e.data["name"] == "sta.slack"
+        ]
+        assert len(starts) == 4
+        assert len({e.data["id"] for e in starts}) == 4
+        code, out, _ = run_cli(capsys, "dashboard", path)
+        assert code == 0
+        totals = out.split("phase totals:\n", 1)[1].splitlines()
+        assert any(line.split()[:2] == ["sta.slack", "x4"] for line in totals)
+
 
 class TestMetricsExports:
     def test_metrics_print_on_diagnostic_exit(self, capsys):

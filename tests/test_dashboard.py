@@ -8,7 +8,6 @@ from repro.obs.dashboard import (
     render_dashboard_html,
     render_dashboard_text,
 )
-from repro.obs.spans import SpanTracer
 from repro.obs.trace import RecordingTracer
 from repro.sta.design import random_design
 
@@ -23,15 +22,15 @@ def _traced_run(seed=0):
 
 def _multi_worker_events():
     tracer = RecordingTracer()
-    spans = SpanTracer(tracer, worker="main")
-    with spans.span("run"):
-        parent = spans.current_id
+    events = []
+    with tracer.span("run") as run:
         for w in range(2):
-            worker = SpanTracer(tracer, worker=f"w{w}", parent_id=parent)
+            worker = RecordingTracer(f"w{w}", run.span_id)
             with worker.span("chunk", t=float(w)):
                 with worker.span("trial", t=float(w)):
                     pass
-    return tracer.events
+            events += worker.events
+    return tracer.events + events
 
 
 class TestBuildDashboard:
@@ -106,8 +105,7 @@ class TestRenderHtml:
 
     def test_html_escapes_span_names(self):
         tracer = RecordingTracer()
-        spans = SpanTracer(tracer)
-        with spans.span("<evil> & co"):
+        with tracer.span("<evil> & co"):
             pass
         html = render_dashboard_html(build_dashboard(tracer.events))
         assert "<evil>" not in html

@@ -255,7 +255,7 @@ def test_non_tracer_event_call_is_ignored():
 
 
 def test_span_calls_are_exempt():
-    # SpanTracer.span checks enabled internally; only raw .event needs
+    # Tracer.span checks enabled internally; only raw .event needs
     # a lexical guard.
     assert not lint(
         """

@@ -169,6 +169,24 @@ class TestTracedRuns:
         }
         assert all(s.attrs["value"] == values[s.attrs["seed"]] for s in trials)
 
+    def test_two_runs_on_one_tracer_are_two_trees(self):
+        # Span ids come from the tracer, and worker ids are scoped under
+        # their map span, so a second run neither reuses the first run's
+        # ids nor loses its spans when the forest is assembled.
+        tracer = RecordingTracer()
+        run_trials_traced(_trial, 4, base_seed=0, tracer=tracer)
+        run_trials_traced(
+            _trial, 4, base_seed=10, workers=2, executor="process",
+            tracer=tracer,
+        )
+        ids = [e.data["id"] for e in tracer.events if e.kind == "start"]
+        assert len(ids) == len(set(ids))
+        roots = assemble_spans(tracer.events)
+        assert [r.name for r in roots] == ["montecarlo.run_trials"] * 2
+        for root, first in zip(roots, (0, 10)):
+            trials = [s for s in root.walk() if s.name == "montecarlo.trial"]
+            assert sorted(s.attrs["seed"] for s in trials) == list(range(first, first + 4))
+
     def test_trial_events_stay_in_seed_order(self):
         tracer = RecordingTracer()
         summary, _ = run_trials_traced(

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import NULL_METRICS, Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.schema import (
     BENCHMARK_RESULT_SCHEMA,
     validate,
@@ -146,8 +146,10 @@ class TestMetricsRegistry:
         assert reg.histogram("c") is reg.histogram("c")
 
     def test_bool_and_to_dict(self):
+        # A fresh registry is truthy: ``metrics or NULL_METRICS`` must
+        # never swap a caller's empty registry for the null one.
         reg = MetricsRegistry()
-        assert not reg
+        assert reg and reg.enabled
         reg.counter("events").inc(2)
         reg.gauge("depth").set(4.0)
         reg.histogram("lat", edges=[1.0]).observe(0.5)
@@ -163,6 +165,43 @@ class TestMetricsRegistry:
         reg.counter("n").inc()
         rows = reg.render_rows()
         assert rows == [("n", "counter", "1")]
+
+
+class TestNullMetrics:
+    def test_disabled_and_records_nothing(self):
+        assert not NULL_METRICS.enabled
+        instruments = [
+            NULL_METRICS.counter("c"),
+            NULL_METRICS.counter("c", labels={"k": "v"}),
+            NULL_METRICS.gauge("g"),
+            NULL_METRICS.histogram("h", edges=[1.0]),
+        ]
+        # One shared instrument, whatever the kind or name.
+        assert all(i is instruments[0] for i in instruments)
+        for instrument in instruments:
+            assert instrument.inc() is None
+            assert instrument.inc(3) is None
+            assert instrument.set(2.5) is None
+            assert instrument.observe(0.5) is None
+            assert instrument.observe_many([0.1, 0.2]) is None
+        assert NULL_METRICS.to_dict() == {"counters": {}, "gauges": {}, "histograms": {}}
+        assert NULL_METRICS.render_rows() == []
+
+    def test_fresh_registry_is_not_swapped_for_the_null_one(self):
+        from repro.arrays.systolic import build_fir_array
+        from repro.sim.dataflow import SelfTimedProgramSimulator
+        from repro.sim.engine import Simulator
+
+        metrics = MetricsRegistry()
+        sim = Simulator(metrics=metrics)
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        assert metrics.counters()["engine.events"].value == 1
+
+        metrics = MetricsRegistry()
+        program = build_fir_array([1.0, 2.0], [1.0, 0.0, 3.0])
+        SelfTimedProgramSimulator(program, metrics=metrics).run()
+        assert metrics.histograms()["dataflow.service_time"].total > 0
 
 
 class TestSchemaValidator:

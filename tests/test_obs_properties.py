@@ -17,7 +17,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.spans import SpanTracer, assemble_spans, iter_spans
+from repro.obs.spans import assemble_spans, iter_spans
 from repro.obs.trace import RecordingTracer, TraceEvent
 from repro.sim.dataflow import SelfTimedProgramSimulator, hashed_service
 from repro.sta.design import random_design
@@ -28,27 +28,25 @@ from repro.sta.design import random_design
 # ----------------------------------------------------------------------
 def _random_forest_events(seed: int, n_spans: int) -> list:
     """Emit a random (but deterministic in ``seed``) nested span forest
-    across several workers and return the flat event list."""
+    across several workers and return the flat event list (one tracer
+    per worker, their events concatenated as ``run_trials`` merges them)."""
     rng = random.Random(seed)
-    tracer = RecordingTracer()
-    tracers = [
-        SpanTracer(tracer, worker=f"w{w}") for w in range(rng.randint(1, 3))
-    ]
+    tracers = [RecordingTracer(f"w{w}") for w in range(rng.randint(1, 3))]
 
-    def emit(spans: SpanTracer, budget: int, depth: int) -> int:
+    def emit(tracer: RecordingTracer, budget: int, depth: int) -> int:
         while budget > 0:
             budget -= 1
-            with spans.span(f"s{rng.randint(0, 5)}", t=rng.random() * 10):
+            with tracer.span(f"s{rng.randint(0, 5)}", t=rng.random() * 10):
                 if depth < 3 and budget > 0 and rng.random() < 0.5:
-                    budget = emit(spans, budget, depth + 1)
+                    budget = emit(tracer, budget, depth + 1)
         return budget
 
     remaining = n_spans
-    for spans in tracers:
+    for tracer in tracers:
         take = rng.randint(0, remaining)
-        emit(spans, take, 0)
+        emit(tracer, take, 0)
         remaining -= take
-    return list(tracer.events)
+    return [e for tracer in tracers for e in tracer.events]
 
 
 def _forest_shape(roots):

@@ -6,7 +6,6 @@ skip what they cannot interpret."""
 import pytest
 
 from repro.obs.replay import _as_float, _as_int, summarize_trace
-from repro.obs.spans import SpanTracer
 from repro.obs.trace import RecordingTracer, TraceEvent
 
 
@@ -48,9 +47,8 @@ class TestUnknownEvents:
 
     def test_span_events_are_summarised_without_interpretation(self):
         tracer = RecordingTracer()
-        spans = SpanTracer(tracer)
-        with spans.span("outer"):
-            with spans.span("inner"):
+        with tracer.span("outer"):
+            with tracer.span("inner"):
                 pass
         summary = summarize_trace(list(tracer.events))
         rows = {(cat, kind): n for cat, kind, n, _f, _l in summary.category_rows}

@@ -74,7 +74,6 @@ def _artifacts() -> Dict[str, List[Any]]:
     from repro.check import CheckRegistry, build_report, require
     from repro.obs.export import metrics_snapshot
     from repro.obs.metrics import MetricsRegistry
-    from repro.obs.spans import SpanTracer
     from repro.obs.trace import RecordingTracer
     from repro.sim.faults import summarize_violations
     from repro.sta.analyzer import STAAnalyzer
@@ -91,8 +90,8 @@ def _artifacts() -> Dict[str, List[Any]]:
     session.set_period(session.design.period * 0.5)
     eco_report = session.report().to_dict()
     spans = RecordingTracer()
-    with SpanTracer(spans).span("outer", size=3):
-        with SpanTracer(spans).span("inner"):
+    with spans.span("outer", size=3):
+        with spans.span("inner"):
             pass
     registry = MetricsRegistry()
     registry.counter("runs").inc(3)

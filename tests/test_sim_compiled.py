@@ -170,6 +170,22 @@ def test_compiled_spans_same_for_blocked_and_unblocked_runs():
     ]
 
 
+def test_repeated_compiled_runs_are_separate_span_trees():
+    from repro.obs.spans import assemble_spans
+    from repro.obs.trace import RecordingTracer
+
+    name, program = _programs(include_matmul=False)[0]
+    cells = program.array.comm.nodes()
+    schedule = ClockSchedule({c: 0.0 for c in cells}, period=10.0)
+    tracer = RecordingTracer()
+    sim = ClockedArraySimulator(program, schedule, delta=1.0, tracer=tracer)
+    sim.run_compiled()
+    sim.run_compiled()
+    roots = assemble_spans(tracer.events)
+    assert [r.name for r in roots] == ["compiled.run", "compiled.run"]
+    assert all(len(r.children) == 3 for r in roots)
+
+
 def _one_way(array):
     """A bare program over ``array``: the recurrence with no payload."""
     return SystolicProgram(array, {}, 8, lambda executor: None)

@@ -1,36 +1,29 @@
-"""Unit tests for the span layer: emission, nesting, context propagation,
-and forest reassembly from the flat event stream."""
-
-import pickle
+"""Unit tests for spans: emission on the tracer, nesting, worker
+scoping, and forest reassembly from the flat event stream."""
 
 import pytest
 
-from repro.obs.spans import (
-    SpanContext,
-    SpanTracer,
-    assemble_spans,
-    iter_spans,
-    phase_rows,
-    span_index,
-)
-from repro.obs.trace import NULL_TRACER, RecordingTracer, TraceEvent
+from repro.obs.spans import assemble_spans, iter_spans, phase_rows, span_index
+from repro.obs.trace import NULL_TRACER, NullTracer, RecordingTracer, TraceEvent
 
 
 class TestSpanTracer:
-    def test_disabled_tracer_emits_nothing(self):
-        spans = SpanTracer(NULL_TRACER)
-        assert not spans.enabled
-        with spans.span("root") as handle:
-            handle.annotate(ignored=True)  # the null handle swallows this
-        assert spans.current_id is None
+    """Span emission on the tracer itself (``Tracer.span``)."""
 
-    def test_default_tracer_is_the_null_tracer(self):
-        assert not SpanTracer().enabled
+    def test_disabled_tracer_emits_nothing(self):
+        assert not NULL_TRACER.enabled
+        with NULL_TRACER.span("root", attr=1) as handle:
+            handle.annotate(ignored=True)  # the null handle swallows this
+            handle.set_end_t(5.0)
+            assert handle.span_id == ""
+        # One shared object is both the context manager and the handle,
+        # for every disabled tracer: a disabled span allocates nothing.
+        assert NULL_TRACER.span("a") is handle
+        assert NullTracer().span("b", t=1.0) is handle
 
     def test_start_and_end_events_emitted(self):
         tracer = RecordingTracer()
-        spans = SpanTracer(tracer)
-        with spans.span("compile", t=1.5, foo=7):
+        with tracer.span("compile", t=1.5, foo=7):
             pass
         start, end = tracer.events
         assert (start.cat, start.kind) == ("span", "start")
@@ -44,72 +37,70 @@ class TestSpanTracer:
 
     def test_nesting_sets_parent(self):
         tracer = RecordingTracer()
-        spans = SpanTracer(tracer)
-        with spans.span("outer"):
-            outer_id = spans.current_id
-            with spans.span("inner"):
-                assert spans.current_id != outer_id
+        with tracer.span("outer") as outer:
+            with tracer.span("inner") as inner:
+                assert inner.span_id != outer.span_id
         starts = [e for e in tracer.events if e.kind == "start"]
         assert starts[0].data["parent"] is None
-        assert starts[1].data["parent"] == starts[0].data["id"]
+        assert starts[1].data["parent"] == starts[0].data["id"] == outer.span_id
 
     def test_error_status_on_raise(self):
         tracer = RecordingTracer()
-        spans = SpanTracer(tracer)
         with pytest.raises(RuntimeError):
-            with spans.span("doomed"):
+            with tracer.span("doomed"):
                 raise RuntimeError("boom")
         end = [e for e in tracer.events if e.kind == "end"][0]
         assert end.data["status"] == "error"
 
     def test_annotate_lands_in_end_event(self):
         tracer = RecordingTracer()
-        spans = SpanTracer(tracer)
-        with spans.span("work", first=1) as handle:
+        with tracer.span("work", first=1) as handle:
             handle.annotate(second=2)
         start = tracer.events[0]
         end = tracer.events[1]
         assert start.data["attrs"] == {"first": 1}
         assert end.data["attrs"] == {"second": 2}
 
-    def test_context_is_picklable_and_seeds_parent(self):
-        tracer = RecordingTracer()
-        parent = SpanTracer(tracer, worker="main")
-        with parent.span("root"):
-            ctx = parent.context()
-        ctx = pickle.loads(pickle.dumps(ctx))
-        assert isinstance(ctx, SpanContext)
-        child = SpanTracer(RecordingTracer(), worker="w0", parent_id=ctx.parent_id)
+    def test_parent_id_seeds_and_scopes_root_spans(self):
+        # A worker's tracer opens its roots under the coordinator span it
+        # was given, and scopes its ids under that span's id, so the same
+        # worker name in two runs never repeats an id.
+        coordinator = RecordingTracer()
+        with coordinator.span("map") as handle:
+            parent = handle.span_id
+        child = RecordingTracer("w0", parent)
         with child.span("chunk"):
-            pass
-        start = child.tracer.events[0]
-        assert start.data["parent"] == ctx.parent_id
-        assert start.data["worker"] == "w0"
+            with child.span("trial"):
+                pass
+        starts = [e for e in child.events if e.kind == "start"]
+        assert [e.data["id"] for e in starts] == [f"{parent}/w0:0", f"{parent}/w0:1"]
+        assert [e.data["parent"] for e in starts] == [parent, f"{parent}/w0:0"]
+        assert {e.data["worker"] for e in starts} == {"w0"}
+        (root,) = assemble_spans(coordinator.events + child.events)
+        assert [s.name for s in root.walk()] == ["map", "chunk", "trial"]
 
     def test_ids_are_worker_scoped(self):
-        tracer = RecordingTracer()
-        spans = SpanTracer(tracer, worker="w3")
-        with spans.span("a"):
+        tracer = RecordingTracer("w3")
+        with tracer.span("a"):
             pass
-        with spans.span("b"):
+        with tracer.span("b"):
             pass
         ids = [e.data["id"] for e in tracer.events if e.kind == "start"]
         assert ids == ["w3:0", "w3:1"]
 
 
 class TestAssembleSpans:
-    def _events(self, spans_fn):
+    def _events(self, build):
         tracer = RecordingTracer()
-        spans = SpanTracer(tracer)
-        spans_fn(spans)
+        build(tracer)
         return tracer.events
 
     def test_round_trip_tree(self):
-        def build(spans):
-            with spans.span("root", t=0.0):
-                with spans.span("left", t=1.0):
+        def build(tracer):
+            with tracer.span("root", t=0.0):
+                with tracer.span("left", t=1.0):
                     pass
-                with spans.span("right", t=2.0):
+                with tracer.span("right", t=2.0):
                     pass
 
         roots = assemble_spans(self._events(build))
@@ -122,8 +113,7 @@ class TestAssembleSpans:
     def test_non_span_events_are_ignored(self):
         tracer = RecordingTracer()
         tracer.event(0.0, "tick", "fire", cell=0, tick=0)
-        spans = SpanTracer(tracer)
-        with spans.span("only"):
+        with tracer.span("only"):
             pass
         tracer.event(9.0, "clocked", "run", makespan=9.0)
         roots = assemble_spans(tracer.events)
@@ -131,8 +121,7 @@ class TestAssembleSpans:
 
     def test_missing_end_yields_open_span(self):
         tracer = RecordingTracer()
-        spans = SpanTracer(tracer)
-        with spans.span("crashed"):
+        with tracer.span("crashed"):
             events = list(tracer.events)  # snapshot before the end lands
         roots = assemble_spans(events)
         assert len(roots) == 1 and roots[0].open
@@ -159,9 +148,9 @@ class TestAssembleSpans:
         assert [r.name for r in roots] == ["stranded"]
 
     def test_iter_spans_and_index(self):
-        def build(spans):
-            with spans.span("root"):
-                with spans.span("child"):
+        def build(tracer):
+            with tracer.span("root"):
+                with tracer.span("child"):
                     pass
 
         roots = assemble_spans(self._events(build))
@@ -175,15 +164,14 @@ class TestAssembleSpans:
 class TestPhaseRows:
     def test_nesting_builds_paths(self):
         tracer = RecordingTracer()
-        spans = SpanTracer(tracer)
         for _ in range(2):
-            with spans.span("outer"):
-                with spans.span("inner"):
+            with tracer.span("outer"):
+                with tracer.span("inner"):
                     pass
-                with spans.span("inner"):
+                with tracer.span("inner"):
                     pass
-        with spans.span("outer"):
-            with spans.span("inner"):
+        with tracer.span("outer"):
+            with tracer.span("inner"):
                 pass
         rows = phase_rows(assemble_spans(tracer.events))
         assert [(path, calls) for path, calls, _, _ in rows] == [
@@ -196,20 +184,25 @@ class TestPhaseRows:
 
     def test_stack_unwinds_on_error(self):
         tracer = RecordingTracer()
-        spans = SpanTracer(tracer)
         for _ in range(2):
-            with spans.span("outer"):
+            with tracer.span("outer") as outer:
                 with pytest.raises(RuntimeError):
-                    with spans.span("doomed"):
+                    with tracer.span("doomed"):
                         raise RuntimeError("boom")
-                assert spans.current_id is not None
-        assert spans.current_id is None
+                # A sibling after the failure opens under "outer" again.
+                with tracer.span("sibling") as sibling:
+                    pass
         # The span after a failure opens at the root again.
-        with spans.span("after"):
+        with tracer.span("after"):
             pass
+        parents = {
+            e.data["id"]: e.data["parent"] for e in tracer.events if e.kind == "start"
+        }
+        assert parents[sibling.span_id] == outer.span_id
+        assert [e.data["parent"] for e in tracer.events if e.kind == "start"][-1] is None
         rows = phase_rows(assemble_spans(tracer.events))
         assert [(path, calls) for path, calls, _, _ in rows] == [
-            ("after", 1), ("outer", 2), ("outer/doomed", 2),
+            ("after", 1), ("outer", 2), ("outer/doomed", 2), ("outer/sibling", 2),
         ]
         totals = {path: total for path, _, total, _ in rows}
         assert totals["outer"] >= totals["outer/doomed"]
@@ -217,6 +210,6 @@ class TestPhaseRows:
 
     def test_open_span_counts_zero_seconds(self):
         tracer = RecordingTracer()
-        with SpanTracer(tracer).span("crashed"):
+        with tracer.span("crashed"):
             events = list(tracer.events)
         assert phase_rows(assemble_spans(events)) == [("crashed", 1, 0.0, 0.0)]

@@ -26,8 +26,8 @@ Five rules, each an AST pass over ``src/repro``:
   ``<tracer>.event(...)`` call must sit inside an ``if ....enabled:``
   guard: constructing event payloads unconditionally makes disabled
   tracing cost real time on hot paths, which breaks the
-  zero-overhead-when-off contract.  (``SpanTracer.span`` is exempt —
-  the span layer checks ``enabled`` internally.)
+  zero-overhead-when-off contract.  (``Tracer.span`` is exempt — it
+  checks ``enabled`` itself.)
 
 Run as a script (``python tools/lint_repro.py``) or via the pytest in
 ``tests/test_lint_repro.py`` (part of the tier-1 suite, hence CI).
