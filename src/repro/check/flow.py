@@ -10,8 +10,10 @@ Three checks hold :mod:`repro.sta.flow` to the event-driven truth:
   grid alike.  On dyadic designs the simulator's measured long-run rate
   is the same rational summed exactly in float, so it must match too —
   zero diff.  The transient side rides along: the closed-form
-  :meth:`~repro.sta.flow.SteadyState.makespan_at` must be bit-equal to
-  the iterated compiled recurrence at extrapolated horizons.
+  :meth:`~repro.sta.flow.SteadyState.makespan_at` and the detection's
+  own run stepped on (:meth:`~repro.sta.flow.SteadyState.
+  iterated_makespan`) must both be bit-equal to a fresh run of the
+  compiled recurrence at extrapolated horizons.
 * ``flow-deadlock`` — :func:`~repro.sta.flow.detect_deadlock` must
   agree with the simulator's eager
   :class:`~repro.sim.dataflow.ChannelDeadlockError` on every capacity
@@ -152,14 +154,16 @@ def check_differential_mcm(ctx: CheckContext) -> Dict[str, Any]:
             compiled = CompiledRecurrence(comm)
             for horizon in (steady.waves_run + 5, 2 * steady.waves_run + 3):
                 predicted = steady.makespan_at(horizon)
+                continued = steady.iterated_makespan(horizon)
                 iterated = compiled.makespan(
                     svc, 0.5, horizon, capacity=cap
                 )
-                require(predicted == iterated,
-                        f"{name}/cap={cap}: closed-form makespan at "
-                        f"{horizon} waves != iterated recurrence",
+                require(predicted == continued == iterated,
+                        f"{name}/cap={cap}: closed-form or continued makespan "
+                        f"at {horizon} waves != a fresh recurrence run",
                         topology=name, capacity=cap, horizon=horizon,
-                        predicted=predicted, iterated=iterated)
+                        predicted=predicted, continued=continued,
+                        iterated=iterated)
             rows.append({"topology": name, "capacity": cap,
                          "cycle_time": howard.cycle_time,
                          "off_grid_cycle_time": off.cycle_time,

@@ -486,6 +486,7 @@ def cmd_sta(args: argparse.Namespace) -> int:
         return 2
     workloads = list(WORKLOADS) if args.workload == "all" else [args.workload]
     reports = []
+    designs = []
     for i, workload in enumerate(workloads):
         design = design_for_workload(
             workload,
@@ -498,6 +499,7 @@ def cmd_sta(args: argparse.Namespace) -> int:
             period=args.period,
             pad_races=not args.no_pad,
         )
+        designs.append(design)
         if args.eco is not None:
             try:
                 reports.extend(_eco_reports(design, args.eco, args))
@@ -524,12 +526,10 @@ def cmd_sta(args: argparse.Namespace) -> int:
             fh.write("\n")
         print(f"\nwrote {args.json} (schema-validated, {len(payload)} reports)")
     if args.flow:
+        # The flow report reads only the COMM graph, which depends on the
+        # workload, size and seed alone (and ECO edits refuse to change it).
         flow_payload = []
-        for workload in workloads:
-            design = design_for_workload(
-                workload, size=args.size, scheme=args.scheme, m=args.m,
-                eps=args.eps, delta=args.delta, seed=args.seed,
-            )
+        for workload, design in zip(workloads, designs):
             report = _flow_report_for(design.array.comm, workload, args)
             flow_payload.append(report)
             mcm = report["mcm"]

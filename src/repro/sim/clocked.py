@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.arrays.cells import PE
 from repro.arrays.systolic import SystolicProgram
@@ -334,20 +334,9 @@ class ClockedArraySimulator:
         ``1 + ceil((off(v) - off(u)) / T)`` wherever the receiver trails —
         the wave-pipelining occupancy the capacity-aware
         :meth:`minimum_safe_period` bounds."""
-        n_ticks = ticks if ticks is not None else self._program.cycles
-        if n_ticks < 1:
-            raise ValueError("need at least one tick")
         depths: Dict[EdgeKey, int] = {}
-        for u, v in self._edge_delay:
-            launches = [self._schedule.tick_time(u, g) for g in range(n_ticks)]
-            consumes = [self._schedule.tick_time(v, g + 1) for g in range(n_ticks)]
-            peak = 0
-            j = 0  # generations consumed so far (two-pointer sweep)
-            for g, t_launch in enumerate(launches):
-                while j < g and consumes[j] <= t_launch + 1e-12:
-                    j += 1
-                peak = max(peak, g + 1 - j)
-            depths[(u, v)] = peak
+        for edge, _, depth in self._occupancy(ticks):
+            depths[edge] = max(depths.get(edge, 0), depth)
         return depths
 
     def channel_overflows(
@@ -361,21 +350,25 @@ class ClockedArraySimulator:
         wave-pipelined serpentine onto both sides of this boundary."""
         if capacity < 1:
             raise ValueError("channel capacity must be >= 1")
+        return [hit for hit in self._occupancy(ticks) if hit[2] > capacity]
+
+    def _occupancy(
+        self, ticks: Optional[int]
+    ) -> Iterator[Tuple[EdgeKey, int, int]]:
+        """``(edge, generation, depth)`` in edge, then generation order:
+        the in-flight token count as each generation launches, by a
+        two-pointer sweep over launch and consume times."""
         n_ticks = ticks if ticks is not None else self._program.cycles
         if n_ticks < 1:
             raise ValueError("need at least one tick")
-        overflows: List[Tuple[EdgeKey, int, int]] = []
         for u, v in self._edge_delay:
             launches = [self._schedule.tick_time(u, g) for g in range(n_ticks)]
             consumes = [self._schedule.tick_time(v, g + 1) for g in range(n_ticks)]
-            j = 0
+            j = 0  # generations consumed so far
             for g, t_launch in enumerate(launches):
                 while j < g and consumes[j] <= t_launch + 1e-12:
                     j += 1
-                depth = g + 1 - j
-                if depth > capacity:
-                    overflows.append(((u, v), g, depth))
-        return overflows
+                yield (u, v), g, g + 1 - j
 
     def hold_hazards(self) -> List[EdgeKey]:
         """Edges where the sender's clock leads the receiver's by more than

@@ -677,27 +677,25 @@ class CompiledRecurrence:
 
     — forward edges ``p -> c`` with a per-edge wire, and credit edges from
     each consumer ``s`` back to its producer that lag ``d - 1`` waves on a
-    depth-``d`` channel.  The channels are kept in COMM edge order
+    depth-``d`` channel.  The channel arrays are the flow analysis's own
+    COMM lowering (``repro.sim.dataflow._lower``): COMM edge order
     (grouped by sender: the credit layout, and the order of per-edge wires
-    and depths) and grouped by receiver for the forward maxima.
+    and depths) and, for the forward maxima, grouped by receiver, then
+    sender.
 
     :class:`RecurrenceStepper` is the one evaluator and :meth:`makespan` a
-    stepper run.  ``max`` is order-free and every add is the scalar
-    oracle's (:func:`repro.sim.dataflow.recurrence_scalar`), so both agree
-    bit for bit in every capacity regime.
+    stepper run from wave 0.  ``max`` is order-free and every add is the
+    scalar oracle's (:func:`repro.sim.dataflow.recurrence_scalar`), so both
+    agree bit for bit in every capacity regime.
     """
 
     def __init__(self, comm: CommGraph) -> None:
+        from repro.sim.dataflow import _lower  # lazy, as in the stepper
+
         self.comm_version = comm.version
         self._comm = comm
-        self._cells = comm.nodes()
-        index = {c: i for i, c in enumerate(self._cells)}
-        self._edges = comm.edges()
-        self._esrc = np.asarray([index[u] for u, _ in self._edges], dtype=np.int64)
-        self._edst = np.asarray([index[v] for _, v in self._edges], dtype=np.int64)
-        self._by_dst = np.argsort(self._edst, kind="stable")
-        self._fwd_src = self._esrc[self._by_dst]
-        self._fwd_starts, self._fwd_cells = _runs(self._edst[self._by_dst])
+        self._low = _lower(comm)
+        self._fwd_starts, self._fwd_cells = _runs(self._low.fwd_dst)
 
     def stepper(
         self,
@@ -738,8 +736,8 @@ class RecurrenceStepper:
     with ``ValueError``.
 
     :attr:`start` and :attr:`finish` are the last wave's rows, indexed
-    like ``CompiledRecurrence._cells``; both are freshly allocated per
-    wave and never mutated afterwards, so callers may keep references.
+    like ``comm.nodes()``; both are freshly allocated per wave and never
+    mutated afterwards, so callers may keep references.
     """
 
     def __init__(
@@ -749,23 +747,20 @@ class RecurrenceStepper:
         wire_delay: Any,
         capacity: Any = None,
     ) -> None:
-        # Imported here so that ``import repro`` does not load the event
-        # simulator module.
-        from repro.sim.dataflow import (
-            channel_depths,
-            service_rows,
-            zero_token_order,
-        )
+        # Imported here so that ``import repro.sim.compiled`` does not load
+        # the event simulator module.
+        from repro.sim.dataflow import channel_depths, channel_order, service_rows
 
         c = compiled
+        low = c._low
         if c.comm_version != c._comm.version:
             # The capacity spec is read against the live graph's edges.
             raise ValueError(
                 "the COMM graph changed since this recurrence was compiled"
             )
         if isinstance(wire_delay, Mapping):
-            wires = [float(wire_delay[e]) for e in c._edges]
-            wire_delay = np.asarray(wires, dtype=np.float64)[c._by_dst]
+            wires = [float(wire_delay[e]) for e in low.edges]
+            wire_delay = np.asarray(wires, dtype=np.float64)[low.by_dst]
         else:
             wires = [wire_delay]
         if not all(0 <= w < math.inf for w in wires):
@@ -777,22 +772,21 @@ class RecurrenceStepper:
         self._credits: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
         for d in np.unique(depths[depths > 1]).tolist():
             sel = np.flatnonzero(depths == d)
-            offsets, senders = _runs(c._esrc[sel])
-            self._credits.append((d, c._edst[sel], offsets, senders))
+            offsets, senders = _runs(low.chan_src[sel])
+            self._credits.append((d, low.chan_dst[sel], offsets, senders))
         # The depth-1 channels as (producer, consumer) pairs, producers in
         # consumers-first order: each consumer's start is final before any
         # of its producers reads it.
         ones = np.flatnonzero(depths == 1)
-        self._sweep = list(zip(c._esrc[ones].tolist(), c._edst[ones].tolist()))
+        self._sweep = list(zip(low.chan_src[ones].tolist(), low.chan_dst[ones].tolist()))
         if self._sweep:
-            order = zero_token_order(c._cells, c._esrc[ones], c._edst[ones])
-            rank = dict(zip(order, range(len(order))))
+            rank = {cell: r for r, cell in enumerate(channel_order(low, depths))}
             self._sweep.sort(key=lambda e: rank[e[0]])
         self._window: deque = deque(maxlen=max(deepest - 1, 0))
         self._c = c
         self._wire = wire_delay
-        self._rows = service_rows(c._cells, service)
-        self._start = self._finish = np.zeros(len(c._cells), dtype=np.float64)
+        self._rows = service_rows(low.cells, service)
+        self._start = self._finish = np.zeros(len(low.cells), dtype=np.float64)
         self._k = 0
 
     @property
@@ -817,8 +811,9 @@ class RecurrenceStepper:
         c = self._c
         k = self._k
         finish = self._finish
-        if k > 0 and len(c._fwd_src):
-            arrivals = finish[c._fwd_src] + self._wire
+        fwd_src = c._low.fwd_src
+        if k > 0 and len(fwd_src):
+            arrivals = finish[fwd_src] + self._wire
             grouped = np.maximum.reduceat(arrivals, c._fwd_starts)
             start = finish.copy()
             start[c._fwd_cells] = np.maximum(start[c._fwd_cells], grouped)

@@ -45,11 +45,11 @@ regimes selected by ``channel_capacity``:
 
 The checker verifies the engine-driven makespan against the recurrence
 computed directly (compiled and scalar) in both regimes.  The helpers
-every evaluator of that recurrence shares live here too: the capacity
-normalizer (:func:`channel_depths`), the service resolver
-(:func:`service_rows`), the zero-token cycle check
-(:func:`zero_token_order`) and the scalar oracle
-(:func:`recurrence_scalar`).
+every evaluator of that recurrence shares live here too: the COMM
+lowering to dense channel arrays (``_lower``), the capacity normalizer
+(:func:`channel_depths`), the service resolver (:func:`service_rows`),
+the zero-token cycle check (:func:`zero_token_order`) and the scalar
+oracle (:func:`recurrence_scalar`).
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ from typing import (
     Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -315,20 +316,40 @@ def zero_token_order(cells: Sequence[CellId], src: Any, dst: Any) -> List[int]:
     return order
 
 
-def channel_order(comm: CommGraph, depths: np.ndarray) -> List[int]:
-    """:func:`zero_token_order` over the depth-1 channels of
-    :func:`channel_depths` output (dense ids into ``comm.nodes()``)."""
-    ones = np.flatnonzero(depths == 1).tolist()
-    if not ones:
-        return list(range(comm.node_count))
+class _Lowered(NamedTuple):
+    """A COMM graph in dense ids: ``chan_src``/``chan_dst`` in ``edges``
+    (``comm.edges()``, the row order of :func:`channel_depths`) order, and
+    ``by_dst`` sorting them by receiver, then sender, into ``fwd_src``/
+    ``fwd_dst`` (canonical CSR predecessor order)."""
+
+    cells: List[CellId]
+    edges: List[EdgeKey]
+    chan_src: np.ndarray
+    chan_dst: np.ndarray
+    by_dst: np.ndarray
+    fwd_src: np.ndarray
+    fwd_dst: np.ndarray
+
+
+def _lower(comm: CommGraph) -> _Lowered:
+    """The one place a COMM graph becomes dense channel arrays."""
     cells = comm.nodes()
     index = {c: i for i, c in enumerate(cells)}
     edges = comm.edges()
-    return zero_token_order(
-        cells,
-        [index[edges[i][0]] for i in ones],
-        [index[edges[i][1]] for i in ones],
-    )
+    src = np.array([index[u] for u, _ in edges], dtype=np.int64)
+    dst = np.array([index[v] for _, v in edges], dtype=np.int64)
+    by_dst = np.lexsort((src, dst))
+    return _Lowered(cells, edges, src, dst, by_dst, src[by_dst], dst[by_dst])
+
+
+def channel_order(low: _Lowered, depths: np.ndarray) -> List[int]:
+    """:func:`zero_token_order` over the depth-1 channels of a
+    :func:`channel_depths` vector: the one search the stepper, the scalar
+    oracle, the event simulator and the static deadlock check share."""
+    ones = depths == 1
+    if not ones.any():
+        return list(range(len(low.cells)))
+    return zero_token_order(low.cells, low.chan_src[ones], low.chan_dst[ones])
 
 
 def recurrence_scalar(
@@ -350,15 +371,15 @@ def recurrence_scalar(
     """
     if not 0 <= wire_delay < math.inf:
         raise ValueError("wire delay must be non-negative and finite")
-    cells = comm.nodes()
+    low = _lower(comm)
+    cells = low.cells
     depths = channel_depths(comm, capacity)
-    order = [cells[i] for i in channel_order(comm, depths)]
+    order = [cells[i] for i in channel_order(low, depths)]
     preds = {c: list(comm.predecessors(c)) for c in cells}
     # (consumer, lag) per producer: the credit reads lags[lag][consumer].
     credits: Dict[CellId, List[Tuple[CellId, int]]] = {c: [] for c in cells}
-    edges = comm.edges()
     for i in np.flatnonzero(depths).tolist():
-        u, v = edges[i]
+        u, v = low.edges[i]
         credits[u].append((v, int(depths[i]) - 1))
     window: deque = deque(maxlen=max(int(depths.max(initial=0)) - 1, 0))
     finish = {c: 0.0 for c in cells}
@@ -468,7 +489,8 @@ class SelfTimedProgramSimulator:
         if channel_capacity is not None:
             # Validates the spec and refuses a zero-token cycle up front.
             depths = channel_depths(self._comm, channel_capacity)
-            channel_order(self._comm, depths)
+            if (depths == 1).any():
+                channel_order(_lower(self._comm), depths)
         self._capacity_map: Optional[Dict[EdgeKey, int]] = None
         if isinstance(channel_capacity, Mapping):
             self._capacity_map = {

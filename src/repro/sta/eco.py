@@ -80,7 +80,7 @@ import numpy as np
 from repro.geometry.point import Point
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.sim.dataflow import service_rows
+from repro.sim.dataflow import _lower, _Lowered, service_rows
 from repro.sta.design import Design, EdgeKey
 from repro.sta.drc import run_drc
 from repro.sta.flow import (
@@ -90,8 +90,6 @@ from repro.sta.flow import (
     _assemble,
     _deadlock,
     _keep_cycle,
-    _lower,
-    _Lowered,
     _retoken,
     mcm_howard,
 )

@@ -28,9 +28,10 @@ gives closed-form answers the event engine can only observe:
 * **Transient bounds**: after the periodic regime is reached the
   makespan is exactly affine-periodic, so ``N * MCM + c`` brackets every
   horizon and :meth:`SteadyState.makespan_at` *predicts* —
-  bit-for-bit — what :meth:`~repro.sim.compiled.CompiledRecurrence.
-  makespan` computes by iterating (cross-checked in the report and the
-  ``differential-mcm`` oracle).
+  bit-for-bit — what iterating the recurrence computes
+  (:meth:`SteadyState.iterated_makespan`, the detection's own run
+  stepped on; cross-checked in the report and the ``differential-mcm``
+  oracle).
 
 Token model (finish-time events, wave-invariant per-cell services
 ``s_c``, uniform wire delay ``w``), with edge ``u -> v`` meaning ``v``
@@ -67,6 +68,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cmp_to_key
+from itertools import count
 from typing import (
     Callable,
     Dict,
@@ -90,7 +92,10 @@ from repro.sim.compiled import CompiledRecurrence
 from repro.sim.dataflow import (
     CapacitySpec,
     ChannelDeadlockError,
+    _lower,
+    _Lowered,
     channel_depths,
+    channel_order,
     per_cell_service,
     recurrence_scalar,
     service_rows,
@@ -235,29 +240,6 @@ class FlowGraph:
         return [self.edge(i) for i in range(self.n_edges)]
 
 
-class _Lowered(NamedTuple):
-    """A COMM graph in dense ids, lowered once: the forward edges in
-    canonical CSR predecessor order (by receiver, then sender) and each
-    channel's endpoints in ``comm.edges()`` order, the row order of a
-    :func:`~repro.sim.dataflow.channel_depths` vector."""
-
-    cells: List[CellId]
-    fwd_src: np.ndarray
-    fwd_dst: np.ndarray
-    chan_src: np.ndarray
-    chan_dst: np.ndarray
-
-
-def _lower(comm: CommGraph) -> _Lowered:
-    cells = comm.nodes()
-    index = {c: i for i, c in enumerate(cells)}
-    edges = comm.edge_index()  # comm.edges() order, cached on the graph
-    src = np.array([index[u] for u, _ in edges], dtype=np.int64)
-    dst = np.array([index[v] for _, v in edges], dtype=np.int64)
-    order = np.lexsort((src, dst))
-    return _Lowered(cells, src[order], dst[order], src, dst)
-
-
 def _assemble(
     low: _Lowered, services: np.ndarray, wire_delay: float, depths: np.ndarray
 ) -> FlowGraph:
@@ -348,11 +330,8 @@ def detect_deadlock(
 
 def _deadlock(low: _Lowered, depths: np.ndarray) -> Optional[List[EdgeKey]]:
     """:func:`detect_deadlock` on a lowered graph and a depth vector."""
-    ones = depths == 1
-    if not ones.any():
-        return None
     try:
-        zero_token_order(low.cells, low.chan_src[ones], low.chan_dst[ones])
+        channel_order(low, depths)
     except ChannelDeadlockError as err:
         return err.cycle
     return None
@@ -943,6 +922,12 @@ def _keep_cycle(cycle: FlowCycle, fg: FlowGraph, edge: int) -> Optional[FlowCycl
 # ----------------------------------------------------------------------
 # simulate-to-convergence (the dynamic baseline) + transient bounds
 # ----------------------------------------------------------------------
+#: Detection limits of :func:`simulate_steady_state`: the longest period
+#: searched, and the waves run before it gives up.
+_MAX_PERIOD = 64
+_MAX_WAVES = 100_000
+
+
 @dataclass(frozen=True)
 class SteadyState:
     """The simulator's long-run regime, detected from the trajectory.
@@ -954,7 +939,9 @@ class SteadyState:
     per-wave advance, the exact long-run rate the static MCM must equal.
     :meth:`makespan_at` extrapolates any horizon in closed form,
     bit-equal to iterating the compiled recurrence (dyadic delays);
-    :meth:`bounds` gives the ``N * MCM + c`` transient envelope.
+    :meth:`iterated_makespan` is that iteration, the watched trajectory
+    stepped on past ``waves_run``; :meth:`bounds` gives the
+    ``N * MCM + c`` transient envelope.
     """
 
     cycle_time: float
@@ -964,6 +951,9 @@ class SteadyState:
     makespans: np.ndarray  # M[j] = max finish after wave j+1
     tail: np.ndarray  # finish vectors of the last ``period`` waves
     delta: np.ndarray  # per-cell per-period advance
+    # The watched rows from wave waves_run + 1 on, and makespans read off them.
+    _rows: Iterator[np.ndarray] = field(compare=False, repr=False)
+    _later: List[float] = field(default_factory=list, compare=False, repr=False)
 
     def makespan_at(self, waves: int) -> float:
         """Makespan after ``waves`` waves — observed when within the run,
@@ -980,6 +970,18 @@ class SteadyState:
         q = (waves - 1 - base) // self.period
         return float(np.max(self.tail[j] + q * self.delta))
 
+    def iterated_makespan(self, waves: int) -> float:
+        """Makespan after ``waves`` waves by iteration, never
+        extrapolation: the detection's own trajectory, stepped forward
+        once per wave up to the furthest horizon asked (in any order) —
+        what a fresh ``CompiledRecurrence.makespan`` run computes."""
+        if waves <= self.waves_run:
+            return self.makespan_at(waves)
+        later = self._later
+        while self.waves_run + len(later) < waves:
+            later.append(float(next(self._rows).max()))
+        return later[waves - self.waves_run - 1]
+
     def bounds(self) -> Tuple[float, float]:
         """``(c_lo, c_hi)`` such that every *observed* makespan satisfies
         ``cycle_time * N + c_lo <= makespan(N) <= cycle_time * N + c_hi``
@@ -994,9 +996,6 @@ def simulate_steady_state(
     service: ServiceSpec,
     wire_delay: float = 0.0,
     capacity: CapacitySpec = None,
-    max_waves: int = 100_000,
-    max_period: int = 64,
-    compiled: Optional[CompiledRecurrence] = None,
 ) -> SteadyState:
     """Run the compiled recurrence until the periodic regime is verified.
 
@@ -1006,15 +1005,14 @@ def simulate_steady_state(
     the per-``P`` finish increments must be bit-identical across a window
     of ``P + depth`` consecutive waves (``depth`` = the recurrence's
     state memory: the deepest capacity window plus one), which by
-    max-plus shift-invariance pins the regime exactly.  A ``compiled``
-    recurrence passed in must be compiled from ``comm`` as it is now.
+    max-plus shift-invariance pins the regime exactly.  Periods up to 64
+    are searched; no regime within 100,000 waves raises ``RuntimeError``.
+    The returned state keeps the stepper it watched, so
+    :meth:`SteadyState.iterated_makespan` continues this one run.
     """
     services = _invariant_services(comm, service)
-    if compiled is None:
-        compiled = CompiledRecurrence(comm)
-    stepper = compiled.stepper(services, wire_delay, capacity)
-    rows = (stepper.step() for _ in range(max_waves))
-    return _steady_state(comm, capacity, rows, max_waves, max_period)
+    stepper = CompiledRecurrence(comm).stepper(services, wire_delay, capacity)
+    return _steady_state(comm, capacity, (stepper.step() for _ in count()))
 
 
 def simulate_steady_state_scalar(
@@ -1022,15 +1020,14 @@ def simulate_steady_state_scalar(
     service: ServiceSpec,
     wire_delay: float = 0.0,
     capacity: CapacitySpec = None,
-    max_waves: int = 100_000,
-    max_period: int = 64,
 ) -> SteadyState:
     """Scalar oracle for :func:`simulate_steady_state`: the per-(cell,
     wave) dict recurrence (:func:`repro.sim.dataflow.recurrence_scalar`,
     also the oracle of ``recurrence_makespan``) under the same
-    periodicity test.  This is also the ``mcm_howard`` bench row's
-    simulate-to-convergence baseline — the reference path a user without
-    the static analyzer would run.
+    periodicity test, its generator kept for
+    :meth:`SteadyState.iterated_makespan`.  This is also the
+    ``mcm_howard`` bench row's simulate-to-convergence baseline — the
+    reference path a user without the static analyzer would run.
     """
     services = _invariant_services(comm, service)
     cells = comm.nodes()
@@ -1038,7 +1035,7 @@ def simulate_steady_state_scalar(
         comm, per_cell_service(services), wire_delay, capacity
     )
     rows = (np.asarray([finish[c] for c in cells]) for finish in waves)
-    return _steady_state(comm, capacity, rows, max_waves, max_period)
+    return _steady_state(comm, capacity, rows)
 
 
 def _invariant_services(
@@ -1053,21 +1050,18 @@ def _invariant_services(
 
 
 def _steady_state(
-    comm: CommGraph,
-    capacity: CapacitySpec,
-    finishes: Iterator[np.ndarray],
-    max_waves: int,
-    max_period: int,
+    comm: CommGraph, capacity: CapacitySpec, finishes: Iterator[np.ndarray]
 ) -> SteadyState:
-    """Watch a finish-row trajectory until :func:`_find_period` pins its
-    periodic regime; raises ``RuntimeError`` after ``max_waves``."""
+    """Watch an endless finish-row trajectory until :func:`_find_period`
+    pins its periodic regime, and hand the trajectory on; raises
+    ``RuntimeError`` after ``_MAX_WAVES`` waves."""
     depth = int(channel_depths(comm, capacity).max(initial=1)) + 1
-    history: deque = deque(maxlen=2 * max_period + depth + 1)
+    history: deque = deque(maxlen=2 * _MAX_PERIOD + depth + 1)
     makespans: List[float] = []
-    for t, finish in zip(range(max_waves), finishes):
+    for t, finish in zip(range(_MAX_WAVES), finishes):
         history.append(finish)
         makespans.append(float(finish.max()))
-        period = _find_period(history, makespans, max_period, depth)
+        period = _find_period(history, makespans, depth)
         if period is not None:
             delta = history[-1] - history[-1 - period]
             increment = float(delta.max())
@@ -1080,23 +1074,24 @@ def _steady_state(
                 makespans=np.asarray(makespans, dtype=np.float64),
                 tail=np.asarray(tail_rows, dtype=np.float64),
                 delta=delta,
+                _rows=finishes,
             )
     raise RuntimeError(
-        f"no periodic regime within {max_waves} waves (max_period="
-        f"{max_period}); irrational delay ratios never repeat exactly — "
+        f"no periodic regime within {_MAX_WAVES} waves (max_period="
+        f"{_MAX_PERIOD}); irrational delay ratios never repeat exactly — "
         "use the static analyzer instead"
     )
 
 
 def _find_period(
-    history: deque, makespans: List[float], max_period: int, depth: int
+    history: deque, makespans: List[float], depth: int
 ) -> Optional[int]:
     """Smallest ``P`` whose finish increments are constant (bit-equal
     vectors) over the last ``P + depth`` waves; ``None`` if none yet.
     Scalar makespan diffs pre-filter before any vector compare."""
     have = len(history)
     t = len(makespans) - 1
-    for period in range(1, max_period + 1):
+    for period in range(1, _MAX_PERIOD + 1):
         window = period + depth
         if have < window + period:
             break

@@ -24,8 +24,7 @@ from typing import Any, Dict, Optional
 from repro import __version__
 from repro.graphs.comm import CommGraph
 from repro.obs.schema import validate_flow_report
-from repro.sim.compiled import CompiledRecurrence
-from repro.sim.dataflow import channel_depths, service_rows
+from repro.sim.dataflow import channel_depths
 from repro.sta.flow import (
     CapacitySpec,
     FlowAnalysis,
@@ -86,8 +85,6 @@ def build_flow_report(
     design_name: str = "design",
     simulate: bool = True,
     sizing_target: Optional[float] = None,
-    max_waves: int = 100_000,
-    max_period: int = 64,
 ) -> Dict[str, Any]:
     """Run the static flow stack and pack a schema-valid report.
 
@@ -96,11 +93,12 @@ def build_flow_report(
     lands in ``agreement.simulated_cycle_time``, and the closed-form
     :meth:`~repro.sta.flow.SteadyState.makespan_at` is checked bit-for-
     bit against the iterated makespan at two extrapolated horizons
-    (``transient.makespan_max_err``).  ``sizing_target`` additionally
-    runs :func:`~repro.sta.flow.minimal_buffer_sizing` toward that
-    cycle time.
+    (``transient.makespan_max_err``).  Both horizons are read off that
+    one run, stepped on to the further of them
+    (:meth:`~repro.sta.flow.SteadyState.iterated_makespan`).
+    ``sizing_target`` additionally runs
+    :func:`~repro.sta.flow.minimal_buffer_sizing` toward that cycle time.
     """
-    cells = comm.nodes()
     analysis = analyze_flow(comm, service, wire_delay, capacity)
     agreement: Optional[Dict[str, Any]] = None
     transient: Optional[Dict[str, Any]] = None
@@ -109,27 +107,14 @@ def build_flow_report(
         cert = certify_mcm(analysis.graph, analysis.cycle)
         simulated: Optional[float] = None
         if simulate:
-            compiled = CompiledRecurrence(comm)
-            steady = simulate_steady_state(
-                comm,
-                service,
-                wire_delay,
-                capacity,
-                max_waves=max_waves,
-                max_period=max_period,
-                compiled=compiled,
-            )
+            steady = simulate_steady_state(comm, service, wire_delay, capacity)
             simulated = steady.cycle_time
             c_lo, c_hi = steady.bounds()
-            svc = dict(zip(cells, service_rows(cells, service)(0).tolist()))
             horizons = (steady.waves_run + 7, 2 * steady.waves_run + 3)
-            max_err = 0.0
-            for horizon in horizons:
-                predicted = steady.makespan_at(horizon)
-                iterated = compiled.makespan(
-                    svc, wire_delay, horizon, capacity=capacity
-                )
-                max_err = max(max_err, abs(predicted - iterated))
+            max_err = max(
+                abs(steady.makespan_at(h) - steady.iterated_makespan(h))
+                for h in horizons
+            )
             transient = {
                 "period": int(steady.period),
                 "waves_run": int(steady.waves_run),
@@ -164,7 +149,7 @@ def build_flow_report(
         }
     report: Dict[str, Any] = {
         "design": design_name,
-        "cells": len(cells),
+        "cells": comm.node_count,
         "comm_edges": len(comm.edges()),
         "wire_delay": float(wire_delay),
         "capacity": _capacity_label(comm, capacity),

@@ -5,9 +5,10 @@ token-weighted graph from arrays (``_assemble``); the ECO session and
 buffer sizing keep the lowering and patch a depth vector.  These tests
 hold the split to the construction it replaced, kept verbatim below as
 the reference: ``csr_from_comm`` plus per-edge index lookups for the
-graph, ``channel_order`` for the deadlock witness, and a capacity dict
-walked through the public functions for sizing.  They also pin the ECO
-audit log's values and its per-edit memory.
+graph, the same lookups feeding ``zero_token_order`` for the deadlock
+witness, and a capacity dict walked through the public functions for
+sizing.  They also pin the ECO audit log's values and its per-edit
+memory.
 """
 
 import tracemalloc
@@ -23,8 +24,8 @@ from repro.graphs.csr import csr_from_comm
 from repro.sim.dataflow import (
     ChannelDeadlockError,
     channel_depths,
-    channel_order,
     service_rows,
+    zero_token_order,
 )
 from repro.sta.design import design_for_workload
 from repro.sta.eco import ECOSession
@@ -86,8 +87,18 @@ def reference_flow_graph(comm, service, wire_delay=0.0, capacity=None):
 
 
 def reference_deadlock(comm, capacity):
+    """The deadlock search over a per-edge index, as ``channel_order``
+    built it before it read the shared lowering."""
+    ones = np.flatnonzero(channel_depths(comm, capacity) == 1).tolist()
+    cells = comm.nodes()
+    index = {c: i for i, c in enumerate(cells)}
+    edges = comm.edges()
     try:
-        channel_order(comm, channel_depths(comm, capacity))
+        zero_token_order(
+            cells,
+            [index[edges[i][0]] for i in ones],
+            [index[edges[i][1]] for i in ones],
+        )
     except ChannelDeadlockError as err:
         return err.cycle
     return None

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -228,5 +229,7 @@ def test_named_schemas_compile_on_first_use_not_at_import():
         "s.validate_sta_report({})\n"
         "assert s._compiled[id(s.STA_REPORT_SCHEMA)] is node\n"
     )
-    env = {"PYTHONPATH": str(REPO / "src")}
+    # Inherit the environment (PYTHONDONTWRITEBYTECODE among it), so the
+    # child writes no .pyc into src/.
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -175,3 +175,34 @@ def test_sta_rejects_non_finite_and_malformed_input(tmp_path, capsys, flags, scr
         argv += ["--eco", write_eco_script(tmp_path / "eco.json", steps)]
     assert run_cli(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _flow_artifact(path):
+    reports = json.loads(path.read_text())
+    for report in reports:
+        report["meta"].pop("emitted_at")
+    return reports
+
+
+def test_sta_flow_builds_each_design_once(tmp_path, monkeypatch):
+    import repro.sta.design as design_module
+
+    built = []
+    build = design_module.design_for_workload
+
+    def counted(workload, **kwargs):
+        built.append(workload)
+        return build(workload, **kwargs)
+
+    monkeypatch.setattr(design_module, "design_for_workload", counted)
+    out = tmp_path / "f.json"
+    assert run_cli(["sta", "--size", "4", "--flow", str(out)]) == 0
+    assert built == list(design_module.WORKLOADS)
+    assert len(_flow_artifact(out)) == 4
+
+
+def test_sta_flow_artifact_equals_the_flow_verb(tmp_path):
+    f, g = tmp_path / "f.json", tmp_path / "g.json"
+    assert run_cli(["sta", "--size", "4", "--flow", str(f)]) == 0
+    assert run_cli(["flow", "--size", "4", "--json", str(g)]) == 0
+    assert _flow_artifact(f) == _flow_artifact(g)

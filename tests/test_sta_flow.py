@@ -402,6 +402,84 @@ class TestStaticVsDynamic:
 
 
 # ----------------------------------------------------------------------
+# one trajectory: the detection's own run, stepped on
+# ----------------------------------------------------------------------
+def _trajectory_cases():
+    """Mesh (acyclic) under every capacity form; ring under the forms
+    that keep it live (a uniform depth 1 closes a token-free cycle), its
+    map mixing depths 1-3 with unbounded channels."""
+    mesh, ring = _mesh(3), _ring(5)
+    mesh_map = {e: 1 + i % 3 for i, e in enumerate(mesh.edges())}
+    ring_map = {(0, 1): 1, (1, 2): 3, (3, 4): 2}
+    return [(mesh, cap) for cap in (None, 1, 2, mesh_map)] + [
+        (ring, cap) for cap in (None, 2, ring_map)
+    ]
+
+
+class TestOneTrajectory:
+    @pytest.mark.parametrize(
+        "simulate", [simulate_steady_state, simulate_steady_state_scalar]
+    )
+    @pytest.mark.parametrize(
+        "comm,cap", _trajectory_cases(),
+        ids=["mesh-None", "mesh-1", "mesh-2", "mesh-map", "ring-None",
+             "ring-2", "ring-map"],
+    )
+    def test_stepped_on_run_equals_a_fresh_run(self, simulate, comm, cap):
+        cells = comm.nodes()
+        service = {c: 1.0 + (i * 3 % 8) / 8 for i, c in enumerate(cells)}
+        steady = simulate(comm, service, 0.5, cap)
+        w = steady.waves_run
+        compiled = CompiledRecurrence(comm)
+        # Out of order: a far horizon first, then nearer ones it passed.
+        for horizon in (4 * w, w + 7, 10 * w, w + 1, 2 * w + 3, w):
+            assert steady.iterated_makespan(horizon) == compiled.makespan(
+                service, 0.5, horizon, capacity=cap
+            ), horizon
+
+    def test_shortest_run_serves_both_report_horizons(self):
+        # Detection needs at least 4 waves (period 1 over a window of
+        # 1 + depth, depth >= 2), where both report horizons are 11.
+        comm = _pipeline(1)
+        steady = simulate_steady_state(comm, 1.0, 0.5, None)
+        assert steady.waves_run == 4
+        compiled = CompiledRecurrence(comm)
+        for horizon in (11, 11, 5):
+            assert steady.iterated_makespan(horizon) == compiled.makespan(
+                1.0, 0.5, horizon
+            )
+        with pytest.raises(ValueError, match="at least one wave"):
+            steady.iterated_makespan(0)
+
+    def test_report_steps_one_run_to_the_further_horizon(self, monkeypatch):
+        from repro.sim.compiled import RecurrenceStepper
+
+        steps = []
+        step = RecurrenceStepper.step
+
+        def counted(self):
+            steps.append(self)
+            return step(self)
+
+        monkeypatch.setattr(RecurrenceStepper, "step", counted)
+        comm = _mesh(3)
+        service = {c: 1.0 + (i * 5 % 8) / 8 for i, c in enumerate(comm.nodes())}
+        report = build_flow_report(comm, service, 0.5, 2)
+        w = report["transient"]["waves_run"]
+        assert report["transient"]["makespan_max_err"] == 0.0
+        assert len(steps) == max(w + 7, 2 * w + 3)  # not 4 * w + 10
+        assert len(set(map(id, steps))) == 1
+
+    def test_the_trajectory_stays_out_of_equality_and_repr(self):
+        comm = _mesh(3)
+        a = simulate_steady_state(comm, 1.25, 0.5, 2)
+        b = simulate_steady_state(comm, 1.25, 0.5, 2)
+        a.iterated_makespan(10 * a.waves_run)
+        assert "_rows" not in repr(a) and "_later" not in repr(a)
+        assert replace(a, makespans=b.makespans, tail=b.tail, delta=b.delta) == b
+
+
+# ----------------------------------------------------------------------
 # known defect: the steady-state detector can stop inside a transient
 # ----------------------------------------------------------------------
 _UNSOUND_DETECTOR = pytest.mark.xfail(
