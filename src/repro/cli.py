@@ -429,11 +429,11 @@ def _eco_reports(design, script_path: str, args: argparse.Namespace):
             raise ValueError(f"step {step_no}: not an edit object: {step!r}")
         op = step.get("op")
         if op == "repad_edge":
-            session.repad_edge(edge(step), field(step, "pad", number=True))
+            edit = session.repad_edge(edge(step), field(step, "pad", number=True))
         elif op == "retarget_wire":
-            session.retarget_wire(edge(step), field(step, "length", number=True))
+            edit = session.retarget_wire(edge(step), field(step, "length", number=True))
         elif op == "resize_buffer":
-            session.resize_buffer(
+            edit = session.resize_buffer(
                 node(field(step, "node")), field(step, "length", number=True)
             )
         elif op == "graft_subtree":
@@ -449,13 +449,12 @@ def _eco_reports(design, script_path: str, args: argparse.Namespace):
                      field(g, "length", number=True))
                 )
                 nodes[str(name)] = name
-            session.graft_subtree(additions)
+            edit = session.graft_subtree(additions)
         elif op == "set_period":
-            session.set_period(field(step, "period", number=True))
+            edit = session.set_period(field(step, "period", number=True))
         else:
             raise ValueError(f"unknown ECO op {op!r} (step {step_no})")
         report = session.report()
-        edit = session.edits[-1]
         print()
         print(
             f"-- step {step_no}: {edit.op} {edit.target} "

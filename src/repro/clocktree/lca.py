@@ -16,14 +16,16 @@ distances are read straight from the store.  A cold build is
 O(log depth) gathers per pair batch.  The scalar parent walk stays the
 oracle the index is tested against.
 
-Beyond LCA queries the lifting index answers the subtree-membership
-questions the ECO engine needs (:meth:`~LiftingLCAIndex.in_subtree_ids`,
+Beyond LCA queries the index answers the subtree-membership questions
+the ECO engine needs (:meth:`~LiftingLCAIndex.in_subtree_ids`,
 :meth:`~LiftingLCAIndex.subtree_mask`,
 :meth:`~LiftingLCAIndex.pairs_through_node`,
-:meth:`~LiftingLCAIndex.subtree_interval`): resizing one clock buffer
-dirties exactly the communicating pairs whose tree paths cross the
-resized edge, and those are the pairs with exactly one endpoint inside
-the edge's subtree.
+:meth:`~LiftingLCAIndex.subtree_interval`) from preorder intervals: a
+subtree is one contiguous ``[tin, tout]`` range, built once by a DFS and
+then kept current across appends.  Resizing one clock buffer dirties
+exactly the communicating pairs whose tree paths cross the resized edge,
+and those are the pairs with exactly one endpoint inside the edge's
+subtree.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ class DenseTreeStore:
     always precede children; the root's parent is itself, the lifting
     fixed point), parent ids, depths, and root distances.  Appends are
     amortized O(1) (capacity doubling); root distances may be updated in
-    place (``rd[ids] += delta`` during an edge-length edit) and every
+    place (``rd[inside] += delta`` during an edge-length edit) and every
     reader sees the change immediately because nothing snapshots.
     """
 
@@ -125,7 +127,8 @@ class LiftingLCAIndex:
     are (vectorized) filled in — a graft never triggers a full rebuild.
     Root-distance edits need no sync at all (distances are read from the
     store).  The cold build is pure numpy: one O(n) gather per lifting
-    level, no per-node Python loop.
+    level, no per-node Python loop.  The preorder intervals, once built,
+    grow with the table: one vectorized pass per appended node.
     """
 
     def __init__(self, store: DenseTreeStore) -> None:
@@ -133,7 +136,8 @@ class LiftingLCAIndex:
         self._n = 0        # columns of the lifting table that are filled
         self._levels = 0   # rows of the lifting table that are filled
         self._up = np.empty((0, 0), dtype=np.int64)
-        # Lazy preorder intervals (tin/tout/subtree size); structure-keyed.
+        # Preorder intervals (tin/tout/subtree size), built on first use
+        # and then extended by every sync (-1 = not built yet).
         self._interval_n = -1
         self._tin = np.empty(0, dtype=np.int64)
         self._tout = np.empty(0, dtype=np.int64)
@@ -163,7 +167,8 @@ class LiftingLCAIndex:
     # incremental synchronisation
     # ------------------------------------------------------------------
     def _sync(self) -> None:
-        """Extend the lifting table to cover every node in the store.
+        """Extend the lifting table (and the preorder intervals, once
+        built) to cover every node in the store.
 
         New columns (appended nodes) are filled level by level over just
         the new suffix; a new level (the tree got deeper) is one full
@@ -195,8 +200,36 @@ class LiftingLCAIndex:
             else:
                 prev = up[k - 1, :n1]
                 up[k, :n1] = prev[prev]
+        if 0 <= self._interval_n < n1:
+            self._extend_intervals(n1)
         self._n = n1
         self._levels = levels
+
+    def _extend_intervals(self, n1: int) -> None:
+        """Keep the preorder intervals current across appends, one
+        vectorized pass per appended node.  An appended node is its
+        parent's last child, so it takes the slot right after the parent's
+        subtree: every later slot shifts by one, and the parent and its
+        ancestors (the intervals holding ``tin[p]``) widen by one.  The
+        cold build is the DFS in :meth:`_ensure_intervals`."""
+        n0 = self._interval_n
+        grow = n1 - n0
+        tin = np.concatenate((self._tin, np.zeros(grow, dtype=np.int64)))
+        tout = np.concatenate((self._tout, np.zeros(grow, dtype=np.int64)))
+        size = np.concatenate((self._size, np.ones(grow, dtype=np.int64)))
+        parent = self._store.parent
+        for j in range(n0, n1):
+            p = int(parent[j])
+            slot = int(tout[p]) + 1
+            old_tin, old_tout = tin[:j], tout[:j]
+            later = old_tin >= slot
+            ancestors = (old_tin <= tin[p]) & (old_tout >= tin[p])
+            old_tin[later] += 1
+            old_tout[later | ancestors] += 1
+            size[:j][ancestors] += 1
+            tin[j] = tout[j] = slot
+        self._tin, self._tout, self._size = tin, tout, size
+        self._interval_n = n1
 
     # ------------------------------------------------------------------
     # node numbering
@@ -283,29 +316,19 @@ class LiftingLCAIndex:
         """Boolean mask: is each of ``ids`` inside the subtree rooted at
         ``nid`` (inclusive)?
 
-        Implemented by lifting each candidate up ``depth(id) - depth(nid)``
-        levels and comparing with ``nid`` — O(log depth) vectorized gathers,
-        valid immediately after any append (no interval rebuild needed).
+        Two comparisons against the preorder interval of ``nid``.  The
+        intervals are kept current across appends, so no rebuild is needed
+        after a graft.
         """
-        self._sync()
-        depth = self._store.depth
-        ids = np.asarray(ids, dtype=np.int64)
-        diff = depth[ids] - depth[nid]
-        deep_enough = diff >= 0
-        a = np.where(deep_enough, ids, 0)
-        climb = np.where(deep_enough, diff, 0)
-        for k in range(self._levels):
-            lift = ((climb >> k) & 1).astype(bool)
-            if lift.any():
-                a = np.where(lift, self._up[k][a], a)
-        return deep_enough & (a == nid)
+        self._ensure_intervals()
+        tin = self._tin[np.asarray(ids, dtype=np.int64)]
+        return (tin >= self._tin[nid]) & (tin <= self._tout[nid])
 
     def subtree_mask(self, nid: int) -> np.ndarray:
         """Boolean mask over *all* dense ids: True inside ``nid``'s subtree."""
         self._ensure_intervals()
-        lo, hi = self._tin[nid], self._tout[nid]
         tin = self._tin
-        return (tin >= lo) & (tin <= hi)
+        return (tin >= tin[nid]) & (tin <= self._tout[nid])
 
     def subtree_interval(self, nid: int) -> Tuple[int, int]:
         """Preorder interval ``(tin, tout)`` of the subtree rooted at
@@ -337,12 +360,12 @@ class LiftingLCAIndex:
         return in_a ^ in_b
 
     def _ensure_intervals(self) -> None:
-        """(Re)build preorder tin/tout/size lazily; keyed on node count
-        (appends change intervals, in-place rd edits do not)."""
+        """Build preorder tin/tout/size on first use; :meth:`_sync` keeps
+        them current from then on (in-place rd edits never move them)."""
         self._sync()
-        n = self._n
-        if self._interval_n == n:
+        if self._interval_n >= 0:
             return
+        n = self._n
         store = self._store
         parent = store.parent
         size = np.ones(n, dtype=np.int64)

@@ -131,10 +131,10 @@ class ClockTree:
         """Retune the edge above ``child`` in place (the ECO *resize* edit).
 
         The whole subtree under ``child`` shifts by the length delta: one
-        vectorized in-place add over the shared dense store, visible to
-        the live LCA index without any rebuild.  Drops the path-metric
-        memo (cached ``(d, s)`` arrays are stale) but keeps the pair-id
-        memo (dense ids are stable), and bumps :attr:`version`.
+        vectorized in-place add over the shared dense store, masked by the
+        subtree's preorder interval in the live LCA index.  Drops the
+        path-metric memo (cached ``(d, s)`` arrays are stale) but keeps
+        the pair-id memo (dense ids are stable), and bumps :attr:`version`.
 
         Note the float caveat: the shift is applied in floating point, so
         a pair with *both* endpoints inside the subtree may still see its
@@ -151,8 +151,8 @@ class ClockTree:
         if delta == 0.0:
             return
         self._edge_length[child] = float(length)
-        ids = _gather_ids(self._store.id, self.subtree_nodes(child))
-        self._store.rd[ids] += delta
+        inside = self.lca_index().subtree_mask(self._store.id[child])
+        self._store.rd[inside] += delta
         self._pair_metrics_memo.clear()
         self._version += 1
 

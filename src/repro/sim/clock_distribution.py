@@ -19,16 +19,31 @@ from repro.clocktree.buffered import BufferedClockTree
 CellId = Hashable
 
 
+def _check_period(period: float) -> None:
+    if not 0 < period < math.inf:
+        raise ValueError("clock period must be positive and finite")
+
+
 class ClockSchedule:
     """Absolute arrival time of every clock tick at every clocked cell."""
 
     def __init__(self, arrivals: Mapping[CellId, float], period: float) -> None:
-        if not 0 < period < math.inf:
-            raise ValueError("clock period must be positive and finite")
+        _check_period(period)
         if any(not 0 <= t < math.inf for t in arrivals.values()):
             raise ValueError("arrival offsets must be non-negative and finite")
         self._arrivals: Dict[CellId, float] = dict(arrivals)
         self.period = period
+
+    def with_period(self, period: float) -> "ClockSchedule":
+        """The same offsets at another period: a plain schedule that shares
+        this one's validated arrivals (no method mutates them), so a
+        re-clock does no per-cell work.  A subclass's extra tick behaviour
+        (jitter) is not carried over."""
+        _check_period(period)
+        schedule = ClockSchedule.__new__(ClockSchedule)
+        schedule._arrivals = self._arrivals
+        schedule.period = period
+        return schedule
 
     @classmethod
     def from_buffered_tree(

@@ -25,6 +25,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Tuple
 
+import numpy as np
+
 from repro.arrays.model import ProcessorArray
 from repro.arrays.systolic import (
     SystolicProgram,
@@ -54,6 +56,19 @@ EdgeKey = Tuple[CellId, CellId]
 DEFAULT_WIRE_MODEL = LinearWireModel(m=1e-12)
 
 
+def _check_edge_values(values: Dict[EdgeKey, float], what: str) -> None:
+    """Refuse a negative or non-finite per-edge value, naming the first
+    offending edge.  Plain numbers are tested in one vectorized pass; the
+    per-edge loop runs only to name the edge, or for values numpy does not
+    hold as numbers (which it then refuses or accepts as before)."""
+    array = np.array(list(values.values()))
+    if array.dtype.kind in "biuf" and bool(((array >= 0) & (array < math.inf)).all()):
+        return
+    for edge, value in values.items():
+        if not 0 <= value < math.inf:
+            raise ValueError(f"{what} on edge {edge!r} must be non-negative and finite")
+
+
 @dataclass
 class Design:
     """A concrete synchronous design, ready for static analysis."""
@@ -78,20 +93,12 @@ class Design:
     def __post_init__(self) -> None:
         if not 0 <= self.delta < math.inf:
             raise ValueError("delta must be non-negative and finite")
-        for edge, pad in self.edge_padding.items():
-            if not 0 <= pad < math.inf:
-                raise ValueError(
-                    f"padding on edge {edge!r} must be non-negative and finite"
-                )
-        for edge, length in self.wire_overrides.items():
-            if not 0 <= length < math.inf:
-                raise ValueError(
-                    f"wire override on edge {edge!r} must be non-negative and finite"
-                )
-        missing = [
-            c for c in self.array.comm.nodes() if c not in self.schedule.cells()
-        ]
-        if missing:
+        _check_edge_values(self.edge_padding, "padding")
+        _check_edge_values(self.wire_overrides, "wire override")
+        cells = self.schedule.cells()
+        nodes = self.array.comm.nodes()
+        if not all(map(cells.__contains__, nodes)):
+            missing = [c for c in nodes if c not in cells]
             raise ValueError(
                 f"{len(missing)} cells have no clock schedule (first: {missing[0]!r})"
             )
@@ -127,15 +134,15 @@ class Design:
         )
 
     def with_period(self, period: float) -> "Design":
-        """The same design clocked at a different period (offsets kept)."""
-        schedule = ClockSchedule(
-            {c: self.schedule.offset(c) for c in self.schedule.cells()}, period
-        )
+        """The same design clocked at a different period (offsets kept, and
+        shared with this design's schedule: a plain
+        :class:`~repro.sim.clock_distribution.ClockSchedule`, whatever this
+        one's subclass)."""
         return Design(
             program=self.program,
             tree=self.tree,
             model=self.model,
-            schedule=schedule,
+            schedule=self.schedule.with_period(period),
             delta=self.delta,
             discipline=self.discipline,
             wire_model=self.wire_model,

@@ -12,13 +12,15 @@ edit               dirty set
 ``repad_edge``     one slack row (padding enters only that edge's lag)
 ``retarget_wire``  one slack row (wire length enters only that edge's lag)
 ``resize_buffer``  the COMM pairs with an endpoint inside the resized
-                   edge's subtree (from the live LCA index; see below)
+                   edge's subtree, read off the subtree's preorder
+                   interval in the live LCA index (see below)
 ``graft_subtree``  no existing rows (new nodes carry no COMM edges);
-                   the LCA index extends itself incrementally
+                   the LCA index extends its lifting table and preorder
+                   intervals incrementally
 ``set_period``     no rows at all (the period is outside the stored
-                   ``need`` vectors; verdict masks are re-derived lazily),
-                   but O(cells): ``Design.with_period`` rebuilds and
-                   re-validates the schedule and the design
+                   ``need`` vectors; verdict masks are re-derived
+                   lazily), and no per-cell Python work: the new
+                   schedule shares the validated offsets
 =================  ====================================================
 
 :meth:`~ECOSession.set_channel_capacity` extends the same discipline to
@@ -73,6 +75,7 @@ cold flow analysis.
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -110,6 +113,11 @@ NodeId = Hashable
 #: One grafted node: (parent, node, position, edge length).  The parent
 #: may itself be a node grafted earlier in the same batch.
 GraftNode = Tuple[NodeId, NodeId, Point, float]
+
+#: The edit kinds, by the one-byte code the audit log stores.
+_OPS = ("repad_edge", "retarget_wire", "resize_buffer", "graft_subtree",
+        "set_period", "set_channel_capacity")
+_REPAD, _RETARGET, _RESIZE, _GRAFT, _PERIOD, _CAPACITY = range(len(_OPS))
 
 
 class EcoEdit:
@@ -256,9 +264,15 @@ class ECOSession:
         self._a_ids, self._b_ids = tree.pair_ids(self._edges)
         self._comm_version = design.array.comm.version
         self._tree_version = tree.version
-        # The audit log keeps every edit as four entries (op, subject, dirty
-        # and semantic rows), not an object; EcoEdits are built on read.
-        self._log: List[Any] = []
+        # The audit log is columns of numbers, not objects; EcoEdits are
+        # built on read.  Per edit: the caller's own subject (an edge, a
+        # node, a period or a graft count), the op as one byte, and the
+        # dirty and semantic row counts; capacity edits also append their
+        # depth (int64: any depth a channel takes fits).
+        self._subjects: List[Any] = []
+        self._ops = bytearray()
+        self._row_counts = array("i")
+        self._log_depths = array("q")
         self._n_edges = len(edges)  # one int shared by every EcoEdit
         self._counts_cache: Optional[Dict[str, int]] = None
         # Self-timed channel capacities (session state, not on the
@@ -287,8 +301,23 @@ class ECOSession:
 
     @property
     def edits(self) -> List[EcoEdit]:
-        log = self._log
-        return [EcoEdit(*log[i:i + 4], self._n_edges) for i in range(0, len(log), 4)]
+        depths = iter(self._log_depths)
+        return [
+            self._edit(i, next(depths) if code == _CAPACITY else None)
+            for i, code in enumerate(self._ops)
+        ]
+
+    def _edit(self, i: int, depth: Optional[int]) -> EcoEdit:
+        """The audit record of edit ``i`` (``depth``: a capacity edit's)."""
+        subject = self._subjects[i]
+        counts = self._row_counts
+        return EcoEdit(
+            _OPS[self._ops[i]],
+            subject if depth is None else (subject, depth),
+            counts[2 * i],
+            counts[2 * i + 1],
+            self._n_edges,
+        )
 
     def _check_external(self) -> None:
         if self._design.array.comm.version != self._comm_version:
@@ -311,24 +340,36 @@ class ECOSession:
         self._hold_bound[i] = self._lag[i] - self._sigma_ub[i]
 
     def _record(
-        self, op: str, subject: Any, rows: np.ndarray, semantic_rows: int
+        self,
+        code: int,
+        subject: Any,
+        rows: np.ndarray,
+        semantic_rows: int,
+        depth: Optional[int] = None,
     ) -> EcoEdit:
         self._max_need_exact.note_dirty(rows)
         self._min_need_exact.note_dirty(rows)
         self._max_need_bound.note_dirty(rows)
         self._counts_cache = None
-        edit = EcoEdit(op, subject, len(rows), semantic_rows, self._n_edges)
-        self._log += (op, subject, edit.dirty_rows, semantic_rows)
+        dirty = len(rows)
+        self._subjects.append(subject)
+        self._ops.append(code)
+        self._row_counts.append(dirty)
+        self._row_counts.append(semantic_rows)
+        if depth is not None:
+            self._log_depths.append(depth)
+            subject = (subject, depth)
+        edit = EcoEdit(_OPS[code], subject, dirty, semantic_rows, self._n_edges)
         self._metrics.counter("eco.edits").inc()
-        self._metrics.histogram("eco.dirty_rows").observe(float(len(rows)))
+        self._metrics.histogram("eco.dirty_rows").observe(float(dirty))
         if self._tracer.enabled:
             self._tracer.event(
-                float(len(self._log) // 4),
+                float(len(self._ops)),
                 "eco",
                 "edit",
-                op=op,
+                op=edit.op,
                 target=edit.target,
-                dirty_rows=int(len(rows)),
+                dirty_rows=dirty,
                 reuse_fraction=edit.reuse_fraction,
             )
         return edit
@@ -350,7 +391,7 @@ class ECOSession:
             self._design.edge_padding.pop(edge, None)
         self._refresh_lag_row(i, edge)
         rows = np.array([i], dtype=np.int64)
-        return self._record("repad_edge", edge, rows, 1)
+        return self._record(_REPAD, edge, rows, 1)
 
     def retarget_wire(self, edge: EdgeKey, length: float) -> EcoEdit:
         """Reroute one directed COMM edge's data wire to a new length
@@ -364,7 +405,7 @@ class ECOSession:
         self._design.wire_overrides[edge] = float(length)
         self._refresh_lag_row(i, edge)
         rows = np.array([i], dtype=np.int64)
-        return self._record("retarget_wire", edge, rows, 1)
+        return self._record(_RETARGET, edge, rows, 1)
 
     def resize_buffer(self, node: NodeId, length: float) -> EcoEdit:
         """Retune the clock-tree edge above ``node`` (a resized buffer
@@ -375,7 +416,10 @@ class ECOSession:
         crosses the resized edge (exactly one endpoint inside —
         ``pairs_through_node``), but the subtree shift is applied in
         floating point, so inside-inside pairs are conservatively
-        refreshed too to keep the bit-exactness contract.
+        refreshed too to keep the bit-exactness contract.  Both sets come
+        from one mask over the tree's nodes, the subtree's preorder
+        interval, gathered at each edge's endpoints; the tree shifts its
+        root distances under the same mask.
         """
         self._check_external()
         design = self._design
@@ -383,20 +427,20 @@ class ECOSession:
         tree.set_edge_length(node, length)  # validates node and length
         self._tree_version = tree.version
         index = tree.lca_index()
-        nid = index.node_id(node)
-        in_a = index.in_subtree_ids(nid, self._a_ids)
-        in_b = index.in_subtree_ids(nid, self._b_ids)
+        inside = index.subtree_mask(index.node_id(node))
+        in_a = inside[self._a_ids]
+        in_b = inside[self._b_ids]
         rows = np.flatnonzero(in_a | in_b)
         semantic = int(np.count_nonzero(in_a ^ in_b))
         if len(rows):
-            sub_edges = [self._edges[int(i)] for i in rows]
+            sub_edges = list(map(self._edges.__getitem__, rows.tolist()))
             self._sigma_ub[rows] = design.model.skew_bound_batch(tree, sub_edges)
             self._sigma_lb[rows] = design.model.skew_lower_bound_batch(
                 tree, sub_edges
             )
             self._need_bound[rows] = self._sigma_ub[rows] + self._lag[rows]
             self._hold_bound[rows] = self._lag[rows] - self._sigma_ub[rows]
-        return self._record("resize_buffer", node, rows, semantic)
+        return self._record(_RESIZE, node, rows, semantic)
 
     def graft_subtree(self, additions: Sequence[GraftNode]) -> EcoEdit:
         """Grow the clock tree by a batch of new nodes.
@@ -412,22 +456,23 @@ class ECOSession:
             tree.add_child(parent, node, position, length)
         self._tree_version = tree.version
         rows = np.empty(0, dtype=np.int64)
-        return self._record("graft_subtree", len(additions), rows, 0)
+        return self._record(_GRAFT, len(additions), rows, 0)
 
     def set_period(self, period: float) -> EcoEdit:
         """Re-clock the design at a new period (offsets kept).
 
         No slack row moves: the stored vectors are period-free ``need``
-        forms, and the verdict masks are re-derived lazily.  The edit is
-        still O(cells): :meth:`~repro.sta.design.Design.with_period`
-        rebuilds the schedule and re-validates the new design.
+        forms, and the verdict masks are re-derived lazily.  No per-cell
+        Python work either: :meth:`~repro.sta.design.Design.with_period`
+        shares the validated schedule offsets, and the new design's
+        checks are vectorized.
         """
         self._check_external()
         if period <= 0:
             raise ValueError("period must be positive")
         self._design = self._design.with_period(float(period))
         rows = np.empty(0, dtype=np.int64)
-        return self._record("set_period", float(period), rows, 0)
+        return self._record(_PERIOD, float(period), rows, 0)
 
     def set_channel_capacity(self, edge: EdgeKey, depth: int) -> EcoEdit:
         """Set the finite FIFO depth of one directed COMM channel.
@@ -453,7 +498,7 @@ class ECOSession:
         old = self._capacity.get(edge)
         rows = np.empty(0, dtype=np.int64)
         if depth == old:  # the same depth again: nothing moves
-            return self._record("set_channel_capacity", (edge, int(depth)), rows, 0)
+            return self._record(_CAPACITY, edge, rows, 0, int(depth))
         self._capacity[edge] = self._depths[i] = int(depth)
         recomputed = 0
         for key, (services, analysis) in self._flow_cache.items():
@@ -476,9 +521,7 @@ class ECOSession:
             self._metrics.counter("eco.flow_reuse").inc(reused)
         if recomputed:
             self._metrics.counter("eco.flow_recompute").inc(recomputed)
-        return self._record(
-            "set_channel_capacity", (edge, int(depth)), rows, recomputed
-        )
+        return self._record(_CAPACITY, edge, rows, recomputed, int(depth))
 
     def _lowering(self) -> _Lowered:
         if self._lowered is None:
@@ -640,7 +683,7 @@ class ECOSession:
         out["min_feasible_period_bound"] = self.minimum_feasible_period("bound")
         out["timing_clean"] = self.timing_clean()
         out["robust_clean"] = self.robust_clean()
-        out["edits_applied"] = len(self._log) // 4
+        out["edits_applied"] = len(self._ops)
         return out
 
     def report(self) -> STAReport:
@@ -669,8 +712,10 @@ class ECOSession:
             self.minimum_feasible_period("bound"),
             empirical=empirical,
         )
-        if self._log:
-            report.eco = EcoEdit(*self._log[-4:], self._n_edges).to_dict()
+        if self._ops:
+            last = len(self._ops) - 1
+            depth = self._log_depths[-1] if self._ops[last] == _CAPACITY else None
+            report.eco = self._edit(last, depth).to_dict()
         return report
 
 

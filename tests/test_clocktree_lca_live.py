@@ -178,3 +178,38 @@ def test_cold_build_is_vectorized_equivalent():
     d2, s2 = walk_oracle(tree, pairs)
     assert d1.tobytes() == d2.tobytes()
     assert s1.tobytes() == s2.tobytes()
+
+
+@pytest.mark.parametrize("scheme", ["serpentine", "kdtree", "star"])
+def test_kept_intervals_match_a_fresh_dfs_across_grafts(scheme):
+    """Appends extend the preorder intervals in place.  After every graft
+    batch (half of the parents drawn from freshly grafted nodes, so grafts
+    nest under grafts) the kept intervals, sizes and masks equal a cold
+    DFS build over the same store, and membership equals the scalar walk."""
+    from repro.sta.design import design_for_workload
+
+    tree = design_for_workload("matvec", size=4, scheme=scheme).tree
+    live = tree.lca_index()
+    live.subtree_size(0)  # build the intervals before the first graft
+    rng = random.Random(f"kept-intervals|{scheme}")
+    grafted = 0
+    for _ in range(20):
+        for _ in range(rng.randint(1, 4)):
+            open_nodes = [
+                n for n in tree.nodes() if len(tree.children(n)) < tree.max_children
+            ]
+            parent = rng.choice(open_nodes[-4:] if rng.random() < 0.5 else open_nodes)
+            tree.add_child(parent, f"g{grafted}", Point(0.0, 0.0), rng.uniform(0.1, 2.0))
+            grafted += 1
+        fresh = LiftingLCAIndex(tree.dense_store)
+        for nid in range(len(tree)):
+            assert live.subtree_interval(nid) == fresh.subtree_interval(nid)
+            assert live.subtree_size(nid) == fresh.subtree_size(nid)
+        nodes = tree.nodes()
+        ids = live.node_ids(nodes)
+        for nid in rng.sample(range(len(tree)), 5):
+            assert live.subtree_mask(nid).tobytes() == fresh.subtree_mask(nid).tobytes()
+            inside = brute_in_subtree(tree, live.node(nid))
+            mask = live.in_subtree_ids(nid, ids)
+            assert {n for n, m in zip(nodes, mask) if m} == inside
+    assert grafted > 40

@@ -115,6 +115,69 @@ def test_sta_eco_emits_one_report_per_step(tmp_path, capsys):
     assert "reuse" in capsys.readouterr().out
 
 
+def test_sta_eco_long_script_reports_each_steps_own_edit(tmp_path, capsys):
+    """A 200-step script: every step header and ``eco`` block is the
+    record of the edit that step applied, as a library replay of the same
+    script returns them."""
+    import random
+
+    from repro.geometry.point import Point
+    from repro.sta.design import design_for_workload
+    from repro.sta.eco import ECOSession
+
+    session = ECOSession(design_for_workload("fir", size=4, scheme="serpentine", seed=0))
+    tree, period = session.design.tree, session.design.period
+    nodes = {str(n): n for n in tree.nodes()}
+    rng = random.Random("cli-eco-long")
+    steps, headers, blocks = [], [], []
+    for step_no in range(200):
+        kind = step_no % 5
+        edge = rng.choice(session.design.edges())
+        label = [str(edge[0]), str(edge[1])]
+        if kind == 0:
+            pad = rng.uniform(0.0, 0.5)
+            steps.append({"op": "repad_edge", "edge": label, "pad": pad})
+            edit = session.repad_edge(edge, pad)
+        elif kind == 1:
+            length = rng.uniform(0.0, 3.0)
+            steps.append({"op": "retarget_wire", "edge": label, "length": length})
+            edit = session.retarget_wire(edge, length)
+        elif kind == 2:
+            node = rng.choice(list(nodes)[1:])  # any node but the root
+            length = rng.uniform(0.5, 2.0)
+            steps.append({"op": "resize_buffer", "node": node, "length": length})
+            edit = session.resize_buffer(nodes[node], length)
+        elif kind == 3:
+            parent = rng.choice(
+                [n for n in nodes if len(tree.children(nodes[n])) < 2]
+            )
+            name = f"spare:{step_no}"
+            steps.append({"op": "graft_subtree", "nodes": [
+                {"parent": parent, "node": name, "x": 0.0, "y": 0.0, "length": 0.5}]})
+            edit = session.graft_subtree([(nodes[parent], name, Point(0.0, 0.0), 0.5)])
+            nodes[name] = name
+        else:
+            new_period = period * rng.uniform(0.8, 1.5)
+            steps.append({"op": "set_period", "period": new_period})
+            edit = session.set_period(new_period)
+        headers.append(
+            f"-- step {step_no}: {edit.op} {edit.target} "
+            f"({edit.dirty_rows} dirty rows, reuse {edit.reuse_fraction:.3f}) --"
+        )
+        blocks.append(edit.to_dict())
+    script = write_eco_script(tmp_path / "eco.json", steps)
+    out = tmp_path / "reports.json"
+    code = run_cli(
+        ["sta", "--workload", "fir", "--size", "4", "--eco", script, "--json", str(out)]
+    )
+    assert code in (0, 1)
+    printed = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("-- step ")]
+    assert printed == headers
+    reports = json.loads(out.read_text())
+    assert [r["eco"] for r in reports[1:]] == json.loads(json.dumps(blocks))
+
+
 def test_sta_eco_requires_single_workload(tmp_path, capsys):
     script = eco_identity_script(tmp_path)
     code = run_cli(["sta", "--eco", script])

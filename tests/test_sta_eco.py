@@ -9,6 +9,8 @@ report's ``eco`` audit block.
 """
 
 import dataclasses
+import random
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ import pytest
 from repro.delay.wire import LinearWireModel
 from repro.geometry.point import Point
 from repro.obs.schema import validate_sta_report
+from repro.obs.trace import RecordingTracer
 from repro.sim.clock_distribution import ClockSchedule
 from repro.sim.clocked import ClockedArraySimulator
 from repro.sim.faults import JitteredSchedule
@@ -257,3 +260,143 @@ def test_non_finite_values_rejected_at_the_boundary(site, value):
     (and infinity) instead of letting it reach a verdict."""
     with pytest.raises(ValueError, match="finite"):
         NON_FINITE_BOUNDARIES[site](make_design(), value)
+
+
+def _subtree_reference(session, node):
+    """Dirty rows (an endpoint inside) and semantic rows (exactly one
+    endpoint inside) from the scalar subtree walk."""
+    inside = set(session.design.tree.subtree_nodes(node))
+    flags = [(a in inside, b in inside) for a, b in session.design.edges()]
+    return sum(a or b for a, b in flags), sum(a != b for a, b in flags)
+
+
+@pytest.mark.parametrize("scheme", ["serpentine", "kdtree", "star"])
+def test_resize_dirty_counts_match_the_subtree_walk(scheme):
+    session = ECOSession(design_for_workload("matvec", size=5, scheme=scheme))
+    tree = session.design.tree
+    rng = random.Random(f"resize-dirty|{scheme}")
+    for step in range(12):
+        if step % 3 == 2:  # graft, then resize the edge above the graft point
+            open_nodes = [
+                n for n in tree.dense_store.nodes[1:]
+                if len(tree.children(n)) < tree.max_children
+            ]
+            node = rng.choice(open_nodes)
+            session.graft_subtree([(node, f"spare:{step}", Point(0.0, 0.0), 0.4)])
+        else:
+            node = rng.choice(tree.dense_store.nodes[1:])
+        edit = session.resize_buffer(node, rng.uniform(0.5, 3.0))
+        assert (edit.dirty_rows, edit.semantic_dirty_rows) == _subtree_reference(
+            session, node
+        )
+    assert_bit_identical(session)
+
+
+@pytest.mark.parametrize(
+    "period, message",
+    [
+        (0.0, "period must be positive"),
+        (-1.0, "period must be positive"),
+        (float("nan"), "clock period must be positive and finite"),
+        (float("inf"), "clock period must be positive and finite"),
+    ],
+    ids=["zero", "negative", "nan", "inf"],
+)
+def test_set_period_refuses_a_bad_period(period, message):
+    session = ECOSession(make_design())
+    design = session.design
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        session.set_period(period)
+    assert session.design is design and session.edits == []
+
+
+@pytest.mark.parametrize(
+    "mapping, what", [("edge_padding", "padding"), ("wire_overrides", "wire override")]
+)
+@pytest.mark.parametrize("bad", [-0.5, float("nan"), float("inf")], ids=["neg", "nan", "inf"])
+def test_with_period_refuses_a_value_made_invalid_in_place(mapping, what, bad):
+    design = design_for_workload("matvec", size=4, scheme="serpentine")
+    edges = design.edges()
+    values = getattr(design, mapping)
+    values.clear()
+    for edge in reversed(edges):  # dict order is not edge order
+        values[edge] = 0.25
+    values[edges[2]] = -1.0
+    values[edges[5]] = bad
+    # the first bad entry in dict order is named, as the per-edge loop did
+    message = f"{what} on edge {edges[5]!r} must be non-negative and finite"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        design.with_period(design.period * 1.1)
+    values[edges[2]] = values[edges[5]] = "0.25"  # not a number: refused as before
+    with pytest.raises(TypeError):
+        design.with_period(design.period * 1.1)
+
+
+def test_reclocked_jittered_design_gets_a_plain_schedule():
+    design = make_design()
+    jittered = dataclasses.replace(
+        design, schedule=JitteredSchedule(design.schedule, design.period / 8, seed=3)
+    )
+    period = design.period * 1.25
+    reclocked = jittered.with_period(period)
+    assert type(reclocked.schedule) is ClockSchedule
+    assert reclocked.period == period
+    cells = list(design.schedule.cells())
+    assert list(reclocked.schedule.cells()) == cells
+    for cell in cells:
+        offset = design.schedule.offset(cell)
+        assert reclocked.schedule.offset(cell) == offset
+        assert reclocked.schedule.tick_time(cell, 3) == offset + 3 * period
+
+
+def test_audit_log_equals_the_records_the_edits_returned():
+    tracer = RecordingTracer()
+    session = ECOSession(
+        design_for_workload("matvec", size=4, scheme="serpentine"), tracer=tracer
+    )
+    design = session.design
+    tree, edges = design.tree, design.edges()
+    parent = next(
+        n for n in tree.dense_store.nodes[1:] if len(tree.children(n)) < 2
+    )
+    session.flow(1.0, 0.5)  # a flow memo, so capacity edits re-solve or keep
+    steps = [
+        lambda: session.repad_edge(edges[0], 0.3),
+        lambda: session.retarget_wire(edges[1], 2.5),
+        lambda: session.resize_buffer(tree.dense_store.nodes[len(tree) // 2], 1.7),
+        lambda: session.graft_subtree(
+            [(parent, "spare:a", Point(0.5, 0.5), 0.3),
+             ("spare:a", "spare:b", Point(1.0, 0.5), 0.3)]
+        ),
+        lambda: session.resize_buffer("spare:a", 0.9),  # a resize after a graft
+        lambda: session.resize_buffer(parent, 2.2),  # and one above it
+        lambda: session.set_period(session.design.period * 1.25),
+        lambda: session.set_channel_capacity(edges[2], 2),
+        lambda: session.set_channel_capacity(edges[2], 2),  # the same depth again
+        lambda: session.set_channel_capacity(edges[3], 2**60),
+        lambda: session.set_channel_capacity(edges[2], 3),
+        lambda: session.repad_edge(edges[0], 0.0),
+    ]
+    returned = []
+    for step in steps:
+        edit = step()
+        returned.append(edit)
+        assert session.report().eco == edit.to_dict()
+        event = tracer.by_kind("eco", "edit")[-1]
+        assert event.t == float(len(returned))
+        assert event.data["target"] == edit.target
+    assert returned[9].target.endswith(f"depth={2**60}")
+    assert returned[8].semantic_dirty_rows == 0
+    log = session.edits
+    assert log == returned
+    for got, want in zip(log, returned):
+        assert (got.op, got.target, got.dirty_rows, got.semantic_dirty_rows,
+                got.edges, got.reuse_fraction) == (
+            want.op, want.target, want.dirty_rows, want.semantic_dirty_rows,
+            want.edges, want.reuse_fraction)
+    assert {edit.op for edit in log} == {
+        "repad_edge", "retarget_wire", "resize_buffer", "graft_subtree",
+        "set_period", "set_channel_capacity",
+    }
+    assert session.summary()["edits_applied"] == len(steps)
+    assert_bit_identical(session)
