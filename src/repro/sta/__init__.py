@@ -53,10 +53,10 @@ __all__, _load = exports(__name__, {
     "flowreport": ("build_flow_report", "render_flow_report"),
     "report": ("STAReport", "build_report", "render_report"),
     "slack": (
-        "EdgeSlack", "SlackAnalysis", "analyze_slack", "edge_lags", "minimum_feasible_period",
-        "minimum_feasible_period_closed_form", "pad_for_races",
+        "ArraySummary", "EdgeSlack", "SlackAnalysis", "analyze_slack", "edge_lags",
+        "minimum_feasible_period", "minimum_feasible_period_closed_form", "pad_for_races",
     ),
-    "tiles": ("ArraySummary", "TileSpec", "compose_design", "flat_summary", "stitched_analysis"),
+    "tiles": ("TileSpec", "compose_design", "flat_summary", "stitched_analysis"),
 })
 
 

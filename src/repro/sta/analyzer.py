@@ -33,13 +33,8 @@ from repro.sta.flow import (
     ServiceSpec,
     analyze_flow,
 )
-from repro.sta.report import STAReport, build_report
-from repro.sta.slack import (
-    SlackAnalysis,
-    _feasible_period,
-    _mode_needs,
-    analyze_slack,
-)
+from repro.sta.report import STAReport, build_report, empirical_block
+from repro.sta.slack import SlackAnalysis, analyze_slack
 # Unused here: a perfbench wrap site until ROADMAP item 5, PR A.
 from repro.sta.slack import minimum_feasible_period  # noqa: F401
 
@@ -61,7 +56,6 @@ class STAAnalyzer:
         self._fingerprint: Optional[_Fingerprint] = None
         self._slack: Optional[SlackAnalysis] = None
         self._drc: Optional[List[RuleResult]] = None
-        self._feasible: Dict[str, float] = {}
         self._empirical: Optional[Dict[str, Any]] = None
         self._flow: Dict[Tuple[Any, ...], FlowAnalysis] = {}
 
@@ -96,7 +90,6 @@ class STAAnalyzer:
             self._fingerprint = fp
             self._slack = None
             self._drc = None
-            self._feasible = {}
             self._empirical = None
             self._flow = {}
             return False
@@ -125,38 +118,23 @@ class STAAnalyzer:
         return self._drc
 
     def minimum_feasible_period(self, mode: str = "exact") -> float:
-        """:func:`~repro.sta.slack.minimum_feasible_period`, read off the
-        cached slack vectors (a read that counts no slack cache hit)."""
+        """:meth:`~repro.sta.slack.SlackAnalysis.minimum_feasible_period` of
+        the cached slack vectors (a read that counts no slack cache hit)."""
         self._fresh()
-        if mode not in self._feasible:
-            a = self._slack if self._slack is not None else self.slack()
-            needs = _mode_needs(mode, a.lag, a.offset_lead, a.sigma_ub)
-            self._feasible[mode] = _feasible_period(needs)
-        return self._feasible[mode]
+        analysis = self._slack if self._slack is not None else self.slack()
+        return analysis.minimum_feasible_period(mode)
 
     def empirical(self) -> Optional[Dict[str, Any]]:
         """Cross-check of the buffered realization against the abstract
-        model: the largest *measured* arrival-time skew over COMM edges vs
-        the model's largest upper bound.  ``within_model`` false means the
+        model (:func:`~repro.sta.report.empirical_block`, plus the
+        realization's ``tree_version``).  ``within_model`` false means the
         concrete tree drifted outside the model the rest of the analysis
         assumed (bound-mode conclusions don't transfer to it)."""
         self._fresh()
-        if self._empirical is None:
-            buffered = self.design.buffered
-            if buffered is None:
-                return None
-            edges = self.design.edges()
-            analysis = self.slack()
-            max_skew = buffered.max_skew(edges)
-            sigma_ub_max = (
-                float(analysis.sigma_ub.max()) if len(analysis.edges) else 0.0
-            )
-            self._empirical = {
-                "max_skew": max_skew,
-                "model_sigma_ub_max": sigma_ub_max,
-                "within_model": bool(max_skew <= sigma_ub_max + 1e-12),
-                "tree_version": buffered.version,
-            }
+        buffered = self.design.buffered
+        if self._empirical is None and buffered is not None:
+            block = empirical_block(buffered, self.design.edges(), self.slack())
+            self._empirical = {**block, "tree_version": buffered.version}
         return self._empirical
 
     def flow(

@@ -180,9 +180,8 @@ def _rule_a11(design: Design, slack: SlackAnalysis) -> RuleResult:
     model's worst-case skew (``sigma_ub``), or sits under the ``beta*s``
     floor no tree tuning can remove, are warnings: the fix is padding.
     """
-    races = int(slack.race_mask.sum())
-    floor = int(slack.race_floor_mask.sum())
-    possible = int(((slack.hold_bound <= SIM_TOL) & ~slack.race_mask).sum())
+    counts = slack.counts()
+    races, floor, possible = counts["race"], counts["race_floor"], counts["race_possible"]
     min_lag = float(slack.lag.min()) if len(slack.edges) else 0.0
     sigma_ub = float(slack.sigma_ub.max()) if len(slack.edges) else 0.0
     report = design.discipline.evaluate(

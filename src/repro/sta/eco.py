@@ -18,8 +18,8 @@ edit               dirty set
                    the LCA index extends its lifting table and preorder
                    intervals incrementally
 ``set_period``     no rows at all (the period is outside the stored
-                   ``need`` vectors; verdict masks are re-derived
-                   lazily), and no per-cell Python work: the new
+                   ``need`` vectors; the verdict is re-derived on
+                   read), and no per-cell Python work: the new
                    schedule shares the validated offsets
 =================  ====================================================
 
@@ -38,13 +38,15 @@ verifies on its own graph.
 
 The session maintains the per-edge *need* vectors (``need_exact =
 lead + lag``, the exact-mode hold slack and period requirement;
-``need_bound = sigma_ub + lag``; ``hold_bound = lag - sigma_ub``) plus
-running argmax/argmin trackers over them, so ``worst_setup_slack`` /
-``worst_hold_slack`` are O(1) per query (a lazy O(edges) rescan happens
-only when an edit dirties the current champion row) and
-``minimum_feasible_period`` is O(log) — the bisection core
-(:func:`repro.sta.slack._bisect_period`) depends only on the scalar
-``max(needs)``, which the tracker supplies.
+``need_bound = sigma_ub + lag``) plus running argmax/argmin trackers over
+them, so ``worst_setup_slack`` / ``worst_hold_slack`` are O(1) per query
+(a lazy O(edges) rescan happens only when an edit dirties the current
+champion row) and ``minimum_feasible_period`` is O(log) — the bisection
+core (:func:`repro.sta.slack._bisect_period`) depends only on the scalar
+``max(needs)``, which the tracker supplies.  Everything else — flags,
+counts, clean bits, the summary and the report — is read off
+:meth:`~ECOSession.analysis`, the one
+:class:`~repro.sta.slack.SlackAnalysis` verdict.
 
 **Bit-exactness contract.**  Every quantity the session exposes is
 bit-identical to a fresh :func:`~repro.sta.slack.analyze_slack` /
@@ -76,6 +78,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from dataclasses import asdict
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -100,13 +103,8 @@ from repro.sta.flow import (
 # perfbench wraps the flow layer where this module looks names up; the
 # session no longer calls these two (ROADMAP item 5 PR A).
 from repro.sta.flow import detect_deadlock, flow_graph  # noqa: F401
-from repro.sta.report import STAReport, build_report
-from repro.sta.slack import (
-    SIM_TOL,
-    SlackAnalysis,
-    _bisect_period,
-    _edge_vectors,
-)
+from repro.sta.report import STAReport, build_report, empirical_block
+from repro.sta.slack import SlackAnalysis, _bisect_period, _edge_vectors
 
 NodeId = Hashable
 
@@ -255,7 +253,6 @@ class ECOSession:
         self._sigma_lb = np.array(sigma_lb, dtype=np.float64)
         self._need_exact = self._lead + self._lag
         self._need_bound = self._sigma_ub + self._lag
-        self._hold_bound = self._lag - self._sigma_ub
         self._max_need_exact = _Extremum(self._need_exact, maximum=True)
         self._min_need_exact = _Extremum(self._need_exact, maximum=False)
         self._max_need_bound = _Extremum(self._need_bound, maximum=True)
@@ -274,16 +271,14 @@ class ECOSession:
         self._row_counts = array("i")
         self._log_depths = array("q")
         self._n_edges = len(edges)  # one int shared by every EcoEdit
-        self._counts_cache: Optional[Dict[str, int]] = None
         # Self-timed channel capacities (session state, not on the
-        # design: the clocked discipline has no FIFOs).  Missing edge =
-        # unbounded, and ``_depths`` holds the same map in COMM edge
-        # order (0 = unbounded).  The COMM graph is lowered at the first
-        # flow query; out-of-band COMM edits are refused, so the lowering
-        # cannot go stale.  The flow memos are keyed by (service vector
-        # bytes, wire delay) and hold that vector; capacity edits update
-        # them in place (see ``set_channel_capacity``).
-        self._capacity: Dict[EdgeKey, int] = {}
+        # design: the clocked discipline has no FIFOs): one depth per
+        # channel in COMM edge order, 0 = unbounded.  The COMM graph is
+        # lowered at the first flow query; out-of-band COMM edits are
+        # refused, so the lowering cannot go stale.  The flow memos are
+        # keyed by (service vector bytes, wire delay) and hold that
+        # vector; capacity edits update them in place (see
+        # ``set_channel_capacity``).
         self._depths = np.zeros(len(edges), dtype=np.int64)
         self._lowered: Optional[_Lowered] = None
         self._flow_cache: Dict[
@@ -337,7 +332,6 @@ class ECOSession:
         self._lag[i] = self._design.edge_lag(edge)
         self._need_exact[i] = self._lead[i] + self._lag[i]
         self._need_bound[i] = self._sigma_ub[i] + self._lag[i]
-        self._hold_bound[i] = self._lag[i] - self._sigma_ub[i]
 
     def _record(
         self,
@@ -350,7 +344,6 @@ class ECOSession:
         self._max_need_exact.note_dirty(rows)
         self._min_need_exact.note_dirty(rows)
         self._max_need_bound.note_dirty(rows)
-        self._counts_cache = None
         dirty = len(rows)
         self._subjects.append(subject)
         self._ops.append(code)
@@ -439,7 +432,6 @@ class ECOSession:
                 tree, sub_edges
             )
             self._need_bound[rows] = self._sigma_ub[rows] + self._lag[rows]
-            self._hold_bound[rows] = self._lag[rows] - self._sigma_ub[rows]
         return self._record(_RESIZE, node, rows, semantic)
 
     def graft_subtree(self, additions: Sequence[GraftNode]) -> EcoEdit:
@@ -462,7 +454,7 @@ class ECOSession:
         """Re-clock the design at a new period (offsets kept).
 
         No slack row moves: the stored vectors are period-free ``need``
-        forms, and the verdict masks are re-derived lazily.  No per-cell
+        forms, and :meth:`analysis` re-derives the verdict.  No per-cell
         Python work either: :meth:`~repro.sta.design.Design.with_period`
         shares the validated schedule offsets, and the new design's
         checks are vectorized.
@@ -495,17 +487,17 @@ class ECOSession:
         i = self._row.get(edge)
         if i is None:
             raise KeyError(f"edge {edge!r} is not a COMM edge")
-        old = self._capacity.get(edge)
+        old = int(self._depths[i])
         rows = np.empty(0, dtype=np.int64)
         if depth == old:  # the same depth again: nothing moves
             return self._record(_CAPACITY, edge, rows, 0, int(depth))
-        self._capacity[edge] = self._depths[i] = int(depth)
+        self._depths[i] = int(depth)
         recomputed = 0
         for key, (services, analysis) in self._flow_cache.items():
             low = self._lowering()
             dead = _deadlock(low, self._depths) if depth == 1 or analysis.dead else None
             cycle: Optional[FlowCycle] = None
-            if old is None:  # a new credit edge
+            if old == 0:  # a new credit edge
                 fg = _assemble(low, services, key[1], self._depths)
             else:
                 fg, credit = _retoken(low, analysis.graph, self._depths, i)
@@ -559,12 +551,7 @@ class ECOSession:
             return 0.0
         return self._min_need_exact.value()
 
-    def minimum_feasible_period(
-        self,
-        mode: str = "exact",
-        tol: float = 1e-9,
-        max_iterations: int = 200,
-    ) -> float:
+    def minimum_feasible_period(self, mode: str = "exact") -> float:
         """Warm minimum-feasible-period: O(log) bisection from the tracked
         ``max(needs)`` — identical decisions, identical float, to the full
         O(edges) :func:`~repro.sta.slack.minimum_feasible_period`."""
@@ -577,47 +564,24 @@ class ECOSession:
             needs_max = self._max_need_bound.value()
         else:
             raise ValueError(f"unknown slack mode {mode!r} (exact|bound)")
-        return _bisect_period(needs_max, tol=tol, max_iterations=max_iterations)
-
-    def _masks(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        period = self._design.period
-        stale = (period - self._need_exact) < -SIM_TOL
-        race = self._need_exact <= SIM_TOL
-        stale_bound = (period - self._need_bound) < -SIM_TOL
-        race_bound = self._hold_bound <= SIM_TOL
-        race_floor = self._sigma_lb >= self._lag - SIM_TOL
-        return stale, race, stale_bound, race_bound, race_floor
+        return _bisect_period(needs_max)
 
     def counts(self) -> Dict[str, int]:
         """Flag counts in the shape :func:`~repro.sta.report.build_report`
-        computes (sans DRC), re-derived lazily after edits."""
-        self._check_external()
-        if self._counts_cache is None:
-            stale, race, stale_bound, race_bound, race_floor = self._masks()
-            self._counts_cache = {
-                "edges": len(self._edges),
-                "stale": int(np.count_nonzero(stale)),
-                "race": int(np.count_nonzero(race)),
-                "stale_possible": int(np.count_nonzero(stale_bound & ~stale)),
-                "race_possible": int(np.count_nonzero(race_bound & ~race)),
-                "race_floor": int(np.count_nonzero(race_floor)),
-            }
-        return dict(self._counts_cache)
+        computes (sans DRC), read off :meth:`analysis`."""
+        return self.analysis().counts()
 
     def timing_clean(self) -> bool:
-        counts = self.counts()
-        return counts["stale"] == 0 and counts["race"] == 0
+        return self.analysis().timing_clean
 
     def robust_clean(self) -> bool:
-        self._check_external()
-        _, _, stale_bound, race_bound, _ = self._masks()
-        return not (bool(stale_bound.any()) or bool(race_bound.any()))
+        return self.analysis().robust_clean
 
     @property
     def channel_capacities(self) -> Dict[EdgeKey, int]:
-        """The session's current per-edge FIFO depths (missing =
-        unbounded)."""
-        return dict(self._capacity)
+        """The session's current per-edge FIFO depths, in COMM edge order
+        (missing = unbounded)."""
+        return {e: d for e, d in zip(self._edges, self._depths.tolist()) if d}
 
     def flow(
         self, service: ServiceSpec = 1.0, wire_delay: float = 0.0
@@ -649,42 +613,18 @@ class ECOSession:
         :class:`~repro.sta.slack.SlackAnalysis` — bit-identical to
         ``analyze_slack(session.design)``."""
         self._check_external()
-        period = self._design.period
-        lag = self._lag.copy()
-        lead = self._lead.copy()
-        sigma_ub = self._sigma_ub.copy()
-        sigma_lb = self._sigma_lb.copy()
-        setup_exact = period - self._need_exact
-        hold_exact = self._need_exact.copy()
-        setup_bound = period - self._need_bound
-        hold_bound = self._hold_bound.copy()
-        for arr in (lag, lead, sigma_ub, sigma_lb, setup_exact, hold_exact,
-                    setup_bound, hold_bound):
-            arr.flags.writeable = False
-        return SlackAnalysis(
-            period=period,
-            edges=tuple(self._edges),
-            lag=lag,
-            sigma_ub=sigma_ub,
-            sigma_lb=sigma_lb,
-            offset_lead=lead,
-            setup_exact=setup_exact,
-            hold_exact=hold_exact,
-            setup_bound=setup_bound,
-            hold_bound=hold_bound,
+        return SlackAnalysis.from_vectors(
+            self._design.period, self._edges, self._lag.copy(),
+            self._lead.copy(), self._sigma_ub.copy(), self._sigma_lb.copy(),
         )
 
     def summary(self) -> Dict[str, Any]:
-        """The cheap always-incremental digest of the current state."""
-        out: Dict[str, Any] = dict(self.counts())
-        out["worst_setup_slack"] = self.worst_setup_slack()
-        out["worst_hold_slack"] = self.worst_hold_slack()
-        out["min_feasible_period_exact"] = self.minimum_feasible_period("exact")
-        out["min_feasible_period_bound"] = self.minimum_feasible_period("bound")
-        out["timing_clean"] = self.timing_clean()
-        out["robust_clean"] = self.robust_clean()
-        out["edits_applied"] = len(self._ops)
-        return out
+        """The digest of the current state: :meth:`analysis`'s summary,
+        counts first, plus the number of edits applied."""
+        digest = asdict(self.analysis().summary())
+        counts = digest.pop("counts")
+        del digest["period"], digest["edges"]
+        return {**counts, **digest, "edits_applied": len(self._ops)}
 
     def report(self) -> STAReport:
         """A full schema-valid report of the current state (the CLI emits
@@ -694,23 +634,16 @@ class ECOSession:
         """
         analysis = self.analysis()
         design = self._design
-        drc_results = run_drc(design, analysis)
-        empirical: Optional[Dict[str, Any]] = None
-        if design.buffered is not None:
-            max_skew = design.buffered.max_skew(self._edges)
-            sigma_ub_max = float(self._sigma_ub.max()) if self._edges else 0.0
-            empirical = {
-                "max_skew": max_skew,
-                "model_sigma_ub_max": sigma_ub_max,
-                "within_model": bool(max_skew <= sigma_ub_max + 1e-12),
-            }
+        buffered = design.buffered
         report = build_report(
             design,
             analysis,
-            drc_results,
+            run_drc(design, analysis),
             self.minimum_feasible_period("exact"),
             self.minimum_feasible_period("bound"),
-            empirical=empirical,
+            empirical=None if buffered is None else empirical_block(
+                buffered, self._edges, analysis
+            ),
         )
         if self._ops:
             last = len(self._ops) - 1

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
-
-import numpy as np
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro import __version__
-from repro.sta.design import Design
+from repro.clocktree.buffered import BufferedClockTree
+from repro.sta.design import Design, EdgeKey
 from repro.sta.drc import RuleResult, STATUS_FAIL, STATUS_WARN, drc_counts
 from repro.sta.slack import SlackAnalysis, row_flags
 from repro.tables import render_table
@@ -80,26 +79,13 @@ def build_report(
 ) -> STAReport:
     """Assemble the report from the analysis pieces (pure; no I/O).
 
-    Counts come from the analysis masks, and the edge rows from its
-    columns as lists, zipped once."""
-    masks = analysis.flag_masks()
-    stale, stale_possible, race, race_possible, race_floor = (
-        int(np.count_nonzero(m)) for m in masks
-    )
+    Counts come from :meth:`SlackAnalysis.counts`, and the edge rows from
+    its columns as lists, zipped once."""
     drc = drc_counts(drc_results)
-    counts = {
-        "edges": len(analysis.edges),
-        "stale": stale,
-        "race": race,
-        "stale_possible": stale_possible,
-        "race_possible": race_possible,
-        "race_floor": race_floor,
-        "drc_fail": drc[STATUS_FAIL],
-        "drc_warn": drc[STATUS_WARN],
-    }
+    counts = {**analysis.counts(), "drc_fail": drc[STATUS_FAIL], "drc_warn": drc[STATUS_WARN]}
     verdict = (
         VERDICT_CLEAN
-        if stale == 0 and race == 0 and counts["drc_fail"] == 0
+        if analysis.timing_clean and counts["drc_fail"] == 0
         else VERDICT_VIOLATIONS
     )
     robust = (
@@ -134,7 +120,8 @@ def build_report(
             }
             for (u, v), flags, lag, sigma_ub, sigma_lb, lead, setup, hold,
             setup_bound, hold_bound in zip(
-                analysis.edges, row_flags(masks), *analysis.columns()
+                analysis.edges, row_flags(analysis.flag_masks()),
+                *analysis.columns()
             )
         ],
         drc=[
@@ -149,6 +136,22 @@ def build_report(
         empirical=empirical,
         meta={"emitted_at": time.time(), "repro_version": __version__},
     )
+
+
+def empirical_block(
+    buffered: BufferedClockTree, edges: Sequence[EdgeKey], analysis: SlackAnalysis
+) -> Dict[str, Any]:
+    """The report's ``empirical`` block: the buffered realization's largest
+    measured arrival-time skew over ``edges`` against the model's largest
+    upper bound.  Pass the caller's own edge list: the tree memoizes pair
+    ids per list object."""
+    max_skew = buffered.max_skew(edges)
+    sigma_ub_max = float(analysis.sigma_ub.max()) if len(analysis.edges) else 0.0
+    return {
+        "max_skew": max_skew,
+        "model_sigma_ub_max": sigma_ub_max,
+        "within_model": bool(max_skew <= sigma_ub_max + 1e-12),
+    }
 
 
 def render_report(report: STAReport, verbose: bool = False) -> str:

@@ -40,8 +40,9 @@ algebraic oracle the tests compare against).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -62,6 +63,55 @@ FLAG_RACE_FLOOR = "race-floor"          # A11 floor alone defeats the lag
 #: The flags in row order; bit ``i`` of a row's flag code is ``FLAGS[i]``.
 FLAGS = (FLAG_STALE, FLAG_STALE_POSSIBLE, FLAG_RACE, FLAG_RACE_POSSIBLE, FLAG_RACE_FLOOR)
 _FLAG_SETS = [tuple(f for i, f in enumerate(FLAGS) if code >> i & 1) for code in range(32)]
+
+#: The minimum-feasible-period bisection stops once its bracket is this
+#: narrow relative to the bracket's top, or after this many halvings.
+_BISECT_TOL = 1e-9
+_BISECT_MAX_ITERATIONS = 200
+
+FlagMasks = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def race_floor(lag: np.ndarray, sigma_lb: np.ndarray) -> np.ndarray:
+    """Rows whose lag does not clear the A11 skew floor — no tree tuning
+    can make them safe; padding is mandatory.  Period-free."""
+    return sigma_lb >= lag - SIM_TOL
+
+
+def flag_policy(
+    setup_exact: np.ndarray,
+    hold_exact: np.ndarray,
+    setup_bound: np.ndarray,
+    hold_bound: np.ndarray,
+    floor: np.ndarray,
+) -> FlagMasks:
+    """The flag policy: one mask per flag, in :data:`FLAGS` order, from
+    slack rows and their :func:`race_floor` mask.  An exact flag replaces
+    its bound-mode ``-possible`` twin."""
+    stale = setup_exact < -SIM_TOL
+    race = hold_exact <= SIM_TOL
+    return (
+        stale,
+        (setup_bound < -SIM_TOL) & ~stale,
+        race,
+        (hold_bound <= SIM_TOL) & ~race,
+        floor,
+    )
+
+
+def robust_clean_rows(setup_bound: np.ndarray, hold_bound: np.ndarray) -> bool:
+    """Clean even at the model's worst-case skew (bound mode).  A NaN row
+    is not clean: it fails both comparisons."""
+    return bool(setup_bound.min(initial=np.inf) >= -SIM_TOL
+                and hold_bound.min(initial=np.inf) > SIM_TOL)
+
+
+def flag_counts(edges: int, counts: Sequence[int]) -> Dict[str, int]:
+    """A verdict's counts block from per-flag counts in :data:`FLAGS` order."""
+    stale, stale_possible, race, race_possible, floor = counts
+    return {"edges": edges, "stale": stale, "race": race,
+            "stale_possible": stale_possible, "race_possible": race_possible,
+            "race_floor": floor}
 
 
 @dataclass(frozen=True)
@@ -86,11 +136,28 @@ class EdgeSlack:
 
 
 @dataclass(frozen=True)
+class ArraySummary:
+    """The aggregate verdict of a slack vector: what the tile stitcher and
+    the flat analysis both produce, equal floats included."""
+
+    period: float
+    edges: int
+    worst_setup_slack: float
+    worst_hold_slack: float
+    min_feasible_period_exact: float
+    min_feasible_period_bound: float
+    timing_clean: bool
+    robust_clean: bool
+    counts: Dict[str, int] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
 class SlackAnalysis:
     """The full slack vector of a design, plus summary accessors.
 
     All arrays are float64, aligned with ``edges`` (the COMM graph's
-    stable directed-edge order), and read-only.
+    stable directed-edge order), and read-only.  Build one with
+    :meth:`from_vectors`; the flag masks are computed once, on first use.
     """
 
     period: float
@@ -104,22 +171,46 @@ class SlackAnalysis:
     setup_bound: np.ndarray
     hold_bound: np.ndarray
 
+    @classmethod
+    def from_vectors(
+        cls, period: float, edges: Sequence[EdgeKey], lag: np.ndarray,
+        lead: np.ndarray, sigma_ub: np.ndarray, sigma_lb: np.ndarray,
+    ) -> "SlackAnalysis":
+        """Both modes' slacks from the per-edge ingredients at ``period``.
+        Takes ownership of the four vectors (they become read-only)."""
+        arrays = (lag, sigma_ub, sigma_lb, lead, period - (lead + lag), lead + lag,
+                  period - (sigma_ub + lag), lag - sigma_ub)
+        for arr in arrays:
+            arr.flags.writeable = False
+        return cls(period, tuple(edges), *arrays)
+
     # -- classification --------------------------------------------------
+    @cached_property
+    def _masks(self) -> FlagMasks:
+        return flag_policy(
+            self.setup_exact, self.hold_exact, self.setup_bound, self.hold_bound,
+            race_floor(self.lag, self.sigma_lb),
+        )
+
+    def flag_masks(self) -> FlagMasks:
+        """The :func:`flag_policy` masks of this analysis, in :data:`FLAGS`
+        order (computed once)."""
+        return self._masks
+
     @property
     def stale_mask(self) -> np.ndarray:
         """Edges the simulator will read stale (setup) data on."""
-        return self.setup_exact < -SIM_TOL
+        return self._masks[0]
 
     @property
     def race_mask(self) -> np.ndarray:
         """Edges the simulator will race through (hold) on."""
-        return self.hold_exact <= SIM_TOL
+        return self._masks[2]
 
     @property
     def race_floor_mask(self) -> np.ndarray:
-        """Edges whose lag does not clear the A11 skew floor — no tree
-        tuning can make them safe; padding is mandatory."""
-        return self.sigma_lb >= self.lag - SIM_TOL
+        """Edges whose lag does not clear the A11 skew floor."""
+        return self._masks[4]
 
     def stale_edges(self) -> List[EdgeKey]:
         return [e for e, bad in zip(self.edges, self.stale_mask) if bad]
@@ -134,10 +225,7 @@ class SlackAnalysis:
     @property
     def robust_clean(self) -> bool:
         """Clean even at the model's worst-case skew (bound mode)."""
-        return bool(
-            (self.setup_bound >= -SIM_TOL).all()
-            and (self.hold_bound > SIM_TOL).all()
-        )
+        return robust_clean_rows(self.setup_bound, self.hold_bound)
 
     @property
     def worst_setup_slack(self) -> float:
@@ -147,22 +235,37 @@ class SlackAnalysis:
     def worst_hold_slack(self) -> float:
         return float(self.hold_exact.min()) if len(self.edges) else 0.0
 
+    def counts(self) -> Dict[str, int]:
+        """The report's counts block (without DRC): edges and flagged rows
+        per flag."""
+        return flag_counts(
+            len(self.edges), [int(np.count_nonzero(m)) for m in self._masks]
+        )
+
+    def minimum_feasible_period(self, mode: str = "exact") -> float:
+        """:func:`minimum_feasible_period` read off these vectors."""
+        return _feasible_period(
+            _mode_needs(mode, self.lag, self.offset_lead, self.sigma_ub)
+        )
+
+    def summary(self) -> ArraySummary:
+        """The aggregate verdict as one :class:`ArraySummary`."""
+        return ArraySummary(
+            period=self.period,
+            edges=len(self.edges),
+            worst_setup_slack=self.worst_setup_slack,
+            worst_hold_slack=self.worst_hold_slack,
+            min_feasible_period_exact=self.minimum_feasible_period("exact"),
+            min_feasible_period_bound=self.minimum_feasible_period("bound"),
+            timing_clean=self.timing_clean,
+            robust_clean=self.robust_clean,
+            counts=self.counts(),
+        )
+
     def slack_for(self, edge: EdgeKey) -> Tuple[float, float]:
         """(setup, hold) exact slack of one directed edge."""
         i = self.edges.index(edge)
         return float(self.setup_exact[i]), float(self.hold_exact[i])
-
-    def flag_masks(self) -> Tuple[np.ndarray, ...]:
-        """The flag policy: one mask per flag, in :data:`FLAGS` order.  An
-        exact flag replaces its bound-mode ``-possible`` twin."""
-        stale, race = self.stale_mask, self.race_mask
-        return (
-            stale,
-            (self.setup_bound < -SIM_TOL) & ~stale,
-            race,
-            (self.hold_bound <= SIM_TOL) & ~race,
-            self.race_floor_mask,
-        )
 
     def columns(self) -> List[List[float]]:
         """The float vectors as lists, in :class:`EdgeSlack` field order."""
@@ -175,7 +278,7 @@ class SlackAnalysis:
         return [
             EdgeSlack(edge, *values, flags=flags)
             for edge, flags, *values in zip(
-                self.edges, row_flags(self.flag_masks()), *self.columns()
+                self.edges, row_flags(self._masks), *self.columns()
             )
         ]
 
@@ -220,26 +323,7 @@ def _edge_vectors(design: Design) -> _EdgeVectors:
 def analyze_slack(design: Design) -> SlackAnalysis:
     """Compute every edge's setup/hold slack in both modes, vectorized."""
     edges, lag, lead, sigma_ub, sigma_lb = _edge_vectors(design)
-    period = design.period
-    setup_exact = period - (lead + lag)
-    hold_exact = lead + lag
-    setup_bound = period - (sigma_ub + lag)
-    hold_bound = lag - sigma_ub
-    for arr in (lag, lead, sigma_ub, sigma_lb, setup_exact, hold_exact,
-                setup_bound, hold_bound):
-        arr.flags.writeable = False
-    return SlackAnalysis(
-        period=period,
-        edges=tuple(edges),
-        lag=lag,
-        sigma_ub=sigma_ub,
-        sigma_lb=sigma_lb,
-        offset_lead=lead,
-        setup_exact=setup_exact,
-        hold_exact=hold_exact,
-        setup_bound=setup_bound,
-        hold_bound=hold_bound,
-    )
+    return SlackAnalysis.from_vectors(design.period, edges, lag, lead, sigma_ub, sigma_lb)
 
 
 def _mode_needs(mode: str, lag: np.ndarray, lead: np.ndarray, sigma_ub: np.ndarray) -> np.ndarray:
@@ -256,11 +340,7 @@ def minimum_feasible_period_closed_form(design: Design, mode: str = "exact") -> 
     return float(_mode_needs(mode, *_edge_vectors(design)[1:4]).max(initial=0.0))
 
 
-def _bisect_period(
-    needs_max: float,
-    tol: float = 1e-9,
-    max_iterations: int = 200,
-) -> float:
+def _bisect_period(needs_max: float) -> float:
     """Bisection core shared by the full and incremental analyses.
 
     Feasibility of a period T is ``all(needs <= T + SIM_TOL)``, which for
@@ -279,12 +359,12 @@ def _bisect_period(
     while not feasible(hi):
         lo, hi = hi, hi * 2.0
         iterations += 1
-        if iterations > max_iterations:  # pragma: no cover - defensive
+        if iterations > _BISECT_MAX_ITERATIONS:  # pragma: no cover - defensive
             raise RuntimeError("period bracket failed to close")
     if feasible(lo):
         return lo if lo > 0.0 else max(needs_max, 0.0)
     scale = max(1.0, hi)
-    while hi - lo > tol * scale and iterations < max_iterations:
+    while hi - lo > _BISECT_TOL * scale and iterations < _BISECT_MAX_ITERATIONS:
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             hi = mid
@@ -294,12 +374,7 @@ def _bisect_period(
     return hi
 
 
-def minimum_feasible_period(
-    design: Design,
-    mode: str = "exact",
-    tol: float = 1e-9,
-    max_iterations: int = 200,
-) -> float:
+def minimum_feasible_period(design: Design, mode: str = "exact") -> float:
     """The smallest period with a non-negative setup-slack vector, found by
     monotone bisection.
 
@@ -308,16 +383,16 @@ def minimum_feasible_period(
     to the closed-form answer; the bisection exists because realistic slack
     models (duty-cycle constraints, level-sensitive borrowing) are monotone
     but not closed-form, and the property tests pin the two to within
-    ``tol`` on the affine case.
+    ``_BISECT_TOL`` on the affine case.
     """
-    return _feasible_period(_mode_needs(mode, *_edge_vectors(design)[1:4]), tol, max_iterations)
+    return _feasible_period(_mode_needs(mode, *_edge_vectors(design)[1:4]))
 
 
-def _feasible_period(needs: np.ndarray, tol: float = 1e-9, max_iterations: int = 200) -> float:
+def _feasible_period(needs: np.ndarray) -> float:
     """:func:`minimum_feasible_period` of a per-edge needs vector."""
     if len(needs) == 0:
         return 0.0
-    return _bisect_period(float(needs.max()), tol=tol, max_iterations=max_iterations)
+    return _bisect_period(float(needs.max()))
 
 
 def pad_for_races(

@@ -33,7 +33,7 @@ a composition at a new period touches no model kernels at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
@@ -43,14 +43,17 @@ from repro.arrays.topologies import mesh
 from repro.clocktree.tree import ClockTree
 from repro.core.models import PhysicalModel
 from repro.geometry.point import Point
-from repro.sim.clock_distribution import ClockSchedule
+from repro.sim.clock_distribution import ClockSchedule, _check_period
 from repro.sta.design import Design, EdgeKey
 from repro.sta.slack import (
-    SIM_TOL,
-    analyze_slack,
-    minimum_feasible_period,
+    ArraySummary,
     _bisect_period,
     _edge_vectors,
+    analyze_slack,
+    flag_counts,
+    flag_policy,
+    race_floor,
+    robust_clean_rows,
 )
 
 NodeId = Hashable
@@ -111,22 +114,6 @@ class TileCharacterization:
     @property
     def total_rows(self) -> int:
         return self.tiles * self.internal_rows + self.boundary_rows
-
-
-@dataclass(frozen=True)
-class ArraySummary:
-    """The aggregate verdict both analysis paths produce; equality between
-    the stitched and the flat path is exact (floats included)."""
-
-    period: float
-    edges: int
-    worst_setup_slack: float
-    worst_hold_slack: float
-    min_feasible_period_exact: float
-    min_feasible_period_bound: float
-    timing_clean: bool
-    robust_clean: bool
-    counts: Dict[str, int] = field(default_factory=dict)
 
 
 #: Characterization cache, keyed by (tile fingerprint, grid rows, grid
@@ -283,16 +270,12 @@ def characterize_tile(
         design = compose_design(spec, tiles_rows, tiles_cols, period=1.0)
     edges, lag, lead, sigma_ub, sigma_lb = _edge_vectors(design)
     proto_rows, boundary_rows = _classify_edges(spec, edges)
-    need_exact = lead + lag
-    need_bound = sigma_ub + lag
-    hold_bound = lag - sigma_ub
-    race_floor = sigma_lb >= lag - SIM_TOL
     arrays: Dict[str, np.ndarray] = {}
     for name, vec in (
-        ("need_exact", need_exact),
-        ("need_bound", need_bound),
-        ("hold_bound", hold_bound),
-        ("race_floor", race_floor),
+        ("need_exact", lead + lag),
+        ("need_bound", sigma_ub + lag),
+        ("hold_bound", lag - sigma_ub),
+        ("race_floor", race_floor(lag, sigma_lb)),
     ):
         for prefix, rows in (("internal", proto_rows), ("boundary", boundary_rows)):
             sub = vec[rows]
@@ -305,69 +288,46 @@ def characterize_tile(
     return characterization
 
 
-def _aggregate(
-    tiles: int,
+def stitched_analysis(
+    spec: TileSpec,
+    tiles_rows: int,
+    tiles_cols: int,
     period: float,
-    internal_need_exact: np.ndarray,
-    internal_need_bound: np.ndarray,
-    internal_hold_bound: np.ndarray,
-    internal_race_floor: np.ndarray,
-    boundary_need_exact: np.ndarray,
-    boundary_need_bound: np.ndarray,
-    boundary_hold_bound: np.ndarray,
-    boundary_race_floor: np.ndarray,
+    design: Optional[Design] = None,
 ) -> ArraySummary:
-    """Fold prototype rows (x ``tiles``) and boundary rows into the flat
-    aggregates, with exactly the flat pass's per-row comparisons."""
-    edges = tiles * len(internal_need_exact) + len(boundary_need_exact)
-
-    def masks(
-        need_exact: np.ndarray, need_bound: np.ndarray, hold_bound: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        stale = (period - need_exact) < -SIM_TOL
-        race = need_exact <= SIM_TOL
-        stale_bound = (period - need_bound) < -SIM_TOL
-        race_bound = hold_bound <= SIM_TOL
-        return stale, race, stale_bound, race_bound
-
-    i_stale, i_race, i_stale_b, i_race_b = masks(
-        internal_need_exact, internal_need_bound, internal_hold_bound
+    """Analyze the composition from cached tile summaries plus boundary
+    stitching — no per-edge model kernels on a warm cache, any period
+    :func:`compose_design` accepts.  Prototype rows (x ``tiles``) and
+    boundary rows fold into the flat aggregates through the flat pass's
+    own flag policy, one call per row class."""
+    _check_period(period)
+    ch = characterize_tile(spec, tiles_rows, tiles_cols, design=design)
+    classes = (
+        (ch.internal_need_exact, ch.internal_need_bound,
+         ch.internal_hold_bound, ch.internal_race_floor),
+        (ch.boundary_need_exact, ch.boundary_need_bound,
+         ch.boundary_hold_bound, ch.boundary_race_floor),
     )
-    b_stale, b_race, b_stale_b, b_race_b = masks(
-        boundary_need_exact, boundary_need_bound, boundary_hold_bound
-    )
-
-    def count(internal_mask: np.ndarray, boundary_mask: np.ndarray) -> int:
-        return tiles * int(np.count_nonzero(internal_mask)) + int(
-            np.count_nonzero(boundary_mask)
-        )
-
-    counts = {
-        "edges": edges,
-        "stale": count(i_stale, b_stale),
-        "race": count(i_race, b_race),
-        "stale_possible": count(i_stale_b & ~i_stale, b_stale_b & ~b_stale),
-        "race_possible": count(i_race_b & ~i_race, b_race_b & ~b_race),
-        "race_floor": count(internal_race_floor, boundary_race_floor),
-    }
-    need_exact_max = float(
-        max(
-            internal_need_exact.max(initial=-np.inf),
-            boundary_need_exact.max(initial=-np.inf),
-        )
-    )
-    need_exact_min = float(
-        min(
-            internal_need_exact.min(initial=np.inf),
-            boundary_need_exact.min(initial=np.inf),
-        )
-    )
-    need_bound_max = float(
-        max(
-            internal_need_bound.max(initial=-np.inf),
-            boundary_need_bound.max(initial=-np.inf),
-        )
-    )
+    masks = []
+    robust = True
+    for need_exact, need_bound, hold_bound, floor in classes:
+        setup_bound = period - need_bound
+        masks.append(flag_policy(
+            period - need_exact, need_exact, setup_bound, hold_bound, floor
+        ))
+        robust = robust and robust_clean_rows(setup_bound, hold_bound)
+    edges = ch.total_rows
+    counts = flag_counts(edges, [
+        ch.tiles * int(np.count_nonzero(i)) + int(np.count_nonzero(b))
+        for i, b in zip(*masks)
+    ])
+    exact = (ch.internal_need_exact, ch.boundary_need_exact)
+    need_exact_max = float(max(a.max(initial=-np.inf) for a in exact))
+    need_exact_min = float(min(a.min(initial=np.inf) for a in exact))
+    need_bound_max = float(max(
+        a.max(initial=-np.inf)
+        for a in (ch.internal_need_bound, ch.boundary_need_bound)
+    ))
     return ArraySummary(
         period=period,
         edges=edges,
@@ -382,60 +342,11 @@ def _aggregate(
             _bisect_period(need_bound_max) if edges else 0.0
         ),
         timing_clean=counts["stale"] == 0 and counts["race"] == 0,
-        robust_clean=(
-            count(i_stale_b, b_stale_b) == 0 and count(i_race_b, b_race_b) == 0
-        ),
+        robust_clean=robust,
         counts=counts,
-    )
-
-
-def stitched_analysis(
-    spec: TileSpec,
-    tiles_rows: int,
-    tiles_cols: int,
-    period: float,
-    design: Optional[Design] = None,
-) -> ArraySummary:
-    """Analyze the composition from cached tile summaries plus boundary
-    stitching — no per-edge model kernels on a warm cache, any period."""
-    ch = characterize_tile(spec, tiles_rows, tiles_cols, design=design)
-    return _aggregate(
-        ch.tiles,
-        period,
-        ch.internal_need_exact,
-        ch.internal_need_bound,
-        ch.internal_hold_bound,
-        ch.internal_race_floor,
-        ch.boundary_need_exact,
-        ch.boundary_need_bound,
-        ch.boundary_hold_bound,
-        ch.boundary_race_floor,
     )
 
 
 def flat_summary(design: Design) -> ArraySummary:
-    """The oracle: the same aggregates from a full flat analysis."""
-    analysis = analyze_slack(design)
-    stale = analysis.stale_mask
-    race = analysis.race_mask
-    stale_bound = analysis.setup_bound < -SIM_TOL
-    race_bound = analysis.hold_bound <= SIM_TOL
-    counts = {
-        "edges": len(analysis.edges),
-        "stale": int(np.count_nonzero(stale)),
-        "race": int(np.count_nonzero(race)),
-        "stale_possible": int(np.count_nonzero(stale_bound & ~stale)),
-        "race_possible": int(np.count_nonzero(race_bound & ~race)),
-        "race_floor": int(np.count_nonzero(analysis.race_floor_mask)),
-    }
-    return ArraySummary(
-        period=design.period,
-        edges=len(analysis.edges),
-        worst_setup_slack=analysis.worst_setup_slack,
-        worst_hold_slack=analysis.worst_hold_slack,
-        min_feasible_period_exact=minimum_feasible_period(design, "exact"),
-        min_feasible_period_bound=minimum_feasible_period(design, "bound"),
-        timing_clean=analysis.timing_clean,
-        robust_clean=analysis.robust_clean,
-        counts=counts,
-    )
+    """The oracle: the same aggregates from one full flat slack pass."""
+    return analyze_slack(design).summary()

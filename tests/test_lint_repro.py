@@ -121,6 +121,21 @@ def test_howard_kernel_with_karp_oracle_passes():
     )
 
 
+def test_howard_kernel_with_certificate_check_passes():
+    assert not lint_source(
+        "def certify_mcm(fg, cycle):\n    return None\n"
+        "def mcm_howard(fg):\n    return None\n",
+        "sta/flow.py",
+    )
+
+
+def test_howard_kernel_alone_names_every_accepted_checker():
+    violations = lint_source("def mcm_howard(fg):\n    return None\n", "sta/flow.py")
+    assert [v.rule for v in violations] == ["flow-oracle"]
+    for candidate in ("mcm_karp", "mcm_scalar", "certify_mcm"):
+        assert candidate in violations[0].message
+
+
 def test_simulate_loop_without_scalar_oracle_is_flagged():
     violations = lint_source(
         "def simulate_steady_state(comm):\n    return None\n", "sta/flow.py"

@@ -22,6 +22,7 @@ from repro.obs.trace import RecordingTracer
 from repro.sim.clock_distribution import ClockSchedule
 from repro.sim.clocked import ClockedArraySimulator
 from repro.sim.faults import JitteredSchedule
+from repro.check.eco import random_edit
 from repro.sta.design import design_for_workload, random_design
 from repro.sta.eco import ECOSession
 from repro.sta.slack import analyze_slack, minimum_feasible_period
@@ -196,18 +197,57 @@ def test_report_carries_eco_block_and_validates():
     assert validate_sta_report(report.to_dict()) == []
 
 
+SUMMARY_KEYS = [
+    "edges", "stale", "race", "stale_possible", "race_possible", "race_floor",
+    "worst_setup_slack", "worst_hold_slack", "min_feasible_period_exact",
+    "min_feasible_period_bound", "timing_clean", "robust_clean", "edits_applied",
+]
+
+
 def test_counts_and_summary_match_full_analysis():
     session = ECOSession(make_design())
     session.set_period(session.design.period * 0.5)  # force violations
-    full = analyze_slack(session.design)
-    counts = session.counts()
-    assert counts["edges"] == len(full.edges)
-    assert counts["stale"] == int(np.count_nonzero(full.stale_mask))
-    assert counts["race"] == int(np.count_nonzero(full.race_mask))
-    assert session.timing_clean() == full.timing_clean
-    assert session.robust_clean() == full.robust_clean
-    summary = session.summary()
-    assert summary["worst_setup_slack"] == full.worst_setup_slack
+    rng = random.Random(11)
+    graft_serial = [0]
+    for step in range(30):
+        if step:
+            random_edit(rng, session, graft_serial)
+        full = analyze_slack(session.design)
+        counts = session.counts()
+        assert counts == full.counts()
+        assert counts["edges"] == len(full.edges)
+        assert counts["stale"] == int(np.count_nonzero(full.stale_mask))
+        assert counts["race"] == int(np.count_nonzero(full.race_mask))
+        assert session.timing_clean() == full.timing_clean
+        assert session.robust_clean() == full.robust_clean
+        summary = session.summary()
+        assert list(summary) == SUMMARY_KEYS
+        assert summary == {
+            **full.counts(),
+            "worst_setup_slack": full.worst_setup_slack,
+            "worst_hold_slack": full.worst_hold_slack,
+            "min_feasible_period_exact": minimum_feasible_period(session.design, "exact"),
+            "min_feasible_period_bound": minimum_feasible_period(session.design, "bound"),
+            "timing_clean": full.timing_clean,
+            "robust_clean": full.robust_clean,
+            "edits_applied": step + 1,
+        }
+
+
+def test_channel_capacities_hold_every_capacity_edit():
+    session = ECOSession(design_for_workload("matvec", size=4, scheme="serpentine"))
+    edges = session.design.edges()
+    rng = random.Random(5)
+    script = [(edges[3], 2), (edges[3], 2), (edges[1], 2**60), (edges[3], 3),
+              (edges[0], 1), (edges[1], 2**60)]
+    script += [(rng.choice(edges), rng.choice((1, 2, 3, 2**60))) for _ in range(20)]
+    expected = {}
+    for edge, depth in script:
+        session.set_channel_capacity(edge, depth)
+        expected[edge] = depth
+        assert session.channel_capacities == expected
+    # One depth vector in COMM edge order backs the map.
+    assert list(session.channel_capacities) == [e for e in edges if e in expected]
 
 
 def test_wire_override_blocks_simulator():

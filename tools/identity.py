@@ -1,0 +1,313 @@
+"""Parent-vs-change identity harness: record a seeded corpus, diff two records.
+
+Usage::
+
+    python tools/identity.py record OUT --src PATH [--quick]
+    python tools/identity.py diff A B
+
+``record`` imports ``repro`` from ``PATH`` (a tree's ``src`` directory),
+re-executes itself under ``PYTHONHASHSEED=0`` so set and dict orders are
+the same in every run, and runs the STA/ECO/tile corpus below in process.
+It writes one line per case: the case id and the sha256 of a canonical
+JSON dump of the case's outputs (floats by ``repr``, arrays by dtype,
+shape and bytes, dict keys in their own order, ``meta.emitted_at``
+dropped).  ``--quick`` records a tiny slice of the same corpus.
+
+``diff`` prints how many cases differ and the first that does, and exits
+1 on any difference (a case missing from either record counts).
+
+The corpus calls only long-standing public API, so the same script
+records an older checkout of the repository (for example a ``git
+worktree`` of the parent commit) for comparison:
+
+* 132 designs (60 ``random_design`` seeds, and every workload x scheme x
+  size 3-5, with and without race padding), each at 4 periods, and
+  again with the tightest hold edge repadded into the race tolerance:
+  the STA report, DRC rows, the empirical block, both minimum feasible
+  periods from the analyzer, the module function and the closed form,
+  the race padding, the flag masks, the clean bits and the first 50
+  slack rows;
+* 40 ECO sessions of 40 edits each (``repro.check.eco.random_edit``,
+  with a channel-capacity edit every 8th step): counts, clean bits,
+  summary, worst slacks, both periods and the capacity map after every
+  edit; the report and the analysis arrays after every 5th; the audit
+  log at the end;
+* 6 tile compositions at 5 periods each: the flat summary and the
+  stitched one on a cold and on a warm cache.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import json
+import os
+import random
+import sys
+import time
+from typing import Any, Callable, Dict, Iterator, List, Tuple
+
+MODES = ("exact", "bound")
+Case = Tuple[str, Callable[[], Any]]
+
+
+def canon(x: Any) -> Any:
+    """A JSON-safe, order-preserving form of ``x`` that keeps every bit."""
+    import numpy as np
+
+    if x is None or isinstance(x, (bool, int, str)):
+        return x
+    if isinstance(x, float):  # numpy's float64 too: it prints as the same float
+        return {"float": repr(float(x))}
+    if isinstance(x, np.ndarray):
+        data = np.ascontiguousarray(x).tobytes()
+        return {"ndarray": [str(x.dtype), list(x.shape), hashlib.sha256(data).hexdigest()]}
+    if isinstance(x, np.generic):
+        return {type(x).__name__: repr(x.item())}
+    if isinstance(x, dict):
+        return {"dict": [[canon(k), canon(v)] for k, v in x.items()]}
+    if isinstance(x, (list, tuple)):
+        return {type(x).__name__: [canon(v) for v in x]}
+    if dataclasses.is_dataclass(x):
+        return {type(x).__name__: [[f.name, canon(getattr(x, f.name))]
+                                   for f in dataclasses.fields(x)]}
+    return {"repr": repr(x)}
+
+
+def digest(outputs: Any) -> str:
+    text = json.dumps(canon(outputs), separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _report_dict(report: Any) -> Dict[str, Any]:
+    out = report.to_dict()
+    out["meta"].pop("emitted_at", None)
+    return out
+
+
+# ----------------------------------------------------------------------
+# corpus
+# ----------------------------------------------------------------------
+def _periods(design: Any) -> List[float]:
+    """Four periods: most edges stale; the worst setup slack at -5e-13,
+    inside the classification tolerance; the bisected bound-mode minimum;
+    and a loose one."""
+    from repro.sta.slack import (
+        minimum_feasible_period,
+        minimum_feasible_period_closed_form,
+    )
+
+    exact, bound = (minimum_feasible_period(design, m) for m in MODES)
+    edge = minimum_feasible_period_closed_form(design, "exact") - 5e-13
+    chosen = [0.3 * exact, edge, bound, 1.5 * max(exact, bound)]
+    return [p if p > 0.0 else design.period * (i + 1) for i, p in enumerate(chosen)]
+
+
+def _hold_edge(design: Any) -> Any:
+    """The design with its tightest hold edge repadded so that the edge's
+    exact hold slack lands near 5e-13, inside the race tolerance; ``None``
+    when that would need a negative padding."""
+    from repro.sta.slack import analyze_slack
+
+    analysis = analyze_slack(design)
+    i = int(analysis.hold_exact.argmin())
+    edge = analysis.edges[i]
+    pad = design.edge_padding.get(edge, 0.0) + 5e-13 - float(analysis.hold_exact[i])
+    if pad < 0.0:
+        return None
+    padded = design.with_period(design.period)
+    padded.edge_padding[edge] = pad
+    return padded
+
+
+def _signoff(design: Any) -> Dict[str, Any]:
+    from repro.sta.analyzer import STAAnalyzer
+    from repro.sta.drc import run_drc
+    from repro.sta.slack import (
+        analyze_slack,
+        minimum_feasible_period,
+        minimum_feasible_period_closed_form,
+        pad_for_races,
+    )
+
+    analyzer = STAAnalyzer(design)
+    analysis = analyze_slack(design)
+    return {
+        "report": _report_dict(analyzer.report()),
+        "drc": run_drc(design, analysis),
+        "empirical": analyzer.empirical(),
+        "analyzer_periods": [analyzer.minimum_feasible_period(m) for m in MODES],
+        "module_periods": [minimum_feasible_period(design, m) for m in MODES],
+        "closed_form": [minimum_feasible_period_closed_form(design, m) for m in MODES],
+        "padding": pad_for_races(design),
+        "masks": analysis.flag_masks(),
+        "clean": [analysis.timing_clean, analysis.robust_clean],
+        "rows": analysis.rows()[:50],
+    }
+
+
+def design_cases(quick: bool) -> Iterator[Case]:
+    from repro.sta.design import WORKLOADS, design_for_workload, random_design
+
+    builders: List[Tuple[str, Callable[[], Any]]] = []
+    for seed in range(2 if quick else 60):
+        builders.append((f"random/{seed}", lambda seed=seed: random_design(seed)))
+    for workload in WORKLOADS[:1] if quick else WORKLOADS:
+        for scheme in ("serpentine",) if quick else ("serpentine", "kdtree", "star"):
+            for size in (3,) if quick else (3, 4, 5):
+                for pad in (True, False):
+                    builders.append((
+                        f"{workload}-{size}-{scheme}-{'pad' if pad else 'nopad'}",
+                        lambda w=workload, s=size, sc=scheme, p=pad: design_for_workload(
+                            w, size=s, scheme=sc, seed=s, pad_races=p),
+                    ))
+    for name, build in builders:
+        design = build()
+        for i, period in enumerate(_periods(design)):
+            yield (f"design/{name}/p{i}",
+                   lambda d=design.with_period(period): _signoff(d))
+        padded = _hold_edge(design)
+        if padded is not None:
+            yield f"design/{name}/hold-edge", lambda d=padded: _signoff(d)
+
+
+def eco_cases(quick: bool) -> Iterator[Case]:
+    """One session per ``k``, whose step cases must run in order: each
+    applies its edit before it reads the session."""
+    from repro.check.eco import random_edit
+    from repro.sta.design import random_design
+    from repro.sta.eco import ECOSession
+
+    sessions, steps = (1, 8) if quick else (40, 40)
+    for k in range(sessions):
+        rng = random.Random(f"identity-eco|{k}")
+        session = ECOSession(random_design(rng.randrange(2**31)))
+        graft_serial = [0]
+
+        def step(i: int, session: Any = session, rng: Any = rng,
+                 graft_serial: List[int] = graft_serial) -> Dict[str, Any]:
+            if i % 8 == 7:
+                edge = rng.choice(session.design.edges())
+                depth = rng.choice((1, 2, 3, 2, 2**60))
+                session.set_channel_capacity(edge, depth)
+                edit: Any = {"op": "set_channel_capacity", "edge": edge, "depth": depth}
+            else:
+                edit = random_edit(rng, session, graft_serial)
+            out = {
+                "edit": edit,
+                "counts": session.counts(),
+                "clean": [session.timing_clean(), session.robust_clean()],
+                "summary": session.summary(),
+                "worst": [session.worst_setup_slack(), session.worst_hold_slack()],
+                "periods": [session.minimum_feasible_period(m) for m in MODES],
+                "capacities": sorted(session.channel_capacities.items(), key=repr),
+            }
+            if i % 5 == 4:
+                out["report"] = _report_dict(session.report())
+                out["analysis"] = session.analysis()
+            return out
+
+        for i in range(steps):
+            yield f"eco/{k}/step{i}", lambda i=i, step=step: step(i)
+        yield f"eco/{k}/audit", lambda session=session: [
+            [e.op, e.target, e.dirty_rows, e.semantic_dirty_rows, e.edges,
+             e.reuse_fraction, e.to_dict()] for e in session.edits]
+
+
+def tile_cases(quick: bool) -> Iterator[Case]:
+    from repro.sta.tiles import (
+        TileSpec,
+        compose_design,
+        flat_summary,
+        stitched_analysis,
+        tile_cache_clear,
+    )
+
+    compositions = [
+        (TileSpec(4, 4), 2, 2),
+        (TileSpec(4, 4), 4, 4),
+        (TileSpec(2, 5), 2, 8),
+        (TileSpec(4, 4), 1, 1),
+        (TileSpec(3, 3), 1, 4),
+        (TileSpec(8, 8, m=1.5, eps=0.3, delta=0.5), 2, 2),
+    ]
+    for spec, rows, cols in compositions[:1] if quick else compositions:
+        name = f"{spec.rows}x{spec.cols}-m{spec.m}-grid{rows}x{cols}"
+        base = flat_summary(compose_design(spec, rows, cols, 1.0))
+        exact, bound = base.min_feasible_period_exact, base.min_feasible_period_bound
+        periods = [0.25 * exact, 0.9 * exact, exact, bound, 1.5 * bound]
+        for i, period in enumerate(periods[:2] if quick else periods):
+            design = compose_design(spec, rows, cols, period)
+            case = f"tiles/{name}/p{i}"
+            yield f"{case}/flat", lambda d=design: flat_summary(d)
+
+            def cold(spec: Any = spec, rows: int = rows, cols: int = cols,
+                     period: float = period, design: Any = design) -> Any:
+                tile_cache_clear()
+                return stitched_analysis(spec, rows, cols, period, design=design)
+
+            yield f"{case}/cold", cold
+            yield f"{case}/warm", lambda s=spec, r=rows, c=cols, p=period: (
+                stitched_analysis(s, r, c, p))
+
+
+def record(out: str, src: str, quick: bool) -> int:
+    src = os.path.abspath(src)
+    sys.path.insert(0, src)
+    import repro
+
+    if not os.path.abspath(repro.__file__).startswith(src + os.sep):
+        raise SystemExit(f"repro imported from {repro.__file__}, not from {src}")
+    t0 = time.perf_counter()
+    lines = []
+    for cases in (design_cases, eco_cases, tile_cases):
+        for case, run in cases(quick):
+            lines.append(f"{case}\t{digest(run())}\n")
+    with open(out, "w") as fh:
+        fh.writelines(lines)
+    print(f"identity: recorded {len(lines)} cases from {src} "
+          f"in {time.perf_counter() - t0:.1f} s")
+    return 0
+
+
+def _read(path: str) -> Dict[str, str]:
+    with open(path) as fh:
+        return dict(line.rstrip("\n").split("\t") for line in fh if line.strip())
+
+
+def diff(a_path: str, b_path: str) -> int:
+    a, b = _read(a_path), _read(b_path)
+    cases = list(a) + [c for c in b if c not in a]
+    differ = [c for c in cases if a.get(c) != b.get(c)]
+    if differ:
+        print(f"identity: {len(differ)} of {len(cases)} cases differ; "
+              f"first: {differ[0]}")
+        return 1
+    print(f"identity: {len(cases)} cases, 0 differ")
+    return 0
+
+
+def main(argv: List[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    rec = sub.add_parser("record", help="record the corpus of one tree")
+    rec.add_argument("out")
+    rec.add_argument("--src", required=True, help="the tree's src directory")
+    rec.add_argument("--quick", action="store_true", help="a tiny corpus")
+    dif = sub.add_parser("diff", help="compare two records")
+    dif.add_argument("a")
+    dif.add_argument("b")
+    args = parser.parse_args(argv)
+    if args.command == "diff":
+        return diff(args.a, args.b)
+    if os.environ.get("PYTHONHASHSEED") != "0":
+        env = dict(os.environ, PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1")
+        script = os.path.abspath(__file__)
+        os.execve(sys.executable, [sys.executable, script, *argv], env)
+    sys.dont_write_bytecode = True
+    return record(args.out, args.src, args.quick)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

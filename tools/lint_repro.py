@@ -16,12 +16,13 @@ Five rules, each an AST pass over ``src/repro``:
   ``repro.sim`` must accept the opt-in ``tracer=`` and ``metrics=``
   observability kwargs (the PR-1 convention).
 * **flow-oracle** — inside ``repro.sta``, every flow-analysis kernel
-  must have a paired scalar oracle in the same module: a policy-
-  iteration solver ``X_howard`` needs ``X_karp`` or ``X_scalar``, and a
-  convergence simulator ``simulate_X`` needs ``simulate_X_scalar`` —
+  must be checkable in the same module: a policy-iteration solver
+  ``X_howard`` needs a paired oracle (``X_karp`` or ``X_scalar``) or a
+  certificate check ``certify_X`` that verifies its answer exactly, and
+  a convergence simulator ``simulate_X`` needs ``simulate_X_scalar`` —
   the differential suites (``differential-mcm``) compare the production
-  kernel against the oracle bit-for-bit, so a kernel without one is
-  untestable by construction.
+  kernel against the oracle bit-for-bit or certify its answer, so a
+  kernel with neither is untestable by construction.
 * **guarded-trace-event** — outside ``repro.obs`` itself, every
   ``<tracer>.event(...)`` call must sit inside an ``if ....enabled:``
   guard: constructing event payloads unconditionally makes disabled
@@ -171,8 +172,9 @@ def check_seeded_random(tree: ast.Module, rel: str) -> List[LintViolation]:
 # ----------------------------------------------------------------------
 def check_flow_oracles(tree: ast.Module, rel: str) -> List[LintViolation]:
     """Inside ``repro.sta``: ``X_howard`` kernels need an ``X_karp`` /
-    ``X_scalar`` sibling; ``simulate_X`` convergence loops need a
-    ``simulate_X_scalar`` sibling."""
+    ``X_scalar`` oracle or a ``certify_X`` certificate check beside them;
+    ``simulate_X`` convergence loops need a ``simulate_X_scalar``
+    sibling."""
     if not rel.replace("\\", "/").startswith("sta/"):
         return []
     violations: List[LintViolation] = []
@@ -181,7 +183,7 @@ def check_flow_oracles(tree: ast.Module, rel: str) -> List[LintViolation]:
     for func in functions:
         if func.name.endswith("_howard"):
             base = func.name[: -len("_howard")]
-            required = (base + "_karp", base + "_scalar")
+            required = (base + "_karp", base + "_scalar", "certify_" + base)
         elif (
             func.name.startswith("simulate_")
             and not func.name.endswith("_scalar")
@@ -195,8 +197,8 @@ def check_flow_oracles(tree: ast.Module, rel: str) -> List[LintViolation]:
                     "flow-oracle",
                     rel,
                     func.lineno,
-                    f"flow kernel {func.name} has no paired scalar oracle "
-                    f"(expected one of {', '.join(required)})",
+                    f"flow kernel {func.name} has no paired oracle or "
+                    f"certificate check (expected one of {', '.join(required)})",
                 )
             )
     return violations
