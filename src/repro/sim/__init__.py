@@ -2,8 +2,8 @@
 
 Where :mod:`repro.core` reasons with bounds, this package *runs* systems:
 
-* :mod:`repro.sim.events` / :mod:`repro.sim.engine` — a small discrete-event
-  core (priority queue scheduler);
+* :mod:`repro.sim.engine` — a small discrete-event core (a heap-ordered
+  scheduler with FIFO ties);
 * :mod:`repro.sim.clock_distribution` — concrete clock tick arrival times at
   every cell, from a buffered tree and a period (pipelined clocking);
 * :mod:`repro.sim.clocked` — executes systolic programs at those arrival
@@ -22,7 +22,6 @@ from typing import Any, List
 from repro._lazy import exports
 
 __all__, _load = exports(__name__, {
-    "events": ("EventQueue",),
     "engine": ("Simulator",),
     "clock_distribution": ("ClockSchedule",),
     "clocked": ("ClockedArraySimulator", "ClockedRunResult", "TimingViolation"),

@@ -57,6 +57,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import (
     Any,
     Callable,
@@ -412,7 +413,8 @@ class DataflowRunResult:
     backpressure regime: under finite capacities, ``stall_time`` maps each
     cell to the total time it sat data-ready but credit-blocked (waiting
     for a consumer to drain a full channel) and ``max_occupancy`` is the
-    deepest any channel got (always ``<= channel_capacity`` — the engine
+    deepest any channel got, counting the unbounded channels of a
+    per-edge map too (a bounded channel never exceeds its depth — the run
     asserts it).  Both stay ``None`` for unbounded runs, whose behaviour
     is byte-identical to the pre-backpressure simulator.
     """
@@ -491,29 +493,20 @@ class SelfTimedProgramSimulator:
             depths = channel_depths(self._comm, channel_capacity)
             if (depths == 1).any():
                 channel_order(_lower(self._comm), depths)
-        self._capacity_map: Optional[Dict[EdgeKey, int]] = None
-        if isinstance(channel_capacity, Mapping):
-            self._capacity_map = {
-                edge: int(cap) for edge, cap in channel_capacity.items()
-            }
-            channel_capacity = None
-        elif channel_capacity is not None:
-            channel_capacity = int(channel_capacity)
-        self._channel_capacity: Optional[int] = channel_capacity
+            if isinstance(channel_capacity, Mapping):
+                channel_capacity = {
+                    edge: int(cap) for edge, cap in channel_capacity.items()
+                }
+            else:
+                channel_capacity = int(channel_capacity)
+        # The spec the run and the recurrences evaluate (never handed out).
+        self._capacity: CapacitySpec = channel_capacity
         self._compiled: Any = None  # lazy CompiledRecurrence
 
     @property
     def channel_capacity(self) -> CapacitySpec:
-        if self._capacity_map is not None:
-            return dict(self._capacity_map)
-        return self._channel_capacity
-
-    @property
-    def _capacity(self) -> CapacitySpec:
-        """The capacity spec the recurrences evaluate (not copied)."""
-        if self._capacity_map is not None:
-            return self._capacity_map
-        return self._channel_capacity
+        capacity = self._capacity
+        return dict(capacity) if isinstance(capacity, dict) else capacity
 
     def run(self, waves: Optional[int] = None) -> DataflowRunResult:
         n_waves = waves if waves is not None else self._program.cycles
@@ -524,83 +517,61 @@ class SelfTimedProgramSimulator:
             pe.reset()
 
         sim = Simulator(tracer=self._tracer, metrics=self._metrics)
-        cells = self._comm.nodes()
-        # Neighbours in dense-id order: the COMM graph's sets iterate in
-        # hash order, which moves with PYTHONHASHSEED for string cell ids
-        # and would reorder same-time events (and the traced critical path).
-        dense = {c: i for i, c in enumerate(cells)}.__getitem__
-        preds: Dict[CellId, Tuple[CellId, ...]] = {
-            c: tuple(sorted(self._comm.predecessors(c), key=dense)) for c in cells
-        }
-        succs: Dict[CellId, Tuple[CellId, ...]] = {
-            c: tuple(sorted(self._comm.successors(c), key=dense)) for c in cells
-        }
-        # Per-cell progress: next wave to fire, busy-until flag, and the
-        # arrived-but-unconsumed tokens per generation.
-        next_wave: Dict[CellId, int] = {c: 0 for c in cells}
-        busy: Dict[CellId, bool] = {c: False for c in cells}
-        inbox: Dict[CellId, Dict[int, Dict[CellId, Any]]] = {c: {} for c in cells}
-        finish_times: Dict[CellId, float] = {c: 0.0 for c in cells}
+        schedule = sim.schedule
+        comm = self._comm
+        cells = comm.nodes()
+        n = len(cells)
+        # Per-cell state in lists by dense id.  Neighbour rows are in
+        # dense-id order: the COMM graph's sets iterate in hash order,
+        # which moves with PYTHONHASHSEED for string cell ids and would
+        # reorder same-time events (and the traced critical path).
+        dense = {c: i for i, c in enumerate(cells)}
+        preds = [sorted(dense[p] for p in comm.predecessors(c)) for c in cells]
+        succs = [sorted(dense[s] for s in comm.successors(c)) for c in cells]
+        pred_cells = [[cells[p] for p in row] for row in preds]
+        succ_cells = [[cells[s] for s in row] for row in succs]
+        n_preds = [len(row) for row in preds]
+        # A token from ``u`` to its ``j``-th successor fills slot
+        # ``slots[u][j]`` of that successor's inbox row; the consumer
+        # drains occupancy ``[p][j]`` for each ``(p, j)`` in ``drains``.
+        slots = [[preds[v].index(u) for v in row] for u, row in enumerate(succs)]
+        drains = [[(p, succs[p].index(v)) for p in row] for v, row in enumerate(preds)]
+        fires = [pes[c].fire for c in cells]
+        service = self._service
+        wire = self._wire_delay
+        next_wave = [0] * n
+        busy = [False] * n
+        # Arrived-but-unconsumed tokens: per cell, generation -> one value
+        # slot per predecessor followed by the count that has arrived.
+        inbox: List[Dict[int, List[Any]]] = [{} for _ in cells]
+        finish = [0.0] * n
         tracer = self._tracer
         service_hist = self._metrics.histogram("dataflow.service_time")
 
-        # Backpressure state — only materialized for finite capacities so
-        # the unbounded path stays byte-identical (same events, same
-        # floats) to the historical simulator.
-        capacity = self._channel_capacity
-        cap_map = self._capacity_map
-        bounded = capacity is not None or cap_map is not None
-        outstanding: Dict[Tuple[CellId, CellId], int] = {}
-        stall_time: Optional[Dict[CellId, float]] = None
-        blocked_since: Dict[CellId, float] = {}
+        # The credit rule: ``limits[u][j]`` bounds the channel to u's j-th
+        # successor (None = unbounded) and ``occupancy[u][j]`` counts its
+        # tokens in flight.  Only a bounded spec tracks occupancy, stalls
+        # or these two histograms.
+        capacity = self._capacity
+        bounded = capacity is not None
+        limit_of = (
+            capacity.get if isinstance(capacity, dict) else lambda edge: capacity
+        )
+        limits = [
+            [limit_of((c, s)) for s in row] for c, row in zip(cells, succ_cells)
+        ]
+        occupancy = [[0] * len(row) for row in succs]
+        stall = [0.0] * n
+        blocked_since: List[Optional[float]] = [None] * n
         max_occupancy = 0
-        if bounded:
-            outstanding = {(u, v): 0 for u, v in self._comm.edges()}
-            stall_time = {c: 0.0 for c in cells}
-        # Only a bounded run stalls or fills channels, so only it
-        # registers these two histograms.
         backpressure = self._metrics if bounded else NULL_METRICS
         stall_hist = backpressure.histogram("dataflow.stall_time")
         occupancy_hist = backpressure.histogram("dataflow.channel_occupancy")
 
-        def ready(cell: CellId) -> bool:
-            k = next_wave[cell]
-            if k >= n_waves or busy[cell]:
-                return False
-            if k == 0:
-                return True  # wave 0 consumes the initial (empty) registers
-            pending = inbox[cell].get(k - 1, {})
-            return all(src in pending for src in preds[cell])
-
-        def credit_ready(cell: CellId) -> bool:
-            # Capacity k: wave w needs each successor to have consumed
-            # generation w-k, i.e. to have *fired* wave w-k+1 already
-            # (``next_wave`` counts fires, so the threshold is w-k+2).
-            k = next_wave[cell]
-            if cap_map is not None:
-                # Heterogeneous depths: each outgoing edge applies its own
-                # threshold; edges absent from the map are unbounded.
-                for s in succs[cell]:
-                    cap_e = cap_map.get((cell, s))
-                    if (
-                        cap_e is not None
-                        and k >= cap_e
-                        and next_wave[s] < k - cap_e + 2
-                    ):
-                        return False
-                return True
-            if k < capacity:
-                return True
-            floor = k - capacity + 2
-            for s in succs[cell]:
-                if next_wave[s] < floor:
-                    return False
-            return True
-
         def try_fire(
-            cell: CellId,
+            v: int,
             cause: str = "init",
-            src: Optional[CellId] = None,
+            src: Optional[int] = None,
             src_wave: Optional[int] = None,
         ) -> None:
             # ``cause``/``src`` name the state change that made this call:
@@ -609,32 +580,47 @@ class SelfTimedProgramSimulator:
             # what trace-driven critical-path extraction walks back over.
             # ``src_wave`` disambiguates credit causes, whose enabling
             # fire is ``src``'s wave ``w - capacity + 1``, not ``w - 1``.
-            if not ready(cell):
+            k = next_wave[v]
+            if k >= n_waves or busy[v]:
                 return
-            k = next_wave[cell]
-            if bounded and not credit_ready(cell):
-                # Data-ready but the channel to some consumer is full:
-                # the stall clock starts at the first blocked attempt.
-                blocked_since.setdefault(cell, sim.now)
-                return
+            # Wave k consumes generation k-1; wave 0 reads the initial
+            # (empty) registers and a source reads nothing.
+            gen = k - 1 if k and n_preds[v] else None
+            if gen is not None:
+                box = inbox[v].get(gen)
+                if box is None or box[-1] != n_preds[v]:
+                    return
             if bounded:
-                t_blocked = blocked_since.pop(cell, None)
+                # Capacity c: wave k needs each successor to have consumed
+                # generation k-c, i.e. to have *fired* wave k-c+1 already
+                # (``next_wave`` counts fires, so the threshold is k-c+2).
+                for s, cap in zip(succs[v], limits[v]):
+                    if cap is not None and k >= cap and next_wave[s] < k - cap + 2:
+                        # Data-ready but the channel to this consumer is
+                        # full: the stall clock starts at the first blocked
+                        # attempt.
+                        if blocked_since[v] is None:
+                            blocked_since[v] = sim.now
+                        return
+                t_blocked = blocked_since[v]
                 if t_blocked is not None:
+                    blocked_since[v] = None
                     stalled = sim.now - t_blocked
-                    stall_time[cell] += stalled
+                    stall[v] += stalled
                     stall_hist.observe(stalled)
-            inputs: Dict[CellId, Any] = (
-                inbox[cell].pop(k - 1, {}) if k > 0 else {}
-            )
-            if bounded and k > 0:
-                # Consuming generation k-1 drains one slot per input edge.
-                for p in preds[cell]:
-                    outstanding[(p, cell)] -= 1
-            # Lockstep semantics: an input edge with no token yet written
-            # reads as None (the empty register before the first latch).
-            fire_inputs = {src_c: inputs.get(src_c) for src_c in preds[cell]}
-            outputs = pes[cell].fire(fire_inputs)
-            duration = self._service(cell, k)
+            if gen is None:
+                # Lockstep semantics: an input edge with no token yet
+                # written reads as None (the empty register).
+                inputs = dict.fromkeys(pred_cells[v])
+            else:
+                inputs = dict(zip(pred_cells[v], inbox[v].pop(gen)))
+                if bounded:
+                    # Consuming a generation drains one slot per input edge.
+                    for p, j in drains[v]:
+                        occupancy[p][j] -= 1
+            outputs = fires[v](inputs)
+            cell = cells[v]
+            duration = service(cell, k)
             if not 0.0 <= duration < math.inf:
                 _checked_service(duration, f" for {cell!r} wave {k}")
             service_hist.observe(duration)
@@ -642,14 +628,15 @@ class SelfTimedProgramSimulator:
                 # ``finish`` is the same float expression the engine uses
                 # to schedule ``done`` (now + delay), so the recorded
                 # chain telescopes to the reported makespan bit for bit.
+                now = sim.now
                 tracer.event(
-                    sim.now, "dataflow", "fire", cell=cell, wave=k,
-                    start=sim.now, service=duration,
-                    finish=sim.now + duration, cause=cause, src=src,
+                    now, "dataflow", "fire", cell=cell, wave=k,
+                    start=now, service=duration, finish=now + duration,
+                    cause=cause, src=None if src is None else cells[src],
                     src_wave=src_wave,
                 )
-            next_wave[cell] = k + 1
-            busy[cell] = True
+            next_wave[v] = k + 1
+            busy[v] = True
             if bounded:
                 # This fire consumed a generation (and advanced the wave
                 # front), which may return credits to the producers.
@@ -657,62 +644,61 @@ class SelfTimedProgramSimulator:
                 # recursion so deep pipelines can't blow the stack; the
                 # engine's FIFO tie-break keeps same-timestamp order
                 # deterministic.
-                for p in preds[cell]:
-                    sim.schedule(
-                        0.0,
-                        (lambda pp=p, w=k: try_fire(pp, "credit", cell, w)),
-                    )
+                for p in preds[v]:
+                    schedule(0.0, partial(try_fire, p, "credit", v, k))
+            schedule(duration, partial(done, v, k, outputs))
 
-            def deliver(dst: CellId, value: Any, gen: int = k) -> None:
-                inbox[dst].setdefault(gen, {})[cell] = value
-                try_fire(dst, "token", cell)
-
-            def done() -> None:
-                nonlocal max_occupancy
-                busy[cell] = False
-                finish_times[cell] = sim.now
-                for dst in succs[cell]:
-                    value = outputs.get(dst) if outputs else None
-                    if bounded:
-                        count = outstanding[(cell, dst)] + 1
-                        outstanding[(cell, dst)] = count
-                        limit = (
-                            capacity
-                            if cap_map is None
-                            else cap_map.get((cell, dst))
+        def done(u: int, k: int, outputs: Any) -> None:
+            nonlocal max_occupancy
+            busy[u] = False
+            finish[u] = sim.now
+            for j, v in enumerate(succs[u]):
+                value = outputs.get(succ_cells[u][j]) if outputs else None
+                if bounded:
+                    count = occupancy[u][j] + 1
+                    occupancy[u][j] = count
+                    limit = limits[u][j]
+                    if limit is not None and count > limit:
+                        raise AssertionError(
+                            f"channel ({cells[u]!r} -> {cells[v]!r}) exceeded "
+                            f"capacity {limit}: {count} in flight"
                         )
-                        if limit is not None and count > limit:
-                            raise AssertionError(
-                                f"channel ({cell!r} -> {dst!r}) exceeded "
-                                f"capacity {limit}: {count} in flight"
-                            )
-                        if count > max_occupancy:
-                            max_occupancy = count
-                        occupancy_hist.observe(float(count))
-                    sim.schedule(
-                        self._wire_delay,
-                        (lambda d=dst, v=value: deliver(d, v)),
-                    )
-                try_fire(cell, "self")
+                    if count > max_occupancy:
+                        max_occupancy = count
+                    occupancy_hist.observe(float(count))
+                schedule(wire, partial(deliver, u, k, v, slots[u][j], value))
+            try_fire(u, "self")
 
-            sim.schedule(duration, done)
+        def deliver(u: int, gen: int, v: int, slot: int, value: Any) -> None:
+            box = inbox[v].get(gen)
+            if box is None:
+                box = inbox[v][gen] = [None] * n_preds[v] + [0]
+            box[slot] = value
+            box[-1] += 1
+            # Only a token that completes a generation, or one that finds
+            # its receiver data-ready but credit-blocked, can fire it.  The
+            # blocked case matters even for a later generation's token: it
+            # fires the receiver now, ahead of a same-time credit event
+            # that has just unblocked it.
+            if box[-1] == n_preds[v] or blocked_since[v] is not None:
+                try_fire(v, "token", u)
 
-        for cell in cells:
-            try_fire(cell)
+        for v in range(n):
+            try_fire(v)
         processed = sim.run(max_events=None)
 
-        fired = [c for c in cells if next_wave[c] != n_waves]
-        if fired:
+        short = [c for c, k in zip(cells, next_wave) if k != n_waves]
+        if short:
             raise AssertionError(
-                f"dataflow run stalled: {len(fired)} cells short of "
-                f"{n_waves} waves (first: {fired[:3]!r})"
+                f"dataflow run stalled: {len(short)} cells short of "
+                f"{n_waves} waves (first: {short[:3]!r})"
             )
-        makespan = max(finish_times.values(), default=0.0)
+        makespan = max(finish, default=0.0)
         result = self._program.read_result(_ResultFacade(pes))
         if tracer.enabled:
             tracer.event(
                 makespan, "dataflow", "run",
-                waves=n_waves, cells=len(cells), makespan=makespan,
+                waves=n_waves, cells=n, makespan=makespan,
                 channel_capacity=self.channel_capacity,
             )
         self._metrics.gauge("dataflow.makespan").set(makespan)
@@ -723,10 +709,10 @@ class SelfTimedProgramSimulator:
             waves=n_waves,
             makespan=makespan,
             events_processed=processed,
-            finish_times=finish_times,
+            finish_times=dict(zip(cells, finish)),
             channel_capacity=self.channel_capacity,
-            stall_time=stall_time,
-            max_occupancy=(max_occupancy if bounded else None),
+            stall_time=dict(zip(cells, stall)) if bounded else None,
+            max_occupancy=max_occupancy if bounded else None,
         )
 
     def compiled_recurrence(self):
@@ -777,7 +763,7 @@ class SelfTimedProgramSimulator:
         critical_path_from_trace`), whose ``credit`` cause annotations
         carry the capacity back-edges.
         """
-        if self._channel_capacity is not None or self._capacity_map is not None:
+        if self._capacity is not None:
             raise ValueError(
                 "critical_path() replays the unbounded recurrence; for a "
                 "bounded run record a trace and use "

@@ -1,9 +1,13 @@
 """The discrete-event simulation engine.
 
-A thin driver over :class:`~repro.sim.events.EventQueue`: payloads are
-zero-argument callables executed at their scheduled time; callbacks may
-schedule further events.  Time never runs backwards (scheduling in the past
-raises), and the run is fully deterministic for deterministic callbacks.
+Events are ``(time, sequence, action)`` triples in the simulator's own
+binary heap: actions are zero-argument callables executed at their
+scheduled time, and callbacks may schedule further events.  The sequence
+number breaks ties, so equal-time events run strictly in the order they
+were scheduled (FIFO); trace diffing relies on two runs of the same
+deterministic model producing identical event orders.  Time never runs
+backwards (scheduling in the past raises), and the run is fully
+deterministic for deterministic callbacks.
 
 Optionally observable: pass a :class:`~repro.obs.trace.Tracer` to record a
 span per dispatched event (with the wall-clock cost of the callback and
@@ -16,13 +20,14 @@ nothing when disabled.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time as _time
-from typing import Callable, Optional
+from heapq import heappop, heappush
+from typing import Callable, List, Optional, Tuple
 
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.sim.events import EventQueue
 
 Action = Callable[[], None]
 
@@ -35,7 +40,8 @@ class Simulator:
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        self._queue = EventQueue()
+        self._heap: List[Tuple[float, int, Action]] = []
+        self._seq = itertools.count()
         self.now = 0.0
         self.events_processed = 0
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -46,14 +52,14 @@ class Simulator:
         refused)."""
         if not delay >= 0:
             raise ValueError(f"cannot schedule after a delay of {delay!r}")
-        self._queue.push(self.now + delay, action)
+        heappush(self._heap, (self.now + delay, next(self._seq), action))
 
     def schedule_at(self, time: float, action: Action) -> None:
         """Schedule ``action`` at an absolute time >= now (NaN is
         refused)."""
         if not time >= self.now:
             raise ValueError(f"cannot schedule at {time} < now ({self.now})")
-        self._queue.push(time, action)
+        heappush(self._heap, (time, next(self._seq), action))
 
     def run(
         self,
@@ -62,31 +68,35 @@ class Simulator:
     ) -> int:
         """Process events in order until the queue drains, simulated time
         passes ``until``, or ``max_events`` are processed (a runaway guard).
-        Returns the number of events processed in this call."""
+        Returns the number of events processed in this call.
+
+        After each pop the FIFO invariant is asserted: any event still
+        queued at the same time carries a later sequence number."""
         processed = 0
         tracer = self.tracer
         metrics = self.metrics
+        heap = self._heap
         if tracer is NULL_TRACER and metrics is NULL_METRICS:
             # Uninstrumented fast path: no span bookkeeping, no per-event
             # wall-clock reads, no try/finally per dispatch.  The dataflow
-            # and handshake simulators schedule one closure per token, so
+            # and handshake simulators schedule one action per token, so
             # dispatch overhead is a first-order cost at array scale.
-            queue = self._queue
             try:
                 if until is math.inf and max_events is None:
-                    while queue:
-                        time, action = queue.pop()
+                    while heap:
+                        time, seq, action = heappop(heap)
+                        assert not heap or heap[0][:2] > (time, seq)
                         self.now = time
                         processed += 1
                         action()
                 else:
-                    while queue:
-                        next_time = queue.peek_time()
-                        if next_time > until:
+                    while heap:
+                        if heap[0][0] > until:
                             break
                         if max_events is not None and processed >= max_events:
                             break
-                        time, action = queue.pop()
+                        time, seq, action = heappop(heap)
+                        assert not heap or heap[0][:2] > (time, seq)
                         self.now = time
                         processed += 1
                         action()
@@ -100,10 +110,8 @@ class Simulator:
         depth_gauge = metrics.gauge("engine.queue_depth")
         run_t0 = _time.perf_counter()
         try:
-            while self._queue:
-                next_time = self._queue.peek_time()
-                assert next_time is not None
-                if next_time > until:
+            while heap:
+                if heap[0][0] > until:
                     break
                 if max_events is not None and processed >= max_events:
                     # The guard fired with work still queued — a likely runaway
@@ -114,11 +122,12 @@ class Simulator:
                             "engine",
                             "runaway_guard",
                             limit=max_events,
-                            pending=len(self._queue),
+                            pending=len(heap),
                         )
                     metrics.counter("engine.runaway_guards").inc()
                     break
-                time, action = self._queue.pop()
+                time, seq, action = heappop(heap)
+                assert not heap or heap[0][:2] > (time, seq)
                 self.now = time
                 # The popped event counts as processed whether or not its
                 # callback raises: counters, gauges, and the dispatch span
@@ -135,14 +144,14 @@ class Simulator:
                     if tracer.enabled:
                         data = {
                             "wall_s": _time.perf_counter() - t0,
-                            "queue_depth": len(self._queue),
+                            "queue_depth": len(heap),
                         }
                         if failed:
                             data["error"] = True
                         tracer.event(time, "engine", "dispatch", **data)
                     if counting:
                         event_counter.inc()
-                        depth_gauge.set(len(self._queue))
+                        depth_gauge.set(len(heap))
                         if failed:
                             metrics.counter("engine.dispatch_errors").inc()
             if tracer.enabled:
@@ -154,7 +163,7 @@ class Simulator:
                     "engine",
                     "run",
                     processed=processed,
-                    pending=len(self._queue),
+                    pending=len(heap),
                     wall_s=_time.perf_counter() - run_t0,
                 )
         finally:
@@ -163,4 +172,5 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        return len(self._queue)
+        """How many events are queued."""
+        return len(self._heap)

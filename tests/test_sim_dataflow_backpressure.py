@@ -88,6 +88,101 @@ class TestGoldenUnbounded:
         assert run.result == [-3.5, -2.6, -1.5, -1.0, 3.0, 4.0, 5.0, 9.0]
 
 
+class TestGoldenBounded:
+    """Bounded runs are pinned too: the event count, each cell's stall
+    time and the deepest channel, recorded against the dict-keyed
+    simulator before its dense-id rewrite."""
+
+    def test_fir_capacity_one_golden(self):
+        run = _fir_sim(1).run()
+        assert repr(run.makespan) == "67.25"
+        assert run.events_processed == 432
+        assert run.max_occupancy == 1
+        assert run.stall_time == {
+            "src": 28.25, 0: 18.25, 1: 16.5, 2: 14.5, 3: 5.25, "snk": 0.0,
+        }
+        assert list(run.stall_time) == ["src", 0, 1, 2, 3, "snk"]
+
+    def test_fir_capacity_two_golden(self):
+        run = _fir_sim(2).run()
+        assert repr(run.makespan) == "50.75"
+        assert run.events_processed == 432
+        assert run.max_occupancy == 2
+        assert run.stall_time == {
+            "src": 4.25, 0: 5.0, 1: 8.75, 2: 10.0, 3: 2.5, "snk": 0.0,
+        }
+
+    def test_sorter_capacity_two_golden(self):
+        run = _sorter_sim(2).run()
+        assert repr(run.makespan) == "19.5"
+        assert run.events_processed == 324
+        assert run.max_occupancy == 2
+        assert run.stall_time == {c: 0.0 for c in range(8)}
+
+
+class TestRetryRule:
+    """A delivered token retries its receiver even when it is not the
+    token the receiver waits on, if the receiver is data-ready but
+    credit-blocked: a later-generation token can then fire it before a
+    same-time zero-delay credit event does.  Both witnesses were recorded
+    against the simulator that retried on every token."""
+
+    def test_fire_causes_follow_every_token_retry(self):
+        tracer = RecordingTracer()
+        SelfTimedProgramSimulator(
+            build_fir_array([0.5, -0.25], [1.0, -2.0]),
+            service=hashed_service(1.0, 3.0, 0.25, seed=67),
+            wire_delay=1.0,
+            tracer=tracer,
+            channel_capacity={(0, 1): 1, (1, "snk"): 2},
+        ).run()
+        fires = [
+            (e.cell, e.data["wave"], e.data["cause"], e.data["src"],
+             e.data["src_wave"])
+            for e in tracer.by_kind("dataflow", "fire")
+        ]
+        assert fires[19] == (0, 3, "token", "src", None)
+        assert fires == [
+            ("src", 0, "init", None, None), (0, 0, "init", None, None),
+            (1, 0, "init", None, None), ("snk", 0, "init", None, None),
+            ("src", 1, "self", None, None), ("snk", 1, "token", 1, None),
+            ("src", 2, "self", None, None), (1, 1, "token", 0, None),
+            (0, 1, "credit", 1, 1), ("src", 3, "self", None, None),
+            ("src", 4, "self", None, None), ("snk", 2, "token", 1, None),
+            (1, 2, "token", 0, None), (0, 2, "credit", 1, 2),
+            ("src", 5, "self", None, None), ("src", 6, "self", None, None),
+            ("snk", 3, "token", 1, None), ("src", 7, "self", None, None),
+            (1, 3, "token", 0, None), (0, 3, "token", "src", None),
+            ("src", 8, "self", None, None), ("snk", 4, "token", 1, None),
+            (1, 4, "token", 0, None), (0, 4, "credit", 1, 4),
+            ("src", 9, "self", None, None), ("src", 10, "self", None, None),
+            ("snk", 5, "token", 1, None), (1, 5, "token", 0, None),
+            (0, 5, "credit", 1, 5), ("src", 11, "self", None, None),
+            ("src", 12, "self", None, None), (1, 6, "token", 0, None),
+            (0, 6, "credit", 1, 6), ("snk", 6, "self", None, None),
+            (1, 7, "token", 0, None), (0, 7, "credit", 1, 7),
+            ("snk", 7, "self", None, None), (1, 8, "token", 0, None),
+            (0, 8, "credit", 1, 8), ("snk", 8, "self", None, None),
+            (1, 9, "credit", "snk", 8), (0, 9, "credit", 1, 9),
+            ("snk", 9, "self", None, None), (1, 10, "credit", "snk", 9),
+            (0, 10, "credit", 1, 10), ("snk", 10, "self", None, None),
+            (1, 11, "credit", "snk", 10), (0, 11, "credit", 1, 11),
+            ("snk", 11, "self", None, None), (1, 12, "self", None, None),
+            (0, 12, "credit", 1, 12), ("snk", 12, "token", 1, None),
+        ]
+
+    def test_occupancy_follows_every_token_retry(self):
+        run = SelfTimedProgramSimulator(
+            build_fir_array([0.5, -0.25, 1.0], [1.0, -2.0, 3.0, -4.0, 5.0, -6.0]),
+            service=hashed_service(1.0, 3.0, 0.25, seed=141),
+            wire_delay=1.0,
+            channel_capacity={(0, 1): 3, (1, 2): 3, (2, "snk"): 3},
+        ).run(17)
+        assert run.max_occupancy == 8
+        assert run.events_processed == 221
+        assert run.makespan == 39.0
+
+
 class TestCapacitySemantics:
     @pytest.mark.parametrize("capacity", [1, 2, 3, 5])
     def test_three_paths_agree_fir(self, capacity):

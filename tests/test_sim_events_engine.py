@@ -1,65 +1,102 @@
 """Unit tests for the discrete-event core."""
 
+import math
+
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.sim.events import EventQueue
+
+
+def _logging(sim, log):
+    """``schedule_at(time, label)``: queue an action that logs ``label``."""
+    def schedule_at(time, label):
+        sim.schedule_at(time, lambda: log.append(label))
+    return schedule_at
 
 
 class TestEventQueue:
+    """The event-queue contracts, held by the simulator's own heap:
+    time order, FIFO ties, refused times, and ``pending`` for the
+    queue's length, truth value and earliest time."""
+
     def test_time_ordering(self):
-        q = EventQueue()
-        q.push(3.0, "c")
-        q.push(1.0, "a")
-        q.push(2.0, "b")
-        assert [q.pop()[1] for _ in range(3)] == ["a", "b", "c"]
+        sim, log = Simulator(), []
+        push = _logging(sim, log)
+        push(3.0, "c")
+        push(1.0, "a")
+        push(2.0, "b")
+        sim.run()
+        assert log == ["a", "b", "c"]
 
     def test_stable_tie_breaking(self):
-        q = EventQueue()
-        q.push(1.0, "first")
-        q.push(1.0, "second")
-        assert q.pop()[1] == "first"
-        assert q.pop()[1] == "second"
+        sim, log = Simulator(), []
+        push = _logging(sim, log)
+        push(1.0, "first")
+        push(1.0, "second")
+        assert sim.run(max_events=1) == 1
+        assert log == ["first"]
+        sim.run()
+        assert log == ["first", "second"]
 
     def test_peek(self):
-        q = EventQueue()
-        assert q.peek_time() is None
-        q.push(5.0, "x")
-        assert q.peek_time() == 5.0
-        assert len(q) == 1
+        """``run(until=...)`` stops short of the earliest queued time."""
+        sim, log = Simulator(), []
+        assert sim.pending == 0
+        _logging(sim, log)(5.0, "x")
+        assert sim.pending == 1
+        assert sim.run(until=4.999) == 0
+        assert sim.now == 0.0 and sim.pending == 1
+        assert sim.run(until=5.0) == 1
+        assert sim.now == 5.0 and log == ["x"]
 
-    def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            EventQueue().pop()
+    def test_run_on_empty_queue_processes_nothing(self):
+        sim = Simulator()
+        assert sim.run() == 0
+        assert sim.run(until=1.0, max_events=3) == 0
+        assert sim.now == 0.0 and sim.events_processed == 0
 
     def test_rejects_negative_time(self):
-        with pytest.raises(ValueError):
-            EventQueue().push(-1.0, "x")
+        for bad in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                Simulator().schedule_at(bad, lambda: None)
+            with pytest.raises(ValueError):
+                Simulator().schedule(bad, lambda: None)
+        assert Simulator().pending == 0
 
     def test_bool(self):
-        q = EventQueue()
-        assert not q
-        q.push(0.0, "x")
-        assert q
+        sim = Simulator()
+        assert not sim.pending
+        sim.schedule(0.0, lambda: None)
+        assert sim.pending
 
     def test_fifo_order_for_equal_times(self):
         """Regression: equal-time events must pop in push order (FIFO) —
         trace diffing relies on runs being event-for-event identical."""
-        q = EventQueue()
+        sim, log = Simulator(), []
+        push = _logging(sim, log)
         for i in range(50):
-            q.push(1.0, i)
-        assert [q.pop()[1] for _ in range(50)] == list(range(50))
+            push(1.0, i)
+        sim.run()
+        assert log == list(range(50))
 
     def test_fifo_survives_interleaved_push_pop(self):
-        q = EventQueue()
-        q.push(1.0, "a")
-        q.push(1.0, "b")
-        assert q.pop()[1] == "a"
-        q.push(1.0, "c")  # pushed after b, must pop after b
-        q.push(0.5, "early")
-        assert q.pop()[1] == "early"
-        assert q.pop()[1] == "b"
-        assert q.pop()[1] == "c"
+        sim, log = Simulator(), []
+        push = _logging(sim, log)
+        push(1.0, "a")
+        push(1.0, "b")
+        sim.run(max_events=1)
+        assert log == ["a"]
+        push(1.0, "c")  # pushed after b, must pop after b
+        push(1.0, "d")
+        sim.run()
+        assert log == ["a", "b", "c", "d"]
+        fresh, early = Simulator(), []
+        push = _logging(fresh, early)
+        push(1.0, "a")
+        push(1.0, "b")
+        push(0.5, "early")  # pushed last, pops first: time wins over order
+        fresh.run()
+        assert early == ["early", "a", "b"]
 
 
 class TestSimulator:

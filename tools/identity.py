@@ -33,7 +33,17 @@ worktree`` of the parent commit) for comparison:
   edit; the report and the analysis arrays after every 5th; the audit
   log at the end;
 * 6 tile compositions at 5 periods each: the flat summary and the
-  stitched one on a cold and on a warm cache.
+  stitched one on a cold and on a warm cache;
+* 1,000 event-driven dataflow runs (``SelfTimedProgramSimulator``):
+  fir, matvec, sorter and matmul at sizes 2-7; dyadic per-cell,
+  two-speed hashed, constant and RNG-stream services; wires 0-1.0;
+  unbounded, uniform depths 1/2/3/5 and per-edge maps that leave some
+  edges unbounded; a tracer and a metrics registry each on about half.
+  Every result field, the trace without ``wall_s``, the metrics and the
+  recurrence makespan, or the deadlock cycle of a refused spec;
+* 200 signal-level handshake runs (unbuffered and buffered pipelines,
+  credit pipelines, join wavefronts), a tracer and metrics each on
+  about half: every result field, the trace and the metrics.
 """
 
 from __future__ import annotations
@@ -252,6 +262,151 @@ def tile_cases(quick: bool) -> Iterator[Case]:
                 stitched_analysis(s, r, c, p))
 
 
+def _observers(traced: bool, metered: bool) -> Tuple[Any, Any]:
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.trace import RecordingTracer
+
+    return (RecordingTracer() if traced else None,
+            MetricsRegistry() if metered else None)
+
+
+def _observed(out: Dict[str, Any], tracer: Any, metrics: Any) -> Dict[str, Any]:
+    """``out`` plus the trace (wall-clock fields dropped) and metrics."""
+    if tracer is not None:
+        out["trace"] = [
+            [e.t, e.cat, e.kind, e.cell,
+             {k: v for k, v in e.data.items() if k not in ("wall_s", "wall_t0")}]
+            for e in tracer.events]
+    if metrics is not None:
+        out["metrics"] = metrics.to_dict()
+    return out
+
+
+def _dataflow_program(family: str, size: int, rng: random.Random) -> Any:
+    from repro.arrays import systolic
+
+    def values(n: int) -> List[float]:
+        return [rng.randrange(-64, 64) / 16 for _ in range(n)]
+
+    if family == "fir":
+        return systolic.build_fir_array(values(max(2, size // 2)), values(size))
+    if family == "matvec":
+        return systolic.build_matvec_array([values(size) for _ in range(size)],
+                                           values(size))
+    if family == "sorter":
+        return systolic.build_odd_even_sorter(values(size))
+    return systolic.build_mesh_matmul([values(size) for _ in range(size)],
+                                      [values(size) for _ in range(size)])
+
+
+def _dataflow_service(kind: str, cells: List[Any], rng: random.Random) -> Any:
+    from repro.sim import dataflow
+
+    if kind == "dyadic":
+        return dataflow.per_cell_service(
+            {c: 1.0 + rng.randrange(8) / 8 for c in cells})
+    if kind == "hashed":
+        return dataflow.hashed_service(
+            1.0, rng.choice((2.0, 3.0)), rng.choice((0.1, 0.25, 0.5)),
+            seed=rng.randrange(1000))
+    if kind == "constant":
+        return dataflow.constant_service(rng.choice((0.5, 1.0)))
+    # A service that draws from one stream: its values follow call order.
+    stream = random.Random(rng.randrange(1000))
+    return lambda cell, wave: 1.0 + stream.randrange(8) / 8
+
+
+def _dataflow_run(spec: Dict[str, Any]) -> Dict[str, Any]:
+    from repro.sim.dataflow import ChannelDeadlockError, SelfTimedProgramSimulator
+
+    rng = random.Random(spec["seed"])
+    program = _dataflow_program(spec["family"], spec["size"], rng)
+    comm = program.array.comm
+    capacity = spec["capacity"]
+    if capacity == "map":
+        capacity = {e: rng.choice((1, 2, 3)) for e in comm.edges()
+                    if rng.random() < 0.6}
+    service = _dataflow_service(spec["service"], comm.nodes(), rng)
+    tracer, metrics = _observers(spec["traced"], spec["metered"])
+    try:
+        sim = SelfTimedProgramSimulator(
+            program, service=service, wire_delay=spec["wire"], tracer=tracer,
+            metrics=metrics, channel_capacity=capacity)
+    except ChannelDeadlockError as exc:
+        return {"deadlock": exc.cycle}
+    out = {"run": sim.run(spec["waves"]),
+           "recurrence": sim.recurrence_makespan(spec["waves"])}
+    return _observed(out, tracer, metrics)
+
+
+#: The quick slice: a traced bounded run and a per-edge map among them.
+_QUICK_DATAFLOW = (
+    {"family": "fir", "size": 4, "service": "hashed", "wire": 0.25,
+     "capacity": 1, "waves": None, "traced": True, "metered": True, "seed": 3},
+    {"family": "sorter", "size": 5, "service": "stream", "wire": 0.5,
+     "capacity": "map", "waves": None, "traced": True, "metered": False, "seed": 4},
+    {"family": "matvec", "size": 3, "service": "dyadic", "wire": 1.0,
+     "capacity": None, "waves": 7, "traced": False, "metered": False, "seed": 1},
+    {"family": "sorter", "size": 3, "service": "constant", "wire": 0.0,
+     "capacity": 1, "waves": None, "traced": False, "metered": True, "seed": 0},
+)
+
+
+def _dataflow_spec(i: int) -> Dict[str, Any]:
+    rng = random.Random(f"identity-dataflow|{i}")
+    return {
+        "family": rng.choice(("fir", "matvec", "sorter", "matmul")),
+        "size": rng.randint(2, 7),
+        "service": rng.choice(("dyadic", "hashed", "constant", "stream")),
+        "wire": rng.choice((0.0, 0.25, 0.5, 1.0)),
+        "capacity": rng.choice((None, 1, 2, 3, 5, "map", "map")),
+        "waves": rng.randint(1, 30) if rng.random() < 0.25 else None,
+        "traced": rng.random() < 0.5,
+        "metered": rng.random() < 0.5,
+        "seed": rng.randrange(2**31),
+    }
+
+
+def dataflow_cases(quick: bool) -> Iterator[Case]:
+    specs = _QUICK_DATAFLOW if quick else [_dataflow_spec(i) for i in range(1000)]
+    for i, spec in enumerate(specs):
+        name = f"{spec['family']}-{spec['size']}-{spec['service']}-cap{spec['capacity']}"
+        yield f"dataflow/{i}/{name}", lambda spec=spec: _dataflow_run(spec)
+
+
+def _handshake_run(kind: str, seed: int) -> Dict[str, Any]:
+    from repro.sim import handshake
+    from repro.sim.selftimed import two_point_sampler
+
+    rng = random.Random(seed)
+    sampler = two_point_sampler(1.0, rng.choice((1.5, 2.0, 3.0)),
+                                rng.choice((0.1, 0.3)))
+    wire = rng.choice((0.0, 0.1, 0.5, 1.0))
+    tracer, metrics = _observers(rng.random() < 0.5, rng.random() < 0.5)
+    common = {"wire_delay": wire, "seed": rng.randrange(1000), "tracer": tracer,
+              "metrics": metrics}
+    if kind == "wavefront":
+        result = handshake.run_handshake_wavefront(
+            rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 15), sampler,
+            **common)
+    elif kind == "credit":
+        result = handshake.run_credit_pipeline(
+            rng.randint(1, 8), rng.randint(1, 30), sampler,
+            credits=rng.randint(1, 4), **common)
+    else:
+        result = handshake.run_handshake_pipeline(
+            rng.randint(1, 8), rng.randint(1, 30), sampler,
+            buffered=kind == "buffered", **common)
+    return _observed({"result": result}, tracer, metrics)
+
+
+def handshake_cases(quick: bool) -> Iterator[Case]:
+    kinds = ("pipeline", "buffered", "credit", "wavefront")
+    for i in range(len(kinds) if quick else 200):
+        kind = kinds[i % len(kinds)]
+        yield f"handshake/{i}/{kind}", lambda k=kind, i=i: _handshake_run(k, i)
+
+
 def record(out: str, src: str, quick: bool) -> int:
     src = os.path.abspath(src)
     sys.path.insert(0, src)
@@ -261,7 +416,8 @@ def record(out: str, src: str, quick: bool) -> int:
         raise SystemExit(f"repro imported from {repro.__file__}, not from {src}")
     t0 = time.perf_counter()
     lines = []
-    for cases in (design_cases, eco_cases, tile_cases):
+    for cases in (design_cases, eco_cases, tile_cases, dataflow_cases,
+                  handshake_cases):
         for case, run in cases(quick):
             lines.append(f"{case}\t{digest(run())}\n")
     with open(out, "w") as fh:
