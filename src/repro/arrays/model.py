@@ -8,7 +8,7 @@ together.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, List, Optional, Tuple
+from typing import Any, Hashable, List, Optional, Tuple
 
 from repro.geometry.layout import Layout
 from repro.graphs.comm import CommGraph
@@ -30,6 +30,9 @@ class ProcessorArray:
     name: str = "array"
     host: Optional[CellId] = None
     _pairs_cache: Optional[Tuple[int, List[Tuple[CellId, CellId]]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _distances_cache: Optional[Tuple[int, Any]] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -55,6 +58,25 @@ class ProcessorArray:
         if self._pairs_cache is None or self._pairs_cache[0] != self.comm.version:
             self._pairs_cache = (self.comm.version, self.comm.communicating_pairs())
         return self._pairs_cache[1]
+
+    def edge_distances(self) -> Any:
+        """Manhattan distance of every directed COMM edge, in
+        ``comm.edges()`` order: a read-only float64 array, each entry
+        bit-equal to ``layout.distance(u, v)``.  Cached per graph version,
+        as :meth:`communicating_pairs` is; cells do not move once the
+        array is built."""
+        if self._distances_cache is None or self._distances_cache[0] != self.comm.version:
+            import numpy as np  # here: importing the array loads no numpy
+
+            low = self.comm.lowering()
+            points = list(map(self.layout.__getitem__, low.cells))
+            x = np.array([p.x for p in points], dtype=np.float64)
+            y = np.array([p.y for p in points], dtype=np.float64)
+            src, dst = low.chan_src, low.chan_dst
+            distances = np.abs(x[src] - x[dst]) + np.abs(y[src] - y[dst])
+            distances.flags.writeable = False
+            self._distances_cache = (self.comm.version, distances)
+        return self._distances_cache[1]
 
     def max_communication_distance(self) -> float:
         """Longest Manhattan distance between communicating cells.

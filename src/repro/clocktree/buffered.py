@@ -83,15 +83,14 @@ class BufferedClockTree:
         self._segment_delays = []
         self._buffer_count = 0
         self._arrival_vectors = None
-        for node in self.tree.nodes():
-            if node == self.tree.root:
-                continue
-            parent = self.tree.parent(node)
-            length = self.tree.edge_length(node)
-            rise, fall = self._edge_delay(parent, node, length)
-            self._arrival_rise[node] = self._arrival_rise[parent] + rise
-            self._arrival_fall[node] = self._arrival_fall[parent] + fall
-        self._tree_version = self.tree.version
+        tree = self.tree
+        rise_at, fall_at = self._arrival_rise, self._arrival_fall
+        for node in tree.nodes()[1:]:  # the root comes first
+            parent = tree.parent(node)
+            rise, fall = self._edge_delay(parent, node, tree.edge_length(node))
+            rise_at[node] = rise_at[parent] + rise
+            fall_at[node] = fall_at[parent] + fall
+        self._tree_version = tree.version
 
     def _sync(self) -> None:
         """Rebuild when the geometric tree mutated since the last build.
@@ -119,18 +118,21 @@ class BufferedClockTree:
         seg_length = length / segments
         p0 = self.tree.position(parent)
         p1 = self.tree.position(node)
+        x0, y0, dx, dy = p0.x, p0.y, p1.x - p0.x, p1.y - p0.y
+        sample_at = self._wire_variation.sample_at
+        draw = self._buffer_model.draw
+        delays = self._segment_delays
         rise_total = 0.0
         fall_total = 0.0
+        # Per segment: the wire sample at its midpoint, then one stage.
         for i in range(segments):
             frac = (i + 0.5) / segments
-            mid_x = p0.x + (p1.x - p0.x) * frac
-            mid_y = p0.y + (p1.y - p0.y) * frac
-            wire = seg_length * self._wire_variation.sample_at(mid_x, mid_y)
-            buf = self._buffer_model.sample_stage()
-            self._buffer_count += 1
-            rise_total += wire + buf.delay_rise
-            fall_total += wire + buf.delay_fall
-            self._segment_delays.append(wire + buf.max_delay)
+            wire = seg_length * sample_at(x0 + dx * frac, y0 + dy * frac)
+            rise, fall = draw()
+            rise_total += wire + rise
+            fall_total += wire + fall
+            delays.append(wire + max(rise, fall))
+        self._buffer_count += segments
         return rise_total, fall_total
 
     def resample(self, seed: int) -> None:
@@ -187,17 +189,13 @@ class BufferedClockTree:
         reuse the tree's memoized pair-to-id translation."""
         self._sync()
         if self._arrival_vectors is None:
-            index = self.tree.lca_index()
-            n = len(index)
-            rise = np.fromiter(
-                (self._arrival_rise[index.node(i)] for i in range(n)),
-                dtype=np.float64, count=n,
+            # _build fills both maps root first, then in the tree's
+            # insertion order, which is its dense numbering.
+            n = len(self._arrival_rise)
+            self._arrival_vectors = (
+                np.fromiter(self._arrival_rise.values(), dtype=np.float64, count=n),
+                np.fromiter(self._arrival_fall.values(), dtype=np.float64, count=n),
             )
-            fall = np.fromiter(
-                (self._arrival_fall[index.node(i)] for i in range(n)),
-                dtype=np.float64, count=n,
-            )
-            self._arrival_vectors = (rise, fall)
         return self._arrival_vectors
 
     def skew_batch(

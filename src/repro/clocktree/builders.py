@@ -60,10 +60,13 @@ def kdtree_clock(array: ProcessorArray) -> ClockTree:
     cells = array.comm.nodes()
     if not cells:
         raise ValueError("empty array")
+    # Coordinates as tuples, once: the sort keys of the two axes.
+    xy = {c: (p.x, p.y) for c, p in zip(cells, map(array.layout.__getitem__, cells))}
+    yx = {c: (y, x) for c, (x, y) in xy.items()}
 
     def centroid(group: Sequence[CellId]) -> Point:
-        xs = [array.layout[c].x for c in group]
-        ys = [array.layout[c].y for c in group]
+        xs = [xy[c][0] for c in group]
+        ys = [xy[c][1] for c in group]
         return Point(sum(xs) / len(xs), sum(ys) / len(ys))
 
     tree = ClockTree(ROOT, centroid(cells))
@@ -75,8 +78,7 @@ def kdtree_clock(array: ProcessorArray) -> ClockTree:
             cell = group[0]
             tree.add_child(parent, cell, array.layout[cell])
             continue
-        group.sort(key=lambda c: (array.layout[c].x, array.layout[c].y) if axis == 0
-                   else (array.layout[c].y, array.layout[c].x))
+        group.sort(key=xy.__getitem__ if axis == 0 else yx.__getitem__)
         mid = len(group) // 2
         for half in (group[:mid], group[mid:]):
             counter += 1

@@ -118,11 +118,9 @@ class ClockTree:
         self._edge_length[node] = float(length)
         store = self._store
         pid = store.id[parent]
+        # The buffers, not the length-n views, which cost a slice each.
         store.append(
-            node,
-            pid,
-            int(store.depth[pid]) + 1,
-            float(store.rd[pid] + float(length)),
+            node, pid, int(store._depth[pid]) + 1, float(store._rd[pid] + float(length))
         )
         self._leaves_cache = None
         self._version += 1
@@ -202,6 +200,10 @@ class ClockTree:
 
     def children(self, node: NodeId) -> List[NodeId]:
         return list(self._children[node])
+
+    def max_arity(self) -> int:
+        """The most children any node has (A4 allows two)."""
+        return max(map(len, self._children.values()))
 
     def children_map(self) -> Dict[NodeId, List[NodeId]]:
         """The ``children`` mapping in the form the Lemma 5 separator takes."""
@@ -382,12 +384,11 @@ class ClockTree:
     def is_equidistant(self, nodes: Iterable[NodeId], tolerance: float = 1e-9) -> bool:
         """True when all given nodes have equal root distance — the property
         H-tree clocking establishes so that the difference model sees d = 0."""
-        idx = self._store.id
-        rd = self._store.rd
-        distances = [float(rd[idx[n]]) for n in nodes]
-        if not distances:
+        nodes = nodes if isinstance(nodes, (list, tuple)) else list(nodes)
+        if not nodes:
             return True
-        return max(distances) - min(distances) <= tolerance
+        distances = self._store.rd[_gather_ids(self._store.id, nodes)]
+        return float(distances.max()) - float(distances.min()) <= tolerance
 
     def validate(self) -> None:
         """Check structural invariants (parent/child consistency, arity,

@@ -79,7 +79,7 @@ def check_a3_rectilinear_wires(array: ProcessorArray, tolerance: float = 1e-9) -
 def check_a4_clock_tree(array: ProcessorArray, tree: ClockTree) -> AssumptionCheck:
     """A4: CLK is a rooted binary tree containing every clocked cell."""
     missing = [c for c in array.comm.nodes() if c not in tree]
-    binary = all(len(tree.children(n)) <= 2 for n in tree.nodes())
+    binary = tree.max_arity() <= 2
     try:
         tree.validate()
         valid = True
@@ -143,9 +143,10 @@ def check_a9_equidistance(array: ProcessorArray, tree: ClockTree, tolerance: flo
     an assumption per se but the property H-tree schemes establish so that
     f(d) stays at f(0)."""
     ok = tree.is_equidistant(array.comm.nodes(), tolerance)
-    worst = max(
-        tree.path_difference(a, b) for a, b in array.communicating_pairs()
-    )
+    # Over the directed edges: d is symmetric, so the worst is the same
+    # float, and the tree has already memoized d over this edge tuple.
+    d, _ = tree.path_metrics_batch(array.comm.lowering().edges)
+    worst = float(d.max())
     return AssumptionCheck(
         "A9-readiness (equidistant cells, d = 0)",
         holds=ok,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 
 @dataclass(frozen=True)
@@ -91,12 +91,19 @@ class InverterPairModel:
             nominal=self.nominal, bias=self.bias, variance=self.variance, seed=seed
         )
 
-    def sample_stage(self) -> Buffer:
+    def draw(self) -> Tuple[float, float]:
+        """The next stage's ``(rise, fall)`` delays as plain floats: the
+        stream :meth:`sample_stage` reads, without building a
+        :class:`Buffer`."""
         noise = self._rng.gauss(0.0, self.variance**0.5) if self.variance > 0 else 0.0
         discrepancy = self.bias + noise
         half = 0.5 * discrepancy
         rise = max(1e-6 * self.nominal, self.nominal + half)
         fall = max(1e-6 * self.nominal, self.nominal - half)
+        return rise, fall
+
+    def sample_stage(self) -> Buffer:
+        rise, fall = self.draw()
         return Buffer(delay_rise=rise, delay_fall=fall)
 
     def sample_string(self, n: int) -> List[Buffer]:

@@ -16,17 +16,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Any
 
 
 class WireDelayModel:
     """Delay of a wire as a function of its physical length."""
 
     def delay(self, length: float) -> float:
-        raise NotImplementedError
-
-    def _check(self, length: float) -> None:
+        """Delay of one wire; refuses a negative length."""
         if length < 0:
             raise ValueError("wire length must be non-negative")
+        return self.formula(length)
+
+    def formula(self, length: Any) -> Any:
+        """The model's arithmetic, unchecked: on one length, or elementwise
+        on a float64 array of non-negative lengths.  It is the one
+        expression both forms run, so they agree bit for bit."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -43,8 +49,7 @@ class LinearWireModel(WireDelayModel):
         if not 0 < self.m < math.inf:
             raise ValueError("per-unit delay m must be positive and finite")
 
-    def delay(self, length: float) -> float:
-        self._check(length)
+    def formula(self, length: Any) -> Any:
         return self.m * length
 
 
@@ -69,8 +74,7 @@ class ElmoreWireModel(WireDelayModel):
         if self.driver_resistance < 0 or self.load_capacitance < 0:
             raise ValueError("lumped parasitics must be non-negative")
 
-    def delay(self, length: float) -> float:
-        self._check(length)
+    def formula(self, length: Any) -> Any:
         wire = 0.5 * self.r * self.c * length * length
         driver = self.driver_resistance * (self.c * length + self.load_capacitance)
         into_load = self.r * length * self.load_capacitance

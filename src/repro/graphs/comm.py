@@ -11,12 +11,15 @@ from __future__ import annotations
 
 from collections import deque
 from typing import (
+    Any,
+    Callable,
     Dict,
     FrozenSet,
     Hashable,
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Set,
     Tuple,
@@ -24,6 +27,23 @@ from typing import (
 
 NodeId = Hashable
 Edge = Tuple[NodeId, NodeId]
+
+
+class Lowering(NamedTuple):
+    """A COMM graph in dense ids: ``chan_src``/``chan_dst`` in ``edges``
+    (:meth:`CommGraph.edges`, the row order of every per-edge vector)
+    order, and ``by_dst`` sorting them by receiver, then sender, into
+    ``fwd_src``/``fwd_dst`` (canonical CSR predecessor order).  Shared by
+    every caller of :meth:`CommGraph.lowering`: the sequences are tuples
+    and the arrays read-only."""
+
+    cells: Tuple[NodeId, ...]
+    edges: Tuple[Edge, ...]
+    chan_src: Any
+    chan_dst: Any
+    by_dst: Any
+    fwd_src: Any
+    fwd_dst: Any
 
 
 class CommGraph:
@@ -43,8 +63,7 @@ class CommGraph:
         self._pred: Dict[NodeId, Set[NodeId]] = {}
         # Monotone mutation counter; caches key on it (see version).
         self._version = 0
-        self._pairs_cache: Optional[Tuple[int, List[Tuple[NodeId, NodeId]]]] = None
-        self._edge_index_cache: Optional[Tuple[int, Dict[Edge, int]]] = None
+        self._caches: Dict[str, Tuple[int, Any]] = {}
         if nodes is not None:
             for node in nodes:
                 self.add_node(node)
@@ -106,11 +125,23 @@ class CommGraph:
         """Number of *directed* edges."""
         return sum(len(s) for s in self._succ.values())
 
+    def _cached(self, key: str, build: Callable[[], Any]) -> Any:
+        """``build()``, kept until the graph next changes (:attr:`version`)."""
+        hit = self._caches.get(key)
+        if hit is None or hit[0] != self._version:
+            hit = self._caches[key] = (self._version, build())
+        return hit[1]
+
     def nodes(self) -> List[NodeId]:
         return list(self._succ)
 
+    def _edge_tuple(self) -> Tuple[Edge, ...]:
+        return self._cached("edges", lambda: tuple(
+            (u, v) for u, succ in self._succ.items() for v in succ))
+
     def edges(self) -> List[Edge]:
-        return [(u, v) for u, succ in self._succ.items() for v in succ]
+        """The directed edges in the graph's stable order (a fresh list)."""
+        return list(self._edge_tuple())
 
     def edge_index(self) -> Dict[Edge, int]:
         """Row index of every directed edge, in :meth:`edges` order.
@@ -120,10 +151,27 @@ class CommGraph:
         Cached against :attr:`version`; the returned dict is shared, so
         callers must treat it as read-only.
         """
-        if self._edge_index_cache is None or self._edge_index_cache[0] != self._version:
-            index = {edge: i for i, edge in enumerate(self.edges())}
-            self._edge_index_cache = (self._version, index)
-        return self._edge_index_cache[1]
+        return self._cached("index", lambda: {
+            edge: i for i, edge in enumerate(self._edge_tuple())})
+
+    def lowering(self) -> Lowering:
+        """The one place a COMM graph becomes dense channel arrays, cached
+        against :attr:`version` (an added node or edge yields a new one)."""
+        return self._cached("lowering", self._lower)
+
+    def _lower(self) -> Lowering:
+        import numpy as np  # here: importing the graph loads no numpy
+
+        cells = tuple(self._succ)
+        index = {c: i for i, c in enumerate(cells)}
+        edges = self._edge_tuple()
+        src = np.array([index[u] for u, _ in edges], dtype=np.int64)
+        dst = np.array([index[v] for _, v in edges], dtype=np.int64)
+        by_dst = np.lexsort((src, dst))
+        arrays = (src, dst, by_dst, src[by_dst], dst[by_dst])
+        for arr in arrays:
+            arr.flags.writeable = False
+        return Lowering(cells, edges, *arrays)
 
     def successors(self, node: NodeId) -> Set[NodeId]:
         return set(self._succ[node])
@@ -155,20 +203,20 @@ class CommGraph:
         ``sigma = max skew over communicating cells`` (A5).
 
         The list is cached against :attr:`version` (every skew bound and
-        ``max_communication_distance`` call quantifies over it, so the
-        old rebuild-per-call was a hot-loop tax); mutation invalidates
-        it, and callers receive a fresh copy they may own.
+        ``max_communication_distance`` call quantifies over it); mutation
+        invalidates it, and callers receive a fresh copy they may own.
         """
-        if self._pairs_cache is None or self._pairs_cache[0] != self._version:
-            seen: Set[FrozenSet[NodeId]] = set()
-            pairs: List[Tuple[NodeId, NodeId]] = []
-            for u, v in self.edges():
-                key = frozenset((u, v))
-                if key not in seen:
-                    seen.add(key)
-                    pairs.append((u, v))
-            self._pairs_cache = (self._version, pairs)
-        return list(self._pairs_cache[1])
+        return list(self._cached("pairs", self._pairs))
+
+    def _pairs(self) -> List[Tuple[NodeId, NodeId]]:
+        seen: Set[FrozenSet[NodeId]] = set()
+        pairs: List[Tuple[NodeId, NodeId]] = []
+        for u, v in self._edge_tuple():
+            key = frozenset((u, v))
+            if key not in seen:
+                seen.add(key)
+                pairs.append((u, v))
+        return pairs
 
     # ------------------------------------------------------------------
     # structure

@@ -677,11 +677,11 @@ class CompiledRecurrence:
 
     — forward edges ``p -> c`` with a per-edge wire, and credit edges from
     each consumer ``s`` back to its producer that lag ``d - 1`` waves on a
-    depth-``d`` channel.  The channel arrays are the flow analysis's own
-    COMM lowering (``repro.sim.dataflow._lower``): COMM edge order
-    (grouped by sender: the credit layout, and the order of per-edge wires
-    and depths) and, for the forward maxima, grouped by receiver, then
-    sender.
+    depth-``d`` channel.  The channel arrays are the graph's own COMM
+    lowering (:meth:`~repro.graphs.comm.CommGraph.lowering`): COMM edge
+    order (grouped by sender: the credit layout, and the order of per-edge
+    wires and depths) and, for the forward maxima, grouped by receiver,
+    then sender.
 
     :class:`RecurrenceStepper` is the one evaluator and :meth:`makespan` a
     stepper run from wave 0.  ``max`` is order-free and every add is the
@@ -690,11 +690,9 @@ class CompiledRecurrence:
     """
 
     def __init__(self, comm: CommGraph) -> None:
-        from repro.sim.dataflow import _lower  # lazy, as in the stepper
-
         self.comm_version = comm.version
         self._comm = comm
-        self._low = _lower(comm)
+        self._low = comm.lowering()
         self._fwd_starts, self._fwd_cells = _runs(self._low.fwd_dst)
 
     def stepper(

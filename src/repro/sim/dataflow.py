@@ -45,8 +45,9 @@ regimes selected by ``channel_capacity``:
 
 The checker verifies the engine-driven makespan against the recurrence
 computed directly (compiled and scalar) in both regimes.  The helpers
-every evaluator of that recurrence shares live here too: the COMM
-lowering to dense channel arrays (``_lower``), the capacity normalizer
+every evaluator of that recurrence shares live here too (the COMM
+lowering to dense channel arrays is the graph's own,
+:meth:`~repro.graphs.comm.CommGraph.lowering`): the capacity normalizer
 (:func:`channel_depths`), the service resolver (:func:`service_rows`),
 the zero-token cycle check (:func:`zero_token_order`) and the scalar
 oracle (:func:`recurrence_scalar`).
@@ -66,7 +67,6 @@ from typing import (
     Iterator,
     List,
     Mapping,
-    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -77,7 +77,7 @@ import numpy as np
 
 from repro.arrays.cells import PE
 from repro.arrays.systolic import SystolicProgram
-from repro.graphs.comm import CommGraph
+from repro.graphs.comm import CommGraph, Lowering
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.sim.engine import Simulator
@@ -317,33 +317,7 @@ def zero_token_order(cells: Sequence[CellId], src: Any, dst: Any) -> List[int]:
     return order
 
 
-class _Lowered(NamedTuple):
-    """A COMM graph in dense ids: ``chan_src``/``chan_dst`` in ``edges``
-    (``comm.edges()``, the row order of :func:`channel_depths`) order, and
-    ``by_dst`` sorting them by receiver, then sender, into ``fwd_src``/
-    ``fwd_dst`` (canonical CSR predecessor order)."""
-
-    cells: List[CellId]
-    edges: List[EdgeKey]
-    chan_src: np.ndarray
-    chan_dst: np.ndarray
-    by_dst: np.ndarray
-    fwd_src: np.ndarray
-    fwd_dst: np.ndarray
-
-
-def _lower(comm: CommGraph) -> _Lowered:
-    """The one place a COMM graph becomes dense channel arrays."""
-    cells = comm.nodes()
-    index = {c: i for i, c in enumerate(cells)}
-    edges = comm.edges()
-    src = np.array([index[u] for u, _ in edges], dtype=np.int64)
-    dst = np.array([index[v] for _, v in edges], dtype=np.int64)
-    by_dst = np.lexsort((src, dst))
-    return _Lowered(cells, edges, src, dst, by_dst, src[by_dst], dst[by_dst])
-
-
-def channel_order(low: _Lowered, depths: np.ndarray) -> List[int]:
+def channel_order(low: Lowering, depths: np.ndarray) -> List[int]:
     """:func:`zero_token_order` over the depth-1 channels of a
     :func:`channel_depths` vector: the one search the stepper, the scalar
     oracle, the event simulator and the static deadlock check share."""
@@ -372,7 +346,7 @@ def recurrence_scalar(
     """
     if not 0 <= wire_delay < math.inf:
         raise ValueError("wire delay must be non-negative and finite")
-    low = _lower(comm)
+    low = comm.lowering()
     cells = low.cells
     depths = channel_depths(comm, capacity)
     order = [cells[i] for i in channel_order(low, depths)]
@@ -492,7 +466,7 @@ class SelfTimedProgramSimulator:
             # Validates the spec and refuses a zero-token cycle up front.
             depths = channel_depths(self._comm, channel_capacity)
             if (depths == 1).any():
-                channel_order(_lower(self._comm), depths)
+                channel_order(self._comm.lowering(), depths)
             if isinstance(channel_capacity, Mapping):
                 channel_capacity = {
                     edge: int(cap) for edge, cap in channel_capacity.items()
@@ -546,6 +520,8 @@ class SelfTimedProgramSimulator:
         inbox: List[Dict[int, List[Any]]] = [{} for _ in cells]
         finish = [0.0] * n
         tracer = self._tracer
+        # Read once: with metrics off, no fire calls a null instrument.
+        metered = self._metrics.enabled
         service_hist = self._metrics.histogram("dataflow.service_time")
 
         # The credit rule: ``limits[u][j]`` bounds the channel to u's j-th
@@ -607,7 +583,8 @@ class SelfTimedProgramSimulator:
                     blocked_since[v] = None
                     stalled = sim.now - t_blocked
                     stall[v] += stalled
-                    stall_hist.observe(stalled)
+                    if metered:
+                        stall_hist.observe(stalled)
             if gen is None:
                 # Lockstep semantics: an input edge with no token yet
                 # written reads as None (the empty register).
@@ -623,7 +600,8 @@ class SelfTimedProgramSimulator:
             duration = service(cell, k)
             if not 0.0 <= duration < math.inf:
                 _checked_service(duration, f" for {cell!r} wave {k}")
-            service_hist.observe(duration)
+            if metered:
+                service_hist.observe(duration)
             if tracer.enabled:
                 # ``finish`` is the same float expression the engine uses
                 # to schedule ``done`` (now + delay), so the recorded
@@ -665,7 +643,8 @@ class SelfTimedProgramSimulator:
                         )
                     if count > max_occupancy:
                         max_occupancy = count
-                    occupancy_hist.observe(float(count))
+                    if metered:
+                        occupancy_hist.observe(float(count))
                 schedule(wire, partial(deliver, u, k, v, slots[u][j], value))
             try_fire(u, "self")
 

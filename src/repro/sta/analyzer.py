@@ -133,7 +133,8 @@ class STAAnalyzer:
         self._fresh()
         buffered = self.design.buffered
         if self._empirical is None and buffered is not None:
-            block = empirical_block(buffered, self.design.edges(), self.slack())
+            analysis = self.slack()
+            block = empirical_block(buffered, analysis.edges, analysis)
             self._empirical = {**block, "tree_version": buffered.version}
         return self._empirical
 

@@ -86,7 +86,7 @@ import numpy as np
 from repro.geometry.point import Point
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.sim.dataflow import _lower, _Lowered, service_rows
+from repro.sim.dataflow import service_rows
 from repro.sta.design import Design, EdgeKey
 from repro.sta.drc import run_drc
 from repro.sta.flow import (
@@ -244,7 +244,7 @@ class ECOSession:
         self._metrics = metrics if metrics is not None else NULL_METRICS
         self._design = design
         edges, lag, lead, sigma_ub, sigma_lb = _edge_vectors(design)
-        self._edges: List[EdgeKey] = edges
+        self._edges: Sequence[EdgeKey] = edges
         self._row: Dict[EdgeKey, int] = design.array.comm.edge_index()
         # Owned writable copies of the slack ingredients.
         self._lag = np.array(lag, dtype=np.float64)
@@ -273,14 +273,12 @@ class ECOSession:
         self._n_edges = len(edges)  # one int shared by every EcoEdit
         # Self-timed channel capacities (session state, not on the
         # design: the clocked discipline has no FIFOs): one depth per
-        # channel in COMM edge order, 0 = unbounded.  The COMM graph is
-        # lowered at the first flow query; out-of-band COMM edits are
-        # refused, so the lowering cannot go stale.  The flow memos are
-        # keyed by (service vector bytes, wire delay) and hold that
-        # vector; capacity edits update them in place (see
+        # channel in COMM edge order, 0 = unbounded.  Out-of-band COMM
+        # edits are refused, so the graph's lowering is fixed.  The flow
+        # memos are keyed by (service vector bytes, wire delay) and hold
+        # that vector; capacity edits update them in place (see
         # ``set_channel_capacity``).
         self._depths = np.zeros(len(edges), dtype=np.int64)
-        self._lowered: Optional[_Lowered] = None
         self._flow_cache: Dict[
             Tuple[bytes, float], Tuple[np.ndarray, FlowAnalysis]
         ] = {}
@@ -494,7 +492,7 @@ class ECOSession:
         self._depths[i] = int(depth)
         recomputed = 0
         for key, (services, analysis) in self._flow_cache.items():
-            low = self._lowering()
+            low = self._design.array.comm.lowering()
             dead = _deadlock(low, self._depths) if depth == 1 or analysis.dead else None
             cycle: Optional[FlowCycle] = None
             if old == 0:  # a new credit edge
@@ -514,11 +512,6 @@ class ECOSession:
         if recomputed:
             self._metrics.counter("eco.flow_recompute").inc(recomputed)
         return self._record(_CAPACITY, edge, rows, recomputed, int(depth))
-
-    def _lowering(self) -> _Lowered:
-        if self._lowered is None:
-            self._lowered = _lower(self._design.array.comm)
-        return self._lowered
 
     def apply(self, op: str, **params: Any) -> EcoEdit:
         """Dispatch one edit by name — the edit-script entry point."""
@@ -601,7 +594,7 @@ class ECOSession:
         key = (services.tobytes(), float(wire_delay))
         entry = self._flow_cache.get(key)
         if entry is None:
-            low = self._lowering()
+            low = self._design.array.comm.lowering()
             fg = _assemble(low, services, wire_delay, self._depths)
             dead = _deadlock(low, self._depths)
             cycle = mcm_howard(fg) if dead is None else None

@@ -86,14 +86,12 @@ from typing import (
 
 import numpy as np
 
-from repro.graphs.comm import CommGraph
+from repro.graphs.comm import CommGraph, Lowering
 from repro.obs.critpath import CriticalPath, PathStep
 from repro.sim.compiled import CompiledRecurrence
 from repro.sim.dataflow import (
     CapacitySpec,
     ChannelDeadlockError,
-    _lower,
-    _Lowered,
     channel_depths,
     channel_order,
     per_cell_service,
@@ -241,7 +239,7 @@ class FlowGraph:
 
 
 def _assemble(
-    low: _Lowered, services: np.ndarray, wire_delay: float, depths: np.ndarray
+    low: Lowering, services: np.ndarray, wire_delay: float, depths: np.ndarray
 ) -> FlowGraph:
     """The flow graph of a lowered COMM graph under a dense service
     vector, a wire delay and a channel-depth vector (0 = unbounded):
@@ -273,7 +271,7 @@ def _assemble(
 
 
 def _retoken(
-    low: _Lowered, fg: FlowGraph, depths: np.ndarray, channel: int
+    low: Lowering, fg: FlowGraph, depths: np.ndarray, channel: int
 ) -> Tuple[FlowGraph, int]:
     """``fg`` after an already bounded ``channel`` took its new depth in
     ``depths``, and the id of the channel's credit edge.  The graph is
@@ -304,7 +302,7 @@ def flow_graph(
     credit edges are *included*: the solvers run on them directly, after
     their own deadlock check.
     """
-    low = _lower(comm)
+    low = comm.lowering()
     # Static analysis reads services as wave-invariant: the wave-0 row.
     services = service_rows(low.cells, service)(0)
     return _assemble(low, services, wire_delay, channel_depths(comm, capacity))
@@ -325,10 +323,10 @@ def detect_deadlock(
     oracle asserts the equivalence with the simulator).
     """
     depths = channel_depths(comm, capacity)
-    return _deadlock(_lower(comm), depths) if (depths == 1).any() else None
+    return _deadlock(comm.lowering(), depths) if (depths == 1).any() else None
 
 
-def _deadlock(low: _Lowered, depths: np.ndarray) -> Optional[List[EdgeKey]]:
+def _deadlock(low: Lowering, depths: np.ndarray) -> Optional[List[EdgeKey]]:
     """:func:`detect_deadlock` on a lowered graph and a depth vector."""
     try:
         channel_order(low, depths)
@@ -1171,7 +1169,7 @@ def minimal_buffer_sizing(
     """
     if not 0 < target < math.inf:
         raise ValueError(f"target cycle time must be positive and finite, got {target!r}")
-    low = _lower(comm)
+    low = comm.lowering()
     services = service_rows(low.cells, service)(0)
     row = comm.edge_index()
     # One depth per COMM channel (comm.edges() order), edited in place.

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -289,35 +290,51 @@ def row_flags(masks: Tuple[np.ndarray, ...]) -> List[Tuple[str, ...]]:
     return [_FLAG_SETS[c] for c in code.tolist()]
 
 
-def edge_lags(design: Design) -> np.ndarray:
-    """The per-edge data-path lag vector (delta + wire + padding)."""
-    edges = design.edges()
+def _wire_delays(design: Design) -> np.ndarray:
+    """Per-edge wire delay: the wire model's one formula over the layout
+    distances, with an ECO wire override in its edge's row."""
+    distances = design.array.edge_distances()
+    if design.wire_overrides:
+        edges = design.array.comm.lowering().edges
+        distances = np.fromiter(
+            map(design.wire_overrides.get, edges, distances.tolist()),
+            dtype=np.float64, count=len(edges),
+        )
+    return design.wire_model.formula(distances)
+
+
+def _padding(design: Design) -> np.ndarray:
+    """The per-edge padding vector, 0.0 on an unpadded edge."""
+    edges = design.array.comm.lowering().edges
     return np.fromiter(
-        (design.edge_lag(e) for e in edges), dtype=np.float64, count=len(edges)
+        map(design.edge_padding.get, edges, repeat(0.0)), dtype=np.float64, count=len(edges)
     )
 
 
-_EdgeVectors = Tuple[List[EdgeKey], np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+def edge_lags(design: Design) -> np.ndarray:
+    """The per-edge data-path lag vector, ``delta + (wire + padding)``:
+    :meth:`Design.edge_lag`'s grouping, so each entry is that lag bit for
+    bit."""
+    return design.delta + (_wire_delays(design) + _padding(design))
+
+
+_EdgeVectors = Tuple[Tuple[EdgeKey, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def _edge_vectors(design: Design) -> _EdgeVectors:
     """(edges, lag, offset_lead, sigma_ub, sigma_lb) for a design — the
-    shared precomputation of every analysis entry point."""
-    edges = design.edges()
+    shared precomputation of every analysis entry point.  ``edges`` is the
+    COMM lowering's shared tuple, so the tree's path-metric memo serves
+    every bound over it."""
+    low = design.array.comm.lowering()
     lag = edge_lags(design)
-    offsets = {c: design.schedule.offset(c) for c in design.schedule.cells()}
-    lead = np.fromiter(
-        (offsets[u] - offsets[v] for u, v in edges),
-        dtype=np.float64,
-        count=len(edges),
+    offsets = np.fromiter(
+        map(design.schedule.offset, low.cells), dtype=np.float64, count=len(low.cells)
     )
-    if edges:
-        sigma_ub = design.model.skew_bound_batch(design.tree, edges)
-        sigma_lb = design.model.skew_lower_bound_batch(design.tree, edges)
-    else:  # pragma: no cover - degenerate empty graph
-        sigma_ub = np.empty(0, dtype=np.float64)
-        sigma_lb = np.empty(0, dtype=np.float64)
-    return edges, lag, lead, sigma_ub, sigma_lb
+    lead = offsets[low.chan_src] - offsets[low.chan_dst]
+    sigma_ub = design.model.skew_bound_batch(design.tree, low.edges)
+    sigma_lb = design.model.skew_lower_bound_batch(design.tree, low.edges)
+    return low.edges, lag, lead, sigma_ub, sigma_lb
 
 
 def analyze_slack(design: Design) -> SlackAnalysis:
@@ -416,11 +433,7 @@ def _race_padding(
 ) -> Dict[EdgeKey, float]:
     """:func:`pad_for_races` from the design's :func:`_edge_vectors`."""
     edges, lag, lead, sigma_ub, _ = vectors
-    base = lag - np.fromiter(
-        (design.edge_padding.get(e, 0.0) for e in edges),
-        dtype=np.float64,
-        count=len(edges),
-    )
+    base = lag - _padding(design)
     need = np.maximum(-lead, sigma_ub) + design.discipline.t_hold + margin
     pad = np.maximum(0.0, need - base)
     return {e: float(p) for e, p in zip(edges, pad) if p > 0.0}

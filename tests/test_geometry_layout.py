@@ -1,9 +1,12 @@
 """Unit tests for layouts and wires (assumptions A2/A3 accounting)."""
 
+import random
+
+import numpy as np
 import pytest
 
 from repro.geometry.layout import Layout, Wire
-from repro.geometry.point import Point
+from repro.geometry.point import ORIGIN, Point
 
 
 def grid_layout(rows, cols):
@@ -108,6 +111,40 @@ class TestWellSpaced:
     def test_large_sparse_layout(self):
         layout = Layout({i: Point(3.0 * i, 0) for i in range(200)})
         assert layout.is_well_spaced()
+
+    def test_two_cells_on_one_shared_point_overlap(self):
+        layout = Layout()
+        layout.place("a", ORIGIN)
+        layout.place("b", ORIGIN)
+        assert not layout.is_well_spaced()
+
+    def test_agrees_with_all_pairs_chebyshev(self):
+        """Random layouts, integer and float coordinates, negative ones,
+        separations 0.3-2.0, and pairs within an ulp of the threshold."""
+        rng = random.Random(20240611)
+        for _ in range(500):
+            sep = rng.choice((1.0, rng.uniform(0.3, 2.0)))
+            limit = sep - 1e-9
+            layout = Layout()
+            for i in range(rng.randint(2, 24)):
+                if rng.random() < 0.5:
+                    p = Point(rng.randint(-6, 6), rng.randint(-6, 6))
+                else:
+                    p = Point(rng.uniform(-6, 6), rng.uniform(-6, 6))
+                layout.place(("c", i), p)
+                if rng.random() < 0.3:  # a neighbour near the threshold
+                    gap = rng.choice((np.nextafter(limit, 0.0), limit,
+                                      np.nextafter(limit, 9.0)))
+                    sign = rng.choice((1.0, -1.0))
+                    q = (Point(p.x + sign * gap, p.y + rng.uniform(-gap, gap))
+                         if rng.random() < 0.5 else
+                         Point(p.x + rng.uniform(-gap, gap), p.y + sign * gap))
+                    layout.place(("n", i), q)
+            points = [layout[c] for c in layout.cells()]
+            expected = all(
+                max(abs(p.x - q.x), abs(p.y - q.y)) >= limit
+                for i, p in enumerate(points) for q in points[i + 1:])
+            assert layout.is_well_spaced(sep) == expected
 
 
 class TestTransforms:

@@ -27,6 +27,13 @@ worktree`` of the parent commit) for comparison:
   periods from the analyzer, the module function and the closed form,
   the race padding, the flag masks, the clean bits and the first 50
   slack rows;
+* 24 signoff-sized designs (fir 28, matvec 9, sorter 20 and matmul 16,
+  the sizes perfbench's ``signoff`` workload builds, on every scheme with
+  two seeds each): the outputs above plus ``edge_lags``, ``_edge_vectors``,
+  the design's padding and period, the clock tree's dense store (nodes,
+  parents, depths, root distances), and the arrivals, segment delays and
+  buffer count of the buffered realization and of a second one on a
+  spatial-gradient wire process with noisy stages;
 * 40 ECO sessions of 40 edits each (``repro.check.eco.random_edit``,
   with a channel-capacity edit every 8th step): counts, clean bits,
   summary, worst slacks, both periods and the capacity map after every
@@ -180,6 +187,62 @@ def design_cases(quick: bool) -> Iterator[Case]:
         padded = _hold_edge(design)
         if padded is not None:
             yield f"design/{name}/hold-edge", lambda d=padded: _signoff(d)
+
+
+def _buffered_outputs(buffered: Any) -> List[Any]:
+    """Arrivals per node, segment delays and buffer count."""
+    return [[[buffered.arrival(n, True), buffered.arrival(n, False)]
+             for n in buffered.tree.nodes()],
+            list(buffered._segment_delays), buffered.buffer_count]
+
+
+def _signoff_design(workload: str, size: int, scheme: str, seed: int) -> Dict[str, Any]:
+    from repro.clocktree.buffered import BufferedClockTree
+    from repro.delay.buffer import InverterPairModel
+    from repro.delay.variation import SpatialGradientVariation
+    from repro.sta.design import design_for_workload
+    from repro.sta.slack import _edge_vectors, edge_lags
+
+    design = design_for_workload(workload, size=size, scheme=scheme, seed=seed)
+    out = _signoff(design)
+    edges, *vectors = _edge_vectors(design)
+    store = design.tree.dense_store
+    # A realization whose wire samples read each segment's midpoint and
+    # whose stages draw noise: the sampling order and midpoints show.
+    spatial = BufferedClockTree(
+        design.tree, buffer_spacing=0.75,
+        wire_variation=SpatialGradientVariation(m=1.0, gx=0.01, gy=-0.02,
+                                                sigma=0.05, seed=seed),
+        buffer_model=InverterPairModel(nominal=0.8, bias=0.03, variance=0.01,
+                                       seed=seed))
+    out.update({
+        "edge_lags": edge_lags(design),
+        "edge_vectors": [list(edges), *vectors],
+        "padding_map": design.edge_padding,
+        "period": design.period,
+        "tree": [list(store.nodes), store.parent.copy(), store.depth.copy(),
+                 store.rd.copy()],
+        "buffered": _buffered_outputs(design.buffered),
+        "spatial": _buffered_outputs(spatial),
+    })
+    return out
+
+
+#: perfbench's signoff sizes; the quick slice takes one kdtree and one star.
+_SIGNOFF_SIZES = (("fir", 28), ("matvec", 9), ("sorter", 20), ("matmul", 16))
+_QUICK_SIGNOFF = (("matvec", 9, "kdtree", 0), ("sorter", 8, "star", 1))
+
+
+def signoff_cases(quick: bool) -> Iterator[Case]:
+    specs = _QUICK_SIGNOFF if quick else [
+        (workload, size, scheme, seed)
+        for workload, size in _SIGNOFF_SIZES
+        for scheme in ("serpentine", "kdtree", "star")
+        for seed in (0, 41)]
+    for workload, size, scheme, seed in specs:
+        yield (f"signoff/{workload}-{size}-{scheme}/s{seed}",
+               lambda w=workload, n=size, sc=scheme, s=seed: _signoff_design(
+                   w, n, sc, s))
 
 
 def eco_cases(quick: bool) -> Iterator[Case]:
@@ -416,8 +479,8 @@ def record(out: str, src: str, quick: bool) -> int:
         raise SystemExit(f"repro imported from {repro.__file__}, not from {src}")
     t0 = time.perf_counter()
     lines = []
-    for cases in (design_cases, eco_cases, tile_cases, dataflow_cases,
-                  handshake_cases):
+    for cases in (design_cases, signoff_cases, eco_cases, tile_cases,
+                  dataflow_cases, handshake_cases):
         for case, run in cases(quick):
             lines.append(f"{case}\t{digest(run())}\n")
     with open(out, "w") as fh:
