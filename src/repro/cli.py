@@ -22,8 +22,9 @@ as a schema-valid snapshot or Prometheus text).  Without those flags,
 output is byte-identical to the uninstrumented CLI.
 
 Each command imports the modules it uses when it runs, so ``--help``
-loads no numpy and ``sta`` loads no Monte-Carlo code.  The ``--metrics``
-phase of a command therefore includes its imports in a fresh process.
+loads no numpy, and ``sta`` without ``--flow`` loads no Monte-Carlo code,
+simulator or self-timed flow layer.  The ``--metrics`` phase of a
+command therefore includes its imports in a fresh process.
 """
 
 from __future__ import annotations

@@ -20,25 +20,31 @@ Instrumentation follows the repo convention — opt-in ``tracer=`` /
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.sim.dataflow import channel_depths, service_rows
 from repro.sta.design import Design
 from repro.sta.drc import RuleResult, run_drc
-from repro.sta.flow import (
-    CapacitySpec,
-    FlowAnalysis,
-    ServiceSpec,
-    analyze_flow,
-)
 from repro.sta.report import STAReport, build_report, empirical_block
 from repro.sta.slack import SlackAnalysis, analyze_slack
 # Unused here: a perfbench wrap site until ROADMAP item 5, PR A.
 from repro.sta.slack import minimum_feasible_period  # noqa: F401
 
+if TYPE_CHECKING:  # imported in STAAnalyzer.flow: plain ``repro sta`` never loads it
+    from repro.sta.flow import CapacitySpec, FlowAnalysis, ServiceSpec
+
 _Fingerprint = Tuple[Any, ...]
+
+
+def __getattr__(name: str) -> Any:
+    """``analyze_flow``, which perfbench's traced run wraps here; the
+    analyzer itself calls it through :mod:`repro.sta.flow`."""
+    if name == "analyze_flow":
+        from repro.sta.flow import analyze_flow
+
+        return analyze_flow
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class STAAnalyzer:
@@ -153,6 +159,9 @@ class STAAnalyzer:
         clock-side edits merely rotate the fingerprint (over-
         invalidation, never staleness).
         """
+        from repro.sim.dataflow import channel_depths, service_rows
+        from repro.sta.flow import analyze_flow
+
         self._fresh()
         comm = self.design.array.comm
         cells = comm.nodes()

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -46,7 +46,9 @@ from repro.delay.wire import LinearWireModel, WireDelayModel
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.sim.clock_distribution import ClockSchedule
-from repro.sim.clocked import ClockedArraySimulator
+
+if TYPE_CHECKING:  # imported in Design.simulator: static analysis never runs it
+    from repro.sim.clocked import ClockedArraySimulator
 
 CellId = Hashable
 EdgeKey = Tuple[CellId, CellId]
@@ -165,6 +167,8 @@ class Design:
         Wire-length overrides have no simulator-side representation (the
         simulator derives wire delays from the layout), so a design that
         carries them cannot produce a faithful executable twin."""
+        from repro.sim.clocked import ClockedArraySimulator
+
         if self.wire_overrides:
             raise ValueError(
                 "design carries ECO wire_overrides; the clocked simulator "

@@ -76,35 +76,24 @@ cold flow analysis.
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import asdict
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.geometry.point import Point
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.sim.dataflow import service_rows
 from repro.sta.design import Design, EdgeKey
 from repro.sta.drc import run_drc
-from repro.sta.flow import (
-    FlowAnalysis,
-    FlowCycle,
-    ServiceSpec,
-    _assemble,
-    _deadlock,
-    _keep_cycle,
-    _retoken,
-    mcm_howard,
-)
-
-# perfbench wraps the flow layer where this module looks names up; the
-# session no longer calls these two (ROADMAP item 5 PR A).
-from repro.sta.flow import detect_deadlock, flow_graph  # noqa: F401
 from repro.sta.report import STAReport, build_report, empirical_block
 from repro.sta.slack import SlackAnalysis, _bisect_period, _edge_vectors
+
+if TYPE_CHECKING:
+    from repro.sta.flow import FlowAnalysis, FlowCycle, ServiceSpec
 
 NodeId = Hashable
 
@@ -491,21 +480,22 @@ class ECOSession:
             return self._record(_CAPACITY, edge, rows, 0, int(depth))
         self._depths[i] = int(depth)
         recomputed = 0
+        flow = _flow_layer()
         for key, (services, analysis) in self._flow_cache.items():
             low = self._design.array.comm.lowering()
-            dead = _deadlock(low, self._depths) if depth == 1 or analysis.dead else None
+            dead = flow._deadlock(low, self._depths) if depth == 1 or analysis.dead else None
             cycle: Optional[FlowCycle] = None
             if old == 0:  # a new credit edge
-                fg = _assemble(low, services, key[1], self._depths)
+                fg = flow._assemble(low, services, key[1], self._depths)
             else:
-                fg, credit = _retoken(low, analysis.graph, self._depths, i)
+                fg, credit = flow._retoken(low, analysis.graph, self._depths, i)
                 if dead is None and analysis.cycle is not None:
-                    cycle = _keep_cycle(analysis.cycle, fg, credit)
+                    cycle = flow._keep_cycle(analysis.cycle, fg, credit)
             if cycle is None:
                 recomputed += 1
                 warm = analysis.cycle.policy if analysis.cycle is not None else None
-                cycle = mcm_howard(fg, warm_start=warm) if dead is None else None
-            self._flow_cache[key] = (services, FlowAnalysis(fg, dead, cycle))
+                cycle = flow.mcm_howard(fg, warm_start=warm) if dead is None else None
+            self._flow_cache[key] = (services, flow.FlowAnalysis(fg, dead, cycle))
         reused = len(self._flow_cache) - recomputed
         if reused:
             self._metrics.counter("eco.flow_reuse").inc(reused)
@@ -590,15 +580,16 @@ class ECOSession:
         exactly that).
         """
         self._check_external()
-        services = service_rows(self._design.array.comm.nodes(), service)(0)
+        flow = _flow_layer()
+        services = flow.service_rows(self._design.array.comm.nodes(), service)(0)
         key = (services.tobytes(), float(wire_delay))
         entry = self._flow_cache.get(key)
         if entry is None:
             low = self._design.array.comm.lowering()
-            fg = _assemble(low, services, wire_delay, self._depths)
-            dead = _deadlock(low, self._depths)
-            cycle = mcm_howard(fg) if dead is None else None
-            entry = self._flow_cache[key] = (services, FlowAnalysis(fg, dead, cycle))
+            fg = flow._assemble(low, services, wire_delay, self._depths)
+            dead = flow._deadlock(low, self._depths)
+            cycle = flow.mcm_howard(fg) if dead is None else None
+            entry = self._flow_cache[key] = (services, flow.FlowAnalysis(fg, dead, cycle))
         return entry[1]
 
     def analysis(self) -> SlackAnalysis:
@@ -647,3 +638,20 @@ class ECOSession:
 
 def _edge_str(edge: EdgeKey) -> str:
     return f"{edge[0]!r}->{edge[1]!r}"
+
+
+@functools.lru_cache(maxsize=None)
+def _flow_layer() -> Any:
+    """:mod:`repro.sta.flow`, imported on first use: a session that edits
+    only the clocked side (``repro sta --eco``) never loads it."""
+    import repro.sta.flow
+
+    return repro.sta.flow
+
+
+def __getattr__(name: str) -> Any:
+    """Names perfbench's traced run wraps here; the session itself calls
+    the flow layer through :func:`_flow_layer`."""
+    if name in ("flow_graph", "detect_deadlock", "mcm_howard"):
+        return getattr(_flow_layer(), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

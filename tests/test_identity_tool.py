@@ -28,7 +28,7 @@ def test_a_tiny_corpus_records_twice_and_diffs_clean(tmp_path, capsys):
     _record(second)
     lines = first.read_text().splitlines()
     kinds = {line.split("/")[0] for line in lines}
-    assert kinds == {"design", "signoff", "eco", "tiles", "dataflow", "handshake"}
+    assert kinds == {"design", "signoff", "eco", "tiles", "dataflow", "handshake", "cli"}
     assert identity.main(["diff", str(first), str(second)]) == 0
     assert capsys.readouterr().out.strip() == f"identity: {len(lines)} cases, 0 differ"
 

@@ -50,18 +50,27 @@ worktree`` of the parent commit) for comparison:
   recurrence makespan, or the deadlock cycle of a refused spec;
 * 200 signal-level handshake runs (unbuffered and buffered pipelines,
   credit pipelines, join wavefronts), a tracer and metrics each on
-  about half: every result field, the trace and the metrics.
+  about half: every result field, the trace and the metrics;
+* 34 command lines run through ``repro.cli.main`` in process: ``sta
+  --json``, ``sta --eco`` (a script with one edit of each clocked kind),
+  ``sta --flow`` and ``flow --json`` on every workload at two seeds, and
+  ``flow`` once each with ``--static-only`` and ``--target``: the exit
+  code, stdout and stderr with the temporary directory's path replaced,
+  and the written reports without ``meta.emitted_at``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import random
 import sys
+import tempfile
 import time
 from typing import Any, Callable, Dict, Iterator, List, Tuple
 
@@ -470,6 +479,81 @@ def handshake_cases(quick: bool) -> Iterator[Case]:
         yield f"handshake/{i}/{kind}", lambda k=kind, i=i: _handshake_run(k, i)
 
 
+def _eco_script(workload: str, seed: int) -> List[Dict[str, Any]]:
+    """One edit of each clocked kind on the design ``sta --workload
+    WORKLOAD --size 5 --seed SEED`` builds, addressed as the CLI reads it."""
+    from repro.sta.design import design_for_workload
+
+    design = design_for_workload(workload, size=5, seed=seed)
+    rng = random.Random(f"identity-cli|{workload}|{seed}")
+    tree = design.tree
+    edges = [[str(u), str(v)] for u, v in design.edges()]
+    nodes = [str(n) for n in tree.dense_store.nodes[1:]]
+    open_slots = [str(n) for n in tree.dense_store.nodes
+                  if len(tree.children(n)) < tree.max_children]
+    return [
+        {"op": "repad_edge", "edge": rng.choice(edges), "pad": rng.uniform(0.0, 0.6)},
+        {"op": "retarget_wire", "edge": rng.choice(edges),
+         "length": rng.uniform(0.0, 4.0)},
+        {"op": "resize_buffer", "node": rng.choice(nodes),
+         "length": rng.uniform(0.5, 3.0)},
+        {"op": "graft_subtree", "nodes": [
+            {"parent": rng.choice(open_slots), "node": "spare:0", "x": rng.uniform(0.0, 4.0),
+             "y": rng.uniform(0.0, 4.0), "length": rng.uniform(0.5, 2.0)}]},
+        {"op": "set_period", "period": rng.uniform(0.9, 1.3) * design.period},
+    ]
+
+
+def _cli_run(argv: List[str], tmp: str, artifact: str) -> Dict[str, Any]:
+    """``repro.cli.main(argv)`` in process: its exit code, its output with
+    ``tmp`` replaced, and the reports it wrote to ``artifact``."""
+    from repro.cli import main
+
+    if os.path.exists(artifact):
+        os.remove(artifact)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    out: Dict[str, Any] = {"code": code,
+                           "stdout": stdout.getvalue().replace(tmp, "<tmp>"),
+                           "stderr": stderr.getvalue().replace(tmp, "<tmp>")}
+    if os.path.exists(artifact):
+        with open(artifact, encoding="utf-8") as fh:
+            reports = json.load(fh)
+        for report in reports:
+            report["meta"].pop("emitted_at", None)
+        out["artifact"] = reports
+    return out
+
+
+#: The seeds of the CLI slice; the quick slice runs each verb once on fir.
+_CLI_SEEDS = (3, 41)
+
+
+def cli_cases(quick: bool) -> Iterator[Case]:
+    from repro.sta.design import WORKLOADS
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out, script = os.path.join(tmp, "out.json"), os.path.join(tmp, "eco.json")
+        for workload in WORKLOADS[:1] if quick else WORKLOADS:
+            for seed in _CLI_SEEDS[:1] if quick else _CLI_SEEDS:
+                sta = ["sta", "--workload", workload, "--size", "5", "--seed", str(seed)]
+                flow = ["flow", "--workload", workload, "--size", "6", "--seed", str(seed)]
+                runs = [("sta", sta + ["--json", out]),
+                        ("eco", sta + ["--eco", script, "--json", out]),
+                        ("sta-flow", sta + ["--flow", out]),
+                        ("flow", flow + ["--json", out])]
+                if not quick and seed == _CLI_SEEDS[0] and workload == "fir":
+                    runs.append(("flow-static-only", flow + ["--static-only", "--json", out]))
+                if not quick and seed == _CLI_SEEDS[0] and workload == "matvec":
+                    runs.append(("flow-target", flow + ["--target", "2.5", "--json", out]))
+                with open(script, "w", encoding="utf-8") as fh:
+                    json.dump(_eco_script(workload, seed), fh)
+                for kind, argv in runs:
+                    yield (f"cli/{workload}-s{seed}/{kind}",
+                           lambda argv=argv: _cli_run(argv, tmp, out))
+
+
 def record(out: str, src: str, quick: bool) -> int:
     src = os.path.abspath(src)
     sys.path.insert(0, src)
@@ -480,7 +564,7 @@ def record(out: str, src: str, quick: bool) -> int:
     t0 = time.perf_counter()
     lines = []
     for cases in (design_cases, signoff_cases, eco_cases, tile_cases,
-                  dataflow_cases, handshake_cases):
+                  dataflow_cases, handshake_cases, cli_cases):
         for case, run in cases(quick):
             lines.append(f"{case}\t{digest(run())}\n")
     with open(out, "w") as fh:
