@@ -59,14 +59,17 @@ class LockstepExecutor:
     def step(self) -> None:
         """Execute one global cycle: all cells fire on last cycle's edge
         values, then all edges latch the new outputs."""
+        low = self._comm.lowering()
+        cells = low.cells
+        values = self._edge_values
         new_values: Dict[EdgeKey, Any] = {}
-        for cell in self._comm.nodes():
+        for cell, preds, succs in zip(cells, low.pred_rows(), low.succ_rows()):
             inputs = {
-                src: self._edge_values.get((src, cell))
-                for src in self._comm.predecessors(cell)
+                cells[p]: values.get((cells[p], cell)) for p in preds
             }
             outputs = self._pes[cell].fire(inputs)
-            for dst in self._comm.successors(cell):
+            for d in succs:
+                dst = cells[d]
                 value = outputs.get(dst) if outputs else None
                 new_values[(cell, dst)] = value
                 if self._trace_enabled:

@@ -49,6 +49,12 @@ class SystolicProgram:
         executor.run(self.cycles)
         return self.read_result(executor)
 
+    def pe(self, cell: CellId) -> PE:
+        """The PE of ``cell``.  ``read_result`` only ever calls ``pe`` on
+        its executor, so a simulator that ran :attr:`pes` itself reads its
+        result as ``program.read_result(program)``."""
+        return self.pes[cell]
+
 
 def _num(value: Any) -> float:
     """Bubble-tolerant arithmetic: ``None`` reads as 0."""

@@ -33,9 +33,16 @@ class Lowering(NamedTuple):
     """A COMM graph in dense ids: ``chan_src``/``chan_dst`` in ``edges``
     (:meth:`CommGraph.edges`, the row order of every per-edge vector)
     order, and ``by_dst`` sorting them by receiver, then sender, into
-    ``fwd_src``/``fwd_dst`` (canonical CSR predecessor order).  Shared by
-    every caller of :meth:`CommGraph.lowering`: the sequences are tuples
-    and the arrays read-only."""
+    ``fwd_src``/``fwd_dst`` (canonical CSR predecessor order).
+
+    It is also the one neighbour order.  ``pred_ptr`` cuts ``fwd_src``
+    into each cell's predecessor row, and ``succ_ptr`` cuts ``succ_edge``
+    (positions in the ``fwd_*`` arrays, sorted by sender, then receiver)
+    into each cell's successor row: both rows run in ascending dense id.
+    The graph's own sets iterate in hash order, which moves with
+    ``PYTHONHASHSEED`` for string cell ids.  Shared by every caller of
+    :meth:`CommGraph.lowering`: the sequences are tuples and the arrays
+    read-only."""
 
     cells: Tuple[NodeId, ...]
     edges: Tuple[Edge, ...]
@@ -44,6 +51,28 @@ class Lowering(NamedTuple):
     by_dst: Any
     fwd_src: Any
     fwd_dst: Any
+    pred_ptr: Any
+    succ_ptr: Any
+    succ_edge: Any
+
+    def pred_rows(self) -> List[List[int]]:
+        """Each cell's predecessors as dense ids, ascending."""
+        return _cut(self.fwd_src.tolist(), self.pred_ptr)
+
+    def succ_rows(self) -> List[List[int]]:
+        """Each cell's successors as dense ids, ascending."""
+        return _cut(self.fwd_dst[self.succ_edge].tolist(), self.succ_ptr)
+
+    def out_rows(self) -> List[List[int]]:
+        """Each cell's output channels as positions in the ``fwd_*``
+        arrays, in :meth:`succ_rows` order."""
+        return _cut(self.succ_edge.tolist(), self.succ_ptr)
+
+
+def _cut(flat: List[int], ptr: Any) -> List[List[int]]:
+    """``flat`` cut into rows at the offsets ``ptr``."""
+    bounds = ptr.tolist()
+    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 class CommGraph:
@@ -168,7 +197,15 @@ class CommGraph:
         src = np.array([index[u] for u, _ in edges], dtype=np.int64)
         dst = np.array([index[v] for _, v in edges], dtype=np.int64)
         by_dst = np.lexsort((src, dst))
-        arrays = (src, dst, by_dst, src[by_dst], dst[by_dst])
+        fwd_src, fwd_dst = src[by_dst], dst[by_dst]
+        # Row offsets: in-degrees cut the predecessor rows, out-degrees
+        # the successor rows.
+        pred_ptr, succ_ptr = (
+            np.concatenate(([0], np.cumsum(np.bincount(ids, minlength=len(cells)))))
+            for ids in (dst, src)
+        )
+        arrays = (src, dst, by_dst, fwd_src, fwd_dst, pred_ptr, succ_ptr,
+                  np.lexsort((fwd_dst, fwd_src)))
         for arr in arrays:
             arr.flags.writeable = False
         return Lowering(cells, edges, *arrays)

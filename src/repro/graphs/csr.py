@@ -17,15 +17,15 @@ this module provides that view directly:
   1024 x 1024 array (1,048,576 cells, ~4.2M directed edges) compiles in
   tens of milliseconds instead of the ~minute a ``CommGraph`` walk
   takes.
-* :func:`csr_from_comm` — the general lowering from an existing
-  ``CommGraph`` (Python-speed, O(n + e)); the reference the tests
-  compare :func:`grid_csr` against.
+* :func:`csr_from_comm` — the same view of an existing ``CommGraph``,
+  read off its one lowering (:meth:`~repro.graphs.comm.CommGraph.lowering`);
+  the reference the tests compare :func:`grid_csr` against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, List, Optional, Sequence
+from typing import Hashable, List, Optional
 
 import numpy as np
 
@@ -110,27 +110,11 @@ def grid_csr(rows: int, cols: int) -> CSRAdjacency:
     return CSRAdjacency(indptr=indptr, indices=indices, nodes=None)
 
 
-def csr_from_comm(
-    comm: CommGraph, cells: Optional[Sequence[NodeId]] = None
-) -> CSRAdjacency:
-    """Lower a :class:`CommGraph` to predecessor CSR.
-
-    ``cells`` fixes the dense numbering (default: ``comm.nodes()``
-    insertion order).  Predecessors are sorted by dense id within each
-    row — the canonical order :func:`grid_csr` also produces — so the
-    result is independent of set-iteration order.
-    """
-    cell_list = list(cells) if cells is not None else comm.nodes()
-    index = {cell: i for i, cell in enumerate(cell_list)}
-    n = len(cell_list)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    packed: List[int] = []
-    for i, cell in enumerate(cell_list):
-        preds = sorted(index[p] for p in comm.predecessors(cell))
-        packed.extend(preds)
-        indptr[i + 1] = len(packed)
-    return CSRAdjacency(
-        indptr=indptr,
-        indices=np.asarray(packed, dtype=np.int64),
-        nodes=cell_list,
-    )
+def csr_from_comm(comm: CommGraph) -> CSRAdjacency:
+    """A :class:`CommGraph`'s predecessor CSR: a view of its
+    :meth:`~repro.graphs.comm.CommGraph.lowering` (dense ids in
+    ``comm.nodes()`` order, each row ascending — the canonical order
+    :func:`grid_csr` also produces), so the result is independent of
+    set-iteration order.  The arrays are the lowering's, read-only."""
+    low = comm.lowering()
+    return CSRAdjacency(indptr=low.pred_ptr, indices=low.fwd_src, nodes=list(low.cells))

@@ -213,7 +213,8 @@ def selftimed_critical_path(
         raise ValueError("need at least one wave")
     from repro.sim.compiled import CompiledRecurrence
 
-    cells: List[CellId] = comm.nodes()
+    low = comm.lowering()
+    cells = low.cells
     if not cells:
         return CriticalPath("selftimed", [], 0.0, reported)
     stepper = CompiledRecurrence(comm).stepper(service, wire_delay)
@@ -222,7 +223,7 @@ def selftimed_critical_path(
     for _ in range(n_waves):
         finishes.append(stepper.step().tolist())
         starts.append(stepper.start.tolist())
-    dense = {cell: i for i, cell in enumerate(cells)}
+    preds = low.pred_rows()
     makespan = max(finishes[-1])
     c = finishes[-1].index(makespan)
     steps: List[PathStep] = []
@@ -231,11 +232,7 @@ def selftimed_critical_path(
         steps.append(PathStep("compute", cells[c], start, finishes[k][c], index=k))
         if k == 0 or start == finishes[k - 1][c]:
             continue
-        p = min(
-            dense[q]
-            for q in comm.predecessors(cells[c])
-            if finishes[k - 1][dense[q]] + wire_delay == start
-        )
+        p = next(q for q in preds[c] if finishes[k - 1][q] + wire_delay == start)
         steps.append(
             PathStep(
                 "wire", cells[c], finishes[k - 1][p], start, src=cells[p], index=k

@@ -25,7 +25,7 @@ __all__, _load = exports(__name__, {
     "engine": ("Simulator",),
     "clock_distribution": ("ClockSchedule",),
     "clocked": ("ClockedArraySimulator", "ClockedRunResult", "TimingViolation"),
-    "compiled": ("CompiledClockedKernel", "CompiledRecurrence", "compile_clocked"),
+    "compiled": ("CompiledClockedKernel", "CompiledRecurrence"),
     "selftimed": (
         "SelfTimedResult", "simulate_selftimed_line", "simulate_selftimed_wavefront",
         "worst_case_path_probability",

@@ -29,12 +29,13 @@ topological order to evaluate cells in.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.arrays.cells import PE, RecordingSink, ScriptedSource
 from repro.arrays.systolic import FirCell, MatMulCell, MatVecCell
+from repro.graphs.comm import Lowering
 
 CellId = Hashable
 
@@ -245,34 +246,33 @@ HANDLERS: Dict[type, Handler] = {
 }
 
 
-def supports(pes: Mapping[CellId, PE], cells: List[CellId]) -> bool:
+def supports(pes: Mapping[CellId, PE], cells: Sequence[CellId]) -> bool:
     """True when every cell's PE has a stream handler (exact type match —
     a subclass may override ``fire`` arbitrarily)."""
     return all(type(pes[c]) in HANDLERS for c in cells)
 
 
 def execute_streams(
-    pes: Mapping[CellId, PE],
-    order: List[CellId],
-    preds: Mapping[CellId, Tuple[CellId, ...]],
-    succs: Mapping[CellId, Tuple[CellId, ...]],
-    n_ticks: int,
+    pes: Mapping[CellId, PE], low: Lowering, order: List[int], n_ticks: int
 ) -> None:
-    """Evaluate every cell once, in topological order, leaving each PE in
-    its post-run state (the caller resets PEs first and reads results
-    through the usual facade).
+    """Evaluate every cell once, in the topological ``order`` of dense ids
+    into ``low`` (the program's COMM lowering), leaving each PE in its
+    post-run state (the caller resets PEs first and reads the result from
+    the program).  Inputs arrive in the lowering's ascending dense-id
+    order, as in the event-driven interpreters.
 
     Valid only for lockstep-equivalent executions: every receiver tick
     ``k`` latches the sender's tick ``k - 1`` output, which is what the
     one-tick stream shift encodes.
     """
-    if not supports(pes, order):
+    cells = low.cells
+    if not supports(pes, [cells[v] for v in order]):
         raise BatchUnsupported("unhandled PE class")
-    edge_streams: Dict[Tuple[CellId, CellId], Stream] = {}
-    for cell in order:
-        ins = {
-            src: _shift(edge_streams.get((src, cell))) for src in preds[cell]
-        }
-        outs = HANDLERS[type(pes[cell])](pes[cell], ins, n_ticks)
-        for dst in succs[cell]:
-            edge_streams[(cell, dst)] = outs.get(dst)
+    preds, succs = low.pred_rows(), low.succ_rows()
+    edge_streams: Dict[Tuple[int, int], Stream] = {}
+    for v in order:
+        pe = pes[cells[v]]
+        ins = {cells[u]: _shift(edge_streams.get((u, v))) for u in preds[v]}
+        outs = HANDLERS[type(pe)](pe, ins, n_ticks)
+        for w in succs[v]:
+            edge_streams[(v, w)] = outs.get(cells[w])

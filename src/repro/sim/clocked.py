@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Iterator, List, Mapping, Optional, Tuple
 
-from repro.arrays.cells import PE
 from repro.arrays.systolic import SystolicProgram
 from repro.delay.wire import LinearWireModel, WireDelayModel
 from repro.graphs.comm import CommGraph
@@ -65,17 +64,6 @@ class ClockedRunResult:
     @property
     def clean(self) -> bool:
         return not self.violations
-
-
-class _ExecutorFacade:
-    """Quacks like a LockstepExecutor for ``SystolicProgram.read_result``
-    (which only ever calls ``pe``)."""
-
-    def __init__(self, pes: Mapping[CellId, PE]) -> None:
-        self._pes = pes
-
-    def pe(self, cell: CellId) -> PE:
-        return self._pes[cell]
 
 
 class ClockedArraySimulator:
@@ -203,8 +191,11 @@ class ClockedArraySimulator:
             pe.reset()
 
         # All (cell, tick) firing events in global time order; ties resolved
-        # by tick then stable cell order for determinism.
-        cells = self._comm.nodes()
+        # by tick then dense id.  Each event latches its inputs in the
+        # lowering's ascending dense-id order, never in hash order.
+        low = self._comm.lowering()
+        cells = low.cells
+        preds, succs = low.pred_rows(), low.succ_rows()
         events = sorted(
             ((self._schedule.tick_time(c, k), k, i, c) for i, c in enumerate(cells) for k in range(n_ticks)),
         )
@@ -216,12 +207,13 @@ class ClockedArraySimulator:
         metrics = self._metrics
         violation_counter = metrics.counter("clocked.violations")
 
-        for t_fire, k, _i, cell in events:
+        for t_fire, k, i, cell in events:
             makespan = max(makespan, t_fire)
             inputs: Dict[CellId, Any] = {}
             if tracer.enabled:
                 tracer.event(t_fire, "tick", "fire", cell=cell, tick=k)
-            for src in self._comm.predecessors(cell):
+            for p in preds[i]:
+                src = cells[p]
                 edge = (src, cell)
                 latched = self._latched_sender_tick(edge, k)
                 expected = k - 1
@@ -247,11 +239,12 @@ class ClockedArraySimulator:
                     violation_counter.inc()
                 inputs[src] = history[edge].get(latched) if latched >= 0 else None
             outputs = pes[cell].fire(inputs)
-            for dst in self._comm.successors(cell):
+            for d in succs[i]:
+                dst = cells[d]
                 value = outputs.get(dst) if outputs else None
                 history[(cell, dst)][k] = value
 
-        result = self._program.read_result(_ExecutorFacade(pes))
+        result = self._program.read_result(self._program)
         if tracer.enabled:
             tracer.event(
                 makespan,

@@ -8,23 +8,23 @@ Monte-Carlo sweeps, the scaling benches) repeat those runs over a *fixed
 structure*, so this module splits them into
 
 * a one-time **compile** step that lowers a program + schedule + wire
-  model into dense numpy index arrays (sender/receiver ids per directed
-  edge, per-edge data-path lag, per-cell clock offsets, captured
-  predecessor orders), and
+  model into dense numpy index arrays (the COMM graph's one lowering,
+  :meth:`~repro.graphs.comm.CommGraph.lowering`, with its neighbour rows
+  in ascending dense id, plus per-edge data-path lags and per-cell clock
+  offsets), and
 * **vectorized execute** steps that evaluate all latch generations and
   the full :class:`~repro.sim.clocked.TimingViolation` set in O(edges x
   ticks) array operations, or step the self-timed max-plus recurrence a
   wave at a time.
 
-The clocked side has exactly one latch scan: both
-:class:`CompiledClockedKernel` (a program under any schedule) and
-:class:`CompiledTimingKernel` (bare arrays at million-cell scale)
-subclass :class:`_LatchKernel`, which evaluates the A5 latch decision
-over edge blocks, keeps only the violating entries, orders them with
-one lexsort, and builds the violation list.  The kernels differ only in
-where sender tick times come from (the affine closed form, or a
-``tick_time`` table for jittered schedules) and in how a violation
-names its edge (cell ids, or ints).
+The clocked side has exactly one latch scan and one constructor of its
+edge arrays: :class:`CompiledTimingKernel` (bare CSR arrays at
+million-cell scale) evaluates the A5 latch decision over edge blocks,
+keeps only the violating entries, orders them with one lexsort, and
+builds the violation list.  :class:`CompiledClockedKernel` (a program
+under any schedule) is that kernel over the program's COMM lowering; it
+adds a ``tick_time`` table for jittered schedules, names violation edges
+by cell, and executes the payload.
 
 The self-timed side has exactly one evaluator: :class:`RecurrenceStepper`
 over a :class:`CompiledRecurrence` (forward edges with a per-edge wire,
@@ -76,11 +76,7 @@ from repro.graphs.csr import CSRAdjacency
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.sim import batch
 from repro.sim.clock_distribution import ClockSchedule
-from repro.sim.clocked import (
-    ClockedRunResult,
-    TimingViolation,
-    _ExecutorFacade,
-)
+from repro.sim.clocked import ClockedRunResult, TimingViolation
 
 CellId = Hashable
 EdgeKey = Tuple[CellId, CellId]
@@ -139,32 +135,95 @@ def _order_violation_entries(
     scalar order.
 
     The scalar event loop visits events sorted by (time, tick, cell
-    insertion index) and, within an event, predecessors in captured slot
-    order.  Since (time, tick, cell) uniquely identifies an event, a
-    lexsort of the violating entries alone on (t, k, dst, slot)
-    reproduces that order without ranking every (cell, tick) event —
-    which is what lets violation extraction stream per edge block."""
+    dense id) and, within an event, predecessors in CSR row order.
+    Since (time, tick, cell) uniquely identifies an event, a lexsort of
+    the violating entries alone on (t, k, dst, slot) reproduces that
+    order without ranking every (cell, tick) event — which is what lets
+    violation extraction stream per edge block."""
     return np.lexsort((slot[e_idx], dst[e_idx], k_idx, t_vals))
 
 
-class _LatchKernel:
-    """The A5 latch scan shared by both clocked kernels.
+def _check_times(values: np.ndarray, name: str) -> None:
+    """Refuse negative, infinite or NaN ``values`` (NaN fails both tests)."""
+    if not ((values >= 0.0) & (values < np.inf)).all():
+        raise ValueError(f"{name} must be non-negative and finite")
 
-    Subclasses store directed edges grouped by receiver: ``_src`` and
+
+class CompiledTimingKernel:
+    """The A5 latch scan over arrays — the one clocked kernel.
+
+    It is built from a :class:`~repro.graphs.csr.CSRAdjacency` plus
+    per-cell clock offsets under an affine schedule (``offset + k *
+    period``) and a per-edge data-path lag, without an object graph, so
+    it runs at 10^6 cells.  Cells are the dense ints ``0..n-1``, and
+    violations name their edges as ``(src, dst)`` int pairs.  Offsets and
+    lags must be non-negative and finite and the period positive and
+    finite, as :class:`~repro.sim.clock_distribution.ClockSchedule` and
+    :class:`~repro.sim.clocked.ClockedArraySimulator` require.
+    :class:`CompiledClockedKernel` is this kernel over a program's COMM
+    lowering.
+
+    Edges are stored grouped by receiver, in CSR order: ``_src`` and
     ``_dst`` are dense cell ids, ``_slot`` is the edge's position in its
-    receiver's predecessor list, and ``_lag`` is its data-path lag.
-    ``_offsets`` and ``_period`` give each cell's affine clock, and
-    violations name their edges through the cell sequence ``_labels``.
-    A subclass whose tick times need a table overrides :meth:`_clock`.
+    receiver's row, and ``_lag`` is its data-path lag.  :meth:`timing`
+    evaluates the latch decision (the scalar simulator's
+    ``_latched_sender_tick``: floor estimate, +3 guard, downward scan
+    with the 1e-12 tolerance) over edge blocks, keeps only the violating
+    entries, orders them with one lexsort, and builds the violation list;
+    :meth:`timing_scalar` is the per-event Python oracle the differential
+    suites compare against at co-runnable sizes.  :meth:`arrays` /
+    :meth:`from_arrays` round-trip the kernel through raw numpy buffers so
+    :class:`~repro.analysis.shared.SharedArena` can ship it to worker
+    processes without pickling.
     """
 
-    _src: np.ndarray
-    _dst: np.ndarray
-    _slot: np.ndarray
-    _lag: np.ndarray
-    _offsets: np.ndarray
-    _period: float
-    _labels: Sequence[Any]
+    def __init__(
+        self,
+        adjacency: CSRAdjacency,
+        offsets: Any,
+        period: float,
+        lag: Any = 0.0,
+    ) -> None:
+        offsets_arr = np.ascontiguousarray(np.asarray(offsets, dtype=np.float64))
+        n = adjacency.n_cells
+        if offsets_arr.shape != (n,):
+            raise ValueError(
+                f"offsets shape {offsets_arr.shape} != ({n},) cells"
+            )
+        if not 0 < period < math.inf:
+            raise ValueError("period must be positive and finite")
+        _check_times(offsets_arr, "offsets")
+        indptr = np.ascontiguousarray(adjacency.indptr, dtype=np.int64)
+        indices = np.ascontiguousarray(adjacency.indices, dtype=np.int64)
+        counts = np.diff(indptr)
+        self._indptr = indptr
+        self._src = indices
+        self._dst = np.repeat(np.arange(n, dtype=np.int64), counts)
+        # Slot = position within the receiver's predecessor row, the
+        # scalar loop's order within one event.
+        self._slot = np.arange(len(indices), dtype=np.int64) - np.repeat(
+            indptr[:-1], counts
+        )
+        lag_arr = np.asarray(lag, dtype=np.float64)
+        _check_times(lag_arr, "lag")
+        if lag_arr.ndim == 0:
+            lag_arr = np.broadcast_to(lag_arr, indices.shape)
+        elif lag_arr.shape != indices.shape:
+            raise ValueError(
+                f"lag shape {lag_arr.shape} != ({len(indices)},) edges"
+            )
+        self._lag = np.ascontiguousarray(lag_arr)
+        self._offsets = offsets_arr
+        self._period = float(period)
+        self._labels: Sequence[Any] = range(n)
+
+    @property
+    def n_cells(self) -> int:
+        return len(self._offsets)
+
+    @property
+    def n_edges(self) -> int:
+        return len(self._src)
 
     def _clock(self, n_ticks: int) -> _Clock:
         """The affine clock of ``n_ticks`` ticks."""
@@ -257,329 +316,15 @@ class _LatchKernel:
         )
         return timing, (g if block >= n_edges else None)
 
-
-class CompiledClockedKernel(_LatchKernel):
-    """A :class:`~repro.sim.clocked.ClockedArraySimulator` lowered to
-    arrays: compile once, run many times.
-
-    ``edge_delay`` is the simulator's per-directed-edge data propagation
-    delay (wire model plus hold padding), so the kernel and the scalar
-    path consume the *same* precomputed lags.
-    """
-
-    def __init__(
-        self,
-        program: SystolicProgram,
-        schedule: ClockSchedule,
-        delta: float,
-        edge_delay: Mapping[EdgeKey, float],
-    ) -> None:
-        comm: CommGraph = program.array.comm
-        self._program = program
-        self._schedule = schedule
-        self.comm_version = comm.version
-        cells = comm.nodes()
-        self._cells: List[CellId] = cells
-        self._labels = cells
-        index = {c: i for i, c in enumerate(cells)}
-        # Captured once: the scalar path iterates a fresh set copy per
-        # event, which is order-stable within a process, so one snapshot
-        # reproduces the scalar input-dict and violation order exactly.
-        self._preds: Dict[CellId, Tuple[CellId, ...]] = {
-            c: tuple(comm.predecessors(c)) for c in cells
-        }
-        self._succs: Dict[CellId, Tuple[CellId, ...]] = {
-            c: tuple(comm.successors(c)) for c in cells
-        }
-        src_ids: List[int] = []
-        dst_ids: List[int] = []
-        lags: List[float] = []
-        slots: List[int] = []
-        edge_id: Dict[EdgeKey, int] = {}
-        for c in cells:
-            for j, u in enumerate(self._preds[c]):
-                edge_id[(u, c)] = len(src_ids)
-                src_ids.append(index[u])
-                dst_ids.append(index[c])
-                lags.append(delta + edge_delay[(u, c)])
-                slots.append(j)
-        self._src = np.asarray(src_ids, dtype=np.int64)
-        self._dst = np.asarray(dst_ids, dtype=np.int64)
-        self._lag = np.asarray(lags, dtype=np.float64)
-        self._slot = np.asarray(slots, dtype=np.int64)
-        self._edge_id = edge_id
-        self._offsets = np.asarray(
-            [schedule.offset(c) for c in cells], dtype=np.float64
-        )
-        self._period = schedule.period
-        # A plain ClockSchedule is affine (offset + k * period); subclasses
-        # such as JitteredSchedule override tick_time and take the tick
-        # table.
-        self._affine = type(schedule) is ClockSchedule
-        # Producers-first cell order for stream-executing clean runs (None
-        # = not yet probed; False = outside the stream algebra, replay).
-        self._stream_order: Any = None
-
-    # ------------------------------------------------------------------
-    # timing analysis
-    # ------------------------------------------------------------------
-    def _tick_matrix(self, n_ticks: int) -> np.ndarray:
-        """``T[c, k] = tick_time(c, k)``: the schedule's own tick times,
-        for schedules without the affine closed form."""
-        tick_time = self._schedule.tick_time
-        T = np.empty((len(self._cells), n_ticks), dtype=np.float64)
-        for i, c in enumerate(self._cells):
-            row = T[i]
-            for k in range(n_ticks):
-                row[k] = tick_time(c, k)
-        return T
-
-    def _clock(self, n_ticks: int) -> _Clock:
-        """The affine clock, or for a schedule that overrides
-        ``tick_time`` a tick table wide enough for every latch."""
-        clock = super()._clock(n_ticks)
-        if self._affine:
-            return clock
-        T = self._tick_matrix(n_ticks)
-        makespan = max(0.0, float(T.max())) if T.size else 0.0
-        if len(self._src):
-            # The scan starts every entry at its floor estimate + 3 and
-            # only moves down; the estimate is monotone in the latch time
-            # (same float64 operations as ``_latch``), so each edge
-            # reaches furthest at its receiver's latest tick.  Table
-            # entries at equal (cell, k) are identical whatever the width.
-            latest = T.max(axis=1)[self._dst]
-            reach = np.floor(
-                (latest - self._offsets[self._src] - self._lag) / self._period
-            ).max()
-            T = self._tick_matrix(max(int(reach) + 3, n_ticks - 1) + 1)
-        return clock._replace(table=T, makespan=makespan)
-
     def timing(
-        self, ticks: Optional[int] = None, edge_block: Optional[int] = None
-    ) -> TimingResult:
-        """Violations + makespan without payload execution.
-
-        ``edge_block`` streams the latch scan over edge blocks of that
-        size: peak memory is O(block x ticks) instead of O(edges x
-        ticks), and the result — violation list contents, order, and
-        makespan — is bit-identical for every block size (the property
-        suite drives this across random block sizes).
-        """
-        n_ticks = ticks if ticks is not None else self._program.cycles
-        return self._scan(self._clock(n_ticks), edge_block)[0]
-
-    # ------------------------------------------------------------------
-    # functional execution
-    # ------------------------------------------------------------------
-    def _replay(self, clock: _Clock, g: np.ndarray) -> Any:
-        """Event-order functional replay using the latch matrix — exact
-        scalar semantics for dirty runs and programs the stream evaluator
-        cannot express."""
-        n_ticks = clock.ticks
-        n_cells = len(self._cells)
-        T = clock.time(np.arange(n_cells)[:, None], np.arange(n_ticks))
-        # The scalar event order: by time, then tick, then cell position.
-        order = np.lexsort(
-            (
-                np.repeat(np.arange(n_cells, dtype=np.int64), n_ticks),
-                np.tile(np.arange(n_ticks, dtype=np.int64), n_cells),
-                T.ravel(),
-            )
-        )
-        pes = self._program.pes
-        cells = self._cells
-        cell_seq = (order // n_ticks).tolist()
-        tick_seq = (order % n_ticks).tolist()
-        g_rows = g.tolist()
-        history: List[List[Any]] = [
-            [None] * n_ticks for _ in range(len(self._src))
-        ]
-        edge_id = self._edge_id
-        pred_info = [
-            [(u, edge_id[(u, c)]) for u in self._preds[c]] for c in cells
-        ]
-        succ_info = [
-            [(v, edge_id[(c, v)]) for v in self._succs[c]] for c in cells
-        ]
-        fires = [pes[c].fire for c in cells]
-        for ci, k in zip(cell_seq, tick_seq):
-            inputs: Dict[CellId, Any] = {}
-            for u, e in pred_info[ci]:
-                gen = g_rows[e][k]
-                inputs[u] = history[e][gen] if 0 <= gen < n_ticks else None
-            outputs = fires[ci](inputs)
-            for v, e in succ_info[ci]:
-                history[e][k] = outputs.get(v) if outputs else None
-        return self._program.read_result(_ExecutorFacade(pes))
-
-    def _execute(
-        self, clock: _Clock, timing: TimingResult, g: Optional[np.ndarray]
-    ) -> Any:
-        """The functional half of :meth:`run`: stream-execute a clean run
-        of an acyclic program the stream algebra covers, replay anything
-        else."""
-        pes = self._program.pes
-        if timing.clean and self._stream_order is None:
-            # Imported here so that ``import repro`` does not load the
-            # event simulator module.
-            from repro.sim.dataflow import ChannelDeadlockError, zero_token_order
-
-            self._stream_order = False
-            if batch.supports(pes, self._cells):
-                try:
-                    # Consumers first over the COMM edges; a cycle (the
-                    # bidirectional sorter) needs per-tick interleaving.
-                    order = zero_token_order(self._cells, self._src, self._dst)
-                    self._stream_order = [self._cells[i] for i in order[::-1]]
-                except ChannelDeadlockError:
-                    pass
-        if timing.clean and self._stream_order is not False:
-            try:
-                batch.execute_streams(
-                    pes, self._stream_order, self._preds, self._succs, clock.ticks
-                )
-                return self._program.read_result(_ExecutorFacade(pes))
-            except batch.BatchUnsupported:
-                self._stream_order = False
-                for pe in pes.values():
-                    pe.reset()  # discard any partial stream state
-        # A dirty blocked run never held the whole latch matrix.
-        if g is None:
-            g = self._latch(0, len(self._src), clock)[1]
-        return self._replay(clock, g)
-
-    def run(
-        self,
-        ticks: Optional[int] = None,
-        tracer: Optional[Tracer] = None,
-        edge_block: Optional[int] = None,
-    ) -> ClockedRunResult:
-        """Byte-identical to the scalar ``ClockedArraySimulator.run``:
-        same result payload, same violation list (contents *and* order),
-        same makespan.
-
-        One path: build the clock, scan the latches (streamed per
-        ``edge_block`` edges, see :meth:`timing`), then stream-execute a
-        clean acyclic run or replay it in scalar event order.  A dirty
-        blocked run rescans every edge at once for the replay.  An
-        enabled ``tracer`` records one span per phase under
-        ``compiled.run``; without one the spans are no-ops.
-        """
-        n_ticks = ticks if ticks is not None else self._program.cycles
-        tracer = tracer if tracer is not None else NULL_TRACER
-        for pe in self._program.pes.values():
-            pe.reset()
-        with tracer.span(
-            "compiled.run",
-            ticks=n_ticks,
-            cells=len(self._cells),
-            edge_block=edge_block,
-        ):
-            with tracer.span("compiled.tick_matrix"):
-                clock = self._clock(n_ticks)
-            with tracer.span("compiled.latch_scan") as h:
-                timing, g = self._scan(clock, edge_block)
-                h.annotate(count=len(timing.violations))
-            with tracer.span("compiled.execute"):
-                result = self._execute(clock, timing, g)
-        return ClockedRunResult(
-            result=result,
-            violations=timing.violations,
-            ticks=n_ticks,
-            makespan=timing.makespan,
-        )
-
-
-def compile_clocked(simulator: Any) -> CompiledClockedKernel:
-    """Lower a :class:`~repro.sim.clocked.ClockedArraySimulator` into its
-    array kernel (also available as ``simulator.compiled()``)."""
-    return simulator.compiled()
-
-
-# ----------------------------------------------------------------------
-# array-only timing kernel (million-cell scale)
-# ----------------------------------------------------------------------
-class CompiledTimingKernel(_LatchKernel):
-    """Pure timing analysis straight from arrays — the large-N kernel.
-
-    :class:`CompiledClockedKernel` is lowered from a full
-    ``SystolicProgram`` (PEs, payload closures, hashable cell ids) and
-    pays a Python-speed walk of the object graph per compile.  At 10^6
-    cells that walk *is* the runtime, so this kernel skips the object
-    graph entirely: it is built from a
-    :class:`~repro.graphs.csr.CSRAdjacency` plus per-cell clock offsets
-    under an affine schedule (``offset + k * period``) and a per-edge
-    data-path lag.  Cells are the dense ints ``0..n-1``; reported
-    violation edges are ``(src, dst)`` int pairs.
-
-    :meth:`timing` is the latch scan both clocked kernels share (the
-    scalar simulator's ``_latched_sender_tick``: floor estimate, +3
-    guard, downward scan with the 1e-12 tolerance), in one block or
-    streamed per edge block; :meth:`timing_scalar` is the per-event
-    Python oracle the differential suites compare against at
-    co-runnable sizes.  :meth:`arrays` / :meth:`from_arrays` round-trip
-    the kernel through raw numpy buffers so
-    :class:`~repro.analysis.shared.SharedArena` can ship it to worker
-    processes without pickling.
-    """
-
-    def __init__(
-        self,
-        adjacency: CSRAdjacency,
-        offsets: Any,
-        period: float,
-        lag: Any = 0.0,
-    ) -> None:
-        offsets_arr = np.ascontiguousarray(np.asarray(offsets, dtype=np.float64))
-        n = adjacency.n_cells
-        if offsets_arr.shape != (n,):
-            raise ValueError(
-                f"offsets shape {offsets_arr.shape} != ({n},) cells"
-            )
-        if not period > 0:
-            raise ValueError("period must be positive")
-        indptr = np.ascontiguousarray(adjacency.indptr, dtype=np.int64)
-        indices = np.ascontiguousarray(adjacency.indices, dtype=np.int64)
-        counts = np.diff(indptr)
-        self._indptr = indptr
-        self._src = indices
-        self._dst = np.repeat(np.arange(n, dtype=np.int64), counts)
-        # Slot = position within the receiver's predecessor list (CSR
-        # row order), mirroring the captured-order tie-break of the
-        # program kernel.
-        self._slot = np.arange(len(indices), dtype=np.int64) - np.repeat(
-            indptr[:-1], counts
-        )
-        lag_arr = np.asarray(lag, dtype=np.float64)
-        if lag_arr.ndim == 0:
-            lag_arr = np.broadcast_to(lag_arr, indices.shape)
-        elif lag_arr.shape != indices.shape:
-            raise ValueError(
-                f"lag shape {lag_arr.shape} != ({len(indices)},) edges"
-            )
-        self._lag = np.ascontiguousarray(lag_arr)
-        self._offsets = offsets_arr
-        self._period = float(period)
-        self._labels = range(n)
-
-    @property
-    def n_cells(self) -> int:
-        return len(self._offsets)
-
-    @property
-    def n_edges(self) -> int:
-        return len(self._src)
-
-    def timing(
-        self, n_ticks: int, edge_block: Optional[int] = None
+        self, ticks: int, edge_block: Optional[int] = None
     ) -> TimingResult:
         """The full violation set (exact scalar order) and makespan.
 
         ``edge_block`` bounds peak memory at O(block x ticks); any block
         size — including the default single block — yields a
         bit-identical result."""
-        return self._scan(self._clock(n_ticks), edge_block)[0]
+        return self._scan(self._clock(ticks), edge_block)[0]
 
     def timing_scalar(self, n_ticks: int) -> TimingResult:
         """Per-event Python reference: the scalar simulator's event loop
@@ -640,18 +385,229 @@ class CompiledTimingKernel(_LatchKernel):
 
     @classmethod
     def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "CompiledTimingKernel":
-        """Rebuild from :meth:`arrays` output (possibly views into a
-        shared-memory segment — the big buffers are used zero-copy; only
-        the derived ``dst``/``slot`` index arrays are recomputed)."""
+        """Rebuild a timing kernel from :meth:`arrays` output (possibly
+        views into a shared-memory segment — the big buffers are used
+        zero-copy; only the derived ``dst``/``slot`` index arrays are
+        recomputed)."""
         adjacency = CSRAdjacency(
             indptr=np.asarray(arrays["indptr"]),
             indices=np.asarray(arrays["indices"]),
         )
-        return cls(
+        return CompiledTimingKernel(
             adjacency,
             arrays["offsets"],
             float(np.asarray(arrays["params"])[0]),
             lag=np.asarray(arrays["lag"]),
+        )
+
+
+class CompiledClockedKernel(CompiledTimingKernel):
+    """A :class:`~repro.sim.clocked.ClockedArraySimulator` lowered to
+    arrays: compile once, run many times.
+
+    It is the timing kernel over the program's COMM lowering (its
+    predecessor CSR, so every receiver latches its inputs in ascending
+    dense id, as the scalar path does), with violations naming cells, a
+    tick table for schedules that override ``tick_time``, and payload
+    execution.  ``edge_delay`` is the simulator's per-directed-edge data
+    propagation delay (wire model plus hold padding), so the kernel and
+    the scalar path consume the *same* precomputed lags.
+    """
+
+    def __init__(
+        self,
+        program: SystolicProgram,
+        schedule: ClockSchedule,
+        delta: float,
+        edge_delay: Mapping[EdgeKey, float],
+    ) -> None:
+        comm: CommGraph = program.array.comm
+        low = comm.lowering()
+        delays = np.fromiter(
+            map(edge_delay.__getitem__, low.edges), np.float64, len(low.edges)
+        )
+        super().__init__(
+            CSRAdjacency(low.pred_ptr, low.fwd_src),
+            np.fromiter(map(schedule.offset, low.cells), np.float64, len(low.cells)),
+            schedule.period,
+            lag=delta + delays[low.by_dst],
+        )
+        self.comm_version = comm.version
+        self._program = program
+        self._schedule = schedule
+        self._low = low
+        self._labels = low.cells
+        # A plain ClockSchedule is affine (offset + k * period); subclasses
+        # such as JitteredSchedule override tick_time and take the tick
+        # table.
+        self._affine = type(schedule) is ClockSchedule
+        # Producers-first dense order for stream-executing clean runs
+        # (None = not yet probed; False = outside the stream algebra,
+        # replay).
+        self._stream_order: Any = None
+
+    # ------------------------------------------------------------------
+    # timing analysis
+    # ------------------------------------------------------------------
+    def _tick_matrix(self, n_ticks: int) -> np.ndarray:
+        """``T[c, k] = tick_time(c, k)``: the schedule's own tick times,
+        for schedules without the affine closed form."""
+        tick_time = self._schedule.tick_time
+        T = np.empty((self.n_cells, n_ticks), dtype=np.float64)
+        for i, c in enumerate(self._labels):
+            row = T[i]
+            for k in range(n_ticks):
+                row[k] = tick_time(c, k)
+        return T
+
+    def _clock(self, n_ticks: int) -> _Clock:
+        """The affine clock, or for a schedule that overrides
+        ``tick_time`` a tick table wide enough for every latch."""
+        clock = super()._clock(n_ticks)
+        if self._affine:
+            return clock
+        T = self._tick_matrix(n_ticks)
+        makespan = max(0.0, float(T.max())) if T.size else 0.0
+        if len(self._src):
+            # The scan starts every entry at its floor estimate + 3 and
+            # only moves down; the estimate is monotone in the latch time
+            # (same float64 operations as ``_latch``), so each edge
+            # reaches furthest at its receiver's latest tick.  Table
+            # entries at equal (cell, k) are identical whatever the width.
+            latest = T.max(axis=1)[self._dst]
+            reach = np.floor(
+                (latest - self._offsets[self._src] - self._lag) / self._period
+            ).max()
+            T = self._tick_matrix(max(int(reach) + 3, n_ticks - 1) + 1)
+        return clock._replace(table=T, makespan=makespan)
+
+    def timing(
+        self, ticks: Optional[int] = None, edge_block: Optional[int] = None
+    ) -> TimingResult:
+        """Violations + makespan without payload execution.
+
+        ``edge_block`` streams the latch scan over edge blocks of that
+        size: peak memory is O(block x ticks) instead of O(edges x
+        ticks), and the result — violation list contents, order, and
+        makespan — is bit-identical for every block size (the property
+        suite drives this across random block sizes).
+        """
+        n_ticks = ticks if ticks is not None else self._program.cycles
+        return self._scan(self._clock(n_ticks), edge_block)[0]
+
+    # ------------------------------------------------------------------
+    # functional execution
+    # ------------------------------------------------------------------
+    def _replay(self, clock: _Clock, g: np.ndarray) -> Any:
+        """Event-order functional replay using the latch matrix — exact
+        scalar semantics for dirty runs and programs the stream evaluator
+        cannot express.  Latch row ``e`` is the lowering's ``fwd`` edge
+        ``e``, which also names its value history."""
+        n_ticks = clock.ticks
+        n_cells = self.n_cells
+        T = clock.time(np.arange(n_cells)[:, None], np.arange(n_ticks))
+        # The scalar event order: by time, then tick, then cell position.
+        order = np.lexsort(
+            (
+                np.repeat(np.arange(n_cells, dtype=np.int64), n_ticks),
+                np.tile(np.arange(n_ticks, dtype=np.int64), n_cells),
+                T.ravel(),
+            )
+        )
+        pes = self._program.pes
+        cells = self._labels
+        low = self._low
+        cell_seq = (order // n_ticks).tolist()
+        tick_seq = (order % n_ticks).tolist()
+        g_rows = g.tolist()
+        history: List[List[Any]] = [[None] * n_ticks for _ in g_rows]
+        src, dst, ptr = low.fwd_src.tolist(), low.fwd_dst.tolist(), low.pred_ptr.tolist()
+        pred_info = [[(cells[src[e]], e) for e in range(a, b)] for a, b in zip(ptr, ptr[1:])]
+        succ_info = [[(cells[dst[e]], e) for e in row] for row in low.out_rows()]
+        fires = [pes[c].fire for c in cells]
+        for ci, k in zip(cell_seq, tick_seq):
+            inputs: Dict[CellId, Any] = {}
+            for u, e in pred_info[ci]:
+                gen = g_rows[e][k]
+                inputs[u] = history[e][gen] if 0 <= gen < n_ticks else None
+            outputs = fires[ci](inputs)
+            for v, e in succ_info[ci]:
+                history[e][k] = outputs.get(v) if outputs else None
+        return self._program.read_result(self._program)
+
+    def _execute(
+        self, clock: _Clock, timing: TimingResult, g: Optional[np.ndarray]
+    ) -> Any:
+        """The functional half of :meth:`run`: stream-execute a clean run
+        of an acyclic program the stream algebra covers, replay anything
+        else."""
+        pes = self._program.pes
+        if timing.clean and self._stream_order is None:
+            # Imported here so that ``import repro`` does not load the
+            # event simulator module.
+            from repro.sim.dataflow import ChannelDeadlockError, zero_token_order
+
+            self._stream_order = False
+            if batch.supports(pes, self._labels):
+                try:
+                    # Consumers first over the COMM edges; a cycle (the
+                    # bidirectional sorter) needs per-tick interleaving.
+                    order = zero_token_order(self._labels, self._src, self._dst)
+                    self._stream_order = order[::-1]
+                except ChannelDeadlockError:
+                    pass
+        if timing.clean and self._stream_order is not False:
+            try:
+                batch.execute_streams(pes, self._low, self._stream_order, clock.ticks)
+                return self._program.read_result(self._program)
+            except batch.BatchUnsupported:
+                self._stream_order = False
+                for pe in pes.values():
+                    pe.reset()  # discard any partial stream state
+        # A dirty blocked run never held the whole latch matrix.
+        if g is None:
+            g = self._latch(0, len(self._src), clock)[1]
+        return self._replay(clock, g)
+
+    def run(
+        self,
+        ticks: Optional[int] = None,
+        tracer: Optional[Tracer] = None,
+        edge_block: Optional[int] = None,
+    ) -> ClockedRunResult:
+        """Byte-identical to the scalar ``ClockedArraySimulator.run``:
+        same result payload, same violation list (contents *and* order),
+        same makespan.
+
+        One path: build the clock, scan the latches (streamed per
+        ``edge_block`` edges, see :meth:`timing`), then stream-execute a
+        clean acyclic run or replay it in scalar event order.  A dirty
+        blocked run rescans every edge at once for the replay.  An
+        enabled ``tracer`` records one span per phase under
+        ``compiled.run``; without one the spans are no-ops.
+        """
+        n_ticks = ticks if ticks is not None else self._program.cycles
+        tracer = tracer if tracer is not None else NULL_TRACER
+        for pe in self._program.pes.values():
+            pe.reset()
+        with tracer.span(
+            "compiled.run",
+            ticks=n_ticks,
+            cells=self.n_cells,
+            edge_block=edge_block,
+        ):
+            with tracer.span("compiled.tick_matrix"):
+                clock = self._clock(n_ticks)
+            with tracer.span("compiled.latch_scan") as h:
+                timing, g = self._scan(clock, edge_block)
+                h.annotate(count=len(timing.violations))
+            with tracer.span("compiled.execute"):
+                result = self._execute(clock, timing, g)
+        return ClockedRunResult(
+            result=result,
+            violations=timing.violations,
+            ticks=n_ticks,
+            makespan=timing.makespan,
         )
 
 

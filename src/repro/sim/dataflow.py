@@ -75,7 +75,6 @@ from typing import (
 
 import numpy as np
 
-from repro.arrays.cells import PE
 from repro.arrays.systolic import SystolicProgram
 from repro.graphs.comm import CommGraph, Lowering
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
@@ -350,7 +349,7 @@ def recurrence_scalar(
     cells = low.cells
     depths = channel_depths(comm, capacity)
     order = [cells[i] for i in channel_order(low, depths)]
-    preds = {c: list(comm.predecessors(c)) for c in cells}
+    preds = {c: [cells[p] for p in row] for c, row in zip(cells, low.pred_rows())}
     # (consumer, lag) per producer: the credit reads lags[lag][consumer].
     credits: Dict[CellId, List[Tuple[CellId, int]]] = {c: [] for c in cells}
     for i in np.flatnonzero(depths).tolist():
@@ -419,17 +418,6 @@ class DataflowRunResult:
         return sum(self.stall_time.values()) if self.stall_time else 0.0
 
 
-class _ResultFacade:
-    """Quacks like a LockstepExecutor for ``SystolicProgram.read_result``
-    (which only ever calls ``pe``)."""
-
-    def __init__(self, pes: Mapping[CellId, PE]) -> None:
-        self._pes = pes
-
-    def pe(self, cell: CellId) -> PE:
-        return self._pes[cell]
-
-
 class SelfTimedProgramSimulator:
     """Run a systolic program data-driven on the event engine.
 
@@ -492,24 +480,21 @@ class SelfTimedProgramSimulator:
 
         sim = Simulator(tracer=self._tracer, metrics=self._metrics)
         schedule = sim.schedule
-        comm = self._comm
-        cells = comm.nodes()
+        low = self._comm.lowering()
+        cells = low.cells
         n = len(cells)
-        # Per-cell state in lists by dense id.  Neighbour rows are in
-        # dense-id order: the COMM graph's sets iterate in hash order,
-        # which moves with PYTHONHASHSEED for string cell ids and would
-        # reorder same-time events (and the traced critical path).
-        dense = {c: i for i, c in enumerate(cells)}
-        preds = [sorted(dense[p] for p in comm.predecessors(c)) for c in cells]
-        succs = [sorted(dense[s] for s in comm.successors(c)) for c in cells]
+        # Per-cell state in lists by dense id, neighbours in the lowering's
+        # ascending dense-id rows, so same-time events queue alike in every
+        # process.  A channel is its position ``e`` in the lowering's
+        # ``fwd`` arrays: cell ``v``'s input channels are ``first[v]`` up
+        # to ``first[v + 1]``, and a token on ``e`` fills slot ``e -
+        # first[v]`` of its receiver's inbox row.
+        preds = low.pred_rows()
+        outs = low.out_rows()
+        first = low.pred_ptr.tolist()
+        src, dst = low.fwd_src.tolist(), low.fwd_dst.tolist()
         pred_cells = [[cells[p] for p in row] for row in preds]
-        succ_cells = [[cells[s] for s in row] for row in succs]
         n_preds = [len(row) for row in preds]
-        # A token from ``u`` to its ``j``-th successor fills slot
-        # ``slots[u][j]`` of that successor's inbox row; the consumer
-        # drains occupancy ``[p][j]`` for each ``(p, j)`` in ``drains``.
-        slots = [[preds[v].index(u) for v in row] for u, row in enumerate(succs)]
-        drains = [[(p, succs[p].index(v)) for p in row] for v, row in enumerate(preds)]
         fires = [pes[c].fire for c in cells]
         service = self._service
         wire = self._wire_delay
@@ -524,19 +509,17 @@ class SelfTimedProgramSimulator:
         metered = self._metrics.enabled
         service_hist = self._metrics.histogram("dataflow.service_time")
 
-        # The credit rule: ``limits[u][j]`` bounds the channel to u's j-th
-        # successor (None = unbounded) and ``occupancy[u][j]`` counts its
-        # tokens in flight.  Only a bounded spec tracks occupancy, stalls
-        # or these two histograms.
+        # The credit rule: ``limits[e]`` bounds channel ``e`` (None =
+        # unbounded) and ``occupancy[e]`` counts its tokens in flight.
+        # Only a bounded spec tracks occupancy, stalls or these two
+        # histograms.
         capacity = self._capacity
         bounded = capacity is not None
         limit_of = (
             capacity.get if isinstance(capacity, dict) else lambda edge: capacity
         )
-        limits = [
-            [limit_of((c, s)) for s in row] for c, row in zip(cells, succ_cells)
-        ]
-        occupancy = [[0] * len(row) for row in succs]
+        limits = [limit_of((cells[u], cells[v])) for u, v in zip(src, dst)]
+        occupancy = [0] * len(src)
         stall = [0.0] * n
         blocked_since: List[Optional[float]] = [None] * n
         max_occupancy = 0
@@ -570,8 +553,9 @@ class SelfTimedProgramSimulator:
                 # Capacity c: wave k needs each successor to have consumed
                 # generation k-c, i.e. to have *fired* wave k-c+1 already
                 # (``next_wave`` counts fires, so the threshold is k-c+2).
-                for s, cap in zip(succs[v], limits[v]):
-                    if cap is not None and k >= cap and next_wave[s] < k - cap + 2:
+                for e in outs[v]:
+                    cap = limits[e]
+                    if cap is not None and k >= cap and next_wave[dst[e]] < k - cap + 2:
                         # Data-ready but the channel to this consumer is
                         # full: the stall clock starts at the first blocked
                         # attempt.
@@ -593,8 +577,8 @@ class SelfTimedProgramSimulator:
                 inputs = dict(zip(pred_cells[v], inbox[v].pop(gen)))
                 if bounded:
                     # Consuming a generation drains one slot per input edge.
-                    for p, j in drains[v]:
-                        occupancy[p][j] -= 1
+                    for e in range(first[v], first[v + 1]):
+                        occupancy[e] -= 1
             outputs = fires[v](inputs)
             cell = cells[v]
             duration = service(cell, k)
@@ -630,12 +614,13 @@ class SelfTimedProgramSimulator:
             nonlocal max_occupancy
             busy[u] = False
             finish[u] = sim.now
-            for j, v in enumerate(succs[u]):
-                value = outputs.get(succ_cells[u][j]) if outputs else None
+            for e in outs[u]:
+                v = dst[e]
+                value = outputs.get(cells[v]) if outputs else None
                 if bounded:
-                    count = occupancy[u][j] + 1
-                    occupancy[u][j] = count
-                    limit = limits[u][j]
+                    count = occupancy[e] + 1
+                    occupancy[e] = count
+                    limit = limits[e]
                     if limit is not None and count > limit:
                         raise AssertionError(
                             f"channel ({cells[u]!r} -> {cells[v]!r}) exceeded "
@@ -645,7 +630,7 @@ class SelfTimedProgramSimulator:
                         max_occupancy = count
                     if metered:
                         occupancy_hist.observe(float(count))
-                schedule(wire, partial(deliver, u, k, v, slots[u][j], value))
+                schedule(wire, partial(deliver, u, k, v, e - first[v], value))
             try_fire(u, "self")
 
         def deliver(u: int, gen: int, v: int, slot: int, value: Any) -> None:
@@ -673,7 +658,7 @@ class SelfTimedProgramSimulator:
                 f"{n_waves} waves (first: {short[:3]!r})"
             )
         makespan = max(finish, default=0.0)
-        result = self._program.read_result(_ResultFacade(pes))
+        result = self._program.read_result(self._program)
         if tracer.enabled:
             tracer.event(
                 makespan, "dataflow", "run",

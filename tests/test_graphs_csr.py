@@ -55,13 +55,13 @@ class TestGridCSR:
 
 
 class TestCSRFromComm:
-    def test_explicit_cell_order_respected(self):
+    def test_is_a_view_of_the_lowering(self):
         comm = mesh(2, 3).comm
-        cells = list(reversed(comm.nodes()))
-        csr = csr_from_comm(comm, cells=cells)
-        assert csr.n_cells == 6
-        # Node order defines dense ids; structure must be internally valid.
-        assert csr.indptr[-1] == csr.n_edges
+        csr = csr_from_comm(comm)
+        low = comm.lowering()
+        assert csr.indptr is low.pred_ptr and csr.indices is low.fwd_src
+        assert not csr.indices.flags.writeable
+        assert csr.n_cells == 6 and csr.indptr[-1] == csr.n_edges
 
     def test_nodes_round_trip(self):
         comm = mesh(3, 3).comm

@@ -2,6 +2,8 @@
 
 import textwrap
 
+import pytest
+
 from tools.lint_repro import SRC_ROOT, lint_source, lint_tree
 
 
@@ -278,6 +280,44 @@ def test_span_calls_are_exempt():
             with spans.span("phase"):
                 pass
         """
+    )
+
+
+# ----------------------------------------------------------------------
+# neighbour-order
+# ----------------------------------------------------------------------
+_SET_SCAN = """
+def step(comm, cell):
+    return [p for p in comm.predecessors(cell)] + list(comm.successors(cell))
+"""
+
+
+@pytest.mark.parametrize(
+    "rel", ["sim/clocked.py", "obs/critpath.py", "arrays/ideal.py", "graphs/csr.py"]
+)
+def test_neighbour_set_scan_is_flagged_in_scope(rel):
+    violations = lint(_SET_SCAN, rel)
+    assert [v.rule for v in violations] == ["neighbour-order"] * 2
+    assert {v.line for v in violations} == {3}
+    assert "CommGraph.lowering()" in violations[0].message
+
+
+@pytest.mark.parametrize(
+    "rel", ["graphs/comm.py", "sta/flow.py", "arrays/systolic.py", "check/invariants.py"]
+)
+def test_neighbour_set_scan_passes_out_of_scope(rel):
+    assert not lint(_SET_SCAN, rel)
+
+
+def test_lowering_rows_pass_in_scope():
+    assert not lint(
+        """
+        def step(comm, cell):
+            low = comm.lowering()
+            i = low.cells.index(cell)
+            return low.pred_rows()[i], low.succ_rows()[i]
+        """,
+        "sim/clocked.py",
     )
 
 

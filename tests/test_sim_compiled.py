@@ -26,11 +26,7 @@ from repro.core.padding import plan_safe_clocking
 from repro.delay.variation import BoundedUniformVariation
 from repro.sim.clock_distribution import ClockSchedule
 from repro.sim.clocked import ClockedArraySimulator
-from repro.sim.compiled import (
-    CompiledClockedKernel,
-    CompiledRecurrence,
-    compile_clocked,
-)
+from repro.sim.compiled import CompiledClockedKernel, CompiledRecurrence
 from repro.sim.dataflow import (
     SelfTimedProgramSimulator,
     constant_service,
@@ -124,7 +120,6 @@ def test_compiled_kernel_cached_and_explicit_ticks():
     schedule = ClockSchedule({c: 0.0 for c in cells}, period=10.0)
     sim = ClockedArraySimulator(program, schedule, delta=1.0)
     assert sim.compiled() is sim.compiled()  # cached per comm version
-    assert compile_clocked(sim) is sim.compiled()
     assert isinstance(sim.compiled(), CompiledClockedKernel)
     ticks = program.cycles + 3
     _assert_identical(sim.run(ticks=ticks), sim.run_scalar(ticks=ticks))

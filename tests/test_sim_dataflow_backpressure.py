@@ -396,6 +396,21 @@ _CRITPATH_WITNESS = textwrap.dedent("""
 """)
 
 
+# A re-clocked matvec whose receivers each latch several inputs: one
+# receiver event's violations come in sender dense-id order, and the
+# compiled kernel's list equals the scalar one.
+_CLOCKED_WITNESS = textwrap.dedent("""
+    from repro.sta.design import design_for_workload
+    design = design_for_workload("matvec", size=6, seed=0, pad_races=False)
+    sim = design.with_period(design.period / 2).simulator()
+    scalar, compiled = sim.run_scalar(), sim.run()
+    assert scalar.violations == compiled.violations
+    print(len(scalar.violations))
+    print(repr(scalar.violations), repr(scalar.result))
+    print(repr(compiled.violations), repr(compiled.result))
+""")
+
+
 def _under_hash_seeds(script):
     """``script``'s stdout under ``PYTHONHASHSEED`` 1, 2 and 3."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -416,8 +431,9 @@ def _under_hash_seeds(script):
 
 class TestHashSeedIndependentOrder:
     """Matvec's cell ids include strings (``'ysrc'``, ``('a', i)``), whose
-    set order moves with ``PYTHONHASHSEED``; same-time events must queue
-    in dense-id order instead, so a trace is the same in every process."""
+    set order moves with ``PYTHONHASHSEED``; same-time events must queue,
+    and one receiver's inputs latch, in dense-id order instead, so a
+    trace or a violation list is the same in every process."""
 
     def test_fire_sequence_is_the_same_under_every_hash_seed(self):
         runs = _under_hash_seeds(_HASH_WITNESS)
@@ -427,4 +443,9 @@ class TestHashSeedIndependentOrder:
     def test_selftimed_critical_path_is_the_same_under_every_hash_seed(self):
         runs = _under_hash_seeds(_CRITPATH_WITNESS)
         assert runs[0].count("wire") > 2
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_clocked_violation_order_is_the_same_under_every_hash_seed(self):
+        runs = _under_hash_seeds(_CLOCKED_WITNESS)
+        assert runs[0].startswith("161\n")
         assert runs[0] == runs[1] == runs[2]

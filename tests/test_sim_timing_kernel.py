@@ -81,6 +81,30 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CompiledTimingKernel(grid_csr(2, 2), np.zeros(4), period=0.0)
 
+    @pytest.mark.parametrize("period", [np.inf, np.nan])
+    def test_period_finite(self, period):
+        with pytest.raises(ValueError, match="period must be positive and finite"):
+            CompiledTimingKernel(grid_csr(3, 3), np.zeros(9), period=period)
+
+    @pytest.mark.parametrize("bad", [np.nan, -1.0, np.inf])
+    def test_offsets_non_negative_and_finite(self, bad):
+        offsets = np.zeros(9)
+        offsets[4] = bad
+        with pytest.raises(ValueError, match="offsets must be non-negative and finite"):
+            CompiledTimingKernel(grid_csr(3, 3), offsets, period=1.0)
+
+    @pytest.mark.parametrize("lag", [-5.0, np.nan, np.inf])
+    def test_uniform_lag_non_negative_and_finite(self, lag):
+        with pytest.raises(ValueError, match="lag must be non-negative and finite"):
+            CompiledTimingKernel(grid_csr(3, 3), np.zeros(9), period=1.0, lag=lag)
+
+    def test_per_edge_lag_non_negative_and_finite(self):
+        grid = grid_csr(3, 3)
+        lag = np.full(grid.n_edges, 0.5)
+        lag[7] = np.nan
+        with pytest.raises(ValueError, match="lag must be non-negative and finite"):
+            CompiledTimingKernel(grid, np.zeros(9), period=1.0, lag=lag)
+
     def test_per_edge_lag_shape_checked(self):
         grid = grid_csr(2, 2)
         with pytest.raises(ValueError):

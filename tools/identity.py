@@ -48,6 +48,14 @@ worktree`` of the parent commit) for comparison:
   edges unbounded; a tracer and a metrics registry each on about half.
   Every result field, the trace without ``wall_s``, the metrics and the
   recurrence makespan, or the deadlock cycle of a refused spec;
+* 348 clocked runs (``ClockedArraySimulator``): 300 seeded fir, matvec,
+  sorter and matmul programs at sizes 2-6 under affine and jittered
+  schedules, with and without random padding, clean and dirty, plus 48
+  ``design_for_workload`` designs at 1x and 0.5x their period.  The
+  scalar, compiled and edge-blocked compiled runs: result ``repr``,
+  makespan, ticks and the violations as a sorted multiset (their order
+  within one receiver event is not compared), plus ``edge_lags()``; the
+  programs add ``run_lockstep()`` and the ``csr_from_comm`` arrays;
 * 200 signal-level handshake runs (unbuffered and buffered pipelines,
   credit pipelines, join wavefronts), a tracer and metrics each on
   about half: every result field, the trace and the metrics;
@@ -446,6 +454,99 @@ def dataflow_cases(quick: bool) -> Iterator[Case]:
         yield f"dataflow/{i}/{name}", lambda spec=spec: _dataflow_run(spec)
 
 
+def _clocked_outputs(sim: Any) -> Dict[str, Any]:
+    """Both engines of one simulator, the compiled one in one block and
+    in blocks of two edges: the result ``repr``, makespan, ticks and the
+    violations as a sorted multiset (their order within one receiver
+    event is not compared), plus ``edge_lags()``."""
+    out: Dict[str, Any] = {"lags": sim.edge_lags()}
+    for name, run in (("scalar", sim.run_scalar()), ("compiled", sim.run()),
+                      ("blocked", sim.compiled().run(edge_block=2))):
+        out[name] = [repr(run.result), run.makespan, run.ticks, sorted(
+            [repr(v.edge), v.receiver_tick, v.expected_sender_tick,
+             v.actual_sender_tick] for v in run.violations)]
+    return out
+
+
+def _clocked_run(spec: Dict[str, Any]) -> Dict[str, Any]:
+    from repro.graphs.csr import csr_from_comm
+    from repro.sim.clock_distribution import ClockSchedule
+    from repro.sim.clocked import ClockedArraySimulator
+    from repro.sim.faults import JitteredSchedule
+
+    rng = random.Random(spec["seed"])
+    program = _dataflow_program(spec["family"], spec["size"], rng)
+    comm = program.array.comm
+    period = spec["period"]
+    schedule = ClockSchedule(
+        {c: rng.uniform(0.0, spec["skew"]) for c in comm.nodes()}, period)
+    if spec["jitter"]:
+        schedule = JitteredSchedule(schedule, spec["jitter"] * period,
+                                    seed=rng.randrange(1000))
+    padding = None
+    if spec["padded"]:
+        padding = {e: rng.choice((0.125, 0.5, 1.5)) for e in comm.edges()
+                   if rng.random() < 0.5}
+    sim = ClockedArraySimulator(program, schedule, delta=spec["delta"],
+                                edge_padding=padding)
+    out = _clocked_outputs(sim)
+    csr = csr_from_comm(comm)
+    out["lockstep"] = repr(program.run_lockstep())
+    out["csr"] = [csr.indptr, csr.indices, list(csr.nodes)]
+    return out
+
+
+def _clocked_design(workload: str, size: int, pad: bool, scale: float) -> Dict[str, Any]:
+    from repro.sta.design import design_for_workload
+
+    design = design_for_workload(workload, size=size, seed=size, pad_races=pad)
+    return _clocked_outputs(design.with_period(scale * design.period).simulator())
+
+
+#: The quick slice: one dirty matvec run and one clean fir run.
+_QUICK_CLOCKED = (
+    {"family": "matvec", "size": 4, "skew": 1.5, "delta": 0.5, "period": 1.0,
+     "jitter": 0.0, "padded": True, "seed": 5},
+    {"family": "fir", "size": 3, "skew": 0.25, "delta": 0.5, "period": 4.0,
+     "jitter": 0.0, "padded": False, "seed": 2},
+)
+
+
+def _clocked_spec(i: int) -> Dict[str, Any]:
+    rng = random.Random(f"identity-clocked|{i}")
+    delta = rng.choice((0.25, 0.5, 1.0))
+    skew = rng.choice((0.0, 0.5, 1.0, 2.0)) * delta
+    return {
+        "family": rng.choice(("fir", "matvec", "sorter", "matmul")),
+        "size": rng.randint(2, 6),
+        "skew": skew,
+        "delta": delta,
+        # Loose enough to be clean without padding, or tight enough to
+        # stale most edges.
+        "period": rng.choice((0.5, 1.0, 3.0)) * (skew + delta) + rng.choice((0.0, 1.25)),
+        "jitter": rng.choice((0.0, 0.0, 0.1, 0.3)),
+        "padded": rng.random() < 0.5,
+        "seed": rng.randrange(2**31),
+    }
+
+
+def clocked_cases(quick: bool) -> Iterator[Case]:
+    specs = _QUICK_CLOCKED if quick else [_clocked_spec(i) for i in range(300)]
+    for i, spec in enumerate(specs):
+        name = f"{spec['family']}-{spec['size']}-j{spec['jitter']}"
+        yield f"clocked/{i}/{name}", lambda spec=spec: _clocked_run(spec)
+    if quick:
+        return
+    for workload in ("fir", "matvec", "sorter", "matmul"):
+        for size in (4, 5, 6):
+            for pad in (True, False):
+                for scale in (1.0, 0.5):
+                    yield (f"clocked/design/{workload}-{size}-"
+                           f"{'pad' if pad else 'nopad'}-x{scale}",
+                           lambda w=workload, n=size, p=pad, s=scale: _clocked_design(
+                               w, n, p, s))
+
+
 def _handshake_run(kind: str, seed: int) -> Dict[str, Any]:
     from repro.sim import handshake
     from repro.sim.selftimed import two_point_sampler
@@ -564,7 +665,7 @@ def record(out: str, src: str, quick: bool) -> int:
     t0 = time.perf_counter()
     lines = []
     for cases in (design_cases, signoff_cases, eco_cases, tile_cases,
-                  dataflow_cases, handshake_cases, cli_cases):
+                  dataflow_cases, clocked_cases, handshake_cases, cli_cases):
         for case, run in cases(quick):
             lines.append(f"{case}\t{digest(run())}\n")
     with open(out, "w") as fh:

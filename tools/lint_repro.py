@@ -1,6 +1,6 @@
 """Repo-specific static lint: invariants generic linters can't know.
 
-Five rules, each an AST pass over ``src/repro``:
+Six rules, each an AST pass over ``src/repro``:
 
 * **batch-oracle** — every ``*_batch`` kernel must have a scalar oracle
   counterpart in the same scope (``X`` or ``X_scalar`` next to
@@ -29,6 +29,13 @@ Five rules, each an AST pass over ``src/repro``:
   tracing cost real time on hot paths, which breaks the
   zero-overhead-when-off contract.  (``Tracer.span`` is exempt — it
   checks ``enabled`` itself.)
+* **neighbour-order** — in ``repro.sim``, ``repro.obs``,
+  ``repro/arrays/ideal.py`` and ``repro/graphs/csr.py``, no
+  ``.predecessors(...)`` or ``.successors(...)`` call: a COMM graph's
+  neighbour sets iterate in hash order, which moves with
+  ``PYTHONHASHSEED`` for string cell ids, so a simulator that scans them
+  reports events or violations in a different order in every process.
+  Read the rows of ``CommGraph.lowering()`` instead (ascending dense id).
 
 Run as a script (``python tools/lint_repro.py``) or via the pytest in
 ``tests/test_lint_repro.py`` (part of the tier-1 suite, hence CI).
@@ -298,6 +305,33 @@ def check_guarded_trace_events(tree: ast.Module, rel: str) -> List[LintViolation
 
 
 # ----------------------------------------------------------------------
+# rule: neighbour-order
+# ----------------------------------------------------------------------
+#: The modules that read COMM neighbours per event: packages and files.
+NEIGHBOUR_ORDER_SCOPE = ("sim/", "obs/", "arrays/ideal.py", "graphs/csr.py")
+
+
+def check_neighbour_order(tree: ast.Module, rel: str) -> List[LintViolation]:
+    """Flag every ``.predecessors(...)`` / ``.successors(...)`` call in
+    :data:`NEIGHBOUR_ORDER_SCOPE`."""
+    if not rel.replace("\\", "/").startswith(NEIGHBOUR_ORDER_SCOPE):
+        return []
+    return [
+        LintViolation(
+            "neighbour-order",
+            rel,
+            node.lineno,
+            f".{node.func.attr}() iterates a COMM set in hash order, which "
+            "moves with PYTHONHASHSEED; read the rows of CommGraph.lowering()",
+        )
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("predecessors", "successors")
+    ]
+
+
+# ----------------------------------------------------------------------
 # driver
 # ----------------------------------------------------------------------
 def lint_source(source: str, rel: str) -> List[LintViolation]:
@@ -309,6 +343,7 @@ def lint_source(source: str, rel: str) -> List[LintViolation]:
     violations += check_flow_oracles(tree, rel)
     violations += check_simulator_kwargs(tree, rel)
     violations += check_guarded_trace_events(tree, rel)
+    violations += check_neighbour_order(tree, rel)
     return violations
 
 
