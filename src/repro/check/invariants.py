@@ -65,7 +65,7 @@ def _segments_to_ancestor(
     tree: ClockTree, node: NodeId, ancestor: NodeId, spacing: float
 ) -> int:
     """Buffer/segment count on the tree path from ``node`` up to
-    ``ancestor``, mirroring ``BufferedClockTree._edge_delay`` exactly:
+    ``ancestor``, mirroring ``clocktree.buffered.slice_segments`` exactly:
     a zero-length edge gets no buffer, otherwise ``ceil(length / spacing)``
     with the same 1e-12 tolerance."""
     count = 0

@@ -108,15 +108,11 @@ def _relabelled(tree: ClockTree):
     copy = ClockTree(
         rename(tree.root), tree.position(tree.root), max_children=tree.max_children
     )
-    for node in tree.nodes():
-        if node == tree.root:
-            continue
-        copy.add_child(
-            rename(tree.parent(node)),
-            rename(node),
-            tree.position(node),
-            length=tree.edge_length(node),
-        )
+    copy.add_children(
+        (rename(tree.parent(node)), rename(node), tree.position(node),
+         tree.edge_length(node))
+        for node in tree.nodes()[1:]  # the root comes first
+    )
     return copy, rename
 
 

@@ -17,12 +17,16 @@ holds by construction; call :meth:`resample` to model A8 breaking.
 The resulting *empirical* skews can be compared against the difference- and
 summation-model bounds, which is exactly what the model-validation tests and
 the Fig. 1/2 bench do.
+
+Both realizations of a buffered tree — this one and the Monte-Carlo
+:class:`~repro.clocktree.sampler.CompiledSkewSampler` — cut the edges with
+one :func:`slice_segments` over the tree's dense store.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +35,56 @@ from repro.delay.buffer import InverterPairModel
 from repro.delay.variation import NoVariation, VariationProcess
 
 NodeId = Hashable
+
+
+class Segments(NamedTuple):
+    """A tree's edges cut into buffered segments, in dense-id order.
+
+    Node ``i``'s parent edge holds segments ``ptr[i]:ptr[i + 1]`` (none
+    for the root and for a zero-length edge), each ``owner`` ``i`` and
+    ``length / count`` long, each edge's left to right.
+    """
+
+    ptr: np.ndarray
+    owner: np.ndarray
+    length: np.ndarray
+    mid_x: np.ndarray
+    mid_y: np.ndarray
+
+
+def _check_spacing(spacing: float) -> None:
+    """Refuse a buffer spacing that is not positive and finite."""
+    if spacing <= 0:
+        raise ValueError("buffer spacing must be positive")
+    if not math.isfinite(spacing):
+        raise ValueError(f"buffer spacing must be finite, got {spacing!r}")
+
+
+def slice_segments(tree: ClockTree, spacing: float) -> Segments:
+    """Cut every edge into ``max(1, ceil(length / spacing - 1e-12))``
+    equal segments (a zero-length edge gets none), with each segment's
+    length and the midpoint of its straight-line stretch between the two
+    endpoints, so spatially correlated variation sees the wire's
+    physical location."""
+    _check_spacing(spacing)
+    store = tree.dense_store
+    edge = store.length
+    counts = np.where(edge > 0, np.maximum(1.0, np.ceil(edge / spacing - 1e-12)), 0.0)
+    counts = counts.astype(np.int64)
+    ptr = np.zeros(store.n + 1, dtype=np.int64)
+    np.cumsum(counts, out=ptr[1:])
+    owner = np.repeat(np.arange(store.n), counts)
+    per_edge = counts[owner]
+    frac = (np.arange(len(owner)) - ptr[owner] + 0.5) / per_edge
+    x, y, parent = store.x, store.y, store.parent
+    x0, y0 = x[parent][owner], y[parent][owner]
+    return Segments(
+        ptr=ptr,
+        owner=owner,
+        length=edge[owner] / per_edge,
+        mid_x=x0 + (x[owner] - x0) * frac,
+        mid_y=y0 + (y[owner] - y0) * frac,
+    )
 
 
 class BufferedClockTree:
@@ -43,19 +97,19 @@ class BufferedClockTree:
         wire_variation: Optional[VariationProcess] = None,
         buffer_model: Optional[InverterPairModel] = None,
     ) -> None:
-        if buffer_spacing <= 0:
-            raise ValueError("buffer spacing must be positive")
+        # Checked before the default stage model takes it as ``nominal``.
+        _check_spacing(buffer_spacing)
         self.tree = tree
         self.buffer_spacing = buffer_spacing
         self._wire_variation = wire_variation or NoVariation(m=1.0)
         self._buffer_model = buffer_model or InverterPairModel(nominal=buffer_spacing)
+        # Per build: arrivals by node and as arrays in the tree's dense
+        # numbering (for the batched skew kernel), and every segment's
+        # delay, wire plus the slower edge of its stage.
         self._arrival_rise: Dict[NodeId, float] = {}
         self._arrival_fall: Dict[NodeId, float] = {}
-        self._segment_delays: List[float] = []
-        self._buffer_count = 0
-        # Lazy per-build arrival arrays (aligned with the tree's dense
-        # node numbering) for the batched skew kernel.
-        self._arrival_vectors: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._arrival_vectors: Tuple[np.ndarray, np.ndarray] = (np.empty(0), np.empty(0))
+        self._segment_delays = np.empty(0)
         # Monotone rebuild counter; downstream memoizers (compiled trial
         # contexts, the STA analyzer) key their caches on it so a
         # resample() is never observed through stale data.
@@ -71,25 +125,37 @@ class BufferedClockTree:
     def _build(self) -> None:
         """Sample every segment's delay and accumulate arrivals root-down.
 
-        Nodes are visited in tree insertion order (parents precede children
-        by construction), so sampling is deterministic for a fixed tree and
-        seed — that determinism *is* assumption A8.
+        Segments come in dense-id order (parents precede children by
+        construction), each edge's left to right: the wire process samples
+        every segment's midpoint in one call and the stage model draws
+        every stage in one, so sampling is deterministic for a fixed tree
+        and seed — that determinism *is* assumption A8.  A segment delays
+        its edge by its wire sample plus its stage; an edge sums its
+        segments left to right, and arrivals accumulate root-down, one
+        float add per node, as a walk of the tree would.
         """
         self._version += 1
+        tree = self.tree
+        cut = slice_segments(tree, self.buffer_spacing)
         self._wire_variation.reset()
         self._buffer_model.reset()
-        self._arrival_rise = {self.tree.root: 0.0}
-        self._arrival_fall = {self.tree.root: 0.0}
-        self._segment_delays = []
-        self._buffer_count = 0
-        self._arrival_vectors = None
-        tree = self.tree
-        rise_at, fall_at = self._arrival_rise, self._arrival_fall
-        for node in tree.nodes()[1:]:  # the root comes first
-            parent = tree.parent(node)
-            rise, fall = self._edge_delay(parent, node, tree.edge_length(node))
-            rise_at[node] = rise_at[parent] + rise
-            fall_at[node] = fall_at[parent] + fall
+        wire = cut.length * self._wire_variation.sample_at_batch(cut.mid_x, cut.mid_y)
+        rise, fall = self._buffer_model.draw_batch(len(wire))
+        self._segment_delays = wire + np.maximum(rise, fall)
+        n = len(cut.ptr) - 1
+        # A weighted bincount adds each edge's segments in segment order:
+        # left to right from 0.0, as a loop over them would.
+        rise_at = np.bincount(cut.owner, weights=wire + rise, minlength=n).tolist()
+        fall_at = np.bincount(cut.owner, weights=wire + fall, minlength=n).tolist()
+        parent = tree.dense_store.parent.tolist()
+        for i in range(1, n):
+            p = parent[i]
+            rise_at[i] += rise_at[p]
+            fall_at[i] += fall_at[p]
+        nodes = tree.dense_store.nodes
+        self._arrival_rise = dict(zip(nodes, rise_at))
+        self._arrival_fall = dict(zip(nodes, fall_at))
+        self._arrival_vectors = (np.array(rise_at), np.array(fall_at))
         self._tree_version = tree.version
 
     def _sync(self) -> None:
@@ -105,36 +171,6 @@ class BufferedClockTree:
         if self._tree_version != self.tree.version:
             self._build()
 
-    def _edge_delay(self, parent, node, length: float) -> Tuple[float, float]:
-        """Rising/falling delay of one tree edge after buffer insertion.
-
-        Segment delays are sampled *at* each segment's midpoint (straight-
-        line interpolation between endpoints), so spatially correlated
-        variation processes see the wire's physical location.
-        """
-        if length <= 0:
-            return 0.0, 0.0
-        segments = max(1, math.ceil(length / self.buffer_spacing - 1e-12))
-        seg_length = length / segments
-        p0 = self.tree.position(parent)
-        p1 = self.tree.position(node)
-        x0, y0, dx, dy = p0.x, p0.y, p1.x - p0.x, p1.y - p0.y
-        sample_at = self._wire_variation.sample_at
-        draw = self._buffer_model.draw
-        delays = self._segment_delays
-        rise_total = 0.0
-        fall_total = 0.0
-        # Per segment: the wire sample at its midpoint, then one stage.
-        for i in range(segments):
-            frac = (i + 0.5) / segments
-            wire = seg_length * sample_at(x0 + dx * frac, y0 + dy * frac)
-            rise, fall = draw()
-            rise_total += wire + rise
-            fall_total += wire + fall
-            delays.append(wire + max(rise, fall))
-        self._buffer_count += segments
-        return rise_total, fall_total
-
     def resample(self, seed: int) -> None:
         """Redraw all delays with a new seed — the A8-broken scenario where
         physical conditions drift between clock events."""
@@ -148,7 +184,7 @@ class BufferedClockTree:
     @property
     def buffer_count(self) -> int:
         self._sync()
-        return self._buffer_count
+        return len(self._segment_delays)
 
     @property
     def version(self) -> int:
@@ -167,16 +203,16 @@ class BufferedClockTree:
         """Worst-case root-to-node arrival (the pipelined analogue of the
         equipotential ``alpha * P`` of A6; here it grows with size but does
         not limit the period)."""
-        self._sync()
-        table = self._arrival_rise if rising else self._arrival_fall
-        return max(table.values())
+        rise, fall = self._vectors()
+        return float((rise if rising else fall).max())
 
     def tau(self) -> float:
         """A7's ``tau``: the largest delay of a single buffer-plus-segment —
         the time to distribute a clock event across one unbuffered stretch.
         Constant in array size for fixed spacing (tested)."""
         self._sync()
-        return max(self._segment_delays, default=0.0)
+        delays = self._segment_delays
+        return float(delays.max()) if len(delays) else 0.0
 
     def skew(self, a: NodeId, b: NodeId, rising: bool = True) -> float:
         """Empirical skew: difference of concrete arrival times."""
@@ -184,18 +220,9 @@ class BufferedClockTree:
 
     def _vectors(self) -> Tuple[np.ndarray, np.ndarray]:
         """Rise/fall arrival arrays aligned with the tree's dense node
-        numbering (lazy, per build; ``resample`` rebuilds arrivals and
-        drops them).  Sharing the tree's numbering lets the skew kernel
-        reuse the tree's memoized pair-to-id translation."""
+        numbering (per build).  Sharing the tree's numbering lets the skew
+        kernel reuse the tree's memoized pair-to-id translation."""
         self._sync()
-        if self._arrival_vectors is None:
-            # _build fills both maps root first, then in the tree's
-            # insertion order, which is its dense numbering.
-            n = len(self._arrival_rise)
-            self._arrival_vectors = (
-                np.fromiter(self._arrival_rise.values(), dtype=np.float64, count=n),
-                np.fromiter(self._arrival_fall.values(), dtype=np.float64, count=n),
-            )
         return self._arrival_vectors
 
     def skew_batch(
@@ -237,7 +264,8 @@ class BufferedClockTree:
         return abs(self._arrival_rise[node] - self._arrival_fall[node])
 
     def max_pulse_distortion(self) -> float:
-        return max(self.pulse_distortion(n) for n in self.tree.nodes())
+        rise, fall = self._vectors()
+        return float(np.abs(rise - fall).max())
 
     def events_in_flight(self, period: float) -> float:
         """How many clock events travel the tree simultaneously at the given

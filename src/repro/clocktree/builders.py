@@ -20,7 +20,7 @@ from typing import Hashable, List, Optional, Sequence
 
 from repro.arrays.model import ProcessorArray
 from repro.clocktree.spine import spine_clock
-from repro.clocktree.tree import ClockTree
+from repro.clocktree.tree import ChildEntry, ClockTree
 from repro.geometry.point import Point
 
 CellId = Hashable
@@ -70,21 +70,23 @@ def kdtree_clock(array: ProcessorArray) -> ClockTree:
         return Point(sum(xs) / len(xs), sum(ys) / len(ys))
 
     tree = ClockTree(ROOT, centroid(cells))
+    entries: List[ChildEntry] = []
     counter = 0
     stack = [(ROOT, list(cells), 0)]
     while stack:
         parent, group, axis = stack.pop()
         if len(group) == 1:
             cell = group[0]
-            tree.add_child(parent, cell, array.layout[cell])
+            entries.append((parent, cell, array.layout[cell], None))
             continue
         group.sort(key=xy.__getitem__ if axis == 0 else yx.__getitem__)
         mid = len(group) // 2
         for half in (group[:mid], group[mid:]):
             counter += 1
             node = ("kd", counter)
-            tree.add_child(parent, node, centroid(half))
+            entries.append((parent, node, centroid(half), None))
             stack.append((node, half, 1 - axis))
+    tree.add_children(entries)
     return tree
 
 
@@ -110,6 +112,7 @@ def comm_tree_clock(array: ProcessorArray, root: Optional[CellId] = None) -> Clo
         raise ValueError("COMM (undirected) must be a tree for comm_tree_clock")
     max_deg = array.comm.max_degree()
     tree = ClockTree(root_cell, array.layout[root_cell], max_children=max(2, max_deg))
+    entries: List[ChildEntry] = []
     visited = {root_cell}
     frontier = [root_cell]
     while frontier:
@@ -118,8 +121,9 @@ def comm_tree_clock(array: ProcessorArray, root: Optional[CellId] = None) -> Clo
             if neighbor in visited:
                 continue
             visited.add(neighbor)
-            tree.add_child(node, neighbor, array.layout[neighbor])
+            entries.append((node, neighbor, array.layout[neighbor], None))
             frontier.append(neighbor)
+    tree.add_children(entries)
     return tree
 
 
@@ -138,6 +142,5 @@ def star_clock(array: ProcessorArray, root_position: Optional[Point] = None) -> 
         box = array.layout.bounding_box()
         root_position = box.center
     tree = ClockTree(ROOT, root_position, max_children=len(cells))
-    for cell in cells:
-        tree.add_child(ROOT, cell, array.layout[cell])
+    tree.add_children((ROOT, cell, array.layout[cell], None) for cell in cells)
     return tree

@@ -13,10 +13,10 @@ so the scheme fails under the summation model (Section V opening remark).
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Tuple
+from typing import Hashable, List, Optional, Tuple
 
 from repro.arrays.model import ProcessorArray
-from repro.clocktree.tree import ClockTree
+from repro.clocktree.tree import ChildEntry, ClockTree
 from repro.geometry.point import Point
 
 CellId = Hashable
@@ -50,10 +50,11 @@ def htree(rows: int, cols: int, spacing: float = 1.0) -> ClockTree:
 
     tree = ClockTree(ROOT, center(0, rows, 0, cols))
     if rows == 1 and cols == 1:
-        tree.add_child(ROOT, ("leaf", 0, 0), center(0, 1, 0, 1), length=0.0)
+        tree.add_children([(ROOT, ("leaf", 0, 0), center(0, 1, 0, 1), 0.0)])
         return tree
 
     # Iterative recursion over half-open index regions [r0, r1) x [c0, c1).
+    entries: List[ChildEntry] = []
     stack = [(ROOT, 0, rows, 0, cols)]
     counter = 0
     while stack:
@@ -76,8 +77,9 @@ def htree(rows: int, cols: int, spacing: float = 1.0) -> ClockTree:
             else:
                 counter += 1
                 child = ("h", counter)
-            tree.add_child(node, child, center(rr0, rr1, cc0, cc1))
+            entries.append((node, child, center(rr0, rr1, cc0, cc1), None))
             stack.append((child, rr0, rr1, cc0, cc1))
+    tree.add_children(entries)
     return tree
 
 
@@ -105,6 +107,7 @@ def htree_for_array(
             max_r = max(max_r, int(round(p.y / spacing)))
         grid_shape = (max_r + 1, max_c + 1)
     tree = htree_for_grid(grid_shape[0], grid_shape[1], spacing)
+    entries: List[ChildEntry] = []
     for cell in array.comm.nodes():
         p = array.layout[cell]
         c = int(round(p.x / spacing))
@@ -114,7 +117,8 @@ def htree_for_array(
         leaf = ("leaf", r, c)
         if leaf not in tree:
             raise ValueError(f"no H-tree leaf at grid position {(r, c)}")
-        tree.add_child(leaf, cell, p, length=0.0)
+        entries.append((leaf, cell, p, 0.0))
+    tree.add_children(entries)
     return tree
 
 
@@ -142,17 +146,19 @@ def dissection_tree_for_linear(array: ProcessorArray) -> ClockTree:
         return a.midpoint(b)
 
     tree = ClockTree(ROOT, midpoint(0, n))
+    entries: List[ChildEntry] = []
     stack = [(ROOT, 0, n)]
     counter = 0
     while stack:
         node, lo, hi = stack.pop()
         if hi - lo == 1:
-            tree.add_child(node, cells[lo], array.layout[cells[lo]], length=0.0)
+            entries.append((node, cells[lo], array.layout[cells[lo]], 0.0))
             continue
         mid = lo + (hi - lo) // 2
         for part in ((lo, mid), (mid, hi)):
             counter += 1
             child = ("d", counter)
-            tree.add_child(node, child, midpoint(*part))
+            entries.append((node, child, midpoint(*part), None))
             stack.append((child, part[0], part[1]))
+    tree.add_children(entries)
     return tree

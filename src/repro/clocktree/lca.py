@@ -6,7 +6,7 @@ communicating pairs, so figure benchmarks pay O(pairs x depth) in pure
 Python.  :class:`LiftingLCAIndex` trades a one-off build for vectorized
 queries over numpy arrays of pairs: binary lifting over the
 :class:`DenseTreeStore` that :class:`~repro.clocktree.tree.ClockTree`
-maintains incrementally during ``add_child``.  The index *shares* the
+maintains incrementally as the tree grows.  The index *shares* the
 store (no O(n) snapshot at build time) and re-synchronizes lazily:
 appending nodes extends the lifting table by a few vectorized gathers
 over just the new suffix, and in-place root-distance updates
@@ -57,15 +57,19 @@ class DenseTreeStore:
     The single source of truth both :class:`~repro.clocktree.tree.ClockTree`
     and :class:`LiftingLCAIndex` read: insertion-ordered node ids (parents
     always precede children; the root's parent is itself, the lifting
-    fixed point), parent ids, depths, and root distances.  Appends are
-    amortized O(1) (capacity doubling); root distances may be updated in
-    place (``rd[inside] += delta`` during an edge-length edit) and every
-    reader sees the change immediately because nothing snapshots.
+    fixed point), parent ids, depths, root distances, parent-edge lengths
+    (0 at the root) and positions.  A batch of nodes lands in one
+    :meth:`extend` (capacity doubling); root distances and edge lengths
+    may be updated in place (``rd[inside] += delta`` during an edge-length
+    edit) and every reader sees the change immediately because nothing
+    snapshots.
     """
 
-    __slots__ = ("id", "nodes", "n", "max_depth", "_parent", "_depth", "_rd")
+    __slots__ = ("id", "nodes", "n", "max_depth", "_parent", "_depth", "_rd",
+                 "_length", "_x", "_y")
 
-    def __init__(self, root: NodeId, capacity: int = 64) -> None:
+    def __init__(self, root: NodeId, x: float = 0.0, y: float = 0.0,
+                 capacity: int = 64) -> None:
         self.id: Dict[NodeId, int] = {root: 0}
         self.nodes: List[NodeId] = [root]
         self.n = 1
@@ -73,6 +77,10 @@ class DenseTreeStore:
         self._parent = np.zeros(capacity, dtype=np.int64)
         self._depth = np.zeros(capacity, dtype=np.int64)
         self._rd = np.zeros(capacity, dtype=np.float64)
+        self._length = np.zeros(capacity, dtype=np.float64)
+        self._x = np.zeros(capacity, dtype=np.float64)
+        self._y = np.zeros(capacity, dtype=np.float64)
+        self._x[0], self._y[0] = x, y
 
     @property
     def capacity(self) -> int:
@@ -94,24 +102,64 @@ class DenseTreeStore:
         ``ClockTree.set_edge_length`` shifts whole subtrees in place."""
         return self._rd[: self.n]
 
-    def append(self, node: NodeId, parent_id: int, depth: int, rd: float) -> int:
-        """Add one node (its parent must already be present)."""
-        i = self.n
-        if i == len(self._parent):
+    @property
+    def length(self) -> np.ndarray:
+        """Parent-edge lengths, length ``n`` (0 at the root)."""
+        return self._length[: self.n]
+
+    @property
+    def x(self) -> np.ndarray:
+        """Position x coordinates, length ``n``."""
+        return self._x[: self.n]
+
+    @property
+    def y(self) -> np.ndarray:
+        """Position y coordinates, length ``n``."""
+        return self._y[: self.n]
+
+    def extend(
+        self,
+        nodes: Sequence[NodeId],
+        parent_ids: Sequence[int],
+        lengths: Sequence[float],
+        xs: Sequence[float],
+        ys: Sequence[float],
+    ) -> None:
+        """Add a batch of nodes in order.  Each parent id names a node
+        already present or an earlier node of the batch.  Depths and root
+        distances follow, each ``rd(parent) + length`` in one float add."""
+        n0, k = self.n, len(nodes)
+        if not k:
+            return
+        n1 = n0 + k
+        while n1 > len(self._parent):
             self._grow()
-        self.id[node] = i
-        self.nodes.append(node)
-        self._parent[i] = parent_id
-        self._depth[i] = depth
-        self._rd[i] = rd
-        if depth > self.max_depth:
-            self.max_depth = depth
-        self.n = i + 1
-        return i
+        depths: List[int] = []
+        rds: List[float] = []
+        known: Dict[int, Tuple[int, float]] = {}  # stored parents, read once
+        for p, length in zip(parent_ids, lengths):
+            if p >= n0:  # an earlier node of the batch
+                d, r = depths[p - n0], rds[p - n0]
+            else:
+                if p not in known:
+                    known[p] = (int(self._depth[p]), float(self._rd[p]))
+                d, r = known[p]
+            depths.append(d + 1)
+            rds.append(r + length)
+        self.id.update(zip(nodes, range(n0, n1)))
+        self.nodes.extend(nodes)
+        self._parent[n0:n1] = parent_ids
+        self._depth[n0:n1] = depths
+        self._rd[n0:n1] = rds
+        self._length[n0:n1] = lengths
+        self._x[n0:n1] = xs
+        self._y[n0:n1] = ys
+        self.max_depth = max(self.max_depth, max(depths))
+        self.n = n1
 
     def _grow(self) -> None:
         new_cap = max(64, 2 * len(self._parent))
-        for name in ("_parent", "_depth", "_rd"):
+        for name in ("_parent", "_depth", "_rd", "_length", "_x", "_y"):
             old = getattr(self, name)
             buf = np.zeros(new_cap, dtype=old.dtype)
             buf[: self.n] = old[: self.n]
@@ -154,11 +202,15 @@ class LiftingLCAIndex:
         root_distances: Sequence[float],
     ) -> "LiftingLCAIndex":
         """Build a free-standing index from flat arrays (tests, tools)."""
-        store = DenseTreeStore(nodes[0], capacity=max(64, len(nodes)))
-        for i in range(1, len(nodes)):
-            store.append(nodes[i], int(parent_ids[i]), int(depths[i]),
-                         float(root_distances[i]))
-        store._rd[0] = float(root_distances[0])
+        n = len(nodes)
+        store = DenseTreeStore(nodes[0], capacity=max(64, n))
+        store.id = {node: i for i, node in enumerate(nodes)}
+        store.nodes = list(nodes)
+        store._parent[1:n] = parent_ids[1:n]
+        store._depth[1:n] = depths[1:n]
+        store._rd[:n] = root_distances[:n]
+        store.n = n
+        store.max_depth = int(store._depth[:n].max())
         if store.id != dict(node_id):
             raise ValueError("node_id does not match the nodes sequence")
         return cls(store)

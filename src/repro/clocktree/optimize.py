@@ -18,7 +18,7 @@ import itertools
 from typing import Dict, Hashable, List, Tuple
 
 from repro.arrays.model import ProcessorArray
-from repro.clocktree.tree import ClockTree
+from repro.clocktree.tree import ChildEntry, ClockTree
 from repro.geometry.point import Point
 
 CellId = Hashable
@@ -52,7 +52,7 @@ def greedy_clock_tree(
         raise ValueError("need at least one candidate neighbor")
     if len(cells) == 1:
         tree = ClockTree("opt_root", array.layout[cells[0]])
-        tree.add_child("opt_root", cells[0], array.layout[cells[0]], length=0.0)
+        tree.add_children([("opt_root", cells[0], array.layout[cells[0]], 0.0)])
         return tree
 
     clusters: List[_Cluster] = [
@@ -114,13 +114,15 @@ def greedy_clock_tree(
     for node, _l, _r, c in merges:
         position[node] = c
 
+    entries: List[ChildEntry] = []
     stack: List[CellId] = [root_node]
     while stack:
         node = stack.pop()
         for child in child_map.get(node, ()):  # leaves have no entry
-            tree.add_child(node, child, position[child])
+            entries.append((node, child, position[child], None))
             if child in child_map:
                 stack.append(child)
+    tree.add_children(entries)
     return tree
 
 

@@ -14,8 +14,8 @@ one seeded uniform draw:
 
 * per-segment delay ``seg_len * U(m - eps, m + eps) + buffer_delay``
   (iid bounded-uniform wire variation, deterministic buffer stage);
-* per-edge totals accumulated left-to-right (same add order as a scalar
-  loop over segments);
+* per-edge totals accumulated left-to-right (one weighted bincount, the
+  same add order as a scalar loop over segments);
 * arrivals accumulated level-by-level (one add per node, exactly the
   root-down recurrence);
 * ``max |arrival(a) - arrival(b)|`` over pairs.
@@ -31,12 +31,14 @@ processes without pickling.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.clocktree.buffered import slice_segments
+from repro.clocktree.lca import _gather_ids
 from repro.clocktree.tree import ClockTree
+from repro.delay.variation import require_finite
 
 NodeId = Hashable
 
@@ -73,22 +75,17 @@ class CompiledSkewSampler:
             raise ValueError("inconsistent structure arrays")
         if epsilon < 0:
             raise ValueError("epsilon must be non-negative")
+        require_finite(m=m, epsilon=epsilon, buffer_delay=buffer_delay)
         self._m = float(m)
         self._epsilon = float(epsilon)
         self._buffer_delay = float(buffer_delay)
         self._lo = self._m - self._epsilon
         self._hi = self._m + self._epsilon
-        counts = np.diff(self._seg_ptr)
-        self._seg_counts = counts
-        # Gather plans, built once: per extra-segment index j, which
-        # edges still have a j-th segment (left-to-right accumulation
-        # keeps the scalar add order); per tree depth, which nodes live
-        # there (parents always shallower, so arrivals resolve in one
-        # pass per level).
-        max_seg = int(counts.max()) if n else 0
-        self._seg_sel: List[np.ndarray] = [
-            np.nonzero(counts > j)[0] for j in range(max_seg)
-        ]
+        # Plans, built once: each segment's edge (a weighted bincount
+        # over it adds an edge's segments left to right, the scalar add
+        # order); per tree depth, which nodes live there (parents always
+        # shallower, so arrivals resolve in one pass per level).
+        self._owner = np.repeat(np.arange(n), np.diff(self._seg_ptr))
         order = np.argsort(self._depth, kind="stable")
         max_depth = int(self._depth.max()) if n else 0
         bounds = np.searchsorted(
@@ -113,49 +110,21 @@ class CompiledSkewSampler:
     ) -> "CompiledSkewSampler":
         """Compile ``tree`` + communicating ``pairs``.
 
-        Edges are sliced into ``max(1, ceil(length / buffer_spacing))``
-        equal segments (the buffered-tree slicing rule); each segment
-        carries one wire-variation draw plus the constant
-        ``buffer_delay`` (default: ``buffer_spacing``, the nominal
-        inverter-pair stage of A7).
+        Edges are cut by :func:`~repro.clocktree.buffered.slice_segments`
+        (the buffered-tree slicing rule); each segment carries one
+        wire-variation draw plus the constant ``buffer_delay`` (default:
+        ``buffer_spacing``, the nominal inverter-pair stage of A7).
         """
-        if buffer_spacing <= 0:
-            raise ValueError("buffer spacing must be positive")
-        nodes = tree.nodes()
-        if not nodes or nodes[0] != tree.root:
-            raise ValueError("tree must list its root first")
-        index: Dict[NodeId, int] = {node: i for i, node in enumerate(nodes)}
-        n = len(nodes)
-        parent = np.zeros(n, dtype=np.int64)
-        depth = np.zeros(n, dtype=np.int64)
-        seg_ptr = np.zeros(n + 1, dtype=np.int64)
-        seg_len: List[float] = []
-        for i, node in enumerate(nodes):
-            if i == 0:
-                seg_ptr[1] = 0
-                continue
-            p = index[tree.parent(node)]
-            parent[i] = p
-            depth[i] = depth[p] + 1
-            length = tree.edge_length(node)
-            if length > 0:
-                segments = max(1, math.ceil(length / buffer_spacing - 1e-12))
-                seg_len.extend([length / segments] * segments)
-            seg_ptr[i + 1] = len(seg_len)
+        cut = slice_segments(tree, buffer_spacing)
+        store = tree.dense_store
         pair_list = pairs if isinstance(pairs, (list, tuple)) else list(pairs)
-        pair_a = np.fromiter(
-            (index[a] for a, _ in pair_list), dtype=np.int64, count=len(pair_list)
-        )
-        pair_b = np.fromiter(
-            (index[b] for _, b in pair_list), dtype=np.int64, count=len(pair_list)
-        )
         return cls(
-            parent=parent,
-            depth=depth,
-            seg_ptr=seg_ptr,
-            seg_len=np.asarray(seg_len, dtype=np.float64),
-            pair_a=pair_a,
-            pair_b=pair_b,
+            parent=store.parent.copy(),
+            depth=store.depth.copy(),
+            seg_ptr=cut.ptr,
+            seg_len=cut.length,
+            pair_a=_gather_ids(store.id, [a for a, _ in pair_list]),
+            pair_b=_gather_ids(store.id, [b for _, b in pair_list]),
             m=m,
             epsilon=epsilon,
             buffer_delay=buffer_spacing if buffer_delay is None else buffer_delay,
@@ -186,10 +155,7 @@ class CompiledSkewSampler:
         """Per-node clock arrival times for one trial (dense order)."""
         seg_delay = self._seg_len * self._noise(seed) + self._buffer_delay
         n = len(self._parent)
-        edge_total = np.zeros(n, dtype=np.float64)
-        ptr = self._seg_ptr[:-1]
-        for j, sel in enumerate(self._seg_sel):
-            edge_total[sel] += seg_delay[ptr[sel] + j]
+        edge_total = np.bincount(self._owner, weights=seg_delay, minlength=n)
         arrival = np.zeros(n, dtype=np.float64)
         parent = self._parent
         for idx in self._levels:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Hashable, List, Optional, Sequence, Tuple
 
 from repro.arrays.model import ProcessorArray
-from repro.clocktree.tree import ClockTree
+from repro.clocktree.tree import ChildEntry, ClockTree
 from repro.geometry.layout import Layout
 from repro.geometry.point import Point
 from repro.graphs.comm import CommGraph
@@ -53,12 +53,15 @@ def spine_clock(
         raise ValueError("empty array")
     first = array.layout[cells[0]]
     tree = ClockTree(ROOT, root_position if root_position is not None else first)
+    entries: List[ChildEntry] = []
     previous = ROOT
     for i, cell in enumerate(cells):
         station = ("tap", i)
-        tree.add_child(previous, station, array.layout[cell])
-        tree.add_child(station, cell, array.layout[cell], length=tap_length)
+        position = array.layout[cell]
+        entries += [(previous, station, position, None),
+                    (station, cell, position, tap_length)]
         previous = station
+    tree.add_children(entries)
     return tree
 
 
@@ -78,39 +81,41 @@ def tapped_trunk(
     if not trunk_points:
         raise ValueError("trunk needs at least one point")
     tree = ClockTree(ROOT, trunk_points[0])
-    previous: CellId = ROOT
     stations: List[CellId] = [ROOT]
+    entries: List[ChildEntry] = []
     for i, p in enumerate(trunk_points[1:], start=1):
-        station = ("tap", i)
-        tree.add_child(previous, station, p)
-        stations.append(station)
-        previous = station
+        entries.append((stations[-1], ("tap", i), p, None))
+        stations.append(("tap", i))
+    # Every station but the last spends one slot on the trunk.
+    taken = {station: 1 for station in stations[:-1]}
+    position = dict(zip(stations, trunk_points))
 
     # Group taps per station, then attach through zero-length buses as needed.
     groups: dict = {}
-    for cell, station_index, position, tap_length in taps:
-        groups.setdefault(station_index, []).append((cell, position, tap_length))
+    for cell, station_index, cell_position, tap_length in taps:
+        groups.setdefault(station_index, []).append((cell, cell_position, tap_length))
     for station_index, group in groups.items():
         anchor: CellId = stations[station_index]
         pending = list(group)
         bus_counter = 0
         while pending:
-            free = tree.max_children - len(tree.children(anchor))
+            free = tree.max_children - taken.get(anchor, 0)
             if free <= 0:
                 raise ValueError(f"station {station_index} has no free tap slot")
-            if len(pending) <= free:
-                for cell, position, tap_length in pending:
-                    tree.add_child(anchor, cell, position, length=tap_length)
-                pending = []
-                continue
-            # Attach what fits minus one slot reserved for the bus.
-            for cell, position, tap_length in pending[: free - 1]:
-                tree.add_child(anchor, cell, position, length=tap_length)
-            pending = pending[free - 1 :]
-            bus = ("tapbus", station_index, bus_counter)
-            bus_counter += 1
-            tree.add_child(anchor, bus, tree.position(anchor), length=0.0)
-            anchor = bus
+            # Attach what fits, minus one slot reserved for a bus when
+            # more remain.
+            fits = len(pending) if len(pending) <= free else free - 1
+            entries += [(anchor, cell, at, tap_length)
+                        for cell, at, tap_length in pending[:fits]]
+            pending = pending[fits:]
+            taken[anchor] = taken.get(anchor, 0) + fits + bool(pending)
+            if pending:
+                bus = ("tapbus", station_index, bus_counter)
+                bus_counter += 1
+                entries.append((anchor, bus, position[anchor], 0.0))
+                position[bus] = position[anchor]
+                anchor = bus
+    tree.add_children(entries)
     return tree
 
 

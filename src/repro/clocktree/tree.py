@@ -20,7 +20,9 @@ The two quantities every skew model consumes are defined here:
 
 Trees are mutable in two ways, both versioned (see :attr:`version`):
 
-* ``add_child`` grows the tree (the ECO ``graft_subtree`` edit rides it);
+* ``add_children`` grows the tree by a checked batch of nodes (every
+  builder collects its nodes first; ``add_child`` is a one-node batch and
+  the ECO ``graft_subtree`` edit is one batch);
 * ``set_edge_length`` retunes one existing edge in place (the ECO
   ``resize_buffer`` edit), shifting the whole subtree's root distances
   with one vectorized in-place add on the shared dense store — the live
@@ -38,11 +40,26 @@ from repro.clocktree.lca import DenseTreeStore, LiftingLCAIndex, _gather_ids
 from repro.geometry.point import Point
 
 NodeId = Hashable
+#: One node of a batch for :meth:`ClockTree.add_children`:
+#: ``(parent, node, position, length)``, ``length`` ``None`` for Manhattan.
+ChildEntry = Tuple[NodeId, NodeId, Point, Optional[float]]
 
 
 def _pairs_fingerprint(pairs: Sequence) -> Tuple:
     """Cheap mutation guard for the pair-ids memo: length + endpoints."""
     return (len(pairs), pairs[0], pairs[-1]) if pairs else (0,)
+
+
+def _finite_positions(entries: Sequence[ChildEntry]) -> Tuple[List[float], List[float]]:
+    """The entries' x and y coordinates; ``ValueError`` for the first
+    entry whose position is not finite."""
+    xs = [entry[2].x for entry in entries]
+    ys = [entry[2].y for entry in entries]
+    if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, ys))):
+        for _, node, pos, _ in entries:
+            if not (math.isfinite(pos.x) and math.isfinite(pos.y)):
+                raise ValueError(f"position of node {node!r} must be finite, got {pos!r}")
+    return xs, ys
 
 
 class ClockTree:
@@ -53,25 +70,27 @@ class ClockTree:
     ) -> None:
         if max_children < 1:
             raise ValueError("max_children must be at least 1")
+        if not (math.isfinite(root_position.x) and math.isfinite(root_position.y)):
+            raise ValueError(f"root_position must be finite, got {root_position!r}")
         self._root = root
         self._max_children = max_children
         self._position: Dict[NodeId, Point] = {root: root_position}
         self._parent: Dict[NodeId, Optional[NodeId]] = {root: None}
         self._children: Dict[NodeId, List[NodeId]] = {root: []}
-        self._edge_length: Dict[NodeId, float] = {}  # keyed by child
         # The dense insertion-order arrays (ids, parents, depths, root
-        # distances) live in a DenseTreeStore shared with the LCA index:
-        # parents always precede children, and the root's parent is itself
-        # (the lifting fixed point).  Single source of truth for depths
-        # and root distances — scalar queries read it too.
-        self._store = DenseTreeStore(root)
+        # distances, edge lengths, positions) live in a DenseTreeStore
+        # shared with the LCA index: parents always precede children, and
+        # the root's parent is itself (the lifting fixed point).  Single
+        # source of truth for depths, root distances and edge lengths —
+        # scalar queries read it too.
+        self._store = DenseTreeStore(root, root_position.x, root_position.y)
         # Bumped on every structural or edge-length mutation; consumers
         # (BufferedClockTree, STAAnalyzer fingerprints, ECO sessions) use
         # it as a cheap staleness tripwire.
         self._version = 0
         # Lazy caches.  The LCA index re-synchronizes itself against the
         # store, so mutation never drops it; the leaves cache dies on
-        # add_child and the path-metric memo dies on set_edge_length.
+        # add_children and the path-metric memo dies on set_edge_length.
         self._lca_index: Optional[LiftingLCAIndex] = None
         self._leaves_cache: Optional[List[NodeId]] = None
         self._pair_ids_memo: Dict[int, tuple] = {}
@@ -87,41 +106,75 @@ class ClockTree:
         position: Point,
         length: Optional[float] = None,
     ) -> None:
-        """Attach ``node`` under ``parent``.
+        """Attach ``node`` under ``parent``: a one-node :meth:`add_children`.
 
         ``length`` defaults to the Manhattan distance between the two nodes'
         positions; pass an explicit value to model routed detours or
         delay-tuned wiring.  Zero lengths are allowed (a cell sitting exactly
         at a tree tap point).
+        """
+        self.add_children(((parent, node, position, length),))
 
-        Appending never invalidates the LCA index (it extends itself
+    def add_children(self, entries: Iterable[ChildEntry]) -> None:
+        """Attach a batch of ``(parent, node, position, length)`` entries.
+
+        Each entry obeys :meth:`add_child`'s rules, as if the earlier
+        entries were already attached: a parent may be an earlier entry,
+        and the arity counts the batch's children too.  The whole batch is
+        checked before any node is attached, so a refused batch leaves the
+        tree as it was.  Positions must be finite.  :attr:`version` moves
+        once per non-empty batch.
+
+        Growing never invalidates the LCA index (it extends itself
         lazily) nor the pair-metric memos (existing nodes' root distances
         are untouched); only the leaves cache is dropped.
         """
-        if node in self._position:
-            raise ValueError(f"node {node!r} is already in the tree")
-        if parent not in self._position:
-            raise KeyError(f"parent {parent!r} is not in the tree")
-        if len(self._children[parent]) >= self._max_children:
-            raise ValueError(
-                f"node {parent!r} already has {self._max_children} children "
-                f"(CLK is a binary tree per A4)"
-            )
-        if length is None:
-            length = self._position[parent].manhattan(position)
-        if not 0 <= length < math.inf:
-            raise ValueError("edge length must be non-negative and finite")
-        self._position[node] = position
-        self._parent[node] = parent
-        self._children[node] = []
-        self._children[parent].append(node)
-        self._edge_length[node] = float(length)
-        store = self._store
-        pid = store.id[parent]
-        # The buffers, not the length-n views, which cost a slice each.
-        store.append(
-            node, pid, int(store._depth[pid]) + 1, float(store._rd[pid] + float(length))
-        )
+        entries = list(entries)
+        if not entries:
+            return
+        position, children, ids = self._position, self._children, self._store.id
+        n0 = len(ids)
+        batch: Dict[NodeId, int] = {}  # node -> its dense id
+        room: Dict[NodeId, int] = {}  # parent -> child slots left
+        parent_ids: List[int] = []
+        lengths: List[float] = []
+        try:
+            for parent, node, pos, length in entries:
+                if node in ids or node in batch:
+                    raise ValueError(f"node {node!r} is already in the tree")
+                pid = batch.get(parent)
+                if pid is None:
+                    pid = ids.get(parent)
+                    if pid is None:
+                        raise KeyError(f"parent {parent!r} is not in the tree")
+                free = room.get(parent)
+                if free is None:
+                    free = self._max_children - len(children.get(parent, ()))
+                if free <= 0:
+                    raise ValueError(
+                        f"node {parent!r} already has {self._max_children} children "
+                        f"(CLK is a binary tree per A4)"
+                    )
+                room[parent] = free - 1
+                if length is None:
+                    start = position[parent] if pid < n0 else entries[pid - n0][2]
+                    length = start.manhattan(pos)
+                if not 0 <= length < math.inf:
+                    raise ValueError("edge length must be non-negative and finite")
+                batch[node] = n0 + len(parent_ids)
+                parent_ids.append(pid)
+                lengths.append(float(length))
+        except (KeyError, ValueError):
+            # One at a time, an earlier entry's bad position refuses first.
+            _finite_positions(entries[: len(parent_ids)])
+            raise
+        xs, ys = _finite_positions(entries)
+        for parent, node, pos, _ in entries:
+            position[node] = pos
+            self._parent[node] = parent
+            children[node] = []
+            children[parent].append(node)
+        self._store.extend(list(batch), parent_ids, lengths, xs, ys)
         self._leaves_cache = None
         self._version += 1
 
@@ -145,12 +198,14 @@ class ClockTree:
             raise KeyError(f"node {child!r} is not in the tree")
         if not 0 <= length < math.inf:
             raise ValueError("edge length must be non-negative and finite")
-        delta = float(length) - self._edge_length[child]
+        store = self._store
+        i = store.id[child]
+        delta = float(length) - float(store.length[i])
         if delta == 0.0:
             return
-        self._edge_length[child] = float(length)
-        inside = self.lca_index().subtree_mask(self._store.id[child])
-        self._store.rd[inside] += delta
+        store.length[i] = float(length)
+        inside = self.lca_index().subtree_mask(i)
+        store.rd[inside] += delta
         self._pair_metrics_memo.clear()
         self._version += 1
 
@@ -167,7 +222,8 @@ class ClockTree:
 
     @property
     def version(self) -> int:
-        """Monotonic mutation counter (``add_child`` / ``set_edge_length``)."""
+        """Monotonic mutation counter (one per ``add_children`` batch or
+        ``set_edge_length``)."""
         return self._version
 
     @property
@@ -189,7 +245,7 @@ class ClockTree:
         return list(self._position)
 
     def leaves(self) -> List[NodeId]:
-        """Nodes with no children.  Cached until the next ``add_child``
+        """Nodes with no children.  Cached until the next ``add_children``
         (the only structural mutation); callers get a fresh copy each call."""
         if self._leaves_cache is None:
             self._leaves_cache = [n for n, ch in self._children.items() if not ch]
@@ -216,7 +272,7 @@ class ClockTree:
         """Length of the edge from ``child`` to its parent."""
         if child == self._root:
             raise ValueError("the root has no parent edge")
-        return self._edge_length[child]
+        return float(self._store.length[self._store.id[child]])
 
     def depth(self, node: NodeId) -> int:
         """Hop count from the root."""
@@ -376,7 +432,7 @@ class ClockTree:
     def total_wire_length(self) -> float:
         """Sum of all edge lengths; with unit wire width (A3) this is the
         clock tree's area contribution (Lemma 1's accounting)."""
-        return sum(self._edge_length.values())
+        return sum(self._store.length[1:].tolist())
 
     # ------------------------------------------------------------------
     # validation

@@ -74,10 +74,9 @@ def tune_to_equidistant(
     tuned = ClockTree(
         tree.root, tree.position(tree.root), max_children=tree.max_children
     )
-    for node in tree.nodes():
-        if node == tree.root:
-            continue
-        parent = tree.parent(node)
-        length = tree.edge_length(node) + padding.get(node, 0.0)
-        tuned.add_child(parent, node, tree.position(node), length=length)
+    tuned.add_children(
+        (tree.parent(node), node, tree.position(node),
+         tree.edge_length(node) + padding.get(node, 0.0))
+        for node in tree.nodes()[1:]  # the root comes first
+    )
     return tuned, sum(padding.values())

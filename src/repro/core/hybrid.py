@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, List, Tuple
 
 from repro.arrays.model import ProcessorArray
-from repro.clocktree.tree import ClockTree
+from repro.clocktree.tree import ChildEntry, ClockTree
 from repro.geometry.point import Point
 from repro.graphs.comm import CommGraph
 
@@ -155,10 +155,12 @@ def _local_spine(
     unique across the scheme."""
     ordered = sorted(cells, key=lambda c: (array.layout[c].y, array.layout[c].x))
     tree = ClockTree(("ctrl", eid), controller)
+    entries: List[ChildEntry] = []
     previous: CellId = ("ctrl", eid)
     for i, cell in enumerate(ordered):
         station = ("ltap", eid, i)
-        tree.add_child(previous, station, array.layout[cell])
-        tree.add_child(station, cell, array.layout[cell], length=0.0)
+        position = array.layout[cell]
+        entries += [(previous, station, position, None), (station, cell, position, 0.0)]
         previous = station
+    tree.add_children(entries)
     return tree

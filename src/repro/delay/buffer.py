@@ -21,6 +21,10 @@ import random
 from dataclasses import dataclass
 from typing import List, Tuple
 
+import numpy as np
+
+from repro.delay.variation import require_finite
+
 
 @dataclass(frozen=True)
 class Buffer:
@@ -73,6 +77,7 @@ class InverterPairModel:
             raise ValueError("nominal stage delay must be positive")
         if variance < 0:
             raise ValueError("variance must be non-negative")
+        require_finite(nominal=nominal, bias=bias, variance=variance)
         self.nominal = nominal
         self.bias = bias
         self.variance = variance
@@ -101,6 +106,16 @@ class InverterPairModel:
         rise = max(1e-6 * self.nominal, self.nominal + half)
         fall = max(1e-6 * self.nominal, self.nominal - half)
         return rise, fall
+
+    def draw_batch(self, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The next ``k`` stages' rise and fall delays as two arrays: the
+        floats ``k`` calls of :meth:`draw` return, in order."""
+        if self.variance > 0:
+            stages = np.array([self.draw() for _ in range(k)], dtype=np.float64)
+            stages = stages.reshape(k, 2)
+            return stages[:, 0], stages[:, 1]
+        rise, fall = self.draw()  # noiseless: every stage alike, no draw
+        return np.full(k, rise), np.full(k, fall)
 
     def sample_stage(self) -> Buffer:
         rise, fall = self.draw()

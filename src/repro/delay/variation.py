@@ -12,12 +12,27 @@ All processes are seeded and deterministic given the seed (reproducible
 experiments; also required for assumption A8, time-invariance — a segment's
 delay is sampled once, not per clock event; breaking A8 is modelled
 explicitly by :meth:`VariationProcess.resample`).
+
+Every parameter must be finite: a NaN or infinite ``m``, ``sigma`` or
+gradient would otherwise reach the delays silently (a NaN noise clamps to
+the floor, for one).
 """
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Optional
+
+import numpy as np
+
+
+def require_finite(**params: float) -> None:
+    """Raise ``ValueError`` naming the first parameter that is NaN or
+    infinite."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 class VariationProcess:
@@ -42,6 +57,12 @@ class VariationProcess:
         """
         return self.sample()
 
+    def sample_at_batch(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """:meth:`sample_at` at every ``(xs[i], ys[i])`` in order: the
+        stream's next ``len(xs)`` samples, as one array."""
+        return np.array(list(map(self.sample_at, xs.tolist(), ys.tolist())),
+                        dtype=np.float64)
+
     def reset(self) -> None:
         """Restart the sample stream (same seed, same delays — A8 holds)."""
         self._rng = random.Random(self._seed)
@@ -60,6 +81,7 @@ class NoVariation(VariationProcess):
         super().__init__(seed=0)
         if m <= 0:
             raise ValueError("per-unit delay m must be positive")
+        require_finite(m=m)
         self.m = m
 
     def sample(self) -> float:
@@ -76,11 +98,19 @@ class BoundedUniformVariation(VariationProcess):
             raise ValueError("per-unit delay m must be positive")
         if not 0 <= epsilon < m:
             raise ValueError("epsilon must satisfy 0 <= epsilon < m (delay stays positive)")
+        require_finite(m=m)
         self.m = m
         self.epsilon = epsilon
 
     def sample(self) -> float:
         return self._rng.uniform(self.m - self.epsilon, self.m + self.epsilon)
+
+    def sample_at_batch(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        # random.uniform(a, b) is a + (b - a) * random(): the same floats.
+        lo, hi = self.m - self.epsilon, self.m + self.epsilon
+        draw = self._rng.random
+        return lo + (hi - lo) * np.array([draw() for _ in range(len(xs))],
+                                         dtype=np.float64)
 
 
 class GaussianVariation(VariationProcess):
@@ -101,6 +131,7 @@ class GaussianVariation(VariationProcess):
             raise ValueError("sigma must be non-negative")
         if not 0 < floor < 1:
             raise ValueError("floor must be in (0, 1)")
+        require_finite(m=m, sigma=sigma)
         self.m = m
         self.sigma = sigma
         self.floor = floor
@@ -135,6 +166,7 @@ class SpatialGradientVariation(VariationProcess):
             raise ValueError("sigma must be non-negative")
         if not 0 < floor < 1:
             raise ValueError("floor must be in (0, 1)")
+        require_finite(m=m, gx=gx, gy=gy, sigma=sigma)
         self.m = m
         self.gx = gx
         self.gy = gy

@@ -13,12 +13,17 @@ The validator speaks a deliberately tiny dialect of JSON Schema —
 objects, ``items`` for arrays — enough to pin the shapes down without a
 dependency.  A ``"number"`` must be finite, as strict JSON has no NaN
 or infinity.  Schemas run compiled into nested closures (:func:`validate`).
+An array of flat rows (an STA report's slack rows, say) is checked a
+column at a time first; only an array that check rejects is walked row
+by row, and the walk alone writes the errors.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from itertools import chain
+from operator import itemgetter
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 _TYPE_CHECKS = {
     "object": lambda v: isinstance(v, dict),
@@ -47,6 +52,71 @@ def _type_error(path: str, expected: str, obj: Any) -> str:
     return f"{path}: expected {expected}, got {got}"
 
 
+#: The exact Python types each schema type admits without a closer look:
+#: subclasses (``bool`` under ``int`` aside), and floats beyond a
+#: finiteness test, are left to the row walk.
+_EXACT_TYPES = {
+    "object": (dict,),
+    "array": (list,),
+    "string": (str,),
+    "number": (int, float),
+    "integer": (int,),
+    "boolean": (bool,),
+    "null": (type(None),),
+}
+
+
+def _leaf_types(schema: Dict[str, Any]) -> Optional[FrozenSet[type]]:
+    """The exact types a schema that holds only a ``type`` admits, or
+    ``None`` for any other schema."""
+    if set(schema) != {"type"}:
+        return None
+    types = schema["type"]
+    names = [types] if isinstance(types, str) else types
+    return frozenset(t for name in names for t in _EXACT_TYPES[name])
+
+
+def _rows_check(schema: Dict[str, Any]) -> Optional[Callable[[List[Any]], bool]]:
+    """A whole-array check for items of ``schema``, when they are flat
+    objects: every property required, each a leaf or an array of leaves.
+    The check reads the rows a column at a time (one ``itemgetter`` over
+    the keys, one type set per column, ``math.isfinite`` over a column
+    holding floats); ``True`` means the row walk would find no error,
+    ``False`` sends the array down the walk."""
+    properties = schema.get("properties", {})
+    if (set(schema) != {"type", "required", "properties"} or schema["type"] != "object"
+            or not properties or set(schema["required"]) != set(properties)):
+        return None
+    columns: List[Tuple[FrozenSet[type], bool]] = []
+    for sub in properties.values():
+        nested = set(sub) == {"type", "items"} and sub["type"] == "array"
+        allowed = _leaf_types(sub["items"] if nested else sub)
+        if allowed is None:
+            return None
+        columns.append((allowed, nested))
+    keys = list(properties)
+    get = itemgetter(*keys) if len(keys) > 1 else lambda row: (row[keys[0]],)
+
+    def check(rows: List[Any]) -> bool:
+        if not set(map(type, rows)) <= {dict}:
+            return False
+        try:
+            for (allowed, nested), column in zip(columns, zip(*map(get, rows))):
+                if nested:
+                    if not set(map(type, column)) <= {list}:
+                        return False
+                    column = tuple(chain.from_iterable(column))
+                kinds = set(map(type, column))
+                if not kinds <= allowed or (
+                        float in kinds and not all(map(math.isfinite, column))):
+                    return False
+        except (KeyError, TypeError, OverflowError):
+            return False  # a missing key, or a column math.isfinite refuses
+        return True
+
+    return check
+
+
 def _compile(schema: Dict[str, Any]) -> _Node:
     """Compile one mini-schema node, and its children, into closures."""
     test, expected = _any, ""
@@ -65,6 +135,7 @@ def _compile(schema: Dict[str, Any]) -> _Node:
     items = _compile(schema["items"]) if "items" in schema else None
     if not required and not properties and items is None:
         return test, expected, None
+    rows_ok = _rows_check(schema["items"]) if items is not None else None
 
     def walk(obj: Any, path: str, errors: List[str]) -> None:
         if not test(obj):
@@ -83,6 +154,8 @@ def _compile(schema: Dict[str, Any]) -> _Node:
                     elif not sub_test(value):
                         errors.append(_type_error(f"{path}.{key}", sub_expected, value))
         if items is not None and isinstance(obj, list):
+            if rows_ok is not None and rows_ok(obj):
+                return
             item_test, item_expected, item_walk = items
             for i, item in enumerate(obj):
                 if item_walk is not None:

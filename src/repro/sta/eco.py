@@ -427,12 +427,13 @@ class ECOSession:
         New nodes carry no COMM edges yet, so no existing slack row moves;
         the live LCA index extends itself incrementally on its next query
         (no rebuild).  Later edits (a resize above the graft point) see
-        the new topology automatically.
+        the new topology automatically.  The tree checks the whole batch
+        before it attaches any node, so a refused graft leaves the tree,
+        the session and its audit log as they were.
         """
         self._check_external()
         tree = self._design.tree
-        for parent, node, position, length in additions:
-            tree.add_child(parent, node, position, length)
+        tree.add_children(additions)
         self._tree_version = tree.version
         rows = np.empty(0, dtype=np.int64)
         return self._record(_GRAFT, len(additions), rows, 0)

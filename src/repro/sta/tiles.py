@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.arrays.systolic import SystolicProgram
 from repro.arrays.topologies import mesh
-from repro.clocktree.tree import ClockTree
+from repro.clocktree.tree import ChildEntry, ClockTree
 from repro.core.models import PhysicalModel
 from repro.geometry.point import Point
 from repro.sim.clock_distribution import ClockSchedule, _check_period
@@ -180,6 +180,7 @@ def compose_design(
     # H-style trunk: recursively halve the wider dimension.  Iterative
     # worklist; children are placed at the half-regions' centers with the
     # default (Manhattan) edge length — symmetric, hence equal floats.
+    entries: List[ChildEntry] = []
     work: List[Tuple[int, int, int, int]] = [(0, tiles_rows, 0, tiles_cols)]
     while work:
         ti0, ti1, tj0, tj1 = work.pop()
@@ -189,7 +190,7 @@ def compose_design(
             prev: NodeId = parent
             for cell in _tile_cells(spec, ti0, tj0):
                 r, c = cell
-                tree.add_child(prev, cell, Point(float(c), float(r)))
+                entries.append((prev, cell, Point(float(c), float(r)), None))
                 prev = cell
             continue
         if ti1 - ti0 >= tj1 - tj0:
@@ -199,10 +200,11 @@ def compose_design(
             mid = (tj0 + tj1) // 2
             halves = [(ti0, ti1, tj0, mid), (ti0, ti1, mid, tj1)]
         for half in halves:
-            tree.add_child(
-                parent, _trunk_name(*half), _region_center(spec, *half)
+            entries.append(
+                (parent, _trunk_name(*half), _region_center(spec, *half), None)
             )
             work.append(half)
+    tree.add_children(entries)
 
     offsets = {
         cell: spec.m * tree.root_distance(cell) for cell in array.comm.nodes()

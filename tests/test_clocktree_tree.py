@@ -1,5 +1,7 @@
 """Unit tests for the CLK tree structure and its d/s path metrics."""
 
+import math
+
 import pytest
 
 from repro.clocktree.tree import ClockTree
@@ -69,6 +71,90 @@ class TestConstruction:
     def test_root_has_no_parent_edge(self):
         with pytest.raises(ValueError):
             small_tree().edge_length("root")
+
+
+def _state(t):
+    store = t.dense_store
+    return (t.nodes(), t.children_map(), [t.position(n) for n in t.nodes()],
+            store.parent.tolist(), store.depth.tolist(), store.rd.tolist(),
+            store.length.tolist(), store.x.tolist(), store.y.tolist())
+
+
+class TestAddChildren:
+    ENTRIES = [("root", "a", Point(2, 0), None), ("root", "b", Point(0, 3), None),
+               ("a", "c", Point(3, 0), None), ("a", "d", Point(2, 2), 0.25),
+               ("b", "e", Point(0, 6), None)]
+
+    def test_batch_equals_one_node_at_a_time(self):
+        batch = ClockTree("root", Point(0, 0))
+        batch.add_children(self.ENTRIES)
+        single = ClockTree("root", Point(0, 0))
+        for entry in self.ENTRIES:
+            single.add_child(*entry)
+        assert _state(batch) == _state(single)
+        assert batch.dense_store.max_depth == single.dense_store.max_depth == 2
+        batch.validate()
+
+    def test_version_moves_once_per_batch(self):
+        t = ClockTree("root", Point(0, 0))
+        t.add_children(self.ENTRIES)
+        assert t.version == 1
+        t.add_children([])
+        assert t.version == 1
+        t.add_children(("e", f"x{i}", Point(0, 7 + i), None) for i in range(1))
+        assert t.version == 2
+
+    def test_batch_grows_from_existing_nodes_and_its_own(self):
+        t = small_tree()
+        t.add_children([("e", "f", Point(0, 8), None), ("f", "g", Point(1, 8), None),
+                        ("c", "h", Point(3, 1), 4.0)])
+        assert t.root_distance("g") == 3 + 3 + 2 + 1
+        assert t.root_distance("h") == 2 + 1 + 4.0
+        assert t.depth("g") == 4 and t.parent("g") == "f"
+        assert t.lca("g", "h") == "root"
+
+    @pytest.mark.parametrize("bad, error, match", [
+        (("a", "c", Point(9, 9), None), ValueError, "'c' is already in the tree"),
+        (("x1", "x2", Point(9, 9), None), ValueError, "'x2' is already in the tree"),
+        (("zz", "x3", Point(9, 9), None), KeyError, "'zz' is not in the tree"),
+        (("x1", "x3", Point(9, 9), None), ValueError, "'x1' already has 2 children"),
+        (("e", "x3", Point(9, 9), -1.0), ValueError, "non-negative and finite"),
+        (("e", "x3", Point(9, 9), math.inf), ValueError, "non-negative and finite"),
+        (("e", "x3", Point(math.nan, 9), 1.0), ValueError, "position of node 'x3'"),
+        (("e", "x3", Point(9, -math.inf), 1.0), ValueError, "position of node 'x3'"),
+    ])
+    def test_a_refused_batch_leaves_the_tree_unchanged(self, bad, error, match):
+        # The bad entry comes last: an earlier entry is its parent, or
+        # fills the parent it names.
+        t = small_tree()
+        before, version = _state(t), t.version
+        batch = [("e", "x1", Point(0, 7), None), ("x1", "x2", Point(0, 8), None),
+                 ("x1", "x9", Point(1, 7), None), bad]
+        with pytest.raises(error, match=match):
+            t.add_children(batch)
+        assert _state(t) == before and t.version == version
+        t.validate()
+
+    def test_the_first_bad_entry_names_the_refusal(self):
+        t = small_tree()
+        with pytest.raises(KeyError, match="'zz'"):
+            t.add_children([("zz", "x", Point(0, 0), None), ("a", "b", Point(0, 0), None)])
+
+    def test_non_finite_root_position_rejected(self):
+        for root in (Point(math.inf, 0.0), Point(0.0, math.nan)):
+            with pytest.raises(ValueError, match="root_position must be finite"):
+                ClockTree("r", root)
+
+    def test_non_finite_position_with_a_length_rejected(self):
+        t = small_tree()
+        with pytest.raises(ValueError, match="position of node 'x' must be finite"):
+            t.add_child("e", "x", Point(math.nan, 0.0), length=1.0)
+        assert "x" not in t
+
+    def test_non_finite_position_without_a_length_names_the_length(self):
+        t = small_tree()
+        with pytest.raises(ValueError, match="edge length must be non-negative and finite"):
+            t.add_child("e", "x", Point(math.nan, 0.0))
 
 
 class TestStructureQueries:

@@ -3,6 +3,7 @@
 import math
 import statistics
 
+import numpy as np
 import pytest
 
 from repro.delay.buffer import Buffer, InverterPairModel
@@ -10,6 +11,8 @@ from repro.delay.variation import (
     BoundedUniformVariation,
     GaussianVariation,
     NoVariation,
+    SpatialGradientVariation,
+    VariationProcess,
 )
 from repro.delay.wire import ElmoreWireModel, LinearWireModel
 
@@ -148,3 +151,83 @@ class TestVariationProcesses:
             BoundedUniformVariation(m=1.0, epsilon=1.5)
         with pytest.raises(ValueError):
             GaussianVariation(sigma=-1)
+
+
+class TestNonFiniteParametersRejected:
+    """Each model names the parameter a NaN or an infinity would have
+    poisoned silently: a NaN bias clamped both edges to the floor, a NaN
+    variance meant no noise, a NaN sigma clamped to the floor or dropped
+    the noise."""
+
+    @pytest.mark.parametrize("build, name", [
+        (lambda: InverterPairModel(bias=math.nan), "bias"),
+        (lambda: InverterPairModel(variance=math.nan), "variance"),
+        (lambda: InverterPairModel(nominal=math.inf), "nominal"),
+        (lambda: BoundedUniformVariation(m=math.inf), "m"),
+        (lambda: NoVariation(m=math.nan), "m"),
+        (lambda: NoVariation(m=math.inf), "m"),
+        (lambda: GaussianVariation(sigma=math.nan), "sigma"),
+        (lambda: SpatialGradientVariation(gx=math.nan), "gx"),
+        (lambda: SpatialGradientVariation(sigma=math.nan), "sigma"),
+    ])
+    def test_rejected_naming_the_parameter(self, build, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            build()
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+class _Walk(VariationProcess):
+    """A process on the base class's batch loop: position-dependent, and
+    drawing from its stream."""
+
+    def sample(self):
+        return self._rng.random()
+
+    def sample_at(self, x, y):
+        return self.sample() + 0.125 * x - 0.25 * y
+
+
+PROCESSES = {
+    "none": lambda: NoVariation(m=1.3),
+    "uniform": lambda: BoundedUniformVariation(m=1.0, epsilon=0.3, seed=5),
+    "uniform-int": lambda: BoundedUniformVariation(m=2, epsilon=0, seed=1),
+    "gauss": lambda: GaussianVariation(m=0.9, sigma=0.4, seed=6),
+    "gradient": lambda: SpatialGradientVariation(m=1.0, gx=0.03, gy=-0.02, seed=2),
+    "gradient-noisy": lambda: SpatialGradientVariation(
+        m=1.0, gx=0.03, gy=-0.02, sigma=0.2, seed=2),
+    "walk": lambda: _Walk(seed=4),
+}
+
+
+class TestBatchSamplersMatchTheirScalarForms:
+    """``sample_at_batch`` and ``draw_batch`` return the very floats the
+    scalar calls return one by one, and leave each stream where they
+    would."""
+
+    @pytest.mark.parametrize("name", sorted(PROCESSES))
+    def test_sample_at_batch(self, name):
+        rng = np.random.default_rng(7)
+        xs, ys = rng.uniform(-5.0, 20.0, 37), rng.uniform(-5.0, 20.0, 37)
+        batch, scalar = PROCESSES[name](), PROCESSES[name]()
+        got = batch.sample_at_batch(xs, ys)
+        want = [scalar.sample_at(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+        assert got.dtype == np.float64 and _bits(got) == _bits(want)
+        assert batch.sample() == scalar.sample()
+        assert batch.sample_at_batch(xs[:0], ys[:0]).shape == (0,)
+
+    @pytest.mark.parametrize("params", [
+        {}, {"nominal": 0.75, "bias": 0.1}, {"bias": -3.0},
+        {"nominal": 1.5, "variance": 0.02, "seed": 3},
+        {"nominal": 1, "bias": 0.3, "variance": 4.0, "seed": 8},
+    ])
+    def test_draw_batch(self, params):
+        batch, scalar = InverterPairModel(**params), InverterPairModel(**params)
+        rise, fall = batch.draw_batch(41)
+        want = [scalar.draw() for _ in range(41)]
+        assert _bits(rise) == _bits([r for r, _ in want])
+        assert _bits(fall) == _bits([f for _, f in want])
+        assert batch.draw() == scalar.draw()
+        assert [a.shape for a in batch.draw_batch(0)] == [(0,), (0,)]

@@ -322,6 +322,42 @@ def test_lowering_rows_pass_in_scope():
 
 
 # ----------------------------------------------------------------------
+# tree-bulk
+# ----------------------------------------------------------------------
+_ONE_AT_A_TIME = """
+def build(tree, cells, layout):
+    for cell in cells:
+        tree.add_child("root", cell, layout[cell])
+    return tree
+"""
+
+
+@pytest.mark.parametrize(
+    "rel", ["clocktree/builders.py", "sta/eco.py", "core/hybrid.py", "clocktree/tree_util.py"]
+)
+def test_add_child_is_flagged_outside_the_tree_module(rel):
+    violations = lint(_ONE_AT_A_TIME, rel)
+    assert [v.rule for v in violations] == ["tree-bulk"]
+    assert violations[0].line == 4
+    assert "add_children" in violations[0].message
+
+
+def test_add_child_passes_in_the_tree_module():
+    assert not lint(_ONE_AT_A_TIME, "clocktree/tree.py")
+
+
+def test_collected_batch_passes():
+    assert not lint(
+        """
+        def build(tree, cells, layout):
+            tree.add_children(("root", cell, layout[cell], None) for cell in cells)
+            return tree
+        """,
+        "clocktree/builders.py",
+    )
+
+
+# ----------------------------------------------------------------------
 # the actual gate
 # ----------------------------------------------------------------------
 def test_src_repro_is_lint_clean():

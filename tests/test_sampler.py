@@ -5,12 +5,16 @@ be exact — which is what lets the shared-memory Monte-Carlo bench claim
 bit-identical summaries while replacing the whole execution stack.
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.arrays.topologies import mesh
+from repro.arrays.topologies import linear_array, mesh
+from repro.clocktree.builders import kdtree_clock
 from repro.clocktree.htree import htree_for_array
 from repro.clocktree.sampler import CompiledSkewSampler
+from repro.clocktree.spine import spine_clock
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +68,60 @@ class TestStructure:
             CompiledSkewSampler.from_tree(
                 htree_for_array(array), [], buffer_spacing=0.0
             )
+
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"buffer_delay": math.nan}, "buffer_delay must be finite"),
+        ({"buffer_delay": math.inf}, "buffer_delay must be finite"),
+        ({"buffer_spacing": math.inf}, "buffer spacing must be finite"),
+        ({"buffer_spacing": math.nan}, "buffer spacing must be finite"),
+        ({"epsilon": math.nan}, "epsilon must be finite"),
+        ({"m": math.inf}, "m must be finite"),
+    ])
+    def test_non_finite_parameters_rejected(self, kwargs, match):
+        # Each used to compile, and a trial then read a NaN skew.
+        array = mesh(2, 2)
+        with pytest.raises(ValueError, match=match):
+            CompiledSkewSampler.from_tree(
+                htree_for_array(array), array.communicating_pairs(), **kwargs
+            )
+
+
+def per_node_structure(tree, spacing):
+    """The per-node compile loop ``from_tree`` replaced: the oracle of its
+    structure arrays."""
+    nodes = tree.nodes()
+    index = {node: i for i, node in enumerate(nodes)}
+    parent, depth, seg_ptr, seg_len = [0], [0], [0, 0], []
+    for node in nodes[1:]:
+        p = index[tree.parent(node)]
+        parent.append(p)
+        depth.append(depth[p] + 1)
+        length = tree.edge_length(node)
+        if length > 0:
+            segments = max(1, math.ceil(length / spacing - 1e-12))
+            seg_len.extend([length / segments] * segments)
+        seg_ptr.append(len(seg_len))
+    return parent, depth, seg_ptr, seg_len
+
+
+@pytest.mark.parametrize("build, spacing", [
+    (lambda: htree_for_array(mesh(4, 4)), 2.5),
+    (lambda: kdtree_clock(mesh(5, 3)), 0.75),
+    (lambda: spine_clock(linear_array(9), tap_length=0.4), 0.3),
+])
+def test_structure_matches_the_per_node_loop(build, spacing):
+    tree = build()
+    pairs = [(a, b) for a, b in zip(tree.nodes()[::2], tree.nodes()[1::3])]
+    arrays = CompiledSkewSampler.from_tree(tree, pairs, buffer_spacing=spacing).arrays()
+    parent, depth, seg_ptr, seg_len = per_node_structure(tree, spacing)
+    assert arrays["parent"].tolist() == parent and arrays["depth"].tolist() == depth
+    assert arrays["seg_ptr"].tolist() == seg_ptr
+    assert arrays["seg_len"].view(np.uint64).tolist() == (
+        np.array(seg_len, dtype=np.float64).view(np.uint64).tolist())
+    index = {node: i for i, node in enumerate(tree.nodes())}
+    assert arrays["pair_a"].tolist() == [index[a] for a, _ in pairs]
+    assert arrays["pair_b"].tolist() == [index[b] for _, b in pairs]
 
 
 class TestArenaRoundTrip:

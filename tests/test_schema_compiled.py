@@ -15,10 +15,12 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import OrderedDict
 from functools import lru_cache
 from typing import Any, Dict, List
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -133,19 +135,33 @@ def test_artifacts_are_valid_and_dirty_where_it_matters():
 
 
 def _paths(obj: Any, prefix=()):
-    """Every (container, key) path, with long lists cut to their ends."""
+    """Every (container, key) path, with long lists cut to their ends and
+    their middle row (an array of rows is checked a column at a time,
+    so a middle row counts as much as an end)."""
     if isinstance(obj, dict):
         for key, value in obj.items():
             yield prefix + (key,)
             yield from _paths(value, prefix + (key,))
     elif isinstance(obj, list):
-        keep = sorted({0, 1, len(obj) - 1} & set(range(len(obj))))
+        keep = sorted({0, 1, len(obj) // 2, len(obj) - 1} & set(range(len(obj))))
         for i in keep:
             yield prefix + (i,)
             yield from _paths(obj[i], prefix + (i,))
 
 
-_BAD_VALUES = [float("nan"), float("inf"), -float("inf"), True, None, "x", [1.0], {}]
+#: A row that is a valid STA slack row in every field, but an OrderedDict.
+_ORDERED_ROW = OrderedDict(
+    [("edge", ["a", "b"]), ("lag", 1.0), ("sigma_ub", 0.5), ("sigma_lb", 0.25),
+     ("offset_lead", 0.0), ("setup_slack", 2.0), ("hold_slack", 1.5),
+     ("setup_slack_bound", 1.75), ("hold_slack_bound", 1.25), ("flags", [])]
+)
+
+#: Besides the plainly bad values, values that pass the row walk's checks
+#: but not the whole-array check's exact types (numpy scalars, an int past
+#: float range, an OrderedDict row), and a tuple where a list belongs.
+_BAD_VALUES = [float("nan"), float("inf"), -float("inf"), True, None, "x", [1.0], {},
+               np.float64(1.5), np.float64("nan"), np.int64(3), 10**400, ("a", "b"),
+               _ORDERED_ROW]
 
 
 def _corrupt(obj: Any, path, bad: Any, delete: bool) -> None:
@@ -190,6 +206,19 @@ def test_compiled_matches_reference_on_corrupted_artifacts(family, pick, edits):
     with mock.patch.object(schema, "validate", reference_validate):
         reference = _outcome(getattr(schema, validator), obj)
     assert compiled == reference
+
+
+@pytest.mark.parametrize("key", ["lag", "flags", "edge", None])
+@pytest.mark.parametrize("bad", _BAD_VALUES, ids=repr)
+def test_every_row_of_the_slack_rows_meets_the_reference(key, bad):
+    # One bad value at a time, at the first, a middle and the last row;
+    # ``None`` replaces the whole row.
+    rows = _artifacts()["sta"][0]["edges"]
+    for i in sorted({0, len(rows) // 2, len(rows) - 1}):
+        obj = copy.deepcopy(_artifacts()["sta"][0])
+        _corrupt(obj, ("edges", i) if key is None else ("edges", i, key), bad, False)
+        assert schema.validate(obj, schema.STA_REPORT_SCHEMA) == reference_validate(
+            obj, schema.STA_REPORT_SCHEMA)
 
 
 def test_mutated_adhoc_schema_is_never_served_a_stale_compile():

@@ -112,6 +112,25 @@ def test_graft_then_resize_above_graft_point():
     assert_bit_identical(session)
 
 
+def test_a_refused_graft_leaves_tree_session_and_log_unchanged():
+    session = ECOSession(design_for_workload("fir", size=5, seed=0))
+    tree = session.design.tree
+    n = next(n for n in tree.nodes() if len(tree.children(n)) < 2)
+    nodes, version = tree.nodes(), tree.version
+    log = [e.to_dict() for e in session.edits]
+    worst = session.worst_setup_slack()
+    with pytest.raises(ValueError, match="'spare:0' is already in the tree"):
+        session.graft_subtree([(n, "spare:0", Point(0.0, 0.0), 0.5)] * 2)
+    assert tree.nodes() == nodes and tree.version == version
+    assert [e.to_dict() for e in session.edits] == log
+    assert session.worst_setup_slack() == worst
+    assert validate_sta_report(session.report().to_dict()) == []
+    # The session still takes edits, the same graft once among them.
+    edit = session.graft_subtree([(n, "spare:0", Point(0.0, 0.0), 0.5)])
+    assert edit.op == "graft_subtree" and len(tree) == len(nodes) + 1
+    assert_bit_identical(session)
+
+
 def test_set_period_is_zero_dirty_and_exact():
     session = ECOSession(make_design())
     period = session.design.period

@@ -64,7 +64,19 @@ worktree`` of the parent commit) for comparison:
   ``sta --flow`` and ``flow --json`` on every workload at two seeds, and
   ``flow`` once each with ``--static-only`` and ``--target``: the exit
   code, stdout and stderr with the temporary directory's path replaced,
-  and the written reports without ``meta.emitted_at``.
+  and the written reports without ``meta.emitted_at``;
+* 108 clock-tree cases: every tree builder (kd-tree, star, serpentine,
+  spine, tapped trunk, folded, comb, comm-tree, the H-trees, the greedy
+  tree, tuning, the hybrid scheme's local spines) on two or three arrays,
+  the trees the metamorphic relabelling, the tile composition and ECO
+  grafts grow, each hashing nodes, parents, depths, root distances,
+  positions, edge lengths and children; buffered realizations of four
+  trees under each of the four variation processes, with and without
+  stage variance, before and after two resamples (arrivals, segment
+  delays, buffer count, ``tau`` and latency); ``CompiledSkewSampler``
+  arrays; and the message of every construction refusal.  A tree's
+  ``version``, and what a refused construction leaves behind, are not
+  compared.
 """
 
 from __future__ import annotations
@@ -75,6 +87,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import sys
@@ -580,6 +593,257 @@ def handshake_cases(quick: bool) -> Iterator[Case]:
         yield f"handshake/{i}/{kind}", lambda k=kind, i=i: _handshake_run(k, i)
 
 
+def _tree_outputs(tree: Any) -> List[Any]:
+    """Per node in insertion order: the node, its parent, depth, root
+    distance, position, edge length and children; then the leaves, the
+    total wire length and the longest root-to-leaf path."""
+    rows = [[n, tree.parent(n), tree.depth(n), tree.root_distance(n),
+             list(tree.position(n)),
+             None if n == tree.root else tree.edge_length(n), tree.children(n)]
+            for n in tree.nodes()]
+    return [rows, tree.leaves(), tree.total_wire_length(),
+            tree.longest_root_to_leaf()]
+
+
+def _outputs_of(built: Any) -> Any:
+    """A built tree's outputs; a tuned tree's with its added length; a
+    list of trees' as they are."""
+    from repro.clocktree.tree import ClockTree
+
+    if isinstance(built, ClockTree):
+        return _tree_outputs(built)
+    if isinstance(built, list) and isinstance(built[0], ClockTree):
+        return [_tree_outputs(built[0]), *built[1:]]
+    return built
+
+
+def _clocktree_arrays() -> List[Tuple[str, Any]]:
+    from repro.arrays.topologies import complete_binary_tree, hex_array, linear_array, mesh
+
+    return [("mesh4x4", mesh(4, 4)), ("mesh5x3", mesh(5, 3)),
+            ("linear9", linear_array(9)), ("hex3x4", hex_array(3, 4)),
+            ("cbt3", complete_binary_tree(3))]
+
+
+def _tree_builds(quick: bool) -> Iterator[Tuple[str, Callable[[], Any]]]:
+    """Every tree builder on two or three arrays, plus the trees the
+    tuning, relabelling, hybrid, tile and graft paths grow."""
+    from repro.arrays.topologies import linear_array
+    from repro.clocktree import builders, optimize, spine, tuning
+    from repro.clocktree.htree import (
+        dissection_tree_for_linear,
+        htree,
+        htree_for_array,
+        htree_for_grid,
+    )
+    from repro.core.hybrid import build_hybrid
+    from repro.geometry.point import Point
+
+    arrays = dict(_clocktree_arrays())
+    grids = ("mesh4x4", "mesh5x3", "hex3x4")
+    lines = ("linear9",)
+    specs: List[Tuple[str, Callable[[], Any]]] = []
+    for name in grids + lines:
+        a = arrays[name]
+        specs += [(f"kdtree/{name}", lambda a=a: builders.kdtree_clock(a)),
+                  (f"star/{name}", lambda a=a: builders.star_clock(a)),
+                  (f"serpentine/{name}", lambda a=a: builders.serpentine_clock(a)),
+                  (f"greedy/{name}", lambda a=a: optimize.greedy_clock_tree(a)),
+                  (f"htree-array/{name}", lambda a=a: htree_for_array(a))]
+    for name in lines + ("mesh4x4",):
+        a = arrays[name]
+        specs.append((f"spine/{name}", lambda a=a: spine.spine_clock(
+            a, order=sorted(a.comm.nodes(), key=repr), tap_length=0.25)))
+    for name in ("linear9", "cbt3"):
+        a = arrays[name]
+        specs.append((f"comm-tree/{name}", lambda a=a: builders.comm_tree_clock(a)))
+    for n in (2, 5, 9):
+        specs.append((f"folded/{n}", lambda n=n: spine.folded_linear_array(n, 1.5)[1]))
+        specs.append((f"comb/{n}", lambda n=n: spine.comb_linear_array(n, 2)[1]))
+        specs.append((f"dissection/{n}",
+                      lambda n=n: dissection_tree_for_linear(linear_array(n))))
+    for rows, cols in ((1, 1), (2, 4), (4, 4)):
+        specs.append((f"htree/{rows}x{cols}", lambda r=rows, c=cols: htree(r, c, 0.5)))
+    specs.append(("htree-grid/3x5", lambda: htree_for_grid(3, 5)))
+    # Three taps on one station: the zero-length tap buses.
+    specs.append(("tapped-trunk", lambda: spine.tapped_trunk(
+        [Point(0.0, 0.0), Point(1.0, 0.0), Point(2.5, 0.5)],
+        [(c, c % 3, Point(float(c), 1.0), 0.125 * c) for c in range(7)])))
+    for name in ("mesh4x4", "linear9"):
+        a = arrays[name]
+        specs.append((f"tuned/{name}", lambda a=a: list(tuning.tune_to_equidistant(
+            builders.kdtree_clock(a), a.comm.nodes()))))
+    for name, size in (("mesh5x3", 2.0), ("hex3x4", 3.0)):
+        a = arrays[name]
+        specs.append((f"hybrid/{name}", lambda a=a, s=size: [
+            [eid, _tree_outputs(t)] for eid, t in
+            sorted(build_hybrid(a, s).local_trees.items(), key=repr)]))
+    if quick:
+        specs = [s for s in specs if s[0] in ("kdtree/mesh4x4", "spine/linear9",
+                                               "tapped-trunk", "hybrid/mesh5x3")]
+    for name, build in specs:
+        yield name, build
+
+
+def _grown_trees(quick: bool) -> Iterator[Tuple[str, Callable[[], Any]]]:
+    """Trees grown through the metamorphic relabelling, the tile
+    composition and ECO grafts."""
+    from repro.check.metamorphic import _relabelled
+    from repro.clocktree import builders
+    from repro.geometry.point import Point
+    from repro.sta.design import design_for_workload
+    from repro.sta.eco import ECOSession
+    from repro.sta.tiles import TileSpec, compose_design
+
+    arrays = dict(_clocktree_arrays())
+    yield "relabel/mesh5x3", lambda: _relabelled(builders.kdtree_clock(arrays["mesh5x3"]))[0]
+    for spec, rows, cols in ((TileSpec(2, 3), 2, 2), (TileSpec(4, 4), 1, 2))[
+            : 1 if quick else 2]:
+        yield (f"tiles/{spec.rows}x{spec.cols}-grid{rows}x{cols}",
+               lambda s=spec, r=rows, c=cols: compose_design(s, r, c, 4.0).tree)
+
+    def grafted(workload: str, seed: int) -> Any:
+        session = ECOSession(design_for_workload(workload, size=5, seed=seed))
+        tree = session.design.tree
+        rng = random.Random(f"identity-graft|{workload}|{seed}")
+        serial = 0
+        for _ in range(3):
+            free = {n: 2 - len(tree.children(n)) for n in tree.nodes()}
+            batch = []
+            for _ in range(rng.randint(1, 4)):
+                parent = rng.choice([n for n, k in free.items() if k > 0])
+                free[parent] -= 1
+                serial += 1
+                node = f"spare:{serial}"
+                free[node] = 2
+                batch.append((parent, node,
+                              Point(rng.uniform(0.0, 4.0), rng.uniform(0.0, 4.0)),
+                              rng.choice((None, rng.uniform(0.0, 2.0)))))
+            session.graft_subtree(batch)
+        return [_tree_outputs(tree), session.worst_setup_slack()]
+
+    for workload, seed in (("fir", 0), ("matmul", 3))[: 1 if quick else 2]:
+        yield f"graft/{workload}-s{seed}", lambda w=workload, s=seed: grafted(w, s)
+
+
+def _variations(seed: int) -> List[Tuple[str, Callable[[], Any]]]:
+    from repro.delay import variation
+
+    return [
+        ("none", lambda: variation.NoVariation(m=1.25)),
+        ("uniform", lambda: variation.BoundedUniformVariation(m=1.0, epsilon=0.3, seed=seed)),
+        ("gauss", lambda: variation.GaussianVariation(m=0.9, sigma=0.2, seed=seed)),
+        ("gradient", lambda: variation.SpatialGradientVariation(
+            m=1.0, gx=0.03, gy=-0.02, sigma=0.05, seed=seed)),
+    ]
+
+
+def _realization(tree: Any, spacing: float, wire: Any, stage: Any) -> List[Any]:
+    """Arrivals, segment delays, buffer count, ``tau`` and both
+    latencies of one realization, before and after two resamples."""
+    from repro.clocktree.buffered import BufferedClockTree
+
+    buffered = BufferedClockTree(tree, buffer_spacing=spacing, wire_variation=wire,
+                                 buffer_model=stage)
+    out = []
+    for seed in (None, 7, 8):
+        if seed is not None:
+            buffered.resample(seed)
+        out.append([_buffered_outputs(buffered), buffered.tau(),
+                    buffered.latency(True), buffered.latency(False)])
+    return out
+
+
+def _refusals() -> List[Tuple[str, Callable[[], Any]]]:
+    """Every construction refusal the delay models, the realizations,
+    the sampler and the tree raise, by the message they raise."""
+    from repro.arrays.topologies import linear_array
+    from repro.clocktree.buffered import BufferedClockTree
+    from repro.clocktree.sampler import CompiledSkewSampler
+    from repro.clocktree.spine import spine_clock
+    from repro.clocktree.tree import ClockTree
+    from repro.delay import variation
+    from repro.delay.buffer import InverterPairModel
+    from repro.geometry.point import Point
+
+    def tree() -> Any:
+        t = ClockTree("r", Point(0.0, 0.0))
+        t.add_child("r", "a", Point(1.0, 0.0))
+        t.add_child("r", "b", Point(0.0, 2.0))
+        return t
+
+    line = linear_array(4)
+    return [
+        ("inverter/nominal", lambda: InverterPairModel(nominal=0.0)),
+        ("inverter/variance", lambda: InverterPairModel(variance=-1.0)),
+        ("no-variation/m", lambda: variation.NoVariation(m=-1.0)),
+        ("uniform/m", lambda: variation.BoundedUniformVariation(m=0.0)),
+        ("uniform/epsilon", lambda: variation.BoundedUniformVariation(m=1.0, epsilon=1.0)),
+        ("gauss/sigma", lambda: variation.GaussianVariation(sigma=-0.1)),
+        ("gauss/floor", lambda: variation.GaussianVariation(floor=1.0)),
+        ("gradient/m", lambda: variation.SpatialGradientVariation(m=0.0)),
+        ("gradient/sigma", lambda: variation.SpatialGradientVariation(sigma=-1.0)),
+        ("buffered/spacing", lambda: BufferedClockTree(spine_clock(line), buffer_spacing=0.0)),
+        ("sampler/spacing", lambda: CompiledSkewSampler.from_tree(
+            spine_clock(line), line.communicating_pairs(), buffer_spacing=-1.0)),
+        ("sampler/epsilon", lambda: CompiledSkewSampler.from_tree(
+            spine_clock(line), line.communicating_pairs(), epsilon=-0.5)),
+        ("tree/arity", lambda: ClockTree("r", Point(0.0, 0.0), max_children=0)),
+        ("tree/duplicate", lambda: tree().add_child("r", "a", Point(3.0, 3.0))),
+        ("tree/parent", lambda: tree().add_child("zz", "c", Point(3.0, 3.0))),
+        ("tree/full", lambda: tree().add_child("r", "c", Point(3.0, 3.0))),
+        ("tree/negative", lambda: tree().add_child("a", "c", Point(3.0, 3.0), -1.0)),
+        ("tree/inf-length", lambda: tree().add_child("a", "c", Point(3.0, 3.0), math.inf)),
+        ("tree/nan-position", lambda: tree().add_child("a", "c", Point(math.nan, 0.0))),
+        ("tree/root-edge", lambda: tree().set_edge_length("r", 1.0)),
+        ("tree/resize-negative", lambda: tree().set_edge_length("a", -2.0)),
+    ]
+
+
+def _refusal(build: Callable[[], Any]) -> List[str]:
+    try:
+        build()
+    except (KeyError, ValueError) as exc:
+        return [type(exc).__name__, str(exc)]
+    return ["accepted"]
+
+
+def clocktree_cases(quick: bool) -> Iterator[Case]:
+    from repro.clocktree import builders, spine
+    from repro.clocktree.htree import htree_for_array
+    from repro.clocktree.sampler import CompiledSkewSampler
+    from repro.delay.buffer import InverterPairModel
+
+    for name, build in _tree_builds(quick):
+        yield f"clocktree/tree/{name}", lambda b=build: _outputs_of(b())
+    for name, build in _grown_trees(quick):
+        yield f"clocktree/grown/{name}", lambda b=build: _outputs_of(b())
+    arrays = dict(_clocktree_arrays())
+    trees = [
+        ("kdtree-mesh5x3", lambda: builders.kdtree_clock(arrays["mesh5x3"]), 0.75),
+        ("star-hex3x4", lambda: builders.star_clock(arrays["hex3x4"]), 1.0),
+        ("spine-linear9", lambda: spine.spine_clock(arrays["linear9"], tap_length=0.4), 0.3),
+        ("htree-mesh4x4", lambda: htree_for_array(arrays["mesh4x4"]), 2.5),
+    ]
+    for tree_name, build, spacing in trees[:2] if quick else trees:
+        for wire_name, wire in _variations(5)[::3] if quick else _variations(5):
+            for variance in (0.0, 0.02):
+                yield (f"clocktree/buffered/{tree_name}/{wire_name}/v{variance}",
+                       lambda b=build, s=spacing, w=wire, v=variance: _realization(
+                           b(), s, w(), InverterPairModel(nominal=0.8 * s, bias=0.05,
+                                                          variance=v, seed=3)))
+        pairs_array = {"kdtree-mesh5x3": "mesh5x3", "star-hex3x4": "hex3x4",
+                       "spine-linear9": "linear9", "htree-mesh4x4": "mesh4x4"}[tree_name]
+        for delay in (None, 0.4):
+            yield (f"clocktree/sampler/{tree_name}/d{delay}",
+                   lambda b=build, s=spacing, a=pairs_array, d=delay: sorted(
+                       CompiledSkewSampler.from_tree(
+                           b(), arrays[a].communicating_pairs(), buffer_spacing=s,
+                           m=1.0, epsilon=0.2, buffer_delay=d).arrays().items()))
+    for name, build in _refusals()[:4] if quick else _refusals():
+        yield f"clocktree/refusal/{name}", lambda b=build: _refusal(b)
+
+
 def _eco_script(workload: str, seed: int) -> List[Dict[str, Any]]:
     """One edit of each clocked kind on the design ``sta --workload
     WORKLOAD --size 5 --seed SEED`` builds, addressed as the CLI reads it."""
@@ -665,7 +929,8 @@ def record(out: str, src: str, quick: bool) -> int:
     t0 = time.perf_counter()
     lines = []
     for cases in (design_cases, signoff_cases, eco_cases, tile_cases,
-                  dataflow_cases, clocked_cases, handshake_cases, cli_cases):
+                  dataflow_cases, clocked_cases, handshake_cases, cli_cases,
+                  clocktree_cases):
         for case, run in cases(quick):
             lines.append(f"{case}\t{digest(run())}\n")
     with open(out, "w") as fh:

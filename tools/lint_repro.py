@@ -1,12 +1,15 @@
 """Repo-specific static lint: invariants generic linters can't know.
 
-Six rules, each an AST pass over ``src/repro``:
+Seven rules, each an AST pass over ``src/repro``:
 
 * **batch-oracle** — every ``*_batch`` kernel must have a scalar oracle
   counterpart in the same scope (``X`` or ``X_scalar`` next to
   ``X_batch``), so the differential suites always have a reference to
-  compare the vectorized path against.  A small allowlist maps kernels
-  whose oracle is split across differently-named scalars.
+  compare the vectorized path against.  The batch samplers of the delay
+  models pair the same way (``draw_batch`` with ``draw``,
+  ``sample_at_batch`` with ``sample_at``).  A small allowlist maps kernels
+  whose oracle is split across differently-named scalars, or is the
+  position-free ``sample`` a process's ``sample_at`` delegates to.
 * **seeded-random** — no unseeded randomness outside ``tests/``: calls
   like ``random.random()`` / ``np.random.rand()`` draw from ambient
   global state and break run-to-run determinism (A8 in spirit).
@@ -36,6 +39,12 @@ Six rules, each an AST pass over ``src/repro``:
   ``PYTHONHASHSEED`` for string cell ids, so a simulator that scans them
   reports events or violations in a different order in every process.
   Read the rows of ``CommGraph.lowering()`` instead (ascending dense id).
+* **tree-bulk** — outside ``clocktree/tree.py``, no ``.add_child(...)``
+  call: a clock tree grows by ``ClockTree.add_children`` over a batch the
+  builder collected first, which checks the whole batch before it
+  attaches a node and fills the dense store in one pass.  A node at a
+  time pays the checks and the store's writes per node, and a refused
+  node leaves the nodes before it attached.
 
 Run as a script (``python tools/lint_repro.py``) or via the pytest in
 ``tests/test_lint_repro.py`` (part of the tier-1 suite, hence CI).
@@ -56,6 +65,7 @@ SRC_ROOT = REPO_ROOT / "src" / "repro"
 #: functions; maps (scope, kernel) to the scalar names that must exist.
 BATCH_ORACLE_ALLOWLIST: Dict[Tuple[str, str], Tuple[str, ...]] = {
     ("ClockTree", "path_metrics_batch"): ("path_difference", "path_length"),
+    ("BoundedUniformVariation", "sample_at_batch"): ("sample",),
 }
 
 
@@ -332,6 +342,32 @@ def check_neighbour_order(tree: ast.Module, rel: str) -> List[LintViolation]:
 
 
 # ----------------------------------------------------------------------
+# rule: tree-bulk
+# ----------------------------------------------------------------------
+#: The one module that may call ``add_child``: it defines it.
+TREE_BULK_HOME = "clocktree/tree.py"
+
+
+def check_tree_bulk(tree: ast.Module, rel: str) -> List[LintViolation]:
+    """Flag every ``.add_child(...)`` call outside :data:`TREE_BULK_HOME`."""
+    if rel.replace("\\", "/") == TREE_BULK_HOME:
+        return []
+    return [
+        LintViolation(
+            "tree-bulk",
+            rel,
+            node.lineno,
+            ".add_child() grows a clock tree one node at a time; collect the "
+            "entries and call ClockTree.add_children once",
+        )
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "add_child"
+    ]
+
+
+# ----------------------------------------------------------------------
 # driver
 # ----------------------------------------------------------------------
 def lint_source(source: str, rel: str) -> List[LintViolation]:
@@ -344,6 +380,7 @@ def lint_source(source: str, rel: str) -> List[LintViolation]:
     violations += check_simulator_kwargs(tree, rel)
     violations += check_guarded_trace_events(tree, rel)
     violations += check_neighbour_order(tree, rel)
+    violations += check_tree_bulk(tree, rel)
     return violations
 
 
