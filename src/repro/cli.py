@@ -585,17 +585,14 @@ def cmd_flow(args: argparse.Namespace) -> int:
     Exit 0 only if every design is live and every agreement is exact."""
     import json
 
-    from repro.sta.design import WORKLOADS, design_for_workload
+    from repro.sta.design import WORKLOADS, workload_program
     from repro.sta.flowreport import render_flow_report
 
     workloads = list(WORKLOADS) if args.workload == "all" else [args.workload]
     payload = []
     for i, workload in enumerate(workloads):
-        design = design_for_workload(
-            workload, size=args.size, scheme=args.scheme, m=args.m,
-            eps=args.eps, delta=args.delta, seed=args.seed,
-        )
-        report = _flow_report_for(design.array.comm, workload, args)
+        program = workload_program(workload, args.size, args.seed)
+        report = _flow_report_for(program.array.comm, workload, args)
         if i:
             print()
         print(render_flow_report(report))
@@ -952,10 +949,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="all", help="which bundled design(s) to analyze",
     )
     p.add_argument("--size", type=int, default=6, help="array size parameter")
-    p.add_argument("--scheme", default="serpentine", help="clock tree scheme")
-    p.add_argument("--m", type=float, default=1.0, help="nominal per-unit delay")
-    p.add_argument("--eps", type=float, default=0.1, help="per-unit delay variation")
-    p.add_argument("--delta", type=float, default=1.0, help="cell compute+propagate time")
     p.add_argument("--seed", type=int, default=0, help="seed for the dyadic per-cell service times")
     p.add_argument("--wire", type=float, default=0.5, help="uniform wire propagation delay")
     p.add_argument(

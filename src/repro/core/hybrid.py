@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, List, Tuple
 
 from repro.arrays.model import ProcessorArray
-from repro.clocktree.tree import ChildEntry, ClockTree
+from repro.delay.variation import require_finite
 from repro.geometry.point import Point
 from repro.graphs.comm import CommGraph
 
@@ -38,8 +38,10 @@ def partition_into_elements(
 
     Returns element id (block grid coordinates) -> member cells.  Every
     element's diameter is bounded by ``2 * element_size`` regardless of
-    array size — the property the whole scheme rests on.
+    array size — the property the whole scheme rests on.  A non-finite
+    ``element_size`` raises ``ValueError``.
     """
+    require_finite(element_size=element_size)
     if element_size <= 0:
         raise ValueError("element size must be positive")
     elements: Dict[ElementId, List[CellId]] = {}
@@ -52,7 +54,8 @@ def partition_into_elements(
 
 @dataclass
 class HybridScheme:
-    """The element partition, controller network, and local clock trees."""
+    """The element partition, the controller network, and each element's
+    local clock reach (from its controller to its farthest cell)."""
 
     array: ProcessorArray
     element_size: float
@@ -60,7 +63,7 @@ class HybridScheme:
     element_of: Dict[CellId, ElementId]
     controllers: Dict[ElementId, Point]
     element_graph: CommGraph
-    local_trees: Dict[ElementId, ClockTree]
+    local_reach: Dict[ElementId, float]
 
     # ------------------------------------------------------------------
     # analytic cycle-time model
@@ -68,10 +71,7 @@ class HybridScheme:
     def max_local_distribution(self) -> float:
         """Longest controller-to-cell clock path over all elements; bounded
         by the element diameter, not the array size."""
-        return max(
-            (tree.longest_root_to_leaf() for tree in self.local_trees.values()),
-            default=0.0,
-        )
+        return max(self.local_reach.values(), default=0.0)
 
     def max_controller_distance(self) -> float:
         """Longest distance between handshaking (adjacent) controllers."""
@@ -91,8 +91,10 @@ class HybridScheme:
         clock distribution down and the cells' compute-and-propagate time
         ``delta``, plus the local skew budget (twice the local distribution
         depth, covering a sender and a receiver in adjacent elements).  All
-        four terms depend only on the element size.
+        four terms depend only on the element size.  Non-finite
+        ``delta`` or ``m`` raises ``ValueError``.
         """
+        require_finite(delta=delta, m=m)
         if delta < 0:
             raise ValueError("delta must be non-negative")
         if m <= 0:
@@ -112,15 +114,16 @@ class HybridScheme:
 def build_hybrid(array: ProcessorArray, element_size: float = 4.0) -> HybridScheme:
     """Partition ``array`` into elements and build the hybrid scheme.
 
-    Controllers sit at their block's cell centroid; each element gets a
-    serpentine local clock (a spine through its cells, in scanline order) —
-    any local scheme works since element size is bounded.  Controllers of
-    elements whose member cells communicate become handshake neighbors.
+    Controllers sit at their block's cell centroid; each element's local
+    clock is a spine from its controller through its cells in scanline
+    order — any local scheme works since element size is bounded — kept
+    as its reach, the one number the cycle-time model reads.  Controllers
+    of elements whose member cells communicate become handshake neighbors.
     """
     elements = partition_into_elements(array, element_size)
     element_of: Dict[CellId, ElementId] = {}
     controllers: Dict[ElementId, Point] = {}
-    local_trees: Dict[ElementId, ClockTree] = {}
+    local_reach: Dict[ElementId, float] = {}
 
     for eid, cells in elements.items():
         for cell in cells:
@@ -128,7 +131,7 @@ def build_hybrid(array: ProcessorArray, element_size: float = 4.0) -> HybridSche
         xs = [array.layout[c].x for c in cells]
         ys = [array.layout[c].y for c in cells]
         controllers[eid] = Point(sum(xs) / len(xs), sum(ys) / len(ys))
-        local_trees[eid] = _local_spine(array, eid, cells, controllers[eid])
+        local_reach[eid] = _spine_reach(array, cells, controllers[eid])
 
     element_graph = CommGraph(nodes=elements.keys())
     for u, v in array.communicating_pairs():
@@ -143,24 +146,17 @@ def build_hybrid(array: ProcessorArray, element_size: float = 4.0) -> HybridSche
         element_of=element_of,
         controllers=controllers,
         element_graph=element_graph,
-        local_trees=local_trees,
+        local_reach=local_reach,
     )
 
 
-def _local_spine(
-    array: ProcessorArray, eid: ElementId, cells: List[CellId], controller: Point
-) -> ClockTree:
-    """A spine from the controller through the element's cells in scanline
-    order.  Local tree node ids are namespaced by element to keep them
-    unique across the scheme."""
-    ordered = sorted(cells, key=lambda c: (array.layout[c].y, array.layout[c].x))
-    tree = ClockTree(("ctrl", eid), controller)
-    entries: List[ChildEntry] = []
-    previous: CellId = ("ctrl", eid)
-    for i, cell in enumerate(ordered):
-        station = ("ltap", eid, i)
+def _spine_reach(array: ProcessorArray, cells: List[CellId], controller: Point) -> float:
+    """The length of a spine from the controller through ``cells`` in
+    scanline order, summed hop by hop as a clock tree sums root distances:
+    the spine's longest root-to-leaf path, bit for bit."""
+    reach, at = 0.0, controller
+    for cell in sorted(cells, key=lambda c: (array.layout[c].y, array.layout[c].x)):
         position = array.layout[cell]
-        entries += [(previous, station, position, None), (station, cell, position, 0.0)]
-        previous = station
-    tree.add_children(entries)
-    return tree
+        reach += at.manhattan(position)
+        at = position
+    return reach

@@ -800,3 +800,13 @@ class RecurrenceStepper:
         for _ in range(n_waves):
             self.step()
         return float(self._finish.max()) if len(self._finish) else 0.0
+
+
+def steady_cycle(finishes: Sequence[float]) -> float:
+    """A run's steady cycle from its per-step finish times: the slope over
+    the last half of the steps (past the fill transient), else the last
+    finish over the step count — the hybrid and Section VII measure."""
+    steady = finishes[len(finishes) // 2:]
+    if len(steady) >= 2:
+        return (steady[-1] - steady[0]) / (len(steady) - 1)
+    return finishes[-1] / len(finishes)

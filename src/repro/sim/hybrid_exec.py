@@ -26,6 +26,7 @@ from typing import Any, Dict, Hashable, List, Tuple
 from repro.arrays.ideal import LockstepExecutor
 from repro.arrays.systolic import SystolicProgram
 from repro.core.hybrid import HybridScheme, build_hybrid
+from repro.sim.compiled import steady_cycle
 from repro.sim.hybrid_sim import controller_recurrence
 
 CellId = Hashable
@@ -96,17 +97,12 @@ def execute_program_hybrid(
     result = program.read_result(executor)
 
     tail = [max(f.values()) for f in finish_times]
-    half = n_steps // 2
-    if n_steps - half >= 2:
-        cycle = (tail[-1] - tail[half]) / (n_steps - 1 - half)
-    else:
-        cycle = tail[-1] / n_steps
     return HybridExecution(
         result=result,
         steps=n_steps,
         start_times=start_times,
         finish_times=finish_times,
-        cycle_time=cycle,
+        cycle_time=steady_cycle(tail),
         makespan=tail[-1],
         scheme=scheme,
     )

@@ -30,9 +30,10 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.core.hybrid import HybridScheme
+from repro.delay.variation import require_finite
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.sim.compiled import CompiledRecurrence, RecurrenceStepper
+from repro.sim.compiled import CompiledRecurrence, RecurrenceStepper, steady_cycle
 
 ElementId = Tuple[int, int]
 ElementPair = Tuple[ElementId, ElementId]
@@ -70,14 +71,16 @@ def controller_recurrence(
     recurrence's wave 0 does not; the returned stepper has therefore run
     one leading zero-cost wave, and each further :meth:`step` is one
     global step.  The jitter draws come from one RNG stream, one per
-    element per step in element order.
+    element per step in element order.  A non-finite ``delta``, ``m`` or
+    ``jitter`` raises ``ValueError``.
 
     Returns ``(stepper, base_cost, handshake)``.
     """
+    require_finite(delta=delta, m=m, jitter=jitter)
     rng = random.Random(seed)
     eids = list(scheme.elements.keys())
     base_cost: Dict[ElementId, float] = {
-        e: 2.0 * m * scheme.local_trees[e].longest_root_to_leaf() + delta for e in eids
+        e: 2.0 * m * scheme.local_reach[e] + delta for e in eids
     }
     handshake: Dict[ElementPair, float] = {}
     for a, b in scheme.element_graph.communicating_pairs():
@@ -157,12 +160,7 @@ def simulate_hybrid(
         if metrics.enabled:
             skew_hist.observe(float(start.max()) - float(start.min()))
 
-    half = steps // 2
-    steady = finish_times[half:]
-    if len(steady) >= 2:
-        cycle = (steady[-1] - steady[0]) / (len(steady) - 1)
-    else:
-        cycle = finish_times[-1] / steps
+    cycle = steady_cycle(finish_times)
     analytic = (
         max(base_cost.values())
         + (max(handshake.values()) if handshake else 0.0)

@@ -270,6 +270,8 @@ def _result(
     """The run summary (and its trace events) from the output cell's
     per-wave finishes; a wave hits the worst case when any of its
     ``judged`` samples does."""
+    from repro.sim.compiled import steady_cycle
+
     waves, cells = samples.shape
     samples_max, samples_min = float(samples.max()), float(samples.min())
     threshold = samples_max if worst_time is None else worst_time
@@ -279,12 +281,6 @@ def _result(
     if tracer.enabled:
         for w, (t, hit) in enumerate(zip(wave_finish, hits)):
             tracer.event(t, "selftimed", "wave", wave=w, hit_worst_case=hit)
-    steady = wave_finish[waves // 2:]
-    if len(steady) >= 2:
-        mean_cycle = (steady[-1] - steady[0]) / (len(steady) - 1)
-    else:
-        mean_cycle = wave_finish[-1] / waves
-    if tracer.enabled:
         tracer.event(
             wave_finish[-1], "selftimed", "run",
             cells=cells, waves=waves, makespan=wave_finish[-1], **run,
@@ -293,7 +289,7 @@ def _result(
         n_cells=cells,
         waves=waves,
         completion_time=wave_finish[-1],
-        mean_cycle_time=mean_cycle,
+        mean_cycle_time=steady_cycle(wave_finish),
         worst_case_cycle=samples_max + wire_delay,
         best_case_cycle=samples_min + wire_delay,
         waves_hitting_worst_case=sum(hits),

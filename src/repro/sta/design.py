@@ -188,7 +188,13 @@ class Design:
 # ----------------------------------------------------------------------
 # ready-made designs
 # ----------------------------------------------------------------------
-def _workload(name: str, size: int, rng: random.Random) -> SystolicProgram:
+def workload_program(name: str, size: int, seed: int = 0) -> SystolicProgram:
+    """The seeded systolic program of a bundled workload, the one
+    :func:`design_for_workload` clocks (the self-timed flow analysis
+    reads only its COMM graph).  ``size`` must be at least 1."""
+    if size < 1:
+        raise ValueError(f"design size must be at least 1, got {size}")
+    rng = random.Random(f"sta-design|{name}|{size}|{seed}")
     if name == "fir":
         weights = [rng.uniform(-1.0, 1.0) for _ in range(max(2, size // 2))]
         xs = [rng.uniform(-1.0, 1.0) for _ in range(size)]
@@ -240,10 +246,7 @@ def design_for_workload(
     # Imported here: repro.sta.slack imports this module for type sharing.
     from repro.sta import slack
 
-    if size < 1:
-        raise ValueError(f"design size must be at least 1, got {size}")
-    rng = random.Random(f"sta-design|{workload}|{size}|{seed}")
-    program = _workload(workload, size, rng)
+    program = workload_program(workload, size, seed)
     tree = build_scheme(scheme, program.array)
     skew_model = model if model is not None else PhysicalModel(m=m, eps=eps)
     buffered = BufferedClockTree(

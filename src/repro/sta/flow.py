@@ -158,7 +158,10 @@ class FlowGraph:
 
     Build via :func:`flow_graph` (from a COMM graph plus services, wire
     delay, and a capacity assignment) or from raw :class:`FlowEdge` lists
-    via :meth:`from_edges` (the handshake-discipline models do this).
+    via :meth:`from_edges` (the handshake cross-check tests build their
+    marked graphs this way).  Every node has an in-edge: a flow graph
+    gives each cell its compute self edge, and :meth:`from_edges` refuses
+    a node without one, so the solvers run on the graph as built.
     ``services`` is the per-cell wave-invariant service vector in dense
     order.  Edges live in parallel arrays (``esrc``/``edst``/``eweight``/
     ``etokens``/``ekind``/``ewire``/``eservice``) — the solvers consume
@@ -197,6 +200,13 @@ class FlowGraph:
                 raise ValueError(
                     f"{e.kind} edge {e.src}->{e.dst}: weight {e.weight} "
                     f"!= its wire/service decomposition {expect}"
+                )
+        fed = {e.dst for e in edges}
+        for node, cell in enumerate(cells):
+            if node not in fed:
+                raise ValueError(
+                    f"node {node} (cell {cell!r}) has no in-edge; every "
+                    "node of a flow graph needs one"
                 )
         return cls(
             cells=cells,
@@ -544,24 +554,6 @@ def mcm_karp(fg: FlowGraph) -> Optional[float]:
 # ----------------------------------------------------------------------
 # Howard policy iteration (the fast kernel)
 # ----------------------------------------------------------------------
-def _cyclic_core(
-    n: int, src: np.ndarray, dst: np.ndarray
-) -> np.ndarray:
-    """Boolean mask of nodes on or reachable-into cycles: iteratively
-    strip nodes with zero in- or out-degree (over surviving edges)."""
-    alive = np.ones(n, dtype=bool)
-    while True:
-        keep = alive[src] & alive[dst]
-        outdeg = np.zeros(n, dtype=np.int64)
-        indeg = np.zeros(n, dtype=np.int64)
-        np.add.at(outdeg, src[keep], 1)
-        np.add.at(indeg, dst[keep], 1)
-        drop = alive & ((outdeg == 0) | (indeg == 0))
-        if not drop.any():
-            return alive
-        alive &= ~drop
-
-
 #: Orders reduced means ``(a, b)``, ``b > 0``, exactly: by cross product.
 _BY_MEAN = cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1])
 
@@ -588,36 +580,29 @@ def mcm_howard(
     The first policy cycle of the top class is the critical cycle.
 
     ``warm_start`` seeds the policy from a previous solve on the same
-    node set (``FlowCycle.policy``: chosen predecessor per node, -1 for
-    none) — the ECO path uses this after capacity edits.  The scalar
+    node set (``FlowCycle.policy``: the chosen predecessor per node) —
+    the ECO path uses this after capacity edits.  The scalar
     oracle is :func:`mcm_karp`; both return the exact MCM correctly
     rounded (``differential-mcm``).  The converged state rides along on
     ``FlowCycle.state`` so :func:`certify_mcm` can check the answer
     exactly without solving again.
     """
     _zero_token_order(fg)  # refuses a token-free cycle
-    alive = _cyclic_core(fg.n_cells, fg.esrc, fg.edst)
-    keep = alive[fg.esrc] & alive[fg.edst]
-    if not keep.any():
+    if not fg.n_edges:
         return None
-    core_nodes = np.flatnonzero(alive)
-    n_core = len(core_nodes)
-    compact = np.full(fg.n_cells, -1, dtype=np.int64)
-    compact[core_nodes] = np.arange(n_core, dtype=np.int64)
+    n = fg.n_cells
     # In-edge CSR: edges sorted by destination (stable, so ties keep
     # build order — deterministic policies).
-    e_ids = np.flatnonzero(keep)
-    e_ids = e_ids[np.argsort(compact[fg.edst[e_ids]], kind="stable")]
-    src = compact[fg.esrc[e_ids]]
-    dst = compact[fg.edst[e_ids]]
+    e_ids = np.argsort(fg.edst, kind="stable")
+    src = fg.esrc[e_ids]
+    dst = fg.edst[e_ids]
     t = fg.etokens[e_ids]
-    q, w = _scale(fg.eweight, n_core, int(t.max()))
+    q, w = _scale(fg.eweight, n, int(t.max()))
     w = w[e_ids]
-    esrc_orig = core_nodes[src]  # original dense ids per sorted edge
-    counts = np.bincount(dst, minlength=n_core)
-    starts = np.zeros(n_core, dtype=np.int64)
+    counts = np.bincount(dst, minlength=n)
+    starts = np.zeros(n, dtype=np.int64)
     np.cumsum(counts[:-1], out=starts[1:])
-    # Every core node has >= 1 in-edge by construction of the core.
+    # Every node has >= 1 in-edge (see :class:`FlowGraph`).
     # Initial policy: the node's self edge where it has one — every
     # policy cycle is then a self loop, so the first evaluation already
     # surfaces max(service) as a candidate mean and the broadcast
@@ -630,15 +615,15 @@ def mcm_howard(
     )
     policy = np.where(self_edge < big, self_edge, starts)
     if warm_start is not None:  # each node's first in-edge from its old pick
-        want = np.asarray(warm_start)[core_nodes][dst]
+        want = np.asarray(warm_start)[dst]
         warm = np.minimum.reduceat(
-            np.where(esrc_orig == want, edge_arange, big), starts
+            np.where(src == want, edge_arange, big), starts
         )
         policy = np.where(warm < big, warm, policy)
     # Out-adjacency (edge indices by source node) for the broadcast.
     dst_l = dst.tolist()
     out_edges = np.argsort(src, kind="stable").tolist()
-    out_ptr = [0] + np.cumsum(np.bincount(src, minlength=n_core)).tolist()
+    out_ptr = [0] + np.cumsum(np.bincount(src, minlength=n)).tolist()
     for iterations in range(1, _HOWARD_MAX_ITERS + 1):
         pred = src[policy].tolist()
         cls, p, a, b, anchors = _policy_classes(
@@ -711,11 +696,9 @@ def mcm_howard(
     while pred[cyc[-1]] != cyc[0]:
         cyc.append(pred[cyc[-1]])
     chain = e_ids[policy[cyc[::-1]]].tolist()
-    pred_choice = np.full(fg.n_cells, -1, dtype=np.int64)
-    pred_choice[core_nodes] = esrc_orig[policy]
-    state = _HowardState(fg, src, dst, w, t, policy, core_nodes, q, e_ids, pn, an, bn)
+    state = _HowardState(fg, src, dst, w, t, policy, q, e_ids, pn, an, bn)
     cycle_time = a[best] / (q * b[best])  # int / int rounds correctly
-    return _finish_cycle(fg, chain, cycle_time, iterations, pred_choice, state)
+    return _finish_cycle(fg, chain, cycle_time, iterations, src[policy], state)
 
 
 def _policy_classes(
@@ -777,11 +760,11 @@ def _policy_classes(
 # the certificate: Howard's answer checked exactly, not solved again
 # ----------------------------------------------------------------------
 class _HowardState(NamedTuple):
-    """Howard's converged state on the cyclic core of ``graph``, in
-    compact ids: in-edges sorted by destination with their weights times
-    ``q`` as integers (int64, or Python ints where :func:`_scale` cannot
-    bound them), their tokens and their ids in ``graph``, each node's
-    chosen in-edge and dense id, and the final policy's evaluation by
+    """Howard's converged state on ``graph``: in-edges sorted by
+    destination with their weights times ``q`` as integers (int64, or
+    Python ints where :func:`_scale` cannot bound them), their tokens
+    and their ids in ``graph``, each node's chosen in-edge (a position
+    in that order), and the final policy's evaluation by
     :func:`_policy_classes` — each node's potential ``p`` and its class's
     reduced mean ``a/b``, in the weights' dtype — which
     :func:`_keep_cycle` reads."""
@@ -792,7 +775,6 @@ class _HowardState(NamedTuple):
     weight: np.ndarray
     tokens: np.ndarray
     policy: np.ndarray
-    nodes: np.ndarray
     q: int
     edge_ids: np.ndarray
     p: np.ndarray
@@ -822,14 +804,14 @@ def certify_mcm(fg: FlowGraph, cycle: FlowCycle) -> Certificate:
     *Lower bound:* ``cycle.edge_ids`` is a closed walk of graph edges
     with tokens whose exact mean rounds to ``cycle.cycle_time``.  *Upper
     bound:* Howard's final policy, evaluated exactly
-    (:func:`_policy_classes`), gives each core node the reduced mean
+    (:func:`_policy_classes`), gives each node the reduced mean
     ``a/b`` of the policy cycle it drains into and a potential ``P =
-    q*b*pi``.  No ``a/b`` exceeds the walk's mean, and on every core edge
+    q*b*pi``.  No ``a/b`` exceeds the walk's mean, and on every edge
     ``u -> v`` either the means match and ``P_v >= P_u + b*w - a*t``, or
     ``a_u/b_u < a_v/b_v``.  A mean cannot rise all the way round a
     cycle, so each cycle stays at one mean, whose inequalities sum to
     bound the cycle's (it carries a token: Howard refused token-free
-    cycles).  Nodes outside the core lie on no cycle.
+    cycles).
     """
     st, walk = cycle.state, np.asarray(cycle.edge_ids, dtype=np.int64)
     if st is None or st.graph is not fg or not len(walk):
@@ -855,7 +837,7 @@ def certify_mcm(fg: FlowGraph, cycle: FlowCycle) -> Certificate:
     )
     high = [ak * den > num * bk for ak, bk in zip(a, b)]
     if any(high):
-        cell = fg.cells[st.nodes[[high[k] for k in cls].index(True)]]
+        cell = fg.cells[[high[k] for k in cls].index(True)]
         return Certificate(
             f"upper-bound: {cell!r} drains into a policy cycle of higher mean",
             mean,
@@ -869,7 +851,7 @@ def certify_mcm(fg: FlowGraph, cycle: FlowCycle) -> Certificate:
         a[u] * b[v] >= a[v] * b[u],
     ))
     if len(broken):
-        x, y = (fg.cells[st.nodes[end[broken[0]]]] for end in (u, v))
+        x, y = (fg.cells[end[broken[0]]] for end in (u, v))
         return Certificate(f"upper-bound: edge {x!r} -> {y!r} breaks its inequality", mean)
     return Certificate(None, mean, len(u))
 
@@ -894,17 +876,14 @@ def _keep_cycle(cycle: FlowCycle, fg: FlowGraph, edge: int) -> Optional[FlowCycl
     st = cycle.state
     if st is None:
         return None
-    at = np.flatnonzero(st.edge_ids == edge)
-    if not len(at):  # not a core edge (never on a flow_graph): solve
-        return None
-    k = int(at[0])
+    k = int(np.flatnonzero(st.edge_ids == edge)[0])
     u, v = int(st.src[k]), int(st.dst[k])
     if st.policy[v] == k:  # critical-cycle edges are policy edges too
         return None
     t = int(fg.etokens[edge])
     if t > st.tokens[k] and st.weight.dtype != object:
         top = max(t, int(st.tokens.max())) * int(np.abs(st.weight).max())
-        if 8 * len(st.nodes) ** 2 * top >= 2**63:
+        if 8 * fg.n_cells ** 2 * top >= 2**63:
             return None
     au, bu, av, bv = int(st.a[u]), int(st.b[u]), int(st.a[v]), int(st.b[v])
     if (au, bu) == (av, bv):

@@ -36,7 +36,7 @@ _count = st.one_of(
 )
 _FLOATS = {
     "sta": ("--m", "--eps", "--delta", "--period"),
-    "flow": ("--m", "--eps", "--delta", "--wire", "--target"),
+    "flow": ("--wire", "--target"),
 }
 _INTS = {"sta": ("--size",), "flow": ("--size", "--capacity")}
 

@@ -1,9 +1,27 @@
 """Unit tests for the Section VI hybrid synchronization scheme."""
 
+import math
+
 import pytest
 
 from repro.arrays.topologies import hex_array, linear_array, mesh
+from repro.clocktree.tree import ClockTree
 from repro.core.hybrid import build_hybrid, partition_into_elements
+
+
+def _scanline_spine(array, eid, cells, controller):
+    """An element's local clock as a tree: a spine from the controller
+    through the cells in scanline order, a tap station per cell."""
+    ordered = sorted(cells, key=lambda c: (array.layout[c].y, array.layout[c].x))
+    tree = ClockTree(("ctrl", eid), controller)
+    entries, previous = [], ("ctrl", eid)
+    for i, cell in enumerate(ordered):
+        station = ("ltap", eid, i)
+        position = array.layout[cell]
+        entries += [(previous, station, position, None), (station, cell, position, 0.0)]
+        previous = station
+    tree.add_children(entries)
+    return tree
 
 
 class TestPartition:
@@ -40,11 +58,19 @@ class TestBuildHybrid:
         # 2x2 element grid: 4 adjacencies
         assert len(scheme.element_graph.communicating_pairs()) == 4
 
-    def test_local_trees_cover_members(self):
-        scheme = build_hybrid(mesh(8, 8), element_size=4.0)
-        for eid, cells in scheme.elements.items():
-            tree = scheme.local_trees[eid]
-            assert all(c in tree for c in cells)
+    def test_local_reach_is_the_spine_trees_longest_path(self):
+        """Each element's reach is, bit for bit, the longest
+        root-to-leaf path of its scanline spine built as a clock tree."""
+        arrays = [mesh(8, 8), mesh(9, 5), hex_array(6, 5), linear_array(13)]
+        for array in arrays:
+            for size in (1.0, 1.5, 2.5, 4.0, 5.5):
+                scheme = build_hybrid(array, element_size=size)
+                assert set(scheme.local_reach) == set(scheme.elements)
+                for eid, cells in scheme.elements.items():
+                    tree = _scanline_spine(array, eid, cells, scheme.controllers[eid])
+                    assert all(c in tree for c in cells)
+                    assert (scheme.local_reach[eid].hex()
+                            == tree.longest_root_to_leaf().hex()), (array.name, size, eid)
 
     def test_controllers_inside_blocks(self):
         scheme = build_hybrid(mesh(8, 8), element_size=4.0)
@@ -100,3 +126,25 @@ class TestCycleTimeModel:
             scheme.cycle_time(delta=-1)
         with pytest.raises(ValueError):
             scheme.cycle_time(delta=1, m=0)
+
+
+class TestNonFiniteParameters:
+    """An infinite element size once made one element of any array, a
+    NaN one failed on an internal float-to-int conversion, and a
+    non-finite ``delta`` or ``m`` gave a NaN or infinite cycle time."""
+
+    @pytest.mark.parametrize("size", [math.inf, math.nan])
+    def test_partition_refuses_a_non_finite_element_size(self, size):
+        with pytest.raises(ValueError, match=f"^element_size must be finite, got {size!r}$"):
+            partition_into_elements(mesh(4, 4), size)
+
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"delta": math.nan}, "delta"),
+        ({"delta": math.inf}, "delta"),
+        ({"delta": 1.0, "m": math.inf}, "m"),
+        ({"delta": 1.0, "m": math.nan}, "m"),
+    ])
+    def test_cycle_time_refuses_non_finite_parameters(self, kwargs, name):
+        scheme = build_hybrid(mesh(4, 4), element_size=2.0)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            scheme.cycle_time(**kwargs)

@@ -194,3 +194,21 @@ def test_cli_number_holes_exit_2(argv, message, tmp_path, capsys):
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags,name",
+    [
+        (["--element", "inf"], "element_size"),
+        (["--element", "nan"], "element_size"),
+        (["--delta", "nan"], "delta"),
+        (["--delta", "inf"], "delta"),
+    ],
+)
+def test_hybrid_cli_refuses_non_finite_numbers(flags, name, capsys):
+    """``hybrid --element inf`` once reported a one-element scheme, and a
+    NaN element size or a non-finite ``--delta`` failed on internal
+    values; each now exits 2 naming the parameter."""
+    assert cli_main(["hybrid", "--size", "8", *flags]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {name} must be finite" in err and "Traceback" not in err

@@ -1,11 +1,15 @@
 """Tests for the hybrid synchronization network simulation (Fig. 8)."""
 
+import math
+
 import pytest
 
+from repro.arrays.systolic import build_fir_array
 from repro.arrays.topologies import mesh
 from repro.core.hybrid import build_hybrid
 from repro.core.parameters import equipotential_tau
 from repro.clocktree.builders import serpentine_clock
+from repro.sim.hybrid_exec import execute_program_hybrid
 from repro.sim.hybrid_sim import simulate_hybrid
 
 
@@ -86,3 +90,34 @@ def test_timing_matches_recorded_golden(side, size, jitter, seed, completion, cy
     result = simulate_hybrid(scheme, steps=40, delta=1.0, jitter=jitter, seed=seed)
     assert repr(result.completion_time) == completion
     assert repr(result.cycle_time) == cycle
+
+
+# A non-finite delta, m or jitter once reached the shared controller
+# recurrence as a non-finite service time, refused as "non-finite service
+# time nan in wave 1": a service the caller never passed.  An infinite
+# element size made one element of the whole array.
+NON_FINITE = [
+    ({"delta": math.nan}, "delta"),
+    ({"delta": math.inf}, "delta"),
+    ({"m": math.inf}, "m"),
+    ({"m": math.nan}, "m"),
+    ({"jitter": math.nan}, "jitter"),
+    ({"jitter": math.inf}, "jitter"),
+]
+
+
+@pytest.mark.parametrize("kwargs,name", NON_FINITE)
+def test_simulate_hybrid_refuses_non_finite_parameters(kwargs, name):
+    scheme = build_hybrid(mesh(4, 4), element_size=2.0)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        simulate_hybrid(scheme, steps=10, **{"delta": 1.0, **kwargs})
+
+
+@pytest.mark.parametrize("kwargs,name", NON_FINITE + [
+    ({"element_size": math.inf}, "element_size"),
+    ({"element_size": math.nan}, "element_size"),
+])
+def test_execute_program_hybrid_refuses_non_finite_parameters(kwargs, name):
+    program = build_fir_array([0.5, -0.25], [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        execute_program_hybrid(program, **kwargs)

@@ -264,8 +264,23 @@ def test_sta_flow_builds_each_design_once(tmp_path, monkeypatch):
     assert len(_flow_artifact(out)) == 4
 
 
-def test_sta_flow_artifact_equals_the_flow_verb(tmp_path):
+def test_sta_flow_artifact_equals_the_flow_verb(tmp_path, monkeypatch):
+    """``flow`` builds only the seeded programs, yet writes the reports
+    ``sta --flow`` writes from full designs."""
+    import repro.sta.design as design_module
+
     f, g = tmp_path / "f.json", tmp_path / "g.json"
-    assert run_cli(["sta", "--size", "4", "--flow", str(f)]) == 0
-    assert run_cli(["flow", "--size", "4", "--json", str(g)]) == 0
+    assert run_cli(["sta", "--size", "3", "--seed", "7", "--flow", str(f)]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("flow built a clocked design")
+
+    monkeypatch.setattr(design_module, "design_for_workload", refuse)
+    assert run_cli(["flow", "--size", "3", "--seed", "7", "--json", str(g)]) == 0
     assert _flow_artifact(f) == _flow_artifact(g)
+
+
+@pytest.mark.parametrize("flag", ["--scheme=kdtree", "--m=2", "--eps=0.2", "--delta=1.5"])
+def test_flow_verb_takes_no_clock_flags(flag):
+    """The clock tree flags fed only a design the flow report never read."""
+    assert run_cli(["flow", "--workload", "fir", "--size", "3", flag]) == 2

@@ -604,8 +604,8 @@ class TestHandshakeCrossCheck:
                                   np.asarray(services, dtype=np.float64))
         cycle = mcm_howard(fg)
         assert cycle is not None
-        # Node 1 has no compute self-loop here, so the certificate runs
-        # on a cyclic core smaller than the graph.
+        # Node 1 has no compute self-loop here; both nodes lie on the
+        # 0 -> 1 -> 0 cycle, and the certificate checks every edge.
         assert certify_mcm(fg, cycle).verified
         return cycle.cycle_time
 
@@ -637,6 +637,16 @@ class TestHandshakeCrossCheck:
                 FlowEdge(0, 0, s, 1, "compute", service=s),
             ]
         return self._mcm(edges, [s, s])
+
+    def test_a_node_without_an_in_edge_is_refused(self):
+        # Howard picks one in-edge per node, so a hand-built graph must
+        # give every node one; node 1 feeds node 0, but nothing feeds it.
+        edges = [
+            FlowEdge(0, 0, 1.0, 1, "compute", service=1.0),
+            FlowEdge(1, 0, 1.5, 1, "forward", wire=0.5, service=1.0),
+        ]
+        with pytest.raises(ValueError, match=r"node 1 \(cell 'b'\) has no in-edge"):
+            FlowGraph.from_edges(["a", "b"], edges, np.asarray([1.0, 1.0]))
 
     def test_unbuffered_law_matches_mcm(self):
         for s, w in ((1.25, 0.25), (0.5, 0.5), (2.0, 0.125)):

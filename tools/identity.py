@@ -67,16 +67,40 @@ worktree`` of the parent commit) for comparison:
   and the written reports without ``meta.emitted_at``;
 * 108 clock-tree cases: every tree builder (kd-tree, star, serpentine,
   spine, tapped trunk, folded, comb, comm-tree, the H-trees, the greedy
-  tree, tuning, the hybrid scheme's local spines) on two or three arrays,
-  the trees the metamorphic relabelling, the tile composition and ECO
-  grafts grow, each hashing nodes, parents, depths, root distances,
-  positions, edge lengths and children; buffered realizations of four
-  trees under each of the four variation processes, with and without
-  stage variance, before and after two resamples (arrivals, segment
-  delays, buffer count, ``tau`` and latency); ``CompiledSkewSampler``
-  arrays; and the message of every construction refusal.  A tree's
-  ``version``, and what a refused construction leaves behind, are not
-  compared.
+  tree, tuning) on two or three arrays, the trees the metamorphic
+  relabelling, the tile composition and ECO grafts grow, each hashing
+  nodes, parents, depths, root distances, positions, edge lengths and
+  children; the hybrid scheme's per-element base costs (twice each
+  element's local clock reach) on two arrays; buffered realizations of
+  four trees under each of the four variation processes, with and
+  without stage variance, before and after two resamples (arrivals,
+  segment delays, buffer count, ``tau`` and latency);
+  ``CompiledSkewSampler`` arrays; and the message of every construction
+  refusal.  A tree's ``version``, and what a refused construction leaves
+  behind, are not compared;
+* 1,733 flow cases: ``analyze_flow`` on 1,200 ``random_design`` COMM
+  graphs, small meshes and one- and two-way rings, with services on the
+  1/8 grid or at ``0.5 + rng.random()``, wires 0, 0.3, 0.5 and 1.3, and
+  capacities None, 1, 2, 3 or per-edge maps: the graph's arrays, the
+  deadlock witness, every ``FlowCycle`` field but the Howard state, the
+  certificate, ``mcm_karp`` on graphs of up to 16 cells, and on dyadic
+  live specs the ``SteadyState`` fields with ``makespan_at`` and
+  ``iterated_makespan`` at two horizons; 40 pairs of
+  ``minimal_buffer_sizing`` results; 12 ECO sessions of 40 seeded
+  capacity edits (``repro.check.eco.capacity_edit``), the session's flow
+  answer after each; and the hand-built graphs of the three handshake
+  disciplines at 13 points;
+* 555 hybrid cases (Section VI): ``build_hybrid`` on meshes, hex, torus
+  and linear arrays at element sizes 1 to 5.5 (partition, controllers,
+  element graph, per-element base costs of ``controller_recurrence``,
+  ``max_local_distribution`` and ``cycle_time``); 400
+  ``simulate_hybrid`` runs at jitter 0 and 0.3, a tracer and metrics each
+  on about half; 120 ``execute_program_hybrid`` runs on fir, matvec and
+  matmul programs (result, per-step times, cycle time, makespan and the
+  dependency check);
+* 400 self-timed runs (Section VII): ``simulate_selftimed_line`` and
+  ``simulate_selftimed_wavefront``, a tracer and metrics each on about
+  half: every result field, the trace and the metrics.
 """
 
 from __future__ import annotations
@@ -593,6 +617,303 @@ def handshake_cases(quick: bool) -> Iterator[Case]:
         yield f"handshake/{i}/{kind}", lambda k=kind, i=i: _handshake_run(k, i)
 
 
+def _flow_comm(kind: str, arg: int) -> Any:
+    """A ``random_design`` COMM graph, a small mesh or a ring (one-way
+    when ``arg`` is odd)."""
+    from repro.arrays.topologies import mesh, ring
+    from repro.sta.design import random_design
+
+    if kind == "random":
+        return random_design(arg).array.comm
+    if kind == "mesh":
+        return mesh(arg, arg + 1).comm
+    return ring(arg, bidirectional=arg % 2 == 0).comm
+
+
+def _flow_timing(kind: str, comm: Any, rng: random.Random) -> Any:
+    """Per-cell services on the 1/8 grid (``grid``) or off it (``off``)."""
+    if kind == "grid":
+        return {c: 1.0 + rng.randrange(8) / 8 for c in comm.nodes()}
+    return {c: 0.5 + rng.random() for c in comm.nodes()}
+
+
+def _flow_capacity(capacity: Any, comm: Any, rng: random.Random) -> Any:
+    if capacity == "map":  # some channels stay unbounded
+        return {e: rng.choice((1, 2, 3)) for e in comm.edges() if rng.random() < 0.6}
+    return capacity
+
+
+def _cycle_outputs(fg: Any, cycle: Any) -> Dict[str, Any]:
+    """Every public ``FlowCycle`` field and the certificate; the Howard
+    state itself is internal and is checked through the certificate."""
+    from repro.sta.flow import certify_mcm
+
+    if cycle is None:
+        return {"cycle": None}
+    return {"cycle": [cycle.cycle_time, cycle.weight, cycle.tokens, cycle.edges,
+                      cycle.path, cycle.iterations, cycle.policy, cycle.edge_ids],
+            "certificate": certify_mcm(fg, cycle)}
+
+
+def _flow_answer(analysis: Any) -> Dict[str, Any]:
+    """A ``FlowAnalysis``: the graph's arrays, the deadlock witness, the
+    critical cycle and its certificate."""
+    fg = analysis.graph
+    out = {"graph": [fg.cells, fg.services, fg.esrc, fg.edst, fg.eweight,
+                     fg.etokens, fg.ekind, fg.ewire, fg.eservice],
+           "deadlock": analysis.deadlock}
+    out.update(_cycle_outputs(fg, analysis.cycle))
+    return out
+
+
+def _karp(fg: Any) -> Any:
+    from repro.sim.dataflow import ChannelDeadlockError
+    from repro.sta.flow import mcm_karp
+
+    try:
+        return mcm_karp(fg)
+    except ChannelDeadlockError as exc:
+        return ["deadlock", exc.cycle]
+
+
+def _steady_outputs(steady: Any) -> List[Any]:
+    """The ``SteadyState`` fields, ``makespan_at`` and
+    ``iterated_makespan`` at two horizons past the run, and ``bounds``."""
+    horizons = (steady.waves_run + 7, 4 * steady.waves_run)
+    return [steady.cycle_time, steady.period, steady.increment, steady.waves_run,
+            steady.makespans, steady.tail, steady.delta,
+            [steady.makespan_at(h) for h in horizons],
+            [steady.iterated_makespan(h) for h in horizons], steady.bounds()]
+
+
+def _flow_run(spec: Dict[str, Any]) -> Dict[str, Any]:
+    from repro.sta.flow import analyze_flow, simulate_steady_state
+
+    rng = random.Random(spec["seed"])
+    comm = _flow_comm(spec["graph"], spec["arg"])
+    service = _flow_timing(spec["service"], comm, rng)
+    capacity = _flow_capacity(spec["capacity"], comm, rng)
+    wire = spec["wire"]
+    analysis = analyze_flow(comm, service, wire, capacity)
+    out = _flow_answer(analysis)
+    if len(comm.nodes()) <= 16:
+        out["karp"] = _karp(analysis.graph)
+    # Dyadic delays only: off the grid the regime need never repeat.
+    if not analysis.dead and spec["service"] == "grid" and wire in (0.0, 0.5):
+        out["steady"] = _steady_outputs(simulate_steady_state(comm, service, wire, capacity))
+    return out
+
+
+def _flow_spec(i: int) -> Dict[str, Any]:
+    rng = random.Random(f"identity-flow|{i}")
+    kind = rng.choice(("random", "random", "mesh", "ring"))
+    arg = {"random": rng.randrange(2**31), "mesh": rng.randint(1, 4),
+           "ring": rng.randint(3, 8)}[kind]
+    return {
+        "graph": kind,
+        "arg": arg,
+        "service": rng.choice(("grid", "grid", "off")),
+        "wire": rng.choice((0.0, 0.3, 0.5, 1.3)),
+        "capacity": rng.choice((None, 1, 2, 3, "map", "map")),
+        "seed": rng.randrange(2**31),
+    }
+
+
+def _sizing_run(i: int) -> Dict[str, Any]:
+    """``minimal_buffer_sizing`` at and above the unbounded cycle time."""
+    from repro.sta.flow import analyze_flow, minimal_buffer_sizing
+
+    rng = random.Random(f"identity-sizing|{i}")
+    comm = _flow_comm("random", rng.randrange(2**31)) if i % 2 else _flow_comm("mesh", 2)
+    service = _flow_timing("off" if i % 3 == 2 else "grid", comm, rng)
+    wire = rng.choice((0.0, 0.3, 0.5))
+    floor = analyze_flow(comm, service, wire, None).cycle_time
+    return {"sizing": [minimal_buffer_sizing(comm, service, wire, floor * scale)
+                       for scale in (1.0, 1.25)]}
+
+
+def _handshake_graph(discipline: str, s: float, w: float, credits: int) -> Any:
+    """The marked graph of one handshake discipline: a stage, its
+    downstream neighbour, the forward request, the returning credit and
+    the stage's compute recycle."""
+    import numpy as np
+
+    from repro.sta.flow import FlowEdge, FlowGraph
+
+    if discipline == "unbuffered":
+        forward, tokens = FlowEdge(0, 1, s + w, 1, "forward", wire=w, service=s), 0
+    else:
+        forward = FlowEdge(0, 1, w, 1, "forward", wire=w)
+        tokens = 0 if discipline == "buffered" else credits - 1
+    edges = [forward, FlowEdge(1, 0, w, tokens, "credit", wire=w),
+             FlowEdge(0, 0, s, 1, "compute", service=s)]
+    return FlowGraph.from_edges([0, 1], edges, np.asarray([s, s], dtype=np.float64))
+
+
+def _handshake_mcm(discipline: str, s: float, w: float, credits: int) -> Dict[str, Any]:
+    from repro.sta.flow import mcm_howard
+
+    fg = _handshake_graph(discipline, s, w, credits)
+    out = _cycle_outputs(fg, mcm_howard(fg))
+    out["karp"] = _karp(fg)
+    return out
+
+
+def _eco_flow_session(k: int, steps: int) -> Iterator[Case]:
+    """A seeded capacity script on one ``random_design``: the session's
+    flow answer after every edit, in order."""
+    from repro.check.eco import capacity_edit
+    from repro.sta.design import random_design
+    from repro.sta.eco import ECOSession
+
+    rng = random.Random(f"identity-eco-flow|{k}")
+    design = random_design(rng.randrange(2**31))
+    session = ECOSession(design)
+    service = _flow_timing("off" if k % 2 else "grid", design.array.comm, rng)
+    wire = 0.3 if k % 2 else rng.choice((0.0, 0.25, 0.5))
+    for edge in design.edges():
+        if rng.random() < 0.6:
+            session.set_channel_capacity(edge, rng.randint(1, 3))
+    state = {"flow": session.flow(service, wire)}
+
+    def step() -> Dict[str, Any]:
+        kind = capacity_edit(rng, session, state["flow"])
+        flow = state["flow"] = session.flow(service, wire)
+        return {"edit": kind, "capacities": sorted(session.channel_capacities.items(),
+                                                   key=repr), **_flow_answer(flow)}
+
+    for i in range(steps):
+        yield f"flow/eco/{k}/step{i}", step
+
+
+#: The quick slice: a live random design on the grid, with its steady state.
+_QUICK_FLOW = ({"graph": "random", "arg": 3, "service": "grid", "wire": 0.5,
+                "capacity": "map", "seed": 1},)
+
+
+def flow_cases(quick: bool) -> Iterator[Case]:
+    specs = _QUICK_FLOW if quick else [_flow_spec(i) for i in range(1200)]
+    for i, spec in enumerate(specs):
+        name = f"{spec['graph']}-{spec['service']}-w{spec['wire']}-cap{spec['capacity']}"
+        yield f"flow/analyze/{i}/{name}", lambda spec=spec: _flow_run(spec)
+    for i in range(1 if quick else 40):
+        yield f"flow/sizing/{i}", lambda i=i: _sizing_run(i)
+    for k in range(1 if quick else 12):
+        yield from _eco_flow_session(k, 1 if quick else 40)
+    points = {"unbuffered": ((1.25, 0.25, 2), (0.5, 0.5, 2), (2.0, 0.125, 2), (1.0, 0.3, 2)),
+              "buffered": ((1.25, 0.25, 2), (0.25, 1.0, 2), (1.0, 0.5, 2), (0.7, 0.4, 2)),
+              "credit": ((0.125, 0.5, 2), (0.125, 0.5, 4), (1.5, 0.25, 2), (0.25, 1.0, 8),
+                         (0.3, 0.9, 3))}
+    for discipline, cases in list(points.items())[-1:] if quick else points.items():
+        for s, w, credits in cases[:1] if quick else cases:
+            yield (f"flow/handshake/{discipline}/s{s}-w{w}-c{credits}",
+                   lambda d=discipline, s=s, w=w, c=credits: _handshake_mcm(d, s, w, c))
+
+
+def _hybrid_arrays() -> List[Tuple[str, Any]]:
+    from repro.arrays.topologies import hex_array, linear_array, mesh, torus
+
+    return [("mesh6x6", mesh(6, 6)), ("mesh9x5", mesh(9, 5)), ("hex5x4", hex_array(5, 4)),
+            ("torus4x6", torus(4, 6)), ("linear13", linear_array(13))]
+
+
+#: Element sizes from one cell per element to a few elements per array.
+_ELEMENT_SIZES = (1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.5)
+
+
+def _element_costs(scheme: Any) -> List[Any]:
+    """Each element's base cost at delta 0 (twice its local clock reach),
+    in element id order."""
+    from repro.sim.hybrid_sim import controller_recurrence
+
+    return sorted(controller_recurrence(scheme, 0.0)[1].items(), key=repr)
+
+
+def _scheme_outputs(scheme: Any) -> Dict[str, Any]:
+    from repro.sim.hybrid_sim import controller_recurrence
+
+    _, _, handshake = controller_recurrence(scheme, 1.0)
+    return {"elements": scheme.elements, "element_of": scheme.element_of,
+            "controllers": scheme.controllers, "element_graph": scheme.element_graph.edges(),
+            "base_costs": _element_costs(scheme), "handshake": handshake,
+            "max_local": scheme.max_local_distribution(),
+            "max_controller": scheme.max_controller_distance(),
+            "cycle_time": [scheme.cycle_time(1.0), scheme.cycle_time(0.25, m=1.5)],
+            "sizes": [scheme.element_count(), scheme.largest_element()]}
+
+
+def _hybrid_sim_run(i: int) -> Dict[str, Any]:
+    from repro.core.hybrid import build_hybrid
+    from repro.sim.hybrid_sim import simulate_hybrid
+
+    rng = random.Random(f"identity-hybrid-sim|{i}")
+    name, array = rng.choice(_hybrid_arrays())
+    scheme = build_hybrid(array, rng.choice(_ELEMENT_SIZES))
+    tracer, metrics = _observers(rng.random() < 0.5, rng.random() < 0.5)
+    result = simulate_hybrid(
+        scheme, steps=rng.randint(2, 40), delta=rng.choice((0.0, 0.5, 1.0, 1.25)),
+        m=rng.choice((1.0, 0.75)), jitter=(0.0, 0.3)[i % 2], seed=rng.randrange(1000),
+        tracer=tracer, metrics=metrics)
+    return _observed({"array": name, "result": result}, tracer, metrics)
+
+
+def _hybrid_exec_run(i: int) -> Dict[str, Any]:
+    from repro.sim.hybrid_exec import execute_program_hybrid
+
+    rng = random.Random(f"identity-hybrid-exec|{i}")
+    family = ("fir", "matvec", "matmul")[i % 3]
+    program = _dataflow_program(family, rng.randint(2, 6), rng)
+    run = execute_program_hybrid(
+        program, element_size=rng.choice(_ELEMENT_SIZES), delta=rng.choice((0.5, 1.0)),
+        m=rng.choice((1.0, 1.25)), jitter=rng.choice((0.0, 0.3)),
+        seed=rng.randrange(1000), steps=rng.choice((0, 0, 1, 3, 17)))
+    return {"family": family, "result": repr(run.result), "steps": run.steps,
+            "start": run.start_times, "finish": run.finish_times,
+            "cycle_time": run.cycle_time, "makespan": run.makespan,
+            "verified": run.verify_dependencies(), "costs": _element_costs(run.scheme)}
+
+
+def hybrid_cases(quick: bool) -> Iterator[Case]:
+    """Section VI: the schemes, the controller network and the executor."""
+    from repro.core.hybrid import build_hybrid
+
+    for name, array in _hybrid_arrays()[:1] if quick else _hybrid_arrays():
+        for size in _ELEMENT_SIZES[:1] if quick else _ELEMENT_SIZES:
+            yield (f"hybrid/scheme/{name}/e{size}",
+                   lambda a=array, s=size: _scheme_outputs(build_hybrid(a, s)))
+    for i in range(1 if quick else 400):
+        yield f"hybrid/sim/{i}", lambda i=i: _hybrid_sim_run(i)
+    for i in range(1 if quick else 120):
+        yield f"hybrid/exec/{i}", lambda i=i: _hybrid_exec_run(i)
+
+
+def _selftimed_run(kind: str, seed: int) -> Dict[str, Any]:
+    from repro.sim import selftimed
+
+    rng = random.Random(f"identity-selftimed|{seed}")
+    sampler = selftimed.two_point_sampler(1.0, rng.choice((1.5, 2.0, 3.0)),
+                                          rng.choice((0.1, 0.3)))
+    tracer, metrics = _observers(rng.random() < 0.5, rng.random() < 0.5)
+    worst = rng.choice((None, None, 1.5, 2.0))
+    common = {"seed": rng.randrange(1000), "worst_time": worst, "tracer": tracer,
+              "metrics": metrics}
+    if kind == "line":
+        result = selftimed.simulate_selftimed_line(
+            rng.randint(1, 12), rng.randint(2, 40), sampler,
+            wire_delay=rng.choice((0.0, 0.1, 0.5)), blocking=rng.random() < 0.5, **common)
+    else:
+        result = selftimed.simulate_selftimed_wavefront(
+            rng.randint(1, 5), rng.randint(1, 5), rng.randint(2, 30), sampler, **common)
+    return _observed({"result": result}, tracer, metrics)
+
+
+def selftimed_cases(quick: bool) -> Iterator[Case]:
+    """Section VII: the self-timed line and wavefront."""
+    for i in range(2 if quick else 400):
+        kind = ("line", "wavefront")[i % 2]
+        yield f"selftimed/{kind}/{i}", lambda k=kind, i=i: _selftimed_run(k, i)
+
+
 def _tree_outputs(tree: Any) -> List[Any]:
     """Per node in insertion order: the node, its parent, depth, root
     distance, position, edge length and children; then the leaves, the
@@ -675,9 +996,8 @@ def _tree_builds(quick: bool) -> Iterator[Tuple[str, Callable[[], Any]]]:
             builders.kdtree_clock(a), a.comm.nodes()))))
     for name, size in (("mesh5x3", 2.0), ("hex3x4", 3.0)):
         a = arrays[name]
-        specs.append((f"hybrid/{name}", lambda a=a, s=size: [
-            [eid, _tree_outputs(t)] for eid, t in
-            sorted(build_hybrid(a, s).local_trees.items(), key=repr)]))
+        specs.append((f"hybrid/{name}", lambda a=a, s=size: _element_costs(
+            build_hybrid(a, s))))
     if quick:
         specs = [s for s in specs if s[0] in ("kdtree/mesh4x4", "spine/linear9",
                                                "tapped-trunk", "hybrid/mesh5x3")]
@@ -930,7 +1250,7 @@ def record(out: str, src: str, quick: bool) -> int:
     lines = []
     for cases in (design_cases, signoff_cases, eco_cases, tile_cases,
                   dataflow_cases, clocked_cases, handshake_cases, cli_cases,
-                  clocktree_cases):
+                  clocktree_cases, flow_cases, hybrid_cases, selftimed_cases):
         for case, run in cases(quick):
             lines.append(f"{case}\t{digest(run())}\n")
     with open(out, "w") as fh:
