@@ -21,9 +21,10 @@ enforces the PR's acceptance bar:
   cells re-analyzes >= 10x faster than the full ``analyze_slack``;
 * the ``CompiledTrialContext`` Monte-Carlo cache is >= 3x over the
   rebuild-per-trial formulation, with bit-identical summaries;
-* the shared-memory Monte-Carlo pool returns bit-identical summaries
-  and never loses to the serial rebuild-per-trial loop (>= 1x even on a
-  one-core runner — the win is algorithmic, not core-count);
+* the pooled Monte-Carlo run over a compiled trial returns
+  bit-identical summaries and never loses to the serial
+  rebuild-per-trial loop (>= 1x even on a one-core runner — the win is
+  algorithmic, not core-count);
 * the chunked tick-matrix scale rows (``REPRO_PERF_SCALE_SIDES``) agree
   exactly with the monolithic evaluation and, where it runs, the
   per-event scalar oracle;
@@ -67,7 +68,7 @@ SIM_KERNELS = ("clocked_run", "selftimed_makespan", "selftimed_backpressure")
 SIM_SPEEDUP = 10.0
 # Monte-Carlo structure cache: >= 3x over rebuild-per-trial.
 MC_CACHED_SPEEDUP = 3.0
-# Shared-memory Monte-Carlo pool: must never lose to the serial loop.
+# Pooled Monte-Carlo over a compiled trial: never loses to the serial loop.
 MC_POOL_FLOOR = 1.0
 # Scale rows stream violations per block and must stay exact.
 SCALE_KERNELS = ("mesh_csr_build", "clocked_timing_blocked", "clocked_timing")
@@ -122,11 +123,11 @@ def test_perf_suite_speedup_and_equivalence():
             )
         if r.kernel.startswith("montecarlo_workers_"):
             assert r.max_abs_diff == 0.0, (
-                f"{r.kernel}: shared-memory pool summary not bit-identical "
+                f"{r.kernel}: pooled summary not bit-identical to the serial one "
                 f"(diff {r.max_abs_diff})"
             )
             assert r.speedup >= MC_POOL_FLOOR, (
-                f"{r.kernel}: {r.speedup:.2f}x — the zero-pickle pool lost "
+                f"{r.kernel}: {r.speedup:.2f}x — the pool over a compiled trial lost "
                 f"to the serial rebuild-per-trial loop"
             )
         if r.kernel in SCALE_KERNELS:

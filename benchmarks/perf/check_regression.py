@@ -37,8 +37,8 @@ GATED_KERNELS = (
     "buffer_sizing",
 )
 
-# Absolute speedup floors, independent of any baseline: the shared-memory
-# Monte-Carlo pool must never *lose* to the serial rebuild-per-trial loop
+# Absolute speedup floors, independent of any baseline: the pooled
+# Monte-Carlo run must never *lose* to the serial rebuild-per-trial loop
 # again (the regression this gate exists for), even on a one-core runner
 # where the win is purely algorithmic.  Matched by kernel-name prefix so
 # any worker count is covered.

@@ -81,8 +81,8 @@ class CompiledTrialContext:
     clock tree, compiled simulation kernels — even though only the *noise*
     (wire variation, jitter, service times) depends on the seed.  Wrap the
     structure factory in a ``CompiledTrialContext`` and call :meth:`get`
-    inside the trial: the factory runs once per worker (thread-local, and
-    process pools rebuild on unpickle), and every seed reuses the result.
+    inside the trial: the factory runs once per thread, and every seed
+    reuses the result.
 
     Determinism is unchanged as long as the cached structure's per-seed
     resampling is itself deterministic (e.g.
@@ -91,8 +91,13 @@ class CompiledTrialContext:
     formulation, so :func:`run_trials` summaries are bit-identical with
     and without the cache — the property tests pin this.
 
-    For ``executor="process"`` the factory must be picklable (a
-    module-level function); the built structure itself is never pickled.
+    For ``executor="process"``, keep the context in a module global that
+    a module-level trial function reads, and call :meth:`get` before the
+    pool starts: forked workers inherit the warmed structure and never
+    run the factory, and spawned workers run it once each.  Only the
+    trial function's name is pickled.  A context pickled itself ships
+    only its factory, which must then be picklable too; the built
+    structure never crosses a process boundary.
     """
 
     __slots__ = ("_build", "_local")

@@ -47,7 +47,6 @@ from repro.analysis.montecarlo import (
     run_trials,
     run_trials_traced,
 )
-from repro.analysis.shared import SharedTrialArena
 from repro.arrays.topologies import mesh
 from repro.clocktree.buffered import BufferedClockTree
 from repro.clocktree.htree import htree_for_array
@@ -805,19 +804,16 @@ def _sampler_structure() -> CompiledSkewSampler:
 def _sampler_rebuild_trial(seed: int) -> float:
     """The serial baseline: recompile the structure and walk the trial
     with the scalar per-node loops — the pay-everything-per-seed
-    formulation the arena path is measured against."""
+    formulation the pooled path is measured against."""
     return _sampler_structure().sample_max_skew_scalar(seed)
 
 
-def _sampler_build(arrays) -> CompiledSkewSampler:
-    """Arena ``build`` hook: sampler from attached shared-memory views
-    (module-level so :class:`SharedMemoryTrial` stays picklable)."""
-    return CompiledSkewSampler.from_arrays(arrays)
+_SAMPLER_CONTEXT = CompiledTrialContext(_sampler_structure)
 
 
-def _sampler_run(state: CompiledSkewSampler, seed: int) -> float:
-    """Arena ``run`` hook: one vectorized trial on the cached state."""
-    return state.sample_max_skew(seed)
+def _sampler_trial(seed: int) -> float:
+    """One vectorized trial on the context's compiled sampler."""
+    return _SAMPLER_CONTEXT.get().sample_max_skew(seed)
 
 
 def bench_montecarlo(
@@ -826,45 +822,40 @@ def bench_montecarlo(
     executor: str = "process",
     measure_mem: bool = False,
 ) -> KernelTiming:
-    """Time the rebuild-per-trial serial Monte-Carlo loop against the
-    zero-pickle shared-memory pool.
+    """Time the rebuild-per-trial serial Monte-Carlo loop against a
+    worker pool over a compiled trial.
 
     The baseline recompiles the H-tree structure and runs the scalar
-    sampler per seed; the optimized path ships the compiled arrays once
-    through a :class:`SharedTrialArena` and lets worker processes attach
-    and run the vectorized sampler.  Both consume the identical seeded
-    uniform vector per trial, so ``max_abs_diff`` across all summary
-    fields must be exactly 0.0 — any non-zero value is a determinism bug
-    surfacing as a perf row.  The arena trial is deliberately *not*
-    pre-warmed in the coordinator: under fork that would hand workers a
-    built state and hide the attach+build cost the row exists to price.
+    sampler per seed; the pooled path runs the vectorized sampler of a
+    module-level :class:`CompiledTrialContext`, which the coordinator
+    warms before the clock starts (forked workers inherit it; spawned
+    ones build it once each).  Both consume the identical seeded uniform
+    vector per trial, so ``max_abs_diff`` across all summary fields must
+    be exactly 0.0 — any non-zero value is a determinism bug surfacing
+    as a perf row.
     """
     t0 = time.perf_counter()
     serial = run_trials(_sampler_rebuild_trial, trials, base_seed=0)
     serial_s = time.perf_counter() - t0
-    arena = SharedTrialArena(_sampler_structure().arrays())
-    try:
-        trial = arena.trial(_sampler_build, _sampler_run)
-        # The timed run also yields its phase decomposition (one-time
-        # pickle + per-chunk compile/run seconds): the columns that
-        # localize a pool regression to its phase instead of leaving one
-        # opaque wall-clock number.
-        t0 = time.perf_counter()
-        parallel, telemetry = run_trials_traced(
-            trial, trials, base_seed=0, workers=workers, executor=executor
-        )
-        parallel_s = time.perf_counter() - t0
-        peak = (
-            peak_mem_bytes(
-                lambda: run_trials(
-                    trial, trials, base_seed=0, workers=workers, executor=executor
-                )
+    _SAMPLER_CONTEXT.get()
+    # The timed run also yields its phase decomposition (one-time
+    # pickle + per-chunk compile/run seconds): the columns that localize
+    # a pool regression to its phase instead of leaving one opaque
+    # wall-clock number.
+    t0 = time.perf_counter()
+    parallel, telemetry = run_trials_traced(
+        _sampler_trial, trials, base_seed=0, workers=workers, executor=executor
+    )
+    parallel_s = time.perf_counter() - t0
+    peak = (
+        peak_mem_bytes(
+            lambda: run_trials(
+                _sampler_trial, trials, base_seed=0, workers=workers, executor=executor
             )
-            if measure_mem
-            else None
         )
-    finally:
-        arena.close()
+        if measure_mem
+        else None
+    )
     diff = max(
         abs(serial.mean - parallel.mean),
         abs(serial.stdev - parallel.stdev),

@@ -1,8 +1,9 @@
-"""Scaling oracles: the streamed/shared paths must change nothing.
+"""Scaling oracles: the streamed/pooled paths must change nothing.
 
-The million-cell machinery trades memory and pickling for nothing else —
-by construction, a chunked tick-matrix scan and a shared-memory trial
-pool produce the *same bits* as their monolithic/serial formulations.
+The million-cell machinery trades memory and wall clock for nothing
+else — by construction, a chunked tick-matrix scan and a pooled
+Monte-Carlo run produce the *same bits* as their monolithic/serial
+formulations.
 These checks make that claim a named, diagnosable failure:
 
 * ``differential-chunked-timing`` — :class:`~repro.sim.compiled.CompiledTimingKernel`
@@ -11,21 +12,21 @@ These checks make that claim a named, diagnosable failure:
   (violation list, order, makespan); the clocked simulator's
   ``run(edge_block=...)`` must equal its monolithic ``run`` on a real
   workload.
-* ``differential-shared-arena`` — a compiled sampler round-tripped
-  through a :class:`~repro.analysis.shared.SharedTrialArena` must
-  reproduce the serial ``run_trials`` summary bit-for-bit under thread
-  and process executors, and the attached views must equal the source
-  arrays byte-for-byte.
+* ``differential-pooled-trials`` — a compiled sampler read through a
+  module-level :class:`~repro.analysis.montecarlo.CompiledTrialContext`
+  must reproduce the serial ``run_trials`` summary bit-for-bit under
+  thread and process executors, and the vectorized sampler must equal
+  its scalar oracle.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
-from repro.analysis.montecarlo import run_trials
-from repro.analysis.shared import SharedTrialArena
+from repro.analysis.montecarlo import CompiledTrialContext, run_trials
 from repro.arrays.topologies import mesh
 from repro.check.registry import REGISTRY, CheckContext, require
 from repro.clocktree.htree import htree_for_array
@@ -130,66 +131,56 @@ def check_chunked_timing(ctx: CheckContext) -> Dict[str, Any]:
     return {"cases": cases, "shapes": len(shapes)}
 
 
-def _arena_build(arrays: Any) -> CompiledSkewSampler:
-    return CompiledSkewSampler.from_arrays(arrays)
+def _pooled_sampler(side: int) -> CompiledSkewSampler:
+    array = mesh(side, side)
+    return CompiledSkewSampler.from_tree(
+        htree_for_array(array), array.communicating_pairs()
+    )
 
 
-def _arena_run(state: CompiledSkewSampler, seed: int) -> float:
-    return state.sample_max_skew(seed)
+#: One context per mesh side the check runs; the coordinator warms it
+#: before a pool starts, and forked workers inherit it.
+_POOLED_CONTEXTS = {
+    side: CompiledTrialContext(partial(_pooled_sampler, side)) for side in (8, 12)
+}
+
+
+def _pooled_trial(side: int, seed: int) -> float:
+    return _POOLED_CONTEXTS[side].get().sample_max_skew(seed)
 
 
 @REGISTRY.register(
-    "differential-shared-arena",
+    "differential-pooled-trials",
     "differential",
-    "shared-memory trial arena reproduces the serial Monte-Carlo summary "
-    "bit-for-bit under thread and process executors",
+    "thread and process pools over a compiled trial reproduce the serial "
+    "Monte-Carlo summary bit-for-bit",
 )
-def check_shared_arena(ctx: CheckContext) -> Dict[str, Any]:
+def check_pooled_trials(ctx: CheckContext) -> Dict[str, Any]:
     side = 8 if not ctx.full else 12
-    array = mesh(side, side)
-    sampler = CompiledSkewSampler.from_tree(
-        htree_for_array(array), array.communicating_pairs()
-    )
-    source = sampler.arrays()
+    sampler = _POOLED_CONTEXTS[side].get()
     trials = 8
     serial = run_trials(sampler.sample_max_skew, trials, base_seed=ctx.seed)
     # The scalar oracle consumes the same seeded uniform vector — one
-    # divergent trial and the arena comparison below is meaningless.
+    # divergent trial and the pool comparison below is meaningless.
     for seed in range(ctx.seed, ctx.seed + 3):
         require(
             sampler.sample_max_skew(seed) == sampler.sample_max_skew_scalar(seed),
             "vectorized sampler diverged from its scalar oracle",
             seed=seed,
         )
-    arena = SharedTrialArena(source)
-    try:
-        attached = arena.handle.arrays()
-        for key, value in source.items():
-            require(
-                np.array_equal(attached[key], np.asarray(value)),
-                f"attached view {key!r} differs from the source array",
-                key=key,
-            )
-        trial = arena.trial(_arena_build, _arena_run)
-        for executor, workers in (("thread", 2), ("process", 2)):
-            pooled = run_trials(
-                trial, trials, base_seed=ctx.seed, workers=workers, executor=executor
-            )
-            require(
-                pooled.mean == serial.mean
-                and pooled.stdev == serial.stdev
-                and pooled.minimum == serial.minimum
-                and pooled.maximum == serial.maximum
-                and pooled.ci_half_width == serial.ci_half_width,
-                f"{executor} pool summary diverged from the serial run",
-                executor=executor, workers=workers,
-                serial_mean=serial.mean, pooled_mean=pooled.mean,
-            )
-    finally:
-        arena.close()
-    return {
-        "side": side,
-        "trials": trials,
-        "segments": sampler.n_segments,
-        "arena_bytes": sum(np.asarray(v).nbytes for v in source.values()),
-    }
+    trial = partial(_pooled_trial, side)
+    for executor, workers in (("thread", 2), ("process", 2)):
+        pooled = run_trials(
+            trial, trials, base_seed=ctx.seed, workers=workers, executor=executor
+        )
+        require(
+            pooled.mean == serial.mean
+            and pooled.stdev == serial.stdev
+            and pooled.minimum == serial.minimum
+            and pooled.maximum == serial.maximum
+            and pooled.ci_half_width == serial.ci_half_width,
+            f"{executor} pool summary diverged from the serial run",
+            executor=executor, workers=workers,
+            serial_mean=serial.mean, pooled_mean=pooled.mean,
+        )
+    return {"side": side, "trials": trials, "segments": sampler.n_segments}

@@ -242,6 +242,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
     scale_sides = (
         [int(s) for s in args.scale_sides.split(",")] if args.scale_sides else []
     )
+    # Refused before any row is timed: otherwise a bad count fails only
+    # at the row that reads it, or after every row, at the schema check.
+    counts = [("--repeats", args.repeats, 1), ("--workers", args.workers, 1),
+              ("--edge-block", args.edge_block, 1), ("--trials", args.trials, 2)]
+    counts += [("--sides", side, 1) for side in sides]
+    counts += [("--scale-sides", side, 1) for side in scale_sides]
+    for flag, value, floor in counts:
+        if value < floor:
+            raise ValueError(f"{flag} must be at least {floor}, got {value}")
     t0 = time.perf_counter()
     results = run_perf_suite(
         sides=sides,

@@ -110,9 +110,10 @@ class BufferedClockTree:
         self._arrival_fall: Dict[NodeId, float] = {}
         self._arrival_vectors: Tuple[np.ndarray, np.ndarray] = (np.empty(0), np.empty(0))
         self._segment_delays = np.empty(0)
-        # Monotone rebuild counter; downstream memoizers (compiled trial
-        # contexts, the STA analyzer) key their caches on it so a
-        # resample() is never observed through stale data.
+        # Monotone rebuild counter: a caller that caches anything derived
+        # from the sampled delays keys it on this, so a resample() is never
+        # observed through stale data (the STA report records it as the
+        # empirical block's ``tree_version``).
         self._version = 0
         # Tree version this build reflects; _sync() rebuilds when the
         # geometric tree mutated (growth *or* an edge-length retune).

@@ -192,29 +192,6 @@ class LiftingLCAIndex:
         self._size = np.empty(0, dtype=np.int64)
         self._sync()
 
-    @classmethod
-    def from_arrays(
-        cls,
-        node_id: Dict[NodeId, int],
-        nodes: Sequence[NodeId],
-        parent_ids: Sequence[int],
-        depths: Sequence[int],
-        root_distances: Sequence[float],
-    ) -> "LiftingLCAIndex":
-        """Build a free-standing index from flat arrays (tests, tools)."""
-        n = len(nodes)
-        store = DenseTreeStore(nodes[0], capacity=max(64, n))
-        store.id = {node: i for i, node in enumerate(nodes)}
-        store.nodes = list(nodes)
-        store._parent[1:n] = parent_ids[1:n]
-        store._depth[1:n] = depths[1:n]
-        store._rd[:n] = root_distances[:n]
-        store.n = n
-        store.max_depth = int(store._depth[:n].max())
-        if store.id != dict(node_id):
-            raise ValueError("node_id does not match the nodes sequence")
-        return cls(store)
-
     # ------------------------------------------------------------------
     # incremental synchronisation
     # ------------------------------------------------------------------

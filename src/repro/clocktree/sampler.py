@@ -23,15 +23,15 @@ one seeded uniform draw:
 :meth:`~CompiledSkewSampler.sample_max_skew_scalar` is the per-node
 Python oracle consuming the *same* uniform vector, so vectorized and
 scalar trials agree bit for bit (the property suite drives this).
-:meth:`~CompiledSkewSampler.arrays` / :meth:`~CompiledSkewSampler.from_arrays`
-round-trip the compiled structure through raw numpy buffers so a
-:class:`~repro.analysis.shared.SharedArena` can hand it to worker
-processes without pickling.
+Process pools read a sampler through a module-level
+:class:`~repro.analysis.montecarlo.CompiledTrialContext` warmed before
+the pool starts: forked workers inherit it, so nothing is pickled but
+the trial function's name.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,10 +46,9 @@ NodeId = Hashable
 class CompiledSkewSampler:
     """Tree structure compiled to arrays; per-trial skew in vector ops.
 
-    Construct via :meth:`from_tree` (compiles a geometric
-    :class:`ClockTree` plus its communicating pairs) or
-    :meth:`from_arrays` (rebuilds from shipped buffers).  All arrays use
-    the tree's insertion order as dense node ids with the root at 0.
+    Construct via :meth:`from_tree`, which compiles a geometric
+    :class:`ClockTree` plus its communicating pairs.  All arrays use the
+    tree's insertion order as dense node ids with the root at 0.
     """
 
     def __init__(
@@ -189,42 +188,3 @@ class CompiledSkewSampler:
         for a, b in zip(self._pair_a, self._pair_b):
             best = max(best, abs(arrival[a] - arrival[b]))
         return float(best)
-
-    # ------------------------------------------------------------------
-    # arena shipping
-    # ------------------------------------------------------------------
-    def arrays(self) -> Dict[str, np.ndarray]:
-        """The sampler's defining arrays, keyed for
-        :class:`~repro.analysis.shared.SharedArena` shipping.  Scalars
-        travel in ``params`` so the manifest stays arrays-only."""
-        return {
-            "parent": self._parent,
-            "depth": self._depth,
-            "seg_ptr": self._seg_ptr,
-            "seg_len": self._seg_len,
-            "pair_a": self._pair_a,
-            "pair_b": self._pair_b,
-            "params": np.array(
-                [self._m, self._epsilon, self._buffer_delay], dtype=np.float64
-            ),
-        }
-
-    @classmethod
-    def from_arrays(
-        cls, arrays: Mapping[str, np.ndarray]
-    ) -> "CompiledSkewSampler":
-        """Rebuild from :meth:`arrays` output (possibly views into a
-        shared-memory segment; the structure arrays are used
-        zero-copy)."""
-        params = np.asarray(arrays["params"], dtype=np.float64)
-        return cls(
-            parent=np.asarray(arrays["parent"]),
-            depth=np.asarray(arrays["depth"]),
-            seg_ptr=np.asarray(arrays["seg_ptr"]),
-            seg_len=np.asarray(arrays["seg_len"]),
-            pair_a=np.asarray(arrays["pair_a"]),
-            pair_b=np.asarray(arrays["pair_b"]),
-            m=float(params[0]),
-            epsilon=float(params[1]),
-            buffer_delay=float(params[2]),
-        )

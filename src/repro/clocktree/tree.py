@@ -85,8 +85,8 @@ class ClockTree:
         # scalar queries read it too.
         self._store = DenseTreeStore(root, root_position.x, root_position.y)
         # Bumped on every structural or edge-length mutation; consumers
-        # (BufferedClockTree, STAAnalyzer fingerprints, ECO sessions) use
-        # it as a cheap staleness tripwire.
+        # (BufferedClockTree, ECO sessions) use it as a cheap staleness
+        # tripwire.
         self._version = 0
         # Lazy caches.  The LCA index re-synchronizes itself against the
         # store, so mutation never drops it; the leaves cache dies on

@@ -171,10 +171,7 @@ class CompiledTimingKernel:
     with the 1e-12 tolerance) over edge blocks, keeps only the violating
     entries, orders them with one lexsort, and builds the violation list;
     :meth:`timing_scalar` is the per-event Python oracle the differential
-    suites compare against at co-runnable sizes.  :meth:`arrays` /
-    :meth:`from_arrays` round-trip the kernel through raw numpy buffers so
-    :class:`~repro.analysis.shared.SharedArena` can ship it to worker
-    processes without pickling.
+    suites compare against at co-runnable sizes.
     """
 
     def __init__(
@@ -369,35 +366,6 @@ class CompiledTimingKernel:
                     )
         return TimingResult(
             violations=violations, makespan=float(makespan), ticks=n_ticks
-        )
-
-    def arrays(self) -> Dict[str, np.ndarray]:
-        """The kernel's defining arrays, keyed for
-        :class:`~repro.analysis.shared.SharedArena` shipping.  Scalars
-        travel in ``params`` so the manifest stays arrays-only."""
-        return {
-            "indptr": self._indptr,
-            "indices": self._src,
-            "offsets": self._offsets,
-            "lag": self._lag,
-            "params": np.array([self._period], dtype=np.float64),
-        }
-
-    @classmethod
-    def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "CompiledTimingKernel":
-        """Rebuild a timing kernel from :meth:`arrays` output (possibly
-        views into a shared-memory segment — the big buffers are used
-        zero-copy; only the derived ``dst``/``slot`` index arrays are
-        recomputed)."""
-        adjacency = CSRAdjacency(
-            indptr=np.asarray(arrays["indptr"]),
-            indices=np.asarray(arrays["indices"]),
-        )
-        return CompiledTimingKernel(
-            adjacency,
-            arrays["offsets"],
-            float(np.asarray(arrays["params"])[0]),
-            lag=np.asarray(arrays["lag"]),
         )
 
 

@@ -1233,9 +1233,8 @@ class FlowAnalysis:
     """One static flow query, bundled: the lowered graph, the deadlock
     verdict, and (when live) the Howard critical cycle.
 
-    This is the unit the :class:`~repro.sta.analyzer.STAAnalyzer` memo
-    and the :class:`~repro.sta.eco.ECOSession` capacity-edit path cache
-    and reuse; :func:`analyze_flow` is the cold computation.
+    This is the unit the :class:`~repro.sta.eco.ECOSession` capacity-edit
+    path caches and reuses; :func:`analyze_flow` is the cold computation.
     """
 
     graph: FlowGraph

@@ -149,24 +149,6 @@ def test_set_edge_length_validation():
         tree.set_edge_length("n0", -1.0)
 
 
-def test_from_arrays_builder_matches_store_backed_index():
-    tree, nodes = random_tree(12)
-    store = tree.dense_store
-    built = LiftingLCAIndex.from_arrays(
-        [(node, store.id[node]) for node in store.nodes],
-        list(store.nodes),
-        store.parent[: len(tree)].copy(),
-        store.depth[: len(tree)].copy(),
-        store.rd[: len(tree)].copy(),
-    )
-    rng = random.Random(13)
-    pairs = sample_pairs(rng, nodes)
-    d1, s1 = built.path_metrics(pairs)
-    d2, s2 = tree.lca_index().path_metrics(pairs)
-    assert d1.tobytes() == d2.tobytes()
-    assert s1.tobytes() == s2.tobytes()
-
-
 def test_cold_build_is_vectorized_equivalent():
     """The perf row's correctness half: a fresh LiftingLCAIndex over the
     dense store answers exactly like the scalar parent walk."""

@@ -212,3 +212,36 @@ def test_hybrid_cli_refuses_non_finite_numbers(flags, name, capsys):
     assert cli_main(["hybrid", "--size", "8", *flags]) == 2
     err = capsys.readouterr().err
     assert f"error: {name} must be finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--repeats", "0"], "--repeats must be at least 1, got 0"),
+        (["--repeats", "-1"], "--repeats must be at least 1, got -1"),
+        (["--workers", "0"], "--workers must be at least 1, got 0"),
+        (["--edge-block", "0"], "--edge-block must be at least 1, got 0"),
+        (["--trials", "1"], "--trials must be at least 2, got 1"),
+        (["--sides", "16,0"], "--sides must be at least 1, got 0"),
+        (["--scale-sides", "-4"], "--scale-sides must be at least 1, got -4"),
+    ],
+)
+def test_bench_refuses_a_bad_count_before_timing_anything(
+    flags, message, tmp_path, capsys, monkeypatch
+):
+    """``bench --repeats 0`` once timed every row, printed ``inf`` and
+    ``nan`` speedups and then failed the schema; ``--trials 1`` and
+    ``--workers 0`` failed only at the Monte-Carlo row, after every other
+    row was timed."""
+    import repro.analysis.perf as perf
+
+    def never(**kwargs):
+        raise AssertionError("bench timed rows before refusing its flags")
+
+    monkeypatch.setattr(perf, "run_perf_suite", never)
+    out = tmp_path / "bench.json"
+    assert cli_main(["bench", "--sides", "16", *flags, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()

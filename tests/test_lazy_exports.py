@@ -129,17 +129,6 @@ def test_flow_loads_at_most_its_46_modules(tmp_path):
 
 #: Each deferred path as the first call of a process, printing its outputs.
 DEFERRED_CALLS = {
-    "analyzer-flow": """
-        from repro.sta.analyzer import STAAnalyzer
-        from repro.sta.design import design_for_workload
-        design = design_for_workload("matvec", size=4, seed=1)
-        analyzer = STAAnalyzer(design)
-        analyzer.report()
-        first_use()
-        service = {c: 1.0 + i % 3 / 4 for i, c in enumerate(design.array.comm.nodes())}
-        flow = analyzer.flow(service, 0.5, 2)
-        show(flow.deadlock, flow.cycle, flow.graph.eweight.tolist(), flow.graph.etokens.tolist())
-    """,
     "eco-capacity-flow": """
         from repro.sta.design import design_for_workload
         from repro.sta.eco import ECOSession

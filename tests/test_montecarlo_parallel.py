@@ -6,9 +6,13 @@ same seed order feeding the same summarization), for any worker count,
 for both pool flavours, with tracer events intact.
 """
 
+import multiprocessing
+import os
+
 import pytest
 
 from repro.analysis.montecarlo import (
+    CompiledTrialContext,
     MonteCarloSummary,
     MonteCarloTelemetry,
     _seed_chunks,
@@ -44,6 +48,28 @@ class TestParallelDeterminism:
 
     def test_workers_1_takes_serial_path(self):
         assert run_trials(_trial, 6) == run_trials(_trial, 6, workers=1)
+
+
+def _build_pid() -> int:
+    return os.getpid()
+
+
+_PID_CONTEXT = CompiledTrialContext(_build_pid)
+
+
+def _built_in(seed: int) -> float:
+    """The pid of the process whose factory call built this trial's
+    structure."""
+    return float(_PID_CONTEXT.get())
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="workers must be forked"
+)
+def test_forked_workers_inherit_a_context_warmed_in_the_coordinator():
+    assert _PID_CONTEXT.get() == os.getpid()
+    summary = run_trials(_built_in, 8, workers=2, executor="process")
+    assert summary.minimum == summary.maximum == os.getpid()
 
 
 class TestSeedPartitioning:

@@ -1,7 +1,7 @@
 """CompiledSkewSampler: vectorized Monte-Carlo trials vs the scalar walk.
 
 One seeded uniform vector feeds both paths, so agreement is required to
-be exact — which is what lets the shared-memory Monte-Carlo bench claim
+be exact — which is what lets the pooled Monte-Carlo bench claim
 bit-identical summaries while replacing the whole execution stack.
 """
 
@@ -113,37 +113,12 @@ def per_node_structure(tree, spacing):
 def test_structure_matches_the_per_node_loop(build, spacing):
     tree = build()
     pairs = [(a, b) for a, b in zip(tree.nodes()[::2], tree.nodes()[1::3])]
-    arrays = CompiledSkewSampler.from_tree(tree, pairs, buffer_spacing=spacing).arrays()
+    sampler = CompiledSkewSampler.from_tree(tree, pairs, buffer_spacing=spacing)
     parent, depth, seg_ptr, seg_len = per_node_structure(tree, spacing)
-    assert arrays["parent"].tolist() == parent and arrays["depth"].tolist() == depth
-    assert arrays["seg_ptr"].tolist() == seg_ptr
-    assert arrays["seg_len"].view(np.uint64).tolist() == (
+    assert sampler._parent.tolist() == parent and sampler._depth.tolist() == depth
+    assert sampler._seg_ptr.tolist() == seg_ptr
+    assert sampler._seg_len.view(np.uint64).tolist() == (
         np.array(seg_len, dtype=np.float64).view(np.uint64).tolist())
     index = {node: i for i, node in enumerate(tree.nodes())}
-    assert arrays["pair_a"].tolist() == [index[a] for a, _ in pairs]
-    assert arrays["pair_b"].tolist() == [index[b] for _, b in pairs]
-
-
-class TestArenaRoundTrip:
-    def test_round_trip_is_bit_identical(self, sampler):
-        rebuilt = CompiledSkewSampler.from_arrays(sampler.arrays())
-        for seed in (0, 9, 100):
-            assert rebuilt.sample_max_skew(seed) == sampler.sample_max_skew(seed)
-
-    def test_arrays_are_numpy_only(self, sampler):
-        arrays = sampler.arrays()
-        assert set(arrays) == {
-            "parent", "depth", "seg_ptr", "seg_len", "pair_a", "pair_b", "params"
-        }
-        for value in arrays.values():
-            assert isinstance(value, np.ndarray)
-
-    def test_round_trip_from_read_only_views(self, sampler):
-        # SharedArena hands out read-only views; the sampler must accept them.
-        frozen = {}
-        for key, value in sampler.arrays().items():
-            view = value.view()
-            view.flags.writeable = False
-            frozen[key] = view
-        rebuilt = CompiledSkewSampler.from_arrays(frozen)
-        assert rebuilt.sample_max_skew(5) == sampler.sample_max_skew(5)
+    assert sampler._pair_a.tolist() == [index[a] for a, _ in pairs]
+    assert sampler._pair_b.tolist() == [index[b] for _, b in pairs]

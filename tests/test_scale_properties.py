@@ -6,18 +6,17 @@ Two families, both driven by Hypothesis:
   block sizes, ``CompiledTimingKernel.timing(..., edge_block=b)`` must
   equal the monolithic evaluation and the per-event scalar oracle
   exactly;
-* shared-memory Monte-Carlo — for random trial counts, seeds, and pool
-  shapes, ``run_trials`` over a :class:`SharedTrialArena` trial must be
-  bit-identical to the serial path (the pickle path's contract,
-  inherited by the zero-pickle one).
+* pooled Monte-Carlo — for random trial counts, seeds, and pool
+  shapes, ``run_trials`` over a trial that reads a module-level
+  :class:`CompiledTrialContext` must be bit-identical to the serial
+  path.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.montecarlo import run_trials
-from repro.analysis.shared import SharedTrialArena
+from repro.analysis.montecarlo import CompiledTrialContext, run_trials
 from repro.arrays.topologies import mesh
 from repro.clocktree.htree import htree_for_array
 from repro.clocktree.sampler import CompiledSkewSampler
@@ -71,27 +70,20 @@ def test_chunked_timing_with_per_edge_lag(seed, block):
 
 
 # ----------------------------------------------------------------------
-# shared-memory pool == serial
+# pooled context trial == serial
 # ----------------------------------------------------------------------
-_SAMPLER = None
-
-
 def _sampler() -> CompiledSkewSampler:
-    global _SAMPLER
-    if _SAMPLER is None:
-        array = mesh(4, 4)
-        _SAMPLER = CompiledSkewSampler.from_tree(
-            htree_for_array(array), array.communicating_pairs()
-        )
-    return _SAMPLER
+    array = mesh(4, 4)
+    return CompiledSkewSampler.from_tree(
+        htree_for_array(array), array.communicating_pairs()
+    )
 
 
-def _build(arrays) -> CompiledSkewSampler:
-    return CompiledSkewSampler.from_arrays(arrays)
+_CONTEXT = CompiledTrialContext(_sampler)
 
 
-def _run(state: CompiledSkewSampler, seed: int) -> float:
-    return state.sample_max_skew(seed)
+def _context_trial(seed: int) -> float:
+    return _CONTEXT.get().sample_max_skew(seed)
 
 
 @given(
@@ -101,18 +93,13 @@ def _run(state: CompiledSkewSampler, seed: int) -> float:
     executor=st.sampled_from(["thread", "process"]),
 )
 @settings(max_examples=12, deadline=None)
-def test_arena_pool_is_bit_identical_to_serial(
+def test_context_pool_is_bit_identical_to_serial(
     trials, base_seed, workers, executor
 ):
-    sampler = _sampler()
-    serial = run_trials(sampler.sample_max_skew, trials, base_seed=base_seed)
-    arena = SharedTrialArena(sampler.arrays())
-    try:
-        trial = arena.trial(_build, _run)
-        pooled = run_trials(
-            trial, trials, base_seed=base_seed,
-            workers=workers, executor=executor,
-        )
-    finally:
-        arena.close()
+    serial = run_trials(_sampler().sample_max_skew, trials, base_seed=base_seed)
+    _CONTEXT.get()
+    pooled = run_trials(
+        _context_trial, trials, base_seed=base_seed,
+        workers=workers, executor=executor,
+    )
     assert pooled == serial

@@ -125,21 +125,6 @@ class TestConstruction:
         assert fast.makespan == slow.makespan
 
 
-class TestArenaRoundTrip:
-    def test_arrays_round_trip_exactly(self):
-        kernel = _kernel(6, 4, seed=9)
-        rebuilt = CompiledTimingKernel.from_arrays(kernel.arrays())
-        a, b = kernel.timing(4), rebuilt.timing(4)
-        assert a.violations == b.violations
-        assert a.makespan == b.makespan
-
-    def test_arrays_keys_are_arena_friendly(self):
-        arrays = _kernel().arrays()
-        assert set(arrays) == {"indptr", "indices", "offsets", "lag", "params"}
-        for value in arrays.values():
-            assert isinstance(value, np.ndarray)
-
-
 class TestTimingResult:
     def test_clean_property(self):
         assert TimingResult(violations=[], makespan=1.0, ticks=2).clean

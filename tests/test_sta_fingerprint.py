@@ -1,13 +1,17 @@
-"""Regression tests: STAAnalyzer's fingerprint sees every mutable input.
+"""Regression tests: STAAnalyzer sees every mutable input of its design.
 
-The seed bug being pinned: the fingerprint captured the padding map by
-reference-ish snapshot but missed other in-place mutations (``delta``,
-a clock-tree edge retune, an ECO wire override), so the analyzer kept
-serving a stale report after the design changed under it.  Each test
-mutates one input in place and requires a fresh, *different* verdictable
-quantity — no stale cache hits.
+Two bugs are pinned.  A fingerprint once captured the padding map but
+missed other in-place mutations (``delta``, a clock-tree edge retune, an
+ECO wire override); a later fingerprint missed reassigned schedules,
+skew models and disciplines.  Either way the analyzer kept serving a
+stale report after the design changed under it.  The analyzer now keeps
+nothing between queries: each test mutates one input and requires a
+fresh, *different* quantity, or a report equal to a fresh analyzer's.
 """
 
+from repro.core.disciplines import SinglePhaseDiscipline
+from repro.core.models import PhysicalModel
+from repro.sim.clock_distribution import ClockSchedule
 from repro.sta.analyzer import STAAnalyzer
 from repro.sta.design import design_for_workload
 
@@ -61,8 +65,47 @@ def test_tree_edge_retune_invalidates():
     assert after.sigma_ub.tobytes() != before.sigma_ub.tobytes()
 
 
-def test_unchanged_design_hits_cache():
-    _, analyzer = make_analyzer()
-    first = analyzer.slack()
-    assert analyzer.slack() is first
-    assert analyzer.report().to_dict()["counts"] == analyzer.report().to_dict()["counts"]
+def _report(analyzer):
+    out = analyzer.report().to_dict()
+    out["meta"].pop("emitted_at")
+    return out
+
+
+def _after_reassignment(reassign):
+    """The analyzer's report after ``reassign(design)``, and a fresh
+    analyzer's; the analyzer answered one report before the change."""
+    design, analyzer = make_analyzer()
+    before = _report(analyzer)
+    reassign(design)
+    return before, _report(analyzer), _report(STAAnalyzer(design))
+
+
+def test_reassigned_schedule_is_seen():
+    def shift_every_other_cell(design):
+        design.schedule = ClockSchedule(
+            {c: design.schedule.offset(c) + (0.9 * design.period if i % 2 else 0.0)
+             for i, c in enumerate(design.array.comm.nodes())},
+            design.period,
+        )
+
+    before, after, fresh = _after_reassignment(shift_every_other_cell)
+    assert (before["verdict"], fresh["verdict"]) == ("clean", "violations")
+    assert after == fresh
+
+
+def test_reassigned_model_is_seen():
+    def widen(design):
+        design.model = PhysicalModel(m=1.0, eps=0.5)
+
+    before, after, fresh = _after_reassignment(widen)
+    assert after == fresh
+    assert after != before
+
+
+def test_reassigned_discipline_is_seen():
+    def hold(design):
+        design.discipline = SinglePhaseDiscipline(t_hold=5.0)
+
+    before, after, fresh = _after_reassignment(hold)
+    assert after == fresh
+    assert fresh["counts"]["drc_warn"] != before["counts"]["drc_warn"]

@@ -1,9 +1,9 @@
 """Unit tests for the static flow analyzer (:mod:`repro.sta.flow`).
 
 Covers the token-weighted graph build, the Karp/Howard MCM solvers, the
-exact certificate of a Howard answer, the static deadlock detector, minimal buffer sizing, the steady-state
-simulator and its closed-form transient extrapolation, the
-``STAAnalyzer.flow`` memo, ``ECOSession.set_channel_capacity``
+exact certificate of a Howard answer, the static deadlock detector,
+minimal buffer sizing, the steady-state simulator and its closed-form
+transient extrapolation, ``ECOSession.set_channel_capacity``
 incremental reuse, the schema-validated flow report, and — the
 handshake cross-check — the signal-level pipeline disciplines'
 measured ``steady_cycle_time`` against their marked-graph MCM models.
@@ -24,7 +24,6 @@ from repro.obs.schema import validate_flow_report
 from repro.sim.compiled import CompiledRecurrence
 from repro.sim.dataflow import per_cell_service
 from repro.sim.handshake import run_credit_pipeline, run_handshake_pipeline
-from repro.sta.analyzer import STAAnalyzer
 from repro.sta.design import design_for_workload, random_design
 from repro.sta.eco import ECOSession
 from repro.sta.flow import (
@@ -683,31 +682,6 @@ class TestHandshakeCrossCheck:
             assert run.steady_cycle_time == pytest.approx(
                 self._model(s, w, "credit", credits), rel=0.02
             )
-
-
-# ----------------------------------------------------------------------
-# analyzer memo
-# ----------------------------------------------------------------------
-class TestAnalyzerFlow:
-    def test_flow_memo_hits_on_identical_spec(self):
-        sta = STAAnalyzer(design_for_workload("fir", size=4))
-        a = sta.flow(service=1.25, wire_delay=0.5, capacity=2)
-        b = sta.flow(service=1.25, wire_delay=0.5, capacity=2)
-        assert a is b
-
-    def test_flow_memo_misses_on_different_spec(self):
-        sta = STAAnalyzer(design_for_workload("fir", size=4))
-        a = sta.flow(service=1.25, wire_delay=0.5)
-        b = sta.flow(service=1.5, wire_delay=0.5)
-        assert a is not b
-
-    def test_flow_matches_cold_analyze(self):
-        design = design_for_workload("fir", size=4)
-        sta = STAAnalyzer(design)
-        memoed = sta.flow(service=1.25, wire_delay=0.5, capacity=2)
-        cold = analyze_flow(design.array.comm, 1.25, 0.5, 2)
-        assert memoed.dead == cold.dead
-        assert memoed.cycle_time == cold.cycle_time
 
 
 # ----------------------------------------------------------------------

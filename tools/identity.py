@@ -75,9 +75,10 @@ worktree`` of the parent commit) for comparison:
   four trees under each of the four variation processes, with and
   without stage variance, before and after two resamples (arrivals,
   segment delays, buffer count, ``tau`` and latency);
-  ``CompiledSkewSampler`` arrays; and the message of every construction
-  refusal.  A tree's ``version``, and what a refused construction leaves
-  behind, are not compared;
+  ``CompiledSkewSampler`` sizes, arrivals and worst skews, vectorized and
+  scalar, at three seeds; and the message of every construction refusal.
+  A tree's ``version``, and what a refused construction leaves behind,
+  are not compared;
 * 1,733 flow cases: ``analyze_flow`` on 1,200 ``random_design`` COMM
   graphs, small meshes and one- and two-way rings, with services on the
   1/8 grid or at ``0.5 + rng.random()``, wires 0, 0.3, 0.5 and 1.3, and
@@ -100,7 +101,17 @@ worktree`` of the parent commit) for comparison:
   dependency check);
 * 400 self-timed runs (Section VII): ``simulate_selftimed_line`` and
   ``simulate_selftimed_wavefront``, a tracer and metrics each on about
-  half: every result field, the trace and the metrics.
+  half: every result field, the trace and the metrics;
+* 28 Monte-Carlo cases (Section III's wire variation): ``run_trials``
+  summaries of a ``CompiledSkewSampler`` trial and a
+  ``BufferedClockTree.resample`` trial, each read through a module-level
+  ``CompiledTrialContext`` that the coordinator warms, serially and on
+  thread and process pools of 2 and 4 workers, at two trial counts and
+  base seeds; the span trace without ``wall_s`` and ``wall_t0`` of a
+  traced process-pool and a traced thread-pool run; and the sampler's
+  ``arrivals``, ``sample_max_skew`` and ``sample_max_skew_scalar`` at 14
+  seeds on three trees at two ``epsilon`` values.  Process pools need
+  the ``fork`` start method here, since the trials live in this script.
 """
 
 from __future__ import annotations
@@ -1156,12 +1167,133 @@ def clocktree_cases(quick: bool) -> Iterator[Case]:
                        "spine-linear9": "linear9", "htree-mesh4x4": "mesh4x4"}[tree_name]
         for delay in (None, 0.4):
             yield (f"clocktree/sampler/{tree_name}/d{delay}",
-                   lambda b=build, s=spacing, a=pairs_array, d=delay: sorted(
+                   lambda b=build, s=spacing, a=pairs_array, d=delay: _sampler_outputs(
                        CompiledSkewSampler.from_tree(
                            b(), arrays[a].communicating_pairs(), buffer_spacing=s,
-                           m=1.0, epsilon=0.2, buffer_delay=d).arrays().items()))
+                           m=1.0, epsilon=0.2, buffer_delay=d), (0, 1, 9)))
     for name, build in _refusals()[:4] if quick else _refusals():
         yield f"clocktree/refusal/{name}", lambda b=build: _refusal(b)
+
+
+def _sampler_outputs(sampler: Any, seeds: Tuple[int, ...]) -> List[Any]:
+    """The sampler's sizes, then per seed its arrivals, its vectorized
+    worst skew and its scalar oracle's."""
+    return [[sampler.n_nodes, sampler.n_segments, sampler.n_pairs],
+            *([sampler.arrivals(s), sampler.sample_max_skew(s),
+               sampler.sample_max_skew_scalar(s)] for s in seeds)]
+
+
+def _mc_sampler() -> Any:
+    """The sampler trial's structure: a mesh(8, 8) H-tree at ``eps`` 0.2."""
+    from repro.arrays.topologies import mesh
+    from repro.clocktree.htree import htree_for_array
+    from repro.clocktree.sampler import CompiledSkewSampler
+
+    array = mesh(8, 8)
+    return CompiledSkewSampler.from_tree(htree_for_array(array), array.communicating_pairs(),
+                                         epsilon=0.2)
+
+
+def _mc_buffered() -> Any:
+    """The resample trial's structure: a kd-tree on mesh(6, 6) with noisy
+    wires and stages, and its communicating pairs."""
+    from repro.arrays.topologies import mesh
+    from repro.clocktree.buffered import BufferedClockTree
+    from repro.clocktree.builders import kdtree_clock
+    from repro.delay.buffer import InverterPairModel
+    from repro.delay.variation import BoundedUniformVariation
+
+    array = mesh(6, 6)
+    buffered = BufferedClockTree(
+        kdtree_clock(array), buffer_spacing=0.75,
+        wire_variation=BoundedUniformVariation(m=1.0, epsilon=0.2, seed=0),
+        buffer_model=InverterPairModel(nominal=0.6, variance=0.01, seed=0))
+    return array.communicating_pairs(), buffered
+
+
+#: The Monte-Carlo slice's trial contexts by name, made on first use.  The
+#: coordinator warms them before a pool starts, and forked workers
+#: inherit them.
+_MC_CONTEXTS: Dict[str, Any] = {}
+_MC_BUILDS: Dict[str, Callable[[], Any]] = {"sampler": _mc_sampler,
+                                            "resample": _mc_buffered}
+
+
+def _mc_context(name: str) -> Any:
+    from repro.analysis.montecarlo import CompiledTrialContext
+
+    if name not in _MC_CONTEXTS:
+        _MC_CONTEXTS[name] = CompiledTrialContext(_MC_BUILDS[name])
+    return _MC_CONTEXTS[name]
+
+
+def _mc_sampler_trial(seed: int) -> float:
+    return float(_mc_context("sampler").get().sample_max_skew(seed))
+
+
+def _mc_resample_trial(seed: int) -> float:
+    pairs, buffered = _mc_context("resample").get()
+    buffered.resample(seed)
+    return float(buffered.max_skew(pairs))
+
+
+_MC_TRIALS: Dict[str, Callable[[int], float]] = {"sampler": _mc_sampler_trial,
+                                                 "resample": _mc_resample_trial}
+#: Serial, then thread and process pools of 2 and 4 workers.
+_MC_VENUES = ((None, "thread"), (2, "thread"), (4, "thread"), (2, "process"),
+              (4, "process"))
+
+
+def _mc_run(name: str, trials: int, base_seed: int, workers: Any, executor: str,
+            traced: bool) -> Dict[str, Any]:
+    """One ``run_trials`` summary over a warmed context; with ``traced``,
+    its span trace too (wall-clock fields dropped)."""
+    from repro.analysis.montecarlo import run_trials
+
+    _mc_context(name).get()
+    tracer, _ = _observers(traced, False)
+    summary = run_trials(_MC_TRIALS[name], trials, base_seed=base_seed, tracer=tracer,
+                         workers=workers, executor=executor)
+    return _observed({"summary": summary}, tracer, None)
+
+
+def montecarlo_cases(quick: bool) -> Iterator[Case]:
+    """``run_trials`` over a sampler and a resample trial in every venue,
+    one traced pooled run, and the sampler's outputs on three trees."""
+    from repro.arrays.topologies import hex_array, linear_array, mesh
+    from repro.clocktree import builders, spine
+    from repro.clocktree.htree import htree_for_array
+    from repro.clocktree.sampler import CompiledSkewSampler
+
+    runs = [(name, trials, seed, workers, executor, False)
+            for name in _MC_TRIALS for trials, seed in ((16, 0), (37, 500))
+            for workers, executor in _MC_VENUES]
+    runs.append(("sampler", 24, 7, 2, "process", True))
+    runs.append(("resample", 12, 3, 2, "thread", True))
+    if quick:
+        runs = [("sampler", 16, 0, 2, "process", False), runs[-2]]
+    for name, trials, seed, workers, executor, traced in runs:
+        venue = "serial" if workers is None else f"{executor}{workers}"
+        yield (f"montecarlo/run/{name}/n{trials}-s{seed}/{venue}"
+               f"{'/traced' if traced else ''}",
+               lambda a=(name, trials, seed, workers, executor, traced): _mc_run(*a))
+    trees = [
+        ("htree-mesh8x8", lambda: (htree_for_array(mesh(8, 8)), mesh(8, 8)), 1.0),
+        ("kdtree-hex4x5", lambda: (builders.kdtree_clock(hex_array(4, 5)), hex_array(4, 5)),
+         0.5),
+        ("spine-linear12", lambda: (spine.spine_clock(linear_array(12), tap_length=0.3),
+                                    linear_array(12)), 0.4),
+    ]
+    for tree_name, build, spacing in trees[:1] if quick else trees:
+        for eps in (0.1, 0.35):
+            def outputs(b: Callable[[], Any] = build, s: float = spacing,
+                        e: float = eps) -> List[Any]:
+                tree, array = b()
+                sampler = CompiledSkewSampler.from_tree(
+                    tree, array.communicating_pairs(), buffer_spacing=s, m=1.0, epsilon=e)
+                return _sampler_outputs(sampler, tuple(range(0, 40, 3)))
+
+            yield f"montecarlo/sampler/{tree_name}/e{eps}", outputs
 
 
 def _eco_script(workload: str, seed: int) -> List[Dict[str, Any]]:
@@ -1250,7 +1382,8 @@ def record(out: str, src: str, quick: bool) -> int:
     lines = []
     for cases in (design_cases, signoff_cases, eco_cases, tile_cases,
                   dataflow_cases, clocked_cases, handshake_cases, cli_cases,
-                  clocktree_cases, flow_cases, hybrid_cases, selftimed_cases):
+                  clocktree_cases, flow_cases, hybrid_cases, selftimed_cases,
+                  montecarlo_cases):
         for case, run in cases(quick):
             lines.append(f"{case}\t{digest(run())}\n")
     with open(out, "w") as fh:
